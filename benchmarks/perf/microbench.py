@@ -2,10 +2,11 @@
 
 Each benchmark times the operation the inner loop actually performs —
 full evaluation, incremental (cone) evaluation, mutation + copy-on-write
-copy, shrink — over a Table-1 circuit, plus two end-to-end evolution
-runs (serial and ``workers=2``).  All benchmarks run on the
-representation selected by ``RcgpConfig.kernel`` so the same harness
-measures both the flat kernel and the object-netlist fallback.
+copy (tuned and at the paper's defaults), shrink — over a Table-1
+circuit, plus two end-to-end evolution runs (serial and ``workers=2``).
+All benchmarks run on the representation selected by
+``RcgpConfig.kernel`` so the same harness measures both the flat kernel
+and the object-netlist fallback.
 
 Rates are evaluations (or operations) per second; use
 ``tools/perf_bench.py`` to run the suite, persist ``BENCH_perf.json``,
@@ -70,10 +71,7 @@ def bench_incremental_eval(circuit: str, kernel: str,
     return iterations / (time.perf_counter() - start)
 
 
-def bench_mutation_copy(circuit: str, kernel: str, iterations: int) -> float:
-    """Mutations per second, engine-style: copy-on-write child plus
-    shared-consumer-map journaling with rollback."""
-    _, parent, config = _fixture(circuit, kernel)
+def _mutation_rate(parent, config: RcgpConfig, iterations: int) -> float:
     consumers = parent.consumers()
     rng = random.Random(7)
     start = time.perf_counter()
@@ -81,6 +79,21 @@ def bench_mutation_copy(circuit: str, kernel: str, iterations: int) -> float:
         mutate_with_delta(parent, rng, config, consumers=consumers,
                           rollback=True)
     return iterations / (time.perf_counter() - start)
+
+
+def bench_mutation_copy(circuit: str, kernel: str, iterations: int) -> float:
+    """Mutations per second, engine-style: copy-on-write child plus a
+    shared parent consumer map left unchanged (``rollback=True``)."""
+    _, parent, config = _fixture(circuit, kernel)
+    return _mutation_rate(parent, config, iterations)
+
+
+def bench_mutation_paper(circuit: str, kernel: str, iterations: int) -> float:
+    """``mutation_copy`` at the paper's defaults (μ = 1, uncapped gene
+    count): the mutation ``synthesize()`` runs unless tuned."""
+    _, parent, _ = _fixture(circuit, kernel)
+    return _mutation_rate(parent, RcgpConfig(seed=3, kernel=kernel),
+                          iterations)
 
 
 def bench_shrink(circuit: str, kernel: str, iterations: int) -> float:
@@ -125,6 +138,7 @@ BENCHES: Dict[str, Tuple[Callable[[str, str, int], float], int, int]] = {
     "full_eval": (bench_full_eval, 300, 40),
     "incremental_eval": (bench_incremental_eval, 2000, 300),
     "mutation_copy": (bench_mutation_copy, 5000, 800),
+    "mutation_paper": (bench_mutation_paper, 1000, 150),
     "shrink": (bench_shrink, 2000, 300),
     "run_serial": (bench_run_serial, 1200, 60),
     "run_workers2": (bench_run_workers2, 1200, 60),

@@ -1281,9 +1281,8 @@ class EvolutionRun:
         pool_evaluations = 0
         # Connectivity view of the current parent, built lazily and
         # *shared* across the brood: mutate_with_delta(rollback=True)
-        # journals its consumer-map edits and rewinds them, so no
-        # per-offspring copy exists at all.  Invalidated whenever the
-        # parent changes.
+        # leaves it as it was, so no per-offspring copy exists at all.
+        # Invalidated whenever the parent changes.
         parent_consumers = None
         start = time.monotonic()
         stagnation = 0

@@ -19,12 +19,43 @@ Point mutation modifies up to ``m`` genes, ``m`` drawn uniformly from
 * **inverter-configuration flip** — ``f' = f XOR (1 << beta)`` with
   ``beta`` uniform in ``[0, 9)``.
 
-The operators are representation-agnostic: a candidate is either an
-:class:`~repro.rqfp.netlist.RqfpNetlist` or a flat
-:class:`~repro.core.kernel.NetlistKernel` (``config.kernel``), and the
-mutation state reads/writes genes through a small primitive surface so
-the RNG stream — and therefore the mutant — is bit-identical across
-representations.
+A candidate is either a flat :class:`~repro.core.kernel.NetlistKernel`
+(the engine's hot loop) or an :class:`~repro.rqfp.netlist.RqfpNetlist`
+(``kernel="object"``), and each has its own implementation:
+
+* :func:`_mutate_kernel` — one fused loop over the kernel's
+  ``in0/in1/in2/config/outputs`` columns, with no per-gene method calls;
+* the object path — :class:`_NetlistState` with
+  :func:`_mutate_gate_input`, :func:`_mutate_output` and
+  :func:`_mutate_config`.  It is the oracle the kernel loop is held to
+  (``RCGP_CHECK_KERNEL``, ``tests/test_mutation.py``,
+  ``tools/fuzz_diff.py``).
+
+Both make the identical RNG draws, so the mutant, the swap-rule choices
+and the delta are bit-identical across representations.  The object
+path calls ``rng.randrange(n)`` / ``rng.randint(1, m)``; for
+:class:`random.Random` those reduce to
+``Random._randbelow_with_getrandbits`` — draw
+``getrandbits(n.bit_length())`` until the value is below ``n`` — and
+the kernel loop makes exactly those ``getrandbits`` calls inline.  That
+equality holds for every RNG whose class draws integers through that
+method (``random.Random``, ``random.SystemRandom``, subclasses that only
+override ``getrandbits``); any other RNG — say a subclass that only
+overrides ``random()`` — gets a ``TypeError`` on a kernel parent rather
+than a silently different mutant.
+
+The swap rule asks which gene reads a port, through a consumer map
+``port -> [("gate", g, position) | ("po", index, 0), ...]`` in
+``consumers()`` order (the first gate consumer wins, so list order is
+semantics).  The kernel loop edits it copy-on-write: the first edit of
+a port copies its list into a call-private overlay, and lookups read
+the overlay first.  With ``rollback=True`` the overlay is dropped, so
+a (1+λ) brood shares one parent map that is never written; an owned map
+(``rollback=False``) gets the overlay written back.  Port 0
+(``CONST_PORT``) needs no bookkeeping unless the map is owned:
+connecting to the constant is a direct assignment, so the swap rule
+never reads its consumers — and about 45% of all gate inputs read the
+constant, which makes its list the longest in the map.
 """
 
 from __future__ import annotations
@@ -137,46 +168,29 @@ def chromosome_length(candidate: Candidate) -> int:
     return 4 * candidate.num_gates + candidate.num_outputs
 
 
-def _consumer_map(candidate: Candidate) -> Dict[int, List[Consumer]]:
-    return candidate.consumers()
+class _NetlistState:
+    """Mutation primitives over :class:`RqfpNetlist` gate objects.
 
-
-def copy_consumer_map(consumers: Dict[int, List[Consumer]]) \
-        -> Dict[int, List[Consumer]]:
-    """A mutation-safe copy of a consumer map.
-
-    Building the map walks every gate; copying it is markedly cheaper.
-    Callers that share one parent map across many
-    :func:`mutate_with_delta` calls and cannot pass ``rollback=True``
-    hand each call a copy instead.
-    """
-    return {port: users.copy() for port, users in consumers.items()}
-
-
-class _MutationState:
-    """Incrementally maintained connectivity view during one mutation.
-
-    Also records which gates and primary outputs were touched, so the
-    caller can build the :class:`MutationDelta` without diffing the
-    whole chromosome afterwards.
-
-    Subclasses bind one genome representation through the gene
-    primitives (``input``/``config``/``output``/``num_ports``/
-    ``source_limit`` reads, ``set_*`` writes); the consumer bookkeeping,
-    touched-set tracking and optional undo log live here.
+    Maintains the consumer map incrementally during one mutation and
+    records which gates and primary outputs were touched, so the caller
+    can build the :class:`MutationDelta` without diffing the whole
+    chromosome afterwards.
 
     With ``track_undo`` the consumer-map edits are journalled so
     :meth:`rollback` restores the map to its pre-mutation state —
     including list order, which the swap rule's first-consumer choice
-    depends on.  That lets the ``(1+λ)`` loop mutate all λ offspring
-    against one *shared* parent map instead of copying it per offspring.
+    depends on.
     """
 
-    __slots__ = ("consumers", "touched_gates", "touched_outputs", "_undo")
+    __slots__ = ("netlist", "consumers", "touched_gates", "touched_outputs",
+                 "_undo")
 
-    def __init__(self, consumers: Dict[int, List[Consumer]],
-                 track_undo: bool):
-        self.consumers = consumers
+    def __init__(self, netlist: RqfpNetlist,
+                 consumers: Optional[Dict[int, List[Consumer]]] = None,
+                 track_undo: bool = False):
+        self.netlist = netlist
+        self.consumers = consumers if consumers is not None \
+            else netlist.consumers()
         self.touched_gates: Set[int] = set()
         self.touched_outputs: Set[int] = set()
         self._undo: Optional[List[Tuple[bool, int, int, Consumer]]] = \
@@ -243,18 +257,7 @@ class _MutationState:
                 fallback = user
         return fallback
 
-
-class _NetlistState(_MutationState):
-    """Mutation primitives over :class:`RqfpNetlist` gate objects."""
-
-    __slots__ = ("netlist",)
-
-    def __init__(self, netlist: RqfpNetlist,
-                 consumers: Optional[Dict[int, List[Consumer]]] = None,
-                 track_undo: bool = False):
-        super().__init__(consumers if consumers is not None
-                         else netlist.consumers(), track_undo)
-        self.netlist = netlist
+    # -- genes -----------------------------------------------------------
 
     def num_ports(self) -> int:
         return self.netlist.num_ports()
@@ -302,71 +305,7 @@ class _NetlistState(_MutationState):
         )
 
 
-class _KernelState(_MutationState):
-    """Mutation primitives over :class:`NetlistKernel` gene arrays."""
-
-    __slots__ = ("kernel", "_inputs")
-
-    def __init__(self, kernel: NetlistKernel,
-                 consumers: Optional[Dict[int, List[Consumer]]] = None,
-                 track_undo: bool = False):
-        super().__init__(consumers if consumers is not None
-                         else kernel.consumers(), track_undo)
-        self.kernel = kernel
-        self._inputs = (kernel.in0, kernel.in1, kernel.in2)
-
-    def num_ports(self) -> int:
-        return self.kernel.num_ports()
-
-    def source_limit(self, gate: int) -> int:
-        return self.kernel.first_gate_port(gate)
-
-    def input(self, gate: int, position: int) -> int:
-        return self._inputs[position][gate]
-
-    def config(self, gate: int) -> int:
-        return self.kernel.config[gate]
-
-    def output(self, index: int) -> int:
-        return self.kernel.outputs[index]
-
-    def set_gate_input(self, gate: int, position: int, port: int) -> None:
-        column = self._inputs[position]
-        self._detach(column[gate], ("gate", gate, position))
-        column[gate] = port
-        self._attach(port, ("gate", gate, position))
-        self.touched_gates.add(gate)
-
-    def set_config(self, gate: int, config: int) -> None:
-        self.kernel.config[gate] = config
-        self.touched_gates.add(gate)
-
-    def set_output(self, index: int, port: int) -> None:
-        old = self.kernel.outputs[index]
-        self._detach(old, ("po", index, 0))
-        self.kernel.outputs[index] = port
-        self._attach(port, ("po", index, 0))
-        self.touched_outputs.add(index)
-
-    def build_delta(self) -> MutationDelta:
-        kernel = self.kernel
-        in0, in1, in2, config = (kernel.in0, kernel.in1, kernel.in2,
-                                 kernel.config)
-        return MutationDelta(
-            gates=tuple((g, (in0[g], in1[g], in2[g], config[g]))
-                        for g in sorted(self.touched_gates)),
-            outputs=tuple((i, kernel.outputs[i])
-                          for i in sorted(self.touched_outputs)),
-        )
-
-
-def _legal_source_limit(candidate: Candidate, gate: int) -> int:
-    """Gate inputs may reference any strictly earlier port (``n_l`` spans
-    every previous column, as in the paper's setup)."""
-    return candidate.first_gate_port(gate)
-
-
-def _mutate_gate_input(state: _MutationState, gate: int, position: int,
+def _mutate_gate_input(state: _NetlistState, gate: int, position: int,
                        rng: random.Random) -> bool:
     limit = state.source_limit(gate)
     new_port = rng.randrange(limit)
@@ -397,7 +336,7 @@ def _mutate_gate_input(state: _MutationState, gate: int, position: int,
     return True
 
 
-def _mutate_output(state: _MutationState, index: int,
+def _mutate_output(state: _NetlistState, index: int,
                    rng: random.Random) -> bool:
     new_port = rng.randrange(state.num_ports())
     if new_port == state.output(index):
@@ -406,11 +345,172 @@ def _mutate_output(state: _MutationState, index: int,
     return True
 
 
-def _mutate_config(state: _MutationState, gate: int,
+def _mutate_config(state: _NetlistState, gate: int,
                    rng: random.Random) -> bool:
     beta = rng.randrange(9)
     state.set_config(gate, state.config(gate) ^ (1 << beta))
     return True
+
+
+_RANDBELOW = random.Random._randbelow_with_getrandbits
+
+
+def _mutate_kernel(child: NetlistKernel, rng: random.Random,
+                   config: RcgpConfig, max_m: int,
+                   consumers: Optional[Dict[int, List[Consumer]]],
+                   rollback: bool) -> MutationDelta:
+    """Point-mutate ``child``'s gene columns in place; returns the delta.
+
+    The object path fused into one loop (module docstring): each
+    ``rng.randrange(n)`` there is an inline ``getrandbits`` rejection
+    loop here, and each detach/attach goes to the copy-on-write overlay
+    ``edited``.  Ports are ints and ``CONST_PORT`` is 0, so ``if port``
+    reads "not the constant".
+    """
+    cls = type(rng)
+    if (getattr(cls, "_randbelow", None) is not _RANDBELOW
+            or getattr(cls, "randrange", None) is not random.Random.randrange
+            or getattr(cls, "randint", None) is not random.Random.randint):
+        raise TypeError(
+            f"{cls.__name__} does not draw integers through "
+            "random.Random._randbelow_with_getrandbits, so the kernel "
+            "mutation loop cannot reproduce its randrange() stream")
+    getrandbits = rng.getrandbits
+    write_back = consumers is not None and not rollback
+    if consumers is None:
+        consumers = child.consumers()
+    edited: Dict[int, List[Consumer]] = {}
+    columns = (child.in0, child.in1, child.in2)
+    configs = child.config
+    outputs = child.outputs
+    base = child.num_inputs + 1
+    node_genes = 4 * len(configs)
+    n_l = node_genes + len(outputs)
+    n_l_bits = n_l.bit_length()
+    num_ports = base + 3 * len(configs)
+    num_ports_bits = num_ports.bit_length()
+    inputs_on = config.enable_input_mutation
+    configs_on = config.enable_inverter_mutation
+    outputs_on = config.enable_output_mutation
+    touched_gates: Set[int] = set()
+    touched_outputs: Set[int] = set()
+
+    bits = max_m.bit_length()
+    m = getrandbits(bits)
+    while m >= max_m:
+        m = getrandbits(bits)
+    for _ in range(m + 1):  # randint(1, max_m) == 1 + randbelow(max_m)
+        # Up to eight draws to land on an enabled gene kind.  (A counted
+        # ``while`` costs markedly less per gene than ``range(8)``.)
+        attempts = 8
+        while attempts:
+            attempts -= 1
+            gene = getrandbits(n_l_bits)
+            while gene >= n_l:
+                gene = getrandbits(n_l_bits)
+
+            if gene >= node_genes:  # primary-output reconnection
+                if not outputs_on:
+                    continue
+                index = gene - node_genes
+                new = getrandbits(num_ports_bits)
+                while new >= num_ports:
+                    new = getrandbits(num_ports_bits)
+                old = outputs[index]
+                if new != old:
+                    outputs[index] = new
+                    touched_outputs.add(index)
+                    me = ("po", index, 0)
+                    if old or write_back:
+                        users = edited.get(old)
+                        if users is None:
+                            users = edited[old] = list(consumers.get(old, ()))
+                        users.remove(me)
+                    if new or write_back:
+                        users = edited.get(new)
+                        if users is None:
+                            users = edited[new] = list(consumers.get(new, ()))
+                        users.append(me)
+                break
+
+            gate = gene >> 2
+            field = gene & 3
+            if field == 3:  # inverter-configuration flip
+                if not configs_on:
+                    continue
+                beta = getrandbits(4)
+                while beta >= 9:
+                    beta = getrandbits(4)
+                configs[gate] ^= 1 << beta
+                touched_gates.add(gate)
+                break
+
+            if not inputs_on:  # node-input reconnection
+                continue
+            limit = base + 3 * gate
+            bits = limit.bit_length()
+            new = getrandbits(bits)
+            while new >= limit:
+                new = getrandbits(bits)
+            column = columns[field]
+            old = column[gate]
+            if new == old:
+                break
+            me = ("gate", gate, field)
+            other = None
+            if new or write_back:
+                users = edited.get(new)
+                if users is None:
+                    users = edited[new] = list(consumers.get(new, ()))
+                if new:
+                    # The swap partner: the first gate consumer of
+                    # ``new``, else its first PO.  (This gene reads
+                    # ``old``, so it is never in ``new``'s list.)  A
+                    # constant connection is a direct assignment.
+                    for user in users:
+                        if user[0] == "gate":
+                            other = user
+                            break
+                        if other is None:
+                            other = user
+                    if other is not None and other[0] == "gate" \
+                            and old >= base + 3 * other[1]:
+                        break  # swap would let a gate read from its future
+                users.append(me)
+            column[gate] = new
+            touched_gates.add(gate)
+            if old or write_back:
+                olds = edited.get(old)
+                if olds is None:
+                    olds = edited[old] = list(consumers.get(old, ()))
+                olds.remove(me)
+            if other is not None:
+                # Paper case 1: the partner takes over ``old`` (a PO may
+                # reference any port).
+                users.remove(other)
+                index = other[1]
+                if other[0] == "gate":
+                    columns[other[2]][index] = old
+                    touched_gates.add(index)
+                else:
+                    outputs[index] = old
+                    touched_outputs.add(index)
+                if old or write_back:
+                    olds.append(other)
+            break
+
+    if write_back:
+        for port, users in edited.items():
+            if users:
+                consumers[port] = users
+            else:
+                consumers.pop(port, None)
+    in0, in1, in2 = columns
+    return MutationDelta(
+        gates=tuple((g, (in0[g], in1[g], in2[g], configs[g]))
+                    for g in sorted(touched_gates)),
+        outputs=tuple((i, outputs[i]) for i in sorted(touched_outputs)),
+    )
 
 
 def mutate_with_delta(parent: Candidate, rng: random.Random,
@@ -426,14 +526,15 @@ def mutate_with_delta(parent: Candidate, rng: random.Random,
     child from the parent, and for the evaluator to resimulate only the
     delta's fan-out cone.  The parent is not modified, the offspring has
     the parent's representation (netlist or kernel), and the RNG stream
-    is identical across representations.
+    is identical across representations.  A kernel parent needs an RNG
+    whose integers come from ``getrandbits`` (module docstring); any
+    other raises ``TypeError``.
 
     ``consumers``, when given, must be a consumer map of ``parent``.
-    With ``rollback=False`` the call takes ownership and mutates it
-    (pass a :func:`copy_consumer_map`); with ``rollback=True`` every
-    edit is journalled and undone before returning, so a (1+λ) loop can
-    share one parent map across the whole brood with no per-offspring
-    copy at all.
+    With ``rollback=False`` the call takes ownership and updates it to
+    the child's map; with ``rollback=True`` it is left as it was (list
+    order included), so a (1+λ) loop can share one parent map across
+    the whole brood with no per-offspring copy at all.
     """
     child = parent.copy()
     n_l = chromosome_length(child)
@@ -442,11 +543,11 @@ def mutate_with_delta(parent: Candidate, rng: random.Random,
     max_m = max(1, round(config.mutation_rate * n_l))
     if config.max_mutated_genes is not None:
         max_m = max(1, min(max_m, config.max_mutated_genes))
-    m = rng.randint(1, max_m)
     if isinstance(child, NetlistKernel):
-        state: _MutationState = _KernelState(child, consumers, rollback)
-    else:
-        state = _NetlistState(child, consumers, rollback)
+        return child, _mutate_kernel(child, rng, config, max_m, consumers,
+                                     rollback)
+    m = rng.randint(1, max_m)
+    state = _NetlistState(child, consumers, rollback)
     node_genes = 4 * child.num_gates
 
     for _ in range(m):

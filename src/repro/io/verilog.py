@@ -236,10 +236,18 @@ def read_verilog(path_or_file: Union[str, TextIO]) -> Aig:
         return parse_verilog(handle.read(), filename=str(path_or_file))
 
 
+def _identifier(name: str) -> str:
+    """``name`` as a legal Verilog identifier: other characters become
+    ``_``, and a name that starts with neither a letter nor ``_`` (the
+    RevLib circuit ``4gt10``, say) gets an ``m_`` prefix."""
+    ident = re.sub(r"[^A-Za-z0-9_$]", "_", name)
+    return ident if re.match(r"[A-Za-z_]", ident) else "m_" + ident
+
+
 def write_verilog(aig: Aig, module_name: Optional[str] = None) -> str:
     """Emit flat assign-style Verilog from an AIG."""
     clean = aig.cleanup()
-    name = module_name or clean.name or "top"
+    name = _identifier(module_name or clean.name or "top")
     ports = clean.input_names + clean.output_names
     lines = [f"module {name}({', '.join(ports)});"]
     for port in clean.input_names:

@@ -262,8 +262,10 @@ class ServiceServer:
         self._wake.set()
         if self._loop_thread.is_alive():
             self._loop_thread.join()
-        self._httpd.shutdown()
         if self._http_thread.is_alive():
+            # shutdown() waits for serve_forever() to acknowledge, so on
+            # a server that never started it would block forever.
+            self._httpd.shutdown()
             self._http_thread.join()
         self._httpd.server_close()
         self.session.close()

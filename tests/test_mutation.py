@@ -7,8 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bench.random_circuits import random_rqfp
+from repro.bench.registry import get_benchmark
 from repro.core.config import RcgpConfig
-from repro.core.mutation import chromosome_length, mutate
+from repro.core.engine import encode_genome
+from repro.core.kernel import NetlistKernel
+from repro.core.mutation import chromosome_length, mutate, mutate_with_delta
+from repro.core.synthesis import initialize_netlist
 from repro.rqfp.gate import NORMAL_CONFIG
 from repro.rqfp.netlist import CONST_PORT, RqfpNetlist
 from repro.rqfp.splitters import insert_splitters
@@ -191,3 +195,121 @@ class TestMutationCap:
         parent = _legal_parent(rng)
         config = RcgpConfig(mutation_rate=0.0, max_mutated_genes=0)
         mutate(parent, rng, config)  # must not raise
+
+
+# ----------------------------------------------------------------------
+# Kernel loop vs object path at paper scale
+#
+# The engine mutates flat kernels through the fused loop in
+# ``_mutate_kernel``; the object path is its oracle.  At the paper's
+# defaults (mu = 1, uncapped) a child of intdiv9 rewires hundreds of
+# genes, reaching the constant-port skip, the copy-on-write consumer
+# overlay and every swap-rule branch many times per call.
+
+PAPER_CIRCUITS = ("intdiv7", "intdiv8", "intdiv9", "mod5adder")
+MUTATION_CONFIGS = {
+    "paper": RcgpConfig(),
+    "tuned": RcgpConfig(mutation_rate=0.08, max_mutated_genes=8),
+    "no_input": RcgpConfig(enable_input_mutation=False),
+    "no_inverter": RcgpConfig(enable_inverter_mutation=False),
+    "no_output": RcgpConfig(enable_output_mutation=False),
+}
+CHAIN_GENERATIONS = 3
+BROOD = 2
+
+
+@pytest.fixture(scope="module")
+def initial_netlists():
+    cache = {}
+
+    def get(name):
+        if name not in cache:
+            benchmark = get_benchmark(name)
+            cache[name] = initialize_netlist(benchmark.spec(), benchmark.name)
+        return cache[name]
+    return get
+
+
+def _same_mutation(netlist, kernel, config, seed):
+    """Mutate both representations with one seed in every map mode;
+    returns the (object, kernel) children."""
+    rng_n, rng_k = random.Random(seed), random.Random(seed)
+    child_n, delta_n = mutate_with_delta(netlist, rng_n, config)
+    child_k, delta_k = mutate_with_delta(kernel, rng_k, config)
+    assert isinstance(child_k, NetlistKernel)
+    assert delta_k == delta_n
+    assert child_k.to_genome() == encode_genome(child_n)
+    assert rng_k.getstate() == rng_n.getstate()  # same number of draws
+
+    # Shared map, rolled back: the whole brood leaves it as it was.
+    shared = kernel.consumers()
+    for i in range(BROOD):
+        _, delta = mutate_with_delta(kernel, random.Random(seed + i),
+                                     config, consumers=shared,
+                                     rollback=True)
+        if i == 0:
+            assert delta == delta_n
+        assert shared == kernel.consumers()  # list order included
+        assert all(shared.values()), "empty consumer list left behind"
+
+    # Owned map: updated exactly as the object path updates its own.
+    owned_n, owned_k = netlist.consumers(), kernel.consumers()
+    mutate_with_delta(netlist, random.Random(seed), config,
+                      consumers=owned_n)
+    _, delta = mutate_with_delta(kernel, random.Random(seed), config,
+                                 consumers=owned_k)
+    assert delta == delta_n
+    assert owned_k == owned_n  # port 0's list included
+    assert all(owned_k.values())
+    return child_n, child_k
+
+
+class TestKernelLoopMatchesObjectPath:
+    @pytest.mark.parametrize("circuit", PAPER_CIRCUITS)
+    @pytest.mark.parametrize("label", sorted(MUTATION_CONFIGS))
+    def test_chained_generations(self, initial_netlists, circuit, label):
+        config = MUTATION_CONFIGS[label]
+        netlist = initial_netlists(circuit)
+        kernel = NetlistKernel.from_netlist(netlist)
+        for generation in range(CHAIN_GENERATIONS):
+            netlist, kernel = _same_mutation(
+                netlist, kernel, config, 1000 * generation + 17)
+
+    def test_random_netlists_with_shared_ports(self):
+        """Random netlists break single fan-out, so ports carry several
+        gate and PO consumers and the first-consumer order matters."""
+        for trial in range(20):
+            netlist = random_rqfp(4, 14, 3, random.Random(trial))
+            kernel = NetlistKernel.from_netlist(netlist)
+            for label in ("paper", "no_input", "no_output"):
+                _same_mutation(netlist, kernel, MUTATION_CONFIGS[label],
+                               trial)
+
+    def test_getrandbits_subclass_sees_the_same_draws(self, initial_netlists):
+        class CountingRandom(random.Random):
+            calls = 0
+
+            def getrandbits(self, k):
+                self.calls += 1
+                return super().getrandbits(k)
+
+        netlist = initial_netlists("intdiv7")
+        kernel = NetlistKernel.from_netlist(netlist)
+        rng_n, rng_k = CountingRandom(5), CountingRandom(5)
+        _, delta_n = mutate_with_delta(netlist, rng_n, RcgpConfig())
+        _, delta_k = mutate_with_delta(kernel, rng_k, RcgpConfig())
+        assert delta_k == delta_n
+        assert rng_k.calls == rng_n.calls > 100
+
+    def test_rng_without_getrandbits_draws_is_rejected(self):
+        """A subclass overriding only ``random()`` draws integers from
+        floats; the kernel loop cannot reproduce that stream."""
+        class FloatRandom(random.Random):
+            def random(self):
+                return super().random()
+
+        netlist = random_rqfp(3, 6, 2, random.Random(1))
+        mutate_with_delta(netlist, FloatRandom(1), RcgpConfig())  # fine
+        with pytest.raises(TypeError, match="getrandbits"):
+            mutate_with_delta(NetlistKernel.from_netlist(netlist),
+                              FloatRandom(1), RcgpConfig())

@@ -14,10 +14,12 @@ The headline guarantees, mirroring the in-process scheduler suite:
 """
 
 import json
+import threading
 
 import pytest
 
 from repro.api import synthesize
+from repro.cluster import ClusterFleet
 from repro.core.config import RcgpConfig
 from repro.errors import (JobNotFound, JobNotReady, QueueFull, ReproError,
                           ServiceError)
@@ -212,6 +214,23 @@ class TestBackpressure:
             assert client.status(first["job_id"])["state"] == QUEUED
         finally:
             server.close()
+
+
+class TestLifecycle:
+    def test_close_without_start_returns(self, tmp_path):
+        """Regression: close() on a never-started server used to block
+        forever in ``httpd.shutdown()``."""
+        fleet = ClusterFleet(token="secret").start()
+        server = ServiceServer(str(tmp_path / "store"), port=0,
+                               cluster=fleet)
+        closer = threading.Thread(target=server.close, daemon=True)
+        closer.start()
+        closer.join(timeout=20)
+        assert not closer.is_alive(), "close() hung without start()"
+        with pytest.raises(OSError):  # the listening socket is closed
+            server._httpd.socket.getsockname()
+        with pytest.raises(OSError):  # and so is the fleet's
+            fleet._listener.getsockname()
 
 
 class TestInterruptedAndResume:

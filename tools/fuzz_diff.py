@@ -11,7 +11,11 @@ on:
 * **kernel vs object** — simulation, shrink, levels, buffer estimate
   and fan-out counts agree bit for bit after every mutation;
 * **mutation parity** — the same RNG stream mutates the kernel and the
-  object netlist into the same chromosome;
+  object netlist into the same chromosome with the same delta and the
+  same number of draws, under either the paper's defaults (μ = 1,
+  uncapped) or a capped config (μ = 0.3, ≤ 4 genes), drawn per round;
+  the kernel side mutates through one shared parent consumer map with
+  ``rollback=True``, which must be unchanged after every step;
 * **incremental vs full** — cone-aware incremental fitness equals full
   re-simulation for both representations;
 * **SAT vs exhaustive simulation** — ``check_against_tables`` agrees
@@ -166,8 +170,11 @@ def run_round(seed: int, round_index: int) -> None:
     spec = random_spec(rng, num_inputs, num_outputs)
     netlist = random_netlist(rng, num_inputs, num_gates, num_outputs)
     kernel = NetlistKernel.from_netlist(netlist)
-    config = RcgpConfig(seed=round_index, mutation_rate=0.3,
-                        max_mutated_genes=4)
+    if rng.getrandbits(1):
+        config = RcgpConfig(seed=round_index)  # paper defaults
+    else:
+        config = RcgpConfig(seed=round_index, mutation_rate=0.3,
+                            max_mutated_genes=4)
     evaluator = Evaluator(spec, config)
     words, mask = evaluator._words, evaluator._mask
 
@@ -181,13 +188,21 @@ def run_round(seed: int, round_index: int) -> None:
     parent_obj, parent_ker = netlist, kernel
     for step in range(MUTATION_STEPS):
         mutation_seed = rng.getrandbits(48)
-        child_obj, delta_obj = mutate_with_delta(
-            parent_obj, random.Random(mutation_seed), config)
+        rng_obj = random.Random(mutation_seed)
+        rng_ker = random.Random(mutation_seed)
+        shared = parent_ker.consumers()
+        child_obj, delta_obj = mutate_with_delta(parent_obj, rng_obj, config)
         child_ker, delta_ker = mutate_with_delta(
-            parent_ker, random.Random(mutation_seed), config)
+            parent_ker, rng_ker, config, consumers=shared, rollback=True)
         _check(delta_obj == delta_ker,
                f"step {step}: mutation deltas diverged across "
                "representations")
+        _check(rng_obj.getstate() == rng_ker.getstate(),
+               f"step {step}: mutation made different RNG draws across "
+               "representations")
+        _check(shared == parent_ker.consumers() and all(shared.values()),
+               f"step {step}: rollback left the shared consumer map "
+               "changed")
         _check(encode_genome(child_obj) == child_ker.to_genome(),
                f"step {step}: mutated genomes diverged across "
                "representations")
