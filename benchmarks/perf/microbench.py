@@ -111,7 +111,7 @@ def _bench_run(circuit: str, kernel: str, generations: int,
     spec = benchmark.spec()
     initial = initialize_netlist(spec, benchmark.name)
     config = RcgpConfig(mutation_rate=0.08, max_mutated_genes=8, seed=2024,
-                        eval_cache_size=0, shrink="on_improvement",
+                        shrink="on_improvement",
                         generations=generations, kernel=kernel,
                         workers=workers)
     start = time.perf_counter()

@@ -70,7 +70,7 @@ def isolated_evaluation_timing(spec, parent, config, num_mutants):
 
 def end_to_end(spec, initial, name, incremental, telemetry_path, **kwargs):
     config = RcgpConfig(mutation_rate=0.08, max_mutated_genes=8, seed=2024,
-                        eval_cache_size=0, incremental_eval=incremental,
+                        incremental_eval=incremental,
                         telemetry_path=telemetry_path, **kwargs)
     start = time.perf_counter()
     result = EvolutionRun(spec, config, initial=initial.copy(),

@@ -75,7 +75,7 @@ def isolated_loop_timing(spec, initial, config, iterations):
 def end_to_end(spec, initial, name, kernel, generations, reps):
     """Best evals/s over ``reps`` runs, plus the (identical) result."""
     config = RcgpConfig(mutation_rate=0.08, max_mutated_genes=8, seed=2024,
-                        eval_cache_size=0, shrink="on_improvement",
+                        shrink="on_improvement",
                         generations=generations, kernel=kernel)
     best_rate, result = 0.0, None
     for _ in range(reps):

@@ -556,6 +556,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except (ValueError, OSError) as exc:
+        # Bad option values (RcgpConfig validation) and missing or
+        # unwritable paths: one argparse-style line and argparse's
+        # usage-error status, never a traceback.
+        print(f"{parser.prog}: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

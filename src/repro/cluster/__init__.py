@@ -7,19 +7,18 @@ two codecs over one frame protocol: the same opcodes, the same
 :class:`~repro.cluster.fleet.ClusterFleet`, handshakes (protocol
 version, shared token, cpu slots) and then serves exactly the frames a
 local pipe worker serves; the
-:class:`~repro.cluster.backend.ClusterBackend` dispatches every batch
-or replay span to a dynamic mix of local and remote workers with the
-engine's standard fault recovery, so results stay bit-identical to the
-serial loop whatever the fleet does.
+:class:`~repro.cluster.backend.ClusterDispatch` sends every replay span
+to a dynamic mix of local and remote workers with the one fault
+recovery loop, so results stay bit-identical to the serial loop
+whatever the fleet does.
 """
 
-from .backend import ClusterBackend, ClusterDispatch
+from .backend import ClusterDispatch
 from .fleet import ClusterFleet, RemoteWorker
 from .protocol import PROTOCOL_VERSION, SocketChannel
 from .worker import run_worker
 
 __all__ = [
-    "ClusterBackend",
     "ClusterDispatch",
     "ClusterFleet",
     "PROTOCOL_VERSION",

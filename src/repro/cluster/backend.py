@@ -1,83 +1,63 @@
-"""Coordinator-side evaluation over a dynamic local + remote mix.
+"""The one dispatcher: replay spans over a dynamic local + remote mix.
 
-Two layers, mirroring the scheduler's ``SharedWorkerPool`` /
-``JobBackend`` split:
+:class:`ClusterDispatch` is long-lived — owned by the scheduler, by a
+run-private pool (:func:`repro.jobs.pool.process_pool_backend`) or by a
+test harness.  For each replay span it leases one *channel* — an idle
+remote worker from the :class:`~repro.cluster.fleet.ClusterFleet`
+first, else a lazily spawned local pipe worker — ships one job-keyed
+``OP_JOB_SPAN`` frame, and runs the one bounded fault-recovery loop
+every pool path shares: a failed attempt drops the remote connection it
+used (the worker process dials back in) or kills the local pipe
+workers, and re-sends against a fresh channel.  Per-slice counters and
+the inline fallback live in the adapter,
+:class:`~repro.jobs.pool.JobBackend`.
 
-* :class:`ClusterDispatch` — long-lived, owned by the scheduler (or a
-  test harness).  Snapshots the currently-available *channels* — every
-  idle remote worker leased from the :class:`~repro.cluster.fleet.
-  ClusterFleet` plus the lazily-spawned local pipe workers — for each
-  batch, ships job-keyed frames (the 0x1* opcodes of
-  :mod:`repro.core.transport`, self-describing via their pickled
-  :data:`~repro.jobs.pool.JobContext`), and runs the same bounded
-  fault-recovery loop every pool owner runs: a failed batch drops the
-  remote connections it touched (the worker processes dial back in),
-  kills the local pipe workers, and re-dispatches against a fresh
-  channel snapshot.
-* :class:`ClusterBackend` — per-slice ``EvaluationBackend`` adapter:
-  slice-local counters, per-job retry budgets, inline fallback built
-  exactly like a worker-side evaluator.
+Determinism: replay is pure for every parallel-safe config and
+per-offspring RNG streams are keyed by ``(seed, absolute generation,
+index)``, so *any* channel mix (0 remotes, N remotes, remotes joining
+or dying mid-run) returns bit-identical records **and** bit-identical
+eval counters to the serial loop.  A re-sent span is one generation
+long: any prefix of a span replays identically, and the shortest one is
+the likeliest to get through a worker that keeps dying or overrunning
+its deadline.
 
-Determinism: chunks are split by :func:`~repro.core.engine.
-chunk_evenly` and results concatenated in submission order, evaluation
-is pure for every parallel-safe config, and per-offspring RNG streams
-are keyed by ``(seed, absolute generation, index)`` — so *any* channel
-mix (0 remotes, N remotes, remotes joining or dying mid-run) returns
-bit-identical fitnesses **and** bit-identical eval counters to the
-serial loop.
-
-One deliberate deviation from ``SharedWorkerPool``: degradation is
-slice-local, not sticky.  A shared pipe pool that exhausts its retries
-is broken machine state, but a fleet that momentarily has zero usable
-workers is normal cluster weather — the next slice retries against
-whoever is connected then, so a long-lived ``rcgp serve`` never inlines
-forever because of one bad minute.
+Degradation is slice-local, never sticky: a dispatcher that runs out of
+retries, or momentarily has no usable channel, fails only the span in
+hand — the adapter finishes that slice inline and the next slice tries
+the workers again, so a long-lived ``rcgp serve`` never inlines forever
+because of one bad minute.
 """
 
 from __future__ import annotations
 
-import pickle
 import time
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
-from ..core import engine as _engine
 from ..core import transport, wire
-from ..core.config import RcgpConfig
-from ..core.engine import (AdaptiveChunker, Genome, InlineBackend,
-                           RECOVERABLE_POOL_ERRORS, chunk_evenly)
-from ..core.fitness import Evaluator, Fitness
-from ..core.mutation import MutationDelta
-from ..core.transport import (OP_JOB_EVAL_DELTAS, OP_JOB_EVAL_GENOMES,
-                              OP_JOB_SPAN, PipeWorkerPool)
-from ..jobs.pool import JobContext, _frame_job, _U32
-from ..logic.truth_table import TruthTable
+from ..core.engine import RECOVERABLE_POOL_ERRORS
+from ..core.transport import PipeWorkerPool
 from .fleet import ClusterFleet, RemoteWorker
-
-#: Upper bound fed to the chunk planner; the real per-batch cap is the
-#: number of channels in the current snapshot.
-_PLAN_CAP = 64
 
 
 class _LocalChannel:
-    """One pipe worker of the dispatch-owned local pool, as a channel."""
+    """Local pipe worker 0 of the dispatch-owned pool, as a channel
+    (one span is in flight at a time, so one worker serves them all)."""
 
-    __slots__ = ("_dispatch", "_index")
-    name: Optional[str] = None
+    __slots__ = ("_dispatch",)
     remote = False
 
-    def __init__(self, dispatch: "ClusterDispatch", index: int):
+    def __init__(self, dispatch: "ClusterDispatch"):
         self._dispatch = dispatch
-        self._index = index
 
     def send(self, frame: bytes) -> None:
-        self._dispatch._pool.send(self._index, frame)
+        self._dispatch._pool.send(0, frame)
 
     def recv(self, deadline: Optional[float]) -> bytes:
-        return self._dispatch._pool.recv(self._index, deadline)
+        return self._dispatch._pool.recv(0, deadline)
 
     def ready(self) -> bool:
         pool = self._dispatch._pool
-        return pool is not None and pool.ready(self._index)
+        return pool is not None and pool.ready(0)
 
     def fail(self) -> None:
         self._dispatch._kill_pool()
@@ -113,12 +93,12 @@ class _RemoteChannel:
 
 
 class ClusterDispatch:
-    """Frame dispatch over whatever workers exist *right now*.
+    """Span dispatch over whatever workers exist *right now*.
 
-    ``fleet`` may be ``None`` (local-only: behaves like the shared pipe
-    pool) and ``local_workers`` may be ``0`` (remote-only: every batch
-    rides the fleet, and a fleet with nobody connected evaluates
-    inline until somebody dials in).
+    ``fleet`` may be ``None`` (local-only: a plain pipe pool) and
+    ``local_workers`` may be ``0`` (remote-only: every span rides the
+    fleet, and a fleet with nobody connected has no span path until
+    somebody dials in).  At most one span is in flight.
     """
 
     def __init__(self, fleet: Optional[ClusterFleet] = None, *,
@@ -126,22 +106,21 @@ class ClusterDispatch:
         self.fleet = fleet
         self.local_workers = max(0, local_workers)
         self._pool: Optional[PipeWorkerPool] = None
-        self._chunker = AdaptiveChunker(_PLAN_CAP)
-        # Cumulative counters; ClusterBackend exposes slice-local views.
+        # Cumulative counters; JobBackend exposes slice-local views.
         self.worker_restarts = 0
         self.batches_retried = 0
         self.bytes_shipped = 0
         self.chunks_dispatched = 0
         self.pipeline_stalls = 0
         self.spans_remote = 0
-        #: Why the last ``run_batch``/``collect_span`` returned ``None``:
+        #: Why the last ``collect_span`` returned ``None``:
         #: ``"no_channels"`` (transient) or ``"exhausted"`` (retry
         #: budget spent).
         self.last_failure = ""
-        #: Remote worker names that served the last successful call.
+        #: Remote worker names that served the last successful span.
         self.last_workers: Tuple[str, ...] = ()
-        # In-flight replay span (at most one, per the engine contract).
-        self._span_frame: Optional[bytes] = None
+        # The in-flight span: (job context blob, request), its channel.
+        self._span: Optional[Tuple[bytes, wire.SpanRequest]] = None
         self._span_channel = None
         self._span_live = False
 
@@ -158,6 +137,7 @@ class ClusterDispatch:
             pool.kill()
 
     def terminate(self) -> None:
+        """Immediate shutdown (SIGINT path): kill local workers now."""
         self._release_span(failed=True)
         self._kill_pool()
 
@@ -168,111 +148,27 @@ class ClusterDispatch:
             self._pool.close()
             self._pool = None
 
-    # -- channel snapshots ---------------------------------------------
+    # -- channels ------------------------------------------------------
 
-    def _channels(self, limit: Optional[int] = None) -> List:
-        """Lease every idle remote + attach the local pipe workers.
+    def _acquire_channel(self):
+        """Lease one idle remote worker, else attach local worker 0.
 
-        Remote channels come first so replay spans and small batches
-        land on the fleet when it exists.  The caller must
-        ``_release`` the snapshot (failed channels are dropped by
-        ``fail()``; their locks still need releasing).
+        The channel stays leased until its span resolves — the
+        heartbeat thread must never interleave a ping with an in-flight
+        span.
         """
-        channels: List = []
         if self.fleet is not None:
-            for worker in self.fleet.lease(limit):
-                channels.append(_RemoteChannel(self.fleet, worker))
-        if self.local_workers > 0 and \
-                (limit is None or len(channels) < limit):
+            worker = self.fleet.lease()
+            if worker is not None:
+                return _RemoteChannel(self.fleet, worker)
+        if self.local_workers > 0:
             try:
                 self._ensure_pool()
             except OSError:
                 self._pool = None
             else:
-                for index in range(self.local_workers):
-                    channels.append(_LocalChannel(self, index))
-                    if limit is not None and len(channels) >= limit:
-                        break
-        return channels
-
-    def _release(self, channels: Sequence) -> None:
-        if self.fleet is not None:
-            self.fleet.release([ch.worker for ch in channels
-                                if ch.remote])
-
-    def _fail_channels(self, channels: Sequence) -> None:
-        failed_local = False
-        for channel in channels:
-            if channel.remote:
-                channel.fail()
-            else:
-                failed_local = True
-        if failed_local:
-            self._kill_pool()
-
-    # -- batch dispatch with recovery ----------------------------------
-
-    def run_batch(self, items: List, make_frame: Callable,
-                  timeout: Optional[float], retries: int):
-        """One batch across the current channel snapshot.
-
-        Returns ``(fitnesses, counters)``, or ``None`` with
-        :attr:`last_failure` set — the caller evaluates inline (which
-        is bit-identical, so either way the run proceeds).
-        """
-        attempt = 0
-        while True:
-            channels = self._channels()
-            if not channels:
-                self.last_failure = "no_channels"
-                return None
-            used: List = []
-            try:
-                plan = min(self._chunker.plan(len(items)),
-                           len(channels))
-                chunks = chunk_evenly(items, plan)
-                started = time.monotonic()
-                for index, chunk in enumerate(chunks):
-                    frame = make_frame(chunk)
-                    channels[index].send(frame)
-                    used.append(channels[index])
-                    self.bytes_shipped += len(frame)
-                    self.chunks_dispatched += 1
-                deadline = None if timeout is None \
-                    else started + timeout
-                results: List[Fitness] = []
-                totals = [0, 0, 0]
-                for index in range(len(chunks)):
-                    frame = channels[index].recv(deadline)
-                    values, counters = wire.unpack_fitness_chunk(
-                        memoryview(frame)[1:])
-                    results.extend(Fitness(*value) for value in values)
-                    for k in range(3):
-                        totals[k] += counters[k]
-                self._chunker.observe(len(items), len(chunks),
-                                      time.monotonic() - started)
-                self.last_workers = tuple(
-                    ch.name for ch in used if ch.remote)
-                return results, (totals[0], totals[1], totals[2])
-            except (KeyboardInterrupt, SystemExit):
-                self._fail_channels(used)
-                raise
-            except RECOVERABLE_POOL_ERRORS:
-                self._fail_channels(used)
-                if attempt >= retries:
-                    self.last_failure = "exhausted"
-                    return None
-                attempt += 1
-                self.batches_retried += 1
-                self.worker_restarts += 1
-            finally:
-                self._release(channels)
-
-    # -- replay spans --------------------------------------------------
-
-    def _acquire_span_channel(self):
-        channels = self._channels(limit=1)
-        return channels[0] if channels else None
+                return _LocalChannel(self)
+        return None
 
     def _release_span(self, *, failed: bool) -> None:
         channel, self._span_channel = self._span_channel, None
@@ -281,28 +177,39 @@ class ClusterDispatch:
             return
         if failed:
             channel.fail()
-        if channel.remote and self.fleet is not None:
-            self.fleet.release([channel.worker])
+        if channel.remote:
+            self.fleet.release(channel.worker)
 
-    def dispatch_span(self, frame: bytes) -> bool:
-        """Ship one replay-span frame without waiting.
+    def _send(self, request: wire.SpanRequest) -> None:
+        frame = bytes([transport.OP_JOB_SPAN]) + wire.pack_job_span(
+            self._span[0], request)
+        self._span_channel.send(frame)
+        self.bytes_shipped += len(frame)
+        self.chunks_dispatched += 1
+        self._span_live = True
 
-        The chosen channel stays leased until :meth:`collect_span`
-        resolves the span — the heartbeat thread must never interleave
-        a ping with an in-flight span.  Send failures are left for the
-        collect-side retry loop.
+    # -- replay spans --------------------------------------------------
+
+    def dispatch_span(self, ctx_blob: bytes,
+                      request: wire.SpanRequest) -> bool:
+        """Ship one job's replay span without waiting for it.
+
+        Returns False when this dispatcher has no workers at all.  Send
+        failures are left for :meth:`collect_span`'s retry loop, which
+        re-sends from the stored request.
         """
         if self.fleet is None and self.local_workers == 0:
             return False
-        self._span_frame = frame
-        self._span_channel = self._acquire_span_channel()
+        if self._span_channel is not None:
+            # A span abandoned in flight (an interrupted run): its late
+            # reply must never be read as this span's.
+            self._release_span(failed=True)
+        self._span = (ctx_blob, request)
+        self._span_channel = self._acquire_channel()
         self._span_live = False
         if self._span_channel is not None:
             try:
-                self._span_channel.send(frame)
-                self.bytes_shipped += len(frame)
-                self.chunks_dispatched += 1
-                self._span_live = True
+                self._send(request)
             except (KeyboardInterrupt, SystemExit):
                 self._release_span(failed=True)
                 raise
@@ -312,29 +219,32 @@ class ClusterDispatch:
 
     def collect_span(self, timeout: Optional[float],
                      retries: int) -> Optional[wire.SpanResult]:
-        """Block for the in-flight span, with bounded fault recovery."""
-        frame = self._span_frame
-        if frame is None:
+        """Block for the in-flight span, with bounded fault recovery.
+
+        ``timeout`` bounds each attempt's wait; ``retries`` bounds the
+        re-sends.  Returns ``None`` with :attr:`last_failure` set when
+        the span cannot be served.
+        """
+        if self._span is None:
             raise RuntimeError("collect_span without a dispatched span")
-        if self._span_live and self._span_channel is not None \
-                and not self._span_channel.ready():
+        request = self._span[1]
+        if self._span_live and not self._span_channel.ready():
+            # The coordinator caught up with the worker: the overlap
+            # window was shorter than the span's compute time.
             self.pipeline_stalls += 1
         attempt = 0
         while True:
             if self._span_channel is None:
-                self._span_channel = self._acquire_span_channel()
-                self._span_live = False
+                self._span_channel = self._acquire_channel()
                 if self._span_channel is None:
-                    self._span_frame = None
+                    self._span = None
                     self.last_failure = "no_channels"
                     return None
             channel = self._span_channel
             try:
                 if not self._span_live:
-                    channel.send(frame)
-                    self.bytes_shipped += len(frame)
-                    self.chunks_dispatched += 1
-                    self._span_live = True
+                    self._send(request if attempt == 0
+                               else request.head(1))
                 deadline = None if timeout is None \
                     else time.monotonic() + timeout
                 reply = channel.recv(deadline)
@@ -344,188 +254,20 @@ class ClusterDispatch:
             except RECOVERABLE_POOL_ERRORS:
                 self._release_span(failed=True)
                 if attempt >= retries:
-                    self._span_frame = None
+                    self._span = None
                     self.last_failure = "exhausted"
                     return None
                 attempt += 1
                 self.batches_retried += 1
                 self.worker_restarts += 1
                 continue
-            if channel.remote and self.fleet is not None:
+            if channel.remote:
                 self.fleet.record_span(channel.worker)
                 self.spans_remote += 1
-                self.last_workers = (channel.name,)
+            self.last_workers = (channel.name,) if channel.remote else ()
             self._release_span(failed=False)
-            self._span_frame = None
+            self._span = None
             return wire.unpack_span_result(memoryview(reply)[1:])
 
 
-class ClusterBackend:
-    """Per-slice ``EvaluationBackend`` adapter over a dispatch.
-
-    Mirrors :class:`~repro.jobs.pool.JobBackend` — slice-local
-    counters, job-keyed frames, inline fallback constructed exactly
-    like a worker-side evaluator — plus the fleet-facing extras the
-    scheduler's telemetry reads: :attr:`cluster_workers` (every remote
-    name that served this slice) and :attr:`spans_remote`.
-    """
-
-    name = "cluster"
-    remote_evaluations = True
-
-    def __init__(self, dispatch: ClusterDispatch, ctx: JobContext,
-                 spec: Sequence[TruthTable], config: RcgpConfig):
-        self._cd = dispatch
-        self._ctx = ctx
-        self._ctx_blob = pickle.dumps(ctx)
-        self._spec = list(spec)
-        self._config = config
-        self.eval_full = 0
-        self.eval_incremental = 0
-        self.ports_resimulated = 0
-        self.cluster_workers: set = set()
-        self._degraded = False
-        self._restarts_at = dispatch.worker_restarts
-        self._retried_at = dispatch.batches_retried
-        self._bytes_at = dispatch.bytes_shipped
-        self._chunks_at = dispatch.chunks_dispatched
-        self._stalls_at = dispatch.pipeline_stalls
-        self._spans_remote_at = dispatch.spans_remote
-        self._inline: Optional[InlineBackend] = None
-        self._fallback_evaluator: Optional[Evaluator] = None
-
-    # Slice-local views of the dispatch's cumulative counters.
-    @property
-    def worker_restarts(self) -> int:
-        return self._cd.worker_restarts - self._restarts_at
-
-    @property
-    def batches_retried(self) -> int:
-        return self._cd.batches_retried - self._retried_at
-
-    @property
-    def bytes_shipped(self) -> int:
-        return self._cd.bytes_shipped - self._bytes_at
-
-    @property
-    def chunks_dispatched(self) -> int:
-        return self._cd.chunks_dispatched - self._chunks_at
-
-    @property
-    def pipeline_stalls(self) -> int:
-        return self._cd.pipeline_stalls - self._stalls_at
-
-    @property
-    def spans_remote(self) -> int:
-        return self._cd.spans_remote - self._spans_remote_at
-
-    @property
-    def degraded(self) -> bool:
-        return self._degraded
-
-    # -- inline degradation (identical evaluator construction) ---------
-
-    def _inline_backend(self) -> InlineBackend:
-        if self._inline is None:
-            self._fallback_evaluator = Evaluator(self._spec, self._config)
-            self._inline = InlineBackend(self._fallback_evaluator)
-        return self._inline
-
-    def _run_inline(self, call) -> List[Fitness]:
-        backend = self._inline_backend()
-        evaluator = self._fallback_evaluator
-        before = _engine._counters(evaluator)
-        out = call(backend)
-        after = _engine._counters(evaluator)
-        self.eval_full += after[0] - before[0]
-        self.eval_incremental += after[1] - before[1]
-        self.ports_resimulated += after[2] - before[2]
-        return out
-
-    def _commit(self, counters) -> None:
-        self.eval_full += counters[0]
-        self.eval_incremental += counters[1]
-        self.ports_resimulated += counters[2]
-
-    def _note_failure(self) -> None:
-        if self._cd.last_failure == "exhausted":
-            self._degraded = True
-
-    def _note_workers(self) -> None:
-        self.cluster_workers.update(self._cd.last_workers)
-
-    # -- the EvaluationBackend surface ---------------------------------
-
-    def evaluate(self, genomes: Sequence[Genome]) -> List[Fitness]:
-        genomes = list(genomes)
-        if not genomes:
-            return []
-        blob = self._ctx_blob
-        out = None if self._degraded else self._cd.run_batch(
-            genomes,
-            lambda chunk: _frame_job(OP_JOB_EVAL_GENOMES, blob,
-                                     wire.pack_genomes(chunk)),
-            self._config.batch_timeout, self._config.batch_retries)
-        if out is None:
-            self._note_failure()
-            return self._run_inline(lambda b: b.evaluate(genomes))
-        self._note_workers()
-        results, counters = out
-        self._commit(counters)
-        return results
-
-    def evaluate_deltas(self, parent_genome: Genome,
-                        deltas: Sequence[MutationDelta],
-                        children: Optional[Sequence] = None) \
-            -> List[Fitness]:
-        deltas = list(deltas)
-        if not deltas:
-            return []
-        blob = self._ctx_blob
-        genome_blob = wire.pack_genome(parent_genome)
-        head = _U32.pack(len(genome_blob)) + genome_blob
-        out = None if self._degraded else self._cd.run_batch(
-            deltas,
-            lambda chunk: _frame_job(OP_JOB_EVAL_DELTAS, blob,
-                                     head + wire.pack_deltas(chunk)),
-            self._config.batch_timeout, self._config.batch_retries)
-        if out is None:
-            self._note_failure()
-            return self._run_inline(
-                lambda b: b.evaluate_deltas(parent_genome, deltas,
-                                            children))
-        self._note_workers()
-        results, counters = out
-        self._commit(counters)
-        return results
-
-    # -- replay spans --------------------------------------------------
-
-    @property
-    def supports_spans(self) -> bool:
-        return not self._degraded
-
-    def dispatch_span(self, request: wire.SpanRequest) -> bool:
-        if self._degraded:
-            return False
-        return self._cd.dispatch_span(
-            _frame_job(OP_JOB_SPAN, self._ctx_blob,
-                       wire.pack_span_request(request)))
-
-    def collect_span(self) -> Optional[wire.SpanResult]:
-        result = self._cd.collect_span(self._config.batch_timeout,
-                                       self._config.batch_retries)
-        if result is None:
-            self._note_failure()
-            return None
-        self._note_workers()
-        for _accepted, _fit, deltas in result.records:
-            self._commit(deltas)
-        return result
-
-    def close(self) -> None:
-        # The dispatch outlives the slice; nothing to release here.
-        pass
-
-
-__all__ = ["ClusterBackend", "ClusterDispatch"]
+__all__ = ["ClusterDispatch"]

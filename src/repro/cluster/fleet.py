@@ -8,9 +8,9 @@ cpu slots), and keeps one :class:`RemoteWorker` per live connection.
 Ownership protocol: anything that wants to *use* a worker's channel —
 the :class:`~repro.cluster.backend.ClusterDispatch` shipping frames,
 the heartbeat thread probing idle connections — must hold that
-worker's lock.  :meth:`lease` hands out currently-idle live workers
-and :meth:`release` returns them, so a worker mid-batch is never
-pinged and two batches never interleave frames on one socket.  A
+worker's lock.  :meth:`lease` hands out one currently-idle live worker
+and :meth:`release` returns it, so a worker mid-span is never pinged
+and two spans never interleave frames on one socket.  A
 worker that fails while leased is :meth:`drop`-ped by the lease holder
 (socket closed, registry slot freed); the worker process notices the
 dead connection and dials back in, which counts into
@@ -161,27 +161,22 @@ class ClusterFleet:
     def workers_view(self) -> List[Dict[str, Any]]:
         return [worker.view() for worker in self.live()]
 
-    def lease(self, limit: Optional[int] = None) -> List[RemoteWorker]:
-        """Check out currently-idle live workers (their locks held).
+    def lease(self) -> Optional[RemoteWorker]:
+        """Check out one currently-idle live worker (its lock held).
 
-        Never blocks: a worker whose lock is taken (mid-batch, or being
-        heartbeated right now) is simply not in this lease.  Callers
-        must :meth:`release` exactly what they got.
+        Never blocks: a worker whose lock is taken (mid-span, or being
+        heartbeated right now) is skipped.  Callers must
+        :meth:`release` what they got.
         """
-        leased: List[RemoteWorker] = []
         for worker in self.live():
-            if limit is not None and len(leased) >= limit:
-                break
             if worker.lock.acquire(blocking=False):
                 if worker.alive:
-                    leased.append(worker)
-                else:
-                    worker.lock.release()
-        return leased
+                    return worker
+                worker.lock.release()
+        return None
 
-    def release(self, leased: List[RemoteWorker]) -> None:
-        for worker in leased:
-            worker.lock.release()
+    def release(self, worker: RemoteWorker) -> None:
+        worker.lock.release()
 
     def drop(self, worker: RemoteWorker) -> None:
         """Forget a worker and close its socket (lease holder or
@@ -252,7 +247,7 @@ class ClusterFleet:
         while not self._closed.wait(self.heartbeat):
             for worker in self.live():
                 if not worker.lock.acquire(blocking=False):
-                    continue  # busy with a batch; that is liveness
+                    continue  # busy with a span; that is liveness
                 try:
                     if not worker.alive:
                         continue

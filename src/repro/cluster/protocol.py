@@ -40,8 +40,9 @@ from ..errors import (ClusterAuthError, ClusterError, ClusterVersionSkew,
 
 #: Bumped whenever frames or handshake payloads change incompatibly.
 #: Both sides send it; a mismatch is a typed rejection, never a parse
-#: error mid-run.
-PROTOCOL_VERSION = 1
+#: error mid-run.  Version 2: the job-keyed replay span is the only work
+#: frame, and its seed field is variable-length.
+PROTOCOL_VERSION = 2
 
 # Handshake opcodes (0x4* block; never registered in HANDLERS — the
 # handshake happens before a connection may carry work frames).

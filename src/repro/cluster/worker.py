@@ -6,14 +6,14 @@ slots), then answer every incoming frame with
 :func:`repro.core.transport.serve_frame` — exactly the loop a pipe
 worker runs, over the TCP codec.  All evaluation state (the per-job
 evaluator LRU, resident parents, replay residents) lives in the same
-module globals the pipe workers use, so a remote worker computes
+worker state the pipe workers use, so a remote worker computes
 byte-for-byte the replies a local one would.
 
 Fault behavior is deliberately simple: *any* connection failure —
 coordinator gone, socket reset, idle silence past the heartbeat grace —
 tears the connection down and reconnects with exponential backoff,
-because the coordinator treats a lost worker as one recoverable batch
-and re-dispatches elsewhere.  Only typed registration failures
+because the coordinator treats a lost worker as one recoverable span
+and re-sends it elsewhere.  Only typed registration failures
 (:class:`~repro.errors.ClusterAuthError`,
 :class:`~repro.errors.ClusterVersionSkew`) abort the process: retrying
 a bad token or a protocol mismatch would loop forever.
@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import os
 import socket
-import sys
 import time
 from typing import Callable, Optional
 
@@ -39,14 +38,8 @@ RECONNECT_MAX = 30.0
 def _reset_worker_state() -> None:
     """Start (or restart) from the clean slate a spawned pipe worker
     gets: no resident evaluators, fault injection armed."""
-    from ..core import engine as _engine
-    _engine._WORKER_EVALUATOR = None
-    _engine._WORKER_PARENT = None
-    _engine._WORKER_SPAN = None
-    jobs_pool = sys.modules.get("repro.jobs.pool")
-    if jobs_pool is not None:
-        jobs_pool._shared_initializer()
-    _engine.install_fault_injection()
+    from ..jobs import pool as _jobs_pool
+    _jobs_pool.init_worker()
 
 
 def parse_endpoint(value: str) -> "tuple[str, int]":

@@ -4,9 +4,7 @@ from .config import RcgpConfig
 from .engine import (
     EvaluationBackend,
     EvolutionRun,
-    FitnessCache,
     InlineBackend,
-    ProcessPoolBackend,
     TelemetryWriter,
     decode_genome,
     encode_genome,
@@ -49,8 +47,6 @@ __all__ = [
     "EvolutionRun",
     "EvaluationBackend",
     "InlineBackend",
-    "ProcessPoolBackend",
-    "FitnessCache",
     "TelemetryWriter",
     "encode_genome",
     "decode_genome",

@@ -86,14 +86,16 @@ class RcgpConfig:
 
     workers: int = 0
     """Offspring-evaluation parallelism: ``0`` or ``1`` evaluates inline;
-    ``N > 1`` fans each generation's λ offspring out across a persistent
-    ``N``-process pool (see :mod:`repro.core.engine`).  Results are
-    bit-identical to inline mode for a fixed seed."""
+    ``N > 1`` runs whole spans of generations worker-side on a persistent
+    ``N``-process pool (see :mod:`repro.core.engine`), one span in
+    flight at a time, overlapped with the coordinator's bookkeeping.
+    Results are bit-identical to inline mode for a fixed seed."""
 
     eval_cache_size: int = 100_000
-    """Capacity of the genome-hash → fitness memo cache (``0``
-    disables).  Duplicate mutants — common at low mutation rates and on
-    plateaus — are never re-simulated."""
+    """Retired; has no effect.  It sized a genome → fitness memo cache
+    that hit well under 1% of evaluations at μ = 1 and kept pooled runs
+    off span replay.  Still validated (``>= 0``) so existing configs
+    and stored job records load unchanged."""
 
     incremental_eval: bool = True
     """Cone-aware incremental fitness: memoize the parent's per-port
@@ -115,15 +117,16 @@ class RcgpConfig:
     (None: no telemetry)."""
 
     batch_timeout: Optional[float] = None
-    """Wall-clock cap in seconds on one offspring batch in the process
-    pool (None: wait forever).  A batch that overruns is treated like a
-    crashed one: the pool is killed and respawned, and the batch is
-    re-dispatched up to :attr:`batch_retries` times."""
+    """Wall-clock cap in seconds on one replay span's round trip to a
+    pool worker (None: wait forever).  A span that overruns is treated
+    like a crashed one: the worker is replaced and the span re-sent, up
+    to :attr:`batch_retries` times.  Span sizing also keeps each round
+    trip well under this cap."""
 
     batch_retries: int = 2
-    """How many times a lost batch (``BrokenProcessPool``, hung worker)
-    is re-dispatched to a freshly spawned pool before the backend
-    degrades to inline evaluation for the rest of the run."""
+    """How many times a lost span (crashed, hung or disconnected worker)
+    is re-sent, one generation long, before the slice finishes inline.
+    The next slice (or run) tries the workers again."""
 
     verify_result: bool = False
     """End-of-run result gate: re-simulate the best candidate on the

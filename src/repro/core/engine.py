@@ -9,30 +9,32 @@ makes that loop scale without changing its semantics:
   are thin shims over it.
 * :class:`EvaluationBackend` — protocol for evaluating a batch of
   offspring genomes.  :class:`InlineBackend` evaluates in-process;
-  :class:`ProcessPoolBackend` fans the batch out across a *persistent*
-  worker pool (spawned once per run, not per generation).
-* **Compact genomes** — candidates cross the process boundary as flat
-  tuples of port indices (:func:`encode_genome`), not pickled netlist
-  objects; the same tuple doubles as the memo-cache key.
-* **Fitness memo cache** — duplicate mutants (common at low mutation
-  rates and on plateaus) are never re-simulated.
+  pooled runs use :class:`repro.jobs.pool.JobBackend`, whose
+  dispatcher (:class:`repro.cluster.backend.ClusterDispatch`) keeps
+  persistent workers (spawned once per run, not per generation).
+* **Worker-side span replay** — the one cross-process protocol.  A
+  pooled run ships one compact parent genome (:func:`encode_genome`)
+  per *span* of generations; the worker re-derives every offspring from
+  its RNG key and runs mutation, evaluation, selection and neutral
+  drift itself (:func:`replay_span`), returning one accept record per
+  generation.  Spans stop at the first strict improvement, whose accept
+  block (shrink, wire bypass, history) stays with the coordinator.
 * **Incremental cone-aware evaluation** — each offspring is a
   :class:`~repro.core.mutation.MutationDelta` away from the shared
   parent, whose per-port simulation words are memoized in a
   :class:`~repro.core.simstate.SimulationState`; only the delta's
   fan-out cone is re-simulated (``config.incremental_eval``).  The
-  inline backend shares one state per generation; the pool backend
-  ships deltas instead of whole genomes and keeps the parent resident
-  in each worker.  Telemetry counts ``eval_full`` /
-  ``eval_incremental`` / ``ports_resimulated`` so the win is
-  observable per generation.
+  inline backend shares one state per generation; span workers keep
+  the parent's state resident across the span.  Telemetry counts
+  ``eval_full`` / ``eval_incremental`` / ``ports_resimulated`` so the
+  win is observable per generation.
 * **Deterministic parallelism** — every offspring gets its own RNG
   stream derived from ``(seed, generation, offspring index)``, so a run
   is bit-identical for a fixed seed regardless of worker count.
-* **Fault tolerance** — a crashed or hung worker pool is respawned and
-  the lost batch re-dispatched (purity makes the retry bit-identical);
-  exhausted retries degrade the run to inline evaluation instead of
-  aborting, ``KeyboardInterrupt`` finalizes the incumbent cleanly, and
+* **Fault tolerance** — a crashed or hung worker is replaced and the
+  lost span re-sent (purity makes the retry bit-identical); exhausted
+  retries finish the run inline instead of aborting,
+  ``KeyboardInterrupt`` finalizes the incumbent cleanly, and
   ``worker_restarts`` / ``batches_retried`` / ``degraded_to_inline``
   are reported on the result and in telemetry.
 * **Result gate** (``config.verify_result``) — the finished run's best
@@ -55,12 +57,7 @@ import hashlib
 import json
 import os
 import random
-import struct
 import time
-from collections import OrderedDict
-from concurrent.futures import BrokenExecutor as BrokenExecutorError
-# On 3.10 futures' TimeoutError is not the builtin one (3.11+ aliases it).
-from concurrent.futures import TimeoutError as FuturesTimeoutError
 from dataclasses import dataclass, field
 from typing import (Callable, Dict, IO, List, Optional, Protocol, Sequence,
                     Tuple)
@@ -75,15 +72,14 @@ from .kernel import NetlistKernel
 from .mutation import MutationDelta, mutate_with_delta
 from .simstate import SimulationState
 from . import wire
-from .transport import (HANDLERS, OP_EVAL_DELTAS, OP_EVAL_GENOMES,
-                        OP_RESULT, OP_SPAN, PipeWorkerPool)
 
 ProgressCallback = Callable[[int, Fitness], None]
 
 Genome = Tuple[int, ...]
 """Flat port-index encoding: ``(n_pi, n_gates, in0, in1, in2, config,
-..., po0, po1, ...)``.  Hashable (memo-cache key) and cheap to pickle
-(pool transport); names are dropped — genomes exist to be evaluated."""
+..., po0, po1, ...)``.  Hashable and cheap to ship (the span codec dumps
+it as raw int64s); names are dropped — genomes exist to be
+evaluated."""
 
 
 # ----------------------------------------------------------------------
@@ -192,53 +188,6 @@ def child_seed(base_seed: int, generation: int, index: int) -> int:
 
 
 # ----------------------------------------------------------------------
-# Fitness memo cache
-
-
-class FitnessCache:
-    """Bounded LRU map from genome tuples to :class:`Fitness`.
-
-    Evaluation is pure in the modes where the cache is trusted, so a hit
-    is always exact.  The engine clears the cache whenever the
-    evaluator's pattern set changes (SAT counterexample feedback), which
-    is the one mode where results could go stale.
-    """
-
-    def __init__(self, maxsize: int):
-        self.maxsize = maxsize
-        self.hits = 0
-        self.misses = 0
-        self._data: "OrderedDict[Genome, Fitness]" = OrderedDict()
-
-    @property
-    def enabled(self) -> bool:
-        return self.maxsize > 0
-
-    def get(self, genome: Genome) -> Optional[Fitness]:
-        found = self._data.get(genome)
-        if found is None:
-            self.misses += 1
-            return None
-        self._data.move_to_end(genome)
-        self.hits += 1
-        return found
-
-    def put(self, genome: Genome, fitness: Fitness) -> None:
-        if not self.enabled:
-            return
-        self._data[genome] = fitness
-        self._data.move_to_end(genome)
-        while len(self._data) > self.maxsize:
-            self._data.popitem(last=False)
-
-    def clear(self) -> None:
-        self._data.clear()
-
-    def __len__(self) -> int:
-        return len(self._data)
-
-
-# ----------------------------------------------------------------------
 # Evaluation backends
 
 
@@ -321,14 +270,6 @@ class InlineBackend:
         pass
 
 
-# Worker-side state for ProcessPoolBackend.  One evaluator per worker
-# process, built once by the pool initializer; jobs then ship only
-# genome tuples (or, incrementally, one parent genome plus per-offspring
-# deltas) and get back plain fitness tuples with counter deltas.
-_WORKER_EVALUATOR: Optional[Evaluator] = None
-_WORKER_PARENT = None  # (Genome, candidate, SimulationState)
-_WORKER_SPAN = None  # (Genome, candidate, SimulationState, consumer map)
-
 # Fault injection for the fault-tolerance test suite: when the
 # environment sets RCGP_TEST_CRASH_AFTER_EVALS / RCGP_TEST_HANG_AFTER_EVALS
 # to N, every worker process dies (or hangs) after its N-th evaluation.
@@ -338,22 +279,18 @@ _WORKER_FAULT_MODE = ""
 
 _Counters = Tuple[int, int, int]  # (eval_full, eval_incremental, ports)
 
-#: Everything a recoverable batch loss can look like: a worker crashed
-#: or was OOM-killed (BrokenExecutor), a batch overran its deadline,
-#: the IPC pipe/socket died underneath the future, or a frame arrived
-#: malformed (truncated, oversized, unknown opcode — the typed
-#: :class:`~repro.errors.FrameError` family).  Shared by every pool
-#: owner (ProcessPoolBackend, the job scheduler's shared pool, the
-#: cluster dispatch).  Evaluation is pure, so a lost batch re-runs
-#: bit-identically.
-RECOVERABLE_POOL_ERRORS = (BrokenExecutorError, FuturesTimeoutError,
-                           TimeoutError, OSError, EOFError, FrameError)
+#: Everything a recoverable span loss can look like: a worker crashed
+#: or its pipe/socket died (``EOFError``/``OSError``), a span overran
+#: its deadline (``TimeoutError``), or a frame arrived malformed
+#: (truncated, oversized, unknown opcode — the typed
+#: :class:`~repro.errors.FrameError` family).  Replay is pure, so a lost
+#: span re-runs bit-identically.
+RECOVERABLE_POOL_ERRORS = (TimeoutError, OSError, EOFError, FrameError)
 
 
 def install_fault_injection() -> None:
     """Arm the worker-side fault hooks from the environment (test use)."""
     global _WORKER_FAULT_COUNTDOWN, _WORKER_FAULT_MODE
-    import os
     for mode, variable in (("crash", "RCGP_TEST_CRASH_AFTER_EVALS"),
                            ("hang", "RCGP_TEST_HANG_AFTER_EVALS")):
         value = os.environ.get(variable, "")
@@ -361,15 +298,6 @@ def install_fault_injection() -> None:
             _WORKER_FAULT_COUNTDOWN = int(value)
             _WORKER_FAULT_MODE = mode
             break
-
-
-def _pool_initializer(spec_bits: List[int], num_vars: int,
-                      config_dict: Dict[str, object]) -> None:
-    global _WORKER_EVALUATOR, _WORKER_PARENT
-    spec = [TruthTable(num_vars, bits) for bits in spec_bits]
-    _WORKER_EVALUATOR = Evaluator(spec, RcgpConfig.from_dict(config_dict))
-    _WORKER_PARENT = None
-    install_fault_injection()
 
 
 def _maybe_inject_fault() -> None:
@@ -381,7 +309,6 @@ def _maybe_inject_fault() -> None:
     if _WORKER_FAULT_COUNTDOWN > 0:
         return
     if _WORKER_FAULT_MODE == "crash":
-        import os
         os._exit(17)  # simulate a hard worker crash (no cleanup)
     import time as _time
     _time.sleep(600)  # simulate a hung worker; the master kills us
@@ -390,64 +317,6 @@ def _maybe_inject_fault() -> None:
 def _counters(evaluator: Evaluator) -> _Counters:
     return (evaluator.eval_full, evaluator.eval_incremental,
             evaluator.ports_resimulated)
-
-
-def _pool_evaluate(genomes: Sequence[Genome]) \
-        -> Tuple[List[Tuple[float, int, int, int]], _Counters]:
-    evaluator = _WORKER_EVALUATOR
-    if evaluator is None:
-        raise WorkerPoolError("pool worker used before initialization")
-    before = _counters(evaluator)
-    out = []
-    for genome in genomes:
-        _maybe_inject_fault()
-        fit = evaluator.evaluate(_decode_candidate(genome, evaluator))
-        out.append((fit.success, fit.n_r, fit.n_g, fit.n_b))
-    after = _counters(evaluator)
-    return out, (after[0] - before[0], after[1] - before[1],
-                 after[2] - before[2])
-
-
-def _pool_evaluate_deltas(parent_genome: Genome,
-                          deltas: Sequence[MutationDelta]) \
-        -> Tuple[List[Tuple[float, int, int, int]], _Counters]:
-    """Incremental chunk evaluation against a worker-resident parent.
-
-    The parent netlist and its :class:`SimulationState` are cached in
-    the worker keyed by the parent genome, so across the generations of
-    a plateau only the deltas cross the process boundary in spirit — the
-    parent genome rides along per chunk but decodes/simulates at most
-    once per parent change.
-    """
-    global _WORKER_PARENT
-    evaluator = _WORKER_EVALUATOR
-    if evaluator is None:
-        raise WorkerPoolError("pool worker used before initialization")
-    if _WORKER_PARENT is None or _WORKER_PARENT[0] != parent_genome \
-            or _WORKER_PARENT[2].epoch != evaluator.pattern_epoch:
-        parent = _decode_candidate(parent_genome, evaluator)
-        _WORKER_PARENT = (parent_genome, parent,
-                          evaluator.prepare_parent(parent))
-    _, parent, state = _WORKER_PARENT
-    before = _counters(evaluator)
-    out = []
-    for delta in deltas:
-        _maybe_inject_fault()
-        if state.epoch != evaluator.pattern_epoch:
-            # A SAT counterexample grew this worker's pattern set
-            # mid-chunk: the memoized parent words are stale.  Rebuild
-            # the resident state instead of silently falling back to
-            # full simulation for the rest of the chunk (and leaving a
-            # stale _WORKER_PARENT behind for the next one).
-            _WORKER_PARENT = (parent_genome, parent,
-                              evaluator.prepare_parent(parent))
-            state = _WORKER_PARENT[2]
-        fit = evaluator.evaluate_incremental(delta.apply_to(parent),
-                                             delta, state)
-        out.append((fit.success, fit.n_r, fit.n_g, fit.n_b))
-    after = _counters(evaluator)
-    return out, (after[0] - before[0], after[1] - before[1],
-                 after[2] - before[2])
 
 
 def replay_span(evaluator: Evaluator, resident,
@@ -466,12 +335,16 @@ def replay_span(evaluator: Evaluator, resident,
     ``resident`` caches ``(genome, parent, state, consumers)`` across
     spans; like :class:`InlineBackend`, the memoized state is rebuilt
     only when the chromosome *value* changes (neutral accepts that
-    cancel out keep the warm state) or the pattern epoch moves.
+    cancel out keep the warm state) or the pattern epoch moves.  With
+    ``incremental_eval`` off there is no state: every offspring is
+    simulated in full, exactly as the serial loop's batch path does.
     Returns ``(SpanResult, resident)``.
     """
     config = evaluator.config
 
     def span_state(candidate):
+        if not config.incremental_eval:
+            return None
         # Span-resident states amortize the parent's fan-out index over
         # the whole span: cone evaluation goes worklist-driven
         # (O(cone)) instead of scanning the netlist tail per offspring.
@@ -485,7 +358,7 @@ def replay_span(evaluator: Evaluator, resident,
         resident = (genome, parent, span_state(parent),
                     parent.consumers())
     genome, parent, state, consumers = resident
-    if state.epoch != evaluator.pattern_epoch:
+    if state is not None and state.epoch != evaluator.pattern_epoch:
         state = span_state(parent)
     parent_fitness = Fitness(*request.parent_fitness)
     rng = random.Random()
@@ -514,9 +387,12 @@ def replay_span(evaluator: Evaluator, resident,
                         f"shipped-delta path at generation {generation}, "
                         f"offspring {i}")
                 check_at += 1
-            if state.epoch != evaluator.pattern_epoch:
-                state = span_state(parent)
-            fit = evaluator.evaluate_incremental(child, delta, state)
+            if state is None:
+                fit = evaluator.evaluate(child)
+            else:
+                if state.epoch != evaluator.pattern_epoch:
+                    state = span_state(parent)
+                fit = evaluator.evaluate_incremental(child, delta, state)
             if best_fit is None or fit.key() >= best_fit.key():
                 best_fit = fit
                 best_child = child
@@ -551,159 +427,6 @@ def replay_span(evaluator: Evaluator, resident,
                            final_genome=final_genome), resident
 
 
-# -- wire frames and worker-side handlers ------------------------------
-
-_RESULT_PREFIX = bytes([OP_RESULT])
-_U32 = struct.Struct("<I")
-
-
-def _frame_eval_genomes(genomes: Sequence[Genome]) -> bytes:
-    return bytes([OP_EVAL_GENOMES]) + wire.pack_genomes(genomes)
-
-
-def _frame_eval_deltas(parent_genome: Genome,
-                       deltas: Sequence[MutationDelta]) -> bytes:
-    blob = wire.pack_genome(parent_genome)
-    return b"".join((bytes([OP_EVAL_DELTAS]), _U32.pack(len(blob)), blob,
-                     wire.pack_deltas(deltas)))
-
-
-def _frame_span(request: wire.SpanRequest) -> bytes:
-    return bytes([OP_SPAN]) + wire.pack_span_request(request)
-
-
-def _handle_eval_genomes(payload: memoryview) -> bytes:
-    values, counters = _pool_evaluate(wire.unpack_genomes(payload))
-    return _RESULT_PREFIX + wire.pack_fitness_chunk(values, counters)
-
-
-def _handle_eval_deltas(payload: memoryview) -> bytes:
-    (size,) = _U32.unpack_from(payload, 0)
-    at = _U32.size
-    genome = wire.unpack_genome(payload[at:at + size])
-    deltas = wire.unpack_deltas(payload[at + size:])
-    values, counters = _pool_evaluate_deltas(genome, deltas)
-    return _RESULT_PREFIX + wire.pack_fitness_chunk(values, counters)
-
-
-def _handle_span(payload: memoryview) -> bytes:
-    global _WORKER_SPAN
-    evaluator = _WORKER_EVALUATOR
-    if evaluator is None:
-        raise WorkerPoolError("pool worker used before initialization")
-    request = wire.unpack_span_request(payload)
-    result, _WORKER_SPAN = replay_span(evaluator, _WORKER_SPAN, request)
-    return _RESULT_PREFIX + wire.pack_span_result(result)
-
-
-HANDLERS[OP_EVAL_GENOMES] = _handle_eval_genomes
-HANDLERS[OP_EVAL_DELTAS] = _handle_eval_deltas
-HANDLERS[OP_SPAN] = _handle_span
-
-
-def kill_executor(pool) -> None:
-    """Tear a ProcessPoolExecutor down *now*, hung workers included.
-
-    ``shutdown()`` alone joins worker processes, which never returns for
-    a wedged worker — kill them first.  ``_processes`` is stable CPython
-    executor internals; falling back to an empty dict just means
-    ``shutdown()`` does the (slower) work alone.
-    """
-    if pool is None:
-        return
-    processes = getattr(pool, "_processes", None) or {}
-    for process in list(processes.values()):
-        try:
-            process.kill()
-        except Exception:
-            pass
-    try:
-        pool.shutdown(wait=False, cancel_futures=True)
-    except Exception:
-        pass
-
-
-def chunk_evenly(items: Sequence, workers: int) -> List[List]:
-    """Split a batch into at most ``workers`` contiguous, even chunks."""
-    items = list(items)
-    n = min(workers, len(items))
-    size, extra = divmod(len(items), n)
-    chunks, at = [], 0
-    for i in range(n):
-        width = size + (1 if i < extra else 0)
-        chunks.append(items[at:at + width])
-        at += width
-    return chunks
-
-
-def collect_chunk_results(futures, timeout: Optional[float]) \
-        -> Tuple[List[Fitness], _Counters]:
-    """Gather chunk results under one shared deadline.
-
-    Counters are committed by the caller only once the whole batch
-    succeeded (a retry must not double-count the lost batch's partial
-    progress).
-    """
-    results: List[Fitness] = []
-    totals = [0, 0, 0]
-    deadline = None if timeout is None else time.monotonic() + timeout
-    for future in futures:
-        remaining = None
-        if deadline is not None:
-            remaining = max(0.0, deadline - time.monotonic())
-        values, counters = future.result(timeout=remaining)
-        results.extend(Fitness(*v) for v in values)
-        for i in range(3):
-            totals[i] += counters[i]
-    return results, (totals[0], totals[1], totals[2])
-
-
-class AdaptiveChunker:
-    """Latency-driven chunk planner for per-generation batches.
-
-    ``chunk_evenly``'s fixed ``workers``-way split pays one dispatch
-    round trip per worker per batch even when the whole batch is
-    microseconds of work — on small broods that overhead *is* the
-    batch.  This planner sizes the split from the observed per-item
-    evaluation time instead: split across workers only when every
-    chunk's useful work amortizes the dispatch cost
-    (``AMORTIZE × DISPATCH_COST``), otherwise ship the whole batch to a
-    single worker.  The first batch probes with a full split so the
-    estimate starts from real data.
-    """
-
-    #: Assumed fixed cost of one chunk dispatch+collect round trip (s).
-    DISPATCH_COST = 5e-4
-    #: Minimum useful-work multiple of DISPATCH_COST per chunk.
-    AMORTIZE = 4.0
-    #: EWMA weight of the newest per-item observation.
-    BLEND = 0.3
-
-    def __init__(self, workers: int):
-        self.workers = workers
-        self._per_item: Optional[float] = None
-
-    def plan(self, items: int) -> int:
-        """How many chunks to split ``items`` into (>= 1)."""
-        if items <= 1:
-            return 1
-        if self._per_item is None:
-            return min(self.workers, items)
-        budget = items * self._per_item
-        chunks = int(budget / (self.AMORTIZE * self.DISPATCH_COST))
-        return max(1, min(self.workers, items, chunks))
-
-    def observe(self, items: int, chunks: int, elapsed: float) -> None:
-        """Fold one batch's wall time into the per-item estimate."""
-        if items <= 0 or elapsed <= 0:
-            return
-        per = max(0.0, elapsed - chunks * self.DISPATCH_COST) / items
-        if self._per_item is None:
-            self._per_item = per
-        else:
-            self._per_item += self.BLEND * (per - self._per_item)
-
-
 class SpanPlanner:
     """Adaptive sizing for worker-side replay spans.
 
@@ -735,307 +458,6 @@ class SpanPlanner:
             self._span = max(self.START, self._span // 2)
 
 
-class ProcessPoolBackend:
-    """Persistent process pool; workers hold a pre-built evaluator.
-
-    The pool is spawned once per run.  Each batch is split into at most
-    ``workers`` contiguous chunks so per-task IPC overhead is amortized
-    over several offspring, and chunk results are concatenated in
-    submission order (determinism does not depend on completion order).
-
-    Only valid when evaluation is pure (exhaustive simulation, or
-    seeded random patterns without SAT feedback) — the engine enforces
-    this via :func:`parallel_safe`.
-
-    **Fault tolerance.**  A batch that dies (``BrokenProcessPool`` — a
-    worker crashed or was OOM-killed) or overruns ``config.batch_timeout``
-    is recovered, not fatal: the pool is killed, respawned, and the whole
-    batch re-dispatched, up to ``config.batch_retries`` times.  Because
-    evaluation here is pure, a re-dispatched batch is bit-identical to
-    the lost one, so recovery never changes results.  When retries are
-    exhausted the backend *degrades to inline evaluation* for the rest
-    of the run — slower, but the run completes.  ``worker_restarts``,
-    ``batches_retried`` and ``degraded`` are surfaced on the
-    :class:`EvolutionResult` and in telemetry.
-    """
-
-    name = "process-pool"
-    #: Evaluations run in worker processes, invisible to the master
-    #: evaluator's counters — the engine adds them back per batch.
-    remote_evaluations = True
-
-    def __init__(self, spec: Sequence[TruthTable], config: RcgpConfig,
-                 workers: int):
-        if workers < 2:
-            raise ValueError("ProcessPoolBackend needs workers >= 2")
-        self._spec = list(spec)
-        self._config = config
-        self.workers = workers
-        # Worker-side evaluation counters, accumulated per chunk result
-        # (the master evaluator never sees pool evaluations).
-        self.eval_full = 0
-        self.eval_incremental = 0
-        self.ports_resimulated = 0
-        # Fault-recovery counters.
-        self.worker_restarts = 0
-        self.batches_retried = 0
-        self.degraded = False
-        # Transport counters (telemetry / EvolutionResult).
-        self.bytes_shipped = 0
-        self.chunks_dispatched = 0
-        self.pipeline_stalls = 0
-        self._chunker = AdaptiveChunker(workers)
-        self._pool: Optional[PipeWorkerPool] = None
-        self._inflight_span: Optional[wire.SpanRequest] = None
-        self._span_live = False
-        self._inline: Optional[InlineBackend] = None
-        self._fallback_evaluator: Optional[Evaluator] = None
-        self._spawn()
-
-    # -- pool lifecycle ------------------------------------------------
-
-    def _spawn(self) -> None:
-        self._pool = PipeWorkerPool(
-            self.workers,
-            init_payload=([t.bits for t in self._spec],
-                          self._spec[0].num_vars,
-                          self._config.to_dict()),
-        )
-
-    def _kill_pool(self) -> None:
-        """Tear the pool down *now*, hung workers included."""
-        pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.kill()
-
-    def terminate(self) -> None:
-        """Immediate shutdown (SIGINT path): kill workers, cancel work."""
-        self._kill_pool()
-
-    def close(self) -> None:
-        if self._pool is not None:
-            self._pool.close()
-            self._pool = None
-
-    def _send(self, index: int, frame: bytes) -> None:
-        self._pool.send(index, frame)
-        self.bytes_shipped += len(frame)
-        self.chunks_dispatched += 1
-
-    # -- inline degradation --------------------------------------------
-
-    def _inline_backend(self) -> InlineBackend:
-        if self._inline is None:
-            # Same construction as the pool initializer, so the
-            # fallback evaluator is interchangeable with a worker's in
-            # every parallel-safe mode (pure evaluation, seeded
-            # patterns) — degrading cannot change results.
-            self._fallback_evaluator = Evaluator(self._spec, self._config)
-            self._inline = InlineBackend(self._fallback_evaluator)
-        return self._inline
-
-    def _run_inline(self, call) -> List[Fitness]:
-        backend = self._inline_backend()
-        evaluator = self._fallback_evaluator
-        before = _counters(evaluator)
-        out = call(backend)
-        after = _counters(evaluator)
-        self.eval_full += after[0] - before[0]
-        self.eval_incremental += after[1] - before[1]
-        self.ports_resimulated += after[2] - before[2]
-        return out
-
-    # -- batch dispatch with recovery ----------------------------------
-
-    def _deadline(self) -> Optional[float]:
-        timeout = self._config.batch_timeout
-        return None if timeout is None else time.monotonic() + timeout
-
-    def _collect(self, count: int) -> Tuple[List[Fitness],
-                                            Tuple[int, int, int]]:
-        """Gather ``count`` chunk replies in submission order."""
-        deadline = self._deadline()
-        results: List[Fitness] = []
-        totals = [0, 0, 0]
-        for index in range(count):
-            frame = self._pool.recv(index, deadline)
-            values, counters = wire.unpack_fitness_chunk(
-                memoryview(frame)[1:])
-            results.extend(Fitness(*value) for value in values)
-            for k in range(3):
-                totals[k] += counters[k]
-        return results, (totals[0], totals[1], totals[2])
-
-    def _run_batch(self, items: List,
-                   make_frame) -> Optional[List[Fitness]]:
-        """Dispatch one batch with bounded fault recovery.
-
-        ``make_frame`` is ``(chunk) -> request frame`` for one chunk of
-        ``items``.  Returns None when recovery is exhausted and the
-        backend has degraded — the caller then evaluates inline.
-        """
-        if self.degraded:
-            return None
-        retries = self._config.batch_retries
-        attempt = 0
-        plan = self._chunker.plan(len(items))
-        while True:
-            try:
-                if self._pool is None:
-                    self._spawn()
-                chunks = chunk_evenly(items, plan)
-                started = time.monotonic()
-                for index, chunk in enumerate(chunks):
-                    self._send(index, make_frame(chunk))
-                results, counters = self._collect(len(chunks))
-                self._chunker.observe(len(items), len(chunks),
-                                      time.monotonic() - started)
-            except (KeyboardInterrupt, SystemExit):
-                self._kill_pool()
-                raise
-            except RECOVERABLE_POOL_ERRORS:
-                self._kill_pool()
-                if attempt >= retries:
-                    # Recovery exhausted: degrade for the rest of the
-                    # run instead of aborting a possibly hours-long
-                    # search over an infrastructure failure.
-                    self.degraded = True
-                    return None
-                attempt += 1
-                self.batches_retried += 1
-                self.worker_restarts += 1
-                try:
-                    self._spawn()
-                except OSError:
-                    # Cannot even respawn (fork limit, fd exhaustion):
-                    # nothing left to retry with.
-                    self.degraded = True
-                    return None
-                continue
-            self.eval_full += counters[0]
-            self.eval_incremental += counters[1]
-            self.ports_resimulated += counters[2]
-            return results
-
-    # -- the EvaluationBackend surface ---------------------------------
-
-    def evaluate(self, genomes: Sequence[Genome]) -> List[Fitness]:
-        genomes = list(genomes)
-        if not genomes:
-            return []
-        results = self._run_batch(genomes, _frame_eval_genomes)
-        if results is None:
-            return self._run_inline(lambda b: b.evaluate(genomes))
-        return results
-
-    def evaluate_deltas(self, parent_genome: Genome,
-                        deltas: Sequence[MutationDelta],
-                        children: Optional[Sequence[RqfpNetlist]] = None) \
-            -> List[Fitness]:
-        """Incremental batch: ship deltas, not whole offspring genomes.
-
-        ``children`` is accepted for interface symmetry with
-        :meth:`InlineBackend.evaluate_deltas` but never crosses the
-        process boundary — workers rebuild each offspring from their
-        resident parent.  (The degraded inline fallback does use them.)
-        """
-        deltas = list(deltas)
-        if not deltas:
-            return []
-        results = self._run_batch(
-            deltas,
-            lambda chunk: _frame_eval_deltas(parent_genome, chunk))
-        if results is None:
-            return self._run_inline(
-                lambda b: b.evaluate_deltas(parent_genome, deltas,
-                                            children))
-        return results
-
-    # -- replay spans (worker-side mutation replay) --------------------
-
-    @property
-    def supports_spans(self) -> bool:
-        return not self.degraded
-
-    def dispatch_span(self, request: "wire.SpanRequest") -> bool:
-        """Ship one replay span to worker 0 without waiting for it.
-
-        Returns False when the backend has degraded (the engine then
-        falls back to the classic per-generation loop).  Dispatch
-        failures are not retried here — :meth:`collect_span` owns the
-        retry loop and re-dispatches from the stored request, so a
-        frame lost to a dying pipe is simply sent again.
-        """
-        if self.degraded:
-            return False
-        self._inflight_span = request
-        self._span_live = False
-        try:
-            if self._pool is None:
-                self._spawn()
-            self._send(0, _frame_span(request))
-            self._span_live = True
-        except (KeyboardInterrupt, SystemExit):
-            self._kill_pool()
-            raise
-        except RECOVERABLE_POOL_ERRORS:
-            self._kill_pool()
-        return True
-
-    def collect_span(self) -> Optional["wire.SpanResult"]:
-        """Block for the in-flight span's result, with fault recovery.
-
-        Returns None when recovery is exhausted (backend degraded) —
-        the engine replays the span's generations inline.  Worker
-        evaluation-counter deltas are committed here, once per record,
-        exactly as chunk results commit theirs.
-        """
-        request = self._inflight_span
-        if request is None:
-            raise RuntimeError("collect_span without a dispatched span")
-        if self.degraded:
-            self._inflight_span = None
-            self._span_live = False
-            return None
-        if self._span_live and self._pool is not None \
-                and not self._pool.ready(0):
-            # The coordinator caught up with the worker: the overlap
-            # window was shorter than the span's compute time.
-            self.pipeline_stalls += 1
-        retries = self._config.batch_retries
-        attempt = 0
-        while True:
-            try:
-                if self._pool is None:
-                    self._spawn()
-                if not self._span_live:
-                    self._send(0, _frame_span(request))
-                    self._span_live = True
-                frame = self._pool.recv(0, self._deadline())
-            except (KeyboardInterrupt, SystemExit):
-                self._kill_pool()
-                raise
-            except RECOVERABLE_POOL_ERRORS:
-                self._kill_pool()
-                self._span_live = False
-                if attempt >= retries:
-                    self.degraded = True
-                    self._inflight_span = None
-                    return None
-                attempt += 1
-                self.batches_retried += 1
-                self.worker_restarts += 1
-                continue
-            result = wire.unpack_span_result(memoryview(frame)[1:])
-            for _accepted, _fit, deltas in result.records:
-                self.eval_full += deltas[0]
-                self.eval_incremental += deltas[1]
-                self.ports_resimulated += deltas[2]
-            self._inflight_span = None
-            self._span_live = False
-            return result
-
-
 def parallel_safe(evaluator: Evaluator, config: RcgpConfig) -> bool:
     """Whether fitness evaluation is pure enough to run in a pool.
 
@@ -1065,7 +487,8 @@ class TelemetryWriter:
     ``job_id`` namespaces every event with a ``"job_id"`` field so
     multiple jobs in one process never produce ambiguous streams, and
     ``mode="a"`` appends instead of truncating — a resumed job keeps
-    one continuous event history across process restarts.
+    one continuous event history across process restarts.  Missing
+    parent directories of a path are created.
     """
 
     def __init__(self, path_or_file, *, mode: str = "w",
@@ -1075,6 +498,9 @@ class TelemetryWriter:
             self._handle: IO[str] = path_or_file
             self._owns = False
         else:
+            parent = os.path.dirname(os.fspath(path_or_file))
+            if parent:
+                os.makedirs(parent, exist_ok=True)
             self._handle = open(path_or_file, mode)
             self._owns = True
 
@@ -1108,7 +534,12 @@ def read_telemetry(path: str) -> List[dict]:
 
 @dataclass
 class EvolutionResult:
-    """Outcome of a CGP optimization run."""
+    """Outcome of a CGP optimization run.
+
+    ``cache_hits`` is kept for compatibility with stored artifacts and
+    callers that read it; the memo cache it counted is retired and it
+    always reads 0.
+    """
 
     netlist: RqfpNetlist
     fitness: Fitness
@@ -1152,10 +583,13 @@ class EvolutionRun:
 
     Each generation mutates the single best parent into λ offspring
     (each from its own deterministic RNG stream), evaluates them through
-    the configured backend behind the memo cache, and accepts an
-    offspring whose fitness is better *or equal* (neutral drift, §3.2.4)
-    as the next parent.  Useless gates are shrunk from accepted parents
-    per the configured policy (§3.2.3).
+    the configured backend, and accepts an offspring whose fitness is
+    better *or equal* (neutral drift, §3.2.4) as the next parent.
+    Useless gates are shrunk from accepted parents per the configured
+    policy (§3.2.3).  A backend that supports spans (every pooled one)
+    runs whole stretches of generations worker-side instead
+    (:func:`replay_span`); the coordinator narrates their records and
+    owns every strict improvement.
 
     Parameters
     ----------
@@ -1163,7 +597,7 @@ class EvolutionRun:
         Target truth tables, one per primary output.
     config:
         All knobs, including ``workers`` (0/1 = inline, N>1 = process
-        pool), ``eval_cache_size`` and ``telemetry_path``.
+        pool) and ``telemetry_path``.
     initial:
         Starting netlist; defaults to the §3.1 initialization flow.
     progress:
@@ -1212,24 +646,10 @@ class EvolutionRun:
         config = self.config
         if config.workers > 1 and config.generations > 0 \
                 and parallel_safe(evaluator, config):
-            return ProcessPoolBackend(self.spec, config,
-                                      config.workers), True
+            from ..jobs.pool import process_pool_backend
+            return process_pool_backend(self.spec, config,
+                                        config.workers), True
         return InlineBackend(evaluator), True
-
-    def _fitness_of(self, genome: Genome, netlist: RqfpNetlist,
-                    evaluator: Evaluator, cache: FitnessCache) -> Fitness:
-        """Cache-aware single evaluation through the master evaluator."""
-        if cache.enabled:
-            found = cache.get(genome)
-            if found is not None:
-                return found
-        epoch = evaluator.pattern_epoch
-        fitness = evaluator.evaluate(netlist)
-        if evaluator.pattern_epoch != epoch:
-            cache.clear()
-        else:
-            cache.put(genome, fitness)
-        return fitness
 
     # -- the run -------------------------------------------------------
 
@@ -1237,7 +657,6 @@ class EvolutionRun:
         config = self.config
         spec = self.spec
         evaluator = Evaluator(spec, config, random.Random(config.seed))
-        cache = FitnessCache(config.eval_cache_size)
         if config.seed is not None:
             base_seed = config.seed
         else:
@@ -1255,8 +674,7 @@ class EvolutionRun:
             parent = NetlistKernel.from_netlist(parent)
 
         parent_genome = encode_genome(parent)
-        parent_fitness = self._fitness_of(parent_genome, parent,
-                                          evaluator, cache)
+        parent_fitness = evaluator.evaluate(parent)
         if not parent_fitness.functional:
             raise SynthesisError(
                 "initial netlist does not realize the specification: "
@@ -1274,9 +692,9 @@ class EvolutionRun:
 
         delta_eval = getattr(backend, "evaluate_deltas", None)
         incremental = config.incremental_eval and delta_eval is not None
-        # Backends whose evaluations happen in other processes (the
-        # run-private pool, the scheduler's shared pool) never touch the
-        # master evaluator's counters; the engine adds them back.
+        # Backends whose evaluations happen in other processes (or on
+        # their own fallback evaluator) never touch the master
+        # evaluator's counters; the engine adds them back.
         remote = getattr(backend, "remote_evaluations", False)
         pool_evaluations = 0
         # Connectivity view of the current parent, built lazily and
@@ -1303,6 +721,10 @@ class EvolutionRun:
             # defines no counters of its own, so nothing double-counts).
             return getattr(evaluator, name) + getattr(backend, name, 0)
 
+        def out_of_time() -> bool:
+            return config.time_budget is not None and \
+                time.monotonic() - start >= config.time_budget
+
         # Fault observability: emit a worker_fault event whenever the
         # pool backend's recovery counters move (checked once per
         # generation — three attribute reads, nothing on the inline path
@@ -1311,32 +733,26 @@ class EvolutionRun:
         last_faults = (0, 0, False) \
             if telemetry is not None and remote else None
 
-        # Worker-side mutation replay: when offspring cross a process
-        # boundary anyway and the memo cache is off (every child is
-        # evaluated, so nothing coordinator-side needs per-child
-        # genomes), whole plateau stretches run on the worker — the
-        # coordinator ships one genome per span instead of λ deltas per
-        # generation.  RCGP_REPLAY=0 restores per-generation dispatch;
-        # RCGP_CHECK_INCREMENTAL=1 keeps replay but ships the
-        # coordinator's own deltas alongside for worker-side
-        # verification (span length 1).
+        # Worker-side mutation replay: whenever offspring cross a
+        # process boundary, whole plateau stretches run on the worker —
+        # the coordinator ships one genome per span instead of λ
+        # offspring per generation.  RCGP_CHECK_INCREMENTAL=1 keeps
+        # replay but ships the coordinator's own deltas alongside for
+        # worker-side verification (span length 1).  The per-generation
+        # loop below serves inline runs and any slice whose span path
+        # failed (out of retries, or no worker to send to).
         stop = False
         name_template = parent
         check_mode = os.environ.get(
             "RCGP_CHECK_INCREMENTAL", "") not in ("", "0")
-        use_replay = (
-            incremental and remote and not cache.enabled
-            and config.time_budget is None
-            and getattr(backend, "supports_spans", False)
-            and os.environ.get("RCGP_REPLAY", "1") != "0"
-            and -2**63 <= base_seed < 2**63
-            and parallel_safe(evaluator, config))
+        use_replay = getattr(backend, "supports_spans", False)
         planner = SpanPlanner(config.batch_timeout) if use_replay else None
 
         def span_headroom(gen: int, stag: int) -> int:
             # How many generations the worker may run before the serial
             # loop would have stopped anyway (budget end or stagnation
-            # break) — spans never overshoot either.
+            # break) — spans never overshoot either.  A time budget is
+            # checked before every dispatch instead.
             room = config.generations - gen
             if config.stagnation_limit is not None:
                 room = min(room, config.stagnation_limit - stag)
@@ -1373,19 +789,22 @@ class EvolutionRun:
                 while use_replay and not stop \
                         and generation < config.generations:
                     if inflight is None:
+                        if out_of_time():
+                            stop = True
+                            break
                         planned = 1 if check_mode \
                             else planner.plan(
                                 span_headroom(generation, stagnation))
                         request = make_span(generation + 1, planned)
                         dispatched_at = time.monotonic()
                         if not backend.dispatch_span(request):
-                            break  # degraded: classic loop runs inline
+                            break  # no span path: the loop below runs
                         inflight = (planned, dispatched_at)
                     planned, dispatched_at = inflight
                     inflight = None
                     result = backend.collect_span()
                     if result is None:
-                        break  # degraded: classic loop runs inline
+                        break  # span path failed: the loop below runs
                     planner.observe(planned, len(result.records),
                                     time.monotonic() - dispatched_at)
                     records = result.records
@@ -1432,7 +851,7 @@ class EvolutionRun:
                             parent_consumers = None
                         end_generation = generation + executed
                         end_stagnation = stagnation + executed
-                        if not check_mode and \
+                        if not check_mode and not out_of_time() and \
                                 span_headroom(end_generation,
                                               end_stagnation) >= 1:
                             planned = planner.plan(
@@ -1475,9 +894,8 @@ class EvolutionRun:
                                 if simplified.num_gates < view.num_gates:
                                     parent = NetlistKernel.from_netlist(
                                         simplified) if flat else simplified
-                                    parent_fitness = self._fitness_of(
-                                        encode_genome(parent), parent,
-                                        evaluator, cache)
+                                    parent_fitness = evaluator.evaluate(
+                                        parent)
                             parent_genome = encode_genome(parent)
                             parent_consumers = None
                             cur_fitness = parent_fitness
@@ -1499,7 +917,6 @@ class EvolutionRun:
                                 improved=improved, accepted=accepted,
                                 evaluations=evaluator.evaluations
                                 + pool_evaluations,
-                                cache_hits=cache.hits,
                                 sat_calls=evaluator.sat_calls,
                                 eval_full=ef, eval_incremental=ei,
                                 ports_resimulated=pr,
@@ -1527,8 +944,7 @@ class EvolutionRun:
                     else generation + 1
                 for generation in range(classic_start,
                                         config.generations + 1):
-                    if config.time_budget is not None and \
-                            time.monotonic() - start >= config.time_budget:
+                    if out_of_time():
                         generation -= 1
                         break
 
@@ -1548,67 +964,20 @@ class EvolutionRun:
                             consumers=parent_consumers, rollback=True)
                         children.append((child, delta))
 
-                    # Evaluation: memo-cache lookup first, then one batched
-                    # backend call over the distinct misses — incremental
-                    # (parent genome + deltas) when the backend supports it.
-                    if not cache.enabled:
-                        # No memoization: every child is evaluated, so the
-                        # genome keys (an O(genome) tuple hash per dict
-                        # operation) buy nothing — skip them entirely.  The
-                        # non-incremental backend still transports genomes.
-                        if incremental:
-                            fitnesses = list(delta_eval(
-                                parent_genome,
-                                [delta for _, delta in children],
-                                [child for child, _ in children]))
-                        else:
-                            fitnesses = list(backend.evaluate(
-                                [genome_with_delta(parent_genome, delta)
-                                 for _, delta in children]))
-                        if remote:
-                            pool_evaluations += len(children)
+                    # Evaluation: one batched backend call — incremental
+                    # (parent genome + deltas) when the backend supports
+                    # it, whole offspring genomes otherwise.
+                    if incremental:
+                        fitnesses = delta_eval(
+                            parent_genome,
+                            [delta for _, delta in children],
+                            [child for child, _ in children])
                     else:
-                        fitnesses: List[Optional[Fitness]] = \
-                            [None] * len(children)
-                        miss_order: List[Genome] = []
-                        miss_slots: Dict[Genome, List[int]] = {}
-                        miss_children: Dict[Genome, RqfpNetlist] = {}
-                        miss_deltas: Dict[Genome, MutationDelta] = {}
-                        for slot, (child, delta) in enumerate(children):
-                            genome = genome_with_delta(parent_genome, delta)
-                            found = cache.get(genome)
-                            if found is not None:
-                                fitnesses[slot] = found
-                            elif genome in miss_slots:
-                                # Duplicate within the batch: evaluate once.
-                                cache.hits += 1
-                                cache.misses -= 1
-                                miss_slots[genome].append(slot)
-                            else:
-                                miss_order.append(genome)
-                                miss_slots[genome] = [slot]
-                                miss_children[genome] = child
-                                miss_deltas[genome] = delta
-                        if miss_order:
-                            epoch = evaluator.pattern_epoch
-                            if incremental:
-                                evaluated = delta_eval(
-                                    parent_genome,
-                                    [miss_deltas[g] for g in miss_order],
-                                    [miss_children[g] for g in miss_order])
-                            else:
-                                evaluated = backend.evaluate(miss_order)
-                            if remote:
-                                pool_evaluations += len(miss_order)
-                            for genome, fitness in zip(miss_order, evaluated):
-                                for slot in miss_slots[genome]:
-                                    fitnesses[slot] = fitness
-                            if evaluator.pattern_epoch != epoch:
-                                cache.clear()
-                            else:
-                                for genome, fitness in zip(miss_order,
-                                                           evaluated):
-                                    cache.put(genome, fitness)
+                        fitnesses = backend.evaluate(
+                            [genome_with_delta(parent_genome, delta)
+                             for _, delta in children])
+                    if remote:
+                        pool_evaluations += len(children)
 
                     # Selection: later offspring win ties, matching the
                     # historical serial loop (>= replacement).
@@ -1618,7 +987,6 @@ class EvolutionRun:
                             best_slot = slot
                     best_fitness = fitnesses[best_slot]
                     best_child = children[best_slot][0]
-                    assert best_fitness is not None
 
                     accepted = best_fitness.key() >= parent_fitness.key()
                     improved = False
@@ -1638,9 +1006,7 @@ class EvolutionRun:
                             if simplified.num_gates < view.num_gates:
                                 parent = NetlistKernel.from_netlist(simplified) \
                                     if flat else simplified
-                                parent_fitness = self._fitness_of(
-                                    encode_genome(parent), parent,
-                                    evaluator, cache)
+                                parent_fitness = evaluator.evaluate(parent)
                         parent_genome = encode_genome(parent)
                         parent_consumers = None
                         if improved:
@@ -1655,7 +1021,6 @@ class EvolutionRun:
                             best_key=list(parent_fitness.key()),
                             improved=improved, accepted=accepted,
                             evaluations=evaluator.evaluations + pool_evaluations,
-                            cache_hits=cache.hits,
                             sat_calls=evaluator.sat_calls,
                             eval_full=counter("eval_full"),
                             eval_incremental=counter("eval_incremental"),
@@ -1681,7 +1046,7 @@ class EvolutionRun:
 
             except KeyboardInterrupt:
                 # Clean SIGINT shutdown: keep the incumbent parent,
-                # kill the pool immediately (workers may be mid-batch
+                # kill the pool immediately (workers may be mid-span
                 # or wedged), finalize and return the best-so-far
                 # result with interrupted=True instead of dying with
                 # a half-written telemetry stream and orphan workers.
@@ -1719,7 +1084,6 @@ class EvolutionRun:
                 runtime=runtime,
                 history=history if config.track_history else [],
                 sat_calls=evaluator.sat_calls,
-                cache_hits=cache.hits,
                 backend=backend.name,
                 eval_full=counter("eval_full"),
                 eval_incremental=counter("eval_incremental"),
@@ -1737,7 +1101,6 @@ class EvolutionRun:
                 telemetry.emit(
                     "run_end", generations=result.generations,
                     evaluations=result.evaluations,
-                    cache_hits=result.cache_hits,
                     sat_calls=result.sat_calls,
                     eval_full=result.eval_full,
                     eval_incremental=result.eval_incremental,

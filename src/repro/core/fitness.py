@@ -142,8 +142,8 @@ class Evaluator:
 
         Exhaustive evaluators never change (epoch 0); sampled evaluators
         grow their pattern set on SAT counterexamples, which advances
-        the epoch and invalidates any fitness memoized against the old
-        patterns (see :class:`repro.core.engine.FitnessCache`).
+        the epoch and invalidates any simulation state memoized against
+        the old patterns.
         """
         return 0 if self.exhaustive else len(self._patterns)
 

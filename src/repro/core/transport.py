@@ -1,30 +1,25 @@
-"""Pipe-based worker pool transport for offspring evaluation.
+"""Pipe-based worker pool transport for replay spans.
 
 ``concurrent.futures.ProcessPoolExecutor`` costs a surprising amount
 per dispatch — a call queue with a management thread, per-task pickling
 of the callable and its arguments, and a result queue on the way back.
-On the engine's hot path (one small batch per generation, hundreds of
-thousands of generations) that fixed overhead dominates the useful
-work.  This module replaces it with the thinnest thing that still
-satisfies the pool contract:
+This module is the thinnest thing that still satisfies the pool
+contract:
 
 * one ``multiprocessing.Pipe`` + long-lived ``Process`` per worker;
 * one length-prefixed **frame** per request/reply (``send_bytes`` /
   ``recv_bytes``), first byte = opcode, payload packed by
-  :mod:`repro.core.wire` (no pickle on the per-batch path);
+  :mod:`repro.core.wire` (no pickle on the per-span path);
 * worker exceptions pickled into an ``ERROR`` frame and re-raised
-  coordinator-side, so typed errors (``WorkerPoolError``) propagate
-  exactly as futures propagated them;
+  coordinator-side, so typed errors (``WorkerPoolError``) propagate;
 * crash/hang/pipe-death surfaces as ``EOFError`` / ``OSError`` /
-  ``TimeoutError`` — the same :data:`repro.core.engine.
-  RECOVERABLE_POOL_ERRORS` the batch-retry machinery already handles.
+  ``TimeoutError`` — the :data:`repro.core.engine.
+  RECOVERABLE_POOL_ERRORS` the dispatcher's retry loop handles.
 
-Handlers are registered per opcode in :data:`HANDLERS` by the modules
-that own them (:mod:`repro.core.engine` for single-run evaluation and
-replay spans, :mod:`repro.jobs.pool` for the scheduler's job-keyed
-variants); the worker main loop resolves unknown job opcodes by
-importing :mod:`repro.jobs.pool` lazily, so a spawned (non-fork) worker
-still finds them.
+There is one request, ``OP_JOB_SPAN`` (a job-keyed replay span), whose
+handler :mod:`repro.jobs.pool` registers in :data:`HANDLERS`; every
+worker initializes that module before serving, and :func:`serve_frame`
+imports it lazily for in-process callers.
 
 The opcode table, :func:`serve_frame` (validate + dispatch + pack
 errors) and :func:`unwrap_reply` (validate + re-raise shipped errors)
@@ -43,31 +38,21 @@ import multiprocessing
 import os
 import pickle
 import struct
-import sys
 import time
 from typing import Callable, Dict, List, Optional
 
 from ..errors import FrameTooLarge, FrameTruncated, UnknownOpcode
 
-# Frame opcodes.  Requests: single-run evaluation + replay; the 0x1*
-# block is the scheduler's job-keyed variants (handlers registered by
-# repro.jobs.pool).  Replies: one RESULT or ERROR frame per request.
+# Frame opcodes.  One request (a job-keyed replay span, handler
+# registered by repro.jobs.pool); one RESULT or ERROR reply per request.
 # PING/PONG is the cluster coordinator's liveness probe for idle remote
 # workers (the pipe transport never sends it; worker death there
 # surfaces as pipe EOF).
 OP_PING = 0x01
-OP_EVAL_GENOMES = 0x02
-OP_EVAL_DELTAS = 0x03
-OP_SPAN = 0x04
-OP_JOB_EVAL_GENOMES = 0x12
-OP_JOB_EVAL_DELTAS = 0x13
 OP_JOB_SPAN = 0x14
 OP_RESULT = 0x20
 OP_PONG = 0x21
 OP_ERROR = 0x2E
-
-_JOB_OPS = frozenset((OP_JOB_EVAL_GENOMES, OP_JOB_EVAL_DELTAS,
-                      OP_JOB_SPAN))
 
 #: Default cap on a single frame, request or reply.  Genuine frames are
 #: kilobytes (a span is two compact wire frames regardless of length);
@@ -106,8 +91,8 @@ def check_frame(frame, *, max_bytes: Optional[int] = None) -> None:
 
 def _resolve_handler(op: int) -> Callable[[memoryview], bytes]:
     handler = HANDLERS.get(op)
-    if handler is None and op in _JOB_OPS:
-        import repro.jobs.pool  # noqa: F401  (registers job handlers)
+    if handler is None and op == OP_JOB_SPAN:
+        import repro.jobs.pool  # noqa: F401  (registers the handler)
         handler = HANDLERS.get(op)
     if handler is None:
         raise UnknownOpcode(f"unknown pool frame opcode 0x{op:02x}")
@@ -130,7 +115,7 @@ def serve_frame(frame, *, max_bytes: Optional[int] = None) -> bytes:
     The worker-side half of the dispatch core, shared by the pipe main
     loop and the TCP worker.  Every failure — a malformed frame, an
     unknown opcode, a handler exception — becomes an ``ERROR`` reply
-    the peer re-raises, so a bad request costs one batch retry instead
+    the peer re-raises, so a bad request costs one span retry instead
     of a wedged worker.  Only ``KeyboardInterrupt``/``SystemExit``
     propagate (the serve loops exit on them).
     """
@@ -140,9 +125,8 @@ def serve_frame(frame, *, max_bytes: Optional[int] = None) -> bytes:
     except (KeyboardInterrupt, SystemExit):
         raise
     except (struct.error, pickle.UnpicklingError) as exc:
-        # Payload decoding that predates the typed wire guards (job
-        # context headers, pickled deltas) must not ship raw
-        # struct/pickle errors either.
+        # The pickled job context is decoded outside the typed wire
+        # guards; it must not ship raw struct/pickle errors either.
         return error_frame(FrameTruncated(
             f"malformed payload for opcode 0x{frame[0]:02x}: {exc}"))
     except BaseException as exc:  # ship it back, typed
@@ -174,7 +158,7 @@ def unwrap_reply(frame, *, expect: int = OP_RESULT):
     return frame
 
 
-def _worker_main(conn, stale, init_payload) -> None:
+def _worker_main(conn, stale) -> None:
     """One worker process: a frame-dispatch loop until the pipe dies."""
     # A forked worker inherits the coordinator-side handles of its own
     # pipe and of every pipe created before it.  Holding them open would
@@ -186,18 +170,10 @@ def _worker_main(conn, stale, init_payload) -> None:
             inherited.close()
         except OSError:
             pass
-    from . import engine as _engine
-    # A forked worker inherits the coordinator's module state (tests
-    # drive the worker functions in-process); start from a clean slate.
-    _engine._WORKER_EVALUATOR = None
-    _engine._WORKER_PARENT = None
-    _engine._WORKER_SPAN = None
-    jobs_pool = sys.modules.get("repro.jobs.pool")
-    if jobs_pool is not None:
-        jobs_pool._shared_initializer()
-    _engine.install_fault_injection()
-    if init_payload is not None:
-        _engine._pool_initializer(*init_payload)
+    # A forked worker also inherits the coordinator's module state
+    # (tests drive the handler in-process); start from a clean slate.
+    from ..jobs import pool as _jobs_pool
+    _jobs_pool.init_worker()
     limit = max_frame_bytes()
     while True:
         try:
@@ -230,12 +206,11 @@ class PipeWorkerPool:
     Pure transport: ``send`` ships one request frame to one worker,
     ``recv`` blocks (under an optional deadline) for that worker's
     reply, unwrapping ``ERROR`` frames into re-raised exceptions.
-    Retry/degradation policy lives with the owners
-    (:class:`~repro.core.engine.ProcessPoolBackend`,
-    :class:`~repro.jobs.pool.SharedWorkerPool`).
+    Retry/degradation policy lives with the owner,
+    :class:`~repro.cluster.backend.ClusterDispatch`.
     """
 
-    def __init__(self, workers: int, init_payload=None):
+    def __init__(self, workers: int):
         self.workers = workers
         ctx = multiprocessing.get_context()
         self._members: List[_PipeWorker] = []
@@ -246,7 +221,7 @@ class PipeWorkerPool:
             # child only inherits the `ours` side) and its own.
             stale = [member.conn for member in self._members] + [ours]
             process = ctx.Process(target=_worker_main,
-                                  args=(theirs, stale, init_payload),
+                                  args=(theirs, stale),
                                   daemon=True)
             process.start()
             # The child holds its own handle; keeping ours open too
@@ -269,7 +244,7 @@ class PipeWorkerPool:
             remaining = deadline - time.monotonic()
             if remaining <= 0 or not conn.poll(remaining):
                 raise TimeoutError(
-                    f"pool worker {index} overran the batch deadline")
+                    f"pool worker {index} overran the span deadline")
         return unwrap_reply(conn.recv_bytes())
 
     def kill(self) -> None:

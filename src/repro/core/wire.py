@@ -1,19 +1,21 @@
-"""Compact wire codec for the worker-pool transport.
+"""Compact wire codec for the worker transport.
 
-Everything that crosses a worker pipe per batch is packed here as raw
-``struct``/``array('q')`` bytes instead of pickled tuple-of-tuples:
+Everything that crosses a worker pipe or socket is packed here as raw
+``struct``/``array('q')`` bytes instead of pickled tuple-of-tuples.
+There is one request, the job-keyed replay span, and one reply:
 
 * **genomes** — a flat port-index genome is an ``array('q')`` memory
   dump (:func:`pack_genome`), eight bytes per gene with zero per-element
   object overhead;
 * **mutation deltas** — length-prefixed flat int runs via
-  :meth:`~repro.core.mutation.MutationDelta.flatten`;
-* **fitness chunks** — one ``<dqqq`` record per offspring plus the
-  worker's evaluation-counter deltas (:func:`pack_fitness_chunk`);
+  :meth:`~repro.core.mutation.MutationDelta.flatten` (span check mode
+  ships the coordinator's own deltas for worker-side cross-checking);
 * **replay spans** — the request ("replay generations ``[start,
   start+count)`` from this parent") and the result (per-generation
   accept records plus at most one genome back) for worker-side mutation
-  replay (:class:`SpanRequest` / :class:`SpanResult`).
+  replay (:class:`SpanRequest` / :class:`SpanResult`), and the job
+  frame payload that prefixes a request with its opaque job context
+  (:func:`pack_job_span`).
 
 The codec is deliberately dependency-light (``struct``, ``array``, the
 :class:`~repro.core.mutation.MutationDelta` dataclass) and symmetric:
@@ -28,7 +30,7 @@ from __future__ import annotations
 import functools
 import struct
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence, Tuple
 
 from ..errors import FrameTruncated
@@ -47,7 +49,7 @@ def _checked(unpack):
     ``IndexError`` (length prefixes pointing past the end) to the
     transport.  All three become
     :class:`~repro.errors.FrameTruncated`, which the pool owners treat
-    as one recoverable batch loss.
+    as one recoverable span loss.
     """
     @functools.wraps(unpack)
     def guarded(data):
@@ -61,11 +63,10 @@ def _checked(unpack):
 
 _LEN = struct.Struct("<I")
 _FIT = struct.Struct("<dqqq")
-_COUNTERS = struct.Struct("<qqq")
 #: Per-generation replay record: accepted flag, best fitness, and the
 #: generation's (eval_full, eval_incremental, ports_resimulated) deltas.
 _RECORD = struct.Struct("<Bdqqqqqq")
-_SPAN_REQ = struct.Struct("<qqIB")
+_SPAN_REQ = struct.Struct("<qIB")
 _SPAN_RES = struct.Struct("<IB")
 
 
@@ -84,30 +85,6 @@ def unpack_genome(data: bytes) -> Tuple[int, ...]:
     values = array("q")
     values.frombytes(data)
     return tuple(values)
-
-
-def pack_genomes(genomes: Sequence[Sequence[int]]) -> bytes:
-    """Length-prefixed genome list (genomes may differ in shape)."""
-    parts = [_LEN.pack(len(genomes))]
-    for genome in genomes:
-        blob = pack_genome(genome)
-        parts.append(_LEN.pack(len(blob)))
-        parts.append(blob)
-    return b"".join(parts)
-
-
-@_checked
-def unpack_genomes(data: bytes) -> List[Tuple[int, ...]]:
-    """Inverse of :func:`pack_genomes`."""
-    (count,) = _LEN.unpack_from(data, 0)
-    at = _LEN.size
-    out = []
-    for _ in range(count):
-        (size,) = _LEN.unpack_from(data, at)
-        at += _LEN.size
-        out.append(unpack_genome(data[at:at + size]))
-        at += size
-    return out
 
 
 # ----------------------------------------------------------------------
@@ -137,34 +114,6 @@ def unpack_deltas(data: bytes) -> List[MutationDelta]:
 
 
 # ----------------------------------------------------------------------
-# Fitness chunks
-
-
-def pack_fitness_chunk(values: Sequence[Fit4],
-                       counters: Tuple[int, int, int]) -> bytes:
-    """One chunk's results: fitness records + worker counter deltas."""
-    parts = [_LEN.pack(len(values))]
-    parts.extend(_FIT.pack(*value) for value in values)
-    parts.append(_COUNTERS.pack(*counters))
-    return b"".join(parts)
-
-
-@_checked
-def unpack_fitness_chunk(data: bytes) \
-        -> Tuple[List[Fit4], Tuple[int, int, int]]:
-    """Inverse of :func:`pack_fitness_chunk`."""
-    (count,) = _LEN.unpack_from(data, 0)
-    at = _LEN.size
-    values: List[Fit4] = []
-    for _ in range(count):
-        success, n_r, n_g, n_b = _FIT.unpack_from(data, at)
-        values.append((success, n_r, n_g, n_b))
-        at += _FIT.size
-    counters = _COUNTERS.unpack_from(data, at)
-    return values, counters
-
-
-# ----------------------------------------------------------------------
 # Replay spans
 
 
@@ -188,6 +137,20 @@ class SpanRequest:
     parent_fitness: Fit4
     parent_genome: Tuple[int, ...]
     check_deltas: Optional[Sequence[MutationDelta]] = None
+
+    def head(self, count: int) -> "SpanRequest":
+        """The first ``count`` generations of this span.
+
+        Any prefix of a span replays exactly as the full span would, so
+        a retry may send a shorter one and the coordinator continues
+        from wherever its records end.
+        """
+        if count >= self.count:
+            return self
+        check = self.check_deltas
+        if check is not None:
+            check = check[:len(check) // self.count * count]
+        return replace(self, count=count, check_deltas=check)
 
 
 SpanRecord = Tuple[bool, Fit4, Tuple[int, int, int]]
@@ -215,9 +178,15 @@ class SpanResult:
 def pack_span_request(request: SpanRequest) -> bytes:
     flags = 1 if request.check_deltas is not None else 0
     genome_blob = pack_genome(request.parent_genome)
+    # The seed is any Python int (``child_seed`` hashes its decimal
+    # form), so it travels as length-prefixed two's-complement bytes.
+    seed = request.base_seed
+    seed_blob = seed.to_bytes(seed.bit_length() // 8 + 1, "little",
+                              signed=True)
     parts = [
-        _SPAN_REQ.pack(request.base_seed, request.start_gen,
-                       request.count, flags),
+        _SPAN_REQ.pack(request.start_gen, request.count, flags),
+        _LEN.pack(len(seed_blob)),
+        seed_blob,
         _FIT.pack(*request.parent_fitness),
         _LEN.pack(len(genome_blob)),
         genome_blob,
@@ -231,8 +200,15 @@ def pack_span_request(request: SpanRequest) -> bytes:
 
 @_checked
 def unpack_span_request(data: bytes) -> SpanRequest:
-    base_seed, start_gen, count, flags = _SPAN_REQ.unpack_from(data, 0)
+    start_gen, count, flags = _SPAN_REQ.unpack_from(data, 0)
     at = _SPAN_REQ.size
+    (size,) = _LEN.unpack_from(data, at)
+    at += _LEN.size
+    seed_blob = bytes(data[at:at + size])
+    if len(seed_blob) != size or size == 0:
+        raise ValueError("seed field runs past the payload")
+    base_seed = int.from_bytes(seed_blob, "little", signed=True)
+    at += size
     fitness = _FIT.unpack_from(data, at)
     at += _FIT.size
     (size,) = _LEN.unpack_from(data, at)
@@ -287,3 +263,23 @@ def unpack_span_result(data: bytes) -> SpanResult:
             at += size
     return SpanResult(records=tuple(records), improved=bool(flags & 1),
                       child_genome=genomes[0], final_genome=genomes[1])
+
+
+def pack_job_span(ctx_blob: bytes, request: SpanRequest) -> bytes:
+    """Job span payload: an opaque job context, then the request.
+
+    The context (which spec, which config) is the caller's business —
+    the pool pickles it — so one worker can serve many jobs.
+    """
+    return b"".join((_LEN.pack(len(ctx_blob)), ctx_blob,
+                     pack_span_request(request)))
+
+
+@_checked
+def unpack_job_span(data) -> Tuple[bytes, SpanRequest]:
+    """Inverse of :func:`pack_job_span`."""
+    (size,) = _LEN.unpack_from(data, 0)
+    ctx_blob = bytes(data[_LEN.size:_LEN.size + size])
+    if len(ctx_blob) != size:
+        raise ValueError("job context runs past the payload")
+    return ctx_blob, unpack_span_request(data[_LEN.size + size:])

@@ -87,10 +87,11 @@ class VerificationUndecided(VerificationError):
 class WorkerPoolError(ReproError):
     """The offspring-evaluation worker pool failed beyond recovery.
 
-    The engine's :class:`~repro.core.engine.ProcessPoolBackend` retries
-    broken/hung batches and degrades to inline evaluation before ever
-    raising this; it only escapes when even the inline fallback is
-    unavailable.
+    The span dispatcher (:class:`~repro.cluster.backend.ClusterDispatch`)
+    re-sends crashed/hung spans and finishes the slice inline before
+    ever raising this; worker-side it also flags a worker that serves
+    a span before initialization or whose mutation replay diverged
+    from the coordinator's check deltas.
     """
 
 

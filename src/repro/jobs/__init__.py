@@ -14,7 +14,7 @@ The public surface:
 all thin clients of this package.
 """
 
-from .pool import JobBackend, SharedWorkerPool, parallel_safe_config
+from .pool import JobBackend, parallel_safe_config
 from .scheduler import Job, Scheduler, result_from_payload
 from .spec import (OPERATIONAL_CONFIG_FIELDS, JobSpec,
                    identity_config_dict, spec_tables_from_payload,
@@ -34,7 +34,6 @@ __all__ = [
     "PENDING",
     "RUNNING",
     "Scheduler",
-    "SharedWorkerPool",
     "TELEMETRY_TRUNCATED",
     "identity_config_dict",
     "set_fault_hook",

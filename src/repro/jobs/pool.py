@@ -1,514 +1,246 @@
-"""One worker pool, many jobs: the scheduler's shared evaluation budget.
+"""One protocol, one adapter: job-keyed replay spans over a dispatcher.
 
-The engine's :class:`~repro.core.engine.ProcessPoolBackend` spawns one
-pool *per run* and bakes one spec into every worker.  Under the
-scheduler that would mean pool-per-job; instead a single
-:class:`SharedWorkerPool` outlives every job and its workers keep a
-small LRU of per-job evaluators, so interleaved evaluation batches from
-different jobs reuse warm worker state.  Each job's
-:class:`EvolutionRun` slice talks to the pool through a throwaway
-:class:`JobBackend` adapter that
+Every pooled evaluation in this package — ``EvolutionRun(workers=N)``,
+the scheduler's local pool, the TCP fleet — is the same conversation: a
+per-slice :class:`JobBackend` hands the engine's replay spans to one
+long-lived :class:`~repro.cluster.backend.ClusterDispatch` (local pipe
+workers, remote fleet workers, or both), which ships them as
+``OP_JOB_SPAN`` frames and runs the one fault-recovery loop.
 
-* satisfies the engine's ``EvaluationBackend`` protocol (including the
-  incremental ``evaluate_deltas`` entry point and the fault/eval
-  counters the engine reads per run),
-* reuses the engine's batch fault-recovery machinery — a crashed or
-  hung batch kills and respawns the *shared* pool and re-dispatches,
-  with per-job retry budgets, and
-* degrades to per-job inline evaluation when recovery is exhausted, so
-  one broken machine state never aborts the whole batch of jobs.
+* **Worker side.**  A span frame carries its pickled :data:`JobContext`
+  (job id, spec, config), so one worker serves many jobs: it keeps a
+  small LRU of per-job evaluators and replay residents
+  (:class:`_WorkerState`) and runs
+  :func:`~repro.core.engine.replay_span` against them.
+* **Coordinator side.**  :class:`JobBackend` satisfies the engine's
+  ``EvaluationBackend`` protocol with slice-local counters.  Its
+  ``evaluate``/``evaluate_deltas`` run inline on an evaluator built
+  exactly like a worker's; the engine uses them only when a slice has
+  no span path — the dispatcher ran out of retries (``degraded``) or
+  had no worker to send to.  Degradation is slice-local: the next slice
+  gets a fresh adapter and tries the workers again.
 
-Purity guarantees are unchanged from the single-run pool: only
-parallel-safe jobs (exhaustive simulation, or seeded sampling without
-SAT feedback) are ever routed here, so every re-dispatched batch is
-bit-identical to the lost one.
+Purity guarantees are unchanged: only parallel-safe jobs (exhaustive
+simulation, or seeded sampling without SAT feedback) are routed here by
+default, so every re-dispatched span and every inline fallback is
+bit-identical to the serial loop.
 """
 
 from __future__ import annotations
 
 import pickle
-import struct
-import time
 from collections import OrderedDict
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from ..cluster.backend import ClusterDispatch
 from ..core import engine as _engine
 from ..core import wire
 from ..core.config import RcgpConfig
-from ..core.engine import (AdaptiveChunker, Genome, InlineBackend,
-                           chunk_evenly, RECOVERABLE_POOL_ERRORS)
+from ..core.engine import Genome, InlineBackend
 from ..core.fitness import Evaluator, Fitness
 from ..core.mutation import MutationDelta
-from ..core.transport import (HANDLERS, OP_JOB_EVAL_DELTAS,
-                              OP_JOB_EVAL_GENOMES, OP_JOB_SPAN, OP_RESULT,
-                              PipeWorkerPool)
+from ..core.transport import HANDLERS, OP_JOB_SPAN, OP_RESULT
+from ..errors import WorkerPoolError
 from ..logic.truth_table import TruthTable
 
-#: Portable per-chunk job context: (job_id, spec bits, num_vars, config
-#: dict).  Small relative to the genomes it rides along with, and only
-#: decoded worker-side on the first chunk of a new job.
+#: Portable per-span job context: (job_id, spec bits, num_vars, config
+#: dict).  Small next to the parent genome it rides along with, and only
+#: decoded into an evaluator on a job's first span in a worker.
 JobContext = Tuple[str, Tuple[int, ...], int, Dict[str, object]]
 
 #: Worker-side evaluator cache size.  Evaluators hold pattern words and
 #: compiled kernels; a handful of live jobs is the common case and
-#: evicted jobs just rebuild on their next chunk.
+#: evicted jobs just rebuild on their next span.
 _WORKER_JOB_CACHE = 8
 
-# Worker-side state: per-job evaluators, resident parents and replay
-# residents, keyed by job id.  Mirrors the single-job globals in
-# repro.core.engine.
-_JOB_EVALUATORS: "OrderedDict[str, Evaluator]" = OrderedDict()
-_JOB_PARENTS: Dict[str, tuple] = {}
-_JOB_SPANS: Dict[str, tuple] = {}
+
+class _WorkerState:
+    """What one worker process keeps between frames, keyed by job id:
+    evaluators (LRU-bounded) and replay residents."""
+
+    def __init__(self):
+        self.evaluators: "OrderedDict[str, Evaluator]" = OrderedDict()
+        self.residents: Dict[str, tuple] = {}
+
+    def evaluator_for(self, ctx: JobContext) -> Evaluator:
+        job_id, spec_bits, num_vars, config_dict = ctx
+        evaluator = self.evaluators.get(job_id)
+        if evaluator is None:
+            spec = [TruthTable(num_vars, bits) for bits in spec_bits]
+            evaluator = Evaluator(spec, RcgpConfig.from_dict(config_dict))
+            self.evaluators[job_id] = evaluator
+            while len(self.evaluators) > _WORKER_JOB_CACHE:
+                evicted, _ = self.evaluators.popitem(last=False)
+                self.residents.pop(evicted, None)
+        self.evaluators.move_to_end(job_id)
+        return evaluator
 
 
-def _shared_initializer() -> None:
-    _JOB_EVALUATORS.clear()
-    _JOB_PARENTS.clear()
-    _JOB_SPANS.clear()
+#: This process's worker state; ``None`` until :func:`init_worker` runs.
+_WORKER: Optional[_WorkerState] = None
+
+
+def init_worker() -> None:
+    """Start this process serving spans from a clean slate.
+
+    Every pipe worker and every ``rcgp worker`` calls this before its
+    first frame (and again on reconnect): no resident evaluators, fault
+    injection armed from the environment.
+    """
+    global _WORKER
+    _WORKER = _WorkerState()
     _engine.install_fault_injection()
 
 
-def _evaluator_for(ctx: JobContext) -> Evaluator:
-    job_id, spec_bits, num_vars, config_dict = ctx
-    evaluator = _JOB_EVALUATORS.get(job_id)
-    if evaluator is None:
-        spec = [TruthTable(num_vars, bits) for bits in spec_bits]
-        evaluator = Evaluator(spec, RcgpConfig.from_dict(config_dict))
-        _JOB_EVALUATORS[job_id] = evaluator
-        while len(_JOB_EVALUATORS) > _WORKER_JOB_CACHE:
-            evicted, _ = _JOB_EVALUATORS.popitem(last=False)
-            _JOB_PARENTS.pop(evicted, None)
-            _JOB_SPANS.pop(evicted, None)
-    _JOB_EVALUATORS.move_to_end(job_id)
-    return evaluator
-
-
-def _job_evaluate(ctx: JobContext, genomes: Sequence[Genome]):
-    evaluator = _evaluator_for(ctx)
-    before = _engine._counters(evaluator)
-    out = []
-    for genome in genomes:
-        _engine._maybe_inject_fault()
-        fit = evaluator.evaluate(
-            _engine._decode_candidate(genome, evaluator))
-        out.append((fit.success, fit.n_r, fit.n_g, fit.n_b))
-    after = _engine._counters(evaluator)
-    return out, (after[0] - before[0], after[1] - before[1],
-                 after[2] - before[2])
-
-
-def _job_evaluate_deltas(ctx: JobContext, parent_genome: Genome,
-                         deltas: Sequence[MutationDelta]):
-    job_id = ctx[0]
-    evaluator = _evaluator_for(ctx)
-    resident = _JOB_PARENTS.get(job_id)
-    if resident is None or resident[0] != parent_genome \
-            or resident[2].epoch != evaluator.pattern_epoch:
-        parent = _engine._decode_candidate(parent_genome, evaluator)
-        resident = (parent_genome, parent, evaluator.prepare_parent(parent))
-        _JOB_PARENTS[job_id] = resident
-    _, parent, state = resident
-    before = _engine._counters(evaluator)
-    out = []
-    for delta in deltas:
-        _engine._maybe_inject_fault()
-        if state.epoch != evaluator.pattern_epoch:
-            # SAT counterexample grew this worker's pattern set
-            # mid-chunk: rebuild the resident state (same policy as the
-            # single-job pool worker).
-            resident = (parent_genome, parent,
-                        evaluator.prepare_parent(parent))
-            _JOB_PARENTS[job_id] = resident
-            state = resident[2]
-        fit = evaluator.evaluate_incremental(delta.apply_to(parent),
-                                             delta, state)
-        out.append((fit.success, fit.n_r, fit.n_g, fit.n_b))
-    after = _engine._counters(evaluator)
-    return out, (after[0] - before[0], after[1] - before[1],
-                 after[2] - before[2])
-
-
-def _job_replay_span(ctx: JobContext, request: wire.SpanRequest) \
-        -> wire.SpanResult:
-    """One replay span against this job's resident evaluator/parent."""
-    job_id = ctx[0]
-    evaluator = _evaluator_for(ctx)
-    result, resident = _engine.replay_span(evaluator,
-                                           _JOB_SPANS.get(job_id), request)
-    _JOB_SPANS[job_id] = resident
-    return result
-
-
-# -- wire frames and worker-side handlers ------------------------------
-#
-# Job frames are the single-run frames with a pickled JobContext
-# prefixed (length-delimited).  The context is tiny next to a batch of
-# deltas and only *decoded* into an evaluator on a job's first chunk.
-
-_RESULT_PREFIX = bytes([OP_RESULT])
-_U32 = struct.Struct("<I")
-
-
-def _frame_job(opcode: int, ctx_blob: bytes, payload: bytes) -> bytes:
-    return b"".join((bytes([opcode]), _U32.pack(len(ctx_blob)), ctx_blob,
-                     payload))
-
-
-def _split_ctx(payload: memoryview) -> Tuple[JobContext, memoryview]:
-    (size,) = _U32.unpack_from(payload, 0)
-    at = _U32.size
-    return pickle.loads(payload[at:at + size]), payload[at + size:]
-
-
-def _handle_job_eval_genomes(payload: memoryview) -> bytes:
-    ctx, rest = _split_ctx(payload)
-    values, counters = _job_evaluate(ctx, wire.unpack_genomes(rest))
-    return _RESULT_PREFIX + wire.pack_fitness_chunk(values, counters)
-
-
-def _handle_job_eval_deltas(payload: memoryview) -> bytes:
-    ctx, rest = _split_ctx(payload)
-    (size,) = _U32.unpack_from(rest, 0)
-    at = _U32.size
-    genome = wire.unpack_genome(rest[at:at + size])
-    deltas = wire.unpack_deltas(rest[at + size:])
-    values, counters = _job_evaluate_deltas(ctx, genome, deltas)
-    return _RESULT_PREFIX + wire.pack_fitness_chunk(values, counters)
-
-
 def _handle_job_span(payload: memoryview) -> bytes:
-    ctx, rest = _split_ctx(payload)
-    result = _job_replay_span(ctx, wire.unpack_span_request(rest))
-    return _RESULT_PREFIX + wire.pack_span_result(result)
+    ctx_blob, request = wire.unpack_job_span(payload)
+    ctx: JobContext = pickle.loads(ctx_blob)
+    state = _WORKER
+    if state is None:
+        raise WorkerPoolError("pool worker used before initialization")
+    job_id = ctx[0]
+    result, state.residents[job_id] = _engine.replay_span(
+        state.evaluator_for(ctx), state.residents.get(job_id), request)
+    return bytes([OP_RESULT]) + wire.pack_span_result(result)
 
 
-HANDLERS[OP_JOB_EVAL_GENOMES] = _handle_job_eval_genomes
-HANDLERS[OP_JOB_EVAL_DELTAS] = _handle_job_eval_deltas
 HANDLERS[OP_JOB_SPAN] = _handle_job_span
 
 
-class SharedWorkerPool:
-    """A lazily spawned process pool shared by every scheduled job.
+def _since(counter: str) -> property:
+    """A slice-local view of one of the dispatcher's cumulative
+    counters (the dispatcher outlives the slice)."""
+    return property(
+        lambda self: getattr(self._cd, counter) - self._marks[counter])
 
-    Owns only pool lifecycle and batch recovery; which job a batch
-    belongs to travels in the :data:`JobContext` of each chunk.
-    Recovery mirrors :class:`~repro.core.engine.ProcessPoolBackend`:
-    a lost batch (worker crash, hang past the deadline, dead pipe)
-    kills the pool, respawns it and re-dispatches, up to the retry
-    budget of the job that submitted it; when retries are exhausted the
-    pool is marked ``degraded`` and every job falls back to inline
-    evaluation for the rest of the session.
-    """
 
-    def __init__(self, workers: int):
-        if workers < 2:
-            raise ValueError("SharedWorkerPool needs workers >= 2")
-        self.workers = workers
-        self.worker_restarts = 0
-        self.batches_retried = 0
-        self.degraded = False
-        # Transport counters, cumulative across jobs and slices; each
-        # JobBackend exposes slice-local views.
-        self.bytes_shipped = 0
-        self.chunks_dispatched = 0
-        self.pipeline_stalls = 0
-        # Per-item latency blends across jobs — acceptable: it only
-        # steers chunk counts, never results.
-        self._chunker = AdaptiveChunker(workers)
-        self._pool: Optional[PipeWorkerPool] = None
-        self._span_frame: Optional[bytes] = None
-        self._span_live = False
-
-    # -- lifecycle -----------------------------------------------------
-
-    def _ensure_pool(self) -> PipeWorkerPool:
-        if self._pool is None:
-            self._pool = PipeWorkerPool(self.workers)
-        return self._pool
-
-    def _kill_pool(self) -> None:
-        pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.kill()
-
-    def terminate(self) -> None:
-        """Immediate shutdown: kill workers, cancel queued work."""
-        self._kill_pool()
-
-    def close(self) -> None:
-        if self._pool is not None:
-            self._pool.close()
-            self._pool = None
-
-    def _send(self, index: int, frame: bytes) -> None:
-        self._pool.send(index, frame)
-        self.bytes_shipped += len(frame)
-        self.chunks_dispatched += 1
-
-    # -- batch dispatch with recovery ----------------------------------
-
-    def run_batch(self, items: List, make_frame,
-                  timeout: Optional[float], retries: int):
-        """Dispatch one batch with bounded fault recovery.
-
-        ``make_frame`` is ``(chunk) -> request frame`` for one chunk of
-        ``items``.  Returns ``(fitnesses, counters)`` or ``None`` once
-        the pool has degraded — the caller then evaluates inline.
-        """
-        if self.degraded:
-            return None
-        attempt = 0
-        plan = self._chunker.plan(len(items))
-        while True:
-            try:
-                pool = self._ensure_pool()
-                chunks = chunk_evenly(items, plan)
-                started = time.monotonic()
-                for index, chunk in enumerate(chunks):
-                    self._send(index, make_frame(chunk))
-                deadline = None if timeout is None \
-                    else started + timeout
-                results: List[Fitness] = []
-                totals = [0, 0, 0]
-                for index in range(len(chunks)):
-                    frame = pool.recv(index, deadline)
-                    values, counters = wire.unpack_fitness_chunk(
-                        memoryview(frame)[1:])
-                    results.extend(Fitness(*value) for value in values)
-                    for k in range(3):
-                        totals[k] += counters[k]
-                self._chunker.observe(len(items), len(chunks),
-                                      time.monotonic() - started)
-                return results, (totals[0], totals[1], totals[2])
-            except (KeyboardInterrupt, SystemExit):
-                self._kill_pool()
-                raise
-            except RECOVERABLE_POOL_ERRORS:
-                self._kill_pool()
-                if attempt >= retries:
-                    self.degraded = True
-                    return None
-                attempt += 1
-                self.batches_retried += 1
-                self.worker_restarts += 1
-                try:
-                    self._ensure_pool()
-                except OSError:
-                    self.degraded = True
-                    return None
-
-    # -- replay spans --------------------------------------------------
-
-    def dispatch_span(self, frame: bytes) -> bool:
-        """Ship one replay-span frame to worker 0 without waiting.
-
-        Mirrors :meth:`~repro.core.engine.ProcessPoolBackend.
-        dispatch_span`: send failures are left for
-        :meth:`collect_span`'s retry loop, which re-dispatches from the
-        stored frame.
-        """
-        if self.degraded:
-            return False
-        self._span_frame = frame
-        self._span_live = False
-        try:
-            self._ensure_pool()
-            self._send(0, frame)
-            self._span_live = True
-        except (KeyboardInterrupt, SystemExit):
-            self._kill_pool()
-            raise
-        except RECOVERABLE_POOL_ERRORS:
-            self._kill_pool()
-        return True
-
-    def collect_span(self, timeout: Optional[float],
-                     retries: int) -> Optional[wire.SpanResult]:
-        """Block for the in-flight span, with bounded fault recovery."""
-        frame = self._span_frame
-        if frame is None:
-            raise RuntimeError("collect_span without a dispatched span")
-        if self.degraded:
-            self._span_frame = None
-            self._span_live = False
-            return None
-        if self._span_live and self._pool is not None \
-                and not self._pool.ready(0):
-            self.pipeline_stalls += 1
-        attempt = 0
-        while True:
-            try:
-                pool = self._ensure_pool()
-                if not self._span_live:
-                    self._send(0, frame)
-                    self._span_live = True
-                deadline = None if timeout is None \
-                    else time.monotonic() + timeout
-                reply = pool.recv(0, deadline)
-            except (KeyboardInterrupt, SystemExit):
-                self._kill_pool()
-                raise
-            except RECOVERABLE_POOL_ERRORS:
-                self._kill_pool()
-                self._span_live = False
-                if attempt >= retries:
-                    self.degraded = True
-                    self._span_frame = None
-                    return None
-                attempt += 1
-                self.batches_retried += 1
-                self.worker_restarts += 1
-                continue
-            self._span_frame = None
-            self._span_live = False
-            return wire.unpack_span_result(memoryview(reply)[1:])
+_DISPATCH_COUNTERS = ("worker_restarts", "batches_retried",
+                      "bytes_shipped", "chunks_dispatched",
+                      "pipeline_stalls", "spans_remote")
 
 
 class JobBackend:
-    """Per-slice ``EvaluationBackend`` adapter over the shared pool.
+    """Per-slice ``EvaluationBackend`` adapter over a dispatcher.
 
-    Created fresh for every scheduler tick so the eval/fault counters
-    the engine reads off the backend are slice-local, while the pool
-    (and the worker-resident evaluators) persist across slices and
-    jobs.  ``batch_timeout``/``batch_retries`` come from the job's own
-    config, so fault budgets stay per-job even on shared hardware.
+    Created fresh for every slice (or run) so the counters the engine
+    reads are slice-local, while the dispatcher — and the
+    worker-resident evaluators — persist across slices and jobs.
+    ``batch_timeout``/``batch_retries`` come from the job's own config,
+    so fault budgets stay per-job even on shared workers.
+
+    ``name`` is the ``backend`` label the run reports: ``process-pool``
+    for a run-private pool (:func:`process_pool_backend`),
+    ``shared-pool`` for the scheduler's local pool and ``cluster`` when
+    a fleet is attached.  ``cluster_workers`` collects every remote
+    worker name that served this slice.
     """
 
-    name = "shared-pool"
     remote_evaluations = True
+    supports_spans = True
 
-    def __init__(self, pool: SharedWorkerPool, ctx: JobContext,
-                 spec: Sequence[TruthTable], config: RcgpConfig):
-        self._sp = pool
-        self._ctx = ctx
+    def __init__(self, dispatch: ClusterDispatch, ctx: JobContext,
+                 spec: Sequence[TruthTable], config: RcgpConfig, *,
+                 name: str = "shared-pool", owns_dispatch: bool = False):
+        self.name = name
+        self._cd = dispatch
         self._ctx_blob = pickle.dumps(ctx)
         self._spec = list(spec)
         self._config = config
+        self._owns_dispatch = owns_dispatch
+        self._marks = {counter: getattr(dispatch, counter)
+                       for counter in _DISPATCH_COUNTERS}
         self.eval_full = 0
         self.eval_incremental = 0
         self.ports_resimulated = 0
-        self._restarts_at = pool.worker_restarts
-        self._retried_at = pool.batches_retried
-        self._bytes_at = pool.bytes_shipped
-        self._chunks_at = pool.chunks_dispatched
-        self._stalls_at = pool.pipeline_stalls
+        self.cluster_workers: set = set()
+        self.degraded = False
         self._inline: Optional[InlineBackend] = None
         self._fallback_evaluator: Optional[Evaluator] = None
 
-    # Slice-local views of the shared recovery/transport counters.
-    @property
-    def worker_restarts(self) -> int:
-        return self._sp.worker_restarts - self._restarts_at
-
-    @property
-    def batches_retried(self) -> int:
-        return self._sp.batches_retried - self._retried_at
-
-    @property
-    def bytes_shipped(self) -> int:
-        return self._sp.bytes_shipped - self._bytes_at
-
-    @property
-    def chunks_dispatched(self) -> int:
-        return self._sp.chunks_dispatched - self._chunks_at
-
-    @property
-    def pipeline_stalls(self) -> int:
-        return self._sp.pipeline_stalls - self._stalls_at
-
-    @property
-    def degraded(self) -> bool:
-        return self._sp.degraded
-
-    # -- inline degradation (same construction as the pool workers, so
-    # -- degrading cannot change results in any parallel-safe mode) ----
-
-    def _inline_backend(self) -> InlineBackend:
-        if self._inline is None:
-            self._fallback_evaluator = Evaluator(self._spec, self._config)
-            self._inline = InlineBackend(self._fallback_evaluator)
-        return self._inline
-
-    def _run_inline(self, call) -> List[Fitness]:
-        backend = self._inline_backend()
-        evaluator = self._fallback_evaluator
-        before = _engine._counters(evaluator)
-        out = call(backend)
-        after = _engine._counters(evaluator)
-        self.eval_full += after[0] - before[0]
-        self.eval_incremental += after[1] - before[1]
-        self.ports_resimulated += after[2] - before[2]
-        return out
+    worker_restarts = _since("worker_restarts")
+    batches_retried = _since("batches_retried")
+    bytes_shipped = _since("bytes_shipped")
+    chunks_dispatched = _since("chunks_dispatched")
+    pipeline_stalls = _since("pipeline_stalls")
+    spans_remote = _since("spans_remote")
 
     def _commit(self, counters) -> None:
         self.eval_full += counters[0]
         self.eval_incremental += counters[1]
         self.ports_resimulated += counters[2]
 
-    # -- the EvaluationBackend surface ---------------------------------
+    # -- inline evaluation (same construction as a worker's evaluator,
+    # -- so it cannot change results in any parallel-safe mode) -------
+
+    def _run_inline(self, call) -> List[Fitness]:
+        if self._inline is None:
+            self._fallback_evaluator = Evaluator(self._spec, self._config)
+            self._inline = InlineBackend(self._fallback_evaluator)
+        evaluator = self._fallback_evaluator
+        before = _engine._counters(evaluator)
+        out = call(self._inline)
+        after = _engine._counters(evaluator)
+        self._commit((after[0] - before[0], after[1] - before[1],
+                      after[2] - before[2]))
+        return out
 
     def evaluate(self, genomes: Sequence[Genome]) -> List[Fitness]:
-        genomes = list(genomes)
-        if not genomes:
-            return []
-        blob = self._ctx_blob
-        out = self._sp.run_batch(
-            genomes,
-            lambda chunk: _frame_job(OP_JOB_EVAL_GENOMES, blob,
-                                     wire.pack_genomes(chunk)),
-            self._config.batch_timeout, self._config.batch_retries)
-        if out is None:
-            return self._run_inline(lambda b: b.evaluate(genomes))
-        results, counters = out
-        self._commit(counters)
-        return results
+        return self._run_inline(lambda b: b.evaluate(genomes))
 
     def evaluate_deltas(self, parent_genome: Genome,
                         deltas: Sequence[MutationDelta],
                         children: Optional[Sequence] = None) \
             -> List[Fitness]:
-        deltas = list(deltas)
-        if not deltas:
-            return []
-        blob = self._ctx_blob
-        genome_blob = wire.pack_genome(parent_genome)
-        head = _U32.pack(len(genome_blob)) + genome_blob
-        out = self._sp.run_batch(
-            deltas,
-            lambda chunk: _frame_job(OP_JOB_EVAL_DELTAS, blob,
-                                     head + wire.pack_deltas(chunk)),
-            self._config.batch_timeout, self._config.batch_retries)
-        if out is None:
-            return self._run_inline(
-                lambda b: b.evaluate_deltas(parent_genome, deltas,
-                                            children))
-        results, counters = out
-        self._commit(counters)
-        return results
+        return self._run_inline(
+            lambda b: b.evaluate_deltas(parent_genome, deltas, children))
 
     # -- replay spans --------------------------------------------------
 
-    @property
-    def supports_spans(self) -> bool:
-        return not self._sp.degraded
-
     def dispatch_span(self, request: wire.SpanRequest) -> bool:
-        return self._sp.dispatch_span(
-            _frame_job(OP_JOB_SPAN, self._ctx_blob,
-                       wire.pack_span_request(request)))
+        """Hand one span to the dispatcher without waiting; False when
+        it has no workers at all (the engine then runs inline)."""
+        return self._cd.dispatch_span(self._ctx_blob, request)
 
     def collect_span(self) -> Optional[wire.SpanResult]:
-        result = self._sp.collect_span(self._config.batch_timeout,
+        """The in-flight span's result, or None when the dispatcher
+        gave up on it (out of retries: the slice degrades) or had no
+        worker (the slice finishes inline without degrading); either
+        way the engine runs the rest of the slice inline."""
+        result = self._cd.collect_span(self._config.batch_timeout,
                                        self._config.batch_retries)
-        if result is not None:
-            for _accepted, _fit, deltas in result.records:
-                self._commit(deltas)
+        if result is None:
+            if self._cd.last_failure == "exhausted":
+                self.degraded = True
+            return None
+        self.cluster_workers.update(self._cd.last_workers)
+        for _accepted, _fit, counters in result.records:
+            self._commit(counters)
         return result
 
+    def terminate(self) -> None:
+        """Immediate shutdown (SIGINT path) of an owned dispatcher."""
+        if self._owns_dispatch:
+            self._cd.terminate()
+
     def close(self) -> None:
-        # The shared pool outlives the slice; nothing to release here.
-        pass
+        # A shared dispatcher outlives the slice; only a run-private
+        # one is released here.
+        if self._owns_dispatch:
+            self._cd.close()
+
+
+def process_pool_backend(spec: Sequence[TruthTable], config: RcgpConfig,
+                         workers: int) -> JobBackend:
+    """The run-private pool ``EvolutionRun(workers=N)`` builds: a
+    dispatcher over ``workers`` local pipe workers, owned by the
+    returned adapter (closed with it)."""
+    if workers < 2:
+        raise ValueError("a process pool needs workers >= 2")
+    spec = list(spec)
+    ctx = ("run", tuple(t.bits for t in spec), spec[0].num_vars,
+           config.to_dict())
+    return JobBackend(ClusterDispatch(local_workers=workers), ctx, spec,
+                      config, name="process-pool", owns_dispatch=True)
 
 
 def parallel_safe_config(num_inputs: int, config: RcgpConfig) -> bool:
@@ -526,6 +258,7 @@ def parallel_safe_config(num_inputs: int, config: RcgpConfig) -> bool:
 __all__ = [
     "JobBackend",
     "JobContext",
-    "SharedWorkerPool",
+    "init_worker",
     "parallel_safe_config",
+    "process_pool_backend",
 ]

@@ -7,9 +7,9 @@ a persistent :class:`~repro.jobs.store.JobStore`:
 
 * **Fair-share interleaving.**  Each live job advances one *slice* (at
   most ``quantum`` generations) per scheduler tick, round-robin, so no
-  job starves and every job's offspring batches flow through the same
-  :class:`~repro.jobs.pool.SharedWorkerPool` instead of spawning a pool
-  per job.  Slices keep the job's own seed and pass the engine a
+  job starves and every job's replay spans flow through the same
+  :class:`~repro.cluster.backend.ClusterDispatch` instead of spawning a
+  pool per job.  Slices keep the job's own seed and pass the engine a
   ``generation_offset`` so offspring RNG streams are keyed by the
   *absolute* generation — exactly the
   :func:`repro.core.restart.evolve_with_checkpoints` contract.  A
@@ -25,8 +25,9 @@ a persistent :class:`~repro.jobs.store.JobStore`:
   and re-submitting the same :class:`~repro.jobs.spec.JobSpec` (same
   spec hash) returns it without any re-evaluation.
 * **Fault tolerance.**  Worker crashes and hangs inside a slice are
-  recovered by the engine's batch retry machinery through the shared
-  pool; recovery counters are accumulated per job in the store.
+  recovered by the dispatcher's span retry loop; a slice out of retries
+  finishes inline and the next slice tries the workers again.  Recovery
+  counters are accumulated per job in the store.
 * **Per-job leases.**  A scheduler acquires the store's lease for a job
   before adopting it and heartbeats it every slice, so N processes
   pointed at one store directory split the queue instead of all
@@ -59,7 +60,8 @@ from ..rqfp.buffer_opt import optimal_levels
 from ..rqfp.metrics import CircuitCost, circuit_cost
 from ..rqfp.netlist import RqfpNetlist
 from ..io.rqfp_json import netlist_from_dict, netlist_to_dict
-from .pool import JobBackend, SharedWorkerPool, parallel_safe_config
+from ..cluster.backend import ClusterDispatch
+from .pool import JobBackend, parallel_safe_config
 from .spec import (JobSpec, spec_tables_from_payload,
                    spec_tables_to_payload)
 from .store import DONE, FAILED, JobStore, PENDING, RUNNING
@@ -200,8 +202,9 @@ class Scheduler:
     workers:
         Global offspring-evaluation budget shared by *all* jobs.  ``0``
         or ``1`` evaluates inline; ``N > 1`` routes every parallel-safe
-        job's batches through one :class:`SharedWorkerPool` of ``N``
-        processes.
+        job's replay spans through one
+        :class:`~repro.cluster.backend.ClusterDispatch` over ``N`` local
+        pipe workers (backend label ``shared-pool``).
     quantum:
         Generations per job per tick.  ``None`` runs each job's whole
         remaining budget in one slice (legacy single-run semantics);
@@ -209,11 +212,10 @@ class Scheduler:
         interleaving at slice granularity.
     fleet:
         An optional started :class:`~repro.cluster.fleet.ClusterFleet`.
-        When attached, every parallel-safe slice runs on a
-        :class:`~repro.cluster.backend.ClusterBackend` mixing the
-        fleet's remote workers with ``workers`` local pipe workers
-        (bit-identical to both the shared pool and the serial loop).
-        The fleet's lifecycle belongs to the caller.
+        When attached, the same dispatcher mixes the fleet's remote
+        workers with ``workers`` local pipe workers (backend label
+        ``cluster``; bit-identical to both the local pool and the
+        serial loop).  The fleet's lifecycle belongs to the caller.
     """
 
     def __init__(self, store: Optional[JobStore] = None, *,
@@ -226,8 +228,7 @@ class Scheduler:
         self.quantum = quantum
         self.fleet = fleet
         self._jobs: Dict[str, Job] = {}
-        self._pool: Optional[SharedWorkerPool] = None
-        self._cluster = None  # lazily-built ClusterDispatch
+        self._dispatch: Optional[ClusterDispatch] = None  # lazy
         self._rr_next = 0  # round-robin cursor for step()
         self._blocked: List[str] = []  # foreign-leased, last step()
 
@@ -235,12 +236,9 @@ class Scheduler:
 
     def close(self) -> None:
         self.store.release_all_leases()
-        if self._pool is not None:
-            self._pool.close()
-            self._pool = None
-        if self._cluster is not None:
-            self._cluster.close()
-            self._cluster = None
+        if self._dispatch is not None:
+            self._dispatch.close()
+            self._dispatch = None
 
     def __enter__(self) -> "Scheduler":
         return self
@@ -248,18 +246,12 @@ class Scheduler:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    def _shared_pool(self) -> SharedWorkerPool:
-        if self._pool is None:
-            self._pool = SharedWorkerPool(self.workers)
-        return self._pool
-
-    def _cluster_dispatch(self):
-        if self._cluster is None:
-            from ..cluster.backend import ClusterDispatch
-            self._cluster = ClusterDispatch(
+    def _dispatcher(self) -> ClusterDispatch:
+        if self._dispatch is None:
+            self._dispatch = ClusterDispatch(
                 self.fleet,
                 local_workers=self.workers if self.workers > 1 else 0)
-        return self._cluster
+        return self._dispatch
 
     # -- submission ----------------------------------------------------
 
@@ -451,25 +443,20 @@ class Scheduler:
                 generations=budget,
                 workers=0, telemetry_path=None)
             backend = None
-            parallel_ok = budget > 0 and \
-                parallel_safe_config(spec[0].num_vars, slice_config)
-            if parallel_ok and self.fleet is not None and \
-                    (self.workers > 1 or self.fleet.live_count() > 0):
+            pooled = self.workers > 1 or (
+                self.fleet is not None and self.fleet.live_count() > 0)
+            if pooled and budget > 0 and \
+                    parallel_safe_config(spec[0].num_vars, slice_config):
                 # Keyed by the bare job id: slices share one seed and
                 # pattern set now, so workers keep their evaluator (and
                 # resident decoded parent) warm across slice boundaries.
-                from ..cluster.backend import ClusterBackend
                 ctx = (job.id,
                        tuple(t.bits for t in spec), spec[0].num_vars,
                        slice_config.to_dict())
-                backend = ClusterBackend(self._cluster_dispatch(), ctx,
-                                         spec, slice_config)
-            elif parallel_ok and self.workers > 1:
-                ctx = (job.id,
-                       tuple(t.bits for t in spec), spec[0].num_vars,
-                       slice_config.to_dict())
-                backend = JobBackend(self._shared_pool(), ctx, spec,
-                                     slice_config)
+                backend = JobBackend(
+                    self._dispatcher(), ctx, spec, slice_config,
+                    name="cluster" if self.fleet is not None
+                    else "shared-pool")
             result = EvolutionRun(spec, slice_config, initial=incumbent,
                                   name=job.name, telemetry=telemetry,
                                   backend=backend, generation_offset=done
@@ -496,9 +483,9 @@ class Scheduler:
                 # workers served frames, and how many replay spans ran
                 # off-host.
                 extras: Dict[str, object] = {}
-                names = getattr(backend, "cluster_workers", None)
-                if names is not None:
-                    extras["cluster_workers"] = sorted(names)
+                if backend is not None and backend.name == "cluster":
+                    extras["cluster_workers"] = sorted(
+                        backend.cluster_workers)
                     extras["spans_remote"] = backend.spans_remote
                 telemetry.emit("job_slice", slice=record["slices"],
                                generations_done=done,

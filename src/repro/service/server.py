@@ -97,7 +97,7 @@ ROUTES: Tuple[Tuple[str, "re.Pattern[str]"], ...] = (
 
 #: Record counters summed across jobs into ``/metrics`` totals.
 _METRIC_COUNTERS = ("evaluations", "eval_full", "eval_incremental",
-                    "ports_resimulated", "sat_calls", "cache_hits",
+                    "ports_resimulated", "sat_calls",
                     "worker_restarts", "batches_retried", "bytes_shipped",
                     "chunks_dispatched", "pipeline_stalls")
 

@@ -177,3 +177,31 @@ class TestCliVerifyStats:
         out = capsys.readouterr().out
         assert rc == 0
         assert "JJs" in out and "clean" in out
+
+
+class TestCliInputErrors:
+    """Bad input ends in one ``rcgp: error: ...`` line and status 2."""
+
+    def test_telemetry_creates_missing_parent_dirs(self, capsys, tmp_path,
+                                                    blif_file):
+        path = tmp_path / "no" / "such" / "dir" / "t.jsonl"
+        rc = main(["synth", blif_file, "--generations", "20", "--seed",
+                   "2", "--telemetry", str(path)])
+        assert rc == 0
+        events = [json.loads(line) for line in path.read_text().splitlines()]
+        assert events[0]["event"] == "job_start"
+        assert events[-1]["event"] == "job_end"
+
+    def test_bad_option_value_is_one_line(self, capsys, blif_file):
+        rc = main(["synth", blif_file, "--mutation-rate", "2"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("rcgp: error: ")
+        assert err.count("\n") == 1 and "mutation_rate" in err
+
+    def test_missing_input_file_is_one_line(self, capsys, tmp_path):
+        rc = main(["synth", str(tmp_path / "x.pla")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("rcgp: error: ")
+        assert err.count("\n") == 1 and "x.pla" in err

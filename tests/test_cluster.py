@@ -18,8 +18,7 @@ import time
 
 import pytest
 
-from repro.cluster import (ClusterBackend, ClusterDispatch, ClusterFleet,
-                           run_worker)
+from repro.cluster import ClusterDispatch, ClusterFleet, run_worker
 from repro.cluster import protocol
 from repro.cluster.worker import parse_endpoint
 from repro.core import transport, wire
@@ -28,6 +27,7 @@ from repro.core.engine import RECOVERABLE_POOL_ERRORS, EvolutionRun
 from repro.errors import (ClusterAuthError, ClusterError,
                           ClusterVersionSkew, FrameError, FrameTooLarge,
                           FrameTruncated, UnknownOpcode, WorkerPoolError)
+from repro.jobs.pool import JobBackend
 from repro.logic.truth_table import TruthTable
 
 TOKEN = "test-cluster-token"
@@ -41,8 +41,8 @@ def _spec():
 
 
 def _config(**overrides):
-    # eval_cache_size=0 keeps the replay-span path eligible, so remote
-    # runs exercise the pipelined span protocol and not just batches.
+    # eval_cache_size is inert (the memo cache is retired); every
+    # pooled run rides the pipelined span protocol.
     base = dict(generations=300, seed=11, shrink="always", workers=0,
                 eval_cache_size=0)
     base.update(overrides)
@@ -73,12 +73,12 @@ def _wait_live(fleet, count, timeout=30.0):
 
 
 def _run_cluster(spec, config, fleet, *, local_workers=0):
-    """One EvolutionRun over a ClusterBackend; returns (run, dispatch,
-    backend) with the dispatch closed."""
+    """One EvolutionRun over a JobBackend on a fleet dispatch; returns
+    (run, dispatch, backend) with the dispatch closed."""
     dispatch = ClusterDispatch(fleet, local_workers=local_workers)
     ctx = ("test-job", tuple(t.bits for t in spec), spec[0].num_vars,
            config.to_dict())
-    backend = ClusterBackend(dispatch, ctx, spec, config)
+    backend = JobBackend(dispatch, ctx, spec, config, name="cluster")
     try:
         run = EvolutionRun(spec, config, backend=backend).run()
     finally:
@@ -128,18 +128,18 @@ class TestFrameRobustness:
             transport.unwrap_reply(reply)
 
     def test_garbage_payload_round_trips_truncated(self):
-        # Both the job-keyed and the bare opcodes convert struct-level
-        # garbage into FrameTruncated — one recoverable retry, never a
-        # crash of the serve loop.
-        for opcode in (transport.OP_JOB_EVAL_GENOMES,
-                       transport.OP_EVAL_GENOMES):
-            reply = transport.serve_frame(bytes([opcode]) + b"\x01\x02")
+        # The span opcode converts struct-level garbage into
+        # FrameTruncated — one recoverable retry, never a crash of the
+        # serve loop.
+        for garbage in (b"\x01\x02", b"\x02\x00\x00\x00ab\x03"):
+            reply = transport.serve_frame(
+                bytes([transport.OP_JOB_SPAN]) + garbage)
             with pytest.raises(FrameTruncated):
                 transport.unwrap_reply(reply)
 
     def test_wire_unpack_truncated_typed(self):
-        for unpack in (wire.unpack_genomes, wire.unpack_deltas,
-                       wire.unpack_fitness_chunk,
+        for unpack in (wire.unpack_genome, wire.unpack_deltas,
+                       wire.unpack_span_request, wire.unpack_job_span,
                        wire.unpack_span_result):
             with pytest.raises(FrameTruncated):
                 unpack(memoryview(b"\x07"))
@@ -222,13 +222,16 @@ class TestHandshake:
             assert fleet.live_count() == 0
 
     def test_version_skew_rejected_typed(self):
+        # A worker still speaking protocol 1 (genome/delta batch frames)
+        # must be turned away at the handshake, typed.
+        assert protocol.PROTOCOL_VERSION == 2
         with ClusterFleet(token=TOKEN) as fleet:
             sock = socket.create_connection(("127.0.0.1", fleet.port),
                                             timeout=5.0)
             channel = protocol.SocketChannel(sock)
             try:
                 channel.send(protocol._json_frame(protocol.OP_HELLO, {
-                    "proto": 999, "token": TOKEN, "name": "skewed",
+                    "proto": 1, "token": TOKEN, "name": "skewed",
                     "slots": 1, "pid": os.getpid(), "host": "x",
                     "incarnation": 0}))
                 reply = channel.recv(time.monotonic() + 5.0)

@@ -1,4 +1,4 @@
-"""Unit tests for the evolution engine (run API, backends, cache).
+"""Unit tests for the evolution engine (run API, backends, telemetry).
 
 The engine's headline guarantee is **determinism across worker
 counts**: for a fixed seed, ``workers=0``, ``workers=1`` and
@@ -14,9 +14,7 @@ import pytest
 from repro.core.config import RcgpConfig
 from repro.core.engine import (
     EvolutionRun,
-    FitnessCache,
     InlineBackend,
-    ProcessPoolBackend,
     TelemetryWriter,
     child_seed,
     decode_genome,
@@ -26,6 +24,7 @@ from repro.core.engine import (
 )
 from repro.core.evolution import evolve
 from repro.core.fitness import Evaluator, Fitness
+from repro.jobs.pool import process_pool_backend
 from repro.core.restart import (
     evolve_with_checkpoints,
     load_checkpoint,
@@ -127,25 +126,6 @@ class TestFitnessTotalOrder:
             Fitness(1.0) < 3
 
 
-class TestFitnessCache:
-    def test_hit_miss_accounting_and_lru_bound(self):
-        cache = FitnessCache(maxsize=2)
-        f = Fitness(1.0, 1, 1, 1)
-        assert cache.get((1,)) is None
-        cache.put((1,), f)
-        assert cache.get((1,)) == f
-        assert cache.hits == 1 and cache.misses == 1
-        cache.put((2,), f)
-        cache.put((3,), f)          # evicts (1,), the least recent
-        assert len(cache) == 2
-        assert cache.get((1,)) is None
-
-    def test_disabled_cache_stores_nothing(self):
-        cache = FitnessCache(maxsize=0)
-        cache.put((1,), Fitness(1.0))
-        assert len(cache) == 0 and not cache.enabled
-
-
 class TestDeterminismAcrossWorkers:
     """Same seed + spec must be bit-identical for workers in {0, 1, 4}."""
 
@@ -196,17 +176,20 @@ class TestDeterminismAcrossWorkers:
 
 
 class TestCacheAccounting:
-    def test_duplicate_mutants_hit_the_cache(self):
+    def test_duplicate_mutants_are_each_evaluated(self):
+        # The memo cache is retired: duplicate mutants (plentiful with
+        # one mutated gene on a tiny netlist) are evaluated like any
+        # other offspring, and cache_hits always reads 0.
         spec = _xor_spec()
         initial = initialize_netlist(spec)
         config = RcgpConfig(generations=200, offspring=8, seed=3,
                             max_mutated_genes=1, mutation_rate=1.0)
         result = EvolutionRun(spec, config, initial=initial).run()
-        assert result.cache_hits > 0
-        # Every offspring is either a cache hit or an evaluation; the
-        # few extra evaluations are the parent/finalize checks.
+        assert result.cache_hits == 0
+        # Every offspring is an evaluation; the few extra evaluations
+        # are the parent/finalize checks.
         offspring_total = result.generations * config.offspring
-        assert result.evaluations + result.cache_hits >= offspring_total
+        assert result.evaluations >= offspring_total
 
     def test_cache_disabled_reports_zero_hits(self):
         spec = _xor_spec()
@@ -246,7 +229,7 @@ class TestTelemetry:
         assert len(generations) == result.generations
         sample = generations[0]
         for field in ("generation", "best_key", "evaluations",
-                      "cache_hits", "sat_calls", "wall_time"):
+                      "sat_calls", "wall_time"):
             assert field in sample
 
     def test_writer_accepts_open_file(self, tmp_path):
@@ -401,14 +384,14 @@ class TestEngineBackends:
 
     def test_pool_backend_rejects_single_worker(self):
         with pytest.raises(ValueError):
-            ProcessPoolBackend(_decoder_spec(), RcgpConfig(), workers=1)
+            process_pool_backend(_decoder_spec(), RcgpConfig(), workers=1)
 
     def test_pool_backend_preserves_batch_order(self):
         spec = _decoder_spec()
         good = initialize_netlist(spec)
         bad = good.copy()
         bad.outputs = list(reversed(bad.outputs))
-        backend = ProcessPoolBackend(spec, RcgpConfig(), workers=2)
+        backend = process_pool_backend(spec, RcgpConfig(), workers=2)
         try:
             genomes = [encode_genome(good), encode_genome(bad),
                        encode_genome(good)]

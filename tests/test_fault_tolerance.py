@@ -1,4 +1,4 @@
-"""Fault tolerance of the process-pool backend and the engine.
+"""Fault tolerance of the span dispatcher and the engine.
 
 The headline guarantee: because pool evaluation is pure, **worker
 crashes, hung workers and pool loss never change results** — a run that
@@ -9,21 +9,24 @@ environment hooks and check both the recovered results and the
 surfaced counters.
 """
 
-import json
+import pickle
 
 import pytest
 
 import repro.core.engine as engine_mod
+import repro.jobs.pool as pool_mod
+from repro.core import wire
 from repro.core.config import RcgpConfig
 from repro.core.engine import (
     EvolutionRun,
-    ProcessPoolBackend,
     TelemetryWriter,
     encode_genome,
     read_telemetry,
 )
+from repro.core.fitness import Evaluator
 from repro.core.synthesis import initialize_netlist
 from repro.errors import WorkerPoolError
+from repro.jobs.pool import process_pool_backend
 from repro.logic.truth_table import tabulate_word
 
 
@@ -44,10 +47,18 @@ def reset_worker_globals():
     """In-process use of the pool worker functions mutates module
     globals; restore them so later tests see a clean slate."""
     yield
-    engine_mod._WORKER_EVALUATOR = None
-    engine_mod._WORKER_PARENT = None
+    pool_mod._WORKER = None
     engine_mod._WORKER_FAULT_COUNTDOWN = None
     engine_mod._WORKER_FAULT_MODE = ""
+
+
+def _span_request(parent, config, count, start_gen=1):
+    fitness = Evaluator(_decoder_spec(), config).evaluate(parent)
+    return wire.SpanRequest(
+        base_seed=config.seed, start_gen=start_gen, count=count,
+        parent_fitness=(fitness.success, fitness.n_r, fitness.n_g,
+                        fitness.n_b),
+        parent_genome=encode_genome(parent))
 
 
 class TestCrashRecovery:
@@ -159,34 +170,50 @@ class TestInterrupt:
 class TestBackendInternals:
     def test_uninitialized_worker_raises_typed_error(
             self, reset_worker_globals):
-        engine_mod._WORKER_EVALUATOR = None
-        with pytest.raises(WorkerPoolError):
-            engine_mod._pool_evaluate([])
-        with pytest.raises(WorkerPoolError):
-            engine_mod._pool_evaluate_deltas((), [])
-
-    def test_batch_counters_not_double_counted_on_retry(self, monkeypatch):
-        # Crash after 3 evaluations with a 5-genome batch on 2 workers:
-        # the first dispatch loses partial progress, the retry (fresh
-        # countdowns, ~3 evals/worker) succeeds.  eval_full must count
-        # the successful dispatch only.
-        monkeypatch.setenv("RCGP_TEST_CRASH_AFTER_EVALS", "3")
         spec = _decoder_spec()
         config = RcgpConfig(seed=3)
-        backend = ProcessPoolBackend(spec, config, workers=2)
+        ctx = ("job", tuple(t.bits for t in spec), spec[0].num_vars,
+               config.to_dict())
+        payload = wire.pack_job_span(
+            pickle.dumps(ctx),
+            _span_request(initialize_netlist(spec), config, count=1))
+        pool_mod._WORKER = None
+        with pytest.raises(WorkerPoolError):
+            pool_mod._handle_job_span(memoryview(payload))
+
+    def test_batch_counters_not_double_counted_on_retry(self, monkeypatch):
+        # Crash after 3 evaluations with a 3-generation span of 2
+        # offspring (6 evaluations): the first dispatch dies mid-span,
+        # the retry (fresh worker, one generation, 2 evaluations)
+        # succeeds.  The eval counters must count the served span only.
+        monkeypatch.setenv("RCGP_TEST_CRASH_AFTER_EVALS", "3")
+        spec = _decoder_spec()
+        config = RcgpConfig(seed=3, offspring=2, mutation_rate=0.1)
+        request = _span_request(initialize_netlist(spec), config, count=3)
+        backend = process_pool_backend(spec, config, workers=2)
         try:
-            genome = encode_genome(initialize_netlist(spec))
-            results = backend.evaluate([genome] * 5)
-            assert len(results) == 5
-            assert all(f.functional for f in results)
+            assert backend.dispatch_span(request)
+            result = backend.collect_span()
+            assert result is not None
             assert backend.batches_retried >= 1
-            assert backend.eval_full == 5
+            assert not backend.degraded
+            # The served span is the retried one-generation prefix.
+            assert len(result.records) == 1
+            expected, _ = engine_mod.replay_span(
+                Evaluator(spec, config), None, request.head(1))
+            assert result == expected
+            counted = [sum(c[k] for _, _, c in result.records)
+                       for k in range(3)]
+            assert [backend.eval_full, backend.eval_incremental,
+                    backend.ports_resimulated] == counted
+            assert backend.eval_full + backend.eval_incremental == 2
         finally:
             backend.close()
 
     def test_terminate_is_safe_and_idempotent(self):
         spec = _decoder_spec()
-        backend = ProcessPoolBackend(spec, RcgpConfig(seed=0), workers=2)
+        backend = process_pool_backend(spec, RcgpConfig(seed=0),
+                                       workers=2)
         backend.terminate()
         backend.terminate()
         backend.close()
@@ -199,67 +226,60 @@ class TestWorkerEpochInvalidation:
     def _sampled_config(self):
         # Force sampled simulation: 2-input spec, exhaustive limit 1.
         return RcgpConfig(seed=5, exhaustive_input_limit=1,
-                          simulation_patterns=32, verify_with_sat=False)
+                          simulation_patterns=32, verify_with_sat=False,
+                          offspring=3, mutation_rate=0.15)
 
-    def test_stale_state_rebuilt_at_chunk_entry(self, reset_worker_globals):
+    def test_stale_state_rebuilt_at_chunk_entry(self):
         spec = _decoder_spec()
         config = self._sampled_config()
-        engine_mod._pool_initializer([t.bits for t in spec],
-                                     spec[0].num_vars, config.to_dict())
-        evaluator = engine_mod._WORKER_EVALUATOR
-        parent = initialize_netlist(spec)
-        genome = encode_genome(parent)
-        import random as random_mod
-        from repro.core.mutation import mutate_with_delta
-        _, delta = mutate_with_delta(parent, random_mod.Random(1), config)
+        evaluator = Evaluator(spec, config)
+        request = _span_request(initialize_netlist(spec), config, count=1)
 
-        engine_mod._pool_evaluate_deltas(genome, [delta])
-        state_before = engine_mod._WORKER_PARENT[2]
+        _, resident = engine_mod.replay_span(evaluator, None, request)
+        state_before = resident[2]
         evaluator.add_counterexample(3)  # pattern set grows: epoch moves
         assert state_before.epoch != evaluator.pattern_epoch
-        [fit], _ = engine_mod._pool_evaluate_deltas(genome, [delta])
-        assert engine_mod._WORKER_PARENT[2].epoch == evaluator.pattern_epoch
-        child = delta.apply_to(parent)
-        assert fit == (evaluator.evaluate(child).success,
-                       evaluator.evaluate(child).n_r,
-                       evaluator.evaluate(child).n_g,
-                       evaluator.evaluate(child).n_b)
+        result, resident = engine_mod.replay_span(evaluator, resident,
+                                                  request)
+        assert resident[2].epoch == evaluator.pattern_epoch
+        # Same span on a fresh evaluator with the grown pattern set.
+        fresh = Evaluator(spec, config)
+        fresh.add_counterexample(3)
+        expected, _ = engine_mod.replay_span(fresh, None, request)
+        assert result.records[0][:2] == expected.records[0][:2]
 
-    def test_stale_state_rebuilt_mid_chunk(self, reset_worker_globals):
+    def test_stale_state_rebuilt_mid_chunk(self):
         spec = _decoder_spec()
         config = self._sampled_config()
-        engine_mod._pool_initializer([t.bits for t in spec],
-                                     spec[0].num_vars, config.to_dict())
-        evaluator = engine_mod._WORKER_EVALUATOR
+        evaluator = Evaluator(spec, config)
         parent = initialize_netlist(spec)
-        genome = encode_genome(parent)
-        import random as random_mod
-        from repro.core.mutation import mutate_with_delta
-        deltas = [mutate_with_delta(parent, random_mod.Random(s),
-                                    config)[1] for s in (1, 2, 3)]
+        request = _span_request(parent, config, count=1)
 
-        # Grow the pattern set *between deltas of one chunk*, as SAT
+        # Grow the pattern set *between offspring of one span*, as SAT
         # counterexample feedback would: wrap evaluate_incremental so
-        # the first call advances the epoch after computing.
+        # the first call advances the epoch after computing, and record
+        # which state every call used.
         real = evaluator.evaluate_incremental
-        calls = {"n": 0}
+        seen = []
 
         def growing(child, delta, state=None):
             fit = real(child, delta, state)
-            calls["n"] += 1
-            if calls["n"] == 1:
+            seen.append((state.epoch, evaluator.pattern_epoch, child,
+                         fit))
+            if len(seen) == 1:
                 evaluator.add_counterexample(2)
             return fit
 
         evaluator.evaluate_incremental = growing
-        values, _ = engine_mod._pool_evaluate_deltas(genome, deltas)
+        _, resident = engine_mod.replay_span(evaluator, None, request)
         evaluator.evaluate_incremental = real
-        assert engine_mod._WORKER_PARENT[2].epoch == evaluator.pattern_epoch
-        # Every fitness matches full evaluation on the *final* (grown)
-        # pattern set for the deltas evaluated after the growth.
-        for delta, value in list(zip(deltas, values))[1:]:
-            full = evaluator.evaluate(delta.apply_to(parent))
-            assert value == (full.success, full.n_r, full.n_g, full.n_b)
+        assert resident[2].epoch == evaluator.pattern_epoch
+        # Every offspring after the growth ran on a rebuilt state and
+        # matches full evaluation on the grown pattern set.
+        assert len(seen) == config.offspring
+        for state_epoch, epoch, child, fit in seen[1:]:
+            assert state_epoch == epoch
+            assert fit == evaluator.evaluate(child)
 
     def test_engine_run_with_sat_growth_under_pool_oracle(
             self, monkeypatch):
@@ -274,7 +294,7 @@ class TestWorkerEpochInvalidation:
                             offspring=4, shrink="always",
                             exhaustive_input_limit=1,
                             simulation_patterns=16)
-        backend = ProcessPoolBackend(spec, config, workers=2)
+        backend = process_pool_backend(spec, config, workers=2)
         try:
             result = EvolutionRun(spec, config, backend=backend).run()
         finally:

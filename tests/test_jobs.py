@@ -290,6 +290,36 @@ class TestSharedWorkerPool:
                     twin.evolution.evaluations
                 assert pooled.evolution.backend == "shared-pool"
 
+    def test_slice_after_exhausted_retries_uses_workers_again(
+            self, tmp_path, monkeypatch):
+        # Degradation is slice-local: a slice whose local pool runs out
+        # of retries finishes inline, and the next slice is served by
+        # (respawned) workers again — still bit-identical to inline.
+        spec = _decoder_spec()
+        config = RcgpConfig(generations=80, seed=7, offspring=4,
+                            batch_retries=0)
+        with Scheduler(quantum=40) as scheduler:
+            twin = scheduler.submit(spec, config)
+            scheduler.run()
+            twin = twin.result()
+        store = JobStore(str(tmp_path))
+        with Scheduler(store, workers=2, quantum=40) as scheduler:
+            job = scheduler.submit(spec, config)
+            monkeypatch.setenv("RCGP_TEST_CRASH_AFTER_EVALS", "1")
+            assert scheduler.step() is job
+            monkeypatch.delenv("RCGP_TEST_CRASH_AFTER_EVALS")
+            scheduler.run()
+            pooled = job.result()
+        ends = [json.loads(line) for line in
+                store.read_telemetry(job.id).decode().splitlines()
+                if '"run_end"' in line]
+        assert len(ends) == 2
+        assert ends[0]["degraded_to_inline"] is True
+        assert ends[1]["degraded_to_inline"] is False
+        assert ends[1]["chunks_dispatched"] > 0
+        assert _chromosome(pooled) == _chromosome(twin)
+        assert pooled.evolution.evaluations == twin.evolution.evaluations
+
     def test_parallel_safe_config(self):
         safe = RcgpConfig(seed=1)
         assert parallel_safe_config(3, safe)                 # exhaustive

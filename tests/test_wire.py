@@ -2,8 +2,7 @@
 
 Two contracts live here.  First, every ``pack_*`` in
 ``repro.core.wire`` has an exact ``unpack_*`` inverse — the pool
-transport may never lose or reorder a gene, delta, fitness record or
-span field.  Second, the worklist cone sweep the span-resident replay
+transport may never lose or reorder a gene, delta or span field.  Second, the worklist cone sweep the span-resident replay
 loop uses (:meth:`NetlistKernel.resimulate_cone_scheduled` behind
 :meth:`SimulationState.enable_fanout_index`) is bit-identical to the
 index-ordered scan: same recomputed-port counter, same changed ports in
@@ -48,32 +47,11 @@ class TestCodecRoundTrips:
                            for _ in range(rng.randrange(0, 120)))
             assert wire.unpack_genome(wire.pack_genome(genome)) == genome
 
-    def test_genome_list_round_trip(self):
-        rng = random.Random(22)
-        genomes = [tuple(rng.randrange(0, 1 << 16)
-                         for _ in range(rng.randrange(0, 40)))
-                   for _ in range(12)]
-        assert wire.unpack_genomes(wire.pack_genomes(genomes)) == genomes
-        assert wire.unpack_genomes(wire.pack_genomes([])) == []
-
     def test_delta_round_trip(self):
         deltas = _random_deltas()
         packed = wire.pack_deltas(deltas)
         assert isinstance(packed, bytes)
         assert wire.unpack_deltas(packed) == deltas
-
-    def test_fitness_chunk_round_trip(self):
-        rng = random.Random(23)
-        values = [(rng.random(), rng.randrange(200), rng.randrange(200),
-                   rng.randrange(200)) for _ in range(37)]
-        counters = (rng.randrange(10**6), rng.randrange(10**6),
-                    rng.randrange(10**9))
-        out_values, out_counters = wire.unpack_fitness_chunk(
-            wire.pack_fitness_chunk(values, counters))
-        assert out_values == values
-        assert out_counters == counters
-        assert wire.unpack_fitness_chunk(
-            wire.pack_fitness_chunk([], (0, 0, 0))) == ([], (0, 0, 0))
 
     @pytest.mark.parametrize("with_check", [False, True])
     def test_span_request_round_trip(self, with_check):
@@ -110,6 +88,31 @@ class TestCodecRoundTrips:
                                      final_genome=final)
             rebuilt = wire.unpack_span_result(wire.pack_span_result(result))
             assert rebuilt == result
+
+    @pytest.mark.parametrize("seed", [0, -1, 127, 128, 2**63 - 1,
+                                      2**63, -(2**63) - 1, 3**90])
+    def test_span_request_carries_any_seed(self, seed):
+        request = wire.SpanRequest(
+            base_seed=seed, start_gen=1, count=2,
+            parent_fitness=(1.0, 3, 2, 1), parent_genome=(2, 0, 1, 2))
+        assert wire.unpack_span_request(
+            wire.pack_span_request(request)) == request
+
+    def test_job_span_round_trip_and_head(self):
+        deltas = _random_deltas(trials=5)[:6]
+        request = wire.SpanRequest(
+            base_seed=7, start_gen=10, count=3,
+            parent_fitness=(1.0, 4, 3, 2), parent_genome=tuple(range(20)),
+            check_deltas=deltas)
+        ctx, rebuilt = wire.unpack_job_span(
+            wire.pack_job_span(b"context", request))
+        assert ctx == b"context"
+        assert rebuilt.base_seed == request.base_seed
+        assert list(rebuilt.check_deltas) == deltas
+        head = request.head(1)
+        assert (head.start_gen, head.count) == (10, 1)
+        assert list(head.check_deltas) == deltas[:2]
+        assert request.head(5) is request
 
     def test_compactness(self):
         """The codec is a dense dump: eight bytes per gene, no pickle

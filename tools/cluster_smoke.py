@@ -71,10 +71,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     spec = get_benchmark(args.benchmark).spec()
-    # eval_cache_size=0 keeps the replay-span path eligible so the run
-    # exercises the pipelined span protocol over TCP, not just batches.
-    config = RcgpConfig(generations=args.generations, seed=args.seed,
-                        eval_cache_size=0)
+    config = RcgpConfig(generations=args.generations, seed=args.seed)
 
     env = dict(os.environ,
                RCGP_CLUSTER_TOKEN=TOKEN,
