@@ -3,7 +3,8 @@
 Each benchmark times the operation the inner loop actually performs —
 full evaluation, incremental (cone) evaluation, mutation + copy-on-write
 copy (tuned and at the paper's defaults), shrink — over a Table-1
-circuit, plus two end-to-end evolution runs (serial and ``workers=2``).
+circuit, the SAT miter that sampled fitness runs, plus two end-to-end
+evolution runs (serial and ``workers=2``).
 All benchmarks run on the representation selected by
 ``RcgpConfig.kernel`` so the same harness measures both the flat kernel
 and the object-netlist fallback.
@@ -19,6 +20,7 @@ import random
 import time
 from typing import Callable, Dict, Tuple
 
+from repro.bench.extras import one_hot_checker
 from repro.bench.registry import get_benchmark
 from repro.core.config import RcgpConfig
 from repro.core.engine import EvolutionRun
@@ -26,6 +28,7 @@ from repro.core.fitness import Evaluator
 from repro.core.kernel import NetlistKernel
 from repro.core.mutation import mutate_with_delta
 from repro.core.synthesis import initialize_netlist
+from repro.sat.equivalence import check_against_tables
 
 __all__ = ["BENCHES", "run_benches"]
 
@@ -105,6 +108,20 @@ def bench_shrink(circuit: str, kernel: str, iterations: int) -> float:
     return iterations / (time.perf_counter() - start)
 
 
+def bench_sat_miter(circuit: str, kernel: str, iterations: int) -> float:
+    """SAT CEC checks per second: ``check_against_tables`` on
+    ``one_hot_checker(12)``'s initial netlist against its spec, the
+    UNSAT proof that sampled fitness repeats (miter build, solver load
+    and CDCL search).  ``circuit`` and ``kernel`` are not used: Table-1
+    specs are simulated exhaustively and never reach SAT."""
+    spec = one_hot_checker(12)
+    netlist = initialize_netlist(spec, "onehot12")
+    start = time.perf_counter()
+    for _ in range(iterations):
+        check_against_tables(netlist.encoder(), spec)
+    return iterations / (time.perf_counter() - start)
+
+
 def _bench_run(circuit: str, kernel: str, generations: int,
                workers: int) -> float:
     benchmark = get_benchmark(circuit)
@@ -140,6 +157,7 @@ BENCHES: Dict[str, Tuple[Callable[[str, str, int], float], int, int]] = {
     "mutation_copy": (bench_mutation_copy, 5000, 800),
     "mutation_paper": (bench_mutation_paper, 1000, 150),
     "shrink": (bench_shrink, 2000, 300),
+    "sat_miter": (bench_sat_miter, 60, 10),
     "run_serial": (bench_run_serial, 1200, 60),
     "run_workers2": (bench_run_workers2, 1200, 60),
 }

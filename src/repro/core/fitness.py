@@ -25,7 +25,7 @@ from __future__ import annotations
 import os
 import random
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from ..logic.bitops import full_mask, variable_pattern
 from ..logic.truth_table import TruthTable
@@ -38,6 +38,12 @@ from .config import RcgpConfig
 from .kernel import NetlistKernel
 from .mutation import MutationDelta
 from .simstate import SimulationState
+
+#: Formal verdicts an :class:`Evaluator` remembers, keyed by the active
+#: genome; once full, the oldest entry is evicted first.  Repeats are
+#: nearly always the circuit proven just before (a child whose mutations
+#: all landed on inactive genes shrinks to its parent's active circuit).
+VERDICT_MEMO_SIZE = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -130,6 +136,7 @@ class Evaluator:
         self.eval_full = 0
         self.eval_incremental = 0
         self.ports_resimulated = 0
+        self._verdicts: Dict[Tuple[int, ...], bool] = {}
         self.kernel_mode = config.kernel == "flat"
         self._check_incremental = \
             os.environ.get("RCGP_CHECK_INCREMENTAL", "") not in ("", "0")
@@ -229,21 +236,45 @@ class Evaluator:
             self.add_counterexample(result.counterexample)
         return result.equivalent
 
-    def _formally_equivalent(self, active: RqfpNetlist) -> bool:
-        """Formal leg of the fitness function (SAT miter or BDD)."""
+    def _formally_equivalent(self, active) -> bool:
+        """Formal leg of the fitness function (SAT miter or BDD).
+
+        ``active`` is a shrunk candidate (kernel or netlist).  Its verdict
+        is remembered by genome, so a repeat of an active circuit already
+        checked skips the miter; the answer is the one a re-check would
+        give, because the miter depends only on the genome and the spec,
+        and the solver and its conflict budget are deterministic.  An
+        inequivalent verdict with a counterexample is not remembered: the
+        counterexample joins the pattern set, so that circuit never
+        passes simulation again.  A remembered answer still counts in
+        ``sat_calls``.
+        """
         self.sat_calls += 1
+        if isinstance(active, NetlistKernel):
+            key = active.to_genome()
+        else:
+            key = NetlistKernel.from_netlist(active).to_genome()
+        verdict = self._verdicts.get(key)
+        if verdict is not None:
+            return verdict
+        if isinstance(active, NetlistKernel):
+            active = active.to_netlist()
         if self.config.verify_method == "bdd":
             from ..logic.bdd import bdd_equivalent
-            return bdd_equivalent(active, self.spec)
-        result = check_against_tables(
-            active.encoder(), self.spec,
-            conflict_budget=self.config.sat_conflict_budget,
-        )
-        if result.equivalent is not True:
+            verdict = bdd_equivalent(active, self.spec)
+        else:
+            result = check_against_tables(
+                active.encoder(), self.spec,
+                conflict_budget=self.config.sat_conflict_budget,
+            )
+            verdict = result.equivalent is True
             if result.counterexample is not None:
                 self.add_counterexample(result.counterexample)
-            return False
-        return True
+                return verdict
+        if len(self._verdicts) >= VERDICT_MEMO_SIZE:
+            del self._verdicts[next(iter(self._verdicts))]
+        self._verdicts[key] = verdict
+        return verdict
 
     def evaluate(self, candidate) -> Fitness:
         """Two-phase fitness of a candidate genome (netlist or kernel).
@@ -405,9 +436,7 @@ class Evaluator:
             return Fitness(rate)
         active = candidate.shrink()
         if not self.exhaustive and self.config.verify_with_sat:
-            formal = active.to_netlist() \
-                if isinstance(active, NetlistKernel) else active
-            if not self._formally_equivalent(formal):
+            if not self._formally_equivalent(active):
                 # Simulation-clean but not formally proven: keep it just
                 # below functional so it never displaces a verified parent.
                 return Fitness(1.0 - 1.0 / (2 * self._total_bits))

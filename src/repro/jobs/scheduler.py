@@ -348,6 +348,12 @@ class Scheduler:
         for offset in range(len(runnable)):
             job = runnable[(self._rr_next + offset) % len(runnable)]
             if self.store.acquire_lease(job.id):
+                if job.state not in (PENDING, RUNNING):
+                    # Another scheduler finished it after pending() read
+                    # its record and released the lease since: nothing
+                    # is left to run, and re-driving would re-finalize.
+                    self.store.release_lease(job.id)
+                    continue
                 self._rr_next += offset + 1
                 self._tick(job)
                 return job

@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..core.config import RcgpConfig
+from ..errors import ParseError
 from ..logic.truth_table import TruthTable
 from ..rqfp.netlist import RqfpNetlist
 
@@ -42,15 +43,38 @@ def identity_config_dict(config: RcgpConfig) -> Dict[str, Any]:
             if name not in OPERATIONAL_CONFIG_FIELDS}
 
 
+#: Specs with at least this many inputs carry their tables as hex strings.
+#: A 14-input table is a 16,384-bit integer, more than the 4,300 decimal
+#: digits Python lets ``json`` and ``int``/``str`` convert; smaller specs
+#: keep plain integers, so their job ids and stored records are unchanged.
+HEX_TABLE_MIN_INPUTS = 14
+
+
 def spec_tables_to_payload(spec: Sequence[TruthTable]) -> Dict[str, Any]:
     """Portable JSON form of a truth-table specification."""
     spec = list(spec)
-    return {"num_vars": spec[0].num_vars, "bits": [t.bits for t in spec]}
+    num_vars = spec[0].num_vars
+    if num_vars >= HEX_TABLE_MIN_INPUTS:
+        bits: List[Any] = [format(t.bits, "#x") for t in spec]
+    else:
+        bits = [t.bits for t in spec]
+    return {"num_vars": num_vars, "bits": bits}
 
 
 def spec_tables_from_payload(payload: Dict[str, Any]) -> List[TruthTable]:
+    """Inverse of :func:`spec_tables_to_payload`; a table is an integer
+    or a hex string (``"0x..."``), whatever the input count."""
     num_vars = int(payload["num_vars"])
-    return [TruthTable(num_vars, bits) for bits in payload["bits"]]
+    tables = []
+    for i, bits in enumerate(payload["bits"]):
+        if isinstance(bits, str):
+            try:
+                bits = int(bits, 16)
+            except ValueError:
+                raise ParseError(f"spec table {i} is not a hex string: "
+                                 f"{bits[:40]!r}") from None
+        tables.append(TruthTable(num_vars, bits))
+    return tables
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Union
 
 from ..errors import NetlistError
+from ..logic.bitops import full_mask, variable_pattern
 from ..logic.truth_table import TruthTable
 from .gates import McfGate, MctGate
 
@@ -102,28 +103,38 @@ class ReversibleCircuit:
         outputs the non-garbage wires.  This is the irreversible
         specification a RevLib circuit realizes — and the spec handed to
         the RQFP flow.
+
+        Computed bit-parallel: each wire carries one ``2**inputs``-bit
+        word (bit ``t`` = the wire's value under input pattern ``t``).
+        An MCT XORs the AND of its control words (complemented for
+        negative controls) into its target; an MCF swaps its two targets
+        where the controls fire and the targets differ.  :meth:`apply`
+        is the per-state reference semantics.
         """
         ins = self.real_inputs()
         outs = self.real_outputs()
         if not outs:
             raise NetlistError("all outputs are garbage; nothing to extract")
-        bits = [0] * len(outs)
-        for t in range(1 << len(ins)):
-            state = 0
-            for w in range(self.num_wires):
-                const = self.constants[w]
-                if const is not None:
-                    if const:
-                        state |= 1 << w
+        num_inputs = len(ins)
+        full = full_mask(num_inputs)
+        words = [full if const else 0 for const in self.constants]
+        for k, wire in enumerate(ins):
+            words[wire] = variable_pattern(k, num_inputs)
+        for gate in self.gates:
+            fire = full
+            for control in gate.controls:
+                if control.positive:
+                    fire &= words[control.wire]
                 else:
-                    k = ins.index(w)
-                    if (t >> k) & 1:
-                        state |= 1 << w
-            result = self.apply(state)
-            for o, wire in enumerate(outs):
-                if (result >> wire) & 1:
-                    bits[o] |= 1 << t
-        return [TruthTable(len(ins), b) for b in bits]
+                    fire &= ~words[control.wire]
+            if isinstance(gate, MctGate):
+                words[gate.target] ^= fire
+            else:
+                a, b = gate.target_a, gate.target_b
+                swap = (words[a] ^ words[b]) & fire
+                words[a] ^= swap
+                words[b] ^= swap
+        return [TruthTable(num_inputs, words[wire]) for wire in outs]
 
     # -- metrics -----------------------------------------------------------------
 

@@ -51,10 +51,12 @@ class CNF:
         both ``v`` and ``-v``) are silently dropped since they constrain
         nothing.
         """
+        num_vars = self.num_vars
         seen = set()
         clause: List[int] = []
         for lit in literals:
-            self._check_literal(lit)
+            if not (0 < lit <= num_vars or 0 < -lit <= num_vars):
+                self._check_literal(lit)
             if -lit in seen:
                 return  # tautology
             if lit not in seen:

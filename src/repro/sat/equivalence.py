@@ -21,7 +21,7 @@ from ..errors import VerificationError
 from ..logic.truth_table import TruthTable
 from .cnf import CNF
 from .solver import SAT, UNKNOWN, UNSAT, Solver
-from .tseitin import encode_or_many, encode_xor
+from .tseitin import encode_mux, encode_or_many, encode_xor
 
 Encoder = Callable[[CNF, Sequence[int]], List[int]]
 
@@ -43,8 +43,17 @@ class CecResult:
 def truth_table_encoder(tables: Sequence[TruthTable]) -> Encoder:
     """Encoder for a truth-table specification.
 
-    Encodes each output as a Shannon-expanded mux tree over the inputs —
-    compact enough for the ≤10-input specs in the paper's benchmark set.
+    Encodes each output as a Shannon-expanded mux tree over the inputs,
+    splitting on the highest remaining input first; a cofactor pair that
+    is equal, or a projection of that input, costs no mux.  This is the
+    spec side of every miter that sampled fitness builds, so it serves
+    the 12–16-input specs whose simulation is not exhaustive.
+
+    The recursion works on the cofactor tables themselves: a table over
+    the first ``k`` inputs is a ``2**k``-bit integer whose low half is
+    the cofactor with input ``k-1`` at 0 and whose high half is the one
+    with it at 1, so each level halves the width and no projection
+    patterns are built.
     """
     tables = list(tables)
     if not tables:
@@ -52,6 +61,8 @@ def truth_table_encoder(tables: Sequence[TruthTable]) -> Encoder:
     num_vars = tables[0].num_vars
     if any(t.num_vars != num_vars for t in tables):
         raise ValueError("all specification outputs must share the inputs")
+    # ones[k]: the all-ones table over the first k inputs.
+    ones = [(1 << (1 << k)) - 1 for k in range(num_vars + 1)]
 
     def encode(cnf: CNF, inputs: Sequence[int]) -> List[int]:
         if len(inputs) != num_vars:
@@ -63,31 +74,20 @@ def truth_table_encoder(tables: Sequence[TruthTable]) -> Encoder:
 
         def encode_table(bits: int, var: int) -> int:
             if var == 0:
-                # All pattern bits identical at this leaf.
-                full = (1 << (1 << num_vars)) - 1
-                if bits == 0:
-                    return -const
-                if bits == full:
-                    return const
-            # Split on the highest remaining variable.
+                return const if bits else -const
+            # Split on the highest remaining input.
             v = var - 1
-            from ..logic.bitops import variable_pattern
-            pat = variable_pattern(v, num_vars)
-            shift = 1 << v
-            neg = bits & ~pat
-            neg = neg | (neg << shift)
-            pos = (bits & pat) >> shift
-            pos = pos | (pos << shift)
+            full = ones[v]
+            neg = bits & full
+            pos = bits >> (1 << v)
             if neg == pos:
                 return encode_table(neg, v)
-            full = (1 << (1 << num_vars)) - 1
             if neg == 0 and pos == full:
                 return inputs[v]
             if neg == full and pos == 0:
                 return -inputs[v]
             lo = encode_table(neg, v)
             hi = encode_table(pos, v)
-            from .tseitin import encode_mux
             return encode_mux(cnf, inputs[v], lo, hi)
 
         return [encode_table(t.bits, num_vars) for t in tables]

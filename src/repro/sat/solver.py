@@ -14,9 +14,30 @@ implements the standard modern recipe:
   (budget exhaustion reports :data:`UNKNOWN`, which the exact-synthesis
   baseline maps onto the paper's ``\\`` timeout entries).
 
-It is pure Python and therefore slow compared to a C solver, but the CNF
-instances produced by this package (miters of ≤10-input circuits, tiny
-exact-synthesis encodings) are well within its reach.
+It is pure Python, so its hot paths are laid out for the interpreter.
+The public API speaks DIMACS literals (``v`` / ``-v``); inside, a literal
+is *encoded* as ``2v`` (positive) or ``2v + 1`` (negative), so negation
+is ``x ^ 1``, the variable is ``x >> 1``, and one list indexed by the
+encoded literal holds its value (+1 true, -1 false, 0 unassigned; both
+polarities are written on every assignment).  Clauses store encoded
+literals; ``_watches[x]`` holds the clauses watching literal ``x ^ 1``,
+i.e. the ones to visit when ``x`` becomes true.  ``_propagate`` reads
+literal values inline, compacts each watch list in place, checks the
+third literal of a ternary clause without entering the replacement loop,
+and keeps its counters in locals; ``_analyze`` and ``_cancel_until``
+likewise inline the value, activity and heap updates.
+
+Same-search contract: every step is the one the straightforward
+implementation takes, in the same order — watch-list order, the swaps
+inside each clause, activity bumps and heap pushes, learnt clauses,
+restarts and database reductions — so for any CNF and any sequence of
+calls the status, ``stats`` and model are exactly those of the
+textbook loop.  There are no blocker literals or other shortcuts that
+would visit clauses in a different order.  ``tests/test_solver_trace.py``
+pins the per-call status, ``stats`` and model digest over a fixed corpus
+(random 3-SAT through the activity rescale and ``_reduce_db``,
+pigeonhole under budgets, assumptions with solver reuse, and the
+sampled-fitness CEC miters of ``one_hot_checker(12)``).
 """
 
 from __future__ import annotations
@@ -47,7 +68,8 @@ def luby(i: int) -> int:
 
 
 class _Clause:
-    """Internal clause record; ``lits[0:2]`` are the watched literals."""
+    """Internal clause record; ``lits[0:2]`` are the watched (encoded)
+    literals."""
 
     __slots__ = ("lits", "learnt", "lbd", "activity")
 
@@ -63,12 +85,14 @@ class Solver:
 
     def __init__(self, cnf: Optional[CNF] = None):
         self._num_vars = 0
+        # Indexed by encoded literal (slots 0 and 1 unused).
+        self._vals: List[int] = [_UNASSIGNED, _UNASSIGNED]
         # Indexed by variable (1-based; slot 0 unused).
-        self._value: List[int] = [_UNASSIGNED]
         self._level: List[int] = [0]
         self._reason: List[Optional[_Clause]] = [None]
         self._activity: List[float] = [0.0]
-        self._phase: List[bool] = [False]
+        # Saved phase as the encoded literal to decide on (negative first).
+        self._phase: List[int] = [1]
         self._seen: List[bool] = [False]
         # Watch lists indexed by encoded literal.
         self._watches: List[List[_Clause]] = [[], []]
@@ -81,7 +105,6 @@ class Solver:
         self._var_inc = 1.0
         self._var_decay = 1.0 / 0.95
         self._cla_inc = 1.0
-        self._order: List[int] = []  # lazy heap replacement: sorted on demand
         self._ok = True
         self._model: Dict[int, bool] = {}
         self.stats = {
@@ -94,37 +117,30 @@ class Solver:
         }
         if cnf is not None:
             self._ensure_vars(cnf.num_vars)
+            add_clause = self.add_clause
             for clause in cnf.clauses:
-                self.add_clause(clause)
+                add_clause(clause)
 
     # ------------------------------------------------------------------
     # construction
 
     def _ensure_vars(self, num_vars: int) -> None:
-        while self._num_vars < num_vars:
-            self._num_vars += 1
-            self._value.append(_UNASSIGNED)
-            self._level.append(0)
-            self._reason.append(None)
-            self._activity.append(0.0)
-            self._phase.append(False)
-            self._seen.append(False)
-            self._watches.append([])
-            self._watches.append([])
+        grow = num_vars - self._num_vars
+        if grow <= 0:
+            return
+        first = self._num_vars + 1
+        self._num_vars = num_vars
+        self._vals.extend([_UNASSIGNED] * (2 * grow))
+        self._level.extend([0] * grow)
+        self._reason.extend([None] * grow)
+        self._activity.extend([0.0] * grow)
+        self._phase.extend((v << 1) | 1 for v in range(first, num_vars + 1))
+        self._seen.extend([False] * grow)
+        self._watches.extend([] for _ in range(2 * grow))
 
     def new_var(self) -> int:
         self._ensure_vars(self._num_vars + 1)
         return self._num_vars
-
-    @staticmethod
-    def _widx(lit: int) -> int:
-        """Watch-list index of a literal (2v for +v, 2v+1 for -v)."""
-        return (abs(lit) << 1) | (lit < 0)
-
-    def _lit_value(self, lit: int) -> int:
-        """+1 true, -1 false, 0 unassigned, under the current trail."""
-        v = self._value[abs(lit)]
-        return v if lit > 0 else -v
 
     def add_clause(self, literals: Iterable[int]) -> bool:
         """Add a problem clause; returns False on immediate inconsistency."""
@@ -132,23 +148,31 @@ class Solver:
             return False
         if self._trail_lim:
             raise RuntimeError("add_clause only allowed at decision level 0")
+        vals = self._vals
         lits: List[int] = []
-        seen = set()
         for lit in literals:
-            if lit == 0:
+            if lit > 0:
+                if lit > self._num_vars:
+                    self._ensure_vars(lit)
+                x = lit << 1
+            elif lit < 0:
+                if -lit > self._num_vars:
+                    self._ensure_vars(-lit)
+                x = (-lit << 1) | 1
+            else:
                 raise ValueError("0 is not a literal")
-            self._ensure_vars(abs(lit))
-            if -lit in seen:
+            # ``lits`` holds exactly the literals kept so far, so it
+            # doubles as the seen-set (clauses are short).
+            if x ^ 1 in lits:
                 return True  # tautology
-            if lit in seen:
+            if x in lits:
                 continue
-            value = self._lit_value(lit)
+            value = vals[x]
             if value == 1:
                 return True  # already satisfied at level 0
             if value == -1:
                 continue  # falsified at level 0: drop literal
-            seen.add(lit)
-            lits.append(lit)
+            lits.append(x)
         if not lits:
             self._ok = False
             return False
@@ -160,169 +184,216 @@ class Solver:
             return self._ok
         clause = _Clause(lits)
         self._clauses.append(clause)
-        self._attach(clause)
+        self._watches[lits[0] ^ 1].append(clause)
+        self._watches[lits[1] ^ 1].append(clause)
         return True
-
-    def _attach(self, clause: _Clause) -> None:
-        self._watches[self._widx(-clause.lits[0])].append(clause)
-        self._watches[self._widx(-clause.lits[1])].append(clause)
 
     # ------------------------------------------------------------------
     # trail management
 
-    def _enqueue(self, lit: int, reason: Optional[_Clause]) -> bool:
-        value = self._lit_value(lit)
+    def _enqueue(self, x: int, reason: Optional[_Clause]) -> bool:
+        vals = self._vals
+        value = vals[x]
         if value == 1:
             return True
         if value == -1:
             return False
-        var = abs(lit)
-        self._value[var] = 1 if lit > 0 else -1
+        var = x >> 1
+        vals[x] = 1
+        vals[x ^ 1] = -1
         self._level[var] = len(self._trail_lim)
         self._reason[var] = reason
-        self._trail.append(lit)
+        self._trail.append(x)
         return True
 
-    def _decision_level(self) -> int:
-        return len(self._trail_lim)
-
     def _cancel_until(self, level: int) -> None:
-        if self._decision_level() <= level:
+        trail_lim = self._trail_lim
+        if len(trail_lim) <= level:
             return
-        bound = self._trail_lim[level]
-        for lit in reversed(self._trail[bound:]):
-            var = abs(lit)
-            self._phase[var] = lit > 0
-            self._value[var] = _UNASSIGNED
-            self._reason[var] = None
-        del self._trail[bound:]
-        del self._trail_lim[level:]
-        self._qhead = min(self._qhead, len(self._trail))
+        trail = self._trail
+        bound = trail_lim[level]
+        vals = self._vals
+        phase = self._phase
+        reasons = self._reason
+        for x in trail[bound:]:
+            var = x >> 1
+            phase[var] = x
+            vals[x] = _UNASSIGNED
+            vals[x ^ 1] = _UNASSIGNED
+            reasons[var] = None
+        del trail[bound:]
+        del trail_lim[level:]
+        if self._qhead > bound:
+            self._qhead = bound
 
     # ------------------------------------------------------------------
     # propagation
 
     def _propagate(self) -> Optional[_Clause]:
         """Unit propagation; returns a conflicting clause or None."""
-        while self._qhead < len(self._trail):
-            lit = self._trail[self._qhead]
-            self._qhead += 1
-            self.stats["propagations"] += 1
-            widx = self._widx(lit)
-            watching = self._watches[widx]
-            self._watches[widx] = keep = []
-            i = 0
-            n = len(watching)
+        trail = self._trail
+        qhead = start = self._qhead
+        if qhead >= len(trail):
+            return None
+        watches = self._watches
+        vals = self._vals
+        levels = self._level
+        reasons = self._reason
+        level = len(self._trail_lim)
+        conflict = None
+        while qhead < len(trail):
+            p = trail[qhead]
+            qhead += 1
+            false_lit = p ^ 1
+            ws = watches[p]
+            n = len(ws)
+            i = j = 0
             while i < n:
-                clause = watching[i]
+                clause = ws[i]
                 i += 1
                 lits = clause.lits
                 # Normalize so the falsified watch sits at position 1.
-                if lits[0] == -lit:
-                    lits[0], lits[1] = lits[1], lits[0]
                 first = lits[0]
-                if self._lit_value(first) == 1:
-                    keep.append(clause)
+                if first == false_lit:
+                    first = lits[1]
+                    lits[0] = first
+                    lits[1] = false_lit
+                if vals[first] == 1:
+                    ws[j] = clause
+                    j += 1
                     continue
-                # Search for a replacement watch.
-                found = False
-                for k in range(2, len(lits)):
-                    if self._lit_value(lits[k]) != -1:
-                        lits[1], lits[k] = lits[k], lits[1]
-                        self._watches[self._widx(-lits[1])].append(clause)
-                        found = True
-                        break
-                if found:
-                    continue
-                keep.append(clause)
-                if not self._enqueue(first, clause):
-                    # Conflict: restore remaining watchers and report.
-                    keep.extend(watching[i:])
-                    self._qhead = len(self._trail)
-                    return clause
-        return None
+                # Search for a replacement watch (ternary clauses check
+                # their third literal without entering the loop).
+                size = len(lits)
+                if size > 2:
+                    other = lits[2]
+                    if vals[other] != -1:
+                        lits[2] = lits[1]
+                        lits[1] = other
+                        watches[other ^ 1].append(clause)
+                        continue
+                    if size > 3:
+                        for k in range(3, size):
+                            other = lits[k]
+                            if vals[other] != -1:
+                                lits[k] = lits[1]
+                                lits[1] = other
+                                watches[other ^ 1].append(clause)
+                                break
+                        else:
+                            other = 0
+                        if other:
+                            continue
+                ws[j] = clause
+                j += 1
+                if vals[first] == -1:
+                    # Conflict: keep the remaining watchers and report.
+                    conflict = clause
+                    break
+                var = first >> 1
+                vals[first] = 1
+                vals[first ^ 1] = -1
+                levels[var] = level
+                reasons[var] = clause
+                trail.append(first)
+            del ws[j:i]
+            if conflict is not None:
+                break
+        self.stats["propagations"] += qhead - start
+        self._qhead = len(trail) if conflict is not None else qhead
+        return conflict
 
     # ------------------------------------------------------------------
     # conflict analysis (first UIP)
 
-    def _bump_var(self, var: int) -> None:
-        self._activity[var] += self._var_inc
-        if self._activity[var] > 1e100:
-            for v in range(1, self._num_vars + 1):
-                self._activity[v] *= 1e-100
-            self._var_inc *= 1e-100
-            self._heap = [(-self._activity[v], v) for v in range(1, self._num_vars + 1)
-                          if self._value[v] == _UNASSIGNED]
-            heapq.heapify(self._heap)
-            return
-        heapq.heappush(self._heap, (-self._activity[var], var))
-
-    def _bump_clause(self, clause: _Clause) -> None:
-        clause.activity += self._cla_inc
-        if clause.activity > 1e20:
-            for c in self._learnts:
-                c.activity *= 1e-20
-            self._cla_inc *= 1e-20
+    def _rescale_var_activity(self) -> None:
+        """Scale every activity down once one passes 1e100, and rebuild
+        the heap from the unassigned variables."""
+        activity = self._activity
+        for v in range(1, self._num_vars + 1):
+            activity[v] *= 1e-100
+        self._var_inc *= 1e-100
+        vals = self._vals
+        self._heap = [(-activity[v], v) for v in range(1, self._num_vars + 1)
+                      if vals[v << 1] == _UNASSIGNED]
+        heapq.heapify(self._heap)
 
     def _analyze(self, conflict: _Clause):
         """Derive a 1UIP learnt clause; returns (lits, backjump level, lbd)."""
         learnt: List[int] = [0]  # slot 0 reserved for the asserting literal
         seen = self._seen
+        levels = self._level
+        reasons = self._reason
+        activity = self._activity
+        trail = self._trail
+        heap = self._heap
+        heappush = heapq.heappush
+        var_inc = self._var_inc
         to_clear: List[int] = []
         counter = 0
-        lit = None
-        index = len(self._trail)
-        clause: Optional[_Clause] = conflict
-        current_level = self._decision_level()
+        index = len(trail)
+        clause = conflict
+        lits = clause.lits
+        start = 0
+        current_level = len(self._trail_lim)
 
         while True:
-            assert clause is not None
-            self._bump_clause(clause)
-            start = 0 if lit is None else 1
-            for q in clause.lits[start:]:
-                var = abs(q)
-                if not seen[var] and self._level[var] > 0:
+            act = clause.activity + self._cla_inc
+            clause.activity = act
+            if act > 1e20:
+                for c in self._learnts:
+                    c.activity *= 1e-20
+                self._cla_inc *= 1e-20
+            for q in lits[start:] if start else lits:
+                var = q >> 1
+                if not seen[var] and levels[var] > 0:
                     seen[var] = True
                     to_clear.append(var)
-                    self._bump_var(var)
-                    if self._level[var] >= current_level:
+                    act = activity[var] + var_inc
+                    activity[var] = act
+                    if act > 1e100:
+                        self._rescale_var_activity()
+                        var_inc = self._var_inc
+                        heap = self._heap
+                    else:
+                        heappush(heap, (-act, var))
+                    if levels[var] >= current_level:
                         counter += 1
                     else:
                         learnt.append(q)
             # Walk the trail back to the next marked literal.
             while True:
                 index -= 1
-                lit = self._trail[index]
-                if seen[abs(lit)]:
+                p = trail[index]
+                if seen[p >> 1]:
                     break
-            var = abs(lit)
             counter -= 1
             if counter == 0:
-                learnt[0] = -lit
+                learnt[0] = p ^ 1
                 break
-            clause = self._reason[var]
-            if clause is not None and clause.lits[0] != lit:
+            clause = reasons[p >> 1]
+            lits = clause.lits
+            if lits[0] != p:
                 # Reason invariant: lits[0] is the implied literal.
-                lits = clause.lits
-                pos = lits.index(lit)
+                pos = lits.index(p)
                 lits[pos], lits[0] = lits[0], lits[pos]
+            start = 1
 
         # Clause minimization: drop literals whose reason is already
         # subsumed by the remaining learnt literals (seen flags stay set
         # for the duration of the check, as in MiniSat's local mode).
         minimized = [learnt[0]]
         for q in learnt[1:]:
-            reason = self._reason[abs(q)]
+            qvar = q >> 1
+            reason = reasons[qvar]
             if reason is None:
                 minimized.append(q)
                 continue
-            redundant = all(
-                seen[abs(p)] or self._level[abs(p)] == 0
-                for p in reason.lits
-                if abs(p) != abs(q)
-            )
-            if not redundant:
-                minimized.append(q)
+            for r in reason.lits:
+                rvar = r >> 1
+                if rvar != qvar and not seen[rvar] and levels[rvar] != 0:
+                    minimized.append(q)
+                    break
         learnt = minimized
 
         if len(learnt) == 1:
@@ -330,13 +401,16 @@ class Solver:
         else:
             # Second-highest decision level among the learnt literals.
             max_i = 1
+            max_level = levels[learnt[1] >> 1]
             for i in range(2, len(learnt)):
-                if self._level[abs(learnt[i])] > self._level[abs(learnt[max_i])]:
+                lvl = levels[learnt[i] >> 1]
+                if lvl > max_level:
                     max_i = i
+                    max_level = lvl
             learnt[1], learnt[max_i] = learnt[max_i], learnt[1]
-            backjump = self._level[abs(learnt[1])]
+            backjump = max_level
 
-        lbd = len({self._level[abs(q)] for q in learnt})
+        lbd = len({levels[q >> 1] for q in learnt})
         for var in to_clear:
             seen[var] = False
         return learnt, backjump, lbd
@@ -348,19 +422,22 @@ class Solver:
         # Lazy-deletion activity heap: entries with stale activity or an
         # assigned variable are discarded on pop.
         heap = self._heap
+        vals = self._vals
+        activity = self._activity
+        heappop = heapq.heappop
         while heap:
-            neg_act, var = heapq.heappop(heap)
-            if self._value[var] == _UNASSIGNED and -neg_act == self._activity[var]:
+            neg_act, var = heappop(heap)
+            if vals[var << 1] == _UNASSIGNED and -neg_act == activity[var]:
                 return var
         # Heap exhausted: rebuild from scratch (covers fresh variables and
         # stale-entry starvation alike).
-        self._heap = [(-self._activity[v], v)
+        self._heap = [(-activity[v], v)
                       for v in range(1, self._num_vars + 1)
-                      if self._value[v] == _UNASSIGNED]
+                      if vals[v << 1] == _UNASSIGNED]
         heapq.heapify(self._heap)
         if not self._heap:
             return 0
-        neg_act, var = heapq.heappop(self._heap)
+        neg_act, var = heappop(self._heap)
         return var
 
     # ------------------------------------------------------------------
@@ -370,8 +447,9 @@ class Solver:
         self._learnts.sort(key=lambda c: (c.lbd, -c.activity))
         keep_count = len(self._learnts) // 2
         kept: List[_Clause] = []
-        locked = {id(self._reason[abs(lit)]) for lit in self._trail
-                  if self._reason[abs(lit)] is not None}
+        reasons = self._reason
+        locked = {id(reasons[x >> 1]) for x in self._trail
+                  if reasons[x >> 1] is not None}
         for i, clause in enumerate(self._learnts):
             if i < keep_count or clause.lbd <= 2 or id(clause) in locked:
                 kept.append(clause)
@@ -381,8 +459,8 @@ class Solver:
         self._learnts = kept
 
     def _detach(self, clause: _Clause) -> None:
-        for lit in clause.lits[:2]:
-            watchers = self._watches[self._widx(-lit)]
+        for x in clause.lits[:2]:
+            watchers = self._watches[x ^ 1]
             try:
                 watchers.remove(clause)
             except ValueError:  # pragma: no cover - defensive
@@ -400,7 +478,6 @@ class Solver:
             return UNSAT
         self._model = {}
         start_time = time.monotonic()
-        start_conflicts = self.stats["conflicts"]
         restart_idx = 1
         restart_base = 64
         restart_limit = luby(restart_idx) * restart_base
@@ -408,85 +485,106 @@ class Solver:
         max_learnts = max(1000, len(self._clauses) // 2)
 
         self._cancel_until(0)
-        assumption_list = list(assumptions)
-        for lit in assumption_list:
+        assumption_list = []
+        for lit in assumptions:
+            if lit == 0:
+                raise ValueError("0 is not a literal")
             self._ensure_vars(abs(lit))
+            assumption_list.append(lit << 1 if lit > 0 else (-lit << 1) | 1)
 
-        while True:
-            conflict = self._propagate()
-            if conflict is not None:
-                self.stats["conflicts"] += 1
-                conflicts_since_restart += 1
-                if self._decision_level() == 0:
-                    self._ok = False
-                    return UNSAT
-                learnt, backjump, lbd = self._analyze(conflict)
-                self._cancel_until(backjump)
-                if len(learnt) == 1:
-                    if not self._enqueue(learnt[0], None):
+        stats = self.stats
+        conflicts = decisions = learned = restarts = 0
+        vals = self._vals
+        trail = self._trail
+        trail_lim = self._trail_lim
+        learnts = self._learnts
+        propagate = self._propagate
+        try:
+            while True:
+                conflict = propagate()
+                if conflict is not None:
+                    conflicts += 1
+                    conflicts_since_restart += 1
+                    if not trail_lim:
                         self._ok = False
                         return UNSAT
-                else:
-                    clause = _Clause(learnt, learnt=True, lbd=lbd)
-                    self._learnts.append(clause)
-                    self.stats["learned"] += 1
-                    self._attach(clause)
-                    # 1UIP guarantees the asserting literal is unassigned
-                    # after the backjump, so this enqueue always succeeds.
-                    self._enqueue(learnt[0], clause)
-                self._var_inc *= self._var_decay
-                self._cla_inc *= 1.001
-                if conflict_budget is not None and \
-                        self.stats["conflicts"] - start_conflicts >= conflict_budget:
-                    self._cancel_until(0)
-                    return UNKNOWN
-                if time_budget is not None and \
-                        time.monotonic() - start_time >= time_budget:
-                    self._cancel_until(0)
-                    return UNKNOWN
-                continue
+                    learnt, backjump, lbd = self._analyze(conflict)
+                    self._cancel_until(backjump)
+                    if len(learnt) == 1:
+                        if not self._enqueue(learnt[0], None):
+                            self._ok = False
+                            return UNSAT
+                    else:
+                        clause = _Clause(learnt, learnt=True, lbd=lbd)
+                        learnts.append(clause)
+                        learned += 1
+                        self._watches[learnt[0] ^ 1].append(clause)
+                        self._watches[learnt[1] ^ 1].append(clause)
+                        # 1UIP guarantees the asserting literal is
+                        # unassigned after the backjump, so this enqueue
+                        # always succeeds.
+                        self._enqueue(learnt[0], clause)
+                    self._var_inc *= self._var_decay
+                    self._cla_inc *= 1.001
+                    if conflict_budget is not None and \
+                            conflicts >= conflict_budget:
+                        self._cancel_until(0)
+                        return UNKNOWN
+                    if time_budget is not None and \
+                            time.monotonic() - start_time >= time_budget:
+                        self._cancel_until(0)
+                        return UNKNOWN
+                    continue
 
-            if conflicts_since_restart >= restart_limit:
-                self.stats["restarts"] += 1
-                restart_idx += 1
-                restart_limit = luby(restart_idx) * restart_base
-                conflicts_since_restart = 0
-                self._cancel_until(0)
-                continue
-
-            if len(self._learnts) >= max_learnts:
-                self._reduce_db()
-                max_learnts = int(max_learnts * 1.3)
-
-            # Extend with the next unassigned assumption, if any.
-            next_lit = None
-            for lit in assumption_list:
-                value = self._lit_value(lit)
-                if value == -1:
-                    # Assumption contradicted by current (level-0 / implied)
-                    # assignment: the instance is UNSAT under assumptions.
+                if conflicts_since_restart >= restart_limit:
+                    restarts += 1
+                    restart_idx += 1
+                    restart_limit = luby(restart_idx) * restart_base
+                    conflicts_since_restart = 0
                     self._cancel_until(0)
-                    return UNSAT
-                if value == 0:
-                    next_lit = lit
-                    break
-            if next_lit is None:
-                var = self._pick_branch_var()
-                if var == 0:
-                    self._record_model()
-                    self._cancel_until(0)
-                    return SAT
-                next_lit = var if self._phase[var] else -var
+                    continue
 
-            self.stats["decisions"] += 1
-            self._trail_lim.append(len(self._trail))
-            self._enqueue(next_lit, None)
+                if len(learnts) >= max_learnts:
+                    self._reduce_db()
+                    learnts = self._learnts
+                    max_learnts = int(max_learnts * 1.3)
+
+                # Extend with the next unassigned assumption, if any.
+                next_lit = 0
+                for x in assumption_list:
+                    value = vals[x]
+                    if value == -1:
+                        # Assumption contradicted by the current (level-0
+                        # or implied) assignment: the instance is UNSAT
+                        # under the assumptions.
+                        self._cancel_until(0)
+                        return UNSAT
+                    if value == 0:
+                        next_lit = x
+                        break
+                if not next_lit:
+                    var = self._pick_branch_var()
+                    if var == 0:
+                        self._record_model()
+                        self._cancel_until(0)
+                        return SAT
+                    next_lit = self._phase[var]
+
+                decisions += 1
+                trail_lim.append(len(trail))
+                self._enqueue(next_lit, None)
+        finally:
+            stats["conflicts"] += conflicts
+            stats["decisions"] += decisions
+            stats["restarts"] += restarts
+            stats["learned"] += learned
 
     def _record_model(self) -> None:
+        vals = self._vals
         self._model = {
-            var: self._value[var] == 1
+            var: vals[var << 1] == 1
             for var in range(1, self._num_vars + 1)
-            if self._value[var] != _UNASSIGNED
+            if vals[var << 1] != _UNASSIGNED
         }
 
     def model(self) -> Dict[int, bool]:

@@ -41,6 +41,15 @@ class TestSynthesize:
         assert result.verify()
         assert result.evolution.fitness.functional
 
+    def test_wide_spec_reaches_the_sat_leg(self):
+        """15 inputs is above the default exhaustive limit (14): sampled
+        simulation plus SAT, and a table too wide for a decimal int."""
+        from repro.bench.extras import one_hot_checker
+        result = synthesize(one_hot_checker(15),
+                            RcgpConfig(generations=20, seed=3))
+        assert result.evolution.sat_calls > 0
+        assert result.evolution.fitness.functional
+
     def test_matches_direct_engine_run(self):
         """The facade adds scheduling, not different results."""
         spec = _decoder_spec()

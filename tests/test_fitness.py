@@ -188,3 +188,95 @@ class TestBddVerificationPath:
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):
             RcgpConfig(verify_method="magic")
+
+
+class TestVerdictMemo:
+    """Sampled fitness remembers formal verdicts by active genome."""
+
+    def _config(self, **kw):
+        return RcgpConfig(exhaustive_input_limit=1,
+                          simulation_patterns=32, seed=3, **kw)
+
+    @staticmethod
+    def _count(monkeypatch, module, name):
+        calls = []
+        original = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+        return calls
+
+    def test_repeated_active_circuit_checked_once(self, monkeypatch):
+        from repro.core import fitness as fitness_module
+        from repro.core.kernel import NetlistKernel
+        checks = self._count(monkeypatch, fitness_module,
+                             "check_against_tables")
+        evaluator = Evaluator(_and_spec(), self._config())
+        first = evaluator.evaluate(_and_netlist())
+        # An extra inactive gate shrinks away: same active circuit, and
+        # the kernel form has the same genome as the netlist form.
+        padded = _and_netlist()
+        padded.add_gate(1, 1, 2, NORMAL_CONFIG)
+        second = evaluator.evaluate(padded)
+        third = evaluator.evaluate(NetlistKernel.from_netlist(padded))
+        assert first.functional
+        assert (second.n_r, second.n_g, second.n_b) == \
+            (first.n_r, first.n_g, first.n_b)
+        assert third == first
+        assert len(checks) == 1
+        assert evaluator.sat_calls == 3
+
+    def test_sat_verdict_adds_counterexample(self, monkeypatch):
+        from repro.core import fitness as fitness_module
+        checks = self._count(monkeypatch, fitness_module,
+                             "check_against_tables")
+        spec = tabulate_word(lambda x: int(x == 7), 3, 1)
+        evaluator = Evaluator(spec, RcgpConfig(
+            exhaustive_input_limit=1, simulation_patterns=4, seed=5))
+        assert 7 not in evaluator._patterns
+        netlist = RqfpNetlist(3)
+        gate = netlist.add_gate(CONST_PORT, CONST_PORT, CONST_PORT,
+                                0b111_111_111)  # constant 0
+        netlist.add_output(netlist.gate_output_port(gate, 0))
+        assert not evaluator.evaluate(netlist).functional
+        assert evaluator._patterns[-1] == 7
+        # The counterexample now fails the circuit in simulation, so no
+        # second formal check is asked for.
+        assert evaluator.evaluate(netlist).success < 1.0
+        assert len(checks) == 1
+        assert evaluator.sat_calls == 1
+
+    def test_bdd_verdicts_are_remembered(self, monkeypatch):
+        from repro.logic import bdd
+        calls = self._count(monkeypatch, bdd, "bdd_equivalent")
+        evaluator = Evaluator(_and_spec(), self._config(verify_method="bdd"))
+        assert evaluator.evaluate(_and_netlist()).functional
+        assert evaluator.evaluate(_and_netlist()).functional
+        assert len(calls) == 1
+        assert evaluator.sat_calls == 2
+
+    def test_table_never_grows_past_its_bound(self, monkeypatch):
+        from repro.core import fitness as fitness_module
+        from repro.logic import bdd
+        monkeypatch.setattr(fitness_module, "VERDICT_MEMO_SIZE", 2)
+        calls = self._count(monkeypatch, bdd, "bdd_equivalent")
+        evaluator = Evaluator(_and_spec(), self._config(verify_method="bdd"))
+        netlists = []
+        for port in (1, 2, CONST_PORT):
+            netlist = RqfpNetlist(2)
+            netlist.add_output(port)
+            netlists.append(netlist)
+        netlists.append(_and_netlist())
+        for netlist in netlists:
+            evaluator._formally_equivalent(netlist)
+            assert len(evaluator._verdicts) <= 2
+        assert len(calls) == 4
+        # Oldest first out: the last two are remembered, the first is not.
+        evaluator._formally_equivalent(netlists[3])
+        evaluator._formally_equivalent(netlists[2])
+        assert len(calls) == 4
+        evaluator._formally_equivalent(netlists[0])
+        assert len(calls) == 5
+        assert evaluator.sat_calls == 7

@@ -19,12 +19,13 @@ import pytest
 from repro.core.config import RcgpConfig
 from repro.core.restart import multi_start
 from repro.core.synthesis import SynthesisResult
-from repro.errors import LeaseHeld, StoreCorruption
+from repro.errors import LeaseHeld, ParseError, StoreCorruption
 from repro.io.rqfp_json import netlist_to_dict
 from repro.jobs import (DEFAULT_LEASE_TTL, DONE, FAILED, JobSpec, JobStore,
                         PENDING, RUNNING, Scheduler, TELEMETRY_TRUNCATED,
                         identity_config_dict, parallel_safe_config,
-                        set_fault_hook)
+                        set_fault_hook, spec_tables_from_payload,
+                        spec_tables_to_payload)
 from repro.logic.truth_table import TruthTable, tabulate_word
 
 
@@ -72,6 +73,34 @@ class TestJobSpec:
         assert "seed" in identity and "generations" in identity
         assert "workers" not in identity
         assert "telemetry_path" not in identity
+
+    def test_table1_job_id_is_pinned(self):
+        """Job ids of specs below 14 inputs predate hex table payloads
+        and must not change (stores are keyed by them)."""
+        from repro.bench.registry import get_benchmark
+        spec = tuple(get_benchmark("full_adder").spec())
+        assert JobSpec(spec, RcgpConfig(seed=1)).job_id == \
+            "bf9fe7fef9ceea595e605cc9"
+
+    def test_wide_spec_payload_uses_hex_strings(self):
+        from repro.bench.extras import one_hot_checker
+        wide = one_hot_checker(15)
+        payload = spec_tables_to_payload(wide)
+        assert all(isinstance(bits, str) for bits in payload["bits"])
+        assert spec_tables_from_payload(json.loads(json.dumps(payload))) \
+            == wide
+        assert JobSpec(tuple(wide), RcgpConfig(seed=1)).job_id
+        narrow = spec_tables_to_payload(one_hot_checker(13))
+        assert all(isinstance(bits, int) for bits in narrow["bits"])
+        # Either form is read at any width.
+        assert spec_tables_from_payload(
+            {"num_vars": 2, "bits": ["0x8", 8, "8"]}) == \
+            [TruthTable(2, 8)] * 3
+
+    @pytest.mark.parametrize("bits", ["zz", "", "0x", "12g4"])
+    def test_malformed_hex_table_rejected_typed(self, bits):
+        with pytest.raises(ParseError):
+            spec_tables_from_payload({"num_vars": 3, "bits": [bits]})
 
 
 class TestJobStore:
@@ -518,6 +547,30 @@ class TestLeases:
             assert blocked.state == DONE
             # Leases released with the jobs: nothing held after close.
         assert foreign.acquire_lease(blocked.id)
+
+    def test_job_finished_elsewhere_after_pending_is_not_rerun(
+            self, tmp_path, monkeypatch):
+        """The window between ``pending()`` and the lease: another
+        scheduler finishes the job and releases its lease.  Taking the
+        free lease must not re-drive (re-finalize) the finished job."""
+        config = RcgpConfig(generations=60, seed=3)
+        a = Scheduler(JobStore(str(tmp_path), owner="sched-a"), quantum=30)
+        b = Scheduler(JobStore(str(tmp_path), owner="sched-b"), quantum=30)
+        job_a = a.submit(_xor_and_spec(), config)
+        job_b = b.submit(_xor_and_spec(), config)
+        stale = b.pending()
+        assert [job.id for job in stale] == [job_a.id]
+        a.run()
+        result = a.store.load_result(job_a.id)
+        monkeypatch.setattr(b, "pending", lambda: stale)
+        assert b.step() is None
+        assert job_b.state == DONE
+        assert b.store.load_result(job_a.id) == result
+        owners = {json.loads(line).get("owner") for line in
+                  a.store.read_telemetry(job_a.id).splitlines()}
+        assert owners - {None} == {"sched-a"}
+        a.close()
+        b.close()
 
     def test_two_schedulers_split_queue_single_owner_each(self, tmp_path):
         import threading

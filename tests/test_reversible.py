@@ -1,7 +1,10 @@
 """Unit tests for the reversible-circuit substrate (MCT/MCF)."""
 
+import random
+
 import pytest
 
+from repro.bench.registry import BENCHMARKS, get_benchmark
 from repro.errors import NetlistError
 from repro.logic.truth_table import TruthTable
 from repro.reversible.circuit import ReversibleCircuit, permutation_tables
@@ -141,3 +144,71 @@ class TestSpecExtraction:
         """AND has multiplicity 3 on output 0 -> ceil(log2 3) = 2."""
         tables = [TruthTable.from_function(lambda a, b: a & b, 2)]
         assert minimum_garbage(tables) == 2
+
+
+def _per_state_tables(circuit):
+    """Reference extraction: every input pattern pushed through
+    ``apply()`` one basis state at a time."""
+    ins = circuit.real_inputs()
+    outs = circuit.real_outputs()
+    bits = [0] * len(outs)
+    for t in range(1 << len(ins)):
+        state = 0
+        for w in range(circuit.num_wires):
+            const = circuit.constants[w]
+            if const is None:
+                const = (t >> ins.index(w)) & 1
+            state |= const << w
+        result = circuit.apply(state)
+        for o, wire in enumerate(outs):
+            bits[o] |= ((result >> wire) & 1) << t
+    return [TruthTable(len(ins), b) for b in bits]
+
+
+def _random_cascade(rng):
+    wires = rng.randint(2, 7)
+    circuit = ReversibleCircuit(wires)
+    for w in rng.sample(range(wires), rng.randint(0, wires - 1)):
+        circuit.constants[w] = rng.randint(0, 1)
+    for w in rng.sample(range(wires), rng.randint(0, wires - 1)):
+        circuit.garbage[w] = True
+    for _ in range(rng.randint(0, 40)):
+        lines = list(range(wires))
+        rng.shuffle(lines)
+        mcf = wires >= 3 and rng.random() < 0.3
+        targets, rest = (lines[:2], lines[2:]) if mcf else \
+            (lines[:1], lines[1:])
+        controls = [Control(w, rng.random() < 0.6)
+                    for w in rest[:rng.randint(0, len(rest))]]
+        if mcf:
+            circuit.add_mcf(controls, *targets)
+        else:
+            circuit.add_mct(controls, targets[0])
+    return circuit
+
+
+class TestBitParallelExtraction:
+    """``embedded_tables`` (one word per wire) against the per-state
+    semantics of ``apply()``/``permutation()``."""
+
+    @pytest.mark.parametrize("name", sorted(BENCHMARKS))
+    def test_bennett_embedding_of_every_benchmark(self, name):
+        spec = get_benchmark(name).spec()
+        circuit = bennett_embedding(spec, name=name)
+        tables = circuit.embedded_tables()
+        assert tables == spec
+        if spec[0].num_vars <= 8:
+            assert tables == _per_state_tables(circuit)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_cascades_match_per_state_semantics(self, seed):
+        circuit = _random_cascade(random.Random(seed))
+        assert circuit.embedded_tables() == _per_state_tables(circuit)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_plain_cascade_equals_its_permutation(self, seed):
+        circuit = _random_cascade(random.Random(seed))
+        circuit.constants = [None] * circuit.num_wires
+        circuit.garbage = [False] * circuit.num_wires
+        assert circuit.embedded_tables() == permutation_tables(
+            circuit.permutation(), circuit.num_wires)

@@ -135,6 +135,16 @@ class TestRoundTrip:
         assert metrics['rcgp_jobs{state="done"}'] == 1
         assert metrics["rcgp_queue_depth"] == 0
 
+    def test_wide_spec_submit_accepted(self, client):
+        """A 15-input spec's tables travel as hex strings, so the body
+        parses under the server's integer-digit limit."""
+        from repro.bench.extras import one_hot_checker
+        spec = one_hot_checker(15)
+        result = client.synthesize(spec, _config(generations=20),
+                                   timeout=120.0)
+        assert result.evolution.sat_calls > 0
+        assert result.spec == spec
+
     def test_health(self, client):
         from repro import __version__
         health = client.health()
@@ -178,6 +188,18 @@ class TestErrorMapping:
         assert err.value.code == 400
         body = json.loads(err.value.read())
         assert body["error"]["type"] == "KeyError"
+
+    def test_malformed_hex_table_is_400(self, client):
+        import urllib.error
+        import urllib.request
+        body = json.dumps({"spec": {"num_vars": 3, "bits": ["0xnope"]}})
+        request = urllib.request.Request(
+            client.base_url + "/v1/jobs", data=body.encode(),
+            method="POST", headers={"Content-Type": "application/json"})
+        with pytest.raises(urllib.error.HTTPError) as err:
+            urllib.request.urlopen(request, timeout=10.0)
+        assert err.value.code == 400
+        assert json.loads(err.value.read())["error"]["type"] == "ParseError"
 
     def test_unknown_route_is_404(self, client):
         with pytest.raises(ServiceError) as err:
