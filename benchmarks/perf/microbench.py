@@ -3,8 +3,9 @@
 Each benchmark times the operation the inner loop actually performs —
 full evaluation, incremental (cone) evaluation, mutation + copy-on-write
 copy (tuned and at the paper's defaults), shrink — over a Table-1
-circuit, the SAT miter that sampled fitness runs, plus two end-to-end
-evolution runs (serial and ``workers=2``).
+circuit, the SAT miter that the result gate runs, the formal check that
+sampled fitness runs, plus two end-to-end evolution runs (serial and
+``workers=2``).
 All benchmarks run on the representation selected by
 ``RcgpConfig.kernel`` so the same harness measures both the flat kernel
 and the object-netlist fallback.
@@ -111,14 +112,33 @@ def bench_shrink(circuit: str, kernel: str, iterations: int) -> float:
 def bench_sat_miter(circuit: str, kernel: str, iterations: int) -> float:
     """SAT CEC checks per second: ``check_against_tables`` on
     ``one_hot_checker(12)``'s initial netlist against its spec, the
-    UNSAT proof that sampled fitness repeats (miter build, solver load
-    and CDCL search).  ``circuit`` and ``kernel`` are not used: Table-1
-    specs are simulated exhaustively and never reach SAT."""
+    UNSAT proof that the result gate runs on sampled specs and that
+    sampled fitness runs above ``EXHAUSTIVE_FORMAL_LIMIT`` inputs (miter
+    build, solver load and CDCL search).  ``circuit`` and ``kernel`` are
+    not used: Table-1 specs are simulated exhaustively and never reach
+    SAT."""
     spec = one_hot_checker(12)
     netlist = initialize_netlist(spec, "onehot12")
     start = time.perf_counter()
     for _ in range(iterations):
         check_against_tables(netlist.encoder(), spec)
+    return iterations / (time.perf_counter() - start)
+
+
+def bench_formal_check(circuit: str, kernel: str, iterations: int) -> float:
+    """Formal checks per second on the ``sat_miter`` fixture, as sampled
+    fitness runs them: ``Evaluator._formally_equivalent`` on the shrunk
+    kernel, decided by exhaustive simulation at 12 inputs (the verdict
+    memo is cleared each time).  ``circuit`` and ``kernel`` are not
+    used."""
+    spec = one_hot_checker(12)
+    active = NetlistKernel.from_netlist(
+        initialize_netlist(spec, "onehot12")).shrink()
+    evaluator = Evaluator(spec, RcgpConfig(exhaustive_input_limit=8, seed=3))
+    start = time.perf_counter()
+    for _ in range(iterations):
+        evaluator._verdicts.clear()
+        evaluator._formally_equivalent(active)
     return iterations / (time.perf_counter() - start)
 
 
@@ -158,6 +178,7 @@ BENCHES: Dict[str, Tuple[Callable[[str, str, int], float], int, int]] = {
     "mutation_paper": (bench_mutation_paper, 1000, 150),
     "shrink": (bench_shrink, 2000, 300),
     "sat_miter": (bench_sat_miter, 60, 10),
+    "formal_check": (bench_formal_check, 3000, 500),
     "run_serial": (bench_run_serial, 1200, 60),
     "run_workers2": (bench_run_workers2, 1200, 60),
 }

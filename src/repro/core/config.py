@@ -53,16 +53,24 @@ class RcgpConfig:
     verify_with_sat: bool = True
     """Run formal verification on simulation-clean candidates when
     simulation was not exhaustive (the paper's sim + formal
-    combination)."""
+    combination).  Up to ``EXHAUSTIVE_FORMAL_LIMIT`` (20) inputs the
+    check is exhaustive simulation of the shrunk candidate, with the
+    SAT miter supplying a failing candidate's counterexample (see
+    :mod:`repro.core.fitness`)."""
 
     verify_method: str = "sat"
-    """Formal-verification backend: ``"sat"`` (CEC miter, the paper's
-    choice) or ``"bdd"`` (canonical ROBDD comparison, the earlier CGP
-    literature's choice — §2.2)."""
+    """Formal-verification backend above ``EXHAUSTIVE_FORMAL_LIMIT``
+    inputs: ``"sat"`` (CEC miter, the paper's choice) or ``"bdd"``
+    (canonical ROBDD comparison, the earlier CGP literature's choice —
+    §2.2).  At or below the limit exhaustive simulation decides, and
+    ``"bdd"`` adds no counterexamples."""
 
     sat_conflict_budget: int = 50_000
-    """Conflict budget per CEC call; budget exhaustion rejects the
-    candidate conservatively."""
+    """Conflict budget per CEC call.  Above ``EXHAUSTIVE_FORMAL_LIMIT``
+    inputs, budget exhaustion rejects the candidate conservatively; at
+    or below it the verdict is exhaustive simulation's, and the budget
+    only bounds the search for a failing candidate's
+    counterexample."""
 
     stagnation_limit: Optional[int] = None
     """Stop after this many generations without fitness improvement

@@ -6,9 +6,13 @@ Evaluation is two-phase, exactly as the paper describes:
    equivalence checking against the specification.  When the input count
    permits, simulation is exhaustive and therefore exact; otherwise a
    fixed random pattern set is used and simulation-clean candidates are
-   confirmed by the SAT miter (the "circuit simulation + formal
-   verification" combination).  SAT counterexamples are fed back into
-   the pattern set so the same wrong candidate is never expensive twice.
+   formally confirmed (the "circuit simulation + formal verification"
+   combination).  Up to :data:`EXHAUSTIVE_FORMAL_LIMIT` inputs the
+   confirmation is exhaustive simulation of the one shrunk candidate,
+   far cheaper there than the SAT miter, which still supplies the
+   counterexample of a candidate that fails; wider specs take the miter
+   (or the BDD).  Counterexamples are fed back into the pattern set so
+   the same wrong candidate is never expensive twice.
 
 2. **Performance evaluation** — only at 100 % success: the number of
    RQFP gates ``n_r`` first, then garbage outputs ``n_g``, then the
@@ -44,6 +48,13 @@ from .simstate import SimulationState
 #: nearly always the circuit proven just before (a child whose mutations
 #: all landed on inactive genes shrinks to its parent's active circuit).
 VERDICT_MEMO_SIZE = 64
+
+#: Widest spec whose formal check is exhaustive simulation rather than a
+#: proof.  On ``one_hot_checker(n)``'s initial netlist the SAT miter
+#: costs 20-150x as much as exhaustive simulation at 12-18 inputs, about
+#: 6x at 20 and under 2x at 22, as simulation doubles per input (2-vCPU
+#: x86 VM, CPython 3.11; table in ``docs/architecture.md``).
+EXHAUSTIVE_FORMAL_LIMIT = 20
 
 
 @dataclass(frozen=True, eq=False)
@@ -215,39 +226,27 @@ class Evaluator:
             wrong += ((value ^ expected) & mask).bit_count()
         return 1.0 - wrong / self._total_bits
 
-    def is_equivalent(self, netlist: RqfpNetlist) -> Optional[bool]:
-        """Full functional equivalence: simulation, then SAT if needed.
-
-        Returns None when the SAT budget ran out (treated as "not
-        proven" by :meth:`evaluate`).
-        """
-        if self.success_rate(netlist) < 1.0:
-            return False
-        if self.exhaustive:
-            return True
-        if not self.config.verify_with_sat:
-            return True
-        self.sat_calls += 1
-        result = check_against_tables(
-            netlist.encoder(), self.spec,
-            conflict_budget=self.config.sat_conflict_budget,
-        )
-        if result.equivalent is False and result.counterexample is not None:
-            self.add_counterexample(result.counterexample)
-        return result.equivalent
-
     def _formally_equivalent(self, active) -> bool:
-        """Formal leg of the fitness function (SAT miter or BDD).
+        """Formal leg of the fitness function (§3.2.1).
 
-        ``active`` is a shrunk candidate (kernel or netlist).  Its verdict
-        is remembered by genome, so a repeat of an active circuit already
-        checked skips the miter; the answer is the one a re-check would
-        give, because the miter depends only on the genome and the spec,
-        and the solver and its conflict budget are deterministic.  An
-        inequivalent verdict with a counterexample is not remembered: the
-        counterexample joins the pattern set, so that circuit never
-        passes simulation again.  A remembered answer still counts in
-        ``sat_calls``.
+        ``active`` is a shrunk candidate (kernel or netlist).  A spec of
+        at most :data:`EXHAUSTIVE_FORMAL_LIMIT` inputs is decided by
+        exhaustive simulation (:meth:`_simulates_spec`), which is as
+        complete as a proof.  The SAT miter then runs only on an
+        inequivalent candidate, to supply its model as the
+        counterexample, so the pattern set grows exactly as it would
+        under SAT alone; ``verify_method="bdd"`` takes the simulation
+        verdict as it is.  Wider specs go to the SAT miter (a
+        ``sat_conflict_budget`` run-out rejects) or the BDD.
+
+        The verdict is remembered by genome, so a repeat of an active
+        circuit already checked skips both legs; the answer is the one a
+        re-check would give, because both depend only on the genome and
+        the spec, and the solver and its conflict budget are
+        deterministic.  An inequivalent verdict with a counterexample is
+        not remembered: the counterexample joins the pattern set, so
+        that circuit never passes simulation again.  A remembered answer
+        still counts in ``sat_calls``.
         """
         self.sat_calls += 1
         if isinstance(active, NetlistKernel):
@@ -257,30 +256,67 @@ class Evaluator:
         verdict = self._verdicts.get(key)
         if verdict is not None:
             return verdict
-        if isinstance(active, NetlistKernel):
-            active = active.to_netlist()
-        if self.config.verify_method == "bdd":
-            from ..logic.bdd import bdd_equivalent
-            verdict = bdd_equivalent(active, self.spec)
+        sat = self.config.verify_method != "bdd"
+        if self.num_inputs <= EXHAUSTIVE_FORMAL_LIMIT:
+            verdict = self._simulates_spec(active)
+            if not verdict and sat and self._miter(active) is False:
+                return False
+        elif sat:
+            verdict = self._miter(active)
+            if verdict is False:
+                return False
+            verdict = verdict is True
         else:
-            result = check_against_tables(
-                active.encoder(), self.spec,
-                conflict_budget=self.config.sat_conflict_budget,
-            )
-            verdict = result.equivalent is True
-            if result.counterexample is not None:
-                self.add_counterexample(result.counterexample)
-                return verdict
+            from ..logic.bdd import bdd_equivalent
+            if isinstance(active, NetlistKernel):
+                active = active.to_netlist()
+            verdict = bdd_equivalent(active, self.spec)
         if len(self._verdicts) >= VERDICT_MEMO_SIZE:
             del self._verdicts[next(iter(self._verdicts))]
         self._verdicts[key] = verdict
         return verdict
 
+    def _miter(self, active) -> Optional[bool]:
+        """SAT miter of ``active`` against the spec (None: out of
+        budget); a counterexample joins the pattern set."""
+        if isinstance(active, NetlistKernel):
+            active = active.to_netlist()
+        result = check_against_tables(
+            active.encoder(), self.spec,
+            conflict_budget=self.config.sat_conflict_budget,
+        )
+        if result.counterexample is not None:
+            self.add_counterexample(result.counterexample)
+        return result.equivalent
+
+    def _simulates_spec(self, active) -> bool:
+        """Exhaustive simulation of ``active`` against the spec tables.
+
+        Runs in chunks of ``2**16`` patterns, a single one up to 16
+        inputs: the low 16 inputs take their projection words and each
+        higher input a constant word per chunk, so no word outgrows
+        8 KiB however wide the spec.  The first chunk that differs ends
+        the check.
+        """
+        low = min(self.num_inputs, 16)
+        high = self.num_inputs - low
+        mask = full_mask(low)
+        words = [variable_pattern(i, low) for i in range(low)]
+        for chunk in range(1 << high):
+            got = active.simulate(
+                words + [mask if (chunk >> i) & 1 else 0
+                         for i in range(high)], mask)
+            shift = chunk << low
+            for value, table in zip(got, self.spec):
+                if value != (table.bits >> shift) & mask:
+                    return False
+        return True
+
     def evaluate(self, candidate) -> Fitness:
         """Two-phase fitness of a candidate genome (netlist or kernel).
 
         Simulation runs on the raw genome (inactive gates cannot affect
-        the outputs); shrink and the SAT miter only run for
+        the outputs); shrink and the formal check only run for
         simulation-clean candidates, keeping the hot path to a single
         bit-parallel sweep.
         """

@@ -179,7 +179,7 @@ class StoreCorruption(ReproError):
 class LeaseHeld(ReproError):
     """The job is leased by another live scheduler process.
 
-    Schedulers acquire a per-job lease (an ``O_EXCL`` lock file with
+    Schedulers acquire a per-job lease (a create-if-absent lock file with
     owner id, pid and a heartbeat mtime) before adopting a job; a held,
     non-stale lease means some other process is actively running it.
     :meth:`~repro.jobs.store.JobStore.acquire_lease` with

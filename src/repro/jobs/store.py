@@ -23,8 +23,9 @@ concurrent schedulers:
   next consistent state on disk, and a completed write survives power
   loss.
 * **Per-job leases.**  A scheduler must :meth:`~JobStore.acquire_lease`
-  before adopting a job: an ``O_EXCL`` lock file recording owner id,
-  pid and host, heartbeat by mtime on every
+  before adopting a job: a lock file recording owner id, pid and host,
+  written whole to a tmp file and hard-linked into place (the link
+  fails if a lease exists), heartbeat by mtime on every
   :meth:`~JobStore.refresh_lease`.  A lease whose heartbeat is older
   than ``lease_ttl`` (or whose same-host pid is dead) is *stale* and
   can be taken over, so N processes can share one store directory and
@@ -416,15 +417,27 @@ class JobStore:
         return False
 
     def _try_create_lease(self, path: str) -> bool:
+        """Publish a complete lease file at ``path`` unless one exists.
+
+        The JSON goes to a tmp file first and is hard-linked into place,
+        so a contender never reads a lease that is still being written
+        (and mistakes it for one torn by a crash).
+        """
         _fault_point("lease", path)
+        tmp = os.path.join(
+            os.path.dirname(path),
+            f".{LEASE_NAME}.tmp.{os.getpid()}.{next(_WRITE_SEQ)}")
         try:
-            fd = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
-            return False
-        with os.fdopen(fd, "w") as handle:
-            json.dump({"owner": self.owner, "pid": os.getpid(),
-                       "host": socket.gethostname(),
-                       "acquired_at": time.time()}, handle)
+            with open(tmp, "w") as handle:
+                json.dump({"owner": self.owner, "pid": os.getpid(),
+                           "host": socket.gethostname(),
+                           "acquired_at": time.time()}, handle)
+            try:
+                os.link(tmp, path)
+            except FileExistsError:
+                return False
+        finally:
+            _unlink_quiet(tmp)
         return True
 
     def acquire_lease(self, job_id: str, *,
@@ -478,7 +491,7 @@ class JobStore:
         elif self._lease_stale(path, info):
             # Takeover: rename the stale lease to a unique name first —
             # exactly one contender's replace succeeds, so exactly one
-            # proceeds to recreate and win the O_EXCL race deciding the
+            # proceeds to recreate and win the link race deciding the
             # new owner.
             stale_name = f"{path}.stale.{os.getpid()}.{next(_WRITE_SEQ)}"
             try:

@@ -27,16 +27,20 @@ def variable_pattern(var: int, num_vars: int) -> int:
     Bit ``t`` is 1 iff bit ``var`` of the pattern index ``t`` is 1.  For
     example with ``num_vars=3``, ``variable_pattern(0, 3)`` is
     ``0b10101010``.
+
+    Built from one period (``block`` zeros, then ``block`` ones) that
+    doubles until it covers all ``2**num_vars`` bits, so the cost is
+    linear in the table size.
     """
     if not 0 <= var < num_vars:
         raise ValueError(f"variable index {var} out of range for {num_vars} vars")
     block = 1 << var           # run length of zeros then ones
-    period = block << 1
+    width = block << 1
     total = 1 << num_vars
-    ones = (1 << block) - 1
-    pattern = 0
-    for start in range(block, total, period):
-        pattern |= ones << start
+    pattern = ((1 << block) - 1) << block
+    while width < total:
+        pattern |= pattern << width
+        width <<= 1
     return pattern
 
 

@@ -48,6 +48,25 @@ class TestVariablePattern:
                 for t in range(1 << n):
                     assert (pat >> t) & 1 == (t >> v) & 1
 
+    def test_matches_per_bit_reference_up_to_12_vars(self):
+        for n in range(1, 13):
+            for v in range(n):
+                reference = int("".join(str((t >> v) & 1)
+                                        for t in reversed(range(1 << n))), 2)
+                assert variable_pattern(v, n) == reference, (v, n)
+
+    def test_twenty_vars_spot_check(self):
+        import random
+        rng = random.Random(20)
+        for v in range(20):
+            pat = variable_pattern(v, 20)
+            assert pat.bit_length() == 1 << 20
+            assert pat.bit_count() == 1 << 19
+            assert pat & full_mask(12) == (variable_pattern(v, 12)
+                                           if v < 12 else 0)
+            for t in rng.sample(range(1 << 20), 64):
+                assert (pat >> t) & 1 == (t >> v) & 1
+
     def test_out_of_range(self):
         with pytest.raises(ValueError):
             variable_pattern(3, 3)

@@ -193,6 +193,13 @@ class TestBddVerificationPath:
 class TestVerdictMemo:
     """Sampled fitness remembers formal verdicts by active genome."""
 
+    @pytest.fixture(autouse=True)
+    def _solver_decides(self, monkeypatch):
+        # These specs are narrow enough for the exhaustive formal leg;
+        # the counts below are of solver and BDD calls.
+        from repro.core import fitness as fitness_module
+        monkeypatch.setattr(fitness_module, "EXHAUSTIVE_FORMAL_LIMIT", 0)
+
     def _config(self, **kw):
         return RcgpConfig(exhaustive_input_limit=1,
                           simulation_patterns=32, seed=3, **kw)
@@ -280,3 +287,127 @@ class TestVerdictMemo:
         evaluator._formally_equivalent(netlists[0])
         assert len(calls) == 5
         assert evaluator.sat_calls == 7
+
+
+class TestExhaustiveFormalLeg:
+    """Up to ``EXHAUSTIVE_FORMAL_LIMIT`` inputs exhaustive simulation
+    decides the formal leg; the miter runs only to supply the
+    counterexample of an inequivalent candidate."""
+
+    @staticmethod
+    def _onehot12():
+        from repro.bench.extras import one_hot_checker
+        spec = one_hot_checker(12)
+        return spec, initialize_netlist(spec, "onehot12")
+
+    @staticmethod
+    def _sampled(spec, **kw):
+        return Evaluator(spec, RcgpConfig(exhaustive_input_limit=8, seed=1,
+                                          **kw))
+
+    @staticmethod
+    def _mutants(netlist, count, seed):
+        from repro.core.kernel import NetlistKernel
+        from repro.core.mutation import mutate_with_delta
+        parent = NetlistKernel.from_netlist(netlist)
+        config = RcgpConfig(mutation_rate=0.08, max_mutated_genes=8)
+        rng = random.Random(seed)
+        return [mutate_with_delta(parent, rng, config)[0].shrink()
+                for _ in range(count)]
+
+    def test_verdict_and_counterexample_match_the_miter(self):
+        from repro.core import fitness as fitness_module
+        from repro.core.kernel import NetlistKernel
+        from repro.sat.equivalence import check_against_tables
+        spec, netlist = self._onehot12()
+        assert spec[0].num_vars <= fitness_module.EXHAUSTIVE_FORMAL_LIMIT
+        candidates = [NetlistKernel.from_netlist(netlist).shrink()]
+        candidates += self._mutants(netlist, 20, seed=12)
+        verdicts = []
+        for active in candidates:
+            evaluator = self._sampled(spec)
+            before = list(evaluator._patterns)
+            verdict = evaluator._formally_equivalent(active)
+            result = check_against_tables(
+                active.to_netlist().encoder(), spec,
+                conflict_budget=evaluator.config.sat_conflict_budget)
+            assert verdict == (result.equivalent is True)
+            added = [] if result.counterexample is None \
+                else [result.counterexample]
+            assert evaluator._patterns == before + added
+            verdicts.append(verdict)
+        assert True in verdicts and False in verdicts
+
+    def test_miter_runs_only_for_inequivalent_candidates(self, monkeypatch):
+        from repro.core import fitness as fitness_module
+        from repro.logic import bdd
+        checks = TestVerdictMemo._count(monkeypatch, fitness_module,
+                                        "check_against_tables")
+        bdd_calls = TestVerdictMemo._count(monkeypatch, bdd, "bdd_equivalent")
+        spec, netlist = self._onehot12()
+        wrong = next(m for m in self._mutants(netlist, 20, seed=12)
+                     if m.to_netlist().to_truth_tables() != spec)
+        evaluator = self._sampled(spec)
+        assert evaluator._formally_equivalent(netlist.shrink())
+        assert checks == []
+        assert not evaluator._formally_equivalent(wrong)
+        assert len(checks) == 1
+        assert evaluator.sat_calls == 2
+        # The BDD backend takes the simulation verdict as it is.
+        evaluator = self._sampled(spec, verify_method="bdd")
+        assert evaluator._formally_equivalent(netlist.shrink())
+        assert not evaluator._formally_equivalent(wrong)
+        assert len(checks) == 1 and bdd_calls == []
+
+    def test_chunked_path_agrees_with_truth_tables(self):
+        rng = random.Random(18)
+
+        def random_netlist(outputs=None):
+            netlist = RqfpNetlist(18)
+            for _ in range(12):
+                limit = netlist.num_ports()
+                netlist.add_gate(rng.randrange(limit), rng.randrange(limit),
+                                 rng.randrange(limit), rng.randrange(512))
+            # Ports 17 and 18 are inputs x16 and x17, constant per chunk.
+            for port in outputs or (17, 18, rng.randrange(19, 55),
+                                    rng.randrange(19, 55)):
+                netlist.add_output(port)
+            return netlist
+
+        netlist = random_netlist()
+        spec = netlist.to_truth_tables()
+        evaluator = Evaluator(spec, RcgpConfig(exhaustive_input_limit=8))
+        padded = netlist.copy()
+        padded.add_gate(1, 2, 3, NORMAL_CONFIG)
+        candidates = [netlist, padded, netlist.shrink()]
+        candidates += [random_netlist(netlist.outputs) for _ in range(4)]
+        candidates += [random_netlist() for _ in range(4)]
+        verdicts = [evaluator._simulates_spec(c) for c in candidates]
+        assert verdicts == [c.to_truth_tables() == spec for c in candidates]
+        assert True in verdicts and False in verdicts
+        # One flipped bit in each 2**16-pattern chunk, on every output.
+        for chunk in range(4):
+            for o in range(len(spec)):
+                pattern = (chunk << 16) | rng.getrandbits(16)
+                flipped = list(spec)
+                flipped[o] = TruthTable(18, spec[o].bits ^ (1 << pattern))
+                assert not Evaluator(flipped, evaluator.config) \
+                    ._simulates_spec(netlist)
+
+    def test_budget_run_out_no_longer_rejects(self):
+        spec, netlist = self._onehot12()
+        evaluator = self._sampled(spec, sat_conflict_budget=1)
+        assert evaluator.evaluate(netlist).functional
+        assert evaluator.sat_calls == 1
+
+    def test_solver_decides_above_the_limit(self, monkeypatch):
+        from repro.core import fitness as fitness_module
+        monkeypatch.setattr(fitness_module, "EXHAUSTIVE_FORMAL_LIMIT", 11)
+        checks = TestVerdictMemo._count(monkeypatch, fitness_module,
+                                        "check_against_tables")
+        spec, netlist = self._onehot12()
+        assert self._sampled(spec).evaluate(netlist).functional
+        # The budget run-out rejects again, as it did before the limit.
+        assert not self._sampled(spec, sat_conflict_budget=1) \
+            .evaluate(netlist).functional
+        assert len(checks) == 2

@@ -531,6 +531,35 @@ class TestLeases:
         assert b.acquire_lease("j1")
         assert b.lease_info("j1")["owner"] == "owner-b"
 
+    def test_lease_taken_mid_creation_has_one_owner(self, tmp_path,
+                                                    monkeypatch):
+        """A second store acquires while the first is writing its lease
+        JSON: it must not mistake the half-written lease for a torn one.
+        Exactly one store wins, and the lease file names it."""
+        from repro.jobs import store as store_module
+        a, b = self._two_stores(tmp_path)
+        real_json = store_module.json
+        won, entered = {}, []
+
+        class InterleavingJson:
+            def __getattr__(self, name):
+                return getattr(real_json, name)
+
+            def dump(self, obj, handle, *args, **kwargs):
+                if not entered:
+                    entered.append(True)
+                    won["owner-b"] = b.acquire_lease("j1")
+                return real_json.dump(obj, handle, *args, **kwargs)
+
+        monkeypatch.setattr(store_module, "json", InterleavingJson())
+        won["owner-a"] = a.acquire_lease("j1")
+        monkeypatch.undo()
+        assert entered
+        assert sorted(won.values()) == [False, True]
+        winner = next(owner for owner, held in won.items() if held)
+        assert a.lease_info("j1")["owner"] == winner
+        assert os.listdir(tmp_path / "j1") == ["lease.json"]
+
     def test_scheduler_skips_foreign_lease(self, tmp_path):
         config = RcgpConfig(generations=60, seed=3)
         foreign = JobStore(str(tmp_path), owner="foreign")

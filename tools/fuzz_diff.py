@@ -21,6 +21,9 @@ on:
 * **SAT vs exhaustive simulation** — ``check_against_tables`` agrees
   with exhaustive truth-table comparison, UNSAT and SAT legs both, and
   returned counterexamples actually distinguish the circuits;
+* **formal leg** — a sampled evaluator's ``_formally_equivalent`` gives
+  the exhaustive truth-table verdict, and for an inequivalent candidate
+  the pattern it appends is the solver's model;
 * **legality** — splitter insertion yields a fan-out-legal netlist
   whose scheduled buffer plan passes ``validate_circuit`` /
   ``check_circuit`` cleanly.
@@ -150,6 +153,26 @@ def check_sat_vs_simulation(netlist: RqfpNetlist, spec) -> None:
                "the circuits")
 
 
+def check_formal_leg(netlist: RqfpNetlist, spec, config) -> None:
+    evaluator = Evaluator(spec, config.replace(exhaustive_input_limit=0))
+    active = netlist.shrink()
+    before = list(evaluator._patterns)
+    verdict = evaluator._formally_equivalent(active)
+    expected = netlist.to_truth_tables() == list(spec)
+    _check(verdict == expected,
+           f"formal leg said equivalent={verdict}, exhaustive simulation "
+           f"says {expected}")
+    if expected:
+        _check(evaluator._patterns == before,
+               "formal leg: an equivalent candidate added a pattern")
+        return
+    result = check_against_tables(
+        active.encoder(), spec, conflict_budget=config.sat_conflict_budget)
+    if result.equivalent is not None:
+        _check(evaluator._patterns == before + [result.counterexample],
+               "formal leg: the appended pattern is not the solver's model")
+
+
 def check_legality(netlist: RqfpNetlist) -> None:
     legal = insert_splitters(netlist)
     _check(legal.fanout_violations() == [],
@@ -181,9 +204,11 @@ def run_round(seed: int, round_index: int) -> None:
     check_codec(netlist)
     check_kernel_vs_object(netlist, kernel, words, mask)
     check_sat_vs_simulation(netlist, spec)
+    check_formal_leg(netlist, spec, config)
     check_legality(netlist)
     # The UNSAT leg: a spec the netlist realizes by construction.
     check_sat_vs_simulation(netlist, netlist.to_truth_tables())
+    check_formal_leg(netlist, netlist.to_truth_tables(), config)
 
     parent_obj, parent_ker = netlist, kernel
     for step in range(MUTATION_STEPS):
@@ -219,7 +244,7 @@ def run_round(seed: int, round_index: int) -> None:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         description="Differential fuzzing of kernel/object/incremental/"
-                    "SAT/legality invariants.")
+                    "SAT/formal-leg/legality invariants.")
     parser.add_argument("--seed", type=int, default=0,
                         help="base seed (each round derives its own "
                              "stream; default 0)")
