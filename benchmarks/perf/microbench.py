@@ -1,8 +1,9 @@
 """Microbenchmarks for the (1+λ) hot path, one rate per operation.
 
 Each benchmark times the operation the inner loop actually performs —
-full evaluation, incremental (cone) evaluation, mutation + copy-on-write
-copy (tuned and at the paper's defaults), shrink — over a Table-1
+full evaluation, incremental (cone) evaluation (exact, and at the
+paper's defaults with the early stop), mutation + copy-on-write copy
+(tuned and at the paper's defaults), shrink — over a Table-1
 circuit, the SAT miter that the result gate runs, the formal check that
 sampled fitness runs, plus two end-to-end evolution runs (serial and
 ``workers=2``).
@@ -72,6 +73,24 @@ def bench_incremental_eval(circuit: str, kernel: str,
     start = time.perf_counter()
     for child, delta in mutants:
         evaluator.evaluate_incremental(child, delta, state)
+    return iterations / (time.perf_counter() - start)
+
+
+def bench_incremental_eval_paper(circuit: str, kernel: str,
+                                 iterations: int) -> float:
+    """``incremental_eval`` at the paper's defaults (μ = 1, uncapped
+    gene count) with the engine's floor (the parent's fitness): nearly
+    every mutant is broken, and its sweep stops at the first wrong
+    output."""
+    spec, parent, _ = _fixture(circuit, kernel)
+    config = RcgpConfig(seed=3, kernel=kernel)
+    mutants = _mutants(parent, config, iterations)
+    evaluator = Evaluator(spec, config, random.Random(config.seed))
+    floor = evaluator.evaluate(parent)
+    state = evaluator.prepare_parent(parent)
+    start = time.perf_counter()
+    for child, delta in mutants:
+        evaluator.evaluate_incremental(child, delta, state, floor)
     return iterations / (time.perf_counter() - start)
 
 
@@ -174,6 +193,7 @@ def bench_run_workers2(circuit: str, kernel: str, generations: int) -> float:
 BENCHES: Dict[str, Tuple[Callable[[str, str, int], float], int, int]] = {
     "full_eval": (bench_full_eval, 300, 40),
     "incremental_eval": (bench_incremental_eval, 2000, 300),
+    "incremental_eval_paper": (bench_incremental_eval_paper, 2000, 300),
     "mutation_copy": (bench_mutation_copy, 5000, 800),
     "mutation_paper": (bench_mutation_paper, 1000, 150),
     "shrink": (bench_shrink, 2000, 300),

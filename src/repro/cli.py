@@ -134,10 +134,10 @@ def _print_result(result, verbose: bool) -> None:
         print(f"evaluations   : {result.evolution.evaluations}")
         incremental = result.evolution.eval_incremental
         if incremental:
-            cone = result.evolution.ports_resimulated / incremental
+            ports = result.evolution.ports_resimulated / incremental
             print(f"incremental   : {incremental} of "
                   f"{incremental + result.evolution.eval_full} simulated "
-                  f"(avg cone {cone:.1f} ports)")
+                  f"(avg {ports:.1f} ports recomputed to a verdict)")
         print(f"netlist       : {result.netlist.describe()}")
 
 

@@ -195,10 +195,10 @@ class EvaluationBackend(Protocol):
     """Evaluates a batch of genomes; results keep the batch order.
 
     Backends may additionally implement the optional incremental entry
-    point ``evaluate_deltas(parent_genome, deltas, children=None)``
-    (see :class:`InlineBackend`): the engine probes for it with
-    ``getattr`` and falls back to :meth:`evaluate` when it is absent or
-    ``config.incremental_eval`` is off, so plain batch backends remain
+    point ``evaluate_deltas(parent_genome, deltas, children=None,
+    floor=None)`` (see :class:`InlineBackend`): the engine probes for it
+    with ``getattr`` and falls back to :meth:`evaluate` when it is absent
+    or ``config.incremental_eval`` is off, so plain batch backends remain
     valid.
     """
 
@@ -238,13 +238,15 @@ class InlineBackend:
 
     def evaluate_deltas(self, parent_genome: Genome,
                         deltas: Sequence[MutationDelta],
-                        children: Optional[Sequence] = None) \
+                        children: Optional[Sequence] = None,
+                        floor: Optional[Fitness] = None) \
             -> List[Fitness]:
         """Fitness of ``[delta.apply_to(parent) for delta in deltas]``.
 
         ``children`` optionally supplies the already-built offspring
         candidates (the engine has them anyway), skipping the
-        reconstruction copy.
+        reconstruction copy.  ``floor`` (the parent's fitness) is passed
+        on to :meth:`Evaluator.evaluate_incremental`.
         """
         evaluator = self._evaluator
         if self._parent_genome != parent_genome or self._state is None \
@@ -262,8 +264,8 @@ class InlineBackend:
                 self._state = evaluator.prepare_parent(self._parent)
             child = children[i] if children is not None \
                 else delta.apply_to(self._parent)
-            out.append(evaluator.evaluate_incremental(child, delta,
-                                                      self._state))
+            out.append(evaluator.evaluate_incremental(
+                child, delta, self._state, floor=floor))
         return out
 
     def close(self) -> None:
@@ -392,7 +394,8 @@ def replay_span(evaluator: Evaluator, resident,
             else:
                 if state.epoch != evaluator.pattern_epoch:
                     state = span_state(parent)
-                fit = evaluator.evaluate_incremental(child, delta, state)
+                fit = evaluator.evaluate_incremental(
+                    child, delta, state, floor=parent_fitness)
             if best_fit is None or fit.key() >= best_fit.key():
                 best_fit = fit
                 best_child = child
@@ -971,7 +974,8 @@ class EvolutionRun:
                         fitnesses = delta_eval(
                             parent_genome,
                             [delta for _, delta in children],
-                            [child for child, _ in children])
+                            [child for child, _ in children],
+                            floor=parent_fitness)
                     else:
                         fitnesses = backend.evaluate(
                             [genome_with_delta(parent_genome, delta)

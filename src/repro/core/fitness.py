@@ -29,6 +29,7 @@ from __future__ import annotations
 import os
 import random
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Dict, Optional, Sequence, Tuple
 
 from ..logic.bitops import full_mask, variable_pattern
@@ -55,6 +56,10 @@ VERDICT_MEMO_SIZE = 64
 #: 6x at 20 and under 2x at 22, as simulation doubles per input (2-vCPU
 #: x86 VM, CPython 3.11; table in ``docs/architecture.md``).
 EXHAUSTIVE_FORMAL_LIMIT = 20
+
+#: Sort key of an early-stop output check ``(source gate, port,
+#: expected word)``; the stable sort keeps output order among ties.
+_source_gate = itemgetter(0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -337,16 +342,30 @@ class Evaluator:
                                self.pattern_epoch)
 
     def evaluate_incremental(self, child, delta: MutationDelta,
-                             state: Optional[SimulationState]) -> Fitness:
+                             state: Optional[SimulationState],
+                             floor: Optional[Fitness] = None) -> Fitness:
         """Fitness of ``child = delta.apply_to(parent)``, cone-aware.
 
-        Bit-identical to :meth:`evaluate` by construction: the success
-        rate is computed from exactly recomputed port words, and the
-        performance phase (shrink, SAT, splitter legalization) runs on
-        the same candidate either way.  Falls back to the full path when
-        the state is stale (pattern epoch advanced) or shape-incompatible.
-        Set ``RCGP_CHECK_INCREMENTAL=1`` to verify every incremental
-        sweep against a full simulation.
+        Without a ``floor`` this is bit-identical to :meth:`evaluate` by
+        construction: the success rate is counted from exactly
+        recomputed port words, and the performance phase (shrink, SAT,
+        splitter legalization) runs on the same candidate either way.
+        Falls back to the full path when the state is stale (pattern
+        epoch advanced) or shape-incompatible.
+
+        ``floor`` is the fitness a child must reach to matter — the
+        engine passes the parent's.  A functional floor means a
+        non-functional child can never be selected, so its success rate
+        is not worth counting: the cone sweep compares each output as
+        soon as it has passed the output's source gate and stops at the
+        first wrong one, and the child gets the fixed non-functional
+        ``Fitness(0.0)``.  Every output is still compared, so the verdict
+        is exact; a child that passes goes through the same performance
+        phase as without a floor.  ``ports_resimulated`` then counts the
+        ports recomputed before the verdict.
+
+        Set ``RCGP_CHECK_INCREMENTAL=1`` to compare every sweep (and
+        every early verdict) with a full simulation.
 
         Kernel children use the *tracked* in-place cone: the memoized
         parent vector is patched under an undo log and restored before
@@ -358,72 +377,40 @@ class Evaluator:
             return self.evaluate(child)
         self.evaluations += 1
         self.eval_incremental += 1
-        mask = self._mask
+        expected = self._expected
+        checks = None
+        if floor is not None and floor.functional:
+            base = child.num_inputs + 1
+            checks = sorted(
+                [((port - base) // 3 if port >= base else -1, port, word)
+                 for port, word in zip(child.outputs, expected)],
+                key=_source_gate)
         tracked = isinstance(child, NetlistKernel)
         if tracked:
-            if state.out_terms is None:
-                # Must happen before the child's cone is patched in:
-                # the memoized terms are the *parent's*.
-                state.init_output_terms(self._expected)
             values, resimulated, undo = state.child_values_tracked(
-                child, delta.touched_gates)
+                child, delta.touched_gates, checks)
         else:
-            values, resimulated = state.child_values(child,
-                                                     delta.touched_gates)
-            undo = None
+            values, resimulated = state.child_values(
+                child, delta.touched_gates, checks)
         self.ports_resimulated += resimulated
         try:
-            if tracked:
-                # Derive the child's wrong-bit count from the parent's
-                # memoized per-output terms: only outputs whose port
-                # value changed (in the undo log) or whose port was
-                # rewired (in the delta) need re-counting.
-                expected = self._expected
-                terms = state.out_terms
-                wrong = state.out_total
-                rewired = None
-                if delta.outputs:
-                    rewired = dict(delta.outputs)
-                    for i, port in delta.outputs:
-                        wrong += ((values[port] ^ expected[i])
-                                  & mask).bit_count() - terms[i]
-                flags = state.out_flags
-                out_map = state.out_map
-                # The scan logs (port, old word) tuples; span mode logs
-                # bare ports (restore comes from the pristine copy).
-                if state.plain_undo:
-                    for port in undo:
-                        if flags[port]:
-                            word = values[port]
-                            for i in out_map[port]:
-                                if rewired is not None and i in rewired:
-                                    continue
-                                wrong += ((word ^ expected[i])
-                                          & mask).bit_count() - terms[i]
-                else:
-                    for port, _ in undo:
-                        if flags[port]:
-                            word = values[port]
-                            for i in out_map[port]:
-                                if rewired is not None and i in rewired:
-                                    continue
-                                wrong += ((word ^ expected[i])
-                                          & mask).bit_count() - terms[i]
-            else:
+            got = [values[port] for port in child.outputs]
+            if checks is None:
+                mask = self._mask
                 wrong = 0
-                for port, expected in zip(child.outputs, self._expected):
-                    wrong += ((values[port] ^ expected) & mask).bit_count()
-            rate = 1.0 - wrong / self._total_bits
+                for word, want in zip(got, expected):
+                    wrong += ((word ^ want) & mask).bit_count()
+                rate = 1.0 - wrong / self._total_bits
+            else:
+                # A sweep that stopped early left the wrong output's
+                # final word in place, so comparing every output gives
+                # the exact verdict.
+                rate = 1.0 if got == expected else None
             if self._check_incremental:
-                direct = 0
-                for port, word in zip(child.outputs, self._expected):
-                    direct += ((values[port] ^ word) & mask).bit_count()
-                if direct != wrong:
-                    raise AssertionError(
-                        "memoized wrong-bit count diverged from the "
-                        f"direct count ({wrong} != {direct})")
-                full = child.simulate(self._words, mask)
-                if [values[p] for p in child.outputs] != full:
+                # After an early stop later outputs may be stale: only
+                # the verdict is compared then.
+                full = child.simulate(self._words, self._mask)
+                if (full == expected) if rate is None else (got != full):
                     raise AssertionError(
                         "incremental simulation diverged from full "
                         f"simulation (touched gates {delta.touched_gates})"
@@ -433,6 +420,8 @@ class Evaluator:
                 state.restore(undo)
         if self._check_kernel and tracked:
             self._verify_kernel(child)
+        if rate is None:
+            return Fitness(0.0)
         return self._finish(child, rate)
 
     def _verify_kernel(self, kernel: NetlistKernel) -> None:

@@ -406,15 +406,18 @@ class NetlistKernel:
                         touched_gates: Sequence[int]) -> int:
         """Recompute the fan-out cone of ``touched_gates`` in ``values``.
 
-        Identical contract to :meth:`RqfpNetlist.resimulate_cone`;
-        returns the number of gate output ports recomputed.
+        Same contract as :meth:`RqfpNetlist.resimulate_cone` without
+        ``checks`` (the whole cone); returns the number of gate output
+        ports recomputed.
         """
         return self._resimulate(values, mask, touched_gates)
 
     def resimulate_cone_tracked(self, values: List[int], mask: int,
                                 touched_gates: Sequence[int],
                                 gates: Optional[
-                                    List[Tuple[int, int, int, int]]] = None) \
+                                    List[Tuple[int, int, int, int]]] = None,
+                                checks: Optional[
+                                    Sequence[Tuple[int, int, int]]] = None) \
             -> Tuple[int, List[Tuple[int, int]]]:
         """Cone resimulation with an undo log, in place.
 
@@ -424,11 +427,27 @@ class NetlistKernel:
         actually changed, so the caller restores the parent vector in
         O(changed ports) instead of copying all ports per offspring.
 
-        ``gates`` optionally supplies this kernel's genes pre-zipped as
-        ``(in0, in1, in2, config)`` tuples — one list read per swept
-        gate instead of three-to-four boxed array reads.
-        :meth:`SimulationState.child_values_tracked` maintains that list
-        once per parent and patches the touched entries per offspring.
+        ``gates`` optionally supplies the genes of every *untouched*
+        gate pre-zipped as ``(in0, in1, in2, config)`` tuples — one list
+        read per swept gate instead of three-to-four boxed array reads.
+        :meth:`SimulationState.child_values_tracked` passes the parent's
+        list, built once per parent: a touched gate's genes are read
+        from this kernel's arrays when the sweep reaches it, so an
+        offspring whose sweep stops early never pays for the touched
+        gates it did not reach.
+
+        ``checks`` turns on the early stop: ``(source gate, port,
+        expected word)`` per primary output, in (source gate, output
+        index) order, a source of -1 standing for the constant or a
+        primary input.  Each output is compared as soon as the sweep has
+        passed its source gate (an output driven below the first touched
+        gate before any gate is recomputed), and the sweep stops at the
+        first wrong output, or after the last output's source gate when
+        all are right.  Every compared output then holds its final word,
+        so a caller comparing all outputs afterwards gets the exact
+        verdict.  The counter covers the gates recomputed up to the
+        stopping gate — the same in :meth:`resimulate_cone_scheduled`
+        and :meth:`RqfpNetlist.resimulate_cone`.
 
         The sweep itself is the same forward scan with value-identity
         pruning as :meth:`resimulate_cone` — same gate set, same
@@ -448,79 +467,99 @@ class NetlistKernel:
         dirty = bytearray(self.num_inputs + 1 + 3 * num_gates)
         first = min(touched_gates)
         last = max(touched_gates)
+        base = self.num_inputs + 1
+        in0, in1, in2, cfg = self.in0, self.in1, self.in2, self.config
         record = undo.append
         funcs = _MAJ_FUNCS
         recomputed = 0
-        index = self.num_inputs + 1 + 3 * first
-        # Segment 1: up to the last touched gate, where either the
-        # touched flag or a dirty input can trigger a recompute.
-        for g in range(first, last + 1):
-            ia, ib, ic, config = gates[g]
-            if not touched[g] and not (dirty[ia] or dirty[ib] or dirty[ic]):
-                index += 3
-                continue
-            recomputed += 1
-            f = funcs.get(config)
-            if f is None:
-                f = funcs[config] = _compile_maj(config)
-            w0, w1, w2 = f(values[ia], values[ib], values[ic], mask)
-            old = values[index]
-            if old != w0:
-                record((index, old))
-                values[index] = w0
-                dirty[index] = 1
-            index += 1
-            old = values[index]
-            if old != w1:
-                record((index, old))
-                values[index] = w1
-                dirty[index] = 1
-            index += 1
-            old = values[index]
-            if old != w2:
-                record((index, old))
-                values[index] = w2
-                dirty[index] = 1
-            index += 1
-        # Segment 2: past the last touched gate only dirty values can
-        # propagate — an empty undo log means nothing changed anywhere,
-        # so the tail scan (often most of the netlist) is skipped.
-        if undo:
-            for g in range(last + 1, num_gates):
-                ia, ib, ic, config = gates[g]
-                if not (dirty[ia] or dirty[ib] or dirty[ic]):
-                    index += 3
-                    continue
-                recomputed += 1
-                f = funcs.get(config)
-                if f is None:
-                    f = funcs[config] = _compile_maj(config)
-                w0, w1, w2 = f(values[ia], values[ib], values[ic], mask)
-                old = values[index]
-                if old != w0:
-                    record((index, old))
-                    values[index] = w0
-                    dirty[index] = 1
-                index += 1
-                old = values[index]
-                if old != w1:
-                    record((index, old))
-                    values[index] = w1
-                    dirty[index] = 1
-                index += 1
-                old = values[index]
-                if old != w2:
-                    record((index, old))
-                    values[index] = w2
-                    dirty[index] = 1
-                index += 1
+        pos = first  # the next gate the sweep reaches
+        if checks is None:
+            checks = ((num_gates - 1, CONST_PORT, None),)
+        for due, port, want in checks:
+            if due >= pos:
+                # Segment 1: up to the last touched gate, where either
+                # the touched flag or a dirty input can trigger a
+                # recompute.
+                index = base + 3 * pos
+                for g in range(pos, min(due, last) + 1):
+                    if touched[g]:
+                        ia, ib, ic, config = in0[g], in1[g], in2[g], cfg[g]
+                    else:
+                        ia, ib, ic, config = gates[g]
+                        if not (dirty[ia] or dirty[ib] or dirty[ic]):
+                            index += 3
+                            continue
+                    recomputed += 1
+                    f = funcs.get(config)
+                    if f is None:
+                        f = funcs[config] = _compile_maj(config)
+                    w0, w1, w2 = f(values[ia], values[ib], values[ic], mask)
+                    old = values[index]
+                    if old != w0:
+                        record((index, old))
+                        values[index] = w0
+                        dirty[index] = 1
+                    index += 1
+                    old = values[index]
+                    if old != w1:
+                        record((index, old))
+                        values[index] = w1
+                        dirty[index] = 1
+                    index += 1
+                    old = values[index]
+                    if old != w2:
+                        record((index, old))
+                        values[index] = w2
+                        dirty[index] = 1
+                    index += 1
+                # Segment 2: past the last touched gate only dirty values
+                # can propagate — an empty undo log means nothing changed
+                # anywhere, so the tail scan (often most of the netlist)
+                # is skipped.
+                if due > last and undo:
+                    start = max(pos, last + 1)
+                    index = base + 3 * start
+                    for g in range(start, due + 1):
+                        ia, ib, ic, config = gates[g]
+                        if not (dirty[ia] or dirty[ib] or dirty[ic]):
+                            index += 3
+                            continue
+                        recomputed += 1
+                        f = funcs.get(config)
+                        if f is None:
+                            f = funcs[config] = _compile_maj(config)
+                        w0, w1, w2 = f(values[ia], values[ib], values[ic],
+                                       mask)
+                        old = values[index]
+                        if old != w0:
+                            record((index, old))
+                            values[index] = w0
+                            dirty[index] = 1
+                        index += 1
+                        old = values[index]
+                        if old != w1:
+                            record((index, old))
+                            values[index] = w1
+                            dirty[index] = 1
+                        index += 1
+                        old = values[index]
+                        if old != w2:
+                            record((index, old))
+                            values[index] = w2
+                            dirty[index] = 1
+                        index += 1
+                pos = due + 1
+            if want is not None and values[port] != want:
+                break
         return 3 * recomputed, undo
 
     def resimulate_cone_scheduled(self, values: List[int], mask: int,
                                   touched_gates: Sequence[int],
                                   gates: List[Tuple[int, int, int, int]],
-                                  fans: List[Sequence[int]]) \
-            -> Tuple[int, List[Tuple[int, int]]]:
+                                  fans: List[Sequence[int]],
+                                  checks: Optional[
+                                      Sequence[Tuple[int, int, int]]] = None) \
+            -> Tuple[int, List[int]]:
         """Worklist-driven variant of :meth:`resimulate_cone_tracked`.
 
         Instead of scanning every gate between the first touched index
@@ -532,7 +571,9 @@ class NetlistKernel:
         index is sufficient for the child: a child differs from the
         parent only in the touched gates' input edges, and touched gates
         are scheduled unconditionally, so the edges the index is missing
-        never decide a schedule.
+        never decide a schedule.  ``gates`` is the parent's zipped gene
+        list as in :meth:`resimulate_cone_tracked`; touched gates read
+        this kernel's arrays.
 
         Gates are topological (a consumer's index is strictly greater
         than its producer's), so the heap pops in ascending index order
@@ -543,6 +584,12 @@ class NetlistKernel:
         warm; this variant is what makes the span-resident replay loop
         cheaper than the serial engine loop.
 
+        ``checks`` is the scan's early stop: the outputs whose source
+        gate lies below a popped gate are compared before that gate is
+        recomputed, so the sweep stops at the same gate as the scan.
+        Outputs still pending when the heap runs dry hold their final
+        words for the caller to compare.
+
         Unlike :meth:`resimulate_cone_tracked`, the undo log holds bare
         changed-port indices — no ``(port, old word)`` tuple per change.
         The caller restores from a pristine copy of the parent vector
@@ -552,19 +599,37 @@ class NetlistKernel:
         changed: List[int] = []
         if not touched_gates:
             return 0, changed
+        # 2 marks a touched gate (genes from this kernel), 1 a gate
+        # scheduled through the fan-out index (genes from ``gates``).
         scheduled = bytearray(len(gates))
         heap: List[int] = []
         for g in touched_gates:
             if not scheduled[g]:
-                scheduled[g] = 1
+                scheduled[g] = 2
                 heappush(heap, g)
+        in0, in1, in2, cfg = self.in0, self.in1, self.in2, self.config
         record = changed.append
         funcs = _MAJ_FUNCS
         recomputed = 0
         base = self.num_inputs + 1
+        if checks is None:
+            due = len(gates)  # nothing to compare: never due
+        else:
+            pending = iter(checks)
+            due, port, want = next(pending)
         while heap:
             g = heappop(heap)
-            ia, ib, ic, config = gates[g]
+            while due < g:
+                if values[port] != want:
+                    return 3 * recomputed, changed
+                check = next(pending, None)
+                if check is None:
+                    return 3 * recomputed, changed  # every output right
+                due, port, want = check
+            if scheduled[g] == 2:
+                ia, ib, ic, config = in0[g], in1[g], in2[g], cfg[g]
+            else:
+                ia, ib, ic, config = gates[g]
             recomputed += 1
             f = funcs.get(config)
             if f is None:

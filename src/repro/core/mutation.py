@@ -103,7 +103,7 @@ class MutationDelta:
     @property
     def touched_gates(self) -> Tuple[int, ...]:
         """Gate indices whose outputs may differ from the parent's."""
-        return tuple(g for g, _ in self.gates)
+        return tuple([g for g, _ in self.gates])
 
     @property
     def is_empty(self) -> bool:

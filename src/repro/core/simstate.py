@@ -28,7 +28,7 @@ longer matches (callers other than the mutation loop).
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 __all__ = ["SimulationState"]
 
@@ -51,8 +51,7 @@ class SimulationState:
     """
 
     __slots__ = ("num_gates", "num_ports", "values", "mask", "epoch",
-                 "_parent", "_zipped", "_fans", "_pristine", "out_terms",
-                 "out_total", "out_flags", "out_map")
+                 "_parent", "_zipped", "_fans", "_pristine")
 
     def __init__(self, parent, words: Sequence[int], mask: int,
                  epoch: int = 0):
@@ -65,7 +64,6 @@ class SimulationState:
         self._zipped = None  # parent genes zipped per gate, on demand
         self._fans = None  # port -> consumer gates, see enable_fanout_index
         self._pristine = None  # untouched copy of values, span mode only
-        self.out_terms = None  # see init_output_terms
 
     def enable_fanout_index(self) -> None:
         """Opt in to worklist-driven cone resimulation (kernel parents).
@@ -95,55 +93,31 @@ class SimulationState:
         self._fans = fans
         self._pristine = self.values.copy()
 
-    @property
-    def plain_undo(self) -> bool:
-        """Whether undo logs are bare port indices (span mode)."""
-        return self._pristine is not None
-
-    def init_output_terms(self, expected: Sequence[int]) -> None:
-        """Memoize the parent's per-output wrong-bit counts.
-
-        ``expected`` is the evaluator's expected output word list (one
-        word per primary output, same epoch as this state).  After this,
-        an offspring's total wrong-bit count can be derived from the
-        parent's by adjusting only the outputs whose port value changed
-        (they are in the tracked undo log) or whose port was rewired
-        (they are in the delta) — instead of re-counting every output.
-        """
-        values, mask = self.values, self.mask
-        outputs = self._parent.outputs
-        terms = [((values[port] ^ word) & mask).bit_count()
-                 for port, word in zip(outputs, expected)]
-        self.out_terms = terms
-        self.out_total = sum(terms)
-        flags = bytearray(self.num_ports)
-        out_map = {}
-        for i, port in enumerate(outputs):
-            flags[port] = 1
-            out_map.setdefault(port, []).append(i)
-        self.out_flags = flags
-        self.out_map = out_map
-
     def compatible(self, candidate) -> bool:
         """Whether ``candidate`` lives in the same port index space."""
         return candidate.num_gates == self.num_gates
 
-    def child_values(self, child, touched_gates: Sequence[int]) \
+    def child_values(self, child, touched_gates: Sequence[int],
+                     checks: Optional[Sequence[Tuple[int, int, int]]] = None) \
             -> Tuple[List[int], int]:
         """Port values of ``child``, resimulating only the dirty cone.
 
         ``child`` must be shape-compatible with the parent and differ
         from it in (at most) the ``touched_gates``.  Returns a fresh
         full per-port value vector plus the number of gate output ports
-        that were actually recomputed.
+        that were actually recomputed.  ``checks`` stops the sweep at
+        the first wrong output (see :meth:`~repro.rqfp.netlist.
+        RqfpNetlist.resimulate_cone`).
         """
         values = self.values.copy()
         resimulated = child.resimulate_cone(values, self.mask,
-                                            touched_gates)
+                                            touched_gates, checks)
         return values, resimulated
 
-    def child_values_tracked(self, child, touched_gates: Sequence[int]) \
-            -> Tuple[List[int], int, List[Tuple[int, int]]]:
+    def child_values_tracked(self, child, touched_gates: Sequence[int],
+                             checks: Optional[
+                                 Sequence[Tuple[int, int, int]]] = None) \
+            -> Tuple[List[int], int, list]:
         """In-place variant of :meth:`child_values` (kernel children).
 
         The memoized *parent* vector itself is patched and returned,
@@ -153,32 +127,24 @@ class SimulationState:
         ``resimulate_cone_tracked`` (:class:`~repro.core.kernel.
         NetlistKernel`).
 
-        The sweep reads genes from a per-parent zipped list (one tuple
-        per gate), built once per state and shared by the whole brood;
-        the child's touched gates are patched in and out around the
-        call.
+        The sweep reads untouched gates' genes from a per-parent zipped
+        list (one tuple per gate), built once per state and shared by
+        the whole brood, and touched gates' genes from the child itself.
+        ``checks`` is the sweeps' early stop (see
+        :meth:`~repro.core.kernel.NetlistKernel.resimulate_cone_tracked`).
         """
         zipped = self._zipped
         if zipped is None:
             parent = self._parent
             zipped = self._zipped = list(zip(parent.in0, parent.in1,
                                              parent.in2, parent.config))
-        in0, in1, in2, cfg = child.in0, child.in1, child.in2, child.config
-        patches = []
-        for g in touched_gates:
-            patches.append((g, zipped[g]))
-            zipped[g] = (in0[g], in1[g], in2[g], cfg[g])
-        try:
-            if self._fans is not None:
-                resimulated, undo = child.resimulate_cone_scheduled(
-                    self.values, self.mask, touched_gates, zipped,
-                    self._fans)
-            else:
-                resimulated, undo = child.resimulate_cone_tracked(
-                    self.values, self.mask, touched_gates, zipped)
-        finally:
-            for g, entry in patches:
-                zipped[g] = entry
+        if self._fans is not None:
+            resimulated, undo = child.resimulate_cone_scheduled(
+                self.values, self.mask, touched_gates, zipped, self._fans,
+                checks)
+        else:
+            resimulated, undo = child.resimulate_cone_tracked(
+                self.values, self.mask, touched_gates, zipped, checks)
         return self.values, resimulated, undo
 
     def restore(self, undo) -> None:

@@ -9,6 +9,7 @@ from .aiger import (
     write_aiger_binary,
 )
 from .blif import parse_blif, read_blif, write_blif
+from .limits import MAX_INPUTS
 from .pla import parse_pla, read_pla, write_pla
 from .real import parse_real, read_real, write_real
 from .rqfp_verilog import write_rqfp_verilog
@@ -21,6 +22,7 @@ from .rqfp_json import (
 from .verilog import parse_verilog, read_verilog, write_verilog
 
 __all__ = [
+    "MAX_INPUTS",
     "parse_blif", "read_blif", "write_blif",
     "parse_bench", "read_bench", "write_bench",
     "parse_aiger", "read_aiger", "write_aiger",

@@ -3,7 +3,10 @@
 The AIGER literal convention is identical to this package's AIG literal
 encoding (0 = const0, 1 = const1, even = plain, odd = complemented), so
 the mapping is direct.  Only the combinational subset is supported: a
-header with latches ``L != 0`` is rejected.
+header with latches ``L != 0`` is rejected.  Header counts are checked
+against the lines (ASCII) or bytes (binary) the file holds before
+anything is built, and ``I`` is bounded by
+:data:`repro.io.limits.MAX_INPUTS`.
 """
 
 from __future__ import annotations
@@ -12,6 +15,41 @@ from typing import Dict, List, TextIO, Union
 
 from ..errors import ParseError
 from ..networks.aig import Aig, lit_complement, lit_node, lit_not
+from .limits import MAX_INPUTS, parse_count
+
+
+def _header(fields: List[str], filename: str) -> List[int]:
+    """``M I L O A`` of an AIGER header: non-negative integers, inputs
+    bounded by :data:`~repro.io.limits.MAX_INPUTS`, no latches."""
+    m, i, l, o, a = (parse_count(field, name, filename, 1,
+                                 MAX_INPUTS if name == "I" else None)
+                     for field, name in zip(fields, "MILOA"))
+    if l != 0:
+        raise ParseError("sequential AIGER (latches) not supported",
+                         filename, 1)
+    return [m, i, l, o, a]
+
+
+def _literal(token: str, filename: str, line: int) -> int:
+    return parse_count(token, "literal", filename, line)
+
+
+def _symbols(lines, first_line: int, filename: str):
+    """The input and output names of a symbol table, as two
+    ``{index: name}`` dicts (reading stops at the comment section)."""
+    inputs: Dict[int, str] = {}
+    outputs: Dict[int, str] = {}
+    for offset, line in enumerate(lines):
+        if not line or line.startswith("c"):
+            break
+        if line[0] in "io":
+            index, _, name = line[1:].partition(" ")
+            if not name:
+                raise ParseError(f"bad symbol line {line!r}", filename,
+                                 first_line + offset)
+            table = inputs if line[0] == "i" else outputs
+            table[_literal(index, filename, first_line + offset)] = name
+    return inputs, outputs
 
 
 def parse_aiger(text: str, filename: str = "<string>") -> Aig:
@@ -21,14 +59,18 @@ def parse_aiger(text: str, filename: str = "<string>") -> Aig:
     header = lines[0].split()
     if len(header) != 6 or header[0] != "aag":
         raise ParseError(f"bad AIGER header {lines[0]!r}", filename, 1)
-    try:
-        m, i, l, o, a = (int(x) for x in header[1:])
-    except ValueError:
-        raise ParseError(f"non-integer AIGER header {lines[0]!r}",
-                         filename, 1) from None
-    if l != 0:
-        raise ParseError("sequential AIGER (latches) not supported",
-                         filename, 1)
+    m, i, l, o, a = _header(header[1:], filename)
+    if 1 + i + o + a > len(lines):
+        raise ParseError(
+            f"header declares {i} inputs, {o} outputs and {a} ANDs but "
+            f"the file has {len(lines) - 1} lines after it", filename, 1)
+
+    def fields(index: int, count: int) -> List[int]:
+        parts = lines[index].split()
+        if len(parts) != count:
+            raise ParseError(f"bad AIGER line {lines[index]!r}", filename,
+                             index + 1)
+        return [_literal(part, filename, index + 1) for part in parts]
 
     aig = Aig()
     # AIGER inputs are literals 2, 4, ..., 2i in order.
@@ -37,17 +79,14 @@ def parse_aiger(text: str, filename: str = "<string>") -> Aig:
         ext_to_int[2 * (k + 1)] = aig.add_input()
 
     cursor = 1
-    input_lines = lines[cursor:cursor + i]
-    for idx, line in enumerate(input_lines):
-        lit = int(line.split()[0])
+    for idx in range(i):
+        lit, = fields(cursor + idx, 1)
         if lit != 2 * (idx + 1):
             raise ParseError(
                 f"non-canonical input literal {lit}", filename, cursor + idx + 1
             )
     cursor += i
-    output_ext = []
-    for idx in range(o):
-        output_ext.append(int(lines[cursor + idx].split()[0]))
+    output_ext = [fields(cursor + idx, 1)[0] for idx in range(o)]
     cursor += o
 
     def resolve(ext: int) -> int:
@@ -57,29 +96,14 @@ def parse_aiger(text: str, filename: str = "<string>") -> Aig:
         return lit_not(base) if ext & 1 else base
 
     for idx in range(a):
-        parts = lines[cursor + idx].split()
-        if len(parts) != 3:
-            raise ParseError(f"bad AND line {lines[cursor + idx]!r}",
-                             filename, cursor + idx + 1)
-        lhs, rhs0, rhs1 = (int(x) for x in parts)
+        lhs, rhs0, rhs1 = fields(cursor + idx, 3)
         if lhs & 1 or lhs <= 0:
             raise ParseError(f"bad AND lhs {lhs}", filename, cursor + idx + 1)
         ext_to_int[lhs] = aig.add_and(resolve(rhs0), resolve(rhs1))
     cursor += a
 
     # Symbol table (optional).
-    input_syms: Dict[int, str] = {}
-    output_syms: Dict[int, str] = {}
-    for line in lines[cursor:]:
-        if not line or line.startswith("c"):
-            break
-        if line[0] == "i":
-            idx, name = line[1:].split(" ", 1)
-            input_syms[int(idx)] = name
-        elif line[0] == "o":
-            idx, name = line[1:].split(" ", 1)
-            output_syms[int(idx)] = name
-
+    input_syms, output_syms = _symbols(lines[cursor:], cursor + 1, filename)
     for idx, name in input_syms.items():
         if 0 <= idx < len(aig.input_names):
             aig.input_names[idx] = name
@@ -101,18 +125,22 @@ def parse_aiger_binary(data: bytes, filename: str = "<bytes>") -> Aig:
     header = data[:newline].decode("ascii", errors="replace").split()
     if len(header) != 6 or header[0] != "aig":
         raise ParseError(f"bad binary AIGER header {header!r}", filename, 1)
-    m, i, l, o, a = (int(x) for x in header[1:])
-    if l != 0:
-        raise ParseError("sequential AIGER (latches) not supported",
-                         filename, 1)
+    m, i, l, o, a = _header(header[1:], filename)
     cursor = newline + 1
+    # An output line takes at least two bytes, an AND two delta bytes.
+    if 2 * (o + a) > len(data) - cursor:
+        raise ParseError(
+            f"header declares {o} outputs and {a} ANDs but only "
+            f"{len(data) - cursor} bytes follow it", filename, 1)
 
     output_ext: List[int] = []
-    for _ in range(o):
+    for idx in range(o):
         end = data.find(b"\n", cursor)
         if end < 0:
             raise ParseError("truncated output section", filename)
-        output_ext.append(int(data[cursor:end]))
+        output_ext.append(_literal(
+            data[cursor:end].decode("ascii", errors="replace"), filename,
+            idx + 2))
         cursor = end + 1
 
     def read_delta() -> int:
@@ -151,25 +179,14 @@ def parse_aiger_binary(data: bytes, filename: str = "<bytes>") -> Aig:
             raise ParseError(f"bad AND deltas at gate {k}", filename)
         ext_to_int[lhs] = aig.add_and(resolve(rhs0), resolve(rhs1))
 
-    # Optional ASCII symbol table.
-    rest = data[cursor:].decode("ascii", errors="replace")
-    for line in rest.splitlines():
-        if not line or line.startswith("c"):
-            break
-        if line[0] == "i" and " " in line:
-            idx, name = line[1:].split(" ", 1)
-            idx = int(idx)
-            if 0 <= idx < len(aig.input_names):
-                aig.input_names[idx] = name
-    output_names: Dict[int, str] = {}
-    for line in rest.splitlines():
-        if not line or line.startswith("c"):
-            break
-        if line[0] == "o" and " " in line:
-            idx, name = line[1:].split(" ", 1)
-            output_names[int(idx)] = name
+    # Optional ASCII symbol table (line numbers count from its start).
+    rest = data[cursor:].decode("ascii", errors="replace").splitlines()
+    input_syms, output_syms = _symbols(rest, 1, filename)
+    for idx, name in input_syms.items():
+        if 0 <= idx < len(aig.input_names):
+            aig.input_names[idx] = name
     for idx, ext in enumerate(output_ext):
-        aig.add_output(resolve(ext), output_names.get(idx))
+        aig.add_output(resolve(ext), output_syms.get(idx))
     return aig
 
 

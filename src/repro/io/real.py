@@ -5,7 +5,10 @@ The ``.real`` format describes reversible circuits: a header
 followed by a gate list between ``.begin`` and ``.end``.  Gate tokens:
 ``t<n>`` = Toffoli with ``n-1`` controls, ``f<n>`` = Fredkin with
 ``n-2`` controls; a leading ``-`` on a variable denotes a negative
-control.
+control.  Declared sizes must match what the file lists (``.numvars``
+against ``.variables``, ``.constants`` and ``.garbage``), and the
+non-constant wires — the specification's inputs — are bounded by
+:data:`repro.io.limits.MAX_INPUTS`.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ from typing import List, Optional, TextIO, Union
 from ..errors import ParseError
 from ..reversible.circuit import ReversibleCircuit
 from ..reversible.gates import Control, McfGate, MctGate
+from .limits import MAX_INPUTS, parse_count
 
 
 def parse_real(text: str, filename: str = "<string>") -> ReversibleCircuit:
@@ -33,18 +37,22 @@ def parse_real(text: str, filename: str = "<string>") -> ReversibleCircuit:
         tokens = line.split()
         key = tokens[0]
         if key.startswith("."):
+            spec = tokens[1] if len(tokens) > 1 else ""
             if key == ".numvars":
-                num_wires = int(tokens[1])
+                num_wires = parse_count(spec, ".numvars", filename, lineno)
             elif key == ".variables":
                 variables = tokens[1:]
             elif key in (".inputs", ".outputs"):
                 pass  # cosmetic labels; wire identity comes from .variables
-            elif key == ".constants":
-                spec = tokens[1] if len(tokens) > 1 else ""
-                constants = [None if ch == "-" else int(ch) for ch in spec]
-            elif key == ".garbage":
-                spec = tokens[1] if len(tokens) > 1 else ""
-                garbage = [ch == "1" for ch in spec]
+            elif key in (".constants", ".garbage"):
+                if spec.strip("-01"):
+                    raise ParseError(f"{key} takes '-', '0' and '1', got "
+                                     f"{spec!r}", filename, lineno)
+                if key == ".constants":
+                    constants = [None if ch == "-" else int(ch)
+                                 for ch in spec]
+                else:
+                    garbage = [ch == "1" for ch in spec]
             elif key == ".begin":
                 in_body = True
             elif key == ".end":
@@ -61,8 +69,6 @@ def parse_real(text: str, filename: str = "<string>") -> ReversibleCircuit:
                              filename, lineno)
         if num_wires is None:
             raise ParseError("gate before .numvars", filename, lineno)
-        if not variables:
-            variables = [f"x{i}" for i in range(num_wires)]
 
         kind = key[0].lower()
         try:
@@ -78,39 +84,60 @@ def parse_real(text: str, filename: str = "<string>") -> ReversibleCircuit:
         def wire_of(token: str):
             negative = token.startswith("-")
             label = token[1:] if negative else token
-            if label not in variables:
+            if variables:
+                wire = variables.index(label) if label in variables else -1
+            else:  # the default names x0, x1, ..., without the list
+                wire = int(label[1:]) if label[:1] == "x" \
+                    and label[1:].isdecimal() else -1
+                if f"x{wire}" != label:
+                    wire = -1
+            if not 0 <= wire < num_wires:
                 raise ParseError(f"unknown variable {label!r}",
                                  filename, lineno)
-            return variables.index(label), negative
+            return wire, negative
 
-        if kind == "t":
-            *ctrl_tokens, target_token = operands
-            target, neg = wire_of(target_token)
-            if neg:
-                raise ParseError("target cannot be negated", filename, lineno)
-            controls = tuple(
-                Control(w, not negative)
-                for w, negative in (wire_of(tok) for tok in ctrl_tokens)
-            )
-            gates.append(MctGate(target, controls))
-        elif kind == "f":
-            *ctrl_tokens, token_a, token_b = operands
-            ta, neg_a = wire_of(token_a)
-            tb, neg_b = wire_of(token_b)
-            if neg_a or neg_b:
-                raise ParseError("swap targets cannot be negated",
+        try:
+            if kind == "t":
+                *ctrl_tokens, target_token = operands
+                target, neg = wire_of(target_token)
+                if neg:
+                    raise ParseError("target cannot be negated", filename,
+                                     lineno)
+                controls = tuple(
+                    Control(w, not negative)
+                    for w, negative in (wire_of(tok) for tok in ctrl_tokens)
+                )
+                gates.append(MctGate(target, controls))
+            elif kind == "f":
+                *ctrl_tokens, token_a, token_b = operands
+                ta, neg_a = wire_of(token_a)
+                tb, neg_b = wire_of(token_b)
+                if neg_a or neg_b:
+                    raise ParseError("swap targets cannot be negated",
+                                     filename, lineno)
+                controls = tuple(
+                    Control(w, not negative)
+                    for w, negative in (wire_of(tok) for tok in ctrl_tokens)
+                )
+                gates.append(McfGate(ta, tb, controls))
+            else:
+                raise ParseError(f"unsupported gate kind {key!r}",
                                  filename, lineno)
-            controls = tuple(
-                Control(w, not negative)
-                for w, negative in (wire_of(tok) for tok in ctrl_tokens)
-            )
-            gates.append(McfGate(ta, tb, controls))
-        else:
-            raise ParseError(f"unsupported gate kind {key!r}",
-                             filename, lineno)
+        except ValueError as exc:  # the gate's own wire checks
+            raise ParseError(f"bad gate {line!r}: {exc}", filename,
+                             lineno) from None
 
     if num_wires is None:
         raise ParseError("missing .numvars", filename)
+    for key, listed in ((".variables", variables), (".constants", constants),
+                        (".garbage", garbage)):
+        if listed and len(listed) != num_wires:
+            raise ParseError(f"{key} lists {len(listed)} wires, .numvars "
+                             f"declares {num_wires}", filename)
+    inputs = num_wires - sum(c is not None for c in constants)
+    if inputs > MAX_INPUTS:
+        raise ParseError(f"{inputs} inputs exceed the limit of "
+                         f"{MAX_INPUTS}", filename)
     if not variables:
         variables = [f"x{i}" for i in range(num_wires)]
     circuit = ReversibleCircuit(

@@ -189,10 +189,12 @@ class JobBackend:
 
     def evaluate_deltas(self, parent_genome: Genome,
                         deltas: Sequence[MutationDelta],
-                        children: Optional[Sequence] = None) \
+                        children: Optional[Sequence] = None,
+                        floor: Optional[Fitness] = None) \
             -> List[Fitness]:
         return self._run_inline(
-            lambda b: b.evaluate_deltas(parent_genome, deltas, children))
+            lambda b: b.evaluate_deltas(parent_genome, deltas, children,
+                                        floor))
 
     # -- replay spans --------------------------------------------------
 

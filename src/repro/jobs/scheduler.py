@@ -140,6 +140,10 @@ class Job:
         # trusted when every slice ran here (no foreign checkpoint).
         self._live_evolution: Optional[EvolutionResult] = None
         self._live_ok = True
+        # The baseline (with its buffer plan) when this process started
+        # the job; the live result reuses it instead of re-solving the
+        # plan's LP.
+        self._baseline: Optional[BaselineResult] = None
 
     @property
     def record(self) -> Dict[str, object]:
@@ -532,6 +536,7 @@ class Scheduler:
             "netlist": netlist_to_dict(baseline.netlist),
             "cost": _cost_fields(baseline.cost),
         })
+        job._baseline = baseline
         return incumbent
 
     def _accumulate(self, record: Dict[str, object],
@@ -630,14 +635,19 @@ class Scheduler:
                            fitness_key=list(Fitness(*record["fitness"])
                                             .key()))
         if live is not None:
-            baseline_net = netlist_from_dict(baseline["netlist"])
+            initial = job._baseline
+            if initial is None:
+                # Started by another process: only its stored baseline
+                # is here, so the plan is solved again.
+                baseline_net = netlist_from_dict(baseline["netlist"])
+                initial = BaselineResult(baseline_net,
+                                         optimal_levels(baseline_net),
+                                         CircuitCost(**baseline["cost"]))
             job._live_result = SynthesisResult(
                 netlist=final,
                 plan=plan,
                 cost=cost,
-                initial=BaselineResult(baseline_net,
-                                       optimal_levels(baseline_net),
-                                       CircuitCost(**baseline["cost"])),
+                initial=initial,
                 evolution=live,
                 spec=list(job.spec.spec),
             )

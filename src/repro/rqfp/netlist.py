@@ -389,7 +389,9 @@ class RqfpNetlist:
         return values
 
     def resimulate_cone(self, values: List[int], mask: int,
-                        touched_gates: Sequence[int]) -> int:
+                        touched_gates: Sequence[int],
+                        checks: Optional[
+                            Sequence[Tuple[int, int, int]]] = None) -> int:
         """Recompute the transitive fan-out cone of ``touched_gates``.
 
         ``values`` must be a full per-port value vector for this netlist
@@ -399,6 +401,15 @@ class RqfpNetlist:
         are recomputed only when one of their input ports actually
         changed value (value-identity pruning), so a mutation whose
         effect is masked out stops propagating immediately.
+
+        ``checks`` — ``(source gate, port, expected word)`` per primary
+        output in (source gate, output index) order, -1 for an output
+        driven by the constant or a primary input — stops the sweep at
+        the first output found wrong once its source gate is passed, or
+        after the last output's source gate; compared outputs hold their
+        final words.  This is the early stop of
+        :meth:`repro.core.kernel.NetlistKernel.resimulate_cone_tracked`,
+        with the same counter.
 
         Returns the number of gate output ports recomputed — the
         ``ports_resimulated`` telemetry counter.
@@ -413,30 +424,39 @@ class RqfpNetlist:
         for g in touched_gates:
             touched[g] = 1
         dirty = bytearray(self.num_ports())
-        first = min(touched_gates)
         recomputed = 0
-        index = self.num_inputs + 1 + 3 * first
-        for g in range(first, len(gates)):
-            gate = gates[g]
-            if not touched[g] and not (dirty[gate.in0] or dirty[gate.in1]
-                                       or dirty[gate.in2]):
-                index += 3
-                continue
-            recomputed += 1
-            a = values[gate.in0]
-            b = values[gate.in1]
-            c = values[gate.in2]
-            config = gate.config
-            for shift in (6, 3, 0):
-                bits = config >> shift
-                pa = a ^ mask if bits & 4 else a
-                pb = b ^ mask if bits & 2 else b
-                pc = c ^ mask if bits & 1 else c
-                word = (pa & pb) | (pa & pc) | (pb & pc)
-                if values[index] != word:
-                    values[index] = word
-                    dirty[index] = 1
-                index += 1
+        base = self.num_inputs + 1
+        pos = min(touched_gates)  # the next gate the sweep reaches
+        if checks is None:
+            checks = ((len(gates) - 1, CONST_PORT, None),)
+        for due, port, want in checks:
+            if due >= pos:
+                index = base + 3 * pos
+                for g in range(pos, due + 1):
+                    gate = gates[g]
+                    if not touched[g] and not (
+                            dirty[gate.in0] or dirty[gate.in1]
+                            or dirty[gate.in2]):
+                        index += 3
+                        continue
+                    recomputed += 1
+                    a = values[gate.in0]
+                    b = values[gate.in1]
+                    c = values[gate.in2]
+                    config = gate.config
+                    for shift in (6, 3, 0):
+                        bits = config >> shift
+                        pa = a ^ mask if bits & 4 else a
+                        pb = b ^ mask if bits & 2 else b
+                        pc = c ^ mask if bits & 1 else c
+                        word = (pa & pb) | (pa & pc) | (pb & pc)
+                        if values[index] != word:
+                            values[index] = word
+                            dirty[index] = 1
+                        index += 1
+                pos = due + 1
+            if want is not None and values[port] != want:
+                break
         return 3 * recomputed
 
     def simulate(self, input_words: Sequence[int], mask: int) -> List[int]:

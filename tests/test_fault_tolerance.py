@@ -258,11 +258,13 @@ class TestWorkerEpochInvalidation:
         # Grow the pattern set *between offspring of one span*, as SAT
         # counterexample feedback would: wrap evaluate_incremental so
         # the first call advances the epoch after computing, and record
-        # which state every call used.
+        # which state every call used.  The wrapper evaluates without
+        # the engine's floor, so every fitness is exact and comparable
+        # with a full evaluation.
         real = evaluator.evaluate_incremental
         seen = []
 
-        def growing(child, delta, state=None):
+        def growing(child, delta, state=None, floor=None):
             fit = real(child, delta, state)
             seen.append((state.epoch, evaluator.pattern_epoch, child,
                          fit))

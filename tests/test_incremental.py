@@ -19,7 +19,7 @@ from repro.bench.random_circuits import random_rqfp
 from repro.bench.registry import get_benchmark
 from repro.core.config import RcgpConfig
 from repro.core.engine import EvolutionRun, InlineBackend, encode_genome
-from repro.core.fitness import Evaluator
+from repro.core.fitness import Evaluator, Fitness
 from repro.core.mutation import MutationDelta, mutate, mutate_with_delta
 from repro.core.simstate import SimulationState
 from repro.core.synthesis import initialize_netlist
@@ -75,10 +75,27 @@ class TestDeltaStructure:
         assert not MutationDelta(gates=((0, (0, 0, 0, 0)),)).is_empty
 
 
+#: A functional floor, as the engine passes for any functional parent.
+FLOOR = Fitness(1.0, 1, 1, 1)
+
+
+def _check_early_stop(early, state, child, delta, full, exact_ports):
+    """The floor's contract for one child: the exact verdict, the exact
+    key of a functional child, and no more ports than the exact sweep
+    (``exact_ports``) recomputed."""
+    before = early.ports_resimulated
+    fitness = early.evaluate_incremental(child, delta, state, FLOOR)
+    assert fitness.functional == full.functional
+    if full.functional:
+        assert fitness.key() == full.key()
+    assert early.ports_resimulated - before <= exact_ports
+
+
 class TestIncrementalEqualsFull:
     def test_random_netlists_random_mutation_chains(self):
         """The core property: chains of mutations from an evolving
-        parent, incremental fitness == full fitness at every step."""
+        parent, incremental fitness == full fitness at every step; with
+        a functional floor, the same verdict in at most as many ports."""
         config = _mutation_config()
         for trial in range(12):
             outer = random.Random(1000 + trial)
@@ -86,18 +103,25 @@ class TestIncrementalEqualsFull:
             spec = parent.to_truth_tables()  # parent is functional
             evaluator = Evaluator(spec, config)
             reference = Evaluator(spec, config)
+            early = Evaluator(spec, config)
             state = evaluator.prepare_parent(parent)
+            early_state = early.prepare_parent(parent)
             for step in range(8):
                 child, delta = mutate_with_delta(parent, outer, config)
+                before = evaluator.ports_resimulated
                 incremental = evaluator.evaluate_incremental(child, delta,
                                                              state)
                 full = reference.evaluate(child)
                 assert incremental.key() == full.key(), \
                     f"trial {trial} step {step}: {incremental} != {full}"
+                _check_early_stop(early, early_state, child, delta, full,
+                                  evaluator.ports_resimulated - before)
                 parent = child
                 state = evaluator.prepare_parent(parent)
+                early_state = early.prepare_parent(parent)
             assert evaluator.eval_incremental == 8
             assert evaluator.ports_resimulated >= 0
+            assert early.eval_incremental == 8
 
     def test_non_functional_spec(self):
         """Against an unrelated random spec every candidate is partial;
@@ -121,16 +145,23 @@ class TestIncrementalEqualsFull:
         config = _mutation_config(mutation_rate=0.1)
         evaluator = Evaluator(spec, config)
         reference = Evaluator(spec, config)
+        early = Evaluator(spec, config)
         state = evaluator.prepare_parent(parent)
+        early_state = early.prepare_parent(parent)
         rng = random.Random(13)
         for _ in range(40):
             child, delta = mutate_with_delta(parent, rng, config)
+            before = evaluator.ports_resimulated
+            full = reference.evaluate(child)
             assert evaluator.evaluate_incremental(
-                child, delta, state).key() == reference.evaluate(child).key()
+                child, delta, state).key() == full.key()
+            _check_early_stop(early, early_state, child, delta, full,
+                              evaluator.ports_resimulated - before)
 
     def test_check_incremental_env_flag(self):
-        """RCGP_CHECK_INCREMENTAL verifies every sweep against a full
-        simulation (and passes on correct code)."""
+        """RCGP_CHECK_INCREMENTAL verifies every sweep, and every early
+        verdict, against a full simulation (and passes on correct
+        code)."""
         env = dict(os.environ)
         env["RCGP_CHECK_INCREMENTAL"] = "1"
         env["PYTHONPATH"] = os.pathsep.join(
@@ -149,15 +180,17 @@ class TestIncrementalEqualsFull:
             "ev = Evaluator(parent.to_truth_tables(), config)\n"
             "assert ev._check_incremental\n"
             "state = ev.prepare_parent(parent)\n"
+            "floor = ev.evaluate(parent)\n"
             "for _ in range(15):\n"
             "    child, delta = mutate_with_delta(parent, rng, config)\n"
             "    ev.evaluate_incremental(child, delta, state)\n"
+            "    ev.evaluate_incremental(child, delta, state, floor)\n"
             "print('checked', ev.eval_incremental)\n"
         )
         result = subprocess.run([sys.executable, "-c", code], env=env,
                                 capture_output=True, text=True, timeout=120)
         assert result.returncode == 0, result.stderr
-        assert "checked 15" in result.stdout
+        assert "checked 30" in result.stdout
 
 
 class TestFallbacks:
@@ -243,6 +276,23 @@ class TestEngineIntegration:
         assert incr.ports_resimulated > 0
         assert full.eval_incremental == 0
         assert full.eval_full == full.evaluations
+
+    def test_paper_default_job_is_pinned(self):
+        """A paper-default job (μ = 1, uncapped) keeps the cost rows and
+        evaluation counts recorded before broken children stopped at
+        their first wrong output, in far fewer resimulated ports."""
+        from repro.api import synthesize
+        result = synthesize(get_benchmark("intdiv7").spec(),
+                            RcgpConfig(generations=300, seed=1),
+                            name="intdiv7")
+        rows = [[cost.n_r, cost.n_b, cost.n_d, cost.n_g, cost.jjs]
+                for cost in (result.cost, result.initial.cost)]
+        assert rows == [[92, 68, 10, 125, 2480], [92, 68, 10, 125, 2480]]
+        evolution = result.evolution
+        assert (evolution.evaluations, evolution.eval_full,
+                evolution.eval_incremental) == (1202, 2, 1200)
+        # 315,783 when every child's cone was resimulated in full.
+        assert evolution.ports_resimulated < 315783
 
     def test_incremental_run_matches_with_cache_disabled(self):
         full = self._run(False, eval_cache_size=0)

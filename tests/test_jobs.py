@@ -169,6 +169,30 @@ class TestSchedulerDeterminism:
         assert result.evolution.fitness.key() == direct.fitness.key()
         assert result.evolution.evaluations == direct.evaluations
 
+    def test_job_solves_each_buffer_plan_once(self, monkeypatch):
+        """An in-process job solves the baseline's plan when it starts
+        and the final netlist's when it ends; the live result reuses the
+        baseline's instead of solving it a third time."""
+        from repro.core import synthesis
+        from repro.jobs import scheduler as scheduler_mod
+        from repro.rqfp.buffer_opt import optimal_levels
+        calls = []
+
+        def counting(netlist):
+            calls.append(netlist.num_gates)
+            return optimal_levels(netlist)
+
+        monkeypatch.setattr(synthesis, "optimal_levels", counting)
+        monkeypatch.setattr(scheduler_mod, "optimal_levels", counting)
+        with Scheduler(quantum=40) as scheduler:
+            job = scheduler.submit(_decoder_spec(),
+                                   RcgpConfig(generations=100, seed=3))
+            scheduler.run()
+            result = job.result()
+        assert len(calls) == 2
+        assert result.initial.plan.levels == \
+            optimal_levels(result.initial.netlist).levels
+
     def test_duplicate_submission_is_same_job(self):
         spec = _xor_and_spec()
         config = RcgpConfig(generations=60, seed=2)

@@ -25,7 +25,7 @@ from repro.core.engine import (
     encode_genome,
     genome_with_delta,
 )
-from repro.core.fitness import Evaluator
+from repro.core.fitness import Evaluator, Fitness
 from repro.core.kernel import NetlistKernel
 from repro.core.mutation import mutate_with_delta
 from repro.core.synthesis import initialize_netlist
@@ -240,34 +240,40 @@ class TestEvaluatorEquality:
     def test_incremental_chain_matches_object_path(self):
         """Mutation chains from an evolving parent: flat incremental
         fitness == object incremental fitness == full fitness, and the
-        ports_resimulated counters agree."""
+        ports_resimulated counters agree.  A second pass with a
+        functional floor: both paths stop at the same output, so keys
+        and counters agree, and the verdict is a full evaluation's."""
         config = _mutation_config()
-        for trial in range(8):
-            outer = random.Random(3000 + trial)
-            netlist = random_rqfp(4, 15, 3, outer)
-            spec = netlist.to_truth_tables()
-            kernel = NetlistKernel.from_netlist(netlist)
-            ev_obj = Evaluator(spec, config)
-            ev_flat = Evaluator(spec, config)
-            reference = Evaluator(spec, config)
-            state_obj = ev_obj.prepare_parent(netlist)
-            state_flat = ev_flat.prepare_parent(kernel)
-            for step in range(6):
-                seed = outer.getrandbits(32)
-                child_n, delta_n = mutate_with_delta(
-                    netlist, random.Random(seed), config)
-                child_k, delta_k = mutate_with_delta(
-                    kernel, random.Random(seed), config)
-                f_obj = ev_obj.evaluate_incremental(child_n, delta_n,
-                                                    state_obj)
-                f_flat = ev_flat.evaluate_incremental(child_k, delta_k,
-                                                      state_flat)
-                full = reference.evaluate(child_n)
-                assert f_flat.key() == f_obj.key() == full.key()
-                netlist, kernel = child_n, child_k
+        for floor in (None, Fitness(1.0)):
+            for trial in range(8):
+                outer = random.Random(3000 + trial)
+                netlist = random_rqfp(4, 15, 3, outer)
+                spec = netlist.to_truth_tables()
+                kernel = NetlistKernel.from_netlist(netlist)
+                ev_obj = Evaluator(spec, config)
+                ev_flat = Evaluator(spec, config)
+                reference = Evaluator(spec, config)
                 state_obj = ev_obj.prepare_parent(netlist)
                 state_flat = ev_flat.prepare_parent(kernel)
-            assert ev_flat.ports_resimulated == ev_obj.ports_resimulated
+                for step in range(6):
+                    seed = outer.getrandbits(32)
+                    child_n, delta_n = mutate_with_delta(
+                        netlist, random.Random(seed), config)
+                    child_k, delta_k = mutate_with_delta(
+                        kernel, random.Random(seed), config)
+                    f_obj = ev_obj.evaluate_incremental(child_n, delta_n,
+                                                        state_obj, floor)
+                    f_flat = ev_flat.evaluate_incremental(child_k, delta_k,
+                                                          state_flat, floor)
+                    full = reference.evaluate(child_n)
+                    assert f_flat.key() == f_obj.key()
+                    assert f_flat.functional == full.functional
+                    if floor is None or full.functional:
+                        assert f_flat.key() == full.key()
+                    netlist, kernel = child_n, child_k
+                    state_obj = ev_obj.prepare_parent(netlist)
+                    state_flat = ev_flat.prepare_parent(kernel)
+                assert ev_flat.ports_resimulated == ev_obj.ports_resimulated
 
     def test_finalize_returns_netlist(self):
         netlist = random_rqfp(4, 10, 3, random.Random(8))

@@ -7,7 +7,8 @@ loop uses (:meth:`NetlistKernel.resimulate_cone_scheduled` behind
 :meth:`SimulationState.enable_fanout_index`) is bit-identical to the
 index-ordered scan: same recomputed-port counter, same changed ports in
 the same order, same values, same fitness through
-``evaluate_incremental``.
+``evaluate_incremental`` — with the engine's floor too, where both
+sweeps stop at the first wrong output.
 """
 
 import random
@@ -129,11 +130,14 @@ class TestScheduledSweepIdentity:
         spec = netlist.to_truth_tables()
         config = _mutation_config(seed=seed)
         evaluator = Evaluator(spec, config)
+        floor = evaluator.evaluate(parent)
+        assert floor.functional
         scan_state = evaluator.prepare_parent(parent)
         sched_state = evaluator.prepare_parent(parent)
         sched_state.enable_fanout_index()
-        assert not scan_state.plain_undo
-        assert sched_state.plain_undo
+        # Span mode restores from a pristine copy of the parent vector.
+        assert scan_state._pristine is None
+        assert sched_state._pristine is not None
         rng = random.Random(seed)
         for _ in range(mutants):
             child, delta = mutate_with_delta(parent, rng, config)
@@ -158,6 +162,18 @@ class TestScheduledSweepIdentity:
             f1 = evaluator.evaluate_incremental(child, delta, scan_state)
             f2 = evaluator.evaluate_incremental(child, delta, sched_state)
             assert f1.key() == f2.key()
+            # With the engine's floor both sweeps stop at the same gate:
+            # same verdict, same counter, both vectors restored.
+            start = evaluator.ports_resimulated
+            e1 = evaluator.evaluate_incremental(child, delta, scan_state,
+                                                floor)
+            mid = evaluator.ports_resimulated
+            e2 = evaluator.evaluate_incremental(child, delta, sched_state,
+                                                floor)
+            assert e1.key() == e2.key()
+            assert mid - start == evaluator.ports_resimulated - mid
+            assert scan_state.values == sched_state.values \
+                == sched_state._pristine
 
     def test_random_netlists(self):
         for trial in range(8):

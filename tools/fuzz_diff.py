@@ -18,6 +18,10 @@ on:
   ``rollback=True``, which must be unchanged after every step;
 * **incremental vs full** — cone-aware incremental fitness equals full
   re-simulation for both representations;
+* **early stop** — against the parent's own tables, with the parent's
+  fitness as the floor, the incremental verdict equals full
+  simulation's, a functional child's key is exact, and the object,
+  scan and worklist sweeps count the same ports;
 * **SAT vs exhaustive simulation** — ``check_against_tables`` agrees
   with exhaustive truth-table comparison, UNSAT and SAT legs both, and
   returned counterexamples actually distinguish the circuits;
@@ -135,6 +139,31 @@ def check_incremental(evaluator: Evaluator, parent, child, delta) -> None:
            f"incremental fitness {incremental} != full fitness {full}")
 
 
+def check_early_stop(config: RcgpConfig, parent_obj, parent_ker,
+                     child_obj, child_ker, delta) -> None:
+    spec = parent_obj.to_truth_tables()  # the parent is functional
+    full = Evaluator(spec, config).evaluate(child_obj)
+    ports = []
+    for parent, child, worklist in ((parent_obj, child_obj, False),
+                                    (parent_ker, child_ker, False),
+                                    (parent_ker, child_ker, True)):
+        evaluator = Evaluator(spec, config)
+        floor = evaluator.evaluate(parent)
+        state = evaluator.prepare_parent(parent)
+        if worklist:
+            state.enable_fanout_index()
+        early = evaluator.evaluate_incremental(child, delta, state, floor)
+        _check(early.functional == full.functional,
+               f"early stop said functional={early.functional}, full "
+               f"simulation says {full.functional}")
+        if full.functional:
+            _check(early.key() == full.key(),
+                   f"early-stop fitness {early} != full fitness {full}")
+        ports.append(evaluator.ports_resimulated)
+    _check(ports[0] == ports[1] == ports[2],
+           f"early stop: object/scan/worklist ports {ports} differ")
+
+
 def check_sat_vs_simulation(netlist: RqfpNetlist, spec) -> None:
     result = check_against_tables(netlist.encoder(), spec)
     expected = netlist.to_truth_tables() == list(spec)
@@ -237,6 +266,8 @@ def run_round(seed: int, round_index: int) -> None:
         check_kernel_vs_object(child_obj, child_ker, words, mask)
         check_incremental(evaluator, parent_obj, child_obj, delta_obj)
         check_incremental(evaluator, parent_ker, child_ker, delta_ker)
+        check_early_stop(config, parent_obj, parent_ker, child_obj,
+                         child_ker, delta_ker)
         check_legality(child_obj)
         parent_obj, parent_ker = child_obj, child_ker
 
