@@ -28,7 +28,7 @@ from repro.core.config import RcgpConfig
 from repro.core.engine import EvolutionRun
 from repro.core.fitness import Evaluator
 from repro.core.kernel import NetlistKernel
-from repro.core.mutation import mutate_with_delta
+from repro.core.mutation import consumer_view, mutate_with_delta
 from repro.core.synthesis import initialize_netlist
 from repro.sat.equivalence import check_against_tables
 
@@ -95,7 +95,7 @@ def bench_incremental_eval_paper(circuit: str, kernel: str,
 
 
 def _mutation_rate(parent, config: RcgpConfig, iterations: int) -> float:
-    consumers = parent.consumers()
+    consumers = consumer_view(parent)
     rng = random.Random(7)
     start = time.perf_counter()
     for _ in range(iterations):
@@ -105,8 +105,9 @@ def _mutation_rate(parent, config: RcgpConfig, iterations: int) -> float:
 
 
 def bench_mutation_copy(circuit: str, kernel: str, iterations: int) -> float:
-    """Mutations per second, engine-style: copy-on-write child plus a
-    shared parent consumer map left unchanged (``rollback=True``)."""
+    """Mutations per second, engine-style: copy-on-write child plus the
+    parent's shared :func:`consumer_view` (a kernel's reader table, only
+    read; a netlist's consumer map, rolled back)."""
     _, parent, config = _fixture(circuit, kernel)
     return _mutation_rate(parent, config, iterations)
 

@@ -42,7 +42,7 @@ from repro.core.config import RcgpConfig
 from repro.core.engine import EvolutionRun
 from repro.core.fitness import Evaluator
 from repro.core.kernel import NetlistKernel
-from repro.core.mutation import mutate_with_delta
+from repro.core.mutation import consumer_view, mutate_with_delta
 from repro.core.synthesis import initialize_netlist
 
 
@@ -55,7 +55,7 @@ def isolated_loop_timing(spec, initial, config, iterations):
             if mode == "flat" else initial.copy()
         evaluator = Evaluator(spec, config, random.Random(config.seed))
         state = evaluator.prepare_parent(parent)
-        consumers = parent.consumers()
+        consumers = consumer_view(parent)
         rng = random.Random(7)
         fitness_keys = []
         start = time.perf_counter()

@@ -69,7 +69,7 @@ from ..rqfp.simplify import bypass_wire_gates
 from .config import RcgpConfig
 from .fitness import Evaluator, Fitness
 from .kernel import NetlistKernel
-from .mutation import MutationDelta, mutate_with_delta
+from .mutation import MutationDelta, consumer_view, mutate_with_delta
 from .simstate import SimulationState
 from . import wire
 
@@ -335,9 +335,10 @@ def replay_span(evaluator: Evaluator, resident,
     ``request.count`` generations.
 
     ``resident`` caches ``(genome, parent, state, consumers)`` across
-    spans; like :class:`InlineBackend`, the memoized state is rebuilt
-    only when the chromosome *value* changes (neutral accepts that
-    cancel out keep the warm state) or the pattern epoch moves.  With
+    spans (``consumers`` is the parent's :func:`consumer_view`); like
+    :class:`InlineBackend`, the memoized state is rebuilt only when the
+    chromosome *value* changes (neutral accepts that cancel out keep the
+    warm state) or the pattern epoch moves.  With
     ``incremental_eval`` off there is no state: every offspring is
     simulated in full, exactly as the serial loop's batch path does.
     Returns ``(SpanResult, resident)``.
@@ -358,7 +359,7 @@ def replay_span(evaluator: Evaluator, resident,
     if resident is None or resident[0] != genome:
         parent = _decode_candidate(genome, evaluator)
         resident = (genome, parent, span_state(parent),
-                    parent.consumers())
+                    consumer_view(parent))
     genome, parent, state, consumers = resident
     if state is not None and state.epoch != evaluator.pattern_epoch:
         state = span_state(parent)
@@ -421,7 +422,7 @@ def replay_span(evaluator: Evaluator, resident,
                 genome = new_genome
                 parent = new_parent
                 state = span_state(parent)
-                consumers = parent.consumers()
+                consumers = consumer_view(parent)
     resident = (genome, parent, state, consumers)
     final_genome = genome \
         if not improved and genome != request.parent_genome else None
@@ -700,9 +701,9 @@ class EvolutionRun:
         # evaluator's counters; the engine adds them back.
         remote = getattr(backend, "remote_evaluations", False)
         pool_evaluations = 0
-        # Connectivity view of the current parent, built lazily and
-        # *shared* across the brood: mutate_with_delta(rollback=True)
-        # leaves it as it was, so no per-offspring copy exists at all.
+        # Connectivity view of the current parent (consumer_view: a
+        # kernel's reader table), built lazily and *shared* across the
+        # brood: mutate_with_delta(rollback=True) leaves it as it was.
         # Invalidated whenever the parent changes.
         parent_consumers = None
         start = time.monotonic()
@@ -766,7 +767,7 @@ class EvolutionRun:
             check = None
             if check_mode:
                 if parent_consumers is None:
-                    parent_consumers = parent.consumers()
+                    parent_consumers = consumer_view(parent)
                 check = []
                 for g in range(count):
                     for i in range(config.offspring):
@@ -957,7 +958,7 @@ class EvolutionRun:
                     # budget is run in checkpointed slices.
                     children = []
                     if parent_consumers is None:
-                        parent_consumers = parent.consumers()
+                        parent_consumers = consumer_view(parent)
                     for i in range(config.offspring):
                         rng = random.Random(child_seed(
                             base_seed,

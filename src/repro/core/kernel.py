@@ -51,8 +51,6 @@ from ..rqfp.netlist import CONST_PORT, RqfpNetlist, _fast_gate
 
 __all__ = ["NetlistKernel"]
 
-Consumer = Tuple[str, int, int]
-
 
 # ----------------------------------------------------------------------
 # Per-config compiled majority functions
@@ -227,20 +225,6 @@ class NetlistKernel:
         return self.num_inputs + 1 + 3 * len(self.in0)
 
     # -- connectivity ------------------------------------------------------
-
-    def consumers(self) -> Dict[int, List[Consumer]]:
-        """Port -> consumer list, identical in structure *and order* to
-        :meth:`RqfpNetlist.consumers` (the mutation swap rule picks the
-        first eligible consumer, so list order is semantics)."""
-        result: Dict[int, List[Consumer]] = {}
-        in0, in1, in2 = self.in0, self.in1, self.in2
-        for g in range(len(in0)):
-            result.setdefault(in0[g], []).append(("gate", g, 0))
-            result.setdefault(in1[g], []).append(("gate", g, 1))
-            result.setdefault(in2[g], []).append(("gate", g, 2))
-        for o, port in enumerate(self.outputs):
-            result.setdefault(port, []).append(("po", o, 0))
-        return result
 
     def fanout_counts_flat(self) -> List[int]:
         """Consumer count per port, index = port (0 on a gate output

@@ -44,25 +44,39 @@ override ``getrandbits``); any other RNG — say a subclass that only
 overrides ``random()`` — gets a ``TypeError`` on a kernel parent rather
 than a silently different mutant.
 
-The swap rule asks which gene reads a port, through a consumer map
-``port -> [("gate", g, position) | ("po", index, 0), ...]`` in
-``consumers()`` order (the first gate consumer wins, so list order is
-semantics).  The kernel loop edits it copy-on-write: the first edit of
-a port copies its list into a call-private overlay, and lookups read
-the overlay first.  With ``rollback=True`` the overlay is dropped, so
-a (1+λ) brood shares one parent map that is never written; an owned map
-(``rollback=False``) gets the overlay written back.  Port 0
-(``CONST_PORT``) needs no bookkeeping unless the map is owned:
+The swap rule asks which gene reads a port.  The object path asks a
+consumer map ``port -> [("gate", g, position) | ("po", index, 0), ...]``
+in ``consumers()`` order (the first gate consumer wins, so list order is
+semantics).  With ``rollback=True`` its edits are journalled and undone,
+so a (1+λ) brood shares one parent map that ends as it began; an owned
+map (``rollback=False``) is left as the child's map.
+
+The kernel loop asks a :class:`PortReaders` table, built once per parent
+in one sweep over its columns (:func:`port_readers`): ``reader[port]``
+is the gene index ``4*g + position`` of the gate input reading the port,
+or -1, and the primary outputs reading a port are an output-index list
+in ``consumers()`` order.  Each child copies ``reader`` with a C-level
+slice and edits the copy by direct stores (PO lists copy-on-write), so
+the table is never written and a whole brood shares it; the swap
+partner is one array index.  One gate reader per port is an invariant of
+the swap rule — it moves readers in pairs — so a parent that has it
+hands it to every child.  Port 0 (``CONST_PORT``) is untracked:
 connecting to the constant is a direct assignment, so the swap rule
-never reads its consumers — and about 45% of all gate inputs read the
-constant, which makes its list the longest in the map.
+never asks who reads it (about 45% of all gate inputs do).  A parent in
+which some other port feeds two or more gate inputs (only user-supplied
+netlists have one) is flagged while its table is built and mutated
+through the object path instead (``to_netlist()``, the object loop,
+``apply_delta``), so there is still one loop per representation.
 """
 
 from __future__ import annotations
 
+import functools
 import random
+from array import array
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import (Dict, List, NamedTuple, Optional, Sequence, Set, Tuple,
+                    Union)
 
 from ..rqfp.netlist import CONST_PORT, RqfpNetlist
 from .config import RcgpConfig
@@ -352,200 +366,12 @@ def _mutate_config(state: _NetlistState, gate: int,
     return True
 
 
-_RANDBELOW = random.Random._randbelow_with_getrandbits
-
-
-def _mutate_kernel(child: NetlistKernel, rng: random.Random,
-                   config: RcgpConfig, max_m: int,
-                   consumers: Optional[Dict[int, List[Consumer]]],
-                   rollback: bool) -> MutationDelta:
-    """Point-mutate ``child``'s gene columns in place; returns the delta.
-
-    The object path fused into one loop (module docstring): each
-    ``rng.randrange(n)`` there is an inline ``getrandbits`` rejection
-    loop here, and each detach/attach goes to the copy-on-write overlay
-    ``edited``.  Ports are ints and ``CONST_PORT`` is 0, so ``if port``
-    reads "not the constant".
-    """
-    cls = type(rng)
-    if (getattr(cls, "_randbelow", None) is not _RANDBELOW
-            or getattr(cls, "randrange", None) is not random.Random.randrange
-            or getattr(cls, "randint", None) is not random.Random.randint):
-        raise TypeError(
-            f"{cls.__name__} does not draw integers through "
-            "random.Random._randbelow_with_getrandbits, so the kernel "
-            "mutation loop cannot reproduce its randrange() stream")
-    getrandbits = rng.getrandbits
-    write_back = consumers is not None and not rollback
-    if consumers is None:
-        consumers = child.consumers()
-    edited: Dict[int, List[Consumer]] = {}
-    columns = (child.in0, child.in1, child.in2)
-    configs = child.config
-    outputs = child.outputs
-    base = child.num_inputs + 1
-    node_genes = 4 * len(configs)
-    n_l = node_genes + len(outputs)
-    n_l_bits = n_l.bit_length()
-    num_ports = base + 3 * len(configs)
-    num_ports_bits = num_ports.bit_length()
-    inputs_on = config.enable_input_mutation
-    configs_on = config.enable_inverter_mutation
-    outputs_on = config.enable_output_mutation
-    touched_gates: Set[int] = set()
-    touched_outputs: Set[int] = set()
-
-    bits = max_m.bit_length()
-    m = getrandbits(bits)
-    while m >= max_m:
-        m = getrandbits(bits)
-    for _ in range(m + 1):  # randint(1, max_m) == 1 + randbelow(max_m)
-        # Up to eight draws to land on an enabled gene kind.  (A counted
-        # ``while`` costs markedly less per gene than ``range(8)``.)
-        attempts = 8
-        while attempts:
-            attempts -= 1
-            gene = getrandbits(n_l_bits)
-            while gene >= n_l:
-                gene = getrandbits(n_l_bits)
-
-            if gene >= node_genes:  # primary-output reconnection
-                if not outputs_on:
-                    continue
-                index = gene - node_genes
-                new = getrandbits(num_ports_bits)
-                while new >= num_ports:
-                    new = getrandbits(num_ports_bits)
-                old = outputs[index]
-                if new != old:
-                    outputs[index] = new
-                    touched_outputs.add(index)
-                    me = ("po", index, 0)
-                    if old or write_back:
-                        users = edited.get(old)
-                        if users is None:
-                            users = edited[old] = list(consumers.get(old, ()))
-                        users.remove(me)
-                    if new or write_back:
-                        users = edited.get(new)
-                        if users is None:
-                            users = edited[new] = list(consumers.get(new, ()))
-                        users.append(me)
-                break
-
-            gate = gene >> 2
-            field = gene & 3
-            if field == 3:  # inverter-configuration flip
-                if not configs_on:
-                    continue
-                beta = getrandbits(4)
-                while beta >= 9:
-                    beta = getrandbits(4)
-                configs[gate] ^= 1 << beta
-                touched_gates.add(gate)
-                break
-
-            if not inputs_on:  # node-input reconnection
-                continue
-            limit = base + 3 * gate
-            bits = limit.bit_length()
-            new = getrandbits(bits)
-            while new >= limit:
-                new = getrandbits(bits)
-            column = columns[field]
-            old = column[gate]
-            if new == old:
-                break
-            me = ("gate", gate, field)
-            other = None
-            if new or write_back:
-                users = edited.get(new)
-                if users is None:
-                    users = edited[new] = list(consumers.get(new, ()))
-                if new:
-                    # The swap partner: the first gate consumer of
-                    # ``new``, else its first PO.  (This gene reads
-                    # ``old``, so it is never in ``new``'s list.)  A
-                    # constant connection is a direct assignment.
-                    for user in users:
-                        if user[0] == "gate":
-                            other = user
-                            break
-                        if other is None:
-                            other = user
-                    if other is not None and other[0] == "gate" \
-                            and old >= base + 3 * other[1]:
-                        break  # swap would let a gate read from its future
-                users.append(me)
-            column[gate] = new
-            touched_gates.add(gate)
-            if old or write_back:
-                olds = edited.get(old)
-                if olds is None:
-                    olds = edited[old] = list(consumers.get(old, ()))
-                olds.remove(me)
-            if other is not None:
-                # Paper case 1: the partner takes over ``old`` (a PO may
-                # reference any port).
-                users.remove(other)
-                index = other[1]
-                if other[0] == "gate":
-                    columns[other[2]][index] = old
-                    touched_gates.add(index)
-                else:
-                    outputs[index] = old
-                    touched_outputs.add(index)
-                if old or write_back:
-                    olds.append(other)
-            break
-
-    if write_back:
-        for port, users in edited.items():
-            if users:
-                consumers[port] = users
-            else:
-                consumers.pop(port, None)
-    in0, in1, in2 = columns
-    return MutationDelta(
-        gates=tuple((g, (in0[g], in1[g], in2[g], configs[g]))
-                    for g in sorted(touched_gates)),
-        outputs=tuple((i, outputs[i]) for i in sorted(touched_outputs)),
-    )
-
-
-def mutate_with_delta(parent: Candidate, rng: random.Random,
-                      config: RcgpConfig,
-                      consumers: Optional[Dict[int, List[Consumer]]] = None,
-                      rollback: bool = False) \
-        -> Tuple[Candidate, MutationDelta]:
-    """One offspring of ``parent`` plus its structured footprint.
-
-    The delta records every gate and primary output the mutation wrote
-    to (including swap-rule side effects), with their final gene
-    values — enough for :meth:`MutationDelta.apply_to` to rebuild the
-    child from the parent, and for the evaluator to resimulate only the
-    delta's fan-out cone.  The parent is not modified, the offspring has
-    the parent's representation (netlist or kernel), and the RNG stream
-    is identical across representations.  A kernel parent needs an RNG
-    whose integers come from ``getrandbits`` (module docstring); any
-    other raises ``TypeError``.
-
-    ``consumers``, when given, must be a consumer map of ``parent``.
-    With ``rollback=False`` the call takes ownership and updates it to
-    the child's map; with ``rollback=True`` it is left as it was (list
-    order included), so a (1+λ) loop can share one parent map across
-    the whole brood with no per-offspring copy at all.
-    """
-    child = parent.copy()
+def _mutate_netlist(child: RqfpNetlist, rng: random.Random,
+                    config: RcgpConfig, max_m: int,
+                    consumers: Optional[Dict[int, List[Consumer]]],
+                    rollback: bool) -> MutationDelta:
+    """The object path: point-mutate ``child``'s gate objects in place."""
     n_l = chromosome_length(child)
-    if n_l == 0:
-        return child, MutationDelta()
-    max_m = max(1, round(config.mutation_rate * n_l))
-    if config.max_mutated_genes is not None:
-        max_m = max(1, min(max_m, config.max_mutated_genes))
-    if isinstance(child, NetlistKernel):
-        return child, _mutate_kernel(child, rng, config, max_m, consumers,
-                                     rollback)
     m = rng.randint(1, max_m)
     state = _NetlistState(child, consumers, rollback)
     node_genes = 4 * child.num_gates
@@ -572,7 +398,291 @@ def mutate_with_delta(parent: Candidate, rng: random.Random,
     delta = state.build_delta()
     if rollback:
         state.rollback()
-    return child, delta
+    return delta
+
+
+class PortReaders(NamedTuple):
+    """Who reads each port of one kernel parent, int-coded.
+
+    Built by :func:`port_readers` and only ever read, so a (1+λ) brood
+    shares one (module docstring).
+    """
+
+    reader: array
+    """Per port (``array('q')``, so a child's copy is one ``memcpy``):
+    the gene index ``4*g + position`` of the gate input reading it, or
+    -1; port 0 is always -1."""
+
+    outputs: Dict[int, List[int]]
+    """Non-constant port -> the indices of the primary outputs reading
+    it, in ``consumers()`` order."""
+
+    limits: Tuple[int, ...]
+    """Per gate: its first port, so its inputs are drawn below it."""
+
+    limit_bits: Tuple[int, ...]
+    """Per gate: ``limits[g].bit_length()``, the ``getrandbits`` width of
+    one draw."""
+
+    shared: bool
+    """Some non-constant port feeds two or more gate inputs: children
+    take the object path."""
+
+
+@functools.lru_cache(maxsize=16)
+def _gate_limits(base: int, num_gates: int) \
+        -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+    limits = tuple(range(base, base + 3 * num_gates, 3))
+    return limits, tuple([limit.bit_length() for limit in limits])
+
+
+def port_readers(kernel: NetlistKernel) -> PortReaders:
+    """The :class:`PortReaders` table of ``kernel``, in one sweep.
+
+    A port feeding two gate inputs keeps only one of them in ``reader``,
+    so sharing shows as fewer tracked ports than non-constant gate
+    inputs (both counted at C level).
+    """
+    in0, in1, in2 = kernel.in0, kernel.in1, kernel.in2
+    base = kernel.num_inputs + 1
+    reader = array("q", [-1]) * (base + 3 * len(in0))
+    gene = 0
+    for a, b, c in zip(in0, in1, in2):
+        reader[a] = gene
+        reader[b] = gene + 1
+        reader[c] = gene + 2
+        gene += 4
+    reader[CONST_PORT] = -1
+    fed = 3 * len(in0) - in0.count(0) - in1.count(0) - in2.count(0)
+    shared = len(reader) - reader.count(-1) != fed
+    outputs: Dict[int, List[int]] = {}
+    for index, port in enumerate(kernel.outputs):
+        if port:
+            users = outputs.get(port)
+            if users is None:
+                outputs[port] = [index]
+            else:
+                users.append(index)
+    limits, limit_bits = _gate_limits(base, len(in0))
+    return PortReaders(reader, outputs, limits, limit_bits, shared)
+
+
+def consumer_view(parent: Candidate) \
+        -> Union[PortReaders, Dict[int, List[Consumer]]]:
+    """What a (1+λ) brood of ``parent`` shares as ``consumers=`` with
+    ``rollback=True``: a kernel's :class:`PortReaders` table, a
+    netlist's consumer map."""
+    if isinstance(parent, NetlistKernel):
+        return port_readers(parent)
+    return parent.consumers()
+
+
+_RANDBELOW = random.Random._randbelow_with_getrandbits
+
+
+def _require_getrandbits(rng: random.Random) -> None:
+    cls = type(rng)
+    if (getattr(cls, "_randbelow", None) is not _RANDBELOW
+            or getattr(cls, "randrange", None) is not random.Random.randrange
+            or getattr(cls, "randint", None) is not random.Random.randint):
+        raise TypeError(
+            f"{cls.__name__} does not draw integers through "
+            "random.Random._randbelow_with_getrandbits, so the kernel "
+            "mutation loop cannot reproduce its randrange() stream")
+
+
+def _enabled_gene(gene: int, getrandbits, n_l: int, node_genes: int,
+                  kinds_on: Tuple[bool, ...]) -> int:
+    """The object path's up to eight draws for a gene of an enabled kind,
+    ``gene`` being the first: the gene they land on, or -1."""
+    bits = n_l.bit_length()
+    for _ in range(7):
+        if kinds_on[gene & 3 if gene < node_genes else 4]:
+            return gene
+        gene = getrandbits(bits)
+        while gene >= n_l:
+            gene = getrandbits(bits)
+    return gene if kinds_on[gene & 3 if gene < node_genes else 4] else -1
+
+
+def _mutate_kernel(child: NetlistKernel, rng: random.Random,
+                   config: RcgpConfig, max_m: int,
+                   table: PortReaders) -> MutationDelta:
+    """Point-mutate ``child``'s gene columns in place; returns the delta.
+
+    The object path fused into one loop (module docstring): each
+    ``rng.randrange(n)`` there is an inline ``getrandbits`` rejection
+    loop here, and each consumer-map edit is a store into ``reader``, a
+    private copy of the parent's table, or an edit of a copied PO list.
+    Ports are ints and ``CONST_PORT`` is 0, so ``if port`` reads "not the
+    constant".
+    """
+    getrandbits = rng.getrandbits
+    reader = table.reader[:]
+    parent_pos = table.outputs
+    pos_of = dict(parent_pos)  # the parent's PO lists until edited
+    limits, limit_bits = table.limits, table.limit_bits
+    columns = (child.in0, child.in1, child.in2)
+    configs = child.config
+    outputs = child.outputs
+    node_genes = 4 * len(configs)
+    n_l = node_genes + len(outputs)
+    n_l_bits = n_l.bit_length()
+    num_ports = len(reader)
+    num_ports_bits = num_ports.bit_length()
+    # The object path's kind test per gene field (three inputs, the
+    # inverter config) and for PO genes, last.
+    kinds_on = (config.enable_input_mutation,) * 3 + (
+        config.enable_inverter_mutation, config.enable_output_mutation)
+    all_on = all(kinds_on)
+    touched_gates: Set[int] = set()
+    touched_outputs: Set[int] = set()
+    touch = touched_gates.add
+
+    def own(port: int) -> List[int]:
+        """This child's private copy of ``port``'s PO list."""
+        users = pos_of.get(port)
+        if users is None or users is parent_pos.get(port):
+            users = pos_of[port] = list(users or ())
+        return users
+
+    bits = max_m.bit_length()
+    m = getrandbits(bits)
+    while m >= max_m:
+        m = getrandbits(bits)
+    for _ in range(m + 1):  # randint(1, max_m) == 1 + randbelow(max_m)
+        gene = getrandbits(n_l_bits)
+        while gene >= n_l:
+            gene = getrandbits(n_l_bits)
+        if not all_on:
+            gene = _enabled_gene(gene, getrandbits, n_l, node_genes,
+                                 kinds_on)
+            if gene < 0:
+                continue
+
+        if gene >= node_genes:  # primary-output reconnection
+            index = gene - node_genes
+            new = getrandbits(num_ports_bits)
+            while new >= num_ports:
+                new = getrandbits(num_ports_bits)
+            old = outputs[index]
+            if new != old:
+                outputs[index] = new
+                touched_outputs.add(index)
+                if old:
+                    own(old).remove(index)
+                if new:
+                    own(new).append(index)
+            continue
+
+        gate = gene >> 2
+        field = gene & 3
+        if field == 3:  # inverter-configuration flip
+            beta = getrandbits(4)
+            while beta >= 9:
+                beta = getrandbits(4)
+            configs[gate] ^= 1 << beta
+            touch(gate)
+            continue
+
+        limit = limits[gate]  # node-input reconnection
+        bits = limit_bits[gate]
+        new = getrandbits(bits)
+        while new >= limit:
+            new = getrandbits(bits)
+        column = columns[field]
+        old = column[gate]
+        if new == old:
+            continue
+        if new:  # a constant connection is a direct assignment
+            # The swap partner: the gate input reading ``new``, else its
+            # first PO.  (This gene reads ``old``, so it is not the
+            # partner.)
+            other = reader[new]
+            if other >= 0:
+                partner = other >> 2
+                if old >= limits[partner]:
+                    continue  # swap would let a gate read from its future
+                # Paper case 1: the partner takes over ``old``.
+                columns[other & 3][partner] = old
+                touch(partner)
+                if old:
+                    reader[old] = other
+            else:
+                if pos_of.get(new):
+                    # Paper case 1: the first PO takes over ``old`` (a
+                    # PO may reference any port).
+                    index = own(new).pop(0)
+                    outputs[index] = old
+                    touched_outputs.add(index)
+                    if old:
+                        own(old).append(index)
+                if old:
+                    reader[old] = -1
+            reader[new] = gene
+        else:
+            reader[old] = -1
+        column[gate] = new
+        touch(gate)
+
+    in0, in1, in2 = columns
+    if 4 * len(touched_gates) > len(configs):
+        genes = list(zip(in0, in1, in2, configs))  # one C-level pass
+        gates = tuple([(g, genes[g]) for g in sorted(touched_gates)])
+    else:
+        gates = tuple([(g, (in0[g], in1[g], in2[g], configs[g]))
+                       for g in sorted(touched_gates)])
+    return MutationDelta(
+        gates=gates,
+        outputs=tuple([(i, outputs[i]) for i in sorted(touched_outputs)]),
+    )
+
+
+def mutate_with_delta(parent: Candidate, rng: random.Random,
+                      config: RcgpConfig,
+                      consumers: Union[None, PortReaders,
+                                       Dict[int, List[Consumer]]] = None,
+                      rollback: bool = False) \
+        -> Tuple[Candidate, MutationDelta]:
+    """One offspring of ``parent`` plus its structured footprint.
+
+    The delta records every gate and primary output the mutation wrote
+    to (including swap-rule side effects), with their final gene
+    values — enough for :meth:`MutationDelta.apply_to` to rebuild the
+    child from the parent, and for the evaluator to resimulate only the
+    delta's fan-out cone.  The parent is not modified, the offspring has
+    the parent's representation (netlist or kernel), and the RNG stream
+    is identical across representations.  A kernel parent needs an RNG
+    whose integers come from ``getrandbits`` (module docstring); any
+    other raises ``TypeError``.
+
+    ``consumers``, when given, is the parent's :func:`consumer_view`.
+    A kernel parent's :class:`PortReaders` table is only read, whatever
+    ``rollback`` says.  A netlist parent's consumer map is taken over
+    with ``rollback=False`` and updated to the child's map; with
+    ``rollback=True`` it is left as it was (list order included).
+    Either way a (1+λ) loop shares one view across the whole brood.
+    """
+    n_l = chromosome_length(parent)
+    if n_l == 0:
+        return parent.copy(), MutationDelta()
+    max_m = max(1, round(config.mutation_rate * n_l))
+    if config.max_mutated_genes is not None:
+        max_m = max(1, min(max_m, config.max_mutated_genes))
+    if isinstance(parent, NetlistKernel):
+        _require_getrandbits(rng)
+        table = port_readers(parent) if consumers is None else consumers
+        if not table.shared:
+            child = parent.copy()
+            return child, _mutate_kernel(child, rng, config, max_m, table)
+        # A port feeding several gate inputs: the object path's consumer
+        # lists handle any number of gate readers.
+        delta = _mutate_netlist(parent.to_netlist(), rng, config, max_m,
+                                None, False)
+        return parent.apply_delta(delta), delta
+    child = parent.copy()
+    return child, _mutate_netlist(child, rng, config, max_m, consumers,
+                                  rollback)
 
 
 def mutate(parent: Candidate, rng: random.Random,

@@ -15,12 +15,10 @@ from typing import List, Optional, Tuple
 from .core.config import RcgpConfig
 from .core.synthesis import SynthesisResult
 from .errors import ParseError
-from .io import (read_aiger, read_bench, read_blif, read_pla,
+from .io import (MAX_INPUTS, read_aiger, read_bench, read_blif, read_pla,
                  read_real, read_verilog)
 from .logic.truth_table import TruthTable
 from .reversible.spec import circuit_spec
-
-_MAX_COLLAPSE_INPUTS = 16
 
 
 def load_spec(path: str) -> Tuple[List[TruthTable], str]:
@@ -43,10 +41,10 @@ def load_spec(path: str) -> Tuple[List[TruthTable], str]:
             os.path.splitext(os.path.basename(path))[0]
     else:
         raise ParseError(f"unsupported design extension {ext!r}", path)
-    if network.num_inputs > _MAX_COLLAPSE_INPUTS:
+    if network.num_inputs > MAX_INPUTS:
         raise ParseError(
             f"{path}: {network.num_inputs} inputs exceed the exhaustive "
-            f"specification limit ({_MAX_COLLAPSE_INPUTS})", path)
+            f"specification limit ({MAX_INPUTS})", path)
     name = network.name or os.path.splitext(os.path.basename(path))[0]
     return network.to_truth_tables(), name
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..errors import NetlistError
-from ..logic.bitops import full_mask
+from ..logic.bitops import full_mask, variable_pattern
 from ..logic.truth_table import TruthTable
 from ..sat.cnf import CNF
 from ..sat.tseitin import encode_and
@@ -45,6 +45,10 @@ def lit_not(literal: int) -> int:
 
 CONST0 = 0
 CONST1 = 1
+
+#: Inputs simulated word-parallel per chunk by :meth:`Aig.to_truth_tables`
+#: (``2**16`` patterns: 8 KiB words).
+_CHUNK_INPUTS = 16
 
 
 class Aig:
@@ -239,12 +243,33 @@ class Aig:
         return [lit_value(o) for o in self.outputs]
 
     def to_truth_tables(self) -> List[TruthTable]:
-        """Exhaustive simulation into one truth table per output."""
+        """Exhaustive simulation into one truth table per output.
+
+        Runs in chunks of ``2**16`` patterns, a single one up to 16
+        inputs: the low 16 inputs take their projection words and each
+        higher input a constant word per chunk, so no node's word
+        outgrows 8 KiB however wide the network (:meth:`simulate` keeps
+        one word alive per node).  Each output's chunks are joined as
+        bytes, in one pass.
+        """
         n = self.num_inputs
-        mask = full_mask(n)
-        from ..logic.bitops import variable_pattern
-        words = [variable_pattern(i, n) for i in range(n)]
-        return [TruthTable(n, w) for w in self.simulate(words, mask)]
+        low = min(n, _CHUNK_INPUTS)
+        mask = full_mask(low)
+        words = [variable_pattern(i, low) for i in range(low)]
+        if n == low:
+            return [TruthTable(n, w) for w in self.simulate(words, mask)]
+        chunks: List[List[int]] = [[] for _ in self.outputs]
+        for chunk in range(1 << (n - low)):
+            got = self.simulate(
+                words + [mask if (chunk >> i) & 1 else 0
+                         for i in range(n - low)], mask)
+            for parts, word in zip(chunks, got):
+                parts.append(word)
+        size = (1 << low) // 8
+        return [TruthTable(n, int.from_bytes(
+                    b"".join(w.to_bytes(size, "little") for w in parts),
+                    "little"))
+                for parts in chunks]
 
     def to_cnf(self, cnf: CNF, input_lits: Sequence[int]) -> List[int]:
         """Tseitin-encode onto existing input literals; returns output lits."""

@@ -39,15 +39,24 @@ def balance(aig: Aig) -> Aig:
     through uncomplemented AND edges with single use inside the cone.
     Conjuncts are combined cheapest-level-first (Huffman style), which is
     exactly ABC's balancing strategy.
+
+    The levels of the growing network are kept in a list that grows
+    with it: nodes are only ever appended, so a node's level never
+    changes once known, and one pass costs no full level sweep.
     """
     fresh = Aig(name=aig.name)
     mapping: Dict[int, int] = {0: CONST0}
     for node, name in zip(aig.inputs, aig.input_names):
         mapping[node] = fresh.add_input(name)
     remap = _remap_factory(mapping)
+    levels = [0] * fresh.num_nodes  # the constant and the inputs
 
+    def level_of(literal: int) -> int:
+        return levels[lit_node(literal)]
+
+    order = aig.reachable_ands()
     refs: Dict[int, int] = {}
-    for node in aig.reachable_ands():
+    for node in order:
         for fan in aig.fanins(node):
             refs[lit_node(fan)] = refs.get(lit_node(fan), 0) + 1
     for out in aig.outputs:
@@ -67,32 +76,23 @@ def balance(aig: Aig) -> Aig:
         else:
             acc.append(literal)
 
-    for node in aig.reachable_ands():
+    for node in order:
         conjuncts: List[int] = []
         f0, f1 = aig.fanins(node)
         collect_conjuncts(f0, conjuncts, False)
         collect_conjuncts(f1, conjuncts, False)
-        new_lits = [remap(c) for c in conjuncts]
-        levels = fresh.levels()
-
-        def level_of(literal: int) -> int:
-            return levels[lit_node(literal)]
 
         # Huffman-style: repeatedly AND the two shallowest operands.
-        work = sorted(set(new_lits), key=level_of)
-        seen = set()
-        dedup = []
-        for w in work:
-            if w not in seen:
-                seen.add(w)
-                dedup.append(w)
-        work = dedup
+        work = sorted(set(remap(c) for c in conjuncts), key=level_of)
         while len(work) > 1:
             work.sort(key=level_of)
             a = work.pop(0)
             b = work.pop(0)
             combined = fresh.add_and(a, b)
-            levels = fresh.levels()
+            if fresh.num_nodes > len(levels):  # a new AND node
+                g0, g1 = fresh.fanins(len(levels))
+                levels.append(1 + max(levels[lit_node(g0)],
+                                      levels[lit_node(g1)]))
             work.append(combined)
         mapping[node] = work[0] if work else CONST1
     for literal, name in zip(aig.outputs, aig.output_names):

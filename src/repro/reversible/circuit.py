@@ -42,6 +42,13 @@ class ReversibleCircuit:
             self.constants = [None] * self.num_wires
         if not self.garbage:
             self.garbage = [False] * self.num_wires
+        for what, listed in (("wire_names", self.wire_names),
+                             ("constants", self.constants),
+                             ("garbage", self.garbage)):
+            if len(listed) != self.num_wires:
+                raise NetlistError(
+                    f"{what} lists {len(listed)} wires, the circuit has "
+                    f"{self.num_wires}")
 
     # -- construction -----------------------------------------------------
 

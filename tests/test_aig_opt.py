@@ -1,11 +1,17 @@
 """Unit tests for the AIG optimization passes (resyn2 analogue)."""
 
+import random
+from typing import Dict, List
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.bench.random_circuits import random_aig
+from repro.bench.registry import get_benchmark
 from repro.logic.truth_table import TruthTable
-from repro.networks.aig import Aig, lit, lit_not
+from repro.networks.aig import (CONST0, CONST1, Aig, lit, lit_complement,
+                                lit_node, lit_not)
 from repro.networks.convert import tables_to_aig
 from repro.opt.aig_opt import balance, collapse_refactor, refactor, resyn2
 
@@ -18,6 +24,65 @@ def _chain_aig(n):
         acc = aig.add_and(acc, lit(node))
     aig.add_output(acc)
     return aig
+
+
+def _balance_reference(aig: Aig) -> Aig:
+    """``balance`` with a full ``levels()`` sweep of the growing network
+    per AND-cone and after every new AND: the quadratic original, kept
+    as the reference the level-list version must match node for node."""
+    fresh = Aig(name=aig.name)
+    mapping: Dict[int, int] = {0: CONST0}
+    for node, name in zip(aig.inputs, aig.input_names):
+        mapping[node] = fresh.add_input(name)
+
+    def remap(literal: int) -> int:
+        base = mapping[lit_node(literal)]
+        return lit_not(base) if lit_complement(literal) else base
+
+    refs: Dict[int, int] = {}
+    for node in aig.reachable_ands():
+        for fan in aig.fanins(node):
+            refs[lit_node(fan)] = refs.get(lit_node(fan), 0) + 1
+    for out in aig.outputs:
+        refs[lit_node(out)] = refs.get(lit_node(out), 0) + 1
+
+    def collect_conjuncts(literal: int, acc: List[int], root: bool) -> None:
+        node = lit_node(literal)
+        if (aig.is_and(node) and not lit_complement(literal)
+                and (root or refs.get(node, 0) <= 1)):
+            f0, f1 = aig.fanins(node)
+            collect_conjuncts(f0, acc, False)
+            collect_conjuncts(f1, acc, False)
+        else:
+            acc.append(literal)
+
+    for node in aig.reachable_ands():
+        conjuncts: List[int] = []
+        f0, f1 = aig.fanins(node)
+        collect_conjuncts(f0, conjuncts, False)
+        collect_conjuncts(f1, conjuncts, False)
+        levels = fresh.levels()
+
+        def level_of(literal: int) -> int:
+            return levels[lit_node(literal)]
+
+        work = sorted(set(remap(c) for c in conjuncts), key=level_of)
+        while len(work) > 1:
+            work.sort(key=level_of)
+            a = work.pop(0)
+            b = work.pop(0)
+            combined = fresh.add_and(a, b)
+            levels = fresh.levels()
+            work.append(combined)
+        mapping[node] = work[0] if work else CONST1
+    for literal, name in zip(aig.outputs, aig.output_names):
+        fresh.add_output(remap(literal), name)
+    return fresh.cleanup()
+
+
+def _structure(aig: Aig):
+    return ([aig.fanins(node) for node in aig.and_nodes()], aig.inputs,
+            aig.outputs, aig.input_names, aig.output_names)
 
 
 class TestBalance:
@@ -43,6 +108,29 @@ class TestBalance:
         aig.add_output(lit_not(ab))
         balanced = balance(aig)
         assert balanced.to_truth_tables() == aig.to_truth_tables()
+
+    def test_matches_full_sweep_reference(self):
+        aigs = [random_aig(6, 60, 4, random.Random(seed))
+                for seed in range(25)]
+        for name in ("ham3", "graycode6", "mod5adder", "intdiv7"):
+            aig = tables_to_aig(get_benchmark(name).spec())
+            aigs += [aig, refactor(aig)]
+        for aig in aigs:
+            assert _structure(balance(aig)) == \
+                _structure(_balance_reference(aig))
+
+    def test_one_level_sweep_at_most(self, monkeypatch):
+        sweeps = []
+        levels = Aig.levels
+
+        def counted(aig):
+            sweeps.append(aig)
+            return levels(aig)
+
+        monkeypatch.setattr(Aig, "levels", counted)
+        aig = tables_to_aig(get_benchmark("intdiv7").spec())
+        balance(aig)
+        assert len(sweeps) <= 1
 
 
 class TestRefactor:

@@ -8,8 +8,12 @@ import pytest
 from repro.cli import main
 from repro.errors import ParseError
 from repro.flow import load_spec, synthesize_file
+from repro.io import (MAX_INPUTS, write_aiger, write_bench, write_blif,
+                      write_verilog)
 from repro.io.rqfp_json import read_rqfp_json
+from repro.logic.bitops import full_mask, variable_pattern
 from repro.logic.truth_table import TruthTable
+from repro.networks.aig import Aig, lit
 
 AND_BLIF = """.model andgate
 .inputs a b
@@ -86,6 +90,57 @@ class TestLoadSpec:
         path.write_text("")
         with pytest.raises(ParseError):
             load_spec(str(path))
+
+    @pytest.mark.parametrize("num_inputs", [17, 20])
+    def test_wide_design_loads_alike_in_every_format(self, tmp_path,
+                                                     num_inputs):
+        """Up to ``MAX_INPUTS`` every format gives the same tables; an
+        AIG simulates in 2^16-pattern chunks above 16 inputs."""
+        last = num_inputs - 1
+        covers = [["11" + "-" * (last - 1), "-" * (last - 2) + "01-",
+                   "-" * last + "1"],
+                  ["0----1" + "-" * (last - 6) + "1"]]
+        aig = Aig(num_inputs, name="wide")
+        for cubes in covers:
+            aig.add_output(aig.add_or_many([
+                aig.add_and_many([lit(aig.inputs[i], ch == "0")
+                                  for i, ch in enumerate(cube) if ch != "-"])
+                for cube in cubes]))
+        words = [variable_pattern(i, num_inputs) for i in range(num_inputs)]
+        mask = full_mask(num_inputs)
+        expected = []
+        for cubes in covers:
+            bits = 0
+            for cube in cubes:
+                word = mask
+                for i, ch in enumerate(cube):
+                    if ch != "-":
+                        word &= words[i] if ch == "1" else ~words[i] & mask
+                bits |= word
+            expected.append(TruthTable(num_inputs, bits))
+        pla = [f".i {num_inputs}", f".o {len(covers)}"]
+        for o, cubes in enumerate(covers):
+            pla += [cube + " " + "01"[o == 0] + "01"[o == 1]
+                    for cube in cubes]
+        files = {"wide.pla": "\n".join(pla + [".e", ""]),
+                 "wide.blif": write_blif(aig), "wide.aag": write_aiger(aig),
+                 "wide.v": write_verilog(aig), "wide.bench": write_bench(aig)}
+        for name, text in files.items():
+            path = tmp_path / name
+            path.write_text(text)
+            assert load_spec(str(path))[0] == expected, name
+
+    def test_design_above_the_input_bound_rejected(self, tmp_path):
+        aig = Aig(MAX_INPUTS + 1, name="wide")
+        aig.add_output(aig.add_and(lit(aig.inputs[0]), lit(aig.inputs[-1])))
+        for name, text in (("w.blif", write_blif(aig)),
+                           ("w.aag", write_aiger(aig)),
+                           ("w.v", write_verilog(aig)),
+                           ("w.bench", write_bench(aig))):
+            path = tmp_path / name
+            path.write_text(text)
+            with pytest.raises(ParseError):
+                load_spec(str(path))
 
 
 class TestSynthesizeFile:

@@ -27,10 +27,12 @@ from repro.core.engine import (
 )
 from repro.core.fitness import Evaluator, Fitness
 from repro.core.kernel import NetlistKernel
-from repro.core.mutation import mutate_with_delta
+from repro.core.mutation import mutate_with_delta, port_readers
 from repro.core.synthesis import initialize_netlist
 from repro.logic.bitops import full_mask, variable_pattern
 from repro.rqfp.buffers import estimate_buffers
+from repro.rqfp.netlist import CONST_PORT
+from repro.rqfp.splitters import insert_splitters
 
 pytestmark = []
 
@@ -128,9 +130,39 @@ class TestStructuralEquality:
             assert kernel.shrink().to_genome() == \
                 NetlistKernel.from_netlist(netlist.shrink()).to_genome()
 
-    def test_consumers_match(self):
-        for netlist, kernel in self._pairs():
-            assert kernel.consumers() == netlist.consumers()
+    def test_port_readers_match(self):
+        """The reader table says what the netlist's consumer map says,
+        for shared-port netlists and for legal fan-out ones."""
+        legal = [insert_splitters(random_rqfp(4, 14, 3, random.Random(t),
+                                              legal_fanout=True))
+                 for t in range(10)]
+        shared = 0
+        for netlist in [n for n, _ in self._pairs()] + legal:
+            table = port_readers(NetlistKernel.from_netlist(netlist))
+            gates = {}
+            outputs = {}
+            for port, users in netlist.consumers().items():
+                if port == CONST_PORT:
+                    continue
+                for kind, index, position in users:
+                    if kind == "gate":
+                        gates.setdefault(port, []).append(4 * index
+                                                          + position)
+                    else:
+                        outputs.setdefault(port, []).append(index)
+            assert table.outputs == outputs
+            assert table.limits == tuple(netlist.first_gate_port(g)
+                                         for g in range(netlist.num_gates))
+            assert table.limit_bits == tuple(limit.bit_length()
+                                             for limit in table.limits)
+            assert table.shared == any(len(genes) > 1
+                                       for genes in gates.values())
+            shared += table.shared
+            if not table.shared:
+                assert list(table.reader) == [
+                    gates[port][0] if port in gates else -1
+                    for port in range(netlist.num_ports())]
+        assert 0 < shared < 35
 
 
 class TestConeResimulation:
@@ -202,17 +234,19 @@ class TestMutationEquivalence:
             assert delta_k.apply_to(kernel).to_genome() == \
                 encode_genome(child_n)
 
-    def test_rollback_restores_shared_consumer_map(self):
+    def test_brood_leaves_shared_table_unchanged(self):
         config = _mutation_config()
         for trial in range(15):
-            kernel = NetlistKernel.from_netlist(
-                random_rqfp(4, 12, 3, random.Random(70 + trial)))
+            rng = random.Random(70 + trial)
+            netlist = random_rqfp(4, 12, 3, rng, legal_fanout=trial % 3 > 0)
+            kernel = NetlistKernel.from_netlist(netlist)
             before = kernel.to_genome()
-            consumers = kernel.consumers()
-            mutate_with_delta(kernel, random.Random(trial), config,
-                              consumers=consumers, rollback=True)
+            table = port_readers(kernel)
+            for i in range(4):
+                mutate_with_delta(kernel, random.Random(10 * trial + i),
+                                  config, consumers=table, rollback=True)
             assert kernel.to_genome() == before
-            assert consumers == kernel.consumers()
+            assert table == port_readers(kernel)
 
     def test_genome_with_delta_matches_encode(self):
         config = _mutation_config()

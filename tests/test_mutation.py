@@ -8,10 +8,12 @@ from hypothesis import strategies as st
 
 from repro.bench.random_circuits import random_rqfp
 from repro.bench.registry import get_benchmark
+from repro.core import mutation
 from repro.core.config import RcgpConfig
 from repro.core.engine import encode_genome
 from repro.core.kernel import NetlistKernel
-from repro.core.mutation import chromosome_length, mutate, mutate_with_delta
+from repro.core.mutation import (chromosome_length, mutate,
+                                 mutate_with_delta, port_readers)
 from repro.core.synthesis import initialize_netlist
 from repro.rqfp.gate import NORMAL_CONFIG
 from repro.rqfp.netlist import CONST_PORT, RqfpNetlist
@@ -203,8 +205,8 @@ class TestMutationCap:
 # The engine mutates flat kernels through the fused loop in
 # ``_mutate_kernel``; the object path is its oracle.  At the paper's
 # defaults (mu = 1, uncapped) a child of intdiv9 rewires hundreds of
-# genes, reaching the constant-port skip, the copy-on-write consumer
-# overlay and every swap-rule branch many times per call.
+# genes, reaching the constant-port skip, the reader-table stores, the
+# copy-on-write PO lists and every swap-rule branch many times per call.
 
 PAPER_CIRCUITS = ("intdiv7", "intdiv8", "intdiv9", "mod5adder")
 MUTATION_CONFIGS = {
@@ -231,8 +233,8 @@ def initial_netlists():
 
 
 def _same_mutation(netlist, kernel, config, seed):
-    """Mutate both representations with one seed in every map mode;
-    returns the (object, kernel) children."""
+    """Mutate both representations with one seed, through every shared
+    view; returns the (object, kernel) children."""
     rng_n, rng_k = random.Random(seed), random.Random(seed)
     child_n, delta_n = mutate_with_delta(netlist, rng_n, config)
     child_k, delta_k = mutate_with_delta(kernel, rng_k, config)
@@ -241,26 +243,37 @@ def _same_mutation(netlist, kernel, config, seed):
     assert child_k.to_genome() == encode_genome(child_n)
     assert rng_k.getstate() == rng_n.getstate()  # same number of draws
 
-    # Shared map, rolled back: the whole brood leaves it as it was.
-    shared = kernel.consumers()
+    # Shared reader table: the whole brood only reads it, so it still
+    # equals a fresh build from the parent.
+    shared = port_readers(kernel)
     for i in range(BROOD):
         _, delta = mutate_with_delta(kernel, random.Random(seed + i),
                                      config, consumers=shared,
                                      rollback=True)
         if i == 0:
             assert delta == delta_n
-        assert shared == kernel.consumers()  # list order included
-        assert all(shared.values()), "empty consumer list left behind"
+        assert shared == port_readers(kernel)
 
-    # Owned map: updated exactly as the object path updates its own.
-    owned_n, owned_k = netlist.consumers(), kernel.consumers()
-    mutate_with_delta(netlist, random.Random(seed), config,
-                      consumers=owned_n)
-    _, delta = mutate_with_delta(kernel, random.Random(seed), config,
-                                 consumers=owned_k)
+    # Shared netlist map, rolled back: the brood leaves it as it was.
+    shared_n = netlist.consumers()
+    for i in range(BROOD):
+        _, delta = mutate_with_delta(netlist, random.Random(seed + i),
+                                     config, consumers=shared_n,
+                                     rollback=True)
+        if i == 0:
+            assert delta == delta_n
+        assert shared_n == netlist.consumers()  # list order included
+        assert all(shared_n.values()), "empty consumer list left behind"
+
+    # Owned netlist map: becomes the child's map (in edit order).
+    owned_n = netlist.consumers()
+    _, delta = mutate_with_delta(netlist, random.Random(seed), config,
+                                 consumers=owned_n)
     assert delta == delta_n
-    assert owned_k == owned_n  # port 0's list included
-    assert all(owned_k.values())
+    assert {port: sorted(users) for port, users in owned_n.items()} == \
+        {port: sorted(users)
+         for port, users in child_n.consumers().items()}
+    assert all(owned_n.values())
     return child_n, child_k
 
 
@@ -284,6 +297,25 @@ class TestKernelLoopMatchesObjectPath:
             for label in ("paper", "no_input", "no_output"):
                 _same_mutation(netlist, kernel, MUTATION_CONFIGS[label],
                                trial)
+
+    def test_ports_read_by_several_outputs(self):
+        """Outputs crowded onto three ports no gate reads: a gate input
+        that picks one swaps with its first PO, in list order, and the
+        edits keep reordering those lists."""
+        for trial in range(20):
+            rng = random.Random(trial)
+            netlist = random_rqfp(4, 12, 2, rng, legal_fanout=True)
+            fed = {port for gate in netlist.gates for port in gate.inputs}
+            free = [port for port in range(1, netlist.num_ports())
+                    if port not in fed]
+            for _ in range(10):
+                netlist.add_output(rng.choice(free[:3]))
+            kernel = NetlistKernel.from_netlist(netlist)
+            assert not port_readers(kernel).shared
+            for generation in range(CHAIN_GENERATIONS):
+                netlist, kernel = _same_mutation(
+                    netlist, kernel, MUTATION_CONFIGS["paper"],
+                    100 * trial + generation)
 
     def test_getrandbits_subclass_sees_the_same_draws(self, initial_netlists):
         class CountingRandom(random.Random):
@@ -313,3 +345,61 @@ class TestKernelLoopMatchesObjectPath:
         with pytest.raises(TypeError, match="getrandbits"):
             mutate_with_delta(NetlistKernel.from_netlist(netlist),
                               FloatRandom(1), RcgpConfig())
+
+
+ROUTE_GENERATIONS = 200
+
+
+class TestObjectRoute:
+    """A kernel parent in which a non-constant port feeds two or more
+    gate inputs is mutated through the object path; the paper's circuits
+    and their children never are."""
+
+    @pytest.mark.parametrize("circuit", PAPER_CIRCUITS)
+    def test_paper_chain_never_takes_the_route(self, initial_netlists,
+                                               circuit, monkeypatch):
+        def route(*args):
+            raise AssertionError("a kernel parent took the object route")
+
+        monkeypatch.setattr(mutation, "_mutate_netlist", route)
+        kernel = NetlistKernel.from_netlist(initial_netlists(circuit))
+        rng = random.Random(11)
+        for _ in range(ROUTE_GENERATIONS):
+            table = port_readers(kernel)
+            assert not table.shared
+            kernel, _ = mutate_with_delta(kernel, rng, RcgpConfig(),
+                                          consumers=table, rollback=True)
+
+    def test_shared_port_parent_matches_object_path(self, monkeypatch):
+        routed = []
+        object_path = mutation._mutate_netlist
+
+        def spy(child, *args):
+            routed.append(child)
+            return object_path(child, *args)
+
+        monkeypatch.setattr(mutation, "_mutate_netlist", spy)
+        checked = 0
+        for trial in range(20):
+            netlist = random_rqfp(4, 14, 3, random.Random(trial))
+            netlist.name = "shared"
+            kernel = NetlistKernel.from_netlist(netlist)
+            if not port_readers(kernel).shared:
+                continue
+            before = kernel.to_genome()
+            rng_n, rng_k = random.Random(trial), random.Random(trial)
+            child_n, delta_n = mutate_with_delta(
+                netlist, rng_n, MUTATION_CONFIGS["paper"])
+            del routed[:]
+            child_k, delta_k = mutate_with_delta(
+                kernel, rng_k, MUTATION_CONFIGS["paper"])
+            assert len(routed) == 1 and isinstance(routed[0], RqfpNetlist)
+            assert delta_k == delta_n
+            assert child_k.to_genome() == encode_genome(child_n)
+            assert rng_k.getstate() == rng_n.getstate()
+            assert kernel.to_genome() == before
+            assert (child_k.name, child_k.input_names,
+                    child_k.output_names) == \
+                (kernel.name, kernel.input_names, kernel.output_names)
+            checked += 1
+        assert checked >= 15

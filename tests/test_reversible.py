@@ -95,6 +95,16 @@ class TestReversibleCircuit:
         with pytest.raises(NetlistError):
             circuit.add_mct([Control(5)], 0)
 
+    @pytest.mark.parametrize("field, listed", [
+        ("constants", [None, 0]), ("constants", [None, None, 0, 1]),
+        ("garbage", [False, True]), ("wire_names", ["a", "b"]),
+    ])
+    def test_metadata_length_must_match_wires(self, field, listed):
+        """A list of the wrong length is refused up front, not left to
+        fail as an IndexError in embedded_tables() or write_real."""
+        with pytest.raises(NetlistError, match=field):
+            ReversibleCircuit(3, **{field: listed})
+
     def test_quantum_cost_table(self):
         circuit = ReversibleCircuit(4)
         circuit.add_mct([], 0)                              # NOT: 1

@@ -14,8 +14,11 @@ on:
   object netlist into the same chromosome with the same delta and the
   same number of draws, under either the paper's defaults (μ = 1,
   uncapped) or a capped config (μ = 0.3, ≤ 4 genes), drawn per round;
-  the kernel side mutates through one shared parent consumer map with
-  ``rollback=True``, which must be unchanged after every step;
+  the kernel side mutates a brood of two through one shared
+  ``PortReaders`` table, which after every step must be unchanged and
+  equal a fresh build.  A round's parent is either a legal fan-out
+  netlist (children mutate through the table) or a shared-port
+  ``random_rqfp`` netlist (children take the object route);
 * **incremental vs full** — cone-aware incremental fitness equals full
   re-simulation for both representations;
 * **early stop** — against the parent's own tables, with the parent's
@@ -53,12 +56,13 @@ import sys
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
 
+from repro.bench.random_circuits import random_rqfp          # noqa: E402
 from repro.core.config import RcgpConfig                      # noqa: E402
 from repro.core.engine import (decode_genome, encode_genome,   # noqa: E402
                                genome_with_delta)
 from repro.core.fitness import Evaluator                       # noqa: E402
 from repro.core.kernel import NetlistKernel                    # noqa: E402
-from repro.core.mutation import mutate_with_delta              # noqa: E402
+from repro.core.mutation import mutate_with_delta, port_readers  # noqa: E402
 from repro.logic.truth_table import TruthTable                 # noqa: E402
 from repro.rqfp.buffers import estimate_buffers                # noqa: E402
 from repro.rqfp.netlist import RqfpNetlist                     # noqa: E402
@@ -220,7 +224,13 @@ def run_round(seed: int, round_index: int) -> None:
     num_gates = rng.randint(1, 10)
 
     spec = random_spec(rng, num_inputs, num_outputs)
-    netlist = random_netlist(rng, num_inputs, num_gates, num_outputs)
+    if rng.getrandbits(1):
+        # Legal fan-out: children mutate through the reader table.
+        netlist = insert_splitters(
+            random_netlist(rng, num_inputs, num_gates, num_outputs))
+    else:
+        # Ports feeding several gate inputs: children take the route.
+        netlist = random_rqfp(num_inputs, num_gates, num_outputs, rng)
     kernel = NetlistKernel.from_netlist(netlist)
     if rng.getrandbits(1):
         config = RcgpConfig(seed=round_index)  # paper defaults
@@ -244,19 +254,29 @@ def run_round(seed: int, round_index: int) -> None:
         mutation_seed = rng.getrandbits(48)
         rng_obj = random.Random(mutation_seed)
         rng_ker = random.Random(mutation_seed)
-        shared = parent_ker.consumers()
+        table = port_readers(parent_ker)
+        before = table._replace(
+            reader=table.reader[:],
+            outputs={p: list(u) for p, u in table.outputs.items()})
         child_obj, delta_obj = mutate_with_delta(parent_obj, rng_obj, config)
         child_ker, delta_ker = mutate_with_delta(
-            parent_ker, rng_ker, config, consumers=shared, rollback=True)
+            parent_ker, rng_ker, config, consumers=table, rollback=True)
         _check(delta_obj == delta_ker,
                f"step {step}: mutation deltas diverged across "
                "representations")
         _check(rng_obj.getstate() == rng_ker.getstate(),
                f"step {step}: mutation made different RNG draws across "
                "representations")
-        _check(shared == parent_ker.consumers() and all(shared.values()),
-               f"step {step}: rollback left the shared consumer map "
-               "changed")
+        _, sibling_obj = mutate_with_delta(
+            parent_obj, random.Random(mutation_seed + 1), config)
+        _, sibling_ker = mutate_with_delta(
+            parent_ker, random.Random(mutation_seed + 1), config,
+            consumers=table, rollback=True)
+        _check(sibling_obj == sibling_ker,
+               f"step {step}: a second child of the shared table "
+               "diverged from the object path")
+        _check(table == before and table == port_readers(parent_ker),
+               f"step {step}: mutation changed the shared reader table")
         _check(encode_genome(child_obj) == child_ker.to_genome(),
                f"step {step}: mutated genomes diverged across "
                "representations")
