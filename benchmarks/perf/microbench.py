@@ -6,10 +6,8 @@ paper's defaults with the early stop), mutation + copy-on-write copy
 (tuned and at the paper's defaults), shrink — over a Table-1
 circuit, the SAT miter that the result gate runs, the formal check that
 sampled fitness runs, plus two end-to-end evolution runs (serial and
-``workers=2``).
-All benchmarks run on the representation selected by
-``RcgpConfig.kernel`` so the same harness measures both the flat kernel
-and the object-netlist fallback.
+``workers=2``).  Candidates are flat kernels, the engine's one
+representation.
 
 Rates are evaluations (or operations) per second; use
 ``tools/perf_bench.py`` to run the suite, persist ``BENCH_perf.json``,
@@ -35,15 +33,13 @@ from repro.sat.equivalence import check_against_tables
 __all__ = ["BENCHES", "run_benches"]
 
 
-def _fixture(circuit: str, kernel: str):
-    """(spec, parent candidate, mutation config) for one circuit."""
+def _fixture(circuit: str):
+    """(spec, parent kernel, mutation config) for one circuit."""
     benchmark = get_benchmark(circuit)
     spec = benchmark.spec()
-    netlist = initialize_netlist(spec, benchmark.name)
-    parent = NetlistKernel.from_netlist(netlist) \
-        if kernel == "flat" else netlist
-    config = RcgpConfig(mutation_rate=0.08, max_mutated_genes=8, seed=3,
-                        kernel=kernel)
+    parent = NetlistKernel.from_netlist(
+        initialize_netlist(spec, benchmark.name))
+    config = RcgpConfig(mutation_rate=0.08, max_mutated_genes=8, seed=3)
     return spec, parent, config
 
 
@@ -52,9 +48,9 @@ def _mutants(parent, config, count: int):
     return [mutate_with_delta(parent, rng, config) for _ in range(count)]
 
 
-def bench_full_eval(circuit: str, kernel: str, iterations: int) -> float:
+def bench_full_eval(circuit: str, iterations: int) -> float:
     """Full (non-incremental) fitness evaluations per second."""
-    spec, parent, config = _fixture(circuit, kernel)
+    spec, parent, config = _fixture(circuit)
     mutants = _mutants(parent, config, iterations)
     evaluator = Evaluator(spec, config, random.Random(config.seed))
     start = time.perf_counter()
@@ -63,10 +59,9 @@ def bench_full_eval(circuit: str, kernel: str, iterations: int) -> float:
     return iterations / (time.perf_counter() - start)
 
 
-def bench_incremental_eval(circuit: str, kernel: str,
-                           iterations: int) -> float:
+def bench_incremental_eval(circuit: str, iterations: int) -> float:
     """Cone-aware incremental evaluations per second (memoized parent)."""
-    spec, parent, config = _fixture(circuit, kernel)
+    spec, parent, config = _fixture(circuit)
     mutants = _mutants(parent, config, iterations)
     evaluator = Evaluator(spec, config, random.Random(config.seed))
     state = evaluator.prepare_parent(parent)
@@ -76,14 +71,13 @@ def bench_incremental_eval(circuit: str, kernel: str,
     return iterations / (time.perf_counter() - start)
 
 
-def bench_incremental_eval_paper(circuit: str, kernel: str,
-                                 iterations: int) -> float:
+def bench_incremental_eval_paper(circuit: str, iterations: int) -> float:
     """``incremental_eval`` at the paper's defaults (μ = 1, uncapped
     gene count) with the engine's floor (the parent's fitness): nearly
     every mutant is broken, and its sweep stops at the first wrong
     output."""
-    spec, parent, _ = _fixture(circuit, kernel)
-    config = RcgpConfig(seed=3, kernel=kernel)
+    spec, parent, _ = _fixture(circuit)
+    config = RcgpConfig(seed=3)
     mutants = _mutants(parent, config, iterations)
     evaluator = Evaluator(spec, config, random.Random(config.seed))
     floor = evaluator.evaluate(parent)
@@ -104,39 +98,37 @@ def _mutation_rate(parent, config: RcgpConfig, iterations: int) -> float:
     return iterations / (time.perf_counter() - start)
 
 
-def bench_mutation_copy(circuit: str, kernel: str, iterations: int) -> float:
+def bench_mutation_copy(circuit: str, iterations: int) -> float:
     """Mutations per second, engine-style: copy-on-write child plus the
-    parent's shared :func:`consumer_view` (a kernel's reader table, only
-    read; a netlist's consumer map, rolled back)."""
-    _, parent, config = _fixture(circuit, kernel)
+    parent's shared :func:`consumer_view` (its reader table, only
+    read)."""
+    _, parent, config = _fixture(circuit)
     return _mutation_rate(parent, config, iterations)
 
 
-def bench_mutation_paper(circuit: str, kernel: str, iterations: int) -> float:
+def bench_mutation_paper(circuit: str, iterations: int) -> float:
     """``mutation_copy`` at the paper's defaults (μ = 1, uncapped gene
     count): the mutation ``synthesize()`` runs unless tuned."""
-    _, parent, _ = _fixture(circuit, kernel)
-    return _mutation_rate(parent, RcgpConfig(seed=3, kernel=kernel),
-                          iterations)
+    _, parent, _ = _fixture(circuit)
+    return _mutation_rate(parent, RcgpConfig(seed=3), iterations)
 
 
-def bench_shrink(circuit: str, kernel: str, iterations: int) -> float:
+def bench_shrink(circuit: str, iterations: int) -> float:
     """Dead-gate elimination sweeps per second."""
-    _, parent, config = _fixture(circuit, kernel)
+    _, parent, config = _fixture(circuit)
     start = time.perf_counter()
     for _ in range(iterations):
         parent.shrink()
     return iterations / (time.perf_counter() - start)
 
 
-def bench_sat_miter(circuit: str, kernel: str, iterations: int) -> float:
+def bench_sat_miter(circuit: str, iterations: int) -> float:
     """SAT CEC checks per second: ``check_against_tables`` on
     ``one_hot_checker(12)``'s initial netlist against its spec, the
     UNSAT proof that the result gate runs on sampled specs and that
     sampled fitness runs above ``EXHAUSTIVE_FORMAL_LIMIT`` inputs (miter
-    build, solver load and CDCL search).  ``circuit`` and ``kernel`` are
-    not used: Table-1 specs are simulated exhaustively and never reach
-    SAT."""
+    build, solver load and CDCL search).  ``circuit`` is not used:
+    Table-1 specs are simulated exhaustively and never reach SAT."""
     spec = one_hot_checker(12)
     netlist = initialize_netlist(spec, "onehot12")
     start = time.perf_counter()
@@ -145,12 +137,11 @@ def bench_sat_miter(circuit: str, kernel: str, iterations: int) -> float:
     return iterations / (time.perf_counter() - start)
 
 
-def bench_formal_check(circuit: str, kernel: str, iterations: int) -> float:
+def bench_formal_check(circuit: str, iterations: int) -> float:
     """Formal checks per second on the ``sat_miter`` fixture, as sampled
     fitness runs them: ``Evaluator._formally_equivalent`` on the shrunk
     kernel, decided by exhaustive simulation at 12 inputs (the verdict
-    memo is cleared each time).  ``circuit`` and ``kernel`` are not
-    used."""
+    memo is cleared each time).  ``circuit`` is not used."""
     spec = one_hot_checker(12)
     active = NetlistKernel.from_netlist(
         initialize_netlist(spec, "onehot12")).shrink()
@@ -162,36 +153,34 @@ def bench_formal_check(circuit: str, kernel: str, iterations: int) -> float:
     return iterations / (time.perf_counter() - start)
 
 
-def _bench_run(circuit: str, kernel: str, generations: int,
-               workers: int) -> float:
+def _bench_run(circuit: str, generations: int, workers: int) -> float:
     benchmark = get_benchmark(circuit)
     spec = benchmark.spec()
     initial = initialize_netlist(spec, benchmark.name)
     config = RcgpConfig(mutation_rate=0.08, max_mutated_genes=8, seed=2024,
                         shrink="on_improvement",
-                        generations=generations, kernel=kernel,
-                        workers=workers)
+                        generations=generations, workers=workers)
     start = time.perf_counter()
     result = EvolutionRun(spec, config, initial=initial,
                           name=benchmark.name).run()
     return result.evaluations / (time.perf_counter() - start)
 
 
-def bench_run_serial(circuit: str, kernel: str, generations: int) -> float:
+def bench_run_serial(circuit: str, generations: int) -> float:
     """End-to-end serial evolution, evaluations per second."""
-    return _bench_run(circuit, kernel, generations, workers=0)
+    return _bench_run(circuit, generations, workers=0)
 
 
-def bench_run_workers2(circuit: str, kernel: str, generations: int) -> float:
+def bench_run_workers2(circuit: str, generations: int) -> float:
     """End-to-end evolution with a 2-worker pool, evaluations per
     second (includes pool startup).  Same generation budget as
     ``run_serial`` so ``run_workers2_speedup`` compares like with
     like."""
-    return _bench_run(circuit, kernel, generations, workers=2)
+    return _bench_run(circuit, generations, workers=2)
 
 
-#: name -> (callable(circuit, kernel, n), full n, quick n)
-BENCHES: Dict[str, Tuple[Callable[[str, str, int], float], int, int]] = {
+#: name -> (callable(circuit, n), full n, quick n)
+BENCHES: Dict[str, Tuple[Callable[[str, int], float], int, int]] = {
     "full_eval": (bench_full_eval, 300, 40),
     "incremental_eval": (bench_incremental_eval, 2000, 300),
     "incremental_eval_paper": (bench_incremental_eval_paper, 2000, 300),
@@ -205,8 +194,8 @@ BENCHES: Dict[str, Tuple[Callable[[str, str, int], float], int, int]] = {
 }
 
 
-def run_benches(circuit: str = "intdiv9", kernel: str = "flat",
-                quick: bool = False, repeats: int = 2,
+def run_benches(circuit: str = "intdiv9", quick: bool = False,
+                repeats: int = 2,
                 skip_workers: bool = False) -> Dict[str, Dict[str, float]]:
     """Run every microbenchmark, best rate of ``repeats`` repetitions.
 
@@ -224,7 +213,7 @@ def run_benches(circuit: str = "intdiv9", kernel: str = "flat",
             if skip_workers and name == "run_workers2":
                 continue
             n = quick_n if quick else full_n
-            rate = func(circuit, kernel, n)
+            rate = func(circuit, n)
             entry = results.setdefault(name, {"rate": 0.0, "iterations": n})
             entry["rate"] = round(max(entry["rate"], rate), 2)
     return results

@@ -68,7 +68,7 @@ from .logic.truth_table import TruthTable, tabulate_word
 from .rqfp.metrics import CircuitCost
 from .rqfp.netlist import RqfpNetlist
 
-__version__ = "1.2.0"
+__version__ = "2.0.0"
 
 __all__ = [
     "__version__",

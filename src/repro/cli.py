@@ -45,12 +45,6 @@ def _add_engine_options(parser: argparse.ArgumentParser, *,
                             "N>1 uses a persistent pool, bit-identical "
                             "results for a fixed seed)")
     if not pool_only:
-        group.add_argument("--kernel", choices=("flat", "object"),
-                           default="flat",
-                           help="inner-loop genome representation: flat "
-                                "structure-of-arrays kernel (default) or "
-                                "the object netlist; results are "
-                                "bit-identical")
         group.add_argument("--telemetry", metavar="PATH", default=None,
                            help=telemetry_help)
     group.add_argument("--batch-timeout", type=float, default=None,
@@ -106,7 +100,6 @@ def _config_from(args: argparse.Namespace) -> RcgpConfig:
         verify_method=args.verify_method,
         workers=args.workers,
         telemetry_path=args.telemetry,
-        kernel=args.kernel,
         verify_result=args.verify,
         batch_timeout=args.batch_timeout,
         batch_retries=args.batch_retries,
@@ -286,8 +279,6 @@ def _cmd_table(args: argparse.Namespace) -> int:
         config.run_exact = False
     if args.workers:
         config.workers = args.workers
-    if args.kernel != "flat":
-        config.kernel = args.kernel
     if args.telemetry is not None:
         config.telemetry_dir = args.telemetry
     if args.store is not None:
@@ -366,8 +357,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                           mutation_rate=args.mutation_rate,
                           max_mutated_genes=args.max_genes,
                           seed=seed, shrink=args.shrink,
-                          workers=args.workers,
-                          kernel=args.kernel)
+                          workers=args.workers)
 
     sweep = seed_sweep(spec, seeds, factory, name=name)
     print(sweep.report())

@@ -8,9 +8,8 @@ first, else a lazily spawned local pipe worker — ships one job-keyed
 ``OP_JOB_SPAN`` frame, and runs the one bounded fault-recovery loop
 every pool path shares: a failed attempt drops the remote connection it
 used (the worker process dials back in) or kills the local pipe
-workers, and re-sends against a fresh channel.  Per-slice counters and
-the inline fallback live in the adapter,
-:class:`~repro.jobs.pool.JobBackend`.
+workers, and re-sends against a fresh channel.  Per-slice counters
+live in the adapter, :class:`~repro.jobs.pool.JobBackend`.
 
 Determinism: replay is pure for every parallel-safe config and
 per-offspring RNG streams are keyed by ``(seed, absolute generation,
@@ -23,7 +22,7 @@ its deadline.
 
 Degradation is slice-local, never sticky: a dispatcher that runs out of
 retries, or momentarily has no usable channel, fails only the span in
-hand — the adapter finishes that slice inline and the next slice tries
+hand — the run finishes that slice in-process and the next slice tries
 the workers again, so a long-lived ``rcgp serve`` never inlines forever
 because of one bad minute.
 """

@@ -2,9 +2,7 @@
 
 from .config import RcgpConfig
 from .engine import (
-    EvaluationBackend,
     EvolutionRun,
-    InlineBackend,
     TelemetryWriter,
     decode_genome,
     encode_genome,
@@ -45,8 +43,6 @@ __all__ = [
     "Fitness",
     "Evaluator",
     "EvolutionRun",
-    "EvaluationBackend",
-    "InlineBackend",
     "TelemetryWriter",
     "encode_genome",
     "decode_genome",

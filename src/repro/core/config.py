@@ -112,14 +112,6 @@ class RcgpConfig:
     Bit-identical to full simulation (set ``RCGP_CHECK_INCREMENTAL=1``
     to verify every sweep); ``False`` forces the full path."""
 
-    kernel: str = "flat"
-    """Genome representation of the evolution inner loop: ``"flat"``
-    runs mutation/simulation/shrink on the structure-of-arrays
-    :class:`~repro.core.kernel.NetlistKernel`; ``"object"`` keeps the
-    historical :class:`~repro.rqfp.netlist.RqfpNetlist` path.
-    Bit-identical either way (set ``RCGP_CHECK_KERNEL=1`` to verify
-    every kernel evaluation against the object oracle)."""
-
     telemetry_path: Optional[str] = None
     """Write per-generation JSONL telemetry events to this file
     (None: no telemetry)."""
@@ -184,8 +176,6 @@ class RcgpConfig:
             raise ValueError(f"unknown shrink mode {self.shrink!r}")
         if self.verify_method not in ("sat", "bdd"):
             raise ValueError(f"unknown verify_method {self.verify_method!r}")
-        if self.kernel not in ("flat", "object"):
-            raise ValueError(f"unknown kernel {self.kernel!r}")
         if self.workers < 0:
             raise ValueError("workers must be >= 0")
         if self.eval_cache_size < 0:

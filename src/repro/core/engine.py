@@ -1,39 +1,41 @@
-"""The RCGP evolution engine: one run API, pluggable offspring evaluation.
+"""The RCGP evolution engine: one run API, one ``(1 + λ)`` loop.
 
 The paper's headline cost is the ``(1 + λ)`` inner loop — up to 5·10⁷
-generations per circuit.  This module is the architectural seam that
-makes that loop scale without changing its semantics:
+generations per circuit.  This module holds that loop once and runs it
+wherever the work lands:
 
 * :class:`EvolutionRun` — the single entry point.  ``evolve``,
   ``evolve_with_checkpoints``, ``multi_start`` and ``windowed_optimize``
   are thin shims over it.
-* :class:`EvaluationBackend` — protocol for evaluating a batch of
-  offspring genomes.  :class:`InlineBackend` evaluates in-process;
-  pooled runs use :class:`repro.jobs.pool.JobBackend`, whose
-  dispatcher (:class:`repro.cluster.backend.ClusterDispatch`) keeps
-  persistent workers (spawned once per run, not per generation).
-* **Worker-side span replay** — the one cross-process protocol.  A
-  pooled run ships one compact parent genome (:func:`encode_genome`)
-  per *span* of generations; the worker re-derives every offspring from
-  its RNG key and runs mutation, evaluation, selection and neutral
-  drift itself (:func:`replay_span`), returning one accept record per
-  generation.  Spans stop at the first strict improvement, whose accept
-  block (shrink, wire bypass, history) stays with the coordinator.
+* :func:`replay_span` — the loop itself.  Given one compact parent
+  genome (:func:`encode_genome`) and a *span* of generations, it
+  re-derives every offspring from its RNG key and runs mutation,
+  evaluation, selection and neutral drift, returning one accept record
+  per generation.  A span stops at the first strict improvement, whose
+  accept block (shrink, wire bypass, history) stays with the run.
+  Inline runs call it in-process on the run's own evaluator; pooled
+  runs ship it to a worker through :class:`repro.jobs.pool.JobBackend`,
+  whose dispatcher (:class:`repro.cluster.backend.ClusterDispatch`)
+  keeps persistent workers.  Either way the run narrates the same
+  records, so serial == pool holds by construction.
+* **One representation** — candidates in the loop are flat
+  :class:`~repro.core.kernel.NetlistKernel` genomes; the object
+  :class:`~repro.rqfp.netlist.RqfpNetlist` is the input, the output and
+  the correctness oracle.
 * **Incremental cone-aware evaluation** — each offspring is a
-  :class:`~repro.core.mutation.MutationDelta` away from the shared
+  :class:`~repro.core.mutation.MutationDelta` away from the span's
   parent, whose per-port simulation words are memoized in a
-  :class:`~repro.core.simstate.SimulationState`; only the delta's
-  fan-out cone is re-simulated (``config.incremental_eval``).  The
-  inline backend shares one state per generation; span workers keep
-  the parent's state resident across the span.  Telemetry counts
-  ``eval_full`` / ``eval_incremental`` / ``ports_resimulated`` so the
-  win is observable per generation.
+  :class:`~repro.core.simstate.SimulationState` kept resident across
+  spans; only the delta's fan-out cone is re-simulated
+  (``config.incremental_eval``).  Telemetry counts ``eval_full`` /
+  ``eval_incremental`` / ``ports_resimulated`` per generation.
 * **Deterministic parallelism** — every offspring gets its own RNG
   stream derived from ``(seed, generation, offspring index)``, so a run
-  is bit-identical for a fixed seed regardless of worker count.
+  is bit-identical for a fixed seed regardless of worker count or span
+  boundaries.
 * **Fault tolerance** — a crashed or hung worker is replaced and the
-  lost span re-sent (purity makes the retry bit-identical); exhausted
-  retries finish the run inline instead of aborting,
+  lost span re-sent (purity makes the retry bit-identical); a slice
+  whose span path fails finishes in-process instead of aborting,
   ``KeyboardInterrupt`` finalizes the incumbent cleanly, and
   ``worker_restarts`` / ``batches_retried`` / ``degraded_to_inline``
   are reported on the result and in telemetry.
@@ -43,11 +45,11 @@ makes that loop scale without changing its semantics:
   (:mod:`repro.core.verify`); violations raise typed
   :mod:`repro.errors` exceptions.
 
-Parallel evaluation requires the fitness function to be *pure*: it is
-used when simulation is exhaustive, or when SAT verification is off and
-the random pattern set is seeded.  Otherwise (the SAT counterexample
-feedback loop mutates the evaluator) the engine silently falls back to
-inline evaluation; the chosen backend is reported in the telemetry
+Pooled evaluation requires the fitness function to be *pure*
+(:func:`repro.jobs.pool.parallel_safe_config`): exhaustive simulation,
+or seeded sampling without SAT feedback.  Otherwise (the SAT
+counterexample feedback loop mutates the evaluator) the run keeps its
+spans in-process; the chosen backend is reported in the telemetry
 ``run_start`` event.
 """
 
@@ -59,8 +61,8 @@ import os
 import random
 import time
 from dataclasses import dataclass, field
-from typing import (Callable, Dict, IO, List, Optional, Protocol, Sequence,
-                    Tuple)
+from typing import (TYPE_CHECKING, Callable, Dict, IO, List, Optional,
+                    Sequence, Tuple)
 
 from ..errors import FrameError, SynthesisError, WorkerPoolError
 from ..logic.truth_table import TruthTable
@@ -69,9 +71,11 @@ from ..rqfp.simplify import bypass_wire_gates
 from .config import RcgpConfig
 from .fitness import Evaluator, Fitness
 from .kernel import NetlistKernel
-from .mutation import MutationDelta, consumer_view, mutate_with_delta
-from .simstate import SimulationState
+from .mutation import consumer_view, mutate_with_delta
 from . import wire
+
+if TYPE_CHECKING:
+    from ..jobs.pool import JobBackend
 
 ProgressCallback = Callable[[int, Fitness], None]
 
@@ -102,30 +106,6 @@ def encode_genome(candidate) -> Genome:
     return tuple(flat)
 
 
-def genome_with_delta(parent_genome: Genome,
-                      delta: MutationDelta) -> Genome:
-    """Offspring genome by patching the parent's tuple in place.
-
-    Point mutation preserves the chromosome shape, so the child's
-    genome is the parent's with at most ``max_mutated_genes`` positions
-    rewritten — an O(delta) patch on a C-level list copy instead of an
-    O(genome) re-walk of the candidate.  Equals
-    ``encode_genome(delta.apply_to(parent))`` by construction.
-    """
-    flat = list(parent_genome)
-    for g, (in0, in1, in2, config) in delta.gates:
-        i = 2 + 4 * g
-        flat[i] = in0
-        flat[i + 1] = in1
-        flat[i + 2] = in2
-        flat[i + 3] = config
-    if delta.outputs:
-        base = 2 + 4 * parent_genome[1]
-        for index, port in delta.outputs:
-            flat[base + index] = port
-    return tuple(flat)
-
-
 def decode_genome(genome: Genome, name: str = "") -> RqfpNetlist:
     """Inverse of :func:`encode_genome` (fresh default port names)."""
     num_inputs, num_gates = genome[0], genome[1]
@@ -140,33 +120,17 @@ def decode_genome(genome: Genome, name: str = "") -> RqfpNetlist:
     return netlist
 
 
-def _decode_candidate(genome: Genome, evaluator: Evaluator):
-    """Genome -> the evaluator's preferred representation.
-
-    Backends decode through this so a flat-mode evaluator receives
-    :class:`NetlistKernel` candidates (array slicing, no per-gate
-    objects) and an object-mode evaluator receives netlists.
-    """
-    if evaluator.kernel_mode:
-        return NetlistKernel.from_genome(genome)
-    return decode_genome(genome)
-
-
-def _adopt_names(candidate, template):
-    """Restore the names a genome round-trip drops.
+def _decode(genome: Genome, template: NetlistKernel) -> NetlistKernel:
+    """A span's genome as a kernel carrying the run's names.
 
     :func:`encode_genome` keeps only port indices; a candidate decoded
-    from a replay span's genome must re-adopt the run's names (stable
-    through copy/shrink on both representations) so ``finalize()`` /
-    ``describe()`` output stays bit-identical to the serial loop's.
+    from a span record re-adopts the run's names (stable through
+    copy/shrink) so ``finalize()`` / ``describe()`` output matches the
+    initial netlist's naming.
     """
-    candidate.name = template.name
-    if isinstance(candidate, NetlistKernel):
-        candidate.input_names = tuple(template.input_names)
-        candidate.output_names = tuple(template.output_names)
-    else:
-        candidate.input_names = list(template.input_names)
-        candidate.output_names = list(template.output_names)
+    candidate = NetlistKernel.from_genome(genome, template.name)
+    candidate.input_names = template.input_names
+    candidate.output_names = template.output_names
     return candidate
 
 
@@ -188,94 +152,14 @@ def child_seed(base_seed: int, generation: int, index: int) -> int:
 
 
 # ----------------------------------------------------------------------
-# Evaluation backends
-
-
-class EvaluationBackend(Protocol):
-    """Evaluates a batch of genomes; results keep the batch order.
-
-    Backends may additionally implement the optional incremental entry
-    point ``evaluate_deltas(parent_genome, deltas, children=None,
-    floor=None)`` (see :class:`InlineBackend`): the engine probes for it
-    with ``getattr`` and falls back to :meth:`evaluate` when it is absent
-    or ``config.incremental_eval`` is off, so plain batch backends remain
-    valid.
-    """
-
-    name: str
-
-    def evaluate(self, genomes: Sequence[Genome]) -> List[Fitness]:
-        """Fitness of every genome, in order."""
-        ...  # pragma: no cover
-
-    def close(self) -> None:
-        """Release any resources (worker processes)."""
-        ...  # pragma: no cover
-
-
-class InlineBackend:
-    """Evaluate in the calling process, through a shared evaluator.
-
-    Incremental mode shares one :class:`SimulationState` per parent (so
-    per *generation* in the ``(1+λ)`` loop): the state is rebuilt only
-    when the parent genome or the evaluator's pattern epoch changes, and
-    every offspring in the batch resimulates just its delta's cone
-    against the memoized parent words.
-    """
-
-    name = "inline"
-
-    def __init__(self, evaluator: Evaluator):
-        self._evaluator = evaluator
-        self._parent_genome: Optional[Genome] = None
-        self._parent = None
-        self._state: Optional[SimulationState] = None
-
-    def evaluate(self, genomes: Sequence[Genome]) -> List[Fitness]:
-        evaluator = self._evaluator
-        return [evaluator.evaluate(_decode_candidate(g, evaluator))
-                for g in genomes]
-
-    def evaluate_deltas(self, parent_genome: Genome,
-                        deltas: Sequence[MutationDelta],
-                        children: Optional[Sequence] = None,
-                        floor: Optional[Fitness] = None) \
-            -> List[Fitness]:
-        """Fitness of ``[delta.apply_to(parent) for delta in deltas]``.
-
-        ``children`` optionally supplies the already-built offspring
-        candidates (the engine has them anyway), skipping the
-        reconstruction copy.  ``floor`` (the parent's fitness) is passed
-        on to :meth:`Evaluator.evaluate_incremental`.
-        """
-        evaluator = self._evaluator
-        if self._parent_genome != parent_genome or self._state is None \
-                or self._state.epoch != evaluator.pattern_epoch:
-            self._parent = _decode_candidate(parent_genome, evaluator)
-            self._state = evaluator.prepare_parent(self._parent)
-            self._parent_genome = parent_genome
-        out = []
-        for i, delta in enumerate(deltas):
-            if self._state.epoch != evaluator.pattern_epoch:
-                # The pattern set grew mid-batch (SAT counterexample):
-                # rebuild the memoized parent words rather than letting
-                # every remaining offspring fall back to full simulation
-                # against a state known to be stale.
-                self._state = evaluator.prepare_parent(self._parent)
-            child = children[i] if children is not None \
-                else delta.apply_to(self._parent)
-            out.append(evaluator.evaluate_incremental(
-                child, delta, self._state, floor=floor))
-        return out
-
-    def close(self) -> None:
-        pass
+# The (1 + λ) loop
 
 
 # Fault injection for the fault-tolerance test suite: when the
 # environment sets RCGP_TEST_CRASH_AFTER_EVALS / RCGP_TEST_HANG_AFTER_EVALS
 # to N, every worker process dies (or hangs) after its N-th evaluation.
-# None in production — the per-evaluation check is one "is None" branch.
+# None in production and in every coordinator (only pool workers arm
+# it) — the per-evaluation check is one "is None" branch.
 _WORKER_FAULT_COUNTDOWN: Optional[int] = None
 _WORKER_FAULT_MODE = ""
 
@@ -323,41 +207,37 @@ def _counters(evaluator: Evaluator) -> _Counters:
 
 def replay_span(evaluator: Evaluator, resident,
                 request: wire.SpanRequest):
-    """Run the ``(1+λ)`` loop worker-side for one replay span.
+    """Run the ``(1+λ)`` loop for one span of generations.
 
-    Instead of receiving per-offspring :class:`MutationDelta` batches,
-    the worker re-derives every mutation from the deterministic RNG
-    keys ``(seed, absolute generation, index)`` — bit-identical to the
-    coordinator's by construction — and runs mutation, incremental
-    evaluation, selection and neutral-drift acceptance locally.  The
-    span ends at the first *strict* improvement (the coordinator owns
+    Every mutation is derived from the deterministic RNG keys ``(seed,
+    absolute generation, index)``, so the same request gives the same
+    records in a pool worker and in the coordinator's own process.  Each
+    generation mutates the parent into λ offspring, evaluates them
+    incrementally (the parent's fitness as the early-stop floor),
+    selects the best with later offspring winning ties, and accepts it
+    when it is at least as good as the parent (neutral drift, §3.2.4).
+    The span ends at the first *strict* improvement (the caller owns
     the shrink/simplify/history accept block) or after
     ``request.count`` generations.
 
     ``resident`` caches ``(genome, parent, state, consumers)`` across
-    spans (``consumers`` is the parent's :func:`consumer_view`); like
-    :class:`InlineBackend`, the memoized state is rebuilt only when the
-    chromosome *value* changes (neutral accepts that cancel out keep the
-    warm state) or the pattern epoch moves.  With
-    ``incremental_eval`` off there is no state: every offspring is
-    simulated in full, exactly as the serial loop's batch path does.
-    Returns ``(SpanResult, resident)``.
+    spans (``consumers`` is the parent's :func:`consumer_view`); the
+    memoized state is rebuilt only when the chromosome *value* changes
+    (neutral accepts that cancel out keep the warm state) or the
+    pattern epoch moves.  With ``incremental_eval`` off there is no
+    state: every offspring is simulated in full.  Returns
+    ``(SpanResult, resident)``.
     """
     config = evaluator.config
 
     def span_state(candidate):
         if not config.incremental_eval:
             return None
-        # Span-resident states amortize the parent's fan-out index over
-        # the whole span: cone evaluation goes worklist-driven
-        # (O(cone)) instead of scanning the netlist tail per offspring.
-        prepared = evaluator.prepare_parent(candidate)
-        prepared.enable_fanout_index()
-        return prepared
+        return evaluator.prepare_parent(candidate)
 
     genome = request.parent_genome
     if resident is None or resident[0] != genome:
-        parent = _decode_candidate(genome, evaluator)
+        parent = NetlistKernel.from_genome(genome)
         resident = (genome, parent, span_state(parent),
                     consumer_view(parent))
     genome, parent, state, consumers = resident
@@ -386,14 +266,17 @@ def replay_span(evaluator: Evaluator, resident,
             if check is not None:
                 if delta.flatten() != check[check_at].flatten():
                     raise WorkerPoolError(
-                        "worker-side mutation replay diverged from the "
-                        f"shipped-delta path at generation {generation}, "
+                        "span mutation replay diverged from the "
+                        f"coordinator's deltas at generation {generation}, "
                         f"offspring {i}")
                 check_at += 1
             if state is None:
                 fit = evaluator.evaluate(child)
             else:
                 if state.epoch != evaluator.pattern_epoch:
+                    # A SAT counterexample grew the pattern set mid-brood:
+                    # rebuild the memoized words rather than letting every
+                    # remaining offspring simulate in full.
                     state = span_state(parent)
                 fit = evaluator.evaluate_incremental(
                     child, delta, state, floor=parent_fitness)
@@ -412,9 +295,9 @@ def replay_span(evaluator: Evaluator, resident,
                 improved = True
                 child_genome = encode_genome(best_child)
                 break
-            # Neutral drift: advance the resident parent exactly as the
-            # serial engine would (shrink policy included), rebuilding
-            # state/consumers only when the chromosome value changed.
+            # Neutral drift: advance the resident parent (shrink policy
+            # included), rebuilding state/consumers only when the
+            # chromosome value changed.
             parent_fitness = best_fit
             new_parent = best_child.shrink() if shrink_always else best_child
             new_genome = encode_genome(new_parent)
@@ -432,12 +315,12 @@ def replay_span(evaluator: Evaluator, resident,
 
 
 class SpanPlanner:
-    """Adaptive sizing for worker-side replay spans.
+    """Adaptive sizing for replay spans.
 
-    Spans grow geometrically while round trips come back well under the
+    Spans grow geometrically while they come back well under the
     latency target and shrink when they overrun it, so long plateaus
     amortize the per-span round trip while hang detection
-    (``batch_timeout``) and interrupts stay responsive.
+    (``batch_timeout``), time budgets and interrupts stay responsive.
     """
 
     START = 8
@@ -460,19 +343,6 @@ class SpanPlanner:
             self._span = min(self.MAX, self._span * 2)
         elif elapsed > self._target and self._span > self.START:
             self._span = max(self.START, self._span // 2)
-
-
-def parallel_safe(evaluator: Evaluator, config: RcgpConfig) -> bool:
-    """Whether fitness evaluation is pure enough to run in a pool.
-
-    Exhaustive simulation is pure.  Sampled simulation without SAT is
-    pure iff the pattern set is reproducible (seeded).  Sampled
-    simulation *with* SAT feeds counterexamples back into the pattern
-    set, so workers would drift from the parent process — not safe.
-    """
-    if evaluator.exhaustive:
-        return True
-    return not config.verify_with_sat and config.seed is not None
 
 
 # ----------------------------------------------------------------------
@@ -586,14 +456,14 @@ class EvolutionRun:
     >>> result = run.run()
 
     Each generation mutates the single best parent into λ offspring
-    (each from its own deterministic RNG stream), evaluates them through
-    the configured backend, and accepts an offspring whose fitness is
-    better *or equal* (neutral drift, §3.2.4) as the next parent.
-    Useless gates are shrunk from accepted parents per the configured
-    policy (§3.2.3).  A backend that supports spans (every pooled one)
-    runs whole stretches of generations worker-side instead
-    (:func:`replay_span`); the coordinator narrates their records and
-    owns every strict improvement.
+    (each from its own deterministic RNG stream), evaluates them, and
+    accepts an offspring whose fitness is better *or equal* (neutral
+    drift, §3.2.4) as the next parent.  Useless gates are shrunk from
+    accepted parents per the configured policy (§3.2.3).  Generations
+    run in spans of :func:`replay_span`, sized by :class:`SpanPlanner`:
+    in-process on the run's own evaluator, or on a pool worker when a
+    backend is in play.  The run narrates every span's records and owns
+    every strict improvement.
 
     Parameters
     ----------
@@ -610,9 +480,9 @@ class EvolutionRun:
         Pre-built :class:`TelemetryWriter`; overrides
         ``config.telemetry_path``.
     backend:
-        Pre-built :class:`EvaluationBackend`; overrides
-        ``config.workers``.  The caller keeps ownership (it is not
-        closed by :meth:`run`).
+        Pre-built span backend (:class:`repro.jobs.pool.JobBackend`);
+        overrides ``config.workers``.  The caller keeps ownership (it is
+        not closed by :meth:`run`).
     generation_offset:
         Number of generations a *previous* slice of the same logical
         run already executed.  Offspring RNG streams are keyed by the
@@ -629,7 +499,7 @@ class EvolutionRun:
                  name: str = "",
                  progress: Optional[ProgressCallback] = None,
                  telemetry: Optional[TelemetryWriter] = None,
-                 backend: Optional[EvaluationBackend] = None,
+                 backend: Optional["JobBackend"] = None,
                  generation_offset: int = 0):
         self.spec = list(spec)
         self.config = config or RcgpConfig()
@@ -642,18 +512,19 @@ class EvolutionRun:
 
     # -- internals -----------------------------------------------------
 
-    def _make_backend(self, evaluator: Evaluator) -> \
-            Tuple[EvaluationBackend, bool]:
-        """Backend per config; returns ``(backend, engine_owns_it)``."""
+    def _make_backend(self) -> Tuple[Optional["JobBackend"], bool]:
+        """Span backend per config, ``None`` for in-process spans;
+        returns ``(backend, engine_owns_it)``."""
         if self._backend is not None:
             return self._backend, False
         config = self.config
-        if config.workers > 1 and config.generations > 0 \
-                and parallel_safe(evaluator, config):
-            from ..jobs.pool import process_pool_backend
-            return process_pool_backend(self.spec, config,
-                                        config.workers), True
-        return InlineBackend(evaluator), True
+        if config.workers > 1 and config.generations > 0:
+            from ..jobs.pool import parallel_safe_config, \
+                process_pool_backend
+            if parallel_safe_config(self.spec[0].num_vars, config):
+                return process_pool_backend(self.spec, config,
+                                            config.workers), True
+        return None, False
 
     # -- the run -------------------------------------------------------
 
@@ -667,15 +538,13 @@ class EvolutionRun:
             base_seed = random.SystemRandom().getrandbits(48)
 
         if self.initial is not None:
-            parent = self.initial.copy()
+            initial = self.initial.copy()
         else:
             from .synthesis import initialize_netlist
-            parent = initialize_netlist(spec, self.name)
-        # The inner loop runs on the configured representation; the flat
-        # kernel is bit-identical to the object netlist (same port-index
-        # genome, same RNG streams) and only the boundaries convert.
-        if evaluator.kernel_mode:
-            parent = NetlistKernel.from_netlist(parent)
+            initial = initialize_netlist(spec, self.name)
+        # The loop runs on the flat kernel (same port-index genome as
+        # the object netlist); only the boundaries convert.
+        parent = NetlistKernel.from_netlist(initial)
 
         parent_genome = encode_genome(parent)
         parent_fitness = evaluator.evaluate(parent)
@@ -687,24 +556,21 @@ class EvolutionRun:
         initial_fitness = parent_fitness
         history: List[Tuple[int, Fitness]] = [(0, parent_fitness)]
 
-        backend, owns_backend = self._make_backend(evaluator)
+        backend, owns_backend = self._make_backend()
+        backend_name = "inline" if backend is None else backend.name
         telemetry = self._telemetry
         owns_telemetry = False
         if telemetry is None and config.telemetry_path is not None:
             telemetry = TelemetryWriter(config.telemetry_path)
             owns_telemetry = True
 
-        delta_eval = getattr(backend, "evaluate_deltas", None)
-        incremental = config.incremental_eval and delta_eval is not None
-        # Backends whose evaluations happen in other processes (or on
-        # their own fallback evaluator) never touch the master
-        # evaluator's counters; the engine adds them back.
-        remote = getattr(backend, "remote_evaluations", False)
+        # Records that came back from a worker; in-process spans count
+        # on the master evaluator directly.
         pool_evaluations = 0
-        # Connectivity view of the current parent (consumer_view: a
-        # kernel's reader table), built lazily and *shared* across the
-        # brood: mutate_with_delta(rollback=True) leaves it as it was.
-        # Invalidated whenever the parent changes.
+        # Connectivity view of the current parent for check mode's
+        # coordinator-side deltas (consumer_view: a kernel's reader
+        # table), built lazily and invalidated whenever the parent
+        # changes.
         parent_consumers = None
         start = time.monotonic()
         stagnation = 0
@@ -714,49 +580,61 @@ class EvolutionRun:
                 "run_start", name=self.name,
                 num_inputs=spec[0].num_vars, num_outputs=len(spec),
                 generations=config.generations, offspring=config.offspring,
-                workers=config.workers, backend=backend.name,
-                incremental=incremental,
+                workers=config.workers, backend=backend_name,
+                incremental=config.incremental_eval,
                 seed=config.seed, initial_key=list(parent_fitness.key()),
             )
 
         def counter(name: str) -> int:
-            # Master-evaluator counters plus whatever the backend ran
-            # remotely (InlineBackend shares the master evaluator and
-            # defines no counters of its own, so nothing double-counts).
-            return getattr(evaluator, name) + getattr(backend, name, 0)
+            # Master-evaluator counters plus the worker records the
+            # backend committed.
+            value = getattr(evaluator, name)
+            return value if backend is None else \
+                value + getattr(backend, name)
+
+        def live() -> Tuple[int, int, int, int]:
+            return (evaluator.evaluations + pool_evaluations,
+                    counter("eval_full"), counter("eval_incremental"),
+                    counter("ports_resimulated"))
 
         def out_of_time() -> bool:
             return config.time_budget is not None and \
                 time.monotonic() - start >= config.time_budget
 
         # Fault observability: emit a worker_fault event whenever the
-        # pool backend's recovery counters move (checked once per
-        # generation — three attribute reads, nothing on the inline path
-        # and nothing at all without telemetry).
+        # backend's recovery counters move (checked once per span —
+        # three attribute reads, nothing for in-process runs and
+        # nothing at all without telemetry).
         interrupted = False
         last_faults = (0, 0, False) \
-            if telemetry is not None and remote else None
+            if telemetry is not None and backend is not None else None
 
-        # Worker-side mutation replay: whenever offspring cross a
-        # process boundary, whole plateau stretches run on the worker —
-        # the coordinator ships one genome per span instead of λ
-        # offspring per generation.  RCGP_CHECK_INCREMENTAL=1 keeps
-        # replay but ships the coordinator's own deltas alongside for
-        # worker-side verification (span length 1).  The per-generation
-        # loop below serves inline runs and any slice whose span path
-        # failed (out of retries, or no worker to send to).
+        # RCGP_CHECK_INCREMENTAL=1 keeps spans one generation long and
+        # ships the coordinator's own deltas alongside for replay-side
+        # verification.  Span records carry no formal-check counts, so
+        # a run whose fitness makes them also narrates one generation
+        # per span while telemetry listens: sat_calls then stays a
+        # per-generation value.
         stop = False
         name_template = parent
         check_mode = os.environ.get(
             "RCGP_CHECK_INCREMENTAL", "") not in ("", "0")
-        use_replay = getattr(backend, "supports_spans", False)
-        planner = SpanPlanner(config.batch_timeout) if use_replay else None
+        one_per_span = check_mode or (
+            telemetry is not None and not evaluator.exhaustive
+            and config.verify_with_sat)
+        planner = SpanPlanner(config.batch_timeout)
+        # Where spans go: the backend while its span path works, None
+        # (in-process, on the master evaluator) for inline runs and for
+        # the rest of a slice whose backend failed a span.
+        spans = backend
+        resident = None  # the master evaluator's replay_span cache
+        offspring = config.offspring
 
         def span_headroom(gen: int, stag: int) -> int:
-            # How many generations the worker may run before the serial
-            # loop would have stopped anyway (budget end or stagnation
-            # break) — spans never overshoot either.  A time budget is
-            # checked before every dispatch instead.
+            # How many generations may run before the loop would have
+            # stopped anyway (budget end or stagnation break) — spans
+            # never overshoot either.  A time budget is checked before
+            # every span instead.
             room = config.generations - gen
             if config.stagnation_limit is not None:
                 room = min(room, config.stagnation_limit - stag)
@@ -770,7 +648,7 @@ class EvolutionRun:
                     parent_consumers = consumer_view(parent)
                 check = []
                 for g in range(count):
-                    for i in range(config.offspring):
+                    for i in range(offspring):
                         rng = random.Random(child_seed(
                             base_seed,
                             self.generation_offset + first + g, i))
@@ -789,58 +667,62 @@ class EvolutionRun:
 
         try:
             try:
-                inflight = None
-                while use_replay and not stop \
-                        and generation < config.generations:
+                inflight = None  # (request, planned, sent) on a worker
+                while not stop and generation < config.generations:
                     if inflight is None:
                         if out_of_time():
-                            stop = True
                             break
-                        planned = 1 if check_mode \
+                        planned = 1 if one_per_span \
                             else planner.plan(
                                 span_headroom(generation, stagnation))
                         request = make_span(generation + 1, planned)
-                        dispatched_at = time.monotonic()
-                        if not backend.dispatch_span(request):
-                            break  # no span path: the loop below runs
-                        inflight = (planned, dispatched_at)
-                    planned, dispatched_at = inflight
-                    inflight = None
-                    result = backend.collect_span()
+                        sent = time.monotonic()
+                        if spans is not None \
+                                and not spans.dispatch_span(request):
+                            spans = None  # no workers at all
+                    else:
+                        request, planned, sent = inflight
+                        inflight = None
+                    result = None
+                    if spans is not None:
+                        result = spans.collect_span()
+                        if result is None:
+                            # Out of retries, or no worker to send to:
+                            # the slice finishes in-process.
+                            spans = None
+                            sent = time.monotonic()
                     if result is None:
-                        break  # span path failed: the loop below runs
-                    planner.observe(planned, len(result.records),
-                                    time.monotonic() - dispatched_at)
+                        result, resident = replay_span(evaluator, resident,
+                                                       request)
+                    else:
+                        pool_evaluations += offspring * len(result.records)
                     records = result.records
                     executed = len(records)
+                    planner.observe(planned, executed,
+                                    time.monotonic() - sent)
                     span_start_fitness = parent_fitness
-                    # Per-record cumulative counter values: collect_span
-                    # committed every record's worker deltas, so record
-                    # j's telemetry value is the live counter minus the
-                    # deltas of the records after j.  (The improving
+                    # Per-record cumulative counter values: the live
+                    # counters already hold every record's deltas, so
+                    # record j's telemetry value is the live counter
+                    # minus the deltas of the records after j.  (The
                     # last record instead reads live counters after the
                     # accept block, catching the master-side simplify
-                    # re-evaluation exactly like the serial loop.)
-                    prefixes: List[Tuple[int, int, int]] = []
+                    # re-evaluation.)
+                    prefixes: List[Tuple[int, int, int, int]] = []
                     if telemetry is not None:
-                        live = (counter("eval_full"),
-                                counter("eval_incremental"),
-                                counter("ports_resimulated"))
-                        prefixes = [live] * executed
-                        behind = (0, 0, 0)
-                        for j in range(executed - 1, -1, -1):
-                            prefixes[j] = (live[0] - behind[0],
-                                           live[1] - behind[1],
-                                           live[2] - behind[2])
+                        at = live()
+                        prefixes = [at] * executed
+                        for j in range(executed - 1, 0, -1):
                             deltas = records[j][2]
-                            behind = (behind[0] + deltas[0],
-                                      behind[1] + deltas[1],
-                                      behind[2] + deltas[2])
+                            at = (at[0] - offspring, at[1] - deltas[0],
+                                  at[2] - deltas[1], at[3] - deltas[2])
+                            prefixes[j - 1] = at
                     if not result.improved:
-                        # Advance the incumbent *first* so the next span
-                        # can be dispatched before the per-record
-                        # bookkeeping below — the worker computes span
-                        # k+1 while the coordinator narrates span k.
+                        # Advance the incumbent *first* so a pooled run
+                        # can dispatch the next span before the
+                        # per-record bookkeeping below — the worker
+                        # computes span k+1 while the coordinator
+                        # narrates span k.
                         last_fit = None
                         for accepted, fit, _deltas in records:
                             if accepted:
@@ -849,13 +731,12 @@ class EvolutionRun:
                             parent_fitness = Fitness(*last_fit)
                         if result.final_genome is not None:
                             parent_genome = result.final_genome
-                            parent = _adopt_names(
-                                _decode_candidate(parent_genome, evaluator),
-                                name_template)
+                            parent = _decode(parent_genome, name_template)
                             parent_consumers = None
                         end_generation = generation + executed
                         end_stagnation = stagnation + executed
-                        if not check_mode and not out_of_time() and \
+                        if spans is not None and not one_per_span \
+                                and not out_of_time() and \
                                 span_headroom(end_generation,
                                               end_stagnation) >= 1:
                             planned = planner.plan(
@@ -863,13 +744,12 @@ class EvolutionRun:
                                               end_stagnation))
                             request = make_span(end_generation + 1,
                                                 planned)
-                            dispatched_at = time.monotonic()
-                            if backend.dispatch_span(request):
-                                inflight = (planned, dispatched_at)
+                            sent = time.monotonic()
+                            if spans.dispatch_span(request):
+                                inflight = (request, planned, sent)
                     cur_fitness = span_start_fitness
                     for j, (accepted, fit, _deltas) in enumerate(records):
                         generation += 1
-                        pool_evaluations += config.offspring
                         improved = result.improved and j == executed - 1
                         if accepted and not improved \
                                 and telemetry is not None:
@@ -878,26 +758,24 @@ class EvolutionRun:
                             # when nothing is listening.
                             cur_fitness = Fitness(*fit)
                         if improved:
-                            # The coordinator owns the accept block for
-                            # strict improvements — identical to the
-                            # serial loop's, incumbent decoded from the
-                            # span's winning offspring.
-                            parent = _adopt_names(
-                                _decode_candidate(result.child_genome,
-                                                  evaluator),
-                                name_template)
+                            # The accept block for strict improvements,
+                            # on the span's winning offspring.
+                            parent = _decode(result.child_genome,
+                                             name_template)
                             parent_fitness = Fitness(*fit)
                             if config.shrink in ("always",
                                                  "on_improvement"):
                                 parent = parent.shrink()
                             if config.simplify_wires:
-                                flat = isinstance(parent, NetlistKernel)
-                                view = parent.to_netlist() if flat \
-                                    else parent
+                                # Wire bypass is a cold structural pass
+                                # that needs gate objects; round-trip
+                                # through the object netlist only when
+                                # it actually helps.
+                                view = parent.to_netlist()
                                 simplified = bypass_wire_gates(view)
                                 if simplified.num_gates < view.num_gates:
                                     parent = NetlistKernel.from_netlist(
-                                        simplified) if flat else simplified
+                                        simplified)
                                     parent_fitness = evaluator.evaluate(
                                         parent)
                             parent_genome = encode_genome(parent)
@@ -910,17 +788,13 @@ class EvolutionRun:
                             if self.progress is not None:
                                 self.progress(generation, parent_fitness)
                         if telemetry is not None:
-                            ef, ei, pr = (
-                                (counter("eval_full"),
-                                 counter("eval_incremental"),
-                                 counter("ports_resimulated"))
-                                if j == executed - 1 else prefixes[j])
+                            ev, ef, ei, pr = live() \
+                                if j == executed - 1 else prefixes[j]
                             telemetry.emit(
                                 "generation", generation=generation,
                                 best_key=list(cur_fitness.key()),
                                 improved=improved, accepted=accepted,
-                                evaluations=evaluator.evaluations
-                                + pool_evaluations,
+                                evaluations=ev,
                                 sat_calls=evaluator.sat_calls,
                                 eval_full=ef, eval_incremental=ei,
                                 ports_resimulated=pr,
@@ -944,111 +818,6 @@ class EvolutionRun:
                                 batches_retried=faults[1],
                                 degraded=faults[2])
 
-                classic_start = config.generations + 1 if stop \
-                    else generation + 1
-                for generation in range(classic_start,
-                                        config.generations + 1):
-                    if out_of_time():
-                        generation -= 1
-                        break
-
-                    # Mutation: one private RNG stream per offspring, keyed
-                    # by the absolute generation so the mutant set is a
-                    # function of (seed, generation) alone — even when the
-                    # budget is run in checkpointed slices.
-                    children = []
-                    if parent_consumers is None:
-                        parent_consumers = consumer_view(parent)
-                    for i in range(config.offspring):
-                        rng = random.Random(child_seed(
-                            base_seed,
-                            self.generation_offset + generation, i))
-                        child, delta = mutate_with_delta(
-                            parent, rng, config,
-                            consumers=parent_consumers, rollback=True)
-                        children.append((child, delta))
-
-                    # Evaluation: one batched backend call — incremental
-                    # (parent genome + deltas) when the backend supports
-                    # it, whole offspring genomes otherwise.
-                    if incremental:
-                        fitnesses = delta_eval(
-                            parent_genome,
-                            [delta for _, delta in children],
-                            [child for child, _ in children],
-                            floor=parent_fitness)
-                    else:
-                        fitnesses = backend.evaluate(
-                            [genome_with_delta(parent_genome, delta)
-                             for _, delta in children])
-                    if remote:
-                        pool_evaluations += len(children)
-
-                    # Selection: later offspring win ties, matching the
-                    # historical serial loop (>= replacement).
-                    best_slot = 0
-                    for slot in range(1, len(children)):
-                        if fitnesses[slot].key() >= fitnesses[best_slot].key():
-                            best_slot = slot
-                    best_fitness = fitnesses[best_slot]
-                    best_child = children[best_slot][0]
-
-                    accepted = best_fitness.key() >= parent_fitness.key()
-                    improved = False
-                    if accepted:
-                        improved = best_fitness.key() > parent_fitness.key()
-                        parent, parent_fitness = best_child, best_fitness
-                        if config.shrink == "always" or (
-                                config.shrink == "on_improvement" and improved):
-                            parent = parent.shrink()
-                        if improved and config.simplify_wires:
-                            # Wire bypass is a cold structural pass that
-                            # needs gate objects; round-trip through the
-                            # object netlist only when it actually helps.
-                            flat = isinstance(parent, NetlistKernel)
-                            view = parent.to_netlist() if flat else parent
-                            simplified = bypass_wire_gates(view)
-                            if simplified.num_gates < view.num_gates:
-                                parent = NetlistKernel.from_netlist(simplified) \
-                                    if flat else simplified
-                                parent_fitness = evaluator.evaluate(parent)
-                        parent_genome = encode_genome(parent)
-                        parent_consumers = None
-                        if improved:
-                            stagnation = 0
-                            if config.track_history:
-                                history.append((generation, parent_fitness))
-                            if self.progress is not None:
-                                self.progress(generation, parent_fitness)
-                    if telemetry is not None:
-                        telemetry.emit(
-                            "generation", generation=generation,
-                            best_key=list(parent_fitness.key()),
-                            improved=improved, accepted=accepted,
-                            evaluations=evaluator.evaluations + pool_evaluations,
-                            sat_calls=evaluator.sat_calls,
-                            eval_full=counter("eval_full"),
-                            eval_incremental=counter("eval_incremental"),
-                            ports_resimulated=counter("ports_resimulated"),
-                            wall_time=round(time.monotonic() - start, 6),
-                        )
-                    if last_faults is not None:
-                        faults = (backend.worker_restarts,
-                                  backend.batches_retried, backend.degraded)
-                        if faults != last_faults:
-                            last_faults = faults
-                            telemetry.emit(
-                                "worker_fault", generation=generation,
-                                worker_restarts=faults[0],
-                                batches_retried=faults[1],
-                                degraded=faults[2])
-                    if improved:
-                        continue
-                    stagnation += 1
-                    if config.stagnation_limit is not None and \
-                            stagnation >= config.stagnation_limit:
-                        break
-
             except KeyboardInterrupt:
                 # Clean SIGINT shutdown: keep the incumbent parent,
                 # kill the pool immediately (workers may be mid-span
@@ -1056,11 +825,8 @@ class EvolutionRun:
                 # result with interrupted=True instead of dying with
                 # a half-written telemetry stream and orphan workers.
                 interrupted = True
-                generation = max(0, generation - 1)
                 if owns_backend:
-                    terminate = getattr(backend, "terminate", None)
-                    if terminate is not None:
-                        terminate()
+                    backend.terminate()
             final = evaluator.finalize(parent)
             final_fitness = evaluator.evaluate(final)
             if not final_fitness.functional:
@@ -1089,7 +855,7 @@ class EvolutionRun:
                 runtime=runtime,
                 history=history if config.track_history else [],
                 sat_calls=evaluator.sat_calls,
-                backend=backend.name,
+                backend=backend_name,
                 eval_full=counter("eval_full"),
                 eval_incremental=counter("eval_incremental"),
                 ports_resimulated=counter("ports_resimulated"),

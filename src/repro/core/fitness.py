@@ -153,7 +153,6 @@ class Evaluator:
         self.eval_incremental = 0
         self.ports_resimulated = 0
         self._verdicts: Dict[Tuple[int, ...], bool] = {}
-        self.kernel_mode = config.kernel == "flat"
         self._check_incremental = \
             os.environ.get("RCGP_CHECK_INCREMENTAL", "") not in ("", "0")
         self._check_kernel = \

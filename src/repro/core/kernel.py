@@ -14,10 +14,10 @@ the arrays:
 
 * ``copy`` / ``apply_delta`` are C-level ``memcpy`` (copy-on-write from
   the parent) instead of per-gate object churn,
-* ``simulate_ports`` / ``resimulate_cone`` index the arrays with no
-  attribute lookups (``resimulate_cone_tracked`` additionally patches a
-  memoized value vector *in place* with an undo log, so a failing
-  offspring costs O(cone), not O(ports)),
+* ``simulate_ports`` / ``resimulate_cone_tracked`` index the arrays
+  with no attribute lookups (the cone sweep patches a memoized value
+  vector *in place* with an undo log, so a failing offspring costs
+  O(cone), not O(ports)),
 * ``shrink`` / ``levels`` / ``estimate_buffers`` / ``fanout_counts_flat``
   are single array sweeps (the buffer estimate fuses the ASAP level pass
   with the span accumulation),
@@ -30,9 +30,8 @@ genome, and the object netlist remains the user-facing API and the
 correctness oracle (``RCGP_CHECK_KERNEL=1`` makes the evaluator verify
 every kernel evaluation against the object path, mirroring
 ``RCGP_CHECK_INCREMENTAL``; ``tests/test_kernel.py`` checks the same
-properties over random netlists × mutation chains).  Select the
-representation with :attr:`repro.core.config.RcgpConfig.kernel`
-(``"flat"`` default, ``"object"`` fallback).
+properties over random netlists × mutation chains).  The evolution
+engine runs on kernels only; netlists convert at its boundaries.
 
 Simulation *values* stay plain Python ints: they are bit-parallel words
 of one bit per pattern (up to ``2^14`` bits when simulation is
@@ -43,7 +42,6 @@ exhaustive), far beyond any fixed-width array element.  Only the genome
 from __future__ import annotations
 
 from array import array
-from heapq import heappop, heappush
 from itertools import chain
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -386,16 +384,6 @@ class NetlistKernel:
         values = self.simulate_ports(input_words, mask)
         return [values[p] for p in self.outputs]
 
-    def resimulate_cone(self, values: List[int], mask: int,
-                        touched_gates: Sequence[int]) -> int:
-        """Recompute the fan-out cone of ``touched_gates`` in ``values``.
-
-        Same contract as :meth:`RqfpNetlist.resimulate_cone` without
-        ``checks`` (the whole cone); returns the number of gate output
-        ports recomputed.
-        """
-        return self._resimulate(values, mask, touched_gates)
-
     def resimulate_cone_tracked(self, values: List[int], mask: int,
                                 touched_gates: Sequence[int],
                                 gates: Optional[
@@ -430,14 +418,15 @@ class NetlistKernel:
         all are right.  Every compared output then holds its final word,
         so a caller comparing all outputs afterwards gets the exact
         verdict.  The counter covers the gates recomputed up to the
-        stopping gate — the same in :meth:`resimulate_cone_scheduled`
-        and :meth:`RqfpNetlist.resimulate_cone`.
+        stopping gate — the same as :meth:`RqfpNetlist.resimulate_cone`.
 
         The sweep itself is the same forward scan with value-identity
-        pruning as :meth:`resimulate_cone` — same gate set, same
-        counter.  (A heap-based worklist was tried and lost: mutation
-        cones here are wide enough that heap churn costs more than the
-        three-flag skip test per untouched gate.)
+        pruning as :meth:`RqfpNetlist.resimulate_cone` — same gate set,
+        same counter.  (A heap-driven worklist over a fan-out index was
+        measured against it and lost, even with the index kept warm
+        across a span: mutation cones here are wide enough that the
+        scheduling costs more than the three-flag skip test per
+        untouched gate.)
         """
         undo: List[Tuple[int, int]] = []
         if not touched_gates:
@@ -536,154 +525,6 @@ class NetlistKernel:
             if want is not None and values[port] != want:
                 break
         return 3 * recomputed, undo
-
-    def resimulate_cone_scheduled(self, values: List[int], mask: int,
-                                  touched_gates: Sequence[int],
-                                  gates: List[Tuple[int, int, int, int]],
-                                  fans: List[Sequence[int]],
-                                  checks: Optional[
-                                      Sequence[Tuple[int, int, int]]] = None) \
-            -> Tuple[int, List[int]]:
-        """Worklist-driven variant of :meth:`resimulate_cone_tracked`.
-
-        Instead of scanning every gate between the first touched index
-        and the end of the netlist (paying a gene unpack plus a
-        three-flag test per *untouched* gate), the sweep pops gate
-        indices off a min-heap seeded with the touched gates and extends
-        it through ``fans`` — the **parent's** port -> consumer-gate
-        index, built once per resident parent.  The parent's fan-out
-        index is sufficient for the child: a child differs from the
-        parent only in the touched gates' input edges, and touched gates
-        are scheduled unconditionally, so the edges the index is missing
-        never decide a schedule.  ``gates`` is the parent's zipped gene
-        list as in :meth:`resimulate_cone_tracked`; touched gates read
-        this kernel's arrays.
-
-        Gates are topological (a consumer's index is strictly greater
-        than its producer's), so the heap pops in ascending index order
-        — the recomputed gate set, the recompute order, and therefore
-        the changed-port log and the ports-resimulated counter are
-        bit-identical to the scan.  The scan stays the right choice for
-        one-shot (batch) evaluation where no per-parent fan-out index is
-        warm; this variant is what makes the span-resident replay loop
-        cheaper than the serial engine loop.
-
-        ``checks`` is the scan's early stop: the outputs whose source
-        gate lies below a popped gate are compared before that gate is
-        recomputed, so the sweep stops at the same gate as the scan.
-        Outputs still pending when the heap runs dry hold their final
-        words for the caller to compare.
-
-        Unlike :meth:`resimulate_cone_tracked`, the undo log holds bare
-        changed-port indices — no ``(port, old word)`` tuple per change.
-        The caller restores from a pristine copy of the parent vector
-        (:meth:`SimulationState.restore` with a fan-out index enabled),
-        which a span-resident state keeps warm anyway.
-        """
-        changed: List[int] = []
-        if not touched_gates:
-            return 0, changed
-        # 2 marks a touched gate (genes from this kernel), 1 a gate
-        # scheduled through the fan-out index (genes from ``gates``).
-        scheduled = bytearray(len(gates))
-        heap: List[int] = []
-        for g in touched_gates:
-            if not scheduled[g]:
-                scheduled[g] = 2
-                heappush(heap, g)
-        in0, in1, in2, cfg = self.in0, self.in1, self.in2, self.config
-        record = changed.append
-        funcs = _MAJ_FUNCS
-        recomputed = 0
-        base = self.num_inputs + 1
-        if checks is None:
-            due = len(gates)  # nothing to compare: never due
-        else:
-            pending = iter(checks)
-            due, port, want = next(pending)
-        while heap:
-            g = heappop(heap)
-            while due < g:
-                if values[port] != want:
-                    return 3 * recomputed, changed
-                check = next(pending, None)
-                if check is None:
-                    return 3 * recomputed, changed  # every output right
-                due, port, want = check
-            if scheduled[g] == 2:
-                ia, ib, ic, config = in0[g], in1[g], in2[g], cfg[g]
-            else:
-                ia, ib, ic, config = gates[g]
-            recomputed += 1
-            f = funcs.get(config)
-            if f is None:
-                f = funcs[config] = _compile_maj(config)
-            w0, w1, w2 = f(values[ia], values[ib], values[ic], mask)
-            index = base + 3 * g
-            if values[index] != w0:
-                record(index)
-                values[index] = w0
-                for h in fans[index]:
-                    if not scheduled[h]:
-                        scheduled[h] = 1
-                        heappush(heap, h)
-            index += 1
-            if values[index] != w1:
-                record(index)
-                values[index] = w1
-                for h in fans[index]:
-                    if not scheduled[h]:
-                        scheduled[h] = 1
-                        heappush(heap, h)
-            index += 1
-            if values[index] != w2:
-                record(index)
-                values[index] = w2
-                for h in fans[index]:
-                    if not scheduled[h]:
-                        scheduled[h] = 1
-                        heappush(heap, h)
-        return 3 * recomputed, changed
-
-    def _resimulate(self, values, mask, touched_gates):
-        if not touched_gates:
-            return 0
-        in0, in1, in2, cfg = self.in0, self.in1, self.in2, self.config
-        num_gates = len(in0)
-        touched = bytearray(num_gates)
-        for g in touched_gates:
-            touched[g] = 1
-        dirty = bytearray(self.num_inputs + 1 + 3 * num_gates)
-        first = min(touched_gates)
-        funcs = _MAJ_FUNCS
-        recomputed = 0
-        index = self.num_inputs + 1 + 3 * first
-        for g in range(first, num_gates):
-            ia = in0[g]
-            ib = in1[g]
-            ic = in2[g]
-            if not touched[g] and not (dirty[ia] or dirty[ib] or dirty[ic]):
-                index += 3
-                continue
-            recomputed += 1
-            config = cfg[g]
-            f = funcs.get(config)
-            if f is None:
-                f = funcs[config] = _compile_maj(config)
-            w0, w1, w2 = f(values[ia], values[ib], values[ic], mask)
-            if values[index] != w0:
-                values[index] = w0
-                dirty[index] = 1
-            index += 1
-            if values[index] != w1:
-                values[index] = w1
-                dirty[index] = 1
-            index += 1
-            if values[index] != w2:
-                values[index] = w2
-                dirty[index] = 1
-            index += 1
-        return 3 * recomputed
 
     # -- presentation ------------------------------------------------------
 

@@ -21,7 +21,8 @@ Point mutation modifies up to ``m`` genes, ``m`` drawn uniformly from
 
 A candidate is either a flat :class:`~repro.core.kernel.NetlistKernel`
 (the engine's hot loop) or an :class:`~repro.rqfp.netlist.RqfpNetlist`
-(``kernel="object"``), and each has its own implementation:
+(the oracle, and the route for kernels with shared ports), and each
+has its own implementation:
 
 * :func:`_mutate_kernel` — one fused loop over the kernel's
   ``in0/in1/in2/config/outputs`` columns, with no per-gene method calls;

@@ -10,14 +10,15 @@ gate order) so every offspring evaluation starts from the memoized
 words and recomputes just its cone, with value-identity pruning cutting
 the cone short wherever a recomputed word matches the parent's.
 
-The parent may be an :class:`~repro.rqfp.netlist.RqfpNetlist` or a flat
-:class:`~repro.core.kernel.NetlistKernel`; both expose the same
-``simulate_ports``/``resimulate_cone`` surface.  The kernel additionally
-supports *tracked* cone evaluation (:meth:`SimulationState.
-child_values_tracked`): the memoized parent vector is patched in place
-under an undo log and restored afterwards, so a rejected offspring —
-the overwhelmingly common case — costs O(cone) instead of an O(ports)
-copy of the whole vector.
+The parent may be a flat :class:`~repro.core.kernel.NetlistKernel` —
+the engine's representation — or an :class:`~repro.rqfp.netlist.
+RqfpNetlist`, the object oracle.  Kernel children take the *tracked*
+cone (:meth:`SimulationState.child_values_tracked`): the memoized
+parent vector is patched in place under an undo log and restored
+afterwards, so a rejected offspring — the overwhelmingly common case —
+costs O(cone) instead of an O(ports) copy of the whole vector.  Netlist
+children take :meth:`~repro.rqfp.netlist.RqfpNetlist.resimulate_cone`
+on a copy (:meth:`SimulationState.child_values`).
 
 A state is only valid for one ``(parent, pattern set)`` pair: it
 records the evaluator's ``pattern_epoch`` at construction, and the
@@ -51,7 +52,7 @@ class SimulationState:
     """
 
     __slots__ = ("num_gates", "num_ports", "values", "mask", "epoch",
-                 "_parent", "_zipped", "_fans", "_pristine")
+                 "_parent", "_zipped")
 
     def __init__(self, parent, words: Sequence[int], mask: int,
                  epoch: int = 0):
@@ -62,36 +63,6 @@ class SimulationState:
         self.epoch = epoch
         self._parent = parent
         self._zipped = None  # parent genes zipped per gate, on demand
-        self._fans = None  # port -> consumer gates, see enable_fanout_index
-        self._pristine = None  # untouched copy of values, span mode only
-
-    def enable_fanout_index(self) -> None:
-        """Opt in to worklist-driven cone resimulation (kernel parents).
-
-        Builds the parent's port -> consumer-gate-index fan-out lists so
-        :meth:`child_values_tracked` can dispatch to
-        :meth:`~repro.core.kernel.NetlistKernel.
-        resimulate_cone_scheduled` instead of the index-ordered scan —
-        bit-identical, but O(cone) rather than O(netlist) per offspring
-        — and keeps a pristine copy of the parent vector so undo logs
-        hold bare port indices instead of ``(port, old word)`` tuples.
-        Worth the build cost only for a *resident* parent that will be
-        evaluated against for many generations (the worker-side replay
-        loop); one-shot batch states skip it and keep the scan.
-        """
-        parent = self._parent
-        if self._fans is not None \
-                or not hasattr(parent, "resimulate_cone_scheduled"):
-            return
-        fans: List[List[int]] = [[] for _ in range(self.num_ports)]
-        for g, port in enumerate(parent.in0):
-            fans[port].append(g)
-        for g, port in enumerate(parent.in1):
-            fans[port].append(g)
-        for g, port in enumerate(parent.in2):
-            fans[port].append(g)
-        self._fans = fans
-        self._pristine = self.values.copy()
 
     def compatible(self, candidate) -> bool:
         """Whether ``candidate`` lives in the same port index space."""
@@ -138,27 +109,13 @@ class SimulationState:
             parent = self._parent
             zipped = self._zipped = list(zip(parent.in0, parent.in1,
                                              parent.in2, parent.config))
-        if self._fans is not None:
-            resimulated, undo = child.resimulate_cone_scheduled(
-                self.values, self.mask, touched_gates, zipped, self._fans,
-                checks)
-        else:
-            resimulated, undo = child.resimulate_cone_tracked(
-                self.values, self.mask, touched_gates, zipped, checks)
+        resimulated, undo = child.resimulate_cone_tracked(
+            self.values, self.mask, touched_gates, zipped, checks)
         return self.values, resimulated, undo
 
     def restore(self, undo) -> None:
-        """Rewind a :meth:`child_values_tracked` patch.
-
-        In span mode (:meth:`enable_fanout_index`) the log holds bare
-        port indices and the old words come from the pristine copy;
-        otherwise it holds ``(port, old word)`` tuples.
-        """
+        """Rewind a :meth:`child_values_tracked` patch from its
+        ``(port, old word)`` undo log."""
         values = self.values
-        pristine = self._pristine
-        if pristine is not None:
-            for port in undo:
-                values[port] = pristine[port]
-        else:
-            for port, word in undo:
-                values[port] = word
+        for port, word in undo:
+            values[port] = word

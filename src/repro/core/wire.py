@@ -119,16 +119,17 @@ def unpack_deltas(data: bytes) -> List[MutationDelta]:
 
 @dataclass(frozen=True)
 class SpanRequest:
-    """One replay work order: run the ``(1+λ)`` loop worker-side.
+    """One replay work order: run the ``(1+λ)`` loop for a span.
 
-    The worker re-derives every offspring from the RNG keys ``(seed,
-    absolute generation, index)`` — no deltas cross the wire — and runs
-    mutation, incremental evaluation, selection and neutral-drift
-    acceptance locally for up to ``count`` generations starting at the
-    absolute generation ``start_gen``, stopping early at the first
-    strict improvement.  ``check_deltas`` (the ``RCGP_CHECK_INCREMENTAL``
-    path) carries the coordinator's own mutation deltas so the worker
-    can verify its replay is bit-identical to the shipped-delta path.
+    A pool worker (or an inline run, in-process) re-derives every
+    offspring from the RNG keys ``(seed, absolute generation, index)``
+    — no deltas cross the wire — and runs mutation, incremental
+    evaluation, selection and neutral-drift acceptance for up to
+    ``count`` generations starting at the absolute generation
+    ``start_gen``, stopping early at the first strict improvement.
+    ``check_deltas`` (the ``RCGP_CHECK_INCREMENTAL`` path) carries the
+    coordinator's own mutation deltas so the replay can verify it is
+    bit-identical to them.
     """
 
     base_seed: int

@@ -57,7 +57,6 @@ class HarnessConfig:
     workers: int = 0
     telemetry_dir: Optional[str] = None
     incremental: bool = True
-    kernel: str = "flat"
     store_dir: Optional[str] = None
     batch_timeout: Optional[float] = None
     batch_retries: int = 2
@@ -82,7 +81,6 @@ class HarnessConfig:
             workers=_env_int("RCGP_BENCH_WORKERS", base.workers),
             telemetry_dir=os.environ.get("RCGP_BENCH_TELEMETRY_DIR") or None,
             incremental=_env_int("RCGP_BENCH_INCREMENTAL", 1) != 0,
-            kernel=os.environ.get("RCGP_BENCH_KERNEL") or base.kernel,
             store_dir=os.environ.get("RCGP_BENCH_STORE") or None,
         )
 
@@ -104,7 +102,6 @@ class HarnessConfig:
             workers=self.workers,
             telemetry_path=telemetry_path,
             incremental_eval=self.incremental,
-            kernel=self.kernel,
             batch_timeout=self.batch_timeout,
             batch_retries=self.batch_retries,
         )

@@ -12,17 +12,17 @@ workers, remote fleet workers, or both), which ships them as
   small LRU of per-job evaluators and replay residents
   (:class:`_WorkerState`) and runs
   :func:`~repro.core.engine.replay_span` against them.
-* **Coordinator side.**  :class:`JobBackend` satisfies the engine's
-  ``EvaluationBackend`` protocol with slice-local counters.  Its
-  ``evaluate``/``evaluate_deltas`` run inline on an evaluator built
-  exactly like a worker's; the engine uses them only when a slice has
-  no span path — the dispatcher ran out of retries (``degraded``) or
-  had no worker to send to.  Degradation is slice-local: the next slice
-  gets a fresh adapter and tries the workers again.
+* **Coordinator side.**  :class:`JobBackend` is the span backend an
+  :class:`~repro.core.engine.EvolutionRun` dispatches to, with
+  slice-local counters.  When a slice has no span path — the
+  dispatcher ran out of retries (``degraded``) or had no worker to send
+  to — the run finishes the slice in-process with the same
+  :func:`~repro.core.engine.replay_span`.  Degradation is slice-local:
+  the next slice gets a fresh adapter and tries the workers again.
 
 Purity guarantees are unchanged: only parallel-safe jobs (exhaustive
 simulation, or seeded sampling without SAT feedback) are routed here by
-default, so every re-dispatched span and every inline fallback is
+default, so every re-dispatched span and every in-process fallback is
 bit-identical to the serial loop.
 """
 
@@ -30,15 +30,13 @@ from __future__ import annotations
 
 import pickle
 from collections import OrderedDict
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from ..cluster.backend import ClusterDispatch
 from ..core import engine as _engine
 from ..core import wire
 from ..core.config import RcgpConfig
-from ..core.engine import Genome, InlineBackend
-from ..core.fitness import Evaluator, Fitness
-from ..core.mutation import MutationDelta
+from ..core.fitness import Evaluator
 from ..core.transport import HANDLERS, OP_JOB_SPAN, OP_RESULT
 from ..errors import WorkerPoolError
 from ..logic.truth_table import TruthTable
@@ -120,13 +118,15 @@ _DISPATCH_COUNTERS = ("worker_restarts", "batches_retried",
 
 
 class JobBackend:
-    """Per-slice ``EvaluationBackend`` adapter over a dispatcher.
+    """Per-slice span backend over a dispatcher.
 
     Created fresh for every slice (or run) so the counters the engine
     reads are slice-local, while the dispatcher — and the
     worker-resident evaluators — persist across slices and jobs.
     ``batch_timeout``/``batch_retries`` come from the job's own config,
-    so fault budgets stay per-job even on shared workers.
+    so fault budgets stay per-job even on shared workers.  ``spec`` is
+    unused and kept for existing callers: workers read the spec from
+    ``ctx``.
 
     ``name`` is the ``backend`` label the run reports: ``process-pool``
     for a run-private pool (:func:`process_pool_backend`),
@@ -135,16 +135,12 @@ class JobBackend:
     worker name that served this slice.
     """
 
-    remote_evaluations = True
-    supports_spans = True
-
     def __init__(self, dispatch: ClusterDispatch, ctx: JobContext,
                  spec: Sequence[TruthTable], config: RcgpConfig, *,
                  name: str = "shared-pool", owns_dispatch: bool = False):
         self.name = name
         self._cd = dispatch
         self._ctx_blob = pickle.dumps(ctx)
-        self._spec = list(spec)
         self._config = config
         self._owns_dispatch = owns_dispatch
         self._marks = {counter: getattr(dispatch, counter)
@@ -154,8 +150,6 @@ class JobBackend:
         self.ports_resimulated = 0
         self.cluster_workers: set = set()
         self.degraded = False
-        self._inline: Optional[InlineBackend] = None
-        self._fallback_evaluator: Optional[Evaluator] = None
 
     worker_restarts = _since("worker_restarts")
     batches_retried = _since("batches_retried")
@@ -164,50 +158,28 @@ class JobBackend:
     pipeline_stalls = _since("pipeline_stalls")
     spans_remote = _since("spans_remote")
 
-    def _commit(self, counters) -> None:
-        self.eval_full += counters[0]
-        self.eval_incremental += counters[1]
-        self.ports_resimulated += counters[2]
+    def evaluate(self, genomes):
+        """Retired batch entry point (runs replay spans only); the name
+        stays resolvable for trace hooks that wrap it."""
+        raise WorkerPoolError("replay spans only")
 
-    # -- inline evaluation (same construction as a worker's evaluator,
-    # -- so it cannot change results in any parallel-safe mode) -------
-
-    def _run_inline(self, call) -> List[Fitness]:
-        if self._inline is None:
-            self._fallback_evaluator = Evaluator(self._spec, self._config)
-            self._inline = InlineBackend(self._fallback_evaluator)
-        evaluator = self._fallback_evaluator
-        before = _engine._counters(evaluator)
-        out = call(self._inline)
-        after = _engine._counters(evaluator)
-        self._commit((after[0] - before[0], after[1] - before[1],
-                      after[2] - before[2]))
-        return out
-
-    def evaluate(self, genomes: Sequence[Genome]) -> List[Fitness]:
-        return self._run_inline(lambda b: b.evaluate(genomes))
-
-    def evaluate_deltas(self, parent_genome: Genome,
-                        deltas: Sequence[MutationDelta],
-                        children: Optional[Sequence] = None,
-                        floor: Optional[Fitness] = None) \
-            -> List[Fitness]:
-        return self._run_inline(
-            lambda b: b.evaluate_deltas(parent_genome, deltas, children,
-                                        floor))
+    def evaluate_deltas(self, parent_genome, deltas, children=None,
+                        floor=None):
+        """Retired batch entry point, like :meth:`evaluate`."""
+        raise WorkerPoolError("replay spans only")
 
     # -- replay spans --------------------------------------------------
 
     def dispatch_span(self, request: wire.SpanRequest) -> bool:
         """Hand one span to the dispatcher without waiting; False when
-        it has no workers at all (the engine then runs inline)."""
+        it has no workers at all (the run then replays in-process)."""
         return self._cd.dispatch_span(self._ctx_blob, request)
 
     def collect_span(self) -> Optional[wire.SpanResult]:
         """The in-flight span's result, or None when the dispatcher
         gave up on it (out of retries: the slice degrades) or had no
-        worker (the slice finishes inline without degrading); either
-        way the engine runs the rest of the slice inline."""
+        worker (the slice finishes in-process without degrading);
+        either way the run replays the rest of the slice in-process."""
         result = self._cd.collect_span(self._config.batch_timeout,
                                        self._config.batch_retries)
         if result is None:
@@ -216,7 +188,9 @@ class JobBackend:
             return None
         self.cluster_workers.update(self._cd.last_workers)
         for _accepted, _fit, counters in result.records:
-            self._commit(counters)
+            self.eval_full += counters[0]
+            self.eval_incremental += counters[1]
+            self.ports_resimulated += counters[2]
         return result
 
     def terminate(self) -> None:
@@ -246,11 +220,11 @@ def process_pool_backend(spec: Sequence[TruthTable], config: RcgpConfig,
 
 
 def parallel_safe_config(num_inputs: int, config: RcgpConfig) -> bool:
-    """Pool-safety of a job, decidable without building an evaluator.
+    """Whether a job's fitness is pure enough to run on pool workers.
 
-    Mirrors :func:`repro.core.engine.parallel_safe`: exhaustive
-    simulation is pure; sampled simulation is pure iff seeded and free
-    of SAT counterexample feedback.
+    Exhaustive simulation is pure.  Sampled simulation is pure iff the
+    pattern set is reproducible (seeded) and free of SAT counterexample
+    feedback, which would make workers drift from the coordinator.
     """
     if num_inputs <= config.exhaustive_input_limit:
         return True

@@ -39,8 +39,12 @@ OPERATIONAL_CONFIG_FIELDS = frozenset({
 
 def identity_config_dict(config: RcgpConfig) -> Dict[str, Any]:
     """The search-relevant slice of a config, for hashing/matching."""
-    return {name: value for name, value in config.to_dict().items()
-            if name not in OPERATIONAL_CONFIG_FIELDS}
+    identity = {name: value for name, value in config.to_dict().items()
+                if name not in OPERATIONAL_CONFIG_FIELDS}
+    # The retired ``kernel`` knob stays hashed at its only value, so
+    # stored job ids keep matching.
+    identity["kernel"] = "flat"
+    return identity
 
 
 #: Specs with at least this many inputs carry their tables as hex strings.

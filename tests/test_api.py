@@ -141,3 +141,19 @@ class TestSessionTelemetry:
         assert events[0]["event"] == "job_start"
         assert all("job_id" in e for e in events)
         assert any(e["event"] == "run_end" for e in events)
+
+
+class TestPackageVersion:
+    def test_pyproject_matches_package_version(self):
+        """The distribution version and ``repro.__version__`` (which
+        ``/healthz`` reports) are one number.  Read with a regex: CI's
+        oldest Python has no ``tomllib``."""
+        import os
+        import re
+        path = os.path.join(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))), "pyproject.toml")
+        with open(path) as handle:
+            match = re.search(r'^version\s*=\s*"([^"]+)"', handle.read(),
+                              re.MULTILINE)
+        assert match is not None
+        assert match.group(1) == repro.__version__

@@ -6,25 +6,25 @@ counts**: for a fixed seed, ``workers=0``, ``workers=1`` and
 same chromosome, same evaluation count.
 """
 
+import io
 import json
 import os
 
 import pytest
 
+from repro.bench.registry import get_benchmark
 from repro.core.config import RcgpConfig
 from repro.core.engine import (
     EvolutionRun,
-    InlineBackend,
     TelemetryWriter,
     child_seed,
     decode_genome,
     encode_genome,
-    parallel_safe,
     read_telemetry,
 )
 from repro.core.evolution import evolve
-from repro.core.fitness import Evaluator, Fitness
-from repro.jobs.pool import process_pool_backend
+from repro.core.fitness import Fitness
+from repro.jobs.pool import parallel_safe_config, process_pool_backend
 from repro.core.restart import (
     evolve_with_checkpoints,
     load_checkpoint,
@@ -33,6 +33,7 @@ from repro.core.restart import (
 )
 from repro.core.synthesis import initialize_netlist
 from repro.logic.truth_table import TruthTable, tabulate_word
+from tests.reference_loop import engine_signature, textbook_run
 
 
 def _decoder_spec():
@@ -160,19 +161,99 @@ class TestDeterminismAcrossWorkers:
         assert result.backend == "inline"
 
     def test_parallel_safe_predicate(self):
-        spec = _decoder_spec()
+        num_inputs = _decoder_spec()[0].num_vars
         exhaustive = RcgpConfig(seed=1)
-        assert parallel_safe(Evaluator(spec, exhaustive), exhaustive)
+        assert parallel_safe_config(num_inputs, exhaustive)
         sampled_sat = RcgpConfig(seed=1, exhaustive_input_limit=1,
                                  simulation_patterns=8)
-        assert not parallel_safe(Evaluator(spec, sampled_sat), sampled_sat)
+        assert not parallel_safe_config(num_inputs, sampled_sat)
         sampled_pure = RcgpConfig(seed=1, exhaustive_input_limit=1,
                                   simulation_patterns=8,
                                   verify_with_sat=False)
-        assert parallel_safe(Evaluator(spec, sampled_pure), sampled_pure)
+        assert parallel_safe_config(num_inputs, sampled_pure)
         unseeded = RcgpConfig(exhaustive_input_limit=1,
                               simulation_patterns=8, verify_with_sat=False)
-        assert not parallel_safe(Evaluator(spec, unseeded), unseeded)
+        assert not parallel_safe_config(num_inputs, unseeded)
+
+
+_PAPER = {}
+_TUNED = dict(mutation_rate=0.08, max_mutated_genes=8)
+
+
+class TestReferenceLoop:
+    """The engine against the textbook loop of ``tests/reference_loop.py``
+    — inline and pooled, at paper defaults and tuned, in both shrink
+    modes that act on accepted parents."""
+
+    @pytest.mark.parametrize("shrink", ["on_improvement", "always"])
+    @pytest.mark.parametrize("mutation", [_PAPER, _TUNED],
+                             ids=["paper", "tuned"])
+    @pytest.mark.parametrize("name", ["decoder_2_4", "ham3", "intdiv5"])
+    def test_engine_matches_textbook_loop(self, name, mutation, shrink):
+        spec = get_benchmark(name).spec()
+        initial = initialize_netlist(spec, name)
+        config = RcgpConfig(generations=600, seed=1, shrink=shrink,
+                            track_history=True, **mutation)
+        reference = textbook_run(spec, config, initial)
+        for workers in (0, 2):
+            result = EvolutionRun(spec, config.replace(workers=workers),
+                                  initial=initial, name=name).run()
+            assert result.backend == ("inline" if workers == 0
+                                      else "process-pool")
+            assert engine_signature(result) == reference
+
+
+class TestTelemetryAcrossWorkers:
+    @pytest.mark.parametrize("mutation", [_PAPER, _TUNED],
+                             ids=["paper", "tuned"])
+    @pytest.mark.parametrize("name", ["ham3", "intdiv5"])
+    def test_generation_events_match_inline(self, name, mutation,
+                                            monkeypatch):
+        """Inline and pooled runs narrate the same ``generation``
+        events, and both equal a run of one-generation spans
+        (``RCGP_CHECK_INCREMENTAL=1``), whose counters are read live
+        after every generation; only the wall clock differs."""
+        spec = get_benchmark(name).spec()
+        initial = initialize_netlist(spec, name)
+        streams = []
+        for workers, check in ((0, ""), (2, ""), (0, "1")):
+            monkeypatch.setenv("RCGP_CHECK_INCREMENTAL", check)
+            handle = io.StringIO()
+            config = RcgpConfig(generations=300, seed=2, workers=workers,
+                                **mutation)
+            EvolutionRun(spec, config, initial=initial, name=name,
+                         telemetry=TelemetryWriter(handle)).run()
+            events = [json.loads(line)
+                      for line in handle.getvalue().splitlines()]
+            generations = [event for event in events
+                           if event["event"] == "generation"]
+            for event in generations:
+                del event["wall_time"]
+            streams.append(generations)
+        assert len(streams[0]) == 300
+        assert streams[0] == streams[1] == streams[2]
+
+    def test_inline_sat_run_counts_per_generation(self):
+        """Sampled fitness with SAT feedback stays in-process; its
+        ``generation`` events carry each generation's own
+        ``evaluations`` and ``sat_calls``, as the textbook loop counts
+        them after every generation."""
+        spec = get_benchmark("ham3").spec()
+        initial = initialize_netlist(spec, "ham3")
+        config = RcgpConfig(generations=300, seed=3, exhaustive_input_limit=1,
+                            simulation_patterns=8, mutation_rate=0.08,
+                            max_mutated_genes=8, workers=2)
+        trace = []
+        textbook_run(spec, config, initial, trace)
+        handle = io.StringIO()
+        result = EvolutionRun(spec, config, initial=initial,
+                              telemetry=TelemetryWriter(handle)).run()
+        assert result.backend == "inline"
+        events = [json.loads(line) for line in handle.getvalue().splitlines()]
+        counts = [(event["evaluations"], event["sat_calls"])
+                  for event in events if event["event"] == "generation"]
+        assert counts == trace
+        assert trace[0][1] < trace[-1][1]
 
 
 class TestCacheAccounting:
@@ -313,8 +394,8 @@ class TestCheckpointForwardCompat:
     def test_v2_checkpoint_missing_new_fields_resumes_with_warning(
             self, tmp_path):
         # A v2 checkpoint written before newer config knobs existed
-        # (e.g. `kernel`): resuming must not crash on the absent keys —
-        # it warns and proceeds under the live configuration.
+        # (e.g. `verify_result`): resuming must not crash on the absent
+        # keys — it warns and proceeds under the live configuration.
         spec = _decoder_spec()
         path = str(tmp_path / "old_v2.json")
         config = RcgpConfig(generations=20, mutation_rate=0.1, seed=4,
@@ -322,12 +403,12 @@ class TestCheckpointForwardCompat:
         save_checkpoint(path, initialize_netlist(spec), 10, config)
         with open(path) as handle:
             payload = json.load(handle)
-        for field in ("kernel", "verify_result", "batch_timeout",
-                      "batch_retries"):
+        for field in ("verify_result", "batch_timeout", "batch_retries"):
             del payload["config"][field]
         with open(path, "w") as handle:
             json.dump(payload, handle)
-        with pytest.warns(RuntimeWarning, match="does not record .*kernel"):
+        with pytest.warns(RuntimeWarning,
+                          match="does not record .*verify_result"):
             result = evolve_with_checkpoints(spec, config, path,
                                              slice_generations=10)
         assert result.fitness.functional
@@ -374,29 +455,6 @@ class TestMultiStartFullConfig:
 
 
 class TestEngineBackends:
-    def test_inline_backend_matches_evaluator(self):
-        spec = _decoder_spec()
-        evaluator = Evaluator(spec, RcgpConfig())
-        netlist = initialize_netlist(spec)
-        backend = InlineBackend(evaluator)
-        [fitness] = backend.evaluate([encode_genome(netlist)])
-        assert fitness == Evaluator(spec, RcgpConfig()).evaluate(netlist)
-
     def test_pool_backend_rejects_single_worker(self):
         with pytest.raises(ValueError):
             process_pool_backend(_decoder_spec(), RcgpConfig(), workers=1)
-
-    def test_pool_backend_preserves_batch_order(self):
-        spec = _decoder_spec()
-        good = initialize_netlist(spec)
-        bad = good.copy()
-        bad.outputs = list(reversed(bad.outputs))
-        backend = process_pool_backend(spec, RcgpConfig(), workers=2)
-        try:
-            genomes = [encode_genome(good), encode_genome(bad),
-                       encode_genome(good)]
-            results = backend.evaluate(genomes)
-            assert results[0].functional and results[2].functional
-            assert not results[1].functional
-        finally:
-            backend.close()

@@ -35,6 +35,7 @@ class TestFuzzDiff:
         assert rc == 1
         assert (tmp_path / "fuzz_replay_0.json").exists()
 
-    def test_cli_clean_run_exits_zero(self, capsys):
-        assert fuzz_diff.main(["--seed", "0", "--rounds", "3"]) == 0
+    def test_cli_clean_run_exits_zero(self, capsys, tmp_path):
+        assert fuzz_diff.main(["--seed", "0", "--rounds", "3",
+                               "--artifact-dir", str(tmp_path)]) == 0
         assert "clean" in capsys.readouterr().out

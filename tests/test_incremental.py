@@ -18,7 +18,7 @@ import pytest
 from repro.bench.random_circuits import random_rqfp
 from repro.bench.registry import get_benchmark
 from repro.core.config import RcgpConfig
-from repro.core.engine import EvolutionRun, InlineBackend, encode_genome
+from repro.core.engine import EvolutionRun, encode_genome
 from repro.core.fitness import Evaluator, Fitness
 from repro.core.mutation import MutationDelta, mutate, mutate_with_delta
 from repro.core.simstate import SimulationState
@@ -299,26 +299,6 @@ class TestEngineIntegration:
         incr = self._run(True, eval_cache_size=0)
         assert incr.fitness.key() == full.fitness.key()
         assert incr.netlist.describe() == full.netlist.describe()
-
-    def test_inline_backend_evaluate_deltas(self):
-        rng = random.Random(8)
-        parent = random_rqfp(4, 10, 3, rng)
-        spec = parent.to_truth_tables()
-        config = _mutation_config()
-        evaluator = Evaluator(spec, config)
-        backend = InlineBackend(evaluator)
-        mutants = [mutate_with_delta(parent, rng, config) for _ in range(6)]
-        got = backend.evaluate_deltas(encode_genome(parent),
-                                      [d for _, d in mutants],
-                                      [c for c, _ in mutants])
-        reference = Evaluator(spec, config)
-        want = [reference.evaluate(c) for c, _ in mutants]
-        assert [f.key() for f in got] == [f.key() for f in want]
-        # Without pre-built children, deltas alone must reconstruct them.
-        backend2 = InlineBackend(Evaluator(spec, config))
-        got2 = backend2.evaluate_deltas(encode_genome(parent),
-                                        [d for _, d in mutants])
-        assert [f.key() for f in got2] == [f.key() for f in want]
 
     @pytest.mark.slow
     def test_pool_backend_incremental_matches(self):

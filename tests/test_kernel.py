@@ -2,11 +2,11 @@
 
 The contract under test: :class:`NetlistKernel` is an alternative
 *representation* of the same chromosome, never an approximation.  Every
-operation the fitness function relies on — simulation, cone
-resimulation (plain and tracked), shrink, levels, the fused buffer
-estimate, fan-out counts, mutation, genome encoding — must match the
-object netlist bit for bit, over random netlists x random mutation
-chains and through the full evolution engine.
+operation the fitness function relies on — simulation, the tracked
+cone sweep, shrink, levels, the fused buffer estimate, fan-out counts,
+mutation, genome encoding — must match the object netlist bit for bit,
+over random netlists x random mutation chains; and the engine, which
+runs on kernels only, must match a textbook loop on object netlists.
 """
 
 import os
@@ -19,12 +19,7 @@ import pytest
 from repro.bench.random_circuits import random_rqfp
 from repro.bench.registry import get_benchmark
 from repro.core.config import RcgpConfig
-from repro.core.engine import (
-    EvolutionRun,
-    decode_genome,
-    encode_genome,
-    genome_with_delta,
-)
+from repro.core.engine import EvolutionRun, decode_genome, encode_genome
 from repro.core.fitness import Evaluator, Fitness
 from repro.core.kernel import NetlistKernel
 from repro.core.mutation import mutate_with_delta, port_readers
@@ -33,6 +28,7 @@ from repro.logic.bitops import full_mask, variable_pattern
 from repro.rqfp.buffers import estimate_buffers
 from repro.rqfp.netlist import CONST_PORT
 from repro.rqfp.splitters import insert_splitters
+from tests.reference_loop import engine_signature, textbook_run
 
 pytestmark = []
 
@@ -167,6 +163,8 @@ class TestStructuralEquality:
 
 class TestConeResimulation:
     def test_resimulate_cone_matches_full(self):
+        """The tracked scan leaves every port at the child's fully
+        simulated value."""
         config = _mutation_config()
         for trial in range(25):
             rng = random.Random(600 + trial)
@@ -175,13 +173,13 @@ class TestConeResimulation:
             base = parent.simulate_ports(words, mask)
             child, delta = mutate_with_delta(parent, rng, config)
             values = base.copy()
-            child.resimulate_cone(values, mask, delta.touched_gates)
+            child.resimulate_cone_tracked(values, mask, delta.touched_gates)
             assert values == child.simulate_ports(words, mask)
 
     def test_tracked_resim_matches_and_restores(self):
-        """The tracked in-place cone produces the same values and the
-        same recompute counter as the copying cone, and the undo log
-        restores the parent vector exactly."""
+        """The tracked in-place scan produces the same values and the
+        same recompute counter as the object netlist's cone, and the
+        undo log restores the parent vector exactly."""
         config = _mutation_config()
         for trial in range(25):
             rng = random.Random(900 + trial)
@@ -191,8 +189,8 @@ class TestConeResimulation:
             child, delta = mutate_with_delta(parent, rng, config)
 
             copied = base.copy()
-            counted = child.resimulate_cone(copied, mask,
-                                            delta.touched_gates)
+            counted = child.to_netlist().resimulate_cone(
+                copied, mask, delta.touched_gates)
             tracked = base.copy()
             counted2, undo = child.resimulate_cone_tracked(
                 tracked, mask, delta.touched_gates)
@@ -247,16 +245,6 @@ class TestMutationEquivalence:
                                   config, consumers=table, rollback=True)
             assert kernel.to_genome() == before
             assert table == port_readers(kernel)
-
-    def test_genome_with_delta_matches_encode(self):
-        config = _mutation_config()
-        for trial in range(20):
-            parent = NetlistKernel.from_netlist(
-                random_rqfp(4, 12, 3, random.Random(500 + trial)))
-            child, delta = mutate_with_delta(parent, random.Random(trial),
-                                             config)
-            assert genome_with_delta(parent.to_genome(), delta) == \
-                encode_genome(child)
 
 
 class TestEvaluatorEquality:
@@ -380,43 +368,33 @@ class TestCounterexampleMasking:
 
 
 class TestEngineEquality:
-    def _run(self, kernel, **kwargs):
-        benchmark = get_benchmark("decoder_2_4")
-        spec = benchmark.spec()
-        config = RcgpConfig(generations=60, offspring=4, mutation_rate=0.2,
-                            max_mutated_genes=4, seed=77, kernel=kernel,
-                            **kwargs)
-        return EvolutionRun(spec, config, name="decoder_2_4").run()
+    """The flat-kernel engine against the textbook loop on object
+    netlists (``tests/reference_loop.py``)."""
+
+    def _both(self, name, initial=None, **kwargs):
+        spec = get_benchmark(name).spec()
+        if initial is None:
+            initial = initialize_netlist(spec, name)
+        config = RcgpConfig(track_history=True, **kwargs)
+        flat = EvolutionRun(spec, config, initial=initial, name=name).run()
+        return engine_signature(flat), textbook_run(spec, config, initial)
 
     def test_flat_run_matches_object_run(self):
-        flat = self._run("flat")
-        obj = self._run("object")
-        assert flat.fitness.key() == obj.fitness.key()
-        assert flat.netlist.describe() == obj.netlist.describe()
-        assert flat.evaluations == obj.evaluations
-        assert flat.eval_incremental == obj.eval_incremental
-        assert flat.ports_resimulated == obj.ports_resimulated
+        flat, obj = self._both("decoder_2_4", generations=60, offspring=4,
+                               mutation_rate=0.2, max_mutated_genes=4,
+                               seed=77)
+        assert flat == obj
 
     def test_flat_run_matches_with_cache_disabled(self):
-        flat = self._run("flat", eval_cache_size=0)
-        obj = self._run("object", eval_cache_size=0)
-        assert flat.fitness.key() == obj.fitness.key()
-        assert flat.netlist.describe() == obj.netlist.describe()
-        assert flat.evaluations == obj.evaluations
+        flat, obj = self._both("decoder_2_4", generations=60, offspring=4,
+                               mutation_rate=0.2, max_mutated_genes=4,
+                               seed=77, eval_cache_size=0)
+        assert flat == obj
 
     def test_flat_run_on_benchmark_seed(self):
-        benchmark = get_benchmark("ham3")
-        spec = benchmark.spec()
-        initial = initialize_netlist(spec, "ham3")
-        results = []
-        for kernel in ("flat", "object"):
-            config = RcgpConfig(generations=40, offspring=4, seed=11,
-                                mutation_rate=0.15, max_mutated_genes=4,
-                                kernel=kernel)
-            results.append(EvolutionRun(spec, config, initial=initial.copy(),
-                                        name="ham3").run())
-        assert results[0].fitness.key() == results[1].fitness.key()
-        assert results[0].netlist.describe() == results[1].netlist.describe()
+        flat, obj = self._both("ham3", generations=40, offspring=4, seed=11,
+                               mutation_rate=0.15, max_mutated_genes=4)
+        assert flat == obj
 
     @pytest.mark.slow
     def test_flat_pool_matches_serial(self):
@@ -425,21 +403,9 @@ class TestEngineEquality:
         spec = benchmark.spec()
         config = RcgpConfig(generations=25, offspring=8, mutation_rate=0.2,
                             max_mutated_genes=4, seed=31, workers=2,
-                            kernel="flat", incremental_eval=True)
+                            incremental_eval=True)
         pooled = EvolutionRun(spec, config, name="decoder_2_4").run()
         serial = EvolutionRun(
             spec, config.replace(workers=0), name="decoder_2_4").run()
         assert pooled.fitness.key() == serial.fitness.key()
         assert pooled.netlist.describe() == serial.netlist.describe()
-
-
-class TestConfigKnob:
-    def test_kernel_knob_validation(self):
-        assert RcgpConfig().kernel == "flat"
-        assert RcgpConfig(kernel="object").kernel == "object"
-        with pytest.raises(ValueError):
-            RcgpConfig(kernel="numpy")
-
-    def test_kernel_knob_round_trips_through_dict(self):
-        config = RcgpConfig(kernel="object")
-        assert RcgpConfig.from_dict(config.to_dict()).kernel == "object"

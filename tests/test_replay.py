@@ -37,7 +37,7 @@ GENERATIONS = 120
 def _config(workers, **kwargs):
     base = dict(mutation_rate=0.08, max_mutated_genes=8, seed=2024,
                 eval_cache_size=0, shrink="on_improvement",
-                generations=GENERATIONS, kernel="flat", workers=workers)
+                generations=GENERATIONS, workers=workers)
     base.update(kwargs)
     return RcgpConfig(**base)
 

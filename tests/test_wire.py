@@ -1,14 +1,8 @@
-"""Wire codec round-trips and scheduled-sweep bit-identity.
+"""Wire codec round-trips.
 
-Two contracts live here.  First, every ``pack_*`` in
-``repro.core.wire`` has an exact ``unpack_*`` inverse — the pool
-transport may never lose or reorder a gene, delta or span field.  Second, the worklist cone sweep the span-resident replay
-loop uses (:meth:`NetlistKernel.resimulate_cone_scheduled` behind
-:meth:`SimulationState.enable_fanout_index`) is bit-identical to the
-index-ordered scan: same recomputed-port counter, same changed ports in
-the same order, same values, same fitness through
-``evaluate_incremental`` — with the engine's floor too, where both
-sweeps stop at the first wrong output.
+Every ``pack_*`` in ``repro.core.wire`` has an exact ``unpack_*``
+inverse — the pool transport may never lose or reorder a gene, delta or
+span field.
 """
 
 import random
@@ -18,8 +12,6 @@ import pytest
 from repro.bench.random_circuits import random_rqfp
 from repro.core import wire
 from repro.core.config import RcgpConfig
-from repro.core.fitness import Evaluator
-from repro.core.kernel import NetlistKernel
 from repro.core.mutation import MutationDelta, mutate_with_delta
 
 
@@ -120,89 +112,3 @@ class TestCodecRoundTrips:
         framing."""
         genome = tuple(range(200))
         assert len(wire.pack_genome(genome)) == 8 * len(genome)
-
-
-class TestScheduledSweepIdentity:
-    """Worklist sweep == index-ordered scan, property-tested."""
-
-    def _check_parent(self, netlist, seed, mutants):
-        parent = NetlistKernel.from_netlist(netlist)
-        spec = netlist.to_truth_tables()
-        config = _mutation_config(seed=seed)
-        evaluator = Evaluator(spec, config)
-        floor = evaluator.evaluate(parent)
-        assert floor.functional
-        scan_state = evaluator.prepare_parent(parent)
-        sched_state = evaluator.prepare_parent(parent)
-        sched_state.enable_fanout_index()
-        # Span mode restores from a pristine copy of the parent vector.
-        assert scan_state._pristine is None
-        assert sched_state._pristine is not None
-        rng = random.Random(seed)
-        for _ in range(mutants):
-            child, delta = mutate_with_delta(parent, rng, config)
-            child = NetlistKernel.from_netlist(child) \
-                if not isinstance(child, NetlistKernel) else child
-            touched = delta.touched_gates
-            v1, r1, u1 = scan_state.child_values_tracked(child, touched)
-            snap1 = v1.copy()
-            scan_state.restore(u1)
-            v2, r2, u2 = sched_state.child_values_tracked(child, touched)
-            snap2 = v2.copy()
-            sched_state.restore(u2)
-            assert snap1 == snap2
-            assert r1 == r2
-            # Same changed ports, same order (scan logs tuples, the
-            # worklist logs bare ports).
-            assert [p for p, _ in u1] == list(u2)
-            # Both restores land back on the pristine parent vector.
-            assert scan_state.values == sched_state.values
-            assert sched_state.values == sched_state._pristine
-            # And the full incremental pipeline agrees on fitness.
-            f1 = evaluator.evaluate_incremental(child, delta, scan_state)
-            f2 = evaluator.evaluate_incremental(child, delta, sched_state)
-            assert f1.key() == f2.key()
-            # With the engine's floor both sweeps stop at the same gate:
-            # same verdict, same counter, both vectors restored.
-            start = evaluator.ports_resimulated
-            e1 = evaluator.evaluate_incremental(child, delta, scan_state,
-                                                floor)
-            mid = evaluator.ports_resimulated
-            e2 = evaluator.evaluate_incremental(child, delta, sched_state,
-                                                floor)
-            assert e1.key() == e2.key()
-            assert mid - start == evaluator.ports_resimulated - mid
-            assert scan_state.values == sched_state.values \
-                == sched_state._pristine
-
-    def test_random_netlists(self):
-        for trial in range(8):
-            netlist = random_rqfp(4, 24, 4, random.Random(900 + trial))
-            self._check_parent(netlist, seed=trial, mutants=25)
-
-    def test_benchmark_circuit(self):
-        from repro.bench.registry import get_benchmark
-        from repro.core.synthesis import initialize_netlist
-        benchmark = get_benchmark("intdiv9")
-        netlist = initialize_netlist(benchmark.spec(), benchmark.name)
-        self._check_parent(netlist, seed=11, mutants=60)
-
-    def test_counters_match_through_evaluator(self):
-        """eval_incremental / ports_resimulated counters agree between
-        the two sweeps across a mutation sequence."""
-        netlist = random_rqfp(4, 20, 3, random.Random(77))
-        parent = NetlistKernel.from_netlist(netlist)
-        spec = netlist.to_truth_tables()
-        config = _mutation_config(seed=13)
-        ev1 = Evaluator(spec, config)
-        ev2 = Evaluator(spec, config)
-        s1 = ev1.prepare_parent(parent)
-        s2 = ev2.prepare_parent(parent)
-        s2.enable_fanout_index()
-        rng = random.Random(13)
-        for _ in range(40):
-            child, delta = mutate_with_delta(parent, rng, config)
-            ev1.evaluate_incremental(child, delta, s1)
-            ev2.evaluate_incremental(child, delta, s2)
-        assert ev1.eval_incremental == ev2.eval_incremental
-        assert ev1.ports_resimulated == ev2.ports_resimulated

@@ -6,8 +6,7 @@ and cross-checks every invariant the evolution engine silently relies
 on:
 
 * **genome codec** — ``encode_genome``/``decode_genome``/
-  ``NetlistKernel.from_genome`` round-trip, and
-  ``genome_with_delta(parent, delta) == encode_genome(child)``;
+  ``NetlistKernel.from_genome`` round-trip;
 * **kernel vs object** — simulation, shrink, levels, buffer estimate
   and fan-out counts agree bit for bit after every mutation;
 * **mutation parity** — the same RNG stream mutates the kernel and the
@@ -23,8 +22,8 @@ on:
   re-simulation for both representations;
 * **early stop** — against the parent's own tables, with the parent's
   fitness as the floor, the incremental verdict equals full
-  simulation's, a functional child's key is exact, and the object,
-  scan and worklist sweeps count the same ports;
+  simulation's, a functional child's key is exact, and the object and
+  kernel sweeps count the same ports;
 * **SAT vs exhaustive simulation** — ``check_against_tables`` agrees
   with exhaustive truth-table comparison, UNSAT and SAT legs both, and
   returned counterexamples actually distinguish the circuits;
@@ -58,8 +57,7 @@ sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
 
 from repro.bench.random_circuits import random_rqfp          # noqa: E402
 from repro.core.config import RcgpConfig                      # noqa: E402
-from repro.core.engine import (decode_genome, encode_genome,   # noqa: E402
-                               genome_with_delta)
+from repro.core.engine import decode_genome, encode_genome  # noqa: E402
 from repro.core.fitness import Evaluator                       # noqa: E402
 from repro.core.kernel import NetlistKernel                    # noqa: E402
 from repro.core.mutation import mutate_with_delta, port_readers  # noqa: E402
@@ -148,14 +146,10 @@ def check_early_stop(config: RcgpConfig, parent_obj, parent_ker,
     spec = parent_obj.to_truth_tables()  # the parent is functional
     full = Evaluator(spec, config).evaluate(child_obj)
     ports = []
-    for parent, child, worklist in ((parent_obj, child_obj, False),
-                                    (parent_ker, child_ker, False),
-                                    (parent_ker, child_ker, True)):
+    for parent, child in ((parent_obj, child_obj), (parent_ker, child_ker)):
         evaluator = Evaluator(spec, config)
         floor = evaluator.evaluate(parent)
         state = evaluator.prepare_parent(parent)
-        if worklist:
-            state.enable_fanout_index()
         early = evaluator.evaluate_incremental(child, delta, state, floor)
         _check(early.functional == full.functional,
                f"early stop said functional={early.functional}, full "
@@ -164,8 +158,8 @@ def check_early_stop(config: RcgpConfig, parent_obj, parent_ker,
             _check(early.key() == full.key(),
                    f"early-stop fitness {early} != full fitness {full}")
         ports.append(evaluator.ports_resimulated)
-    _check(ports[0] == ports[1] == ports[2],
-           f"early stop: object/scan/worklist ports {ports} differ")
+    _check(ports[0] == ports[1],
+           f"early stop: object/kernel ports {ports} differ")
 
 
 def check_sat_vs_simulation(netlist: RqfpNetlist, spec) -> None:
@@ -280,9 +274,6 @@ def run_round(seed: int, round_index: int) -> None:
         _check(encode_genome(child_obj) == child_ker.to_genome(),
                f"step {step}: mutated genomes diverged across "
                "representations")
-        _check(genome_with_delta(encode_genome(parent_obj), delta_obj)
-               == encode_genome(child_obj),
-               f"step {step}: genome_with_delta != encode(child)")
         check_kernel_vs_object(child_obj, child_ker, words, mask)
         check_incremental(evaluator, parent_obj, child_obj, delta_obj)
         check_incremental(evaluator, parent_ker, child_ker, delta_ker)

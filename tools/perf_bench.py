@@ -75,9 +75,6 @@ def main(argv=None) -> int:
                     "baseline gate.")
     parser.add_argument("--circuit", default="intdiv9",
                         help="Table-1 circuit to benchmark on")
-    parser.add_argument("--kernel", default="flat",
-                        choices=("flat", "object"),
-                        help="candidate representation to measure")
     parser.add_argument("--quick", action="store_true",
                         help="small iteration counts (CI smoke)")
     parser.add_argument("--repeats", type=int, default=2,
@@ -103,7 +100,6 @@ def main(argv=None) -> int:
     results = {
         "schema": 1,
         "circuit": args.circuit,
-        "kernel": args.kernel,
         "quick": args.quick,
         "repeats": args.repeats,
         "python": platform.python_version(),
@@ -114,8 +110,8 @@ def main(argv=None) -> int:
             "platform": platform.platform(),
             "python": platform.python_version(),
         },
-        "benches": run_benches(circuit=args.circuit, kernel=args.kernel,
-                               quick=args.quick, repeats=args.repeats,
+        "benches": run_benches(circuit=args.circuit, quick=args.quick,
+                               repeats=args.repeats,
                                skip_workers=args.skip_workers),
     }
     results["derived"] = derive(results["benches"])
