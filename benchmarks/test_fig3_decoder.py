@@ -9,9 +9,10 @@ plus checks every structural claim of the worked example.
 
 import pytest
 
+from repro.api import synthesize
 from repro.core.config import RcgpConfig
 from repro.core.mutation import chromosome_length
-from repro.core.synthesis import initialize_netlist, rcgp_synthesize
+from repro.core.synthesis import initialize_netlist
 from repro.logic.truth_table import tabulate_word
 from repro.rqfp.buffers import schedule_levels
 
@@ -26,7 +27,7 @@ def test_decoder_worked_example(benchmark):
     config = RcgpConfig(generations=12_000, mutation_rate=0.1, seed=41,
                         offspring=4, shrink="always")
     result = benchmark.pedantic(
-        rcgp_synthesize, args=(_spec(), config),
+        synthesize, args=(_spec(), config),
         kwargs={"name": "decoder_2_4"},
         rounds=1, iterations=1, warmup_rounds=0)
 
@@ -50,7 +51,7 @@ def test_buffer_insertion_balances_all_paths():
     the Fig. 3(d) property, checked on the evolved decoder."""
     config = RcgpConfig(generations=800, mutation_rate=0.1, seed=5,
                         shrink="always")
-    result = rcgp_synthesize(_spec(), config)
+    result = synthesize(_spec(), config)
     plan = schedule_levels(result.netlist)
     netlist = result.netlist
     for g, gate in enumerate(netlist.gates):

@@ -15,9 +15,8 @@ import os
 import sys
 import tempfile
 
-from repro import RcgpConfig
+from repro import RcgpConfig, synthesize
 from repro.bench.revlib import graycode, ham3, hwb, revlib_4_49
-from repro.flow import synthesize_file
 from repro.io.real import write_real
 from repro.reversible import synthesize_tables
 
@@ -47,9 +46,9 @@ for name, tables in suite.items():
 
 print()
 print("=== RQFP synthesis from ham3.real (the paper's Fig. 2 path) ===")
-result = synthesize_file(paths["ham3"],
-                         RcgpConfig(generations=3000, mutation_rate=0.1,
-                                    seed=3, shrink="always"))
+result = synthesize(paths["ham3"],
+                    RcgpConfig(generations=3000, mutation_rate=0.1,
+                               seed=3, shrink="always"))
 print(f"initialization: {result.initial.cost}")
 print(f"rcgp          : {result.cost}")
 print(f"verified      : {result.verify()}")

@@ -9,7 +9,8 @@
    exact method's effort.
 
 The example also demonstrates the file-based front-end: the adder is
-written as structural Verilog and re-read through `synthesize_file`.
+written as structural Verilog and synthesized from its path by
+`synthesize`.
 
 Run:  python examples/full_adder_three_ways.py      (a few minutes; the
       exact phase dominates — set RCGP_SKIP_EXACT=1 to skip it)
@@ -18,7 +19,7 @@ Run:  python examples/full_adder_three_ways.py      (a few minutes; the
 import os
 import tempfile
 
-from repro import RcgpConfig, exact_synthesize, synthesize_file
+from repro import RcgpConfig, exact_synthesize, synthesize
 from repro.bench.revlib import full_adder
 from repro.errors import ExactSynthesisTimeout
 from repro.reversible import bennett_embedding
@@ -62,9 +63,9 @@ with tempfile.NamedTemporaryFile("w", suffix=".v", delete=False) as handle:
     handle.write(verilog)
     path = handle.name
 try:
-    result = synthesize_file(path, RcgpConfig(generations=5000,
-                                              mutation_rate=0.08,
-                                              seed=1, shrink="always"))
+    result = synthesize(path, RcgpConfig(generations=5000,
+                                         mutation_rate=0.08,
+                                         seed=1, shrink="always"))
 finally:
     os.unlink(path)
 

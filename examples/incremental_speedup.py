@@ -7,7 +7,8 @@ wastes almost all of the work.  The incremental layer
 parent's per-port simulation words and recomputes only the mutation's
 fan-out cone — bit-identically to the full path.
 
-This script measures the win twice, on one Table-1 circuit:
+This script measures the win on one Table-1 circuit and shows it in a
+live run:
 
 1. **evaluation layer, isolated** — a fixed set of pre-generated
    mutants is evaluated through `Evaluator.evaluate` (full
@@ -15,16 +16,17 @@ This script measures the win twice, on one Table-1 circuit:
    resimulation against the memoized parent).  Same candidates, same
    evaluator math; the only difference is how many ports get
    resimulated.  Fitness keys are asserted identical.
-2. **end to end** — two `EvolutionRun`s (``incremental_eval`` off/on)
-   with telemetry, so the `eval_full` / `eval_incremental` /
-   `ports_resimulated` counters show the same ratio in the run's own
-   JSONL instrumentation.  Results are asserted bit-identical.
+2. **end to end** — one `EvolutionRun` with telemetry, whose
+   `eval_full` / `eval_incremental` / `ports_resimulated` counters show
+   the cone sizes in the run's own JSONL instrumentation.  The engine
+   evaluates offspring incrementally only; full resimulation is left
+   for the initial, simplified and final parents.
 
 Environment knobs::
 
     RCGP_INCR_CIRCUIT      Table-1 circuit            (default intdiv9)
     RCGP_INCR_MUTANTS      mutants for the isolated timing (default 400)
-    RCGP_INCR_GENERATIONS  generations per end-to-end run  (default 80)
+    RCGP_INCR_GENERATIONS  generations of the end-to-end run (default 80)
     RCGP_INCR_OFFSPRING    lambda                          (default 8)
     RCGP_INCR_MIN          if set (e.g. "2.0"), exit non-zero unless the
                            isolated evaluations/sec ratio reaches it
@@ -68,9 +70,8 @@ def isolated_evaluation_timing(spec, parent, config, num_mutants):
             incr_eval.ports_resimulated / num_mutants)
 
 
-def end_to_end(spec, initial, name, incremental, telemetry_path, **kwargs):
+def end_to_end(spec, initial, name, telemetry_path, **kwargs):
     config = RcgpConfig(mutation_rate=0.08, max_mutated_genes=8, seed=2024,
-                        incremental_eval=incremental,
                         telemetry_path=telemetry_path, **kwargs)
     start = time.perf_counter()
     result = EvolutionRun(spec, config, initial=initial.copy(),
@@ -106,34 +107,24 @@ def main() -> int:
     print(f"  speedup           : {ratio:.2f}x  (fitness keys identical)\n")
 
     # -- 2. end to end, with telemetry --------------------------------
-    rows = []
     with tempfile.TemporaryDirectory() as tmp:
-        for incremental in (False, True):
-            path = os.path.join(tmp, f"incr_{incremental}.jsonl")
-            result, elapsed = end_to_end(
-                spec, initial, benchmark.name, incremental, path,
-                generations=generations, offspring=offspring)
-            events = read_telemetry(path)
-            rows.append((incremental, result, elapsed, events[-1]))
+        path = os.path.join(tmp, "run.jsonl")
+        result, elapsed = end_to_end(
+            spec, initial, benchmark.name, path,
+            generations=generations, offspring=offspring)
+        run_end = read_telemetry(path)[-1]
 
     print(f"end to end ({generations} generations x lambda={offspring}):")
-    print(f"  {'mode':<14} {'evals/s':>8} {'eval_full':>9} "
-          f"{'eval_incr':>9} {'ports_resim':>11}")
-    for incremental, result, elapsed, run_end in rows:
-        label = "incremental" if incremental else "full"
-        print(f"  {label:<14} {result.evaluations / elapsed:>8.0f} "
-              f"{run_end['eval_full']:>9} {run_end['eval_incremental']:>9} "
-              f"{run_end['ports_resimulated']:>11}")
-    keys = {result.fitness.key() for _, result, _, _ in rows}
-    assert len(keys) == 1, "modes disagreed on the result — engine bug"
-    end_ratio = rows[0][2] / rows[1][2]
-    avg_cone = (rows[1][3]["ports_resimulated"] /
-                max(1, rows[1][3]["eval_incremental"]))
-    print(f"\n  end-to-end speedup {end_ratio:.2f}x; incremental runs "
-          f"resimulated {avg_cone:.0f}/{total_ports} ports per "
-          f"evaluation on average")
-    print(f"  both modes returned the identical result "
-          f"(fitness key {rows[0][1].fitness.key()})")
+    print(f"  {'evals/s':>8} {'eval_full':>9} {'eval_incr':>9} "
+          f"{'ports_resim':>11}")
+    print(f"  {result.evaluations / elapsed:>8.0f} "
+          f"{run_end['eval_full']:>9} {run_end['eval_incremental']:>9} "
+          f"{run_end['ports_resimulated']:>11}")
+    avg_cone = (run_end["ports_resimulated"] /
+                max(1, run_end["eval_incremental"]))
+    print(f"\n  incremental evaluations resimulated {avg_cone:.0f}/"
+          f"{total_ports} ports on average (fitness key "
+          f"{result.fitness.key()})")
 
     if minimum is not None and ratio < float(minimum):
         print(f"FAIL: evaluation-layer speedup {ratio:.2f}x "

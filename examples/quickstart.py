@@ -10,7 +10,7 @@ This is the paper's running example (Fig. 3).  The flow is:
 Run:  python examples/quickstart.py
 """
 
-from repro import RcgpConfig, rcgp_synthesize
+from repro import RcgpConfig, synthesize
 from repro.logic import tabulate_word
 
 # A 2-to-4 decoder: output bit i is high iff the input equals i.
@@ -24,7 +24,7 @@ config = RcgpConfig(
     shrink="always",       # remove useless gates as soon as they appear
 )
 
-result = rcgp_synthesize(spec, config, name="decoder_2_4")
+result = synthesize(spec, config, name="decoder_2_4")
 
 print("=== RCGP quickstart: 2-to-4 decoder ===")
 print(f"initialization baseline : {result.initial.cost}")

@@ -13,7 +13,7 @@ Run:  python examples/reciprocal_sweep.py          (about a minute)
 import os
 import time
 
-from repro import RcgpConfig, rcgp_synthesize
+from repro import RcgpConfig, synthesize
 from repro.bench.reciprocal import intdiv
 
 max_bits = int(os.environ.get("RCGP_SWEEP_MAX_BITS", "6"))
@@ -30,7 +30,7 @@ for bits in range(4, max_bits + 1):
     config = RcgpConfig(generations=generations, mutation_rate=0.05,
                         seed=bits, shrink="always", offspring=4)
     start = time.time()
-    result = rcgp_synthesize(spec, config, name=name)
+    result = synthesize(spec, config, name=name)
     elapsed = time.time() - start
     assert result.verify(), f"{name} failed verification!"
 

@@ -48,7 +48,6 @@ from .core.synthesis import (
     SynthesisResult,
     baseline_initialization,
     initialize_netlist,
-    rcgp_synthesize,
 )
 from .errors import (
     EncodingError,
@@ -62,7 +61,7 @@ from .errors import (
     VerificationError,
 )
 from .exact.synthesizer import ExactResult, exact_synthesize
-from .flow import load_spec, synthesize_file
+from .flow import load_spec
 from .jobs import Job, JobSpec, JobStore, Scheduler
 from .logic.truth_table import TruthTable, tabulate_word
 from .rqfp.metrics import CircuitCost
@@ -79,7 +78,6 @@ __all__ = [
     "JobStore",
     "Scheduler",
     "RcgpConfig",
-    "rcgp_synthesize",
     "initialize_netlist",
     "baseline_initialization",
     "SynthesisResult",
@@ -97,7 +95,6 @@ __all__ = [
     "SimulationState",
     "exact_synthesize",
     "ExactResult",
-    "synthesize_file",
     "load_spec",
     "TruthTable",
     "tabulate_word",

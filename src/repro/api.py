@@ -12,14 +12,12 @@ Everything user-facing funnels through two names:
   within a session or across processes over the same store directory —
   returns the stored result instead of re-running the search.
 
-The legacy entry points (:func:`repro.core.synthesis.rcgp_synthesize`,
-:func:`repro.flow.synthesize_file`) are deprecated shims over this
-module; ``multi_start``, the benchmark harness and the CLI are thin
-clients of the same scheduler underneath.  For remote access, the
-:mod:`repro.service` package serves a ``Session`` over HTTP
-(``rcgp serve``); its scheduling loop drives the session one
-:meth:`Session.step` at a time so it can interleave slices with
-submissions and shutdown checks.
+There is no other synthesis entry point: ``multi_start``, the
+benchmark harness and the CLI are thin clients of the same scheduler
+underneath.  For remote access, the :mod:`repro.service` package serves
+a ``Session`` over HTTP (``rcgp serve``); its scheduling loop drives
+the session one :meth:`Session.step` at a time so it can interleave
+slices with submissions and shutdown checks.
 """
 
 from __future__ import annotations
@@ -63,8 +61,8 @@ class Session:
         inline).
     quantum:
         Generations per job per scheduler tick; ``None`` (default) runs
-        each job to completion in one slice — bit-identical to the
-        legacy single-run API.
+        each job to completion in one slice — bit-identical to a direct
+        :class:`~repro.core.engine.EvolutionRun`.
     lease_ttl:
         Seconds without a lease heartbeat before another session over
         the same store directory may take one of this session's jobs
@@ -165,10 +163,9 @@ def synthesize(spec_or_path: SpecLike,
     ``spec_or_path`` is either a list of :class:`TruthTable` (one per
     primary output) or a design-file path (``.v``/``.blif``/``.aag``/
     ``.bench``/``.pla``/``.real``).  Without ``session=`` a transient
-    in-memory session runs the job with ``config.workers`` workers and
-    legacy-identical semantics; with one, the job shares the session's
-    worker budget and store (and may be served from it without any
-    evaluation).
+    in-memory session runs the job in one slice with ``config.workers``
+    workers; with one, the job shares the session's worker budget and
+    store (and may be served from it without any evaluation).
 
     >>> from repro.api import synthesize
     >>> result = synthesize(spec, RcgpConfig(generations=2000, seed=7))

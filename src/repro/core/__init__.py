@@ -35,7 +35,6 @@ from .synthesis import (
     SynthesisResult,
     baseline_initialization,
     initialize_netlist,
-    rcgp_synthesize,
 )
 
 __all__ = [
@@ -55,7 +54,6 @@ __all__ = [
     "chromosome_length",
     "evolve",
     "EvolutionResult",
-    "rcgp_synthesize",
     "initialize_netlist",
     "baseline_initialization",
     "BaselineResult",

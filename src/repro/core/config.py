@@ -16,6 +16,16 @@ from dataclasses import dataclass
 from typing import Any, Dict, Optional
 
 
+#: Config fields that never change what a run computes — only how fast
+#: it runs, what it logs, or how it survives infrastructure faults.  A
+#: job's identity hash leaves them out, and a checkpoint resumed with
+#: other values for them does not warn.
+OPERATIONAL_CONFIG_FIELDS = frozenset({
+    "workers", "eval_cache_size", "telemetry_path",
+    "batch_timeout", "batch_retries", "track_history", "verify_result",
+})
+
+
 @dataclass
 class RcgpConfig:
     """Tunable parameters of the CGP-based optimization (§3.2)."""
@@ -94,23 +104,17 @@ class RcgpConfig:
 
     workers: int = 0
     """Offspring-evaluation parallelism: ``0`` or ``1`` evaluates inline;
-    ``N > 1`` runs whole spans of generations worker-side on a persistent
-    ``N``-process pool (see :mod:`repro.core.engine`), one span in
-    flight at a time, overlapped with the coordinator's bookkeeping.
-    Results are bit-identical to inline mode for a fixed seed."""
+    ``N > 1`` replays spans of generations on one worker process (a run
+    keeps one span in flight, each starting from the last one's final
+    parent; see :mod:`repro.core.engine`).  A :class:`~repro.jobs.Scheduler`
+    shares ``N`` processes among its jobs.  Results are bit-identical to
+    inline mode for a fixed seed."""
 
     eval_cache_size: int = 100_000
     """Retired; has no effect.  It sized a genome → fitness memo cache
     that hit well under 1% of evaluations at μ = 1 and kept pooled runs
     off span replay.  Still validated (``>= 0``) so existing configs
     and stored job records load unchanged."""
-
-    incremental_eval: bool = True
-    """Cone-aware incremental fitness: memoize the parent's per-port
-    simulation words and re-simulate only the transitive fan-out cone of
-    each offspring's :class:`~repro.core.mutation.MutationDelta`.
-    Bit-identical to full simulation (set ``RCGP_CHECK_INCREMENTAL=1``
-    to verify every sweep); ``False`` forces the full path."""
 
     telemetry_path: Optional[str] = None
     """Write per-generation JSONL telemetry events to this file

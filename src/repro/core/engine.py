@@ -26,9 +26,11 @@ wherever the work lands:
   :class:`~repro.core.mutation.MutationDelta` away from the span's
   parent, whose per-port simulation words are memoized in a
   :class:`~repro.core.simstate.SimulationState` kept resident across
-  spans; only the delta's fan-out cone is re-simulated
-  (``config.incremental_eval``).  Telemetry counts ``eval_full`` /
-  ``eval_incremental`` / ``ports_resimulated`` per generation.
+  spans; only the delta's fan-out cone is re-simulated.  Full
+  simulation evaluates the initial, simplified and final parents, and
+  is the fallback for a stale or incompatible state.  Telemetry counts
+  ``eval_full`` / ``eval_incremental`` / ``ports_resimulated`` per
+  generation.
 * **Deterministic parallelism** — every offspring gets its own RNG
   stream derived from ``(seed, generation, offspring index)``, so a run
   is bit-identical for a fixed seed regardless of worker count or span
@@ -60,7 +62,7 @@ import json
 import os
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import (TYPE_CHECKING, Callable, Dict, IO, List, Optional,
                     Sequence, Tuple)
 
@@ -224,25 +226,17 @@ def replay_span(evaluator: Evaluator, resident,
     spans (``consumers`` is the parent's :func:`consumer_view`); the
     memoized state is rebuilt only when the chromosome *value* changes
     (neutral accepts that cancel out keep the warm state) or the
-    pattern epoch moves.  With ``incremental_eval`` off there is no
-    state: every offspring is simulated in full.  Returns
-    ``(SpanResult, resident)``.
+    pattern epoch moves.  Returns ``(SpanResult, resident)``.
     """
     config = evaluator.config
-
-    def span_state(candidate):
-        if not config.incremental_eval:
-            return None
-        return evaluator.prepare_parent(candidate)
-
     genome = request.parent_genome
     if resident is None or resident[0] != genome:
         parent = NetlistKernel.from_genome(genome)
-        resident = (genome, parent, span_state(parent),
+        resident = (genome, parent, evaluator.prepare_parent(parent),
                     consumer_view(parent))
     genome, parent, state, consumers = resident
-    if state is not None and state.epoch != evaluator.pattern_epoch:
-        state = span_state(parent)
+    if state.epoch != evaluator.pattern_epoch:
+        state = evaluator.prepare_parent(parent)
     parent_fitness = Fitness(*request.parent_fitness)
     rng = random.Random()
     offspring = config.offspring
@@ -270,16 +264,13 @@ def replay_span(evaluator: Evaluator, resident,
                         f"coordinator's deltas at generation {generation}, "
                         f"offspring {i}")
                 check_at += 1
-            if state is None:
-                fit = evaluator.evaluate(child)
-            else:
-                if state.epoch != evaluator.pattern_epoch:
-                    # A SAT counterexample grew the pattern set mid-brood:
-                    # rebuild the memoized words rather than letting every
-                    # remaining offspring simulate in full.
-                    state = span_state(parent)
-                fit = evaluator.evaluate_incremental(
-                    child, delta, state, floor=parent_fitness)
+            if state.epoch != evaluator.pattern_epoch:
+                # A SAT counterexample grew the pattern set mid-brood:
+                # rebuild the memoized words rather than letting every
+                # remaining offspring simulate in full.
+                state = evaluator.prepare_parent(parent)
+            fit = evaluator.evaluate_incremental(
+                child, delta, state, floor=parent_fitness)
             if best_fit is None or fit.key() >= best_fit.key():
                 best_fit = fit
                 best_child = child
@@ -304,7 +295,7 @@ def replay_span(evaluator: Evaluator, resident,
             if new_genome != genome:
                 genome = new_genome
                 parent = new_parent
-                state = span_state(parent)
+                state = evaluator.prepare_parent(parent)
                 consumers = consumer_view(parent)
     resident = (genome, parent, state, consumers)
     final_genome = genome \
@@ -445,6 +436,45 @@ class EvolutionResult:
         return 1.0 - self.fitness.n_r / self.initial_fitness.n_r
 
 
+#: The :class:`EvolutionResult` counters that add up across the slices
+#: of a sliced run (and across a job's slices in its store record).
+COUNTER_FIELDS = ("evaluations", "sat_calls", "cache_hits", "eval_full",
+                  "eval_incremental", "ports_resimulated",
+                  "worker_restarts", "batches_retried", "bytes_shipped",
+                  "chunks_dispatched", "pipeline_stalls")
+
+
+def merge_slice(total: Optional[EvolutionResult], result: EvolutionResult,
+                offset: int) -> EvolutionResult:
+    """Fold one slice of a sliced run into the result of the slices
+    before it (``total``; ``None`` for the first slice).
+
+    ``result`` is the slice's own result, run with
+    ``generation_offset=offset``.  The merge reports absolute
+    ``generations`` and ``history``, and drops a later slice's starting
+    history entry (the incumbent it resumed from, recorded already).
+    It sums every counter and the runtime, and takes the netlist,
+    fitness, ``backend``, ``verified`` and ``interrupted`` from the
+    last slice.
+    """
+    history = result.history if total is None else result.history[1:]
+    history = [(generation + offset, fitness)
+               for generation, fitness in history]
+    if total is None:
+        return replace(
+            result, generations=offset + result.generations,
+            history=history)
+    return replace(
+        result, initial_fitness=total.initial_fitness,
+        generations=offset + result.generations,
+        history=total.history + history,
+        runtime=total.runtime + result.runtime,
+        degraded_to_inline=total.degraded_to_inline
+        or result.degraded_to_inline,
+        **{name: getattr(total, name) + getattr(result, name)
+           for name in COUNTER_FIELDS})
+
+
 # ----------------------------------------------------------------------
 # The run API
 
@@ -470,8 +500,8 @@ class EvolutionRun:
     spec:
         Target truth tables, one per primary output.
     config:
-        All knobs, including ``workers`` (0/1 = inline, N>1 = process
-        pool) and ``telemetry_path``.
+        All knobs, including ``workers`` (0/1 = inline, N>1 = one pool
+        worker) and ``telemetry_path``.
     initial:
         Starting netlist; defaults to the §3.1 initialization flow.
     progress:
@@ -522,8 +552,7 @@ class EvolutionRun:
             from ..jobs.pool import parallel_safe_config, \
                 process_pool_backend
             if parallel_safe_config(self.spec[0].num_vars, config):
-                return process_pool_backend(self.spec, config,
-                                            config.workers), True
+                return process_pool_backend(self.spec, config), True
         return None, False
 
     # -- the run -------------------------------------------------------
@@ -581,7 +610,6 @@ class EvolutionRun:
                 num_inputs=spec[0].num_vars, num_outputs=len(spec),
                 generations=config.generations, offspring=config.offspring,
                 workers=config.workers, backend=backend_name,
-                incremental=config.incremental_eval,
                 seed=config.seed, initial_key=list(parent_fitness.key()),
             )
 

@@ -27,8 +27,8 @@ from typing import (TYPE_CHECKING, Any, Dict, List, Optional, Sequence,
 from ..io.rqfp_json import netlist_from_dict, netlist_to_dict
 from ..logic.truth_table import TruthTable
 from ..rqfp.netlist import RqfpNetlist
-from .config import RcgpConfig
-from .engine import EvolutionResult, EvolutionRun
+from .config import OPERATIONAL_CONFIG_FIELDS, RcgpConfig
+from .engine import EvolutionResult, EvolutionRun, merge_slice
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..jobs import JobStore
@@ -36,28 +36,34 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 CHECKPOINT_FORMAT = "rcgp-checkpoint"
 CHECKPOINT_VERSION = 2
 
-#: Config fields that describe the *budget or plumbing* of a run rather
-#: than the search itself; differing values are expected on resume
-#: (bigger budget, more workers) and do not trigger a mismatch warning.
-_OPERATIONAL_FIELDS = frozenset({
-    "generations", "seed", "time_budget", "stagnation_limit",
-    "track_history", "workers", "eval_cache_size", "telemetry_path",
-})
+#: Config fields a resume may change without a mismatch warning: the
+#: operational ones, plus the run's budget (a bigger budget is the
+#: usual reason to resume).
+_RESUMABLE_FIELDS = OPERATIONAL_CONFIG_FIELDS | {
+    "generations", "seed", "time_budget", "stagnation_limit"}
 
 
-def save_checkpoint(path: str, netlist: RqfpNetlist,
-                    generations_done: int, config: RcgpConfig) -> None:
-    """Persist the incumbent parent, progress and the full config."""
-    payload = {
+def checkpoint_payload(netlist: RqfpNetlist, generations_done: int,
+                       config: RcgpConfig) -> Dict[str, Any]:
+    """The checkpoint document: incumbent parent, progress and the full
+    config.  Job-store checkpoints use it too, so both load with
+    :func:`load_checkpoint`."""
+    return {
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
         "generations_done": generations_done,
         "config": config.to_dict(),
         "netlist": netlist_to_dict(netlist),
     }
+
+
+def save_checkpoint(path: str, netlist: RqfpNetlist,
+                    generations_done: int, config: RcgpConfig) -> None:
+    """Persist the incumbent parent, progress and the full config."""
     tmp = f"{path}.tmp"
     with open(tmp, "w") as handle:
-        json.dump(payload, handle, indent=2)
+        json.dump(checkpoint_payload(netlist, generations_done, config),
+                  handle, indent=2)
     os.replace(tmp, path)
 
 
@@ -98,7 +104,7 @@ def _warn_on_config_mismatch(path: str, stored: Optional[Dict[str, Any]],
     current = config.to_dict()
     differing = sorted(
         name for name, value in current.items()
-        if name not in _OPERATIONAL_FIELDS and name in stored
+        if name not in _RESUMABLE_FIELDS and name in stored
         and stored[name] != value
     )
     if differing:
@@ -109,14 +115,12 @@ def _warn_on_config_mismatch(path: str, stored: Optional[Dict[str, Any]],
             f"resuming {path} with a different configuration ({details}); "
             "the continued search will not match the original run",
             RuntimeWarning, stacklevel=3)
-    # Fields the live config has but the checkpoint never recorded: the
-    # checkpoint was written by an older version (e.g. a v2 file from
-    # before the `kernel` knob existed).  The resume must not crash and
-    # must proceed under the live configuration — but say so, because
+    # Search fields the live config has but an older checkpoint never
+    # recorded: resume under the live configuration, but say so, since
     # the original run's behaviour for that knob is unknowable.
     missing = sorted(
         name for name in current
-        if name not in _OPERATIONAL_FIELDS and name not in stored)
+        if name not in _RESUMABLE_FIELDS and name not in stored)
     if missing:
         details = ", ".join(
             f"{name}={current[name]!r}" for name in missing)
@@ -140,6 +144,8 @@ def evolve_with_checkpoints(spec: Sequence[TruthTable],
     in search-relevant fields); otherwise it starts from ``initial`` (or
     the standard initialization).  The checkpoint is updated atomically
     after every slice, so a kill loses at most one slice of work.
+    Slices merge by :func:`~repro.core.engine.merge_slice`, so a resumed
+    run reports absolute ``generations`` and ``history`` too.
     """
     spec = list(spec)
     done = 0
@@ -152,7 +158,7 @@ def evolve_with_checkpoints(spec: Sequence[TruthTable],
         incumbent = initial if initial is not None \
             else initialize_netlist(spec, name)
 
-    total_result: Optional[EvolutionResult] = None
+    total: Optional[EvolutionResult] = None
     while done < config.generations:
         budget = min(slice_generations, config.generations - done)
         # Same seed every slice; the engine keys offspring RNG streams
@@ -161,35 +167,18 @@ def evolve_with_checkpoints(spec: Sequence[TruthTable],
         slice_config = config.replace(generations=budget)
         result = EvolutionRun(spec, slice_config, initial=incumbent,
                               name=name, generation_offset=done).run()
+        total = merge_slice(total, result, done)
         incumbent = result.netlist
         done += result.generations
         save_checkpoint(checkpoint_path, incumbent, done, config)
-        if total_result is None:
-            total_result = result
-        else:
-            total_result = EvolutionResult(
-                netlist=result.netlist,
-                fitness=result.fitness,
-                initial_fitness=total_result.initial_fitness,
-                generations=done,
-                evaluations=total_result.evaluations + result.evaluations,
-                runtime=total_result.runtime + result.runtime,
-                history=total_result.history + [
-                    (g + done - result.generations, f)
-                    for g, f in result.history],
-                sat_calls=total_result.sat_calls + result.sat_calls,
-                cache_hits=total_result.cache_hits + result.cache_hits,
-                backend=result.backend,
-            )
         if result.generations < budget:
             break  # stagnation/time cut the slice short; stop cleanly
-    if total_result is None:
+    if total is None:
         # Budget already exhausted by the checkpoint: evaluate incumbent.
-        result = EvolutionRun(spec, config.replace(generations=0),
-                              initial=incumbent, name=name).run()
-        result.generations = done
-        total_result = result
-    return total_result
+        total = merge_slice(
+            None, EvolutionRun(spec, config.replace(generations=0),
+                               initial=incumbent, name=name).run(), done)
+    return total
 
 
 def multi_start(spec: Sequence[TruthTable], seeds: Sequence[int],

@@ -1,4 +1,4 @@
-"""End-to-end RCGP synthesis flow (paper Fig. 2).
+"""The stages of the RCGP synthesis flow (paper Fig. 2).
 
 ``spec → logic synthesis (resyn2) → MIG resynthesis (aqfp) → RQFP
 netlist conversion → splitter insertion → CGP optimization → buffer
@@ -6,16 +6,17 @@ insertion``.
 
 :func:`baseline_initialization` stops right after splitter insertion and
 buffers the result directly — the paper's first baseline (the
-"Initialization" columns of Tables 1 and 2).  :func:`rcgp_synthesize`
-runs the full flow.
+"Initialization" columns of Tables 1 and 2).  The full flow is
+:func:`repro.api.synthesize`: a scheduler job that starts from
+:func:`baseline_initialization` and runs the CGP optimization
+(:class:`~repro.core.engine.EvolutionRun`) on its netlist.
 """
 
 from __future__ import annotations
 
 import time
-import warnings
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 from ..logic.truth_table import TruthTable
 from ..networks.convert import aig_to_mig, tables_to_aig
@@ -27,7 +28,6 @@ from ..rqfp.from_mig import mig_to_rqfp
 from ..rqfp.metrics import CircuitCost, circuit_cost
 from ..rqfp.netlist import RqfpNetlist
 from ..rqfp.splitters import insert_splitters
-from .config import RcgpConfig
 from .evolution import EvolutionResult
 
 
@@ -75,22 +75,3 @@ def baseline_initialization(spec: Sequence[TruthTable],
     plan = optimal_levels(netlist)
     cost = circuit_cost(netlist, plan, runtime=time.monotonic() - start)
     return BaselineResult(netlist, plan, cost)
-
-
-def rcgp_synthesize(spec: Sequence[TruthTable],
-                    config: Optional[RcgpConfig] = None,
-                    name: str = "",
-                    initial: Optional[RqfpNetlist] = None) -> SynthesisResult:
-    """Run the complete RCGP flow on a truth-table specification.
-
-    .. deprecated:: 1.1
-        Use :func:`repro.api.synthesize`, which accepts the same
-        arguments (plus design-file paths and shared sessions) and
-        returns bit-identical results.  This shim forwards there.
-    """
-    warnings.warn(
-        "rcgp_synthesize is deprecated; use repro.api.synthesize "
-        "(same arguments, same results, plus sessions and job reuse)",
-        DeprecationWarning, stacklevel=2)
-    from ..api import synthesize
-    return synthesize(list(spec), config, name=name, initial=initial)

@@ -1,19 +1,16 @@
 """File-level front-end for the RCGP flow (paper Fig. 2, left edge).
 
 Dispatches on file extension — ``.v`` (structural Verilog), ``.blif``,
-``.aag`` (ASCII AIGER), ``.pla``, ``.real`` (RevLib) — extracts a
-truth-table specification, and drives the synthesis pipeline.  This is
-the programmatic counterpart of the ``rcgp`` command-line tool.
+``.aag``/``.aig`` (AIGER), ``.bench``, ``.pla``, ``.real`` (RevLib) —
+and extracts a truth-table specification.  :func:`repro.api.synthesize`
+calls :func:`load_spec` when it is given a design-file path.
 """
 
 from __future__ import annotations
 
 import os
-import warnings
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
-from .core.config import RcgpConfig
-from .core.synthesis import SynthesisResult
 from .errors import ParseError
 from .io import (MAX_INPUTS, read_aiger, read_bench, read_blif, read_pla,
                  read_real, read_verilog)
@@ -47,19 +44,3 @@ def load_spec(path: str) -> Tuple[List[TruthTable], str]:
             f"specification limit ({MAX_INPUTS})", path)
     name = network.name or os.path.splitext(os.path.basename(path))[0]
     return network.to_truth_tables(), name
-
-
-def synthesize_file(path: str,
-                    config: Optional[RcgpConfig] = None) -> SynthesisResult:
-    """End-to-end: design file → optimized, buffered RQFP circuit.
-
-    .. deprecated:: 1.1
-        Use :func:`repro.api.synthesize`, which accepts file paths
-        directly (and shared sessions).  This shim forwards there.
-    """
-    warnings.warn(
-        "synthesize_file is deprecated; use repro.api.synthesize, "
-        "which accepts design-file paths directly",
-        DeprecationWarning, stacklevel=2)
-    from .api import synthesize
-    return synthesize(path, config)

@@ -56,7 +56,6 @@ class HarnessConfig:
     stagnation_limit: Optional[int] = None
     workers: int = 0
     telemetry_dir: Optional[str] = None
-    incremental: bool = True
     store_dir: Optional[str] = None
     batch_timeout: Optional[float] = None
     batch_retries: int = 2
@@ -80,7 +79,6 @@ class HarnessConfig:
             run_exact=_env_int("RCGP_BENCH_RUN_EXACT", 1) != 0,
             workers=_env_int("RCGP_BENCH_WORKERS", base.workers),
             telemetry_dir=os.environ.get("RCGP_BENCH_TELEMETRY_DIR") or None,
-            incremental=_env_int("RCGP_BENCH_INCREMENTAL", 1) != 0,
             store_dir=os.environ.get("RCGP_BENCH_STORE") or None,
         )
 
@@ -101,7 +99,6 @@ class HarnessConfig:
             stagnation_limit=self.stagnation_limit,
             workers=self.workers,
             telemetry_path=telemetry_path,
-            incremental_eval=self.incremental,
             batch_timeout=self.batch_timeout,
             batch_retries=self.batch_retries,
         )

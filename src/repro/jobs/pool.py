@@ -124,9 +124,8 @@ class JobBackend:
     reads are slice-local, while the dispatcher — and the
     worker-resident evaluators — persist across slices and jobs.
     ``batch_timeout``/``batch_retries`` come from the job's own config,
-    so fault budgets stay per-job even on shared workers.  ``spec`` is
-    unused and kept for existing callers: workers read the spec from
-    ``ctx``.
+    so fault budgets stay per-job even on shared workers.  Workers read
+    the job's spec and config from ``ctx``.
 
     ``name`` is the ``backend`` label the run reports: ``process-pool``
     for a run-private pool (:func:`process_pool_backend`),
@@ -136,7 +135,7 @@ class JobBackend:
     """
 
     def __init__(self, dispatch: ClusterDispatch, ctx: JobContext,
-                 spec: Sequence[TruthTable], config: RcgpConfig, *,
+                 config: RcgpConfig, *,
                  name: str = "shared-pool", owns_dispatch: bool = False):
         self.name = name
         self._cd = dispatch
@@ -205,18 +204,18 @@ class JobBackend:
             self._cd.close()
 
 
-def process_pool_backend(spec: Sequence[TruthTable], config: RcgpConfig,
-                         workers: int) -> JobBackend:
+def process_pool_backend(spec: Sequence[TruthTable],
+                         config: RcgpConfig) -> JobBackend:
     """The run-private pool ``EvolutionRun(workers=N)`` builds: a
-    dispatcher over ``workers`` local pipe workers, owned by the
-    returned adapter (closed with it)."""
-    if workers < 2:
-        raise ValueError("a process pool needs workers >= 2")
+    dispatcher over one local pipe worker, owned by the returned adapter
+    (closed with it).  One worker is all a single run can use: span
+    k+1 starts from span k's final parent, so spans run one at a
+    time."""
     spec = list(spec)
     ctx = ("run", tuple(t.bits for t in spec), spec[0].num_vars,
            config.to_dict())
-    return JobBackend(ClusterDispatch(local_workers=workers), ctx, spec,
-                      config, name="process-pool", owns_dispatch=True)
+    return JobBackend(ClusterDispatch(local_workers=1), ctx, config,
+                      name="process-pool", owns_dispatch=True)
 
 
 def parallel_safe_config(num_inputs: int, config: RcgpConfig) -> bool:

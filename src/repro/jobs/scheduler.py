@@ -50,7 +50,8 @@ import time
 from typing import Dict, List, Optional, Sequence
 
 from ..core.config import RcgpConfig
-from ..core.engine import (EvolutionResult, EvolutionRun, TelemetryWriter)
+from ..core.engine import (COUNTER_FIELDS, EvolutionResult, EvolutionRun,
+                           TelemetryWriter, merge_slice)
 from ..core.fitness import Fitness
 from ..core.synthesis import (BaselineResult, SynthesisResult,
                               baseline_initialization)
@@ -65,11 +66,6 @@ from .pool import JobBackend, parallel_safe_config
 from .spec import (JobSpec, spec_tables_from_payload,
                    spec_tables_to_payload)
 from .store import DONE, FAILED, JobStore, PENDING, RUNNING
-
-_COUNTER_FIELDS = ("evaluations", "sat_calls", "cache_hits", "eval_full",
-                   "eval_incremental", "ports_resimulated",
-                   "worker_restarts", "batches_retried", "bytes_shipped",
-                   "chunks_dispatched", "pipeline_stalls")
 
 
 def _fitness_fields(fitness: Fitness) -> List[float]:
@@ -136,8 +132,9 @@ class Job:
         self.id = spec.job_id
         self.name = spec.name
         self._live_result: Optional[SynthesisResult] = None
-        # Cross-slice merge of this process's EvolutionResults; only
-        # trusted when every slice ran here (no foreign checkpoint).
+        # This process's slices, merged (merge_slice) with what the
+        # store drops (history, interrupt flag); only trusted when
+        # every slice ran here (no foreign checkpoint).
         self._live_evolution: Optional[EvolutionResult] = None
         self._live_ok = True
         # The baseline (with its buffer plan) when this process started
@@ -313,7 +310,7 @@ class Scheduler:
             "degraded": False,
             "submitted_at": time.time(),
         }
-        for field in _COUNTER_FIELDS:
+        for field in COUNTER_FIELDS:
             record[field] = 0
         return record
 
@@ -464,7 +461,7 @@ class Scheduler:
                        tuple(t.bits for t in spec), spec[0].num_vars,
                        slice_config.to_dict())
                 backend = JobBackend(
-                    self._dispatcher(), ctx, spec, slice_config,
+                    self._dispatcher(), ctx, slice_config,
                     name="cluster" if self.fleet is not None
                     else "shared-pool")
             result = EvolutionRun(spec, slice_config, initial=incumbent,
@@ -481,11 +478,11 @@ class Scheduler:
                     telemetry.emit("lease_lost", owner=self.store.owner,
                                    generations_done=done)
                 return
+            job._live_evolution = merge_slice(job._live_evolution, result,
+                                              done)
             done += result.generations
             self.store.save_checkpoint(job.id, result.netlist, done, config)
             self._accumulate(record, result, done)
-            job._live_evolution = self._merge_live(
-                job._live_evolution, result, done)
             finished = done >= config.generations \
                 or result.generations < budget or result.interrupted
             if telemetry is not None:
@@ -541,7 +538,7 @@ class Scheduler:
 
     def _accumulate(self, record: Dict[str, object],
                     result: EvolutionResult, done: int) -> None:
-        for field in _COUNTER_FIELDS:
+        for field in COUNTER_FIELDS:
             record[field] = int(record.get(field, 0)) + \
                 getattr(result, field)
         record["runtime"] = float(record.get("runtime", 0.0)) + \
@@ -555,48 +552,6 @@ class Scheduler:
         if "initial_fitness" not in record:
             record["initial_fitness"] = \
                 _fitness_fields(result.initial_fitness)
-
-    def _merge_live(self, total: Optional[EvolutionResult],
-                    result: EvolutionResult,
-                    done: int) -> EvolutionResult:
-        """Keep a live, cross-slice EvolutionResult for this process.
-
-        The in-memory merge preserves everything the store drops
-        (improvement history, interrupt flags), so a job completed in
-        this session hands back exactly what a single monolithic run
-        would have.
-        """
-        if total is None:
-            return result
-        offset = done - result.generations
-        return EvolutionResult(
-            netlist=result.netlist,
-            fitness=result.fitness,
-            initial_fitness=total.initial_fitness,
-            generations=done,
-            evaluations=total.evaluations + result.evaluations,
-            runtime=total.runtime + result.runtime,
-            history=total.history + [(g + offset, f)
-                                     for g, f in result.history],
-            sat_calls=total.sat_calls + result.sat_calls,
-            cache_hits=total.cache_hits + result.cache_hits,
-            backend=result.backend,
-            eval_full=total.eval_full + result.eval_full,
-            eval_incremental=total.eval_incremental +
-            result.eval_incremental,
-            ports_resimulated=total.ports_resimulated +
-            result.ports_resimulated,
-            worker_restarts=total.worker_restarts + result.worker_restarts,
-            batches_retried=total.batches_retried + result.batches_retried,
-            bytes_shipped=total.bytes_shipped + result.bytes_shipped,
-            chunks_dispatched=total.chunks_dispatched +
-            result.chunks_dispatched,
-            pipeline_stalls=total.pipeline_stalls + result.pipeline_stalls,
-            degraded_to_inline=total.degraded_to_inline or
-            result.degraded_to_inline,
-            interrupted=result.interrupted,
-            verified=result.verified,
-        )
 
     def _finalize(self, job: Job, record: Dict[str, object],
                   result: EvolutionResult, done: int,
@@ -623,7 +578,7 @@ class Scheduler:
             "degraded_to_inline": record["degraded"],
             "verified": result.verified,
         }
-        for field in _COUNTER_FIELDS:
+        for field in COUNTER_FIELDS:
             payload[field] = record[field]
         self.store.save_result(job.id, payload)
         live = job._live_evolution if job._live_ok else None

@@ -22,28 +22,25 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from ..core.config import RcgpConfig
+from ..core.config import OPERATIONAL_CONFIG_FIELDS, RcgpConfig
 from ..errors import ParseError
 from ..logic.truth_table import TruthTable
 from ..rqfp.netlist import RqfpNetlist
 
-#: Config fields that never change what a run computes — only how fast
-#: it runs, what it logs, or how it survives infrastructure faults.
-#: Excluded from the job identity hash.  (``generations`` and ``seed``
-#: are *included*: a bigger budget or another seed is a different job.)
-OPERATIONAL_CONFIG_FIELDS = frozenset({
-    "workers", "eval_cache_size", "telemetry_path",
-    "batch_timeout", "batch_retries", "track_history", "verify_result",
-})
-
 
 def identity_config_dict(config: RcgpConfig) -> Dict[str, Any]:
-    """The search-relevant slice of a config, for hashing/matching."""
+    """The search-relevant slice of a config, for hashing/matching.
+
+    :data:`~repro.core.config.OPERATIONAL_CONFIG_FIELDS` are left out;
+    ``generations`` and ``seed`` are kept (a bigger budget or another
+    seed is a different job).
+    """
     identity = {name: value for name, value in config.to_dict().items()
                 if name not in OPERATIONAL_CONFIG_FIELDS}
-    # The retired ``kernel`` knob stays hashed at its only value, so
-    # stored job ids keep matching.
+    # The retired ``kernel`` and ``incremental_eval`` knobs stay hashed
+    # at their only values, so stored job ids keep matching.
     identity["kernel"] = "flat"
+    identity["incremental_eval"] = True
     return identity
 
 

@@ -60,9 +60,9 @@ import uuid
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..core.config import RcgpConfig
-from ..core.restart import CHECKPOINT_FORMAT, CHECKPOINT_VERSION
+from ..core.restart import checkpoint_payload
 from ..errors import LeaseHeld, StoreCorruption
-from ..io.rqfp_json import netlist_from_dict, netlist_to_dict
+from ..io.rqfp_json import netlist_from_dict
 from ..rqfp.netlist import RqfpNetlist
 
 RECORD_FORMAT = "rcgp-job"
@@ -626,16 +626,10 @@ class JobStore:
 
     def save_checkpoint(self, job_id: str, netlist: RqfpNetlist,
                         generations_done: int, config: RcgpConfig) -> None:
-        """Persist the incumbent parent (the standard checkpoint v2
-        payload, so job checkpoints and
+        """Persist the incumbent parent (the standard checkpoint
+        document, so job checkpoints and
         :func:`repro.core.restart.load_checkpoint` stay interchangeable)."""
-        payload = {
-            "format": CHECKPOINT_FORMAT,
-            "version": CHECKPOINT_VERSION,
-            "generations_done": generations_done,
-            "config": config.to_dict(),
-            "netlist": netlist_to_dict(netlist),
-        }
+        payload = checkpoint_payload(netlist, generations_done, config)
         if self.root is None:
             slot = self._slot(job_id)
             slot["checkpoint"] = payload

@@ -1,19 +1,16 @@
-"""Tests for the ``repro.api`` facade and the deprecation shims.
+"""Tests for the ``repro.api`` facade, the only synthesis entry point.
 
-The facade must be a drop-in for the legacy entry points: same results
-bit-for-bit, same argument shapes — plus sessions, stores and file
-paths.  The legacy names keep working but warn.
+The facade must match a direct engine run bit-for-bit — plus sessions,
+stores and file paths.
 """
 
-import pytest
-
 import repro
+import repro.core
+import repro.flow
 from repro.api import Session, synthesize
 from repro.core.config import RcgpConfig
 from repro.core.engine import EvolutionRun
-from repro.core.synthesis import (SynthesisResult, initialize_netlist,
-                                  rcgp_synthesize)
-from repro.flow import synthesize_file
+from repro.core.synthesis import SynthesisResult, initialize_netlist
 from repro.io.rqfp_json import netlist_to_dict
 from repro.logic.truth_table import TruthTable, tabulate_word
 
@@ -98,30 +95,12 @@ class TestSynthesize:
         assert result.evolution.history[0][0] == 0
 
 
-class TestDeprecatedShims:
-    def test_rcgp_synthesize_warns_and_matches(self):
-        spec = _xor_spec()
-        config = RcgpConfig(generations=60, seed=3)
-        new = synthesize(spec, config)
-        with pytest.warns(DeprecationWarning, match="rcgp_synthesize"):
-            old = rcgp_synthesize(spec, config)
-        assert netlist_to_dict(old.evolution.netlist) == \
-            netlist_to_dict(new.evolution.netlist)
-        assert old.evolution.fitness.key() == new.evolution.fitness.key()
-        assert old.cost.as_row()["n_r"] == new.cost.as_row()["n_r"]
-
-    def test_synthesize_file_warns_and_matches(self, tmp_path):
-        path = _real_fixture(tmp_path)
-        config = RcgpConfig(generations=40, seed=1)
-        new = synthesize(path, config)
-        with pytest.warns(DeprecationWarning, match="synthesize_file"):
-            old = synthesize_file(path, config)
-        assert netlist_to_dict(old.evolution.netlist) == \
-            netlist_to_dict(new.evolution.netlist)
-
-    def test_legacy_names_still_exported(self):
-        assert repro.rcgp_synthesize is rcgp_synthesize
-        assert repro.synthesize_file is synthesize_file
+class TestPublicSurface:
+    def test_retired_entry_points_are_gone(self):
+        for module in (repro, repro.core, repro.flow):
+            for name in ("rcgp_synthesize", "synthesize_file"):
+                assert not hasattr(module, name), (module.__name__, name)
+                assert name not in getattr(module, "__all__", ())
         assert repro.synthesize is synthesize
         assert repro.Session is Session
         for name in ("synthesize", "Session", "Scheduler", "JobStore",

@@ -2,8 +2,8 @@
 
 import pytest
 
+from repro.api import synthesize
 from repro.core.config import RcgpConfig
-from repro.core.synthesis import rcgp_synthesize
 from repro.errors import NetlistError
 from repro.logic.bitops import full_mask, variable_pattern
 from repro.logic.truth_table import tabulate_word
@@ -93,8 +93,8 @@ class TestExpansionSemantics:
 
     def test_synthesized_decoder(self):
         spec = tabulate_word(lambda x: 1 << x, 2, 4)
-        result = rcgp_synthesize(spec, RcgpConfig(generations=150, seed=9,
-                                                  shrink="always"))
+        result = synthesize(spec, RcgpConfig(generations=150, seed=9,
+                                             shrink="always"))
         plan = result.plan
         aqfp = expand_to_aqfp(result.netlist, plan)
         mask = full_mask(2)

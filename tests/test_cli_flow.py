@@ -5,9 +5,10 @@ import os
 
 import pytest
 
+from repro.api import synthesize
 from repro.cli import main
 from repro.errors import ParseError
-from repro.flow import load_spec, synthesize_file
+from repro.flow import load_spec
 from repro.io import (MAX_INPUTS, write_aiger, write_bench, write_blif,
                       write_verilog)
 from repro.io.rqfp_json import read_rqfp_json
@@ -146,8 +147,7 @@ class TestLoadSpec:
 class TestSynthesizeFile:
     def test_end_to_end(self, blif_file):
         from repro.core.config import RcgpConfig
-        result = synthesize_file(blif_file,
-                                 RcgpConfig(generations=100, seed=1))
+        result = synthesize(blif_file, RcgpConfig(generations=100, seed=1))
         assert result.verify()
         assert result.netlist.name == "andgate"
 

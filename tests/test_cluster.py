@@ -78,7 +78,7 @@ def _run_cluster(spec, config, fleet, *, local_workers=0):
     dispatch = ClusterDispatch(fleet, local_workers=local_workers)
     ctx = ("test-job", tuple(t.bits for t in spec), spec[0].num_vars,
            config.to_dict())
-    backend = JobBackend(dispatch, ctx, spec, config, name="cluster")
+    backend = JobBackend(dispatch, ctx, config, name="cluster")
     try:
         run = EvolutionRun(spec, config, backend=backend).run()
     finally:

@@ -8,6 +8,7 @@ same chromosome, same evaluation count.
 
 import io
 import json
+import multiprocessing
 import os
 
 import pytest
@@ -24,7 +25,7 @@ from repro.core.engine import (
 )
 from repro.core.evolution import evolve
 from repro.core.fitness import Fitness
-from repro.jobs.pool import parallel_safe_config, process_pool_backend
+from repro.jobs.pool import parallel_safe_config
 from repro.core.restart import (
     evolve_with_checkpoints,
     load_checkpoint,
@@ -88,9 +89,13 @@ class TestConfigSerialization:
         assert RcgpConfig.from_dict(config.to_dict()) == config
 
     def test_from_dict_ignores_unknown_keys(self):
+        # Unknown keys: a newer version's knobs, and retired ones that
+        # stored records, checkpoints and HTTP bodies may still carry.
         config = RcgpConfig.from_dict({"generations": 5,
-                                       "future_knob": "ignored"})
-        assert config.generations == 5
+                                       "future_knob": "ignored",
+                                       "kernel": "object",
+                                       "incremental_eval": False})
+        assert config == RcgpConfig(generations=5)
 
     def test_invalid_new_fields_rejected(self):
         with pytest.raises(ValueError):
@@ -371,6 +376,28 @@ class TestCheckpointConfigRoundTrip:
             evolve_with_checkpoints(spec, changed, path,
                                     slice_generations=100)
 
+    def test_resume_with_changed_operational_fields_is_silent(
+            self, tmp_path):
+        import warnings
+        spec = _decoder_spec()
+        path = str(tmp_path / "run.json")
+        config = RcgpConfig(generations=100, mutation_rate=0.1, seed=4,
+                            shrink="always")
+        evolve_with_checkpoints(spec, config, path, slice_generations=100)
+        operational = config.replace(generations=150, batch_retries=5,
+                                     batch_timeout=30.0, verify_result=True,
+                                     track_history=True)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            evolve_with_checkpoints(spec, operational, path,
+                                    slice_generations=100)
+        with pytest.warns(RuntimeWarning, match="mutation_rate") as caught:
+            evolve_with_checkpoints(
+                spec, operational.replace(generations=200,
+                                          mutation_rate=0.5),
+                path, slice_generations=100)
+        assert "batch_retries" not in str(caught[0].message)
+
     def test_v1_checkpoint_still_loads_and_warns(self, tmp_path):
         from repro.io.rqfp_json import netlist_to_dict
         spec = _decoder_spec()
@@ -393,9 +420,11 @@ class TestCheckpointConfigRoundTrip:
 class TestCheckpointForwardCompat:
     def test_v2_checkpoint_missing_new_fields_resumes_with_warning(
             self, tmp_path):
-        # A v2 checkpoint written before newer config knobs existed
-        # (e.g. `verify_result`): resuming must not crash on the absent
+        # A v2 checkpoint written before newer search knobs existed
+        # (e.g. `simplify_wires`): resuming must not crash on the absent
         # keys — it warns and proceeds under the live configuration.
+        # Absent operational knobs (e.g. `verify_result`) change nothing
+        # the search computes, so they do not warn.
         spec = _decoder_spec()
         path = str(tmp_path / "old_v2.json")
         config = RcgpConfig(generations=20, mutation_rate=0.1, seed=4,
@@ -403,14 +432,15 @@ class TestCheckpointForwardCompat:
         save_checkpoint(path, initialize_netlist(spec), 10, config)
         with open(path) as handle:
             payload = json.load(handle)
-        for field in ("verify_result", "batch_timeout", "batch_retries"):
+        for field in ("simplify_wires", "verify_result", "batch_retries"):
             del payload["config"][field]
         with open(path, "w") as handle:
             json.dump(payload, handle)
         with pytest.warns(RuntimeWarning,
-                          match="does not record .*verify_result"):
+                          match="does not record simplify_wires;") as caught:
             result = evolve_with_checkpoints(spec, config, path,
                                              slice_generations=10)
+        assert len(caught) == 1
         assert result.fitness.functional
         _, done = load_checkpoint(path)
         assert done >= 20  # the resumed slice actually ran and saved
@@ -455,6 +485,28 @@ class TestMultiStartFullConfig:
 
 
 class TestEngineBackends:
-    def test_pool_backend_rejects_single_worker(self):
-        with pytest.raises(ValueError):
-            process_pool_backend(_decoder_spec(), RcgpConfig(), workers=1)
+    def test_pool_run_starts_one_worker(self):
+        """Span k+1 starts from span k's final parent, so one run keeps
+        one worker busy: ``workers=3`` starts a single worker process
+        and lands exactly where ``workers=0`` does."""
+        spec = _decoder_spec()
+        config = RcgpConfig(generations=300, mutation_rate=0.1, seed=3,
+                            shrink="always")
+        before = {child.pid for child in multiprocessing.active_children()}
+        live = []
+
+        def progress(generation, fitness):
+            live.append(len({child.pid for child in
+                             multiprocessing.active_children()} - before))
+
+        pooled = EvolutionRun(spec, config.replace(workers=3),
+                              progress=progress).run()
+        inline = EvolutionRun(spec, config).run()
+        assert pooled.backend == "process-pool"
+        assert pooled.chunks_dispatched > 0
+        assert live and set(live) == {1}
+        for field in ("generations", "evaluations", "eval_full",
+                      "eval_incremental", "ports_resimulated"):
+            assert getattr(pooled, field) == getattr(inline, field)
+        assert pooled.fitness.key() == inline.fitness.key()
+        assert pooled.netlist.describe() == inline.netlist.describe()

@@ -2,13 +2,10 @@
 
 import pytest
 
+from repro.api import synthesize
 from repro.core.config import RcgpConfig
 from repro.core.evolution import evolve
-from repro.core.synthesis import (
-    baseline_initialization,
-    initialize_netlist,
-    rcgp_synthesize,
-)
+from repro.core.synthesis import baseline_initialization, initialize_netlist
 from repro.errors import SynthesisError
 from repro.logic.truth_table import TruthTable, tabulate_word
 from repro.rqfp.gate import NORMAL_CONFIG
@@ -109,7 +106,7 @@ class TestRcgpSynthesize:
     def test_end_to_end_decoder(self):
         config = RcgpConfig(generations=500, mutation_rate=0.1, seed=7,
                             shrink="always")
-        result = rcgp_synthesize(_decoder_spec(), config, name="decoder_2_4")
+        result = synthesize(_decoder_spec(), config, name="decoder_2_4")
         assert result.verify()
         assert result.cost.n_r <= result.initial.cost.n_r
         assert result.cost.n_g <= result.initial.cost.n_g
@@ -119,12 +116,12 @@ class TestRcgpSynthesize:
         spec = _xor_spec()
         initial = initialize_netlist(spec)
         config = RcgpConfig(generations=20, seed=8)
-        result = rcgp_synthesize(spec, config, initial=initial)
+        result = synthesize(spec, config, initial=initial)
         assert result.verify()
 
     def test_gate_reduction_property(self):
         config = RcgpConfig(generations=300, mutation_rate=0.1, seed=9,
                             shrink="always")
-        result = rcgp_synthesize(_decoder_spec(), config)
+        result = synthesize(_decoder_spec(), config)
         reduction = result.evolution.gate_reduction
         assert 0.0 <= reduction <= 1.0

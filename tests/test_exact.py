@@ -127,9 +127,10 @@ class TestExactVersusTwoInputFunctions:
 
     def test_exact_never_beaten_by_rcgp(self):
         """On a spec where exact completes, RCGP cannot do better."""
-        from repro.core import RcgpConfig, rcgp_synthesize
+        from repro.api import synthesize
+        from repro.core import RcgpConfig
         spec = _and_spec()
         exact = exact_synthesize(spec, max_gates=2)
-        rcgp = rcgp_synthesize(spec, RcgpConfig(generations=400, seed=1,
-                                                shrink="always"))
+        rcgp = synthesize(spec, RcgpConfig(generations=400, seed=1,
+                                           shrink="always"))
         assert exact.num_gates <= rcgp.cost.n_r

@@ -72,7 +72,6 @@ class TestExampleScripts:
                               "RCGP_INCR_GENERATIONS": "30",
                               "RCGP_INCR_OFFSPRING": "4"})
         assert "fitness keys identical" in out
-        assert "identical result" in out
         assert "eval_incr" in out
 
     @pytest.mark.slow

@@ -96,10 +96,11 @@ class TestRegistry:
 
     def test_extras_synthesize(self):
         """A couple of extras run end-to-end through RCGP."""
-        from repro.core import RcgpConfig, rcgp_synthesize
+        from repro.api import synthesize
+        from repro.core import RcgpConfig
         for name in ("rd53", "adder2"):
-            result = rcgp_synthesize(extra_spec(name),
-                                     RcgpConfig(generations=80, seed=2,
-                                                shrink="always"),
-                                     name=name)
+            result = synthesize(extra_spec(name),
+                                RcgpConfig(generations=80, seed=2,
+                                           shrink="always"),
+                                name=name)
             assert result.verify()

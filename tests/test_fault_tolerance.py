@@ -190,7 +190,7 @@ class TestBackendInternals:
         spec = _decoder_spec()
         config = RcgpConfig(seed=3, offspring=2, mutation_rate=0.1)
         request = _span_request(initialize_netlist(spec), config, count=3)
-        backend = process_pool_backend(spec, config, workers=2)
+        backend = process_pool_backend(spec, config)
         try:
             assert backend.dispatch_span(request)
             result = backend.collect_span()
@@ -212,8 +212,7 @@ class TestBackendInternals:
 
     def test_terminate_is_safe_and_idempotent(self):
         spec = _decoder_spec()
-        backend = process_pool_backend(spec, RcgpConfig(seed=0),
-                                       workers=2)
+        backend = process_pool_backend(spec, RcgpConfig(seed=0))
         backend.terminate()
         backend.terminate()
         backend.close()
@@ -296,7 +295,7 @@ class TestWorkerEpochInvalidation:
                             offspring=4, shrink="always",
                             exhaustive_input_limit=1,
                             simulation_patterns=16)
-        backend = process_pool_backend(spec, config, workers=2)
+        backend = process_pool_backend(spec, config)
         try:
             result = EvolutionRun(spec, config, backend=backend).run()
         finally:

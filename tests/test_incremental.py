@@ -25,6 +25,7 @@ from repro.core.simstate import SimulationState
 from repro.core.synthesis import initialize_netlist
 from repro.core.windowing import windowed_optimize
 from repro.logic.truth_table import TruthTable
+from tests.reference_loop import engine_signature, textbook_run
 
 
 def _mutation_config(**kwargs):
@@ -258,24 +259,24 @@ class TestFallbacks:
 
 
 class TestEngineIntegration:
-    def _run(self, incremental, **kwargs):
-        benchmark = get_benchmark("decoder_2_4")
-        spec = benchmark.spec()
+    def _run(self, **kwargs):
+        """The engine run and the textbook loop's signature, which
+        evaluates every offspring in full."""
+        spec = get_benchmark("decoder_2_4").spec()
+        initial = initialize_netlist(spec, "decoder_2_4")
         config = RcgpConfig(generations=60, offspring=4, mutation_rate=0.2,
                             max_mutated_genes=4, seed=77,
-                            incremental_eval=incremental, **kwargs)
-        return EvolutionRun(spec, config, name="decoder_2_4").run()
+                            track_history=True, **kwargs)
+        result = EvolutionRun(spec, config, initial=initial,
+                              name="decoder_2_4").run()
+        return result, textbook_run(spec, config, initial)
 
     def test_incremental_run_matches_full_run(self):
-        full = self._run(False)
-        incr = self._run(True)
-        assert incr.fitness.key() == full.fitness.key()
-        assert incr.netlist.describe() == full.netlist.describe()
-        assert incr.evaluations == full.evaluations
+        incr, full = self._run()
+        assert engine_signature(incr) == full
         assert incr.eval_incremental > 0
         assert incr.ports_resimulated > 0
-        assert full.eval_incremental == 0
-        assert full.eval_full == full.evaluations
+        assert incr.eval_full + incr.eval_incremental == incr.evaluations
 
     def test_paper_default_job_is_pinned(self):
         """A paper-default job (μ = 1, uncapped) keeps the cost rows and
@@ -295,18 +296,15 @@ class TestEngineIntegration:
         assert evolution.ports_resimulated < 315783
 
     def test_incremental_run_matches_with_cache_disabled(self):
-        full = self._run(False, eval_cache_size=0)
-        incr = self._run(True, eval_cache_size=0)
-        assert incr.fitness.key() == full.fitness.key()
-        assert incr.netlist.describe() == full.netlist.describe()
+        incr, full = self._run(eval_cache_size=0)
+        assert engine_signature(incr) == full
 
     @pytest.mark.slow
     def test_pool_backend_incremental_matches(self):
         benchmark = get_benchmark("decoder_2_4")
         spec = benchmark.spec()
         config = RcgpConfig(generations=25, offspring=8, mutation_rate=0.2,
-                            max_mutated_genes=4, seed=31, workers=2,
-                            incremental_eval=True)
+                            max_mutated_genes=4, seed=31, workers=2)
         pooled = EvolutionRun(spec, config, name="decoder_2_4").run()
         inline = EvolutionRun(
             spec, config.replace(workers=0), name="decoder_2_4").run()
@@ -316,10 +314,11 @@ class TestEngineIntegration:
 
 
 class TestWindowedCones:
-    def test_window_boundary_cone_and_counters(self):
+    def test_window_boundary_cone_and_counters(self, monkeypatch):
         """Windowed optimization: the window is the sub-netlist, so
         every cone is window-local; the WindowResult aggregates the
-        incremental counters of all window runs."""
+        incremental counters of all window runs, and every window
+        sweep agrees with full simulation."""
         benchmark = get_benchmark("intdiv4")
         spec = benchmark.spec()
         netlist = initialize_netlist(spec, "intdiv4")
@@ -333,8 +332,9 @@ class TestWindowedCones:
         # resimulated at most the window's own port count.
         assert stats.ports_resimulated <= \
             stats.eval_incremental * 3 * (8 + 4)  # window + optimizer slack
-        stats_full = windowed_optimize(
-            netlist, window_gates=8, rounds=1,
-            config=config.replace(incremental_eval=False), seed=3)
-        assert stats_full.eval_incremental == 0
-        assert stats_full.netlist.describe() == stats.netlist.describe()
+        monkeypatch.setenv("RCGP_CHECK_INCREMENTAL", "1")
+        checked = windowed_optimize(netlist, window_gates=8, rounds=1,
+                                    config=config, seed=3)
+        assert checked.netlist.describe() == stats.netlist.describe()
+        assert (checked.eval_incremental, checked.ports_resimulated) == \
+            (stats.eval_incremental, stats.ports_resimulated)

@@ -402,8 +402,7 @@ class TestEngineEquality:
         benchmark = get_benchmark("decoder_2_4")
         spec = benchmark.spec()
         config = RcgpConfig(generations=25, offspring=8, mutation_rate=0.2,
-                            max_mutated_genes=4, seed=31, workers=2,
-                            incremental_eval=True)
+                            max_mutated_genes=4, seed=31, workers=2)
         pooled = EvolutionRun(spec, config, name="decoder_2_4").run()
         serial = EvolutionRun(
             spec, config.replace(workers=0), name="decoder_2_4").run()

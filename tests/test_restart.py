@@ -1,10 +1,14 @@
 """Unit tests for checkpointing and multi-start evolution."""
 
 import os
+import shutil
 
 import pytest
 
+from repro.api import Session
+from repro.bench.revlib import ham3
 from repro.core.config import RcgpConfig
+from repro.core.engine import EvolutionRun, encode_genome
 from repro.core.restart import (
     evolve_with_checkpoints,
     load_checkpoint,
@@ -86,6 +90,72 @@ class TestEvolveWithCheckpoints:
         evolve_with_checkpoints(spec, config, path, slice_generations=100)
         incumbent, _ = load_checkpoint(path)
         assert incumbent.to_truth_tables() == spec
+
+
+def _merged(result):
+    """What a sliced run must report exactly as one whole slice does."""
+    return {
+        "generations": result.generations,
+        "history": [(g, fit.key()) for g, fit in result.history],
+        "genome": encode_genome(result.netlist),
+        "fitness": result.fitness.key(),
+        "eval_incremental": result.eval_incremental,
+        "ports_resimulated": result.ports_resimulated,
+        "verified": result.verified,
+    }
+
+
+class TestSlicedRunMerge:
+    """Both sliced paths — checkpointed runs and scheduler jobs — merge
+    their slices with ``merge_slice``: a run in slices of 50 reports
+    what one whole slice does, except that every extra slice
+    re-evaluates its incumbent and the final parent (+2 ``eval_full``)."""
+
+    CONFIG = RcgpConfig(generations=200, seed=5, mutation_rate=0.08,
+                        max_mutated_genes=8, track_history=True,
+                        verify_result=True)
+
+    @pytest.fixture(scope="class")
+    def whole(self):
+        spec = ham3()
+        return EvolutionRun(spec, self.CONFIG,
+                            initial=initialize_netlist(spec, "ham3")).run()
+
+    def _check(self, sliced, whole):
+        assert _merged(sliced) == _merged(whole)
+        assert len(whole.history) > 1  # an improvement to place
+        assert sliced.eval_full == whole.eval_full + 2 * 3
+        assert sliced.evaluations == whole.evaluations + 2 * 3
+
+    def test_checkpointed_slices_match_one_slice(self, tmp_path, whole):
+        spec = ham3()
+        sliced = evolve_with_checkpoints(
+            spec, self.CONFIG, str(tmp_path / "run.json"),
+            slice_generations=50, initial=initialize_netlist(spec, "ham3"))
+        self._check(sliced, whole)
+
+    def test_scheduler_slices_match_one_slice(self, whole):
+        with Session(quantum=50) as session:
+            sliced = session.synthesize(ham3(), self.CONFIG,
+                                        name="ham3").evolution
+        self._check(sliced, whole)
+
+    def test_resumed_run_reports_absolute_generations(self, tmp_path):
+        spec = ham3()
+        first = str(tmp_path / "first.json")
+        evolve_with_checkpoints(spec, self.CONFIG.replace(generations=100),
+                                first, slice_generations=100,
+                                initial=initialize_netlist(spec, "ham3"))
+        views = []
+        for slice_generations in (100, 50):
+            path = str(tmp_path / f"resume{slice_generations}.json")
+            shutil.copy(first, path)
+            views.append(_merged(evolve_with_checkpoints(
+                spec, self.CONFIG, path,
+                slice_generations=slice_generations)))
+        assert views[0] == views[1]
+        assert views[0]["generations"] == 200
+        assert views[0]["history"][0][0] == 100
 
 
 class TestMultiStart:

@@ -2,8 +2,8 @@
 
 import pytest
 
+from repro.api import synthesize
 from repro.core.config import RcgpConfig
-from repro.core.synthesis import rcgp_synthesize
 from repro.errors import FanoutViolation, PathBalanceViolation
 from repro.logic.truth_table import tabulate_word
 from repro.rqfp.buffers import BufferPlan, schedule_levels
@@ -103,8 +103,8 @@ class TestValidateCircuit:
 class TestEndToEndValidation:
     def test_synthesized_circuits_are_design_rule_clean(self):
         spec = tabulate_word(lambda x: 1 << x, 2, 4)
-        result = rcgp_synthesize(spec, RcgpConfig(generations=200, seed=3,
-                                                  shrink="always"))
+        result = synthesize(spec, RcgpConfig(generations=200, seed=3,
+                                             shrink="always"))
         plan = validate_circuit(result.netlist, result.plan)
         assert plan.num_buffers == result.cost.n_b
         assert check_circuit(result.netlist, result.plan) == []

@@ -11,9 +11,9 @@ raise the precise typed exception.
 import pytest
 
 import repro.core.verify as verify_mod
+from repro.api import synthesize
 from repro.core.config import RcgpConfig
 from repro.core.engine import EvolutionRun, read_telemetry
-from repro.core.synthesis import initialize_netlist, rcgp_synthesize
 from repro.core.verify import VerificationReport, verify_evolution_result
 from repro.errors import (
     EquivalenceViolation,
@@ -35,7 +35,7 @@ def _synthesized(spec, **overrides):
     kwargs = dict(generations=30, mutation_rate=0.1, seed=7,
                   shrink="always")
     kwargs.update(overrides)
-    return rcgp_synthesize(spec, RcgpConfig(**kwargs)).netlist
+    return synthesize(spec, RcgpConfig(**kwargs)).netlist
 
 
 class TestGatePasses:
