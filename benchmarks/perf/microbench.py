@@ -5,9 +5,9 @@ full evaluation, incremental (cone) evaluation (exact, and at the
 paper's defaults with the early stop), mutation + copy-on-write copy
 (tuned and at the paper's defaults), shrink — over a Table-1
 circuit, the SAT miter that the result gate runs, the formal check that
-sampled fitness runs, plus two end-to-end evolution runs (serial and
-``workers=2``).  Candidates are flat kernels, the engine's one
-representation.
+sampled fitness runs, plus two end-to-end evolution runs (serial, and
+pooled over a two-worker dispatcher).  Candidates are flat kernels,
+the engine's one representation.
 
 Rates are evaluations (or operations) per second; use
 ``tools/perf_bench.py`` to run the suite, persist ``BENCH_perf.json``,
@@ -22,12 +22,14 @@ from typing import Callable, Dict, Tuple
 
 from repro.bench.extras import one_hot_checker
 from repro.bench.registry import get_benchmark
+from repro.cluster import ClusterDispatch
 from repro.core.config import RcgpConfig
 from repro.core.engine import EvolutionRun
 from repro.core.fitness import Evaluator
 from repro.core.kernel import NetlistKernel
 from repro.core.mutation import consumer_view, mutate_with_delta
 from repro.core.synthesis import initialize_netlist
+from repro.jobs.pool import JobBackend
 from repro.sat.equivalence import check_against_tables
 
 __all__ = ["BENCHES", "run_benches"]
@@ -154,15 +156,30 @@ def bench_formal_check(circuit: str, iterations: int) -> float:
 
 
 def _bench_run(circuit: str, generations: int, workers: int) -> float:
+    """``workers=0`` runs in-process; otherwise the run's spans go to a
+    ``JobBackend`` on a ``ClusterDispatch`` over ``workers`` local pipe
+    workers, started inside the timed region."""
     benchmark = get_benchmark(circuit)
     spec = benchmark.spec()
     initial = initialize_netlist(spec, benchmark.name)
     config = RcgpConfig(mutation_rate=0.08, max_mutated_genes=8, seed=2024,
-                        shrink="on_improvement",
-                        generations=generations, workers=workers)
+                        shrink="on_improvement", generations=generations)
     start = time.perf_counter()
-    result = EvolutionRun(spec, config, initial=initial,
-                          name=benchmark.name).run()
+    if workers == 0:
+        result = EvolutionRun(spec, config, initial=initial,
+                              name=benchmark.name).run()
+    else:
+        dispatch = ClusterDispatch(local_workers=workers)
+        ctx = (benchmark.name, tuple(t.bits for t in spec),
+               spec[0].num_vars, config.to_dict())
+        backend = JobBackend(dispatch, ctx, config)
+        try:
+            result = EvolutionRun(spec, config, initial=initial,
+                                  name=benchmark.name,
+                                  backend=backend).run()
+        finally:
+            backend.close()
+            dispatch.close()
     return result.evaluations / (time.perf_counter() - start)
 
 
@@ -172,7 +189,7 @@ def bench_run_serial(circuit: str, generations: int) -> float:
 
 
 def bench_run_workers2(circuit: str, generations: int) -> float:
-    """End-to-end evolution with a 2-worker pool, evaluations per
+    """End-to-end evolution with a 2-worker dispatcher, evaluations per
     second (includes pool startup).  Same generation budget as
     ``run_serial`` so ``run_workers2_speedup`` compares like with
     like."""

@@ -5,11 +5,15 @@ The paper's cost center is the (1+λ) inner loop — 5·10⁷ generations,
 (`repro.core.engine.EvolutionRun`) turns generations over on one
 Table-1 circuit, in two configurations:
 
-1. **serial** — workers=0: mutation, evaluation and selection in the
-   calling process.
-2. **pooled** — workers=N: whole spans of generations replayed
-   worker-side, one span in flight while the coordinator narrates the
-   previous one.
+1. **serial** — mutation, evaluation and selection in the calling
+   process.
+2. **pooled** — whole spans of generations replayed worker-side, one
+   span in flight while the coordinator narrates the previous one.  The
+   run is given a span handle (`repro.jobs.pool.JobBackend`) on a
+   dispatcher over N local pipe workers
+   (`repro.cluster.ClusterDispatch`), built here exactly as a session's
+   scheduler builds one per slice; the engine never starts workers
+   itself.
 
 Both produce bit-identical results for the fixed seed (that is the
 engine's determinism guarantee; `tests/test_engine.py` and
@@ -26,8 +30,9 @@ Environment knobs::
     RCGP_SPEEDUP_MIN          if set (e.g. "1.2"), exit non-zero unless
                               the pooled-vs-serial speedup reaches it
 
-Note: pool speedup needs real cores.  On a single-CPU machine the
-pooled row is serial-plus-IPC at best.
+Note: one run keeps one span in flight (span k+1 starts from span k's
+final parent), so the pooled row is serial-plus-IPC at best whatever N
+is; worker processes pay off when a session runs several jobs.
 """
 
 import os
@@ -35,9 +40,11 @@ import sys
 import time
 
 from repro.bench.registry import get_benchmark
+from repro.cluster import ClusterDispatch
 from repro.core.config import RcgpConfig
 from repro.core.engine import EvolutionRun
 from repro.core.synthesis import initialize_netlist
+from repro.jobs.pool import JobBackend
 
 
 def _usable_cpus() -> int:
@@ -47,11 +54,26 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def timed_run(spec, initial, name, **config_kwargs):
+def timed_run(spec, initial, name, workers, **config_kwargs):
+    """One run, in-process (``workers=0``) or over ``workers`` local
+    pipe workers; the pooled timing includes starting them."""
     config = RcgpConfig(mutation_rate=0.1, seed=2024, shrink="always",
                         **config_kwargs)
     start = time.perf_counter()
-    result = EvolutionRun(spec, config, initial=initial, name=name).run()
+    if workers == 0:
+        result = EvolutionRun(spec, config, initial=initial,
+                              name=name).run()
+    else:
+        dispatch = ClusterDispatch(local_workers=workers)
+        ctx = (name, tuple(t.bits for t in spec), spec[0].num_vars,
+               config.to_dict())
+        backend = JobBackend(dispatch, ctx, config)
+        try:
+            result = EvolutionRun(spec, config, initial=initial, name=name,
+                                  backend=backend).run()
+        finally:
+            backend.close()
+            dispatch.close()
     elapsed = time.perf_counter() - start
     return result, elapsed
 
@@ -73,15 +95,12 @@ def main() -> int:
     print(f"budget: {generations} generations x lambda={offspring}, "
           f"pool size {workers} ({_usable_cpus()} usable CPUs)\n")
 
-    modes = [
-        ("serial", dict(workers=0)),
-        (f"pooled (workers={workers})", dict(workers=workers)),
-    ]
+    modes = [("serial", 0), (f"pooled (workers={workers})", workers)]
     rows = []
-    for label, extra in modes:
+    for label, pool_size in modes:
         result, elapsed = timed_run(
-            spec, initial, benchmark.name,
-            generations=generations, offspring=offspring, **extra)
+            spec, initial, benchmark.name, pool_size,
+            generations=generations, offspring=offspring)
         rows.append((label, result, elapsed))
 
     serial_elapsed = rows[0][2]

@@ -6,9 +6,9 @@ Everything user-facing funnels through two names:
   :class:`~repro.core.synthesis.SynthesisResult` out.  Stateless calls
   get a transient in-memory session; passing ``session=`` joins a
   shared one.
-* :class:`Session` — owns the evaluation backend (one global worker
-  budget), the :class:`~repro.jobs.Scheduler` and the
-  :class:`~repro.jobs.JobStore`.  Submitting the same work twice —
+* :class:`Session` — owns the worker processes (one global worker
+  budget; nothing else starts them), the :class:`~repro.jobs.Scheduler`
+  and the :class:`~repro.jobs.JobStore`.  Submitting the same work twice —
   within a session or across processes over the same store directory —
   returns the stored result instead of re-running the search.
 
@@ -57,8 +57,8 @@ class Session:
         session over the same directory resumes unfinished jobs and
         serves finished ones without re-running.
     workers:
-        Global evaluation budget shared fairly by all jobs (``0`` =
-        inline).
+        Global evaluation budget shared fairly by all jobs (``0`` or
+        ``1`` = inline); the only way to give a job worker processes.
     quantum:
         Generations per job per scheduler tick; ``None`` (default) runs
         each job to completion in one slice — bit-identical to a direct
@@ -163,9 +163,9 @@ def synthesize(spec_or_path: SpecLike,
     ``spec_or_path`` is either a list of :class:`TruthTable` (one per
     primary output) or a design-file path (``.v``/``.blif``/``.aag``/
     ``.bench``/``.pla``/``.real``).  Without ``session=`` a transient
-    in-memory session runs the job in one slice with ``config.workers``
-    workers; with one, the job shares the session's worker budget and
-    store (and may be served from it without any evaluation).
+    in-memory session runs the job inline in one slice; with one, the
+    job shares the session's workers and store (and may be served from
+    it without any evaluation).
 
     >>> from repro.api import synthesize
     >>> result = synthesize(spec, RcgpConfig(generations=2000, seed=7))
@@ -173,8 +173,7 @@ def synthesize(spec_or_path: SpecLike,
     if session is not None:
         return session.synthesize(spec_or_path, config, name=name,
                                   initial=initial)
-    config = config or RcgpConfig()
-    with Session(workers=config.workers) as transient:
+    with Session() as transient:
         return transient.synthesize(spec_or_path, config, name=name,
                                     initial=initial)
 

@@ -41,20 +41,20 @@ def _add_engine_options(parser: argparse.ArgumentParser, *,
     """
     group = parser.add_argument_group("engine options")
     group.add_argument("--workers", type=int, default=0,
-                       help="offspring-evaluation processes (0/1 inline; "
-                            "N>1 uses a persistent pool, bit-identical "
-                            "results for a fixed seed)")
+                       help="worker processes of the one session every "
+                            "job shares (0/1 inline; N>1 replays spans "
+                            "on a persistent pool, bit-identical results "
+                            "for a fixed seed)")
     if not pool_only:
         group.add_argument("--telemetry", metavar="PATH", default=None,
                            help=telemetry_help)
     group.add_argument("--batch-timeout", type=float, default=None,
-                       help="seconds before a pool offspring batch is "
-                            "declared hung and re-dispatched to a fresh "
-                            "pool (default: wait forever)")
+                       help="seconds before a replay span on a pool "
+                            "worker is declared hung and re-sent to a "
+                            "fresh worker (default: wait forever)")
     group.add_argument("--batch-retries", type=int, default=2,
-                       help="re-dispatches of a lost/hung batch before "
-                            "the run degrades to inline evaluation "
-                            "(default 2)")
+                       help="re-sends of a lost/hung span before the "
+                            "slice finishes inline (default 2)")
 
 
 def _add_search_options(parser: argparse.ArgumentParser) -> None:
@@ -98,7 +98,6 @@ def _config_from(args: argparse.Namespace) -> RcgpConfig:
         shrink=args.shrink,
         time_budget=args.time_budget,
         verify_method=args.verify_method,
-        workers=args.workers,
         telemetry_path=args.telemetry,
         verify_result=args.verify,
         batch_timeout=args.batch_timeout,
@@ -134,8 +133,15 @@ def _print_result(result, verbose: bool) -> None:
         print(f"netlist       : {result.netlist.describe()}")
 
 
+def _synthesize(args: argparse.Namespace, spec, name: str = ""):
+    """One job on a session that owns ``--workers`` processes."""
+    with Session(workers=args.workers) as session:
+        return synthesize(spec, _config_from(args), name=name,
+                          session=session)
+
+
 def _cmd_synth(args: argparse.Namespace) -> int:
-    result = synthesize(args.design, _config_from(args))
+    result = _synthesize(args, args.design)
     _print_result(result, args.verbose)
     if args.output:
         with open(args.output, "w") as handle:
@@ -155,7 +161,7 @@ def _resolve_spec(testcase: str):
 
 def _cmd_bench(args: argparse.Namespace) -> int:
     spec, name = _resolve_spec(args.testcase)
-    result = synthesize(spec, _config_from(args), name=name)
+    result = _synthesize(args, spec, name)
     _print_result(result, args.verbose)
     if args.output:
         with open(args.output, "w") as handle:
@@ -356,10 +362,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         return RcgpConfig(generations=args.generations,
                           mutation_rate=args.mutation_rate,
                           max_mutated_genes=args.max_genes,
-                          seed=seed, shrink=args.shrink,
-                          workers=args.workers)
+                          seed=seed, shrink=args.shrink)
 
-    sweep = seed_sweep(spec, seeds, factory, name=name)
+    # One session, so every seed shares one pool of --workers processes.
+    with Session(workers=args.workers) as session:
+        sweep = seed_sweep(spec, seeds, factory, name=name,
+                           session=session)
     print(sweep.report())
     return 0
 

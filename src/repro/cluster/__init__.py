@@ -7,10 +7,11 @@ two codecs over one frame protocol: the same opcodes, the same
 :class:`~repro.cluster.fleet.ClusterFleet`, handshakes (protocol
 version, shared token, cpu slots) and then serves exactly the frames a
 local pipe worker serves; the
-:class:`~repro.cluster.backend.ClusterDispatch` sends every replay span
-to a dynamic mix of local and remote workers with the one fault
-recovery loop, so results stay bit-identical to the serial loop
-whatever the fleet does.
+:class:`~repro.cluster.backend.ClusterDispatch` leases channels over a
+dynamic mix of local and remote workers to the per-slice
+:class:`~repro.jobs.pool.JobBackend` handles, which ship every replay
+span with the one fault recovery loop, so results stay bit-identical
+to the serial loop whatever the fleet does.
 """
 
 from .backend import ClusterDispatch

@@ -6,8 +6,9 @@ The :class:`ClusterFleet` owns the listening socket workers dial into
 cpu slots), and keeps one :class:`RemoteWorker` per live connection.
 
 Ownership protocol: anything that wants to *use* a worker's channel —
-the :class:`~repro.cluster.backend.ClusterDispatch` shipping frames,
-the heartbeat thread probing idle connections — must hold that
+a :class:`~repro.jobs.pool.JobBackend` shipping frames on a channel
+leased through :class:`~repro.cluster.backend.ClusterDispatch`, the
+heartbeat thread probing idle connections — must hold that
 worker's lock.  :meth:`lease` hands out one currently-idle live worker
 and :meth:`release` returns it, so a worker mid-span is never pinged
 and two spans never interleave frames on one socket.  A
@@ -17,7 +18,8 @@ dead connection and dials back in, which counts into
 ``reconnects_total``.
 
 The fleet never *initiates* work; it is pure membership + liveness.
-Scheduling lives in :mod:`repro.cluster.backend`.
+Leasing lives in :mod:`repro.cluster.backend`, spans and retries in
+:mod:`repro.jobs.pool`.
 """
 
 from __future__ import annotations

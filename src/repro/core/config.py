@@ -21,14 +21,21 @@ from typing import Any, Dict, Optional
 #: job's identity hash leaves them out, and a checkpoint resumed with
 #: other values for them does not warn.
 OPERATIONAL_CONFIG_FIELDS = frozenset({
-    "workers", "eval_cache_size", "telemetry_path",
+    "eval_cache_size", "telemetry_path",
     "batch_timeout", "batch_retries", "track_history", "verify_result",
 })
 
 
 @dataclass
 class RcgpConfig:
-    """Tunable parameters of the CGP-based optimization (§3.2)."""
+    """Tunable parameters of the CGP-based optimization (§3.2).
+
+    There is no worker count here: worker processes belong to a
+    :class:`~repro.api.Session` (``Session(workers=N)``, ``--workers``)
+    and are shared by all its jobs.  Stored configs and HTTP bodies
+    that still carry ``workers`` load, because :meth:`from_dict` drops
+    unknown keys.
+    """
 
     generations: int = 20_000
     """Maximum number of generations ``N`` (paper: 5·10⁷)."""
@@ -102,14 +109,6 @@ class RcgpConfig:
     track_history: bool = False
     """Record (generation, fitness) improvement events."""
 
-    workers: int = 0
-    """Offspring-evaluation parallelism: ``0`` or ``1`` evaluates inline;
-    ``N > 1`` replays spans of generations on one worker process (a run
-    keeps one span in flight, each starting from the last one's final
-    parent; see :mod:`repro.core.engine`).  A :class:`~repro.jobs.Scheduler`
-    shares ``N`` processes among its jobs.  Results are bit-identical to
-    inline mode for a fixed seed."""
-
     eval_cache_size: int = 100_000
     """Retired; has no effect.  It sized a genome → fitness memo cache
     that hit well under 1% of evaluations at μ = 1 and kept pooled runs
@@ -130,7 +129,7 @@ class RcgpConfig:
     batch_retries: int = 2
     """How many times a lost span (crashed, hung or disconnected worker)
     is re-sent, one generation long, before the slice finishes inline.
-    The next slice (or run) tries the workers again."""
+    The next slice tries the workers again."""
 
     verify_result: bool = False
     """End-of-run result gate: re-simulate the best candidate on the
@@ -139,7 +138,8 @@ class RcgpConfig:
     equivalence with the SAT miter.  Violations raise typed
     :mod:`repro.errors` exceptions instead of silently returning an
     illegal or wrong circuit.  Off by default: the gate runs once per
-    run but SAT proofs on large sampled specs can be costly."""
+    run (once per job, on the reported buffer plan, when the job runs
+    in slices) but SAT proofs on large sampled specs can be costly."""
 
     # Mutation-kind toggles, used by the ablation benchmarks (A1).
     enable_input_mutation: bool = True
@@ -180,8 +180,6 @@ class RcgpConfig:
             raise ValueError(f"unknown shrink mode {self.shrink!r}")
         if self.verify_method not in ("sat", "bdd"):
             raise ValueError(f"unknown verify_method {self.verify_method!r}")
-        if self.workers < 0:
-            raise ValueError("workers must be >= 0")
         if self.eval_cache_size < 0:
             raise ValueError("eval_cache_size must be >= 0")
         if self.batch_retries < 0:

@@ -13,11 +13,13 @@ wherever the work lands:
   evaluation, selection and neutral drift, returning one accept record
   per generation.  A span stops at the first strict improvement, whose
   accept block (shrink, wire bypass, history) stays with the run.
-  Inline runs call it in-process on the run's own evaluator; pooled
-  runs ship it to a worker through :class:`repro.jobs.pool.JobBackend`,
-  whose dispatcher (:class:`repro.cluster.backend.ClusterDispatch`)
-  keeps persistent workers.  Either way the run narrates the same
-  records, so serial == pool holds by construction.
+  Inline runs call it in-process on the run's own evaluator; a run
+  given a ``backend`` (a :class:`repro.jobs.pool.JobBackend` handle,
+  built and closed by its owner — a session's scheduler, or whoever
+  builds a pooled run by hand) ships it to a persistent worker leased
+  from a :class:`repro.cluster.backend.ClusterDispatch`.  Either way
+  the run narrates the same records, so serial == pool holds by
+  construction.  The engine never builds worker processes itself.
 * **One representation** — candidates in the loop are flat
   :class:`~repro.core.kernel.NetlistKernel` genomes; the object
   :class:`~repro.rqfp.netlist.RqfpNetlist` is the input, the output and
@@ -49,10 +51,10 @@ wherever the work lands:
 
 Pooled evaluation requires the fitness function to be *pure*
 (:func:`repro.jobs.pool.parallel_safe_config`): exhaustive simulation,
-or seeded sampling without SAT feedback.  Otherwise (the SAT
-counterexample feedback loop mutates the evaluator) the run keeps its
-spans in-process; the chosen backend is reported in the telemetry
-``run_start`` event.
+or seeded sampling without SAT feedback.  The scheduler passes a
+backend only to such jobs (the SAT counterexample feedback loop
+mutates the evaluator, so those slices stay in-process); the backend
+label is reported in the telemetry ``run_start`` event.
 """
 
 from __future__ import annotations
@@ -427,6 +429,14 @@ class EvolutionResult:
     degraded_to_inline: bool = False
     interrupted: bool = False
     verified: bool = False
+    parent: Optional[RqfpNetlist] = None
+    """The live parent the run stopped on, before finalization (shrink,
+    splitters, wire bypass): a later slice of the same run resumes
+    from it."""
+    stagnation: int = 0
+    """Generations since the last strict improvement when the run
+    stopped (a later slice carries it on toward
+    ``config.stagnation_limit``)."""
 
     @property
     def gate_reduction(self) -> float:
@@ -444,6 +454,17 @@ COUNTER_FIELDS = ("evaluations", "sat_calls", "cache_hits", "eval_full",
                   "chunks_dispatched", "pipeline_stalls")
 
 
+def slice_stopped(result: EvolutionResult, budget: int,
+                  config: RcgpConfig) -> bool:
+    """Whether a slice of ``budget`` generations ended its whole run:
+    a time budget or an interrupt cut it short, or the stagnation limit
+    was reached — also when that lands exactly on the slice's last
+    generation."""
+    limit = config.stagnation_limit
+    return result.generations < budget or result.interrupted or (
+        limit is not None and result.stagnation >= limit)
+
+
 def merge_slice(total: Optional[EvolutionResult], result: EvolutionResult,
                 offset: int) -> EvolutionResult:
     """Fold one slice of a sliced run into the result of the slices
@@ -454,8 +475,8 @@ def merge_slice(total: Optional[EvolutionResult], result: EvolutionResult,
     ``generations`` and ``history``, and drops a later slice's starting
     history entry (the incumbent it resumed from, recorded already).
     It sums every counter and the runtime, and takes the netlist,
-    fitness, ``backend``, ``verified`` and ``interrupted`` from the
-    last slice.
+    fitness, ``backend``, ``verified``, ``interrupted``, ``parent`` and
+    ``stagnation`` from the last slice.
     """
     history = result.history if total is None else result.history[1:]
     history = [(generation + offset, fitness)
@@ -500,8 +521,7 @@ class EvolutionRun:
     spec:
         Target truth tables, one per primary output.
     config:
-        All knobs, including ``workers`` (0/1 = inline, N>1 = one pool
-        worker) and ``telemetry_path``.
+        All search knobs, plus ``telemetry_path``.
     initial:
         Starting netlist; defaults to the §3.1 initialization flow.
     progress:
@@ -510,9 +530,10 @@ class EvolutionRun:
         Pre-built :class:`TelemetryWriter`; overrides
         ``config.telemetry_path``.
     backend:
-        Pre-built span backend (:class:`repro.jobs.pool.JobBackend`);
-        overrides ``config.workers``.  The caller keeps ownership (it is
-        not closed by :meth:`run`).
+        Span handle (:class:`repro.jobs.pool.JobBackend`) whose workers
+        replay the spans; ``None`` (the default) replays them
+        in-process.  The caller keeps ownership and closes it after
+        :meth:`run`.
     generation_offset:
         Number of generations a *previous* slice of the same logical
         run already executed.  Offspring RNG streams are keyed by the
@@ -521,6 +542,10 @@ class EvolutionRun:
         the equivalent monolithic run, whatever the chunk size.  The
         returned :attr:`EvolutionResult.generations` stays local to
         this slice.
+    stagnation:
+        Generations since the last strict improvement that a previous
+        slice already ran (its :attr:`EvolutionResult.stagnation`), so
+        ``config.stagnation_limit`` counts across slice boundaries.
     """
 
     def __init__(self, spec: Sequence[TruthTable],
@@ -530,7 +555,7 @@ class EvolutionRun:
                  progress: Optional[ProgressCallback] = None,
                  telemetry: Optional[TelemetryWriter] = None,
                  backend: Optional["JobBackend"] = None,
-                 generation_offset: int = 0):
+                 generation_offset: int = 0, stagnation: int = 0):
         self.spec = list(spec)
         self.config = config or RcgpConfig()
         self.initial = initial
@@ -539,21 +564,7 @@ class EvolutionRun:
         self._telemetry = telemetry
         self._backend = backend
         self.generation_offset = generation_offset
-
-    # -- internals -----------------------------------------------------
-
-    def _make_backend(self) -> Tuple[Optional["JobBackend"], bool]:
-        """Span backend per config, ``None`` for in-process spans;
-        returns ``(backend, engine_owns_it)``."""
-        if self._backend is not None:
-            return self._backend, False
-        config = self.config
-        if config.workers > 1 and config.generations > 0:
-            from ..jobs.pool import parallel_safe_config, \
-                process_pool_backend
-            if parallel_safe_config(self.spec[0].num_vars, config):
-                return process_pool_backend(self.spec, config), True
-        return None, False
+        self.stagnation = stagnation
 
     # -- the run -------------------------------------------------------
 
@@ -585,7 +596,7 @@ class EvolutionRun:
         initial_fitness = parent_fitness
         history: List[Tuple[int, Fitness]] = [(0, parent_fitness)]
 
-        backend, owns_backend = self._make_backend()
+        backend = self._backend
         backend_name = "inline" if backend is None else backend.name
         telemetry = self._telemetry
         owns_telemetry = False
@@ -602,14 +613,14 @@ class EvolutionRun:
         # changes.
         parent_consumers = None
         start = time.monotonic()
-        stagnation = 0
+        stagnation = self.stagnation
         generation = 0
         if telemetry is not None:
             telemetry.emit(
                 "run_start", name=self.name,
                 num_inputs=spec[0].num_vars, num_outputs=len(spec),
                 generations=config.generations, offspring=config.offspring,
-                workers=config.workers, backend=backend_name,
+                backend=backend_name,
                 seed=config.seed, initial_key=list(parent_fitness.key()),
             )
 
@@ -643,7 +654,8 @@ class EvolutionRun:
         # a run whose fitness makes them also narrates one generation
         # per span while telemetry listens: sat_calls then stays a
         # per-generation value.
-        stop = False
+        stop = config.stagnation_limit is not None and \
+            stagnation >= config.stagnation_limit
         name_template = parent
         check_mode = os.environ.get(
             "RCGP_CHECK_INCREMENTAL", "") not in ("", "0")
@@ -707,7 +719,7 @@ class EvolutionRun:
                         sent = time.monotonic()
                         if spans is not None \
                                 and not spans.dispatch_span(request):
-                            spans = None  # no workers at all
+                            spans = None  # no channel to lease
                     else:
                         request, planned, sent = inflight
                         inflight = None
@@ -848,13 +860,11 @@ class EvolutionRun:
 
             except KeyboardInterrupt:
                 # Clean SIGINT shutdown: keep the incumbent parent,
-                # kill the pool immediately (workers may be mid-span
-                # or wedged), finalize and return the best-so-far
-                # result with interrupted=True instead of dying with
-                # a half-written telemetry stream and orphan workers.
+                # finalize and return the best-so-far result with
+                # interrupted=True instead of dying with a half-written
+                # telemetry stream.  A span still in flight stays with
+                # the backend, whose owner releases it on close.
                 interrupted = True
-                if owns_backend:
-                    backend.terminate()
             final = evaluator.finalize(parent)
             final_fitness = evaluator.evaluate(final)
             if not final_fitness.functional:
@@ -895,6 +905,8 @@ class EvolutionRun:
                 degraded_to_inline=getattr(backend, "degraded", False),
                 interrupted=interrupted,
                 verified=verified,
+                parent=parent.to_netlist(),
+                stagnation=stagnation,
             )
             if telemetry is not None:
                 telemetry.emit(
@@ -917,7 +929,5 @@ class EvolutionRun:
                 )
             return result
         finally:
-            if owns_backend:
-                backend.close()
             if owns_telemetry and telemetry is not None:
                 telemetry.close()

@@ -8,9 +8,9 @@ reducing the chromosome length — and with it the search space — exactly
 as §3.2.3 argues.
 
 The loop itself lives in :mod:`repro.core.engine` behind the
-:class:`~repro.core.engine.EvolutionRun` API, which adds offspring
-parallelism, fitness memoization and telemetry without changing the
-algorithm; :func:`evolve` is the stable functional entry point over it.
+:class:`~repro.core.engine.EvolutionRun` API, which adds span replay on
+pool workers and telemetry without changing the algorithm;
+:func:`evolve` is the stable functional entry point over it.
 """
 
 from __future__ import annotations
@@ -30,8 +30,8 @@ def evolve(initial: RqfpNetlist, spec: Sequence[TruthTable],
            progress: Optional[ProgressCallback] = None) -> EvolutionResult:
     """Optimize ``initial`` (a functional RQFP netlist) against ``spec``.
 
-    Thin shim over :class:`repro.core.engine.EvolutionRun`; set
-    ``config.workers`` to evaluate offspring across a process pool and
+    Thin shim over :class:`repro.core.engine.EvolutionRun` (in-process;
+    worker pools belong to a :class:`repro.api.Session`); set
     ``config.telemetry_path`` for per-generation JSONL events.
     """
     return EvolutionRun(spec, config, initial=initial,

@@ -97,9 +97,9 @@ class MutationDelta:
     genome.  That makes deltas the unit of transport for incremental
     evaluation — both for the in-process :class:`~repro.core.simstate.
     SimulationState` cone resimulation (``touched_gates`` seeds the
-    dirty set) and for the process-pool backend, which ships deltas
-    instead of whole genomes when the parent is already resident in the
-    worker.
+    dirty set) and for check mode's replay spans
+    (``RCGP_CHECK_INCREMENTAL=1``), which ship the coordinator's deltas
+    so a worker can cross-check the mutations it re-derives.
 
     A gate is *touched* when any of its input connections or its
     inverter configuration changed, including gates edited indirectly by

@@ -4,9 +4,10 @@ The paper's 5·10⁷-generation runs take up to 43 hours per circuit;
 infrastructure like this is what makes such runs operable:
 
 * :func:`evolve_with_checkpoints` — wraps the evolution engine in
-  budget slices, persisting the incumbent netlist (JSON), progress and
-  the **full** run configuration after every slice so a killed run
-  resumes where it stopped (and warns when resumed under a different
+  budget slices, persisting the live parent netlist (JSON), progress,
+  the generations since the last improvement and the **full** run
+  configuration after every slice so a killed run resumes exactly
+  where it stopped (and warns when resumed under a different
   configuration);
 * :func:`multi_start` — independent restarts with different seeds,
   keeping the best result; the cheap, embarrassingly parallel way to
@@ -28,7 +29,8 @@ from ..io.rqfp_json import netlist_from_dict, netlist_to_dict
 from ..logic.truth_table import TruthTable
 from ..rqfp.netlist import RqfpNetlist
 from .config import OPERATIONAL_CONFIG_FIELDS, RcgpConfig
-from .engine import EvolutionResult, EvolutionRun, merge_slice
+from .engine import (EvolutionResult, EvolutionRun, merge_slice,
+                     slice_stopped)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..jobs import JobStore
@@ -44,39 +46,39 @@ _RESUMABLE_FIELDS = OPERATIONAL_CONFIG_FIELDS | {
 
 
 def checkpoint_payload(netlist: RqfpNetlist, generations_done: int,
-                       config: RcgpConfig) -> Dict[str, Any]:
-    """The checkpoint document: incumbent parent, progress and the full
-    config.  Job-store checkpoints use it too, so both load with
-    :func:`load_checkpoint`."""
+                       config: RcgpConfig, *,
+                       stagnation: int = 0) -> Dict[str, Any]:
+    """The checkpoint document: the live parent, progress, generations
+    since the last improvement and the full config.  Job-store
+    checkpoints use it too, so both load with :func:`load_checkpoint`."""
     return {
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
         "generations_done": generations_done,
+        "stagnation": stagnation,
         "config": config.to_dict(),
         "netlist": netlist_to_dict(netlist),
     }
 
 
 def save_checkpoint(path: str, netlist: RqfpNetlist,
-                    generations_done: int, config: RcgpConfig) -> None:
-    """Persist the incumbent parent, progress and the full config."""
+                    generations_done: int, config: RcgpConfig, *,
+                    stagnation: int = 0) -> None:
+    """Persist the live parent, progress, generations since the last
+    improvement and the full config."""
     tmp = f"{path}.tmp"
     with open(tmp, "w") as handle:
-        json.dump(checkpoint_payload(netlist, generations_done, config),
+        json.dump(checkpoint_payload(netlist, generations_done, config,
+                                     stagnation=stagnation),
                   handle, indent=2)
     os.replace(tmp, path)
 
 
-def load_checkpoint(path: str, with_config: bool = False) -> Union[
-        Tuple[RqfpNetlist, int],
-        Tuple[RqfpNetlist, int, Optional[Dict[str, Any]]]]:
-    """Read a checkpoint back.
-
-    Returns ``(incumbent netlist, generations already done)``; with
-    ``with_config`` a third element carries the stored config
-    dictionary (None for version-1 checkpoints, which recorded only a
-    partial config).
-    """
+def _read_checkpoint(path: str) \
+        -> Tuple[RqfpNetlist, int, int, Optional[Dict[str, Any]]]:
+    """``(parent, generations done, generations since the last
+    improvement, stored config)``; checkpoints without the count read
+    0, version-1 ones (a partial config) read config None."""
     with open(path) as handle:
         payload = json.load(handle)
     if payload.get("format") != CHECKPOINT_FORMAT:
@@ -84,12 +86,24 @@ def load_checkpoint(path: str, with_config: bool = False) -> Union[
     version = payload.get("version")
     if version not in (1, CHECKPOINT_VERSION):
         raise ValueError(f"unsupported checkpoint version {version!r}")
-    netlist = netlist_from_dict(payload["netlist"])
-    done = int(payload["generations_done"])
-    if not with_config:
-        return netlist, done
-    config = payload.get("config") if version >= 2 else None
-    return netlist, done, config
+    return (netlist_from_dict(payload["netlist"]),
+            int(payload["generations_done"]),
+            int(payload.get("stagnation", 0)),
+            payload.get("config") if version >= 2 else None)
+
+
+def load_checkpoint(path: str, with_config: bool = False) -> Union[
+        Tuple[RqfpNetlist, int],
+        Tuple[RqfpNetlist, int, Optional[Dict[str, Any]]]]:
+    """Read a checkpoint back.
+
+    Returns ``(parent netlist, generations already done)``; with
+    ``with_config`` a third element carries the stored config
+    dictionary (None for version-1 checkpoints, which recorded only a
+    partial config).
+    """
+    netlist, done, _, config = _read_checkpoint(path)
+    return (netlist, done, config) if with_config else (netlist, done)
 
 
 def _warn_on_config_mismatch(path: str, stored: Optional[Dict[str, Any]],
@@ -139,45 +153,54 @@ def evolve_with_checkpoints(spec: Sequence[TruthTable],
                             name: str = "") -> EvolutionResult:
     """Run evolution in slices, checkpointing after each.
 
-    If ``checkpoint_path`` exists, the run resumes from its incumbent
-    and remaining budget (warning when the stored configuration differs
-    in search-relevant fields); otherwise it starts from ``initial`` (or
-    the standard initialization).  The checkpoint is updated atomically
-    after every slice, so a kill loses at most one slice of work.
-    Slices merge by :func:`~repro.core.engine.merge_slice`, so a resumed
-    run reports absolute ``generations`` and ``history`` too.
+    If ``checkpoint_path`` exists, the run resumes from its parent,
+    stagnation count and remaining budget (warning when the stored
+    configuration differs in search-relevant fields); otherwise it
+    starts from ``initial`` (or the standard initialization).  The
+    checkpoint is updated atomically after every slice, so a kill loses
+    at most one slice of work.  Slices merge by
+    :func:`~repro.core.engine.merge_slice`, so a resumed run reports
+    absolute ``generations`` and ``history`` too.  With
+    ``config.verify_result`` the result gate runs once, on the merged
+    result.
     """
     spec = list(spec)
-    done = 0
+    done = stagnation = 0
     if os.path.exists(checkpoint_path):
-        incumbent, done, stored = load_checkpoint(checkpoint_path,
-                                                  with_config=True)
+        incumbent, done, stagnation, stored = \
+            _read_checkpoint(checkpoint_path)
         _warn_on_config_mismatch(checkpoint_path, stored, config)
     else:
         from .synthesis import initialize_netlist
         incumbent = initial if initial is not None \
             else initialize_netlist(spec, name)
 
+    # Same seed every slice; the engine keys offspring RNG streams by
+    # the absolute generation (offset + local) and each slice resumes
+    # from the live parent and stagnation count, so the sliced run
+    # follows the monolithic trajectory for any slice size.  At least
+    # one slice runs: a checkpoint with no budget left still finalizes
+    # its parent.
+    slice_config = config.replace(verify_result=False)
     total: Optional[EvolutionResult] = None
-    while done < config.generations:
-        budget = min(slice_generations, config.generations - done)
-        # Same seed every slice; the engine keys offspring RNG streams
-        # by the absolute generation (offset + local), so the sliced
-        # run follows the monolithic trajectory for any slice size.
-        slice_config = config.replace(generations=budget)
-        result = EvolutionRun(spec, slice_config, initial=incumbent,
-                              name=name, generation_offset=done).run()
+    while total is None or done < config.generations:
+        budget = max(0, min(slice_generations, config.generations - done))
+        result = EvolutionRun(
+            spec, slice_config.replace(generations=budget),
+            initial=incumbent, name=name, generation_offset=done,
+            stagnation=stagnation).run()
         total = merge_slice(total, result, done)
-        incumbent = result.netlist
+        incumbent, stagnation = result.parent, result.stagnation
         done += result.generations
-        save_checkpoint(checkpoint_path, incumbent, done, config)
-        if result.generations < budget:
-            break  # stagnation/time cut the slice short; stop cleanly
-    if total is None:
-        # Budget already exhausted by the checkpoint: evaluate incumbent.
-        total = merge_slice(
-            None, EvolutionRun(spec, config.replace(generations=0),
-                               initial=incumbent, name=name).run(), done)
+        if budget > 0:
+            save_checkpoint(checkpoint_path, incumbent, done, config,
+                            stagnation=stagnation)
+        if slice_stopped(result, budget, config):
+            break  # stagnation, time or an interrupt ended the run
+    if config.verify_result:
+        from .verify import verify_evolution_result
+        verify_evolution_result(total.netlist, spec, config)
+        total.verified = True
     return total
 
 
@@ -208,8 +231,7 @@ def multi_start(spec: Sequence[TruthTable], seeds: Sequence[int],
         # telemetry off — one sink cannot serve concurrent writers.
         jobs = [scheduler.submit(
                     spec,
-                    config.replace(seed=seed, workers=0,
-                                   telemetry_path=None),
+                    config.replace(seed=seed, telemetry_path=None),
                     name=name)
                 for seed in seeds]
         scheduler.run()

@@ -14,7 +14,7 @@ contract:
   coordinator-side, so typed errors (``WorkerPoolError``) propagate;
 * crash/hang/pipe-death surfaces as ``EOFError`` / ``OSError`` /
   ``TimeoutError`` — the :data:`repro.core.engine.
-  RECOVERABLE_POOL_ERRORS` the dispatcher's retry loop handles.
+  RECOVERABLE_POOL_ERRORS` the span handle's retry loop handles.
 
 There is one request, ``OP_JOB_SPAN`` (a job-keyed replay span), whose
 handler :mod:`repro.jobs.pool` registers in :data:`HANDLERS`; every
@@ -206,8 +206,9 @@ class PipeWorkerPool:
     Pure transport: ``send`` ships one request frame to one worker,
     ``recv`` blocks (under an optional deadline) for that worker's
     reply, unwrapping ``ERROR`` frames into re-raised exceptions.
-    Retry/degradation policy lives with the owner,
-    :class:`~repro.cluster.backend.ClusterDispatch`.
+    The owner, :class:`~repro.cluster.backend.ClusterDispatch`, leases
+    worker 0 as a channel; retry/degradation policy lives with the
+    span handle, :class:`~repro.jobs.pool.JobBackend`.
     """
 
     def __init__(self, workers: int):

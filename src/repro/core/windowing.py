@@ -208,10 +208,9 @@ def optimize_window(netlist: RqfpNetlist, start: int, stop: int,
     spec = sub.to_truth_tables()
     config = config or RcgpConfig(generations=400, mutation_rate=1.0,
                                   max_mutated_genes=4, shrink="always")
-    # Window runs are many, small and short-lived: always evaluate
-    # inline (a process pool per window would cost more than it saves)
-    # and keep any run-level telemetry sink single-writer.
-    config = config.replace(workers=0, telemetry_path=None)
+    # Window runs are many, small and short-lived: they evaluate
+    # inline, and any run-level telemetry sink stays single-writer.
+    config = config.replace(telemetry_path=None)
     result = EvolutionRun(spec, config, initial=sub,
                           name=sub.name).run()
     if stats is not None:

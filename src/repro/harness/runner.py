@@ -97,7 +97,6 @@ class HarnessConfig:
             seed=self.seed,
             shrink=self.shrink,
             stagnation_limit=self.stagnation_limit,
-            workers=self.workers,
             telemetry_path=telemetry_path,
             batch_timeout=self.batch_timeout,
             batch_retries=self.batch_retries,
@@ -166,7 +165,7 @@ def run_benchmark(benchmark: Benchmark, config: Optional[HarnessConfig] = None,
     owned: Optional[Session] = None
     if session is None:
         owned = session = Session(config.store_dir,
-                                  workers=rcgp_config.workers)
+                                  workers=config.workers)
     try:
         result = session.synthesize(spec, rcgp_config, name=benchmark.name)
     finally:
@@ -222,8 +221,8 @@ def run_table(table: int, config: Optional[HarnessConfig] = None,
         benchmarks = [get_benchmark(n) for n in names]
     owned: Optional[Session] = None
     if session is None:
-        workers = rcgp.workers if rcgp is not None else config.workers
-        owned = session = Session(config.store_dir, workers=workers)
+        owned = session = Session(config.store_dir,
+                                  workers=config.workers)
     try:
         return [run_benchmark(b, config, gen_scale, rcgp=rcgp,
                               session=session)

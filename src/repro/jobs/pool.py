@@ -1,10 +1,10 @@
-"""One protocol, one adapter: job-keyed replay spans over a dispatcher.
+"""One protocol, one handle: job-keyed replay spans over a dispatcher.
 
-Every pooled evaluation in this package — ``EvolutionRun(workers=N)``,
-the scheduler's local pool, the TCP fleet — is the same conversation: a
-per-slice :class:`JobBackend` hands the engine's replay spans to one
-long-lived :class:`~repro.cluster.backend.ClusterDispatch` (local pipe
-workers, remote fleet workers, or both), which ships them as
+Every pooled evaluation in this package — the scheduler's local pool,
+the TCP fleet, a hand-built pooled run — is the same conversation: a
+per-slice :class:`JobBackend` leases a channel from one long-lived
+:class:`~repro.cluster.backend.ClusterDispatch` (local pipe workers,
+remote fleet workers, or both), ships the engine's replay spans as
 ``OP_JOB_SPAN`` frames and runs the one fault-recovery loop.
 
 * **Worker side.**  A span frame carries its pickled :data:`JobContext`
@@ -13,24 +13,26 @@ workers, remote fleet workers, or both), which ships them as
   (:class:`_WorkerState`) and runs
   :func:`~repro.core.engine.replay_span` against them.
 * **Coordinator side.**  :class:`JobBackend` is the span backend an
-  :class:`~repro.core.engine.EvolutionRun` dispatches to, with
-  slice-local counters.  When a slice has no span path — the
-  dispatcher ran out of retries (``degraded``) or had no worker to send
-  to — the run finishes the slice in-process with the same
-  :func:`~repro.core.engine.replay_span`.  Degradation is slice-local:
-  the next slice gets a fresh adapter and tries the workers again.
+  :class:`~repro.core.engine.EvolutionRun` dispatches to; it holds the
+  slice's in-flight span and slice-local counters.  When a slice has
+  no span path — the handle ran out of retries (``degraded``) or had
+  no channel to lease — the run finishes the slice in-process with the
+  same :func:`~repro.core.engine.replay_span`.  Degradation is
+  slice-local: the next slice gets a fresh handle and tries the
+  workers again.
 
 Purity guarantees are unchanged: only parallel-safe jobs (exhaustive
 simulation, or seeded sampling without SAT feedback) are routed here by
-default, so every re-dispatched span and every in-process fallback is
-bit-identical to the serial loop.
+the scheduler, so every re-dispatched span and every in-process
+fallback is bit-identical to the serial loop.
 """
 
 from __future__ import annotations
 
 import pickle
+import time
 from collections import OrderedDict
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Tuple
 
 from ..cluster.backend import ClusterDispatch
 from ..core import engine as _engine
@@ -105,57 +107,50 @@ def _handle_job_span(payload: memoryview) -> bytes:
 HANDLERS[OP_JOB_SPAN] = _handle_job_span
 
 
-def _since(counter: str) -> property:
-    """A slice-local view of one of the dispatcher's cumulative
-    counters (the dispatcher outlives the slice)."""
-    return property(
-        lambda self: getattr(self._cd, counter) - self._marks[counter])
-
-
-_DISPATCH_COUNTERS = ("worker_restarts", "batches_retried",
-                      "bytes_shipped", "chunks_dispatched",
-                      "pipeline_stalls", "spans_remote")
-
-
 class JobBackend:
-    """Per-slice span backend over a dispatcher.
+    """Per-slice span handle over a dispatcher.
 
-    Created fresh for every slice (or run) so the counters the engine
-    reads are slice-local, while the dispatcher — and the
-    worker-resident evaluators — persist across slices and jobs.
-    ``batch_timeout``/``batch_retries`` come from the job's own config,
-    so fault budgets stay per-job even on shared workers.  Workers read
-    the job's spec and config from ``ctx``.
+    Created fresh for every slice (or hand-built run) by its owner,
+    who closes it: the handle owns the slice's one in-flight span — the
+    request, the leased channel, the bounded retry loop — and every
+    counter the engine reads, while the dispatcher (and the
+    worker-resident evaluators) persist across slices and jobs.
+    :meth:`close` releases a span abandoned in flight (an interrupted
+    run) as failed, so its late reply is never read as another
+    handle's.  ``batch_timeout``/``batch_retries`` come from the job's
+    own config, so fault budgets stay per-job even on shared workers.
+    Workers read the job's spec and config from ``ctx``.
 
-    ``name`` is the ``backend`` label the run reports: ``process-pool``
-    for a run-private pool (:func:`process_pool_backend`),
-    ``shared-pool`` for the scheduler's local pool and ``cluster`` when
-    a fleet is attached.  ``cluster_workers`` collects every remote
-    worker name that served this slice.
+    ``name`` is the ``backend`` label the run reports: ``shared-pool``
+    for local pipe workers and ``cluster`` when a fleet is attached.
+    ``cluster_workers`` collects every remote worker name that served
+    this slice.
     """
 
     def __init__(self, dispatch: ClusterDispatch, ctx: JobContext,
-                 config: RcgpConfig, *,
-                 name: str = "shared-pool", owns_dispatch: bool = False):
+                 config: RcgpConfig, *, name: str = "shared-pool"):
         self.name = name
-        self._cd = dispatch
+        self._dispatch = dispatch
         self._ctx_blob = pickle.dumps(ctx)
-        self._config = config
-        self._owns_dispatch = owns_dispatch
-        self._marks = {counter: getattr(dispatch, counter)
-                       for counter in _DISPATCH_COUNTERS}
+        self._timeout = config.batch_timeout
+        self._retries = config.batch_retries
+        # The in-flight span: its request (kept for re-sends), the
+        # channel it rides (None between a lost attempt and the next
+        # lease) and whether its frame went out on that channel.
+        self._span: Optional[wire.SpanRequest] = None
+        self._channel = None
+        self._sent = False
         self.eval_full = 0
         self.eval_incremental = 0
         self.ports_resimulated = 0
+        self.worker_restarts = 0
+        self.batches_retried = 0
+        self.bytes_shipped = 0
+        self.chunks_dispatched = 0
+        self.pipeline_stalls = 0
+        self.spans_remote = 0
         self.cluster_workers: set = set()
         self.degraded = False
-
-    worker_restarts = _since("worker_restarts")
-    batches_retried = _since("batches_retried")
-    bytes_shipped = _since("bytes_shipped")
-    chunks_dispatched = _since("chunks_dispatched")
-    pipeline_stalls = _since("pipeline_stalls")
-    spans_remote = _since("spans_remote")
 
     def evaluate(self, genomes):
         """Retired batch entry point (runs replay spans only); the name
@@ -169,53 +164,90 @@ class JobBackend:
 
     # -- replay spans --------------------------------------------------
 
+    def _send(self, request: wire.SpanRequest) -> None:
+        frame = bytes([OP_JOB_SPAN]) + wire.pack_job_span(self._ctx_blob,
+                                                          request)
+        self._channel.send(frame)
+        self.bytes_shipped += len(frame)
+        self.chunks_dispatched += 1
+        self._sent = True
+
+    def _release(self, *, failed: bool) -> None:
+        channel, self._channel = self._channel, None
+        self._sent = False
+        if channel is not None:
+            self._dispatch.release(channel, failed=failed)
+
     def dispatch_span(self, request: wire.SpanRequest) -> bool:
-        """Hand one span to the dispatcher without waiting; False when
-        it has no workers at all (the run then replays in-process)."""
-        return self._cd.dispatch_span(self._ctx_blob, request)
+        """Ship one span without waiting for it; False when no channel
+        is usable right now (the run then replays the rest of the slice
+        in-process, without degrading).  A failed send is left to
+        :meth:`collect_span`'s retry loop, which re-sends."""
+        self._channel = self._dispatch.lease()
+        if self._channel is None:
+            return False
+        self._span = request
+        try:
+            self._send(request)
+        except _engine.RECOVERABLE_POOL_ERRORS:
+            self._release(failed=True)
+        return True
 
     def collect_span(self) -> Optional[wire.SpanResult]:
-        """The in-flight span's result, or None when the dispatcher
-        gave up on it (out of retries: the slice degrades) or had no
-        worker (the slice finishes in-process without degrading);
-        either way the run replays the rest of the slice in-process."""
-        result = self._cd.collect_span(self._config.batch_timeout,
-                                       self._config.batch_retries)
-        if result is None:
-            if self._cd.last_failure == "exhausted":
-                self.degraded = True
-            return None
-        self.cluster_workers.update(self._cd.last_workers)
-        for _accepted, _fit, counters in result.records:
-            self.eval_full += counters[0]
-            self.eval_incremental += counters[1]
-            self.ports_resimulated += counters[2]
-        return result
+        """Block for the in-flight span, with bounded fault recovery.
 
-    def terminate(self) -> None:
-        """Immediate shutdown (SIGINT path) of an owned dispatcher."""
-        if self._owns_dispatch:
-            self._cd.terminate()
+        Each attempt waits at most ``batch_timeout``; a lost attempt
+        replaces its worker and re-sends the span one generation long
+        (any prefix replays identically, and the shortest is the
+        likeliest to get through a worker that keeps dying), up to
+        ``batch_retries`` times.  Returns None when the retries run out
+        (the slice degrades) or no channel is left to lease (it does
+        not); either way the run replays the rest of the slice
+        in-process.
+        """
+        request = self._span
+        if self._sent and not self._channel.ready():
+            # The coordinator caught up with the worker: the overlap
+            # window was shorter than the span's compute time.
+            self.pipeline_stalls += 1
+        attempt = 0
+        while True:
+            if self._channel is None:
+                self._channel = self._dispatch.lease()
+                if self._channel is None:
+                    return None
+            channel = self._channel
+            try:
+                if not self._sent:
+                    self._send(request if attempt == 0
+                               else request.head(1))
+                deadline = None if self._timeout is None \
+                    else time.monotonic() + self._timeout
+                reply = channel.recv(deadline)
+            except _engine.RECOVERABLE_POOL_ERRORS:
+                self._release(failed=True)
+                if attempt >= self._retries:
+                    self.degraded = True
+                    return None
+                attempt += 1
+                self.batches_retried += 1
+                self.worker_restarts += 1
+                continue
+            if channel.remote:
+                self._dispatch.fleet.record_span(channel.worker)
+                self.spans_remote += 1
+                self.cluster_workers.add(channel.name)
+            self._release(failed=False)
+            result = wire.unpack_span_result(memoryview(reply)[1:])
+            for _accepted, _fit, counters in result.records:
+                self.eval_full += counters[0]
+                self.eval_incremental += counters[1]
+                self.ports_resimulated += counters[2]
+            return result
 
     def close(self) -> None:
-        # A shared dispatcher outlives the slice; only a run-private
-        # one is released here.
-        if self._owns_dispatch:
-            self._cd.close()
-
-
-def process_pool_backend(spec: Sequence[TruthTable],
-                         config: RcgpConfig) -> JobBackend:
-    """The run-private pool ``EvolutionRun(workers=N)`` builds: a
-    dispatcher over one local pipe worker, owned by the returned adapter
-    (closed with it).  One worker is all a single run can use: span
-    k+1 starts from span k's final parent, so spans run one at a
-    time."""
-    spec = list(spec)
-    ctx = ("run", tuple(t.bits for t in spec), spec[0].num_vars,
-           config.to_dict())
-    return JobBackend(ClusterDispatch(local_workers=1), ctx, config,
-                      name="process-pool", owns_dispatch=True)
+        """Release a span abandoned in flight, as failed."""
+        self._release(failed=True)
 
 
 def parallel_safe_config(num_inputs: int, config: RcgpConfig) -> bool:
@@ -235,5 +267,4 @@ __all__ = [
     "JobContext",
     "init_worker",
     "parallel_safe_config",
-    "process_pool_backend",
 ]

@@ -17,10 +17,13 @@ a persistent :class:`~repro.jobs.store.JobStore`:
   seed alone: results are bit-identical whether the job runs alone,
   interleaved with any number of others, or under any slice quantum
   (including ``quantum=None``, one monolithic run).
-* **Persistence & resume.**  After every slice the incumbent is
-  checkpointed to the store (atomically).  A killed process loses at
-  most one slice; a new scheduler over the same store re-runs that
-  slice deterministically and converges to the identical final result.
+* **Persistence & resume.**  After every slice the live parent and
+  its generations since the last improvement are checkpointed to the
+  store (atomically), so the next slice continues exactly where a
+  monolithic run would be — shrink policy and stagnation limit
+  included.  A killed process loses at most one slice; a new
+  scheduler over the same store re-runs that slice deterministically
+  and converges to the identical final result.
 * **Store-served results.**  A completed job's artifact is written once
   and re-submitting the same :class:`~repro.jobs.spec.JobSpec` (same
   spec hash) returns it without any re-evaluation.
@@ -51,7 +54,7 @@ from typing import Dict, List, Optional, Sequence
 
 from ..core.config import RcgpConfig
 from ..core.engine import (COUNTER_FIELDS, EvolutionResult, EvolutionRun,
-                           TelemetryWriter, merge_slice)
+                           TelemetryWriter, merge_slice, slice_stopped)
 from ..core.fitness import Fitness
 from ..core.synthesis import (BaselineResult, SynthesisResult,
                               baseline_initialization)
@@ -201,11 +204,14 @@ class Scheduler:
         (no resume across processes, results still served within the
         session).
     workers:
-        Global offspring-evaluation budget shared by *all* jobs.  ``0``
-        or ``1`` evaluates inline; ``N > 1`` routes every parallel-safe
-        job's replay spans through one
+        Global offspring-evaluation budget shared by *all* jobs — the
+        only place (with :class:`~repro.api.Session`) that starts
+        worker processes.  ``0`` or ``1`` evaluates inline; ``N > 1``
+        routes every parallel-safe job's replay spans through one
         :class:`~repro.cluster.backend.ClusterDispatch` over ``N`` local
-        pipe workers (backend label ``shared-pool``).
+        pipe workers (backend label ``shared-pool``); each slice leases
+        its channel through its own
+        :class:`~repro.jobs.pool.JobBackend` handle.
     quantum:
         Generations per job per tick.  ``None`` runs each job's whole
         remaining budget in one slice (legacy single-run semantics);
@@ -420,9 +426,10 @@ class Scheduler:
             resuming = checkpoint is not None \
                 and job._live_evolution is None
             if checkpoint is not None:
-                incumbent, done = checkpoint
+                incumbent, done, stagnation = checkpoint
             else:
-                incumbent, done = self._start_job(job, record), 0
+                incumbent, done, stagnation = \
+                    self._start_job(job, record), 0, 0
             if done > 0 and job._live_evolution is None:
                 # Resumed from another process's checkpoint: the live
                 # merge would miss earlier slices, so the finished job
@@ -446,9 +453,11 @@ class Scheduler:
             remaining = config.generations - done
             budget = remaining if self.quantum is None \
                 else min(self.quantum, remaining)
+            # The result gate runs once, when the job finishes, on the
+            # plan the result reports (_finalize), not on every slice.
             slice_config = config.replace(
-                generations=budget,
-                workers=0, telemetry_path=None)
+                generations=budget, telemetry_path=None,
+                verify_result=False)
             backend = None
             pooled = self.workers > 1 or (
                 self.fleet is not None and self.fleet.live_count() > 0)
@@ -464,10 +473,14 @@ class Scheduler:
                     self._dispatcher(), ctx, slice_config,
                     name="cluster" if self.fleet is not None
                     else "shared-pool")
-            result = EvolutionRun(spec, slice_config, initial=incumbent,
-                                  name=job.name, telemetry=telemetry,
-                                  backend=backend, generation_offset=done
-                                  ).run()
+            try:
+                result = EvolutionRun(
+                    spec, slice_config, initial=incumbent, name=job.name,
+                    telemetry=telemetry, backend=backend,
+                    generation_offset=done, stagnation=stagnation).run()
+            finally:
+                if backend is not None:
+                    backend.close()
             if not self.store.refresh_lease(job.id):
                 # Our lease is gone: this process stalled past the TTL
                 # and another scheduler adopted the job.  Its
@@ -481,10 +494,11 @@ class Scheduler:
             job._live_evolution = merge_slice(job._live_evolution, result,
                                               done)
             done += result.generations
-            self.store.save_checkpoint(job.id, result.netlist, done, config)
+            self.store.save_checkpoint(job.id, result.parent, done, config,
+                                       stagnation=result.stagnation)
             self._accumulate(record, result, done)
             finished = done >= config.generations \
-                or result.generations < budget or result.interrupted
+                or slice_stopped(result, budget, config)
             if telemetry is not None:
                 # Worker identity for cluster slices: which remote
                 # workers served frames, and how many replay spans ran
@@ -558,6 +572,22 @@ class Scheduler:
                   telemetry: Optional[TelemetryWriter]) -> None:
         final = result.netlist
         plan = optimal_levels(final)
+        config = job.spec.config
+        verified = False
+        if config.verify_result:
+            # The result gate, once per job, on the buffer plan the
+            # result reports; imported at call time, as the engine
+            # does, so a wrapper installed on the module sees the call.
+            from ..core.verify import verify_evolution_result
+            report = verify_evolution_result(final, job.spec.spec, config,
+                                             plan=plan)
+            verified = True
+            if telemetry is not None:
+                telemetry.emit(
+                    "verify", exhaustive=report.exhaustive,
+                    simulated_patterns=report.simulated_patterns,
+                    sat_checked=report.sat_checked,
+                    sat_conflicts=report.sat_conflicts)
         cost = circuit_cost(final, plan,
                             runtime=float(record.get("runtime", 0.0)))
         baseline = self.store.load_baseline(job.id) or {
@@ -576,7 +606,7 @@ class Scheduler:
             "runtime": record["runtime"],
             "backend": record["backend"],
             "degraded_to_inline": record["degraded"],
-            "verified": result.verified,
+            "verified": verified,
         }
         for field in COUNTER_FIELDS:
             payload[field] = record[field]
@@ -588,8 +618,10 @@ class Scheduler:
             telemetry.emit("job_end", generations=done,
                            cost=cost.as_row(),
                            fitness_key=list(Fitness(*record["fitness"])
-                                            .key()))
+                                            .key()),
+                           verified=verified)
         if live is not None:
+            live.verified = verified
             initial = job._baseline
             if initial is None:
                 # Started by another process: only its stored baseline

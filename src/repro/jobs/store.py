@@ -6,7 +6,7 @@ hash::
     <store root>/
         <job_id>/
             job.json          # record: spec, config, state, counters
-            checkpoint.json   # rcgp-checkpoint v2 (incumbent + progress)
+            checkpoint.json   # rcgp-checkpoint v2 (live parent + progress)
             baseline.json     # initialization netlist + its cost
             result.json       # final artifact once the job is done
             lease.json        # liveness lock of the owning scheduler
@@ -625,11 +625,14 @@ class JobStore:
     # -- checkpoints ---------------------------------------------------
 
     def save_checkpoint(self, job_id: str, netlist: RqfpNetlist,
-                        generations_done: int, config: RcgpConfig) -> None:
-        """Persist the incumbent parent (the standard checkpoint
-        document, so job checkpoints and
-        :func:`repro.core.restart.load_checkpoint` stay interchangeable)."""
-        payload = checkpoint_payload(netlist, generations_done, config)
+                        generations_done: int, config: RcgpConfig, *,
+                        stagnation: int = 0) -> None:
+        """Persist the live parent and its generations since the last
+        improvement (the standard checkpoint document, so job
+        checkpoints and :func:`repro.core.restart.load_checkpoint` stay
+        interchangeable)."""
+        payload = checkpoint_payload(netlist, generations_done, config,
+                                     stagnation=stagnation)
         if self.root is None:
             slot = self._slot(job_id)
             slot["checkpoint"] = payload
@@ -640,8 +643,10 @@ class JobStore:
                            durable=self.durable)
 
     def load_checkpoint(self, job_id: str) \
-            -> Optional[Tuple[RqfpNetlist, int]]:
-        """The incumbent netlist and generations completed, if any."""
+            -> Optional[Tuple[RqfpNetlist, int, int]]:
+        """The live parent, generations completed and generations since
+        the last improvement (0 in checkpoints that predate the count),
+        if any."""
         if self.root is None:
             payload = self._slot(job_id).get("checkpoint")
         else:
@@ -650,7 +655,8 @@ class JobStore:
         if payload is None:
             return None
         return (netlist_from_dict(payload["netlist"]),
-                int(payload["generations_done"]))
+                int(payload["generations_done"]),
+                int(payload.get("stagnation", 0)))
 
     def checkpoint_mtime(self, job_id: str) -> Optional[float]:
         """When the job's checkpoint was last written (epoch seconds).

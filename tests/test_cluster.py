@@ -18,7 +18,7 @@ import time
 
 import pytest
 
-from repro.cluster import ClusterDispatch, ClusterFleet, run_worker
+from repro.cluster import ClusterFleet, run_worker
 from repro.cluster import protocol
 from repro.cluster.worker import parse_endpoint
 from repro.core import transport, wire
@@ -27,8 +27,8 @@ from repro.core.engine import RECOVERABLE_POOL_ERRORS, EvolutionRun
 from repro.errors import (ClusterAuthError, ClusterError,
                           ClusterVersionSkew, FrameError, FrameTooLarge,
                           FrameTruncated, UnknownOpcode, WorkerPoolError)
-from repro.jobs.pool import JobBackend
 from repro.logic.truth_table import TruthTable
+from tests.pooled import pooled_run
 
 TOKEN = "test-cluster-token"
 
@@ -43,7 +43,7 @@ def _spec():
 def _config(**overrides):
     # eval_cache_size is inert (the memo cache is retired); every
     # pooled run rides the pipelined span protocol.
-    base = dict(generations=300, seed=11, shrink="always", workers=0,
+    base = dict(generations=300, seed=11, shrink="always",
                 eval_cache_size=0)
     base.update(overrides)
     return RcgpConfig(**base)
@@ -70,20 +70,6 @@ def _wait_live(fleet, count, timeout=30.0):
         time.sleep(0.05)
     raise AssertionError(
         f"fleet has {fleet.live_count()} live workers, wanted {count}")
-
-
-def _run_cluster(spec, config, fleet, *, local_workers=0):
-    """One EvolutionRun over a JobBackend on a fleet dispatch; returns
-    (run, dispatch, backend) with the dispatch closed."""
-    dispatch = ClusterDispatch(fleet, local_workers=local_workers)
-    ctx = ("test-job", tuple(t.bits for t in spec), spec[0].num_vars,
-           config.to_dict())
-    backend = JobBackend(dispatch, ctx, config, name="cluster")
-    try:
-        run = EvolutionRun(spec, config, backend=backend).run()
-    finally:
-        dispatch.close()
-    return run, dispatch, backend
 
 
 def _assert_identical(run, serial):
@@ -263,7 +249,7 @@ class TestClusterDeterminism:
         spec = _spec()
         config = _config()
         serial = EvolutionRun(spec, config).run()
-        pool = EvolutionRun(spec, _config(workers=2)).run()
+        pool, _ = pooled_run(spec, config)
         _assert_identical(pool, serial)
 
         fleet = ClusterFleet(token=TOKEN, heartbeat=2.0).start()
@@ -271,10 +257,10 @@ class TestClusterDeterminism:
                  _spawn_worker(fleet.port, "det-w2")]
         try:
             _wait_live(fleet, 2)
-            remote, r_dispatch, r_backend = _run_cluster(
-                spec, config, fleet)
-            mixed, m_dispatch, m_backend = _run_cluster(
-                spec, config, fleet, local_workers=2)
+            remote, r_backend = pooled_run(spec, config, fleet=fleet,
+                                           local_workers=0)
+            mixed, m_backend = pooled_run(spec, config, fleet=fleet,
+                                          local_workers=2)
         finally:
             fleet.close()
             for proc in procs:
@@ -283,7 +269,7 @@ class TestClusterDeterminism:
         _assert_identical(remote, serial)
         _assert_identical(mixed, serial)
         # The remote run really rode the fleet.
-        assert r_dispatch.spans_remote > 0
+        assert r_backend.spans_remote > 0
         assert r_backend.cluster_workers <= {"det-w1", "det-w2"}
         assert r_backend.cluster_workers
         assert r_backend.bytes_shipped > 0
@@ -295,12 +281,14 @@ class TestClusterDeterminism:
         config = _config(generations=120)
         serial = EvolutionRun(spec, config).run()
         with ClusterFleet(token=TOKEN) as fleet:
-            run, dispatch, backend = _run_cluster(spec, config, fleet)
+            run, backend = pooled_run(spec, config, fleet=fleet,
+                                      local_workers=0)
         _assert_identical(run, serial)
         # Nobody connected is cluster weather, not machine breakage:
-        # the slice inlines without flipping the degraded latch.
+        # the slice inlines without flipping the degraded latch, and
+        # no channel was ever leased, so no span went out.
         assert not backend.degraded
-        assert dispatch.last_failure == "no_channels"
+        assert backend.chunks_dispatched == 0
         assert backend.cluster_workers == set()
 
 
@@ -324,14 +312,15 @@ class TestClusterFaultTolerance:
                  _spawn_worker(fleet.port, "doomed-2", env=env)]
         try:
             _wait_live(fleet, 2)
-            run, dispatch, backend = _run_cluster(spec, config, fleet)
+            run, backend = pooled_run(spec, config, fleet=fleet,
+                                      local_workers=0)
         finally:
             fleet.close()
             for proc in procs:
                 proc.terminate()
                 proc.join(timeout=10)
         _assert_identical(run, serial)
-        assert dispatch.batches_retried + dispatch.worker_restarts > 0
+        assert backend.batches_retried + backend.worker_restarts > 0
 
     def test_sigkill_one_worker_mid_run_bit_identical(self):
         spec = _spec()
@@ -349,7 +338,8 @@ class TestClusterFaultTolerance:
         try:
             _wait_live(fleet, 2)
             killer.start()
-            run, dispatch, backend = _run_cluster(spec, config, fleet)
+            run, backend = pooled_run(spec, config, fleet=fleet,
+                                      local_workers=0)
         finally:
             killer.cancel()
             fleet.close()

@@ -1,18 +1,18 @@
 """Unit tests for the evolution engine (run API, backends, telemetry).
 
-The engine's headline guarantee is **determinism across worker
-counts**: for a fixed seed, ``workers=0``, ``workers=1`` and
-``workers=4`` must produce bit-identical results — same fitness key,
-same chromosome, same evaluation count.
+The engine's headline guarantee is **determinism across backends**:
+for a fixed seed, an in-process run and a run whose spans replay on
+pool workers (``tests/pooled.py``) must produce bit-identical results —
+same fitness key, same chromosome, same evaluation count.
 """
 
 import io
 import json
-import multiprocessing
 import os
 
 import pytest
 
+from repro.api import Session
 from repro.bench.registry import get_benchmark
 from repro.core.config import RcgpConfig
 from repro.core.engine import (
@@ -34,6 +34,7 @@ from repro.core.restart import (
 )
 from repro.core.synthesis import initialize_netlist
 from repro.logic.truth_table import TruthTable, tabulate_word
+from tests.pooled import pooled_run
 from tests.reference_loop import engine_signature, textbook_run
 
 
@@ -83,7 +84,7 @@ class TestConfigSerialization:
             verify_with_sat=False, verify_method="bdd",
             sat_conflict_budget=777, stagnation_limit=55,
             time_budget=1.5, count_buffers_in_fitness=False,
-            simplify_wires=False, track_history=True, workers=2,
+            simplify_wires=False, track_history=True,
             eval_cache_size=10, telemetry_path="/tmp/t.jsonl",
             enable_output_mutation=False)
         assert RcgpConfig.from_dict(config.to_dict()) == config
@@ -94,12 +95,13 @@ class TestConfigSerialization:
         config = RcgpConfig.from_dict({"generations": 5,
                                        "future_knob": "ignored",
                                        "kernel": "object",
-                                       "incremental_eval": False})
+                                       "incremental_eval": False,
+                                       "workers": 8})
         assert config == RcgpConfig(generations=5)
 
     def test_invalid_new_fields_rejected(self):
-        with pytest.raises(ValueError):
-            RcgpConfig(workers=-1)
+        with pytest.raises(TypeError):
+            RcgpConfig(workers=2)  # worker counts belong to a Session
         with pytest.raises(ValueError):
             RcgpConfig(eval_cache_size=-1)
 
@@ -133,16 +135,28 @@ class TestFitnessTotalOrder:
 
 
 class TestDeterminismAcrossWorkers:
-    """Same seed + spec must be bit-identical for workers in {0, 1, 4}."""
+    """Same seed + spec must be bit-identical in-process, in a
+    one-worker session (which evaluates inline) and on a four-worker
+    dispatcher."""
+
+    def _config(self, **overrides):
+        kwargs = dict(generations=50, mutation_rate=0.1, seed=11,
+                      offspring=4, shrink="always")
+        kwargs.update(overrides)
+        return RcgpConfig(**kwargs)
 
     def _run(self, workers, **overrides):
         spec = _decoder_spec()
         initial = initialize_netlist(spec, "decoder")
-        kwargs = dict(generations=50, mutation_rate=0.1, seed=11,
-                      offspring=4, shrink="always", workers=workers)
-        kwargs.update(overrides)
-        return EvolutionRun(spec, RcgpConfig(**kwargs),
-                            initial=initial).run()
+        config = self._config(**overrides)
+        if workers == 0:
+            return EvolutionRun(spec, config, initial=initial).run()
+        if workers == 1:
+            with Session(workers=1) as session:
+                return session.synthesize(spec, config,
+                                          initial=initial).evolution
+        return pooled_run(spec, config, local_workers=workers,
+                          initial=initial)[0]
 
     def test_serial_and_parallel_bit_identical(self):
         serial = self._run(workers=0)
@@ -150,7 +164,7 @@ class TestDeterminismAcrossWorkers:
         pooled = self._run(workers=4)
         assert serial.backend == "inline"
         assert one.backend == "inline"
-        assert pooled.backend == "process-pool"
+        assert pooled.backend == "shared-pool"
         assert serial.fitness.key() == one.fitness.key() == \
             pooled.fitness.key()
         assert serial.netlist.describe() == one.netlist.describe() == \
@@ -160,10 +174,12 @@ class TestDeterminismAcrossWorkers:
 
     def test_unsafe_parallel_falls_back_to_inline(self):
         # Sampled simulation with SAT feedback mutates the evaluator, so
-        # the engine must refuse the pool and evaluate inline.
-        result = self._run(workers=4, exhaustive_input_limit=1,
-                           simulation_patterns=16, generations=5)
-        assert result.backend == "inline"
+        # a session with workers must keep the job's slices in-process.
+        config = self._config(exhaustive_input_limit=1,
+                              simulation_patterns=16, generations=5)
+        with Session(workers=4) as session:
+            result = session.synthesize(_decoder_spec(), config)
+        assert result.evolution.backend == "inline"
 
     def test_parallel_safe_predicate(self):
         num_inputs = _decoder_spec()[0].num_vars
@@ -200,12 +216,13 @@ class TestReferenceLoop:
         config = RcgpConfig(generations=600, seed=1, shrink=shrink,
                             track_history=True, **mutation)
         reference = textbook_run(spec, config, initial)
-        for workers in (0, 2):
-            result = EvolutionRun(spec, config.replace(workers=workers),
-                                  initial=initial, name=name).run()
-            assert result.backend == ("inline" if workers == 0
-                                      else "process-pool")
-            assert engine_signature(result) == reference
+        inline = EvolutionRun(spec, config, initial=initial,
+                              name=name).run()
+        pooled, _ = pooled_run(spec, config, initial=initial, name=name)
+        assert inline.backend == "inline"
+        assert engine_signature(inline) == reference
+        assert pooled.backend == "shared-pool"
+        assert engine_signature(pooled) == reference
 
 
 class TestTelemetryAcrossWorkers:
@@ -221,13 +238,16 @@ class TestTelemetryAcrossWorkers:
         spec = get_benchmark(name).spec()
         initial = initialize_netlist(spec, name)
         streams = []
-        for workers, check in ((0, ""), (2, ""), (0, "1")):
+        config = RcgpConfig(generations=300, seed=2, **mutation)
+        for pooled, check in ((False, ""), (True, ""), (False, "1")):
             monkeypatch.setenv("RCGP_CHECK_INCREMENTAL", check)
             handle = io.StringIO()
-            config = RcgpConfig(generations=300, seed=2, workers=workers,
-                                **mutation)
-            EvolutionRun(spec, config, initial=initial, name=name,
-                         telemetry=TelemetryWriter(handle)).run()
+            options = dict(initial=initial, name=name,
+                           telemetry=TelemetryWriter(handle))
+            if pooled:
+                pooled_run(spec, config, **options)
+            else:
+                EvolutionRun(spec, config, **options).run()
             events = [json.loads(line)
                       for line in handle.getvalue().splitlines()]
             generations = [event for event in events
@@ -247,7 +267,7 @@ class TestTelemetryAcrossWorkers:
         initial = initialize_netlist(spec, "ham3")
         config = RcgpConfig(generations=300, seed=3, exhaustive_input_limit=1,
                             simulation_patterns=8, mutation_rate=0.08,
-                            max_mutated_genes=8, workers=2)
+                            max_mutated_genes=8)
         trace = []
         textbook_run(spec, config, initial, trace)
         handle = io.StringIO()
@@ -308,7 +328,7 @@ class TestTelemetry:
         result = EvolutionRun(spec, config, initial=initial).run()
         events = read_telemetry(path)
         assert events[0]["event"] == "run_start"
-        assert events[0]["workers"] == 0
+        assert events[0]["backend"] == "inline"
         assert events[-1]["event"] == "run_end"
         assert events[-1]["evaluations"] == result.evaluations
         generations = [e for e in events if e["event"] == "generation"]
@@ -474,39 +494,11 @@ class TestMultiStartFullConfig:
         assert len(keys) == 2
 
     def test_nested_parallelism_is_disabled_per_start(self):
-        # workers in the fanned-out config must not spawn pools inside
-        # pool workers; the run still completes correctly.
+        # Starts share the portfolio's one pool (a config carries no
+        # worker count of its own); the run still completes correctly.
         spec = _xor_spec()
-        config = RcgpConfig(generations=60, mutation_rate=0.1, workers=4,
+        config = RcgpConfig(generations=60, mutation_rate=0.1,
                             shrink="always")
         best, keys = multi_start(spec, seeds=[1, 2], config=config,
                                  parallel=True)
         assert best.to_truth_tables() == spec
-
-
-class TestEngineBackends:
-    def test_pool_run_starts_one_worker(self):
-        """Span k+1 starts from span k's final parent, so one run keeps
-        one worker busy: ``workers=3`` starts a single worker process
-        and lands exactly where ``workers=0`` does."""
-        spec = _decoder_spec()
-        config = RcgpConfig(generations=300, mutation_rate=0.1, seed=3,
-                            shrink="always")
-        before = {child.pid for child in multiprocessing.active_children()}
-        live = []
-
-        def progress(generation, fitness):
-            live.append(len({child.pid for child in
-                             multiprocessing.active_children()} - before))
-
-        pooled = EvolutionRun(spec, config.replace(workers=3),
-                              progress=progress).run()
-        inline = EvolutionRun(spec, config).run()
-        assert pooled.backend == "process-pool"
-        assert pooled.chunks_dispatched > 0
-        assert live and set(live) == {1}
-        for field in ("generations", "evaluations", "eval_full",
-                      "eval_incremental", "ports_resimulated"):
-            assert getattr(pooled, field) == getattr(inline, field)
-        assert pooled.fitness.key() == inline.fitness.key()
-        assert pooled.netlist.describe() == inline.netlist.describe()

@@ -26,20 +26,23 @@ from repro.core.engine import (
 from repro.core.fitness import Evaluator
 from repro.core.synthesis import initialize_netlist
 from repro.errors import WorkerPoolError
-from repro.jobs.pool import process_pool_backend
 from repro.logic.truth_table import tabulate_word
+from tests.pooled import pooled_backend, pooled_run
 
 
 def _decoder_spec():
     return tabulate_word(lambda x: 1 << x, 2, 4)
 
 
-def _run(workers, **overrides):
+def _run(pooled, **overrides):
     spec = _decoder_spec()
     kwargs = dict(generations=40, mutation_rate=0.1, seed=11,
-                  offspring=4, shrink="always", workers=workers)
+                  offspring=4, shrink="always")
     kwargs.update(overrides)
-    return EvolutionRun(spec, RcgpConfig(**kwargs)).run()
+    config = RcgpConfig(**kwargs)
+    if pooled:
+        return pooled_run(spec, config)[0]
+    return EvolutionRun(spec, config).run()
 
 
 @pytest.fixture
@@ -63,14 +66,14 @@ def _span_request(parent, config, count, start_gen=1):
 
 class TestCrashRecovery:
     def test_crashing_workers_recovered_bit_identical(self, monkeypatch):
-        serial = _run(workers=0)
+        serial = _run(pooled=False)
         # Every worker process hard-exits (os._exit, no cleanup) after
         # its 7th evaluation; at ~2 evaluations per worker per
         # generation the run must survive several BrokenProcessPool
         # storms, respawning the pool and re-dispatching each time.
         monkeypatch.setenv("RCGP_TEST_CRASH_AFTER_EVALS", "7")
-        crashed = _run(workers=2)
-        assert crashed.backend == "process-pool"
+        crashed = _run(pooled=True)
+        assert crashed.backend == "shared-pool"
         assert crashed.worker_restarts > 0
         assert crashed.batches_retried > 0
         assert not crashed.degraded_to_inline
@@ -79,13 +82,13 @@ class TestCrashRecovery:
         assert crashed.generations == serial.generations
 
     def test_exhausted_retries_degrade_to_inline(self, monkeypatch):
-        serial = _run(workers=0)
+        serial = _run(pooled=False)
         # Workers die on their *first* evaluation and retries are
         # forbidden: the first batch must degrade the backend, and the
         # whole run completes inline — still bit-identical.
         monkeypatch.setenv("RCGP_TEST_CRASH_AFTER_EVALS", "1")
-        degraded = _run(workers=2, batch_retries=0)
-        assert degraded.backend == "process-pool"
+        degraded = _run(pooled=True, batch_retries=0)
+        assert degraded.backend == "shared-pool"
         assert degraded.degraded_to_inline
         assert degraded.worker_restarts == 0  # no retry budget to spend
         assert degraded.fitness.key() == serial.fitness.key()
@@ -95,7 +98,7 @@ class TestCrashRecovery:
     def test_fault_counters_reach_telemetry(self, monkeypatch, tmp_path):
         path = tmp_path / "faults.jsonl"
         monkeypatch.setenv("RCGP_TEST_CRASH_AFTER_EVALS", "7")
-        result = _run(workers=2, telemetry_path=str(path))
+        result = _run(pooled=True, telemetry_path=str(path))
         events = read_telemetry(str(path))
         faults = [e for e in events if e["event"] == "worker_fault"]
         assert faults, "no worker_fault events despite injected crashes"
@@ -109,12 +112,12 @@ class TestCrashRecovery:
 
 class TestHangRecovery:
     def test_hung_worker_times_out_and_degrades(self, monkeypatch):
-        serial = _run(workers=0, generations=10)
+        serial = _run(pooled=False, generations=10)
         # Workers wedge (sleep 600s) on their first evaluation; with a
         # short batch_timeout and no retries the backend must kill the
         # hung processes and finish the run inline, well under 600s.
         monkeypatch.setenv("RCGP_TEST_HANG_AFTER_EVALS", "1")
-        hung = _run(workers=2, generations=10,
+        hung = _run(pooled=True, generations=10,
                     batch_timeout=0.5, batch_retries=0)
         assert hung.degraded_to_inline
         assert hung.fitness.key() == serial.fitness.key()
@@ -141,7 +144,7 @@ class TestInterrupt:
         path = tmp_path / "interrupted.jsonl"
         spec = _decoder_spec()
         config = RcgpConfig(generations=200, mutation_rate=0.1, seed=11,
-                            offspring=4, shrink="always", workers=0)
+                            offspring=4, shrink="always")
         with open(path, "w") as handle:
             telemetry = self._InterruptingTelemetry(handle, after=5)
             result = EvolutionRun(spec, config,
@@ -157,13 +160,12 @@ class TestInterrupt:
         path = tmp_path / "interrupted_pool.jsonl"
         spec = _decoder_spec()
         config = RcgpConfig(generations=200, mutation_rate=0.1, seed=11,
-                            offspring=4, shrink="always", workers=2)
+                            offspring=4, shrink="always")
         with open(path, "w") as handle:
             telemetry = self._InterruptingTelemetry(handle, after=3)
-            result = EvolutionRun(spec, config,
-                                  telemetry=telemetry).run()
+            result, _ = pooled_run(spec, config, telemetry=telemetry)
         assert result.interrupted
-        assert result.backend == "process-pool"
+        assert result.backend == "shared-pool"
         assert result.fitness.functional
 
 
@@ -190,8 +192,7 @@ class TestBackendInternals:
         spec = _decoder_spec()
         config = RcgpConfig(seed=3, offspring=2, mutation_rate=0.1)
         request = _span_request(initialize_netlist(spec), config, count=3)
-        backend = process_pool_backend(spec, config)
-        try:
+        with pooled_backend(spec, config) as backend:
             assert backend.dispatch_span(request)
             result = backend.collect_span()
             assert result is not None
@@ -207,15 +208,6 @@ class TestBackendInternals:
             assert [backend.eval_full, backend.eval_incremental,
                     backend.ports_resimulated] == counted
             assert backend.eval_full + backend.eval_incremental == 2
-        finally:
-            backend.close()
-
-    def test_terminate_is_safe_and_idempotent(self):
-        spec = _decoder_spec()
-        backend = process_pool_backend(spec, RcgpConfig(seed=0))
-        backend.terminate()
-        backend.terminate()
-        backend.close()
 
 
 class TestWorkerEpochInvalidation:
@@ -295,9 +287,5 @@ class TestWorkerEpochInvalidation:
                             offspring=4, shrink="always",
                             exhaustive_input_limit=1,
                             simulation_patterns=16)
-        backend = process_pool_backend(spec, config)
-        try:
-            result = EvolutionRun(spec, config, backend=backend).run()
-        finally:
-            backend.close()
+        result, _ = pooled_run(spec, config)
         assert result.fitness.functional

@@ -25,6 +25,7 @@ from repro.core.simstate import SimulationState
 from repro.core.synthesis import initialize_netlist
 from repro.core.windowing import windowed_optimize
 from repro.logic.truth_table import TruthTable
+from tests.pooled import pooled_run
 from tests.reference_loop import engine_signature, textbook_run
 
 
@@ -304,10 +305,9 @@ class TestEngineIntegration:
         benchmark = get_benchmark("decoder_2_4")
         spec = benchmark.spec()
         config = RcgpConfig(generations=25, offspring=8, mutation_rate=0.2,
-                            max_mutated_genes=4, seed=31, workers=2)
-        pooled = EvolutionRun(spec, config, name="decoder_2_4").run()
-        inline = EvolutionRun(
-            spec, config.replace(workers=0), name="decoder_2_4").run()
+                            max_mutated_genes=4, seed=31)
+        pooled, _ = pooled_run(spec, config, name="decoder_2_4")
+        inline = EvolutionRun(spec, config, name="decoder_2_4").run()
         assert pooled.fitness.key() == inline.fitness.key()
         assert pooled.netlist.describe() == inline.netlist.describe()
         assert pooled.eval_incremental > 0

@@ -46,11 +46,12 @@ class TestJobSpec:
     def test_job_id_stable_and_operational_fields_ignored(self):
         spec = tuple(_xor_and_spec())
         a = JobSpec(spec, RcgpConfig(generations=100, seed=1))
-        b = JobSpec(spec, RcgpConfig(generations=100, seed=1, workers=8,
-                                     eval_cache_size=17,
-                                     telemetry_path="/tmp/x.jsonl",
-                                     batch_retries=9, track_history=True,
-                                     verify_result=True))
+        # A stored config or HTTP body may still carry the retired
+        # worker count; it loads and hashes like any operational knob.
+        b = JobSpec(spec, RcgpConfig.from_dict(dict(
+            generations=100, seed=1, workers=8, eval_cache_size=17,
+            telemetry_path="/tmp/x.jsonl", batch_retries=9,
+            track_history=True, verify_result=True)))
         assert a.job_id == b.job_id
 
     def test_search_relevant_fields_change_identity(self):
@@ -129,9 +130,12 @@ class TestJobStore:
         config = RcgpConfig(generations=50, seed=9)
         netlist = initialize_netlist(_xor_and_spec())
         store.save_checkpoint("j1", netlist, 30, config)
-        loaded, done = store.load_checkpoint("j1")
+        loaded, done, stagnation = store.load_checkpoint("j1")
         assert done == 30
+        assert stagnation == 0
         assert netlist_to_dict(loaded) == netlist_to_dict(netlist)
+        store.save_checkpoint("j1", netlist, 40, config, stagnation=12)
+        assert store.load_checkpoint("j1")[1:] == (40, 12)
         assert store.load_checkpoint("absent") is None
 
 
@@ -372,6 +376,67 @@ class TestSharedWorkerPool:
         assert ends[1]["chunks_dispatched"] > 0
         assert _chromosome(pooled) == _chromosome(twin)
         assert pooled.evolution.evaluations == twin.evolution.evaluations
+
+    def test_interrupted_slice_releases_its_span(self, tmp_path,
+                                                 monkeypatch):
+        # A KeyboardInterrupt lands while job A's slice has a span in
+        # flight on the shared pool.  The slice's handle owns that span
+        # and is closed with the slice, so job B — next on the same
+        # dispatcher — never reads A's late reply as its own.
+        from repro.core.engine import COUNTER_FIELDS, TelemetryWriter
+        from repro.jobs.pool import JobBackend
+        spec = _decoder_spec()
+        config_a = RcgpConfig(generations=400, seed=7,
+                              telemetry_path=str(tmp_path / "a.jsonl"))
+        config_b = RcgpConfig(generations=120, seed=8)
+        with Scheduler() as scheduler:
+            twin = scheduler.submit(spec, config_b)
+            scheduler.run()
+            twin = twin.result().evolution
+
+        live = {"span": False}
+        fired = []
+        dispatch, collect = JobBackend.dispatch_span, JobBackend.collect_span
+        emit = TelemetryWriter.emit
+
+        def tracking_dispatch(self, request):
+            live["span"] = dispatch(self, request)
+            return live["span"]
+
+        def tracking_collect(self):
+            live["span"] = False
+            return collect(self)
+
+        def interrupting_emit(self, event, **fields):
+            emit(self, event, **fields)
+            if event == "generation" and live["span"] and not fired \
+                    and fields["generation"] > 20:
+                fired.append(fields["generation"])
+                raise KeyboardInterrupt
+
+        monkeypatch.setattr(JobBackend, "dispatch_span", tracking_dispatch)
+        monkeypatch.setattr(JobBackend, "collect_span", tracking_collect)
+        monkeypatch.setattr(TelemetryWriter, "emit", interrupting_emit)
+        with Scheduler(workers=2) as scheduler:
+            job_a = scheduler.submit(spec, config_a)
+            scheduler.run()
+            interrupted = job_a.result().evolution
+            job_b = scheduler.submit(spec, config_b)
+            scheduler.run()
+            pooled = job_b.result().evolution
+        assert fired, "the interrupt never landed mid-span"
+        assert interrupted.interrupted
+        assert interrupted.generations < config_a.generations
+        assert pooled.backend == "shared-pool"
+        assert pooled.chunks_dispatched > 0
+        assert not pooled.degraded_to_inline
+        assert pooled.netlist.describe() == twin.netlist.describe()
+        assert pooled.fitness.key() == twin.fitness.key()
+        assert pooled.generations == twin.generations
+        for field in COUNTER_FIELDS:
+            if field not in ("bytes_shipped", "chunks_dispatched",
+                             "pipeline_stalls"):
+                assert getattr(pooled, field) == getattr(twin, field), field
 
     def test_parallel_safe_config(self):
         safe = RcgpConfig(seed=1)

@@ -28,6 +28,7 @@ from repro.logic.bitops import full_mask, variable_pattern
 from repro.rqfp.buffers import estimate_buffers
 from repro.rqfp.netlist import CONST_PORT
 from repro.rqfp.splitters import insert_splitters
+from tests.pooled import pooled_run
 from tests.reference_loop import engine_signature, textbook_run
 
 pytestmark = []
@@ -398,13 +399,12 @@ class TestEngineEquality:
 
     @pytest.mark.slow
     def test_flat_pool_matches_serial(self):
-        """workers=2 with the flat kernel is bit-identical to serial."""
+        """A pooled run on the flat kernel is bit-identical to serial."""
         benchmark = get_benchmark("decoder_2_4")
         spec = benchmark.spec()
         config = RcgpConfig(generations=25, offspring=8, mutation_rate=0.2,
-                            max_mutated_genes=4, seed=31, workers=2)
-        pooled = EvolutionRun(spec, config, name="decoder_2_4").run()
-        serial = EvolutionRun(
-            spec, config.replace(workers=0), name="decoder_2_4").run()
+                            max_mutated_genes=4, seed=31)
+        pooled, _ = pooled_run(spec, config, name="decoder_2_4")
+        serial = EvolutionRun(spec, config, name="decoder_2_4").run()
         assert pooled.fitness.key() == serial.fitness.key()
         assert pooled.netlist.describe() == serial.netlist.describe()

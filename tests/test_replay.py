@@ -30,16 +30,24 @@ from repro.bench.registry import get_benchmark
 from repro.core.config import RcgpConfig
 from repro.core.engine import EvolutionRun, encode_genome
 from repro.core.synthesis import initialize_netlist
+from tests.pooled import pooled_run
 
 GENERATIONS = 120
 
 
-def _config(workers, **kwargs):
+def _config(**kwargs):
     base = dict(mutation_rate=0.08, max_mutated_genes=8, seed=2024,
                 eval_cache_size=0, shrink="on_improvement",
-                generations=GENERATIONS, workers=workers)
+                generations=GENERATIONS)
     base.update(kwargs)
     return RcgpConfig(**base)
+
+
+def _evolve(spec, config, workers, **options):
+    """In-process with ``workers=0``, else through the pooled helper."""
+    if workers == 0:
+        return EvolutionRun(spec, config, **options).run()
+    return pooled_run(spec, config, local_workers=workers, **options)[0]
 
 
 def _signature(result):
@@ -62,8 +70,8 @@ def intdiv9():
 
 
 def _run(spec, initial, workers, **kwargs):
-    return EvolutionRun(spec, _config(workers, **kwargs), initial=initial,
-                        name="intdiv9").run()
+    return _evolve(spec, _config(**kwargs), workers, initial=initial,
+                   name="intdiv9")
 
 
 class TestFourPathEquality:
@@ -76,7 +84,7 @@ class TestFourPathEquality:
         serial = _signature(_run(spec, initial, workers=0, shrink=shrink))
 
         replay = _run(spec, initial, workers=2, shrink=shrink)
-        assert replay.backend == "process-pool"
+        assert replay.backend == "shared-pool"
         assert _signature(replay) == serial
         # Replay actually engaged: spans crossed the wire.
         assert replay.chunks_dispatched > 0
@@ -105,19 +113,16 @@ class TestFourPathEquality:
         netlist = random_rqfp(3, 10, 2, random.Random(42))
         spec = netlist.to_truth_tables()
         initial = initialize_netlist(spec)
-        serial = _signature(EvolutionRun(
-            spec, _config(0, generations=80, seed=7),
-            initial=initial).run())
-        pooled = _signature(EvolutionRun(
-            spec, _config(2, generations=80, seed=7),
-            initial=initial).run())
+        config = _config(generations=80, seed=7)
+        serial = _signature(_evolve(spec, config, 0, initial=initial))
+        pooled = _signature(_evolve(spec, config, 2, initial=initial))
         assert pooled == serial
 
 
 def _assert_spans(pooled):
     """The pooled run shipped multi-generation spans, not one batch per
     generation, and never fell back to inline evaluation."""
-    assert pooled.backend == "process-pool"
+    assert pooled.backend == "shared-pool"
     assert 0 < pooled.chunks_dispatched < pooled.generations
     assert not pooled.degraded_to_inline
 
@@ -135,8 +140,8 @@ class TestSpansServeEveryPooledConfig:
         monkeypatch.delenv("RCGP_CHECK_INCREMENTAL", raising=False)
 
     def _both(self, spec, initial, **kwargs):
-        runs = [EvolutionRun(spec, RcgpConfig(workers=workers, **kwargs),
-                             initial=initial).run()
+        runs = [_evolve(spec, RcgpConfig(**kwargs), workers,
+                        initial=initial)
                 for workers in (0, 2)]
         _assert_spans(runs[1])
         return runs
@@ -169,10 +174,10 @@ class TestSpansServeEveryPooledConfig:
     def test_time_budget_run_dispatches_spans_and_stops(self):
         spec = _decoder_spec()
         budget = 1.0
-        config = RcgpConfig(workers=2, generations=10**7, seed=5,
+        config = RcgpConfig(generations=10**7, seed=5,
                             mutation_rate=0.1, time_budget=budget)
-        result = EvolutionRun(spec, config,
-                              initial=initialize_netlist(spec)).run()
+        result = _evolve(spec, config, 2,
+                         initial=initialize_netlist(spec))
         _assert_spans(result)
         assert result.generations < config.generations
         # The budget is checked before every span dispatch, so the run

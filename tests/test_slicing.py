@@ -1,0 +1,170 @@
+"""A slice boundary never changes the search, and a job gates once.
+
+Both slicing paths — scheduler slices (``Session(quantum=...)``) and
+:func:`repro.core.restart.evolve_with_checkpoints` — resume each slice
+from the *live* parent and its generations since the last improvement,
+so a run cut at any quantum ends where one slice ends: the shrink policy
+(``shrink="never"`` keeps inactive gates on the parent that finalization
+would strip) and the stagnation limit (which counts across slices, even
+when the stop lands exactly on a slice's last generation) included.
+
+The result gate runs once per job, after its last slice, on the buffer
+plan the result reports.
+"""
+
+import json
+
+import pytest
+
+import repro.core.verify as verify_mod
+from repro.api import Session
+from repro.bench.registry import get_benchmark
+from repro.core.config import RcgpConfig
+from repro.core.engine import read_telemetry
+from repro.core.restart import evolve_with_checkpoints, save_checkpoint
+from repro.core.synthesis import initialize_netlist
+
+_TUNED = dict(mutation_rate=0.08, max_mutated_genes=8)
+
+
+def _scheduled(spec, config, quantum):
+    """(evolution result, slices run) of one job at ``quantum``."""
+    with Session(quantum=quantum) as session:
+        job = session.submit(spec, config)
+        session.run()
+        return job.result().evolution, job.record["slices"]
+
+
+def _checkpointed(spec, config, slice_generations, tmp_path):
+    path = tmp_path / f"slices-{slice_generations}.json"
+    return evolve_with_checkpoints(spec, config, str(path),
+                                   slice_generations=slice_generations)
+
+
+def _assert_same_search(sliced, whole):
+    assert sliced.fitness.key() == whole.fitness.key()
+    assert sliced.netlist.describe() == whole.netlist.describe()
+    assert sliced.generations == whole.generations
+
+
+class TestShrinkNeverAcrossSlices:
+    """Finalizing shrinks the parent; a slice must not resume from it."""
+
+    CONFIG = RcgpConfig(generations=300, seed=2, shrink="never", **_TUNED)
+
+    @pytest.mark.parametrize("quantum", [25, 20])
+    def test_scheduler_slices_equal_one_slice(self, quantum):
+        spec = get_benchmark("ham3").spec()
+        whole, _ = _scheduled(spec, self.CONFIG, None)
+        sliced, slices = _scheduled(spec, self.CONFIG, quantum)
+        assert slices == -(-300 // quantum)
+        _assert_same_search(sliced, whole)
+
+    @pytest.mark.parametrize("quantum", [25, 20])
+    def test_checkpoint_slices_equal_one_slice(self, quantum, tmp_path):
+        spec = get_benchmark("ham3").spec()
+        whole = _checkpointed(spec, self.CONFIG, 300, tmp_path)
+        sliced = _checkpointed(spec, self.CONFIG, quantum, tmp_path)
+        _assert_same_search(sliced, whole)
+
+
+class TestStagnationLimitAcrossSlices:
+    """The stagnation limit counts generations since the last
+    improvement, whichever slice they ran in."""
+
+    LIMIT = 60
+
+    def _config(self, seed):
+        return RcgpConfig(generations=600, seed=seed,
+                          stagnation_limit=self.LIMIT, shrink="always",
+                          **_TUNED)
+
+    @pytest.mark.parametrize("name,seed", [("ham3", 1), ("decoder_2_4", 2)])
+    def test_scheduler_slices_equal_one_slice(self, name, seed):
+        spec = get_benchmark(name).spec()
+        config = self._config(seed)
+        whole, _ = _scheduled(spec, config, None)
+        assert whole.generations < config.generations  # the limit stopped it
+        # 25 cuts anywhere, 20 divides the limit, and a quantum equal to
+        # the stopping generation puts the stop on a slice's last one.
+        for quantum in (25, 20, whole.generations):
+            sliced, slices = _scheduled(spec, config, quantum)
+            _assert_same_search(sliced, whole)
+            assert slices == -(-whole.generations // quantum)
+
+    @pytest.mark.parametrize("name,seed", [("ham3", 1), ("decoder_2_4", 2)])
+    def test_checkpoint_slices_equal_one_slice(self, name, seed, tmp_path):
+        spec = get_benchmark(name).spec()
+        config = self._config(seed)
+        whole = _checkpointed(spec, config, config.generations, tmp_path)
+        assert whole.generations < config.generations
+        for quantum in (25, 20, whole.generations):
+            sliced = _checkpointed(spec, config, quantum, tmp_path)
+            _assert_same_search(sliced, whole)
+
+
+class TestCheckpointStagnationCount:
+    def test_stored_count_is_carried_and_a_missing_one_reads_zero(
+            self, tmp_path):
+        spec = get_benchmark("ham3").spec()
+        initial = initialize_netlist(spec, "ham3")
+        config = RcgpConfig(generations=300, seed=1, stagnation_limit=60,
+                            shrink="always", **_TUNED)
+        fresh = evolve_with_checkpoints(
+            spec, config, str(tmp_path / "fresh.json"),
+            slice_generations=100, initial=initial)
+        path = tmp_path / "counted.json"
+        save_checkpoint(str(path), initial, 0, config, stagnation=59)
+        counted = evolve_with_checkpoints(spec, config, str(path),
+                                          slice_generations=100)
+        assert counted.generations < fresh.generations
+        # A checkpoint written before the count existed resumes at 0.
+        save_checkpoint(str(path), initial, 0, config, stagnation=59)
+        payload = json.loads(path.read_text())
+        del payload["stagnation"]
+        path.write_text(json.dumps(payload))
+        resumed = evolve_with_checkpoints(spec, config, str(path),
+                                          slice_generations=100)
+        _assert_same_search(resumed, fresh)
+
+
+class TestResultGateOncePerJob:
+    @pytest.fixture
+    def gate_calls(self, monkeypatch):
+        calls = []
+        real = verify_mod.verify_evolution_result
+
+        def counting(netlist, spec, config=None, plan=None):
+            calls.append(plan)
+            return real(netlist, spec, config, plan)
+
+        monkeypatch.setattr(verify_mod, "verify_evolution_result", counting)
+        return calls
+
+    def test_sliced_job_gates_once_on_the_reported_plan(self, gate_calls,
+                                                         tmp_path):
+        spec = get_benchmark("ham3").spec()
+        config = RcgpConfig(generations=200, seed=3, verify_result=True,
+                            telemetry_path=str(tmp_path / "t.jsonl"),
+                            **_TUNED)
+        with Session(quantum=50) as session:
+            job = session.submit(spec, config)
+            session.run()
+            result = job.result()
+        assert job.record["slices"] == 4
+        assert len(gate_calls) == 1
+        assert gate_calls[0] is not None
+        assert gate_calls[0] == result.plan
+        assert result.evolution.verified
+        events = read_telemetry(str(tmp_path / "t.jsonl"))
+        assert [e["event"] for e in events].count("verify") == 1
+        assert events[-1]["event"] == "job_end"
+        assert events[-1]["verified"] is True
+
+    def test_checkpointed_run_gates_once(self, gate_calls, tmp_path):
+        spec = get_benchmark("ham3").spec()
+        config = RcgpConfig(generations=200, seed=3, verify_result=True,
+                            **_TUNED)
+        result = _checkpointed(spec, config, 50, tmp_path)
+        assert len(gate_calls) == 1
+        assert result.verified
