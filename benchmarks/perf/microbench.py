@@ -4,9 +4,10 @@ Each benchmark times the operation the inner loop actually performs —
 full evaluation, incremental (cone) evaluation (exact, and at the
 paper's defaults with the early stop), mutation + copy-on-write copy
 (tuned and at the paper's defaults), shrink — over a Table-1
-circuit, the SAT miter that the result gate runs, the formal check that
-sampled fitness runs, plus two end-to-end evolution runs (serial, and
-pooled over a two-worker dispatcher).  Candidates are flat kernels,
+circuit, the exact buffer plan every reported cost uses, the SAT miter
+that the result gate runs, the formal check that sampled fitness runs,
+plus two end-to-end evolution runs (serial, and pooled over a
+two-worker dispatcher).  Candidates are flat kernels,
 the engine's one representation.
 
 Rates are evaluations (or operations) per second; use
@@ -30,6 +31,7 @@ from repro.core.kernel import NetlistKernel
 from repro.core.mutation import consumer_view, mutate_with_delta
 from repro.core.synthesis import initialize_netlist
 from repro.jobs.pool import JobBackend
+from repro.rqfp.buffer_opt import optimal_levels
 from repro.sat.equivalence import check_against_tables
 
 __all__ = ["BENCHES", "run_benches"]
@@ -124,6 +126,17 @@ def bench_shrink(circuit: str, iterations: int) -> float:
     return iterations / (time.perf_counter() - start)
 
 
+def bench_buffer_plan(circuit: str, iterations: int) -> float:
+    """Exact buffer plans per second: :func:`optimal_levels` on the
+    circuit's initialization netlist, the plan behind every reported
+    ``n_b``/JJ count (baseline and final circuit of each job)."""
+    netlist = initialize_netlist(get_benchmark(circuit).spec(), circuit)
+    start = time.perf_counter()
+    for _ in range(iterations):
+        optimal_levels(netlist)
+    return iterations / (time.perf_counter() - start)
+
+
 def bench_sat_miter(circuit: str, iterations: int) -> float:
     """SAT CEC checks per second: ``check_against_tables`` on
     ``one_hot_checker(12)``'s initial netlist against its spec, the
@@ -204,6 +217,7 @@ BENCHES: Dict[str, Tuple[Callable[[str, int], float], int, int]] = {
     "mutation_copy": (bench_mutation_copy, 5000, 800),
     "mutation_paper": (bench_mutation_paper, 1000, 150),
     "shrink": (bench_shrink, 2000, 300),
+    "buffer_plan": (bench_buffer_plan, 200, 30),
     "sat_miter": (bench_sat_miter, 60, 10),
     "formal_check": (bench_formal_check, 3000, 500),
     "run_serial": (bench_run_serial, 1200, 60),

@@ -100,11 +100,11 @@ def test_cec_miter(benchmark):
 
 
 def test_buffer_lp_vs_heuristic(benchmark, intdiv6_netlist):
-    """A7: LP-exact buffer insertion vs coordinate descent."""
+    """A7: exact (min-cut) buffer insertion vs coordinate descent."""
     from repro.rqfp.buffer_opt import optimal_levels
     exact = benchmark(optimal_levels, intdiv6_netlist)
     heuristic = schedule_levels(intdiv6_netlist)
-    print(f"\nA7 buffers: LP-optimal {exact.num_buffers} vs "
+    print(f"\nA7 buffers: optimal {exact.num_buffers} vs "
           f"heuristic {heuristic.num_buffers}")
     assert exact.num_buffers <= heuristic.num_buffers
 

@@ -29,8 +29,8 @@ from ..io.rqfp_json import netlist_from_dict, netlist_to_dict
 from ..logic.truth_table import TruthTable
 from ..rqfp.netlist import RqfpNetlist
 from .config import OPERATIONAL_CONFIG_FIELDS, RcgpConfig
-from .engine import (EvolutionResult, EvolutionRun, merge_slice,
-                     slice_stopped)
+from .engine import (EvolutionResult, EvolutionRun, TelemetryWriter,
+                     merge_slice, slice_stopped)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..jobs import JobStore
@@ -162,11 +162,14 @@ def evolve_with_checkpoints(spec: Sequence[TruthTable],
     :func:`~repro.core.engine.merge_slice`, so a resumed run reports
     absolute ``generations`` and ``history`` too.  With
     ``config.verify_result`` the result gate runs once, on the merged
-    result.
+    result.  ``config.telemetry_path`` receives every slice's events,
+    each slice one ``run_start`` … ``run_end`` sequence; a resumed run
+    appends to it.
     """
     spec = list(spec)
     done = stagnation = 0
-    if os.path.exists(checkpoint_path):
+    resumed = os.path.exists(checkpoint_path)
+    if resumed:
         incumbent, done, stagnation, stored = \
             _read_checkpoint(checkpoint_path)
         _warn_on_config_mismatch(checkpoint_path, stored, config)
@@ -180,23 +183,31 @@ def evolve_with_checkpoints(spec: Sequence[TruthTable],
     # from the live parent and stagnation count, so the sliced run
     # follows the monolithic trajectory for any slice size.  At least
     # one slice runs: a checkpoint with no budget left still finalizes
-    # its parent.
-    slice_config = config.replace(verify_result=False)
+    # its parent.  Slices share one telemetry writer: a slice opening
+    # the path itself would truncate its predecessors' events.
+    slice_config = config.replace(verify_result=False, telemetry_path=None)
+    telemetry = None if config.telemetry_path is None else \
+        TelemetryWriter(config.telemetry_path, mode="a" if resumed else "w")
     total: Optional[EvolutionResult] = None
-    while total is None or done < config.generations:
-        budget = max(0, min(slice_generations, config.generations - done))
-        result = EvolutionRun(
-            spec, slice_config.replace(generations=budget),
-            initial=incumbent, name=name, generation_offset=done,
-            stagnation=stagnation).run()
-        total = merge_slice(total, result, done)
-        incumbent, stagnation = result.parent, result.stagnation
-        done += result.generations
-        if budget > 0:
-            save_checkpoint(checkpoint_path, incumbent, done, config,
-                            stagnation=stagnation)
-        if slice_stopped(result, budget, config):
-            break  # stagnation, time or an interrupt ended the run
+    try:
+        while total is None or done < config.generations:
+            budget = max(0, min(slice_generations,
+                                config.generations - done))
+            result = EvolutionRun(
+                spec, slice_config.replace(generations=budget),
+                initial=incumbent, name=name, telemetry=telemetry,
+                generation_offset=done, stagnation=stagnation).run()
+            total = merge_slice(total, result, done)
+            incumbent, stagnation = result.parent, result.stagnation
+            done += result.generations
+            if budget > 0:
+                save_checkpoint(checkpoint_path, incumbent, done, config,
+                                stagnation=stagnation)
+            if slice_stopped(result, budget, config):
+                break  # stagnation, time or an interrupt ended the run
+    finally:
+        if telemetry is not None:
+            telemetry.close()
     if config.verify_result:
         from .verify import verify_evolution_result
         verify_evolution_result(total.netlist, spec, config)

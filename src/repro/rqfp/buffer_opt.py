@@ -1,36 +1,60 @@
-"""Provably minimal buffer insertion via linear programming.
+"""Provably minimal buffer insertion by a warm-started min-cut ascent.
 
 :func:`repro.rqfp.buffers.schedule_levels` is a fast coordinate-descent
-heuristic.  The underlying problem — choose integer gate levels
-minimizing total buffers subject to ``level(head) >= level(tail) + 1``
-on every gate-to-gate edge (with the PI stage fixed at 0 and the PO
-stage at the critical-path depth ``D``) — has a totally unimodular
-constraint matrix, so its LP relaxation has an integral optimal vertex.
-:func:`optimal_levels` solves that LP with SciPy's HiGHS backend and
-rounds the (already integral up to float noise) solution, giving
+heuristic; :func:`optimal_levels` solves the same problem exactly, in
+pure Python, and is the planner every reported cost uses.
 
-* an *optimal* reference the heuristic is benchmarked against (A7),
-* a drop-in upgrade for final circuits where runtime is irrelevant.
-
-Objective bookkeeping.  With gate levels ``p`` and depth ``D``::
+Objective.  With integer gate levels ``p`` and depth ``D``::
 
     buffers = sum_gg (p[dst] - p[src] - 1)
             + sum_ig (p[dst] - 1)
             + sum_go (D - p[src])
             + sum_io (D)
 
-Only the ``p`` terms matter for optimization; each gate's objective
-coefficient is (its gate+PI in-degree) − (its gate+PO out-degree), and
-the constants are added back at the end.
+subject to ``p[dst] >= p[src] + 1`` on every gate-to-gate edge and
+``1 <= p <= D``.  Only the ``p`` terms vary: raising gate ``g`` by one
+changes the count by its *weight*, (its gate+PI in-degree) − (its
+gate+PO out-degree), so the count is a linear function over a region
+cut out by difference constraints.
+
+L♮-convexity.  Such a function is L♮-convex (Murota, *Discrete Convex
+Analysis*), and an L♮-convex function is minimized by steepest descent
+over unit steps ``p ± χ_X``.  Started at the ASAP levels — the least
+feasible point, below every optimum — only upward steps are needed:
+each step raises by one the *minimal* set ``X`` minimizing the weight
+sum among the sets that may rise together, i.e. the gates below ``D``
+closed under tight successor edges (``p[dst] == p[src] + 1``: raising
+the tail forces the head).  If ``p`` lies below the least optimum
+``p*``, the gates where ``p == p*`` never enter that minimal ``X``
+(submodularity of the function on the lattice), so every step stays
+below ``p*``; the ascent stops when no set has negative weight, where
+``p`` minimizes the count over ``{q >= p}``, a set containing ``p*``.
+So :func:`optimal_levels` returns ``p*`` itself: the componentwise
+least optimal levels, a canonical plan that does not depend on edge
+order, after at most ``max(p* - ASAP) <= D`` steps.
+
+Min cut.  A step is a minimum-weight closure: an s–t network with an
+arc ``s -> g`` of capacity ``-weight`` on every gate that wants to
+rise, ``g -> t`` of capacity ``weight`` on every gate that resists,
+an infinite ``g -> t`` on gates already at ``D`` and an infinite arc
+along every tight edge.  The gates reachable from ``s`` in the
+residual network of a maximum flow form the minimal minimum cut, and
+that cut lowers the count exactly when the flow leaves some ``s``-arc
+unsaturated.
+
+Warm start.  One residual network serves the whole ascent.  Raising
+the reachable set ``X`` leaves no flow on a tight arc entering ``X``
+(its tail would otherwise be reachable too), so the arcs that stop
+being tight carry none; the arcs that become tight leave ``X`` and
+the new infinite sink arcs sit on ``X``, both only adding capacity.
+The last maximum flow therefore stays feasible, and each step merely
+augments it (Dinic's algorithm, layered by residual distance to ``t``)
+instead of solving from scratch.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
-
-import numpy as np
-from scipy.optimize import linprog
-from scipy.sparse import coo_matrix
+from typing import List, Optional, Sequence, Tuple
 
 from ..errors import NetlistError
 from .buffers import BufferPlan, _count_buffers, _edge_list, asap_levels
@@ -39,7 +63,7 @@ from .netlist import RqfpNetlist
 
 def optimal_levels(netlist: RqfpNetlist,
                    depth: Optional[int] = None) -> BufferPlan:
-    """Minimum-buffer level assignment (exact).
+    """Minimum-buffer level assignment (exact; the least optimal levels).
 
     ``depth`` defaults to the ASAP critical-path depth — raising it can
     never help because every PI→PO path pays the full pipeline length.
@@ -47,8 +71,8 @@ def optimal_levels(netlist: RqfpNetlist,
     num_gates = netlist.num_gates
     if num_gates == 0:
         return BufferPlan([], 0, {}, 0)
-    base = asap_levels(netlist)
-    critical = max(base)
+    levels = asap_levels(netlist)
+    critical = max(levels)
     if depth is None:
         depth = critical
     elif depth < critical:
@@ -56,51 +80,146 @@ def optimal_levels(netlist: RqfpNetlist,
             f"depth {depth} below the critical path {critical}"
         )
 
-    edges = _edge_list(netlist)
-    cost = np.zeros(num_gates)
-    entries_r: List[int] = []
-    entries_c: List[int] = []
-    entries_v: List[float] = []
-    rhs: List[float] = []
-    for kind, src, dst, _slot in edges:
+    weight = [0] * num_gates
+    arcs = {}     # distinct gate-to-gate pairs, in edge order
+    for kind, src, dst, _slot in _edge_list(netlist):
         if kind == "gg":
-            cost[dst] += 1.0
-            cost[src] -= 1.0
-            row = len(rhs)
-            entries_r += [row, row]     # p[src] - p[dst] <= -1
-            entries_c += [src, dst]
-            entries_v += [1.0, -1.0]
-            rhs.append(-1.0)
+            weight[dst] += 1
+            weight[src] -= 1
+            arcs[(src, dst)] = None
         elif kind == "ig":
-            cost[dst] += 1.0
+            weight[dst] += 1
         elif kind == "go":
-            cost[src] -= 1.0
+            weight[src] -= 1
         # io edges are constant-cost.
-
-    bounds = [(1, depth) for _ in range(num_gates)]
-    a_ub = (coo_matrix((entries_v, (entries_r, entries_c)),
-                       shape=(len(rhs), num_gates)).tocsr()
-            if rhs else None)
-    result = linprog(
-        c=cost,
-        A_ub=a_ub,
-        b_ub=np.array(rhs) if rhs else None,
-        bounds=bounds,
-        method="highs",
-    )
-    if not result.success:  # pragma: no cover - the LP is always feasible
-        raise NetlistError(f"buffer LP failed: {result.message}")
-
-    levels = [int(round(x)) for x in result.x]
-    # Guard against float noise: restore topological feasibility by an
-    # ASAP sweep that never lowers a level below its LP value.
-    for g, gate in enumerate(netlist.gates):
-        lo = 1
-        for port in gate.inputs:
-            if netlist.is_gate_port(port):
-                lo = max(lo, levels[netlist.port_gate(port)] + 1)
-        if levels[g] < lo:
-            levels[g] = lo
-        levels[g] = min(levels[g], depth)
+    _ascend(levels, depth, weight, list(arcs))
     edge_buffers, total = _count_buffers(netlist, levels, depth)
     return BufferPlan(levels, depth, edge_buffers, total)
+
+
+def _ascend(levels: List[int], depth: int, weight: Sequence[int],
+            arcs: Sequence[Tuple[int, int]]) -> None:
+    """Raise ``levels`` in place to the least minimizer of
+    ``sum(weight[g] * levels[g])`` over the feasible levels above them.
+
+    ``levels`` must be feasible for the difference constraints of
+    ``arcs`` (``levels[head] >= levels[tail] + 1``) and at most
+    ``depth``.  An arc is *tight* while ``levels[head] ==
+    levels[tail] + 1``; only tight arcs carry flow, so tightness is
+    read off the levels instead of being stored.
+    """
+    num_gates = len(levels)
+    flow = [0] * len(arcs)
+    # Residual neighbours per gate: (arc, other end, forward?).  A
+    # forward step follows a tight arc (infinite capacity); a backward
+    # step cancels flow already on it.
+    incident: List[List[Tuple[int, int, bool]]] = \
+        [[] for _ in range(num_gates)]
+    for arc, (tail, head) in enumerate(arcs):
+        incident[tail].append((arc, head, True))
+        incident[head].append((arc, tail, False))
+    source = [-w if w < 0 else 0 for w in weight]   # unused s->g capacity
+    sink = [w if w > 0 else 0 for w in weight]      # unused g->t capacity
+    roots = [g for g in range(num_gates) if source[g]]
+
+    def to_sink() -> List[int]:
+        """Residual distance of each gate to ``t`` (-1: none)."""
+        dist = [-1] * num_gates
+        frontier = [g for g in range(num_gates)
+                    if sink[g] or levels[g] == depth]
+        for g in frontier:
+            dist[g] = 0
+        d = 0
+        while frontier:
+            d += 1
+            found = []
+            for g in frontier:
+                down = levels[g] - 1
+                for arc, other, forward in incident[g]:
+                    # Is there a residual step other -> g?
+                    if dist[other] < 0 and (
+                            flow[arc] if forward
+                            else levels[other] == down):
+                        dist[other] = d
+                        found.append(other)
+            frontier = found
+        return dist
+
+    def from_source() -> List[int]:
+        """The gates reachable from ``s`` in the residual network."""
+        seen = [False] * num_gates
+        reached = [g for g in roots if source[g]]
+        for g in reached:
+            seen[g] = True
+        for g in reached:       # grows while it is walked
+            up = levels[g] + 1
+            for arc, other, forward in incident[g]:
+                if not seen[other] and (
+                        levels[other] == up if forward else flow[arc]):
+                    seen[other] = True
+                    reached.append(other)
+        return reached
+
+    while True:
+        # Dinic phases up to a maximum flow.  Each augments along
+        # residual steps that bring a root one step closer to ``t``
+        # until none is left, which lengthens every root's distance.
+        while True:
+            dist = to_sink()
+            live = [g for g in roots if source[g] and dist[g] >= 0]
+            if not live:
+                break
+            cursor = [0] * num_gates
+            for root in live:
+                while source[root] and dist[root] >= 0:
+                    # Walk down the distances from root to a gate with
+                    # a residual t-arc; prune dead ends as they appear.
+                    path = [root]
+                    via: List[Tuple[int, bool]] = []
+                    while path:
+                        g = path[-1]
+                        if not dist[g]:
+                            if sink[g] or levels[g] == depth:
+                                break
+                        else:
+                            adjacent = incident[g]
+                            size = len(adjacent)
+                            i = cursor[g]
+                            nxt = dist[g] - 1
+                            up = levels[g] + 1
+                            while i < size:
+                                arc, other, forward = adjacent[i]
+                                if dist[other] == nxt and (
+                                        levels[other] == up if forward
+                                        else flow[arc]):
+                                    break
+                                i += 1
+                            cursor[g] = i
+                            if i < size:
+                                path.append(other)
+                                via.append((arc, forward))
+                                continue
+                        dist[g] = -1
+                        path.pop()
+                        if via:
+                            via.pop()
+                    if not path:
+                        break
+                    end = path[-1]
+                    capped = levels[end] != depth
+                    amount = source[root]
+                    if capped and sink[end] < amount:
+                        amount = sink[end]
+                    for arc, forward in via:
+                        if not forward and flow[arc] < amount:
+                            amount = flow[arc]
+                    source[root] -= amount
+                    if capped:
+                        sink[end] -= amount
+                    for arc, forward in via:
+                        flow[arc] += amount if forward else -amount
+        raised = from_source()
+        if not raised:
+            return
+        for g in raised:
+            levels[g] += 1

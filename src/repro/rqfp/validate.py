@@ -7,7 +7,9 @@ A *final* RQFP circuit (netlist + buffer plan) must satisfy:
 3. path balancing: under the plan's level assignment, every edge's
    clock-phase difference is covered by its scheduled buffers, all
    primary inputs launch at stage 0 and all primary outputs sample at
-   the common final stage.
+   the common final stage; every gate sits in a stage of ``[1, D]``
+   and the plan's ``num_buffers`` (the reported ``n_b``) is the sum of
+   the spans.
 
 :func:`validate_circuit` raises the precise
 :class:`~repro.errors.NetlistError` subclass for the first violated
@@ -26,13 +28,20 @@ from .netlist import RqfpNetlist
 
 def path_balance_violations(netlist: RqfpNetlist,
                             plan: BufferPlan) -> List[str]:
-    """Describe every edge whose phase difference is not buffered."""
+    """Describe every edge whose phase difference is not buffered, every
+    level outside ``[1, depth]``, and a ``num_buffers`` that is not the
+    sum of the spans (the ``n_b`` the plan's cost reports)."""
     problems: List[str] = []
     if netlist.num_gates != len(plan.levels):
         return [
             f"plan covers {len(plan.levels)} gates, netlist has "
             f"{netlist.num_gates}"
         ]
+    for g, level in enumerate(plan.levels):
+        if not 1 <= level <= plan.depth:
+            problems.append(
+                f"gate {g} at level {level}, outside [1, {plan.depth}]")
+    total = 0
     for g, gate in enumerate(netlist.gates):
         for pos, port in enumerate(gate.inputs):
             if netlist.is_gate_port(port):
@@ -50,6 +59,7 @@ def path_balance_violations(netlist: RqfpNetlist,
                     f"(span {span})"
                 )
                 continue
+            total += span
             scheduled = plan.edge_buffers.get(key, 0)
             if scheduled != span:
                 problems.append(
@@ -73,11 +83,16 @@ def path_balance_violations(netlist: RqfpNetlist,
                 f"output {o} sampled from the future (span {span})"
             )
             continue
+        total += span
         scheduled = plan.edge_buffers.get(key, 0)
         if scheduled != span:
             problems.append(
                 f"output {o}: needs {span} buffers, plan has {scheduled}"
             )
+    if plan.num_buffers != total:
+        problems.append(
+            f"plan reports {plan.num_buffers} buffers, its edges need "
+            f"{total}")
     return problems
 
 

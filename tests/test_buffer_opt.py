@@ -1,13 +1,19 @@
-"""Unit tests for LP-exact buffer insertion."""
+"""Unit tests for exact buffer insertion (the min-cut ascent)."""
 
 import itertools
+import os
 import random
+import subprocess
+import sys
+import textwrap
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.bench import TABLE1_NAMES, TABLE2_NAMES, get_benchmark
 from repro.bench.random_circuits import random_rqfp
+from repro.core.synthesis import initialize_netlist
 from repro.errors import NetlistError
 from repro.rqfp.buffer_opt import optimal_levels
 from repro.rqfp.buffers import greedy_plan, schedule_levels, _count_buffers
@@ -35,6 +41,102 @@ def _brute_force_minimum(netlist, depth):
         if best is None or total < best:
             best = total
     return best
+
+
+def _optimal_vectors(netlist, depth):
+    """Every feasible level vector of minimum buffer count."""
+    preds = [[netlist.port_gate(port) for port in gate.inputs
+              if netlist.is_gate_port(port)] for gate in netlist.gates]
+    best, optima = None, []
+
+    def extend(levels):
+        nonlocal best, optima
+        g = len(levels)
+        if g == netlist.num_gates:
+            _, total = _count_buffers(netlist, levels, depth)
+            if best is None or total < best:
+                best, optima = total, []
+            if total == best:
+                optima.append(list(levels))
+            return
+        low = 1 + max((levels[p] for p in preds[g]), default=0)
+        for level in range(low, depth + 1):
+            extend(levels + [level])
+
+    extend([])
+    return best, optima
+
+
+#: ``(num_buffers, depth)`` of the initialization netlist's plan for
+#: every Table-1/Table-2 benchmark but hwb8, as the LP solver (HiGHS)
+#: computed them before the min-cut planner replaced it.
+PINNED_PLANS = {
+    "full_adder": (6, 6), "4gt10": (5, 4), "alu": (14, 8), "c17": (9, 5),
+    "decoder_2_4": (0, 2), "decoder_3_8": (2, 3), "graycode4": (3, 3),
+    "ham3": (9, 5), "mux4": (8, 5), "4_49": (34, 9), "graycode6": (3, 3),
+    "mod5adder": (148, 13), "intdiv4": (9, 4), "intdiv5": (10, 5),
+    "intdiv6": (38, 8), "intdiv7": (68, 10), "intdiv8": (124, 12),
+    "intdiv9": (194, 13), "intdiv10": (326, 15),
+}
+
+
+class TestPinnedPlans:
+    def test_pins_cover_the_tables(self):
+        assert set(PINNED_PLANS) == \
+            set(TABLE1_NAMES + TABLE2_NAMES) - {"hwb8"}
+
+    @pytest.mark.parametrize("name", sorted(PINNED_PLANS))
+    def test_initialization_plan(self, name):
+        netlist = initialize_netlist(get_benchmark(name).spec(), name)
+        plan = optimal_levels(netlist)
+        assert (plan.num_buffers, plan.depth) == PINNED_PLANS[name]
+        assert plan.num_buffers == sum(plan.edge_buffers.values())
+
+
+class TestLeastOptimum:
+    def test_returns_componentwise_least_optimum(self):
+        rng = random.Random(2024)
+        several = 0
+        for case in range(240):
+            netlist = random_rqfp(rng.randint(1, 3), rng.randint(1, 5),
+                                  rng.randint(1, 3), rng)
+            critical = max(netlist.levels())
+            depth = critical + rng.randint(0, 2)
+            best, optima = _optimal_vectors(netlist, depth)
+            plan = optimal_levels(netlist, depth=depth)
+            least = [min(column) for column in zip(*optima)]
+            assert plan.num_buffers == best, (case, netlist.describe())
+            assert plan.levels == least, (case, netlist.describe())
+            several += len(optima) > 1
+        assert several >= 20  # ties exist, so the tie-break is tested
+
+
+def test_import_needs_neither_numpy_nor_scipy(tmp_path):
+    """Every entry point imports and synthesizes with numpy and scipy
+    unimportable, as in an environment holding only the declared
+    (empty) runtime dependencies."""
+    script = textwrap.dedent("""
+        import sys
+        sys.modules["numpy"] = sys.modules["scipy"] = None
+        import repro, repro.api, repro.cli, repro.service
+        from repro.bench import get_benchmark
+        from repro.core.config import RcgpConfig
+        result = repro.api.synthesize(get_benchmark("full_adder").spec(),
+                                      RcgpConfig(generations=50, seed=1))
+        assert result.verify()
+        assert result.cost.n_b == result.plan.num_buffers
+        print("ok", result.cost.n_r, result.cost.n_b)
+    """)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.join(os.path.dirname(os.path.abspath(__file__)), "..",
+                      "src")]
+        + env.get("PYTHONPATH", "").split(os.pathsep))
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          cwd=str(tmp_path), capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("ok ")
 
 
 class TestOptimalLevels:

@@ -8,7 +8,7 @@ import pytest
 from repro.api import Session
 from repro.bench.revlib import ham3
 from repro.core.config import RcgpConfig
-from repro.core.engine import EvolutionRun, encode_genome
+from repro.core.engine import EvolutionRun, encode_genome, read_telemetry
 from repro.core.restart import (
     evolve_with_checkpoints,
     load_checkpoint,
@@ -156,6 +156,45 @@ class TestSlicedRunMerge:
         assert views[0] == views[1]
         assert views[0]["generations"] == 200
         assert views[0]["history"][0][0] == 100
+
+
+class TestCheckpointedTelemetry:
+    """A checkpointed run writes one stream across its slices: each
+    slice adds one ``run_start`` … ``run_end`` sequence, and a resumed
+    call appends instead of truncating."""
+
+    CONFIG = RcgpConfig(generations=200, seed=5, mutation_rate=0.08,
+                        max_mutated_genes=8)
+
+    @staticmethod
+    def _sequences(path):
+        events = [e["event"] for e in read_telemetry(path)]
+        starts = [i for i, e in enumerate(events) if e == "run_start"]
+        ends = [i for i, e in enumerate(events) if e == "run_end"]
+        assert len(starts) == len(ends)
+        assert all(s < e for s, e in zip(starts, ends))
+        assert all(e < s for e, s in zip(ends, starts[1:]))
+        return len(starts), events.count("generation")
+
+    def test_every_slice_keeps_its_events(self, tmp_path):
+        spec = ham3()
+        telemetry = str(tmp_path / "run.jsonl")
+        evolve_with_checkpoints(
+            spec, self.CONFIG.replace(telemetry_path=telemetry),
+            str(tmp_path / "run.json"), slice_generations=50,
+            initial=initialize_netlist(spec, "ham3"))
+        assert self._sequences(telemetry) == (4, 200)
+
+    def test_resumed_call_appends(self, tmp_path):
+        spec = ham3()
+        telemetry = str(tmp_path / "run.jsonl")
+        path = str(tmp_path / "run.json")
+        config = self.CONFIG.replace(telemetry_path=telemetry)
+        evolve_with_checkpoints(spec, config, path, slice_generations=50,
+                                initial=initialize_netlist(spec, "ham3"))
+        evolve_with_checkpoints(spec, config.replace(generations=300),
+                                path, slice_generations=50)
+        assert self._sequences(telemetry) == (6, 300)
 
 
 class TestMultiStart:

@@ -1,12 +1,19 @@
 """Unit tests for whole-circuit design-rule validation."""
 
+import dataclasses
+import re
+
 import pytest
 
 from repro.api import synthesize
+from repro.bench.revlib import ham3
 from repro.core.config import RcgpConfig
+from repro.core.synthesis import initialize_netlist
+from repro.core.verify import verify_evolution_result
 from repro.errors import FanoutViolation, PathBalanceViolation
 from repro.logic.truth_table import tabulate_word
-from repro.rqfp.buffers import BufferPlan, schedule_levels
+from repro.rqfp.buffer_opt import optimal_levels
+from repro.rqfp.buffers import BufferPlan, _count_buffers, schedule_levels
 from repro.rqfp.gate import NORMAL_CONFIG
 from repro.rqfp.netlist import CONST_PORT, RqfpNetlist
 from repro.rqfp.validate import (
@@ -98,6 +105,59 @@ class TestValidateCircuit:
         netlist.add_gate(1, 1, CONST_PORT, NORMAL_CONFIG)
         problems = check_circuit(netlist)
         assert any("fan-out" in p for p in problems)
+
+
+class TestTamperedPlans:
+    """Plans whose per-edge buffers agree with their own levels but whose
+    bookkeeping does not: the validator and the result gate reject
+    each, since ``n_b`` and ``n_d`` are reported straight off the plan."""
+
+    @staticmethod
+    def _consistent(netlist, levels, depth):
+        edge_buffers, total = _count_buffers(netlist, levels, depth)
+        return BufferPlan(levels, depth, edge_buffers, total)
+
+    @staticmethod
+    def _rejected(netlist, plan, message):
+        spec = netlist.to_truth_tables()
+        with pytest.raises(PathBalanceViolation, match=re.escape(message)):
+            validate_circuit(netlist, plan)
+        with pytest.raises(PathBalanceViolation, match=re.escape(message)):
+            verify_evolution_result(netlist, spec, plan=plan)
+
+    def test_buffer_total_one_short(self):
+        netlist = initialize_netlist(ham3(), "ham3")
+        plan = optimal_levels(netlist)
+        verify_evolution_result(netlist, ham3(), plan=plan)
+        short = dataclasses.replace(plan, num_buffers=plan.num_buffers - 1)
+        self._rejected(netlist, short,
+                       f"plan reports {plan.num_buffers - 1} buffers, its "
+                       f"edges need {plan.num_buffers}")
+
+    def test_level_below_one(self):
+        """A gate fed only by constants has no input edge to go
+        negative, so only the level range catches stage 0."""
+        netlist = RqfpNetlist(1)
+        g0 = netlist.add_gate(CONST_PORT, CONST_PORT, CONST_PORT,
+                              NORMAL_CONFIG)
+        g1 = netlist.add_gate(1, netlist.gate_output_port(g0, 0),
+                              CONST_PORT, NORMAL_CONFIG)
+        netlist.add_output(netlist.gate_output_port(g1, 0))
+        validate_circuit(netlist, self._consistent(netlist, [1, 2], 2))
+        self._rejected(netlist, self._consistent(netlist, [0, 2], 2),
+                       "gate 0 at level 0, outside [1, 2]")
+
+    def test_depth_below_deepest_level(self):
+        """A deepest gate that drives no output has no output edge to
+        go negative, so only the level range catches a short depth."""
+        netlist = RqfpNetlist(1)
+        g0 = netlist.add_gate(1, CONST_PORT, CONST_PORT, NORMAL_CONFIG)
+        netlist.add_output(netlist.gate_output_port(g0, 0))
+        netlist.add_gate(netlist.gate_output_port(g0, 1), CONST_PORT,
+                         CONST_PORT, NORMAL_CONFIG)
+        validate_circuit(netlist, self._consistent(netlist, [1, 2], 2))
+        self._rejected(netlist, self._consistent(netlist, [1, 2], 1),
+                       "gate 1 at level 2, outside [1, 1]")
 
 
 class TestEndToEndValidation:
