@@ -14,7 +14,7 @@ from repro.core.config import RcgpConfig
 from repro.core.mutation import chromosome_length
 from repro.core.synthesis import initialize_netlist
 from repro.logic.truth_table import tabulate_word
-from repro.rqfp.buffers import schedule_levels
+from repro.rqfp.buffer_opt import optimal_levels
 
 pytestmark = [pytest.mark.table1]
 
@@ -52,7 +52,7 @@ def test_buffer_insertion_balances_all_paths():
     config = RcgpConfig(generations=800, mutation_rate=0.1, seed=5,
                         shrink="always")
     result = synthesize(_spec(), config)
-    plan = schedule_levels(result.netlist)
+    plan = optimal_levels(result.netlist)
     netlist = result.netlist
     for g, gate in enumerate(netlist.gates):
         for pos, port in enumerate(gate.inputs):

@@ -18,7 +18,7 @@ from repro.core.synthesis import initialize_netlist
 from repro.logic.bitops import full_mask, variable_pattern
 from repro.logic.isop import isop
 from repro.logic.truth_table import TruthTable
-from repro.rqfp.buffers import schedule_levels
+from repro.rqfp.buffers import estimate_buffers
 from repro.rqfp.splitters import insert_splitters
 from repro.sat.cnf import CNF
 from repro.sat.solver import Solver
@@ -59,10 +59,6 @@ def test_splitter_insertion(benchmark):
     benchmark(insert_splitters, raw)
 
 
-def test_buffer_scheduling(benchmark, intdiv6_netlist):
-    benchmark(schedule_levels, intdiv6_netlist)
-
-
 def test_isop_8var(benchmark):
     rng = random.Random(1)
     table = TruthTable(8, rng.getrandbits(256))
@@ -100,13 +96,13 @@ def test_cec_miter(benchmark):
 
 
 def test_buffer_lp_vs_heuristic(benchmark, intdiv6_netlist):
-    """A7: exact (min-cut) buffer insertion vs coordinate descent."""
+    """A7: exact (min-cut) buffer insertion vs the fitness loop's ASAP
+    estimate."""
     from repro.rqfp.buffer_opt import optimal_levels
     exact = benchmark(optimal_levels, intdiv6_netlist)
-    heuristic = schedule_levels(intdiv6_netlist)
-    print(f"\nA7 buffers: optimal {exact.num_buffers} vs "
-          f"heuristic {heuristic.num_buffers}")
-    assert exact.num_buffers <= heuristic.num_buffers
+    asap = estimate_buffers(intdiv6_netlist)
+    print(f"\nA7 buffers: optimal {exact.num_buffers} vs ASAP {asap}")
+    assert exact.num_buffers <= asap
 
 
 def test_resyn2_with_rewrite(benchmark):

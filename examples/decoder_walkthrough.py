@@ -18,7 +18,7 @@ from repro.core.evolution import evolve
 from repro.core.mutation import chromosome_length
 from repro.core.synthesis import initialize_netlist
 from repro.logic import tabulate_word
-from repro.rqfp import circuit_cost, schedule_levels
+from repro.rqfp import circuit_cost, optimal_levels
 
 spec = tabulate_word(lambda x: 1 << x, 2, 4)
 
@@ -44,7 +44,7 @@ print(f"n_L shrunk from {chromosome_length(initial)} to "
 print()
 
 print("=== Step 3: RQFP buffer insertion (Fig. 3(d)) ===")
-plan = schedule_levels(result.netlist)
+plan = optimal_levels(result.netlist)
 cost = circuit_cost(result.netlist, plan)
 print(f"gate levels: {plan.levels}")
 print(f"buffers per edge: { {k: v for k, v in plan.edge_buffers.items()} }")

@@ -17,7 +17,7 @@ import time
 from repro.bench import get_benchmark
 from repro.core import RcgpConfig, initialize_netlist, windowed_optimize
 from repro.io import write_rqfp_verilog
-from repro.rqfp import circuit_cost, schedule_levels
+from repro.rqfp import circuit_cost, optimal_levels
 
 name = os.environ.get("RCGP_WINDOW_CIRCUIT", "intdiv6")
 spec = get_benchmark(name).spec()
@@ -42,7 +42,7 @@ print(f"windowed optimization: {result.gates_before} -> "
       f"({result.windows_improved}/{result.windows_tried} windows improved, "
       f"{elapsed:.1f}s)")
 
-plan = schedule_levels(result.netlist)
+plan = optimal_levels(result.netlist)
 cost = circuit_cost(result.netlist, plan)
 print(f"final circuit: {cost}")
 

@@ -332,12 +332,12 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     """Cost metrics + AQFP cell breakdown of an RQFP JSON netlist."""
     from .io.rqfp_json import read_rqfp_json
     from .rqfp.aqfp import expand_to_aqfp
-    from .rqfp.buffers import schedule_levels
+    from .rqfp.buffer_opt import optimal_levels
     from .rqfp.metrics import circuit_cost
     from .rqfp.validate import check_circuit
 
     netlist = read_rqfp_json(args.netlist)
-    plan = schedule_levels(netlist)
+    plan = optimal_levels(netlist)
     cost = circuit_cost(netlist, plan)
     print(f"netlist : {netlist!r}")
     print(f"cost    : {cost}")

@@ -33,7 +33,8 @@ from .evolution import EvolutionResult
 
 @dataclass
 class BaselineResult:
-    """The heuristic baseline: initialization + buffer insertion."""
+    """The Initialization baseline: the initialization netlist with its
+    exact (:func:`~repro.rqfp.buffer_opt.optimal_levels`) buffer plan."""
 
     netlist: RqfpNetlist
     plan: BufferPlan

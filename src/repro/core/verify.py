@@ -35,7 +35,8 @@ from typing import Optional, Sequence
 
 from ..errors import EquivalenceViolation, VerificationUndecided
 from ..logic.truth_table import TruthTable
-from ..rqfp.buffers import BufferPlan, schedule_levels
+from ..rqfp.buffer_opt import optimal_levels
+from ..rqfp.buffers import BufferPlan
 from ..rqfp.netlist import RqfpNetlist
 from ..rqfp.validate import validate_circuit
 from ..sat.equivalence import check_against_tables
@@ -111,8 +112,8 @@ def verify_evolution_result(netlist: RqfpNetlist,
         -> VerificationReport:
     """Gate a finished run's netlist; raise on any violation.
 
-    ``plan`` defaults to :func:`~repro.rqfp.buffers.schedule_levels`
-    over the netlist (the plan the downstream flow would build).
+    ``plan`` defaults to :func:`~repro.rqfp.buffer_opt.optimal_levels`
+    over the netlist (the plan results report).
     """
     config = config or RcgpConfig()
     spec = list(spec)
@@ -123,7 +124,7 @@ def verify_evolution_result(netlist: RqfpNetlist,
 
     # 2. Legal: single fan-out + path balancing against the plan.
     if plan is None:
-        plan = schedule_levels(netlist)
+        plan = optimal_levels(netlist)
     validate_circuit(netlist, plan)
 
     # 3. Formal: SAT miter, unless simulation already was exhaustive.

@@ -158,8 +158,7 @@ def _fsync_dir(path: str) -> None:
         os.close(fd)
 
 
-def _atomic_write_bytes(path: str, data: bytes, *,
-                        durable: bool = True) -> None:
+def _atomic_write_bytes(path: str, data: bytes) -> None:
     """Write-whole-or-not-at-all, surviving SIGKILL and power loss.
 
     The tmp name embeds pid + a process-wide sequence number so
@@ -176,23 +175,19 @@ def _atomic_write_bytes(path: str, data: bytes, *,
     try:
         with open(tmp, "wb") as handle:
             handle.write(data)
-            if durable:
-                handle.flush()
-                os.fsync(handle.fileno())
+            handle.flush()
+            os.fsync(handle.fileno())
         _fault_point("replace", path)
         os.replace(tmp, path)
     except BaseException:
         _unlink_quiet(tmp)
         raise
-    if durable:
-        _fsync_dir(directory)
+    _fsync_dir(directory)
     _fault_point("synced", path)
 
 
-def _atomic_write_json(path: str, payload: Dict[str, Any], *,
-                       durable: bool = True) -> None:
-    _atomic_write_bytes(path, json.dumps(payload, indent=2).encode("utf-8"),
-                        durable=durable)
+def _atomic_write_json(path: str, payload: Dict[str, Any]) -> None:
+    _atomic_write_bytes(path, json.dumps(payload, indent=2).encode("utf-8"))
 
 
 def _read_json(path: str) -> Optional[Dict[str, Any]]:
@@ -261,9 +256,6 @@ class JobStore:
     ----------
     root:
         Store directory, or ``None`` for a purely in-memory store.
-    durable:
-        ``fsync`` every artifact write (file + directory).  Disable
-        only for throwaway stores on tmpfs.
     lease_ttl:
         Seconds without a heartbeat before another process may take a
         job's lease over.  Size it well above one scheduler slice.
@@ -273,11 +265,9 @@ class JobStore:
     """
 
     def __init__(self, root: Optional[str] = None, *,
-                 durable: bool = True,
                  lease_ttl: float = DEFAULT_LEASE_TTL,
                  owner: Optional[str] = None):
         self.root = root
-        self.durable = durable
         self.lease_ttl = float(lease_ttl)
         self.owner = owner or (f"{socket.gethostname()}:{os.getpid()}:"
                                f"{uuid.uuid4().hex[:8]}")
@@ -377,8 +367,7 @@ class JobStore:
             os.replace(path, target)
         except OSError:
             return None
-        if self.durable:
-            _fsync_dir(os.path.dirname(target) or ".")
+        _fsync_dir(os.path.dirname(target) or ".")
         self.quarantined.append(target)
         return target
 
@@ -619,8 +608,7 @@ class JobStore:
             self._slot(job_id)["record"] = record
             return
         _atomic_write_json(os.path.join(self._ensure_dir(job_id),
-                                        "job.json"), record,
-                           durable=self.durable)
+                                        "job.json"), record)
 
     # -- checkpoints ---------------------------------------------------
 
@@ -639,8 +627,7 @@ class JobStore:
             slot["checkpoint_at"] = time.time()
             return
         _atomic_write_json(os.path.join(self._ensure_dir(job_id),
-                                        "checkpoint.json"), payload,
-                           durable=self.durable)
+                                        "checkpoint.json"), payload)
 
     def load_checkpoint(self, job_id: str) \
             -> Optional[Tuple[RqfpNetlist, int, int]]:
@@ -684,8 +671,7 @@ class JobStore:
             self._slot(job_id)["baseline"] = payload
             return
         _atomic_write_json(os.path.join(self._ensure_dir(job_id),
-                                        "baseline.json"), payload,
-                           durable=self.durable)
+                                        "baseline.json"), payload)
 
     def load_baseline(self, job_id: str) -> Optional[Dict[str, Any]]:
         if self.root is None:
@@ -703,8 +689,7 @@ class JobStore:
             self._slot(job_id)["result"] = payload
             return
         _atomic_write_json(os.path.join(self._ensure_dir(job_id),
-                                        "result.json"), payload,
-                           durable=self.durable)
+                                        "result.json"), payload)
 
     def load_result(self, job_id: str) -> Optional[Dict[str, Any]]:
         if self.root is None:
@@ -731,7 +716,7 @@ class JobStore:
             return
         path = self.telemetry_path(job_id)
         if os.path.exists(path):
-            _atomic_write_bytes(path, b"", durable=self.durable)
+            _atomic_write_bytes(path, b"")
 
     def repair_telemetry(self, job_id: str) -> bool:
         """Fix a stream torn by a crash mid-append, in place.
@@ -755,8 +740,7 @@ class JobStore:
         marker = json.dumps({"event": TELEMETRY_TRUNCATED,
                              "job_id": job_id,
                              "dropped_bytes": len(dropped)}) + "\n"
-        _atomic_write_bytes(path, kept + marker.encode("utf-8"),
-                            durable=self.durable)
+        _atomic_write_bytes(path, kept + marker.encode("utf-8"))
         self.repaired_telemetry += 1
         return True
 

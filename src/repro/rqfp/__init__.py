@@ -1,13 +1,7 @@
 """RQFP technology substrate: gate semantics, netlists, legalization."""
 
 from .buffer_opt import optimal_levels
-from .buffers import (
-    BufferPlan,
-    asap_levels,
-    estimate_buffers,
-    greedy_plan,
-    schedule_levels,
-)
+from .buffers import BufferPlan, estimate_buffers
 from .from_mig import mig_to_rqfp
 from .gate import (
     INVERTER_CONFIG,
@@ -54,9 +48,6 @@ __all__ = [
     "wire_targets",
     "count_required_splitters",
     "BufferPlan",
-    "schedule_levels",
-    "greedy_plan",
-    "asap_levels",
     "estimate_buffers",
     "optimal_levels",
     "CircuitCost",

@@ -21,7 +21,8 @@ from typing import Dict, List, Optional, Tuple
 
 from ..errors import NetlistError
 from ..logic.bitops import majority3
-from .buffers import BufferPlan, schedule_levels
+from .buffer_opt import optimal_levels
+from .buffers import BufferPlan
 from .netlist import CONST_PORT, RqfpNetlist
 
 # JJ counts per AQFP cell (paper §4).
@@ -101,13 +102,14 @@ class AqfpNetlist:
 def expand_to_aqfp(netlist: RqfpNetlist,
                    plan: Optional[BufferPlan] = None,
                    name: str = "") -> AqfpNetlist:
-    """Expand an RQFP netlist (+ buffer plan) into AQFP cells.
+    """Expand an RQFP netlist (+ buffer plan, by default the exact
+    :func:`~repro.rqfp.buffer_opt.optimal_levels` plan) into AQFP cells.
 
     Each RQFP gate becomes 3 splitters + 3 majorities; each scheduled
     RQFP buffer becomes 2 cascaded AQFP buffers on its edge.
     """
     if plan is None:
-        plan = schedule_levels(netlist)
+        plan = optimal_levels(netlist)
     aqfp = AqfpNetlist(netlist.num_inputs, name=name or netlist.name)
 
     # Signal id carrying each RQFP port's value (post splitter layer of

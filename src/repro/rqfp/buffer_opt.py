@@ -1,8 +1,10 @@
 """Provably minimal buffer insertion by a warm-started min-cut ascent.
 
-:func:`repro.rqfp.buffers.schedule_levels` is a fast coordinate-descent
-heuristic; :func:`optimal_levels` solves the same problem exactly, in
-pure Python, and is the planner every reported cost uses.
+:func:`optimal_levels` is the buffer planner: every reported cost,
+design-rule check and AQFP expansion uses its plan.  It solves exactly,
+in pure Python, the level-scheduling problem the buffer insertion
+literature the paper builds on poses (Lee et al., DAC'22; Fu et al.,
+ASP-DAC'23).
 
 Objective.  With integer gate levels ``p`` and depth ``D``::
 
@@ -57,7 +59,7 @@ from __future__ import annotations
 from typing import List, Optional, Sequence, Tuple
 
 from ..errors import NetlistError
-from .buffers import BufferPlan, _count_buffers, _edge_list, asap_levels
+from .buffers import BufferPlan, _count_buffers, _edge_list
 from .netlist import RqfpNetlist
 
 
@@ -71,7 +73,7 @@ def optimal_levels(netlist: RqfpNetlist,
     num_gates = netlist.num_gates
     if num_gates == 0:
         return BufferPlan([], 0, {}, 0)
-    levels = asap_levels(netlist)
+    levels = netlist.levels()
     critical = max(levels)
     if depth is None:
         depth = critical

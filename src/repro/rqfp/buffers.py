@@ -1,12 +1,17 @@
-"""RQFP buffer insertion (path balancing).
+"""RQFP buffer insertion (path balancing): the buffer count of a level
+assignment.
 
 All inputs of an AQFP gate must arrive in the same clock phase, so every
 edge spanning more than one level needs RQFP buffers (two cascaded AQFP
-buffers, 4 JJs each).  Following the paper's experimental protocol, the
-primary inputs all launch in stage 0 and the primary outputs are all
-buffered to a common final stage, so PI→gate and gate→PO edges pay
-buffers too.  Constant inputs are excitation-driven and phase-free, so
-constant edges are exempt.
+buffers, 4 JJs each).  This module prices a level assignment
+(:class:`BufferPlan`) and gives the fitness loop its ASAP estimate
+(:func:`estimate_buffers`); the levels every reported cost, design-rule
+check and AQFP expansion uses come from the exact planner,
+:func:`repro.rqfp.buffer_opt.optimal_levels`.  Following the paper's
+experimental protocol, the primary inputs all launch in stage 0 and the
+primary outputs are all buffered to a common final stage, so PI→gate and
+gate→PO edges pay buffers too.  Constant inputs are excitation-driven
+and phase-free, so constant edges are exempt.
 
 Given gate levels ``L``, the buffer count is::
 
@@ -15,13 +20,7 @@ Given gate levels ``L``, the buffer count is::
           + sum over gate->PO edges   (u)   of  D - L[u]
           + sum over PI->PO edges           of  D
 
-with ``D = max level``.  :func:`schedule_levels` first assigns ASAP
-levels, then runs a coordinate-descent relaxation: each gate's level term
-is linear in its own level (slope = non-constant in-degree minus
-out-degree), so per-gate optimum is at the feasible window edge; sweeps
-repeat until fixpoint.  This mirrors the local-optimality buffer
-insertion literature the paper builds on (Lee et al., DAC'22; Fu et al.,
-ASP-DAC'23) in a compact form.
+with ``D = max level``.
 """
 
 from __future__ import annotations
@@ -91,79 +90,6 @@ def _count_buffers(netlist: RqfpNetlist, levels: List[int], depth: int):
     return edge_buffers, total
 
 
-def asap_levels(netlist: RqfpNetlist) -> List[int]:
-    """Earliest feasible level per gate (gates fed by PIs only → 1)."""
-    return netlist.levels()
-
-
-def schedule_levels(netlist: RqfpNetlist, max_sweeps: int = 50) -> BufferPlan:
-    """Buffer-minimizing level assignment via coordinate descent.
-
-    Keeps the ASAP depth ``D`` fixed (increasing depth cannot reduce the
-    PI/PO balancing cost) and slides each gate inside its feasible window
-    toward the end that minimizes its linear cost term.
-    """
-    num_gates = netlist.num_gates
-    levels = asap_levels(netlist)
-    depth = max(levels, default=0)
-    if num_gates == 0:
-        return BufferPlan([], 0, {}, 0)
-
-    # Adjacency: per gate, predecessor gates / successor gates, and
-    # counts of non-constant PI inputs and PO consumers.
-    preds: List[List[int]] = [[] for _ in range(num_gates)]
-    succs: List[List[int]] = [[] for _ in range(num_gates)]
-    pi_in = [0] * num_gates
-    po_out = [0] * num_gates
-    for kind, src, dst, _slot in _edge_list(netlist):
-        if kind == "gg":
-            preds[dst].append(src)
-            succs[src].append(dst)
-        elif kind == "ig":
-            pi_in[dst] += 1
-        elif kind == "go":
-            po_out[src] += 1
-
-    for _ in range(max_sweeps):
-        changed = False
-        for g in range(num_gates):
-            lo = 1 + max((levels[p] for p in preds[g]), default=0)
-            if not preds[g]:
-                lo = 1
-            hi = min((levels[s] - 1 for s in succs[g]), default=depth)
-            if po_out[g]:
-                hi = min(hi, depth)
-            if lo > hi:  # infeasible window should not happen
-                continue
-            # Cost slope wrt this gate's level:
-            #   + (gate-preds + PI inputs)  [raising level lengthens inputs]
-            #   - (gate-succs + PO consumers) [raising level shortens outputs]
-            slope = len(preds[g]) + pi_in[g] - len(succs[g]) - po_out[g]
-            if slope > 0:
-                target = lo
-            elif slope < 0:
-                target = hi
-            else:
-                target = levels[g]
-            if target != levels[g]:
-                levels[g] = target
-                changed = True
-        if not changed:
-            break
-
-    edge_buffers, total = _count_buffers(netlist, levels, depth)
-    return BufferPlan(levels, depth, edge_buffers, total)
-
-
-def greedy_plan(netlist: RqfpNetlist) -> BufferPlan:
-    """ASAP levels with no relaxation — the naive baseline, kept for the
-    ablation benchmarks."""
-    levels = asap_levels(netlist)
-    depth = max(levels, default=0)
-    edge_buffers, total = _count_buffers(netlist, levels, depth)
-    return BufferPlan(levels, depth, edge_buffers, total)
-
-
 def estimate_buffers(netlist: RqfpNetlist) -> int:
     """Fast n_b estimate used inside the CGP fitness loop.
 
@@ -172,7 +98,7 @@ def estimate_buffers(netlist: RqfpNetlist) -> int:
     edge tuples — this runs for every simulation-clean candidate.
     """
     base = netlist.num_inputs + 1
-    levels = asap_levels(netlist)
+    levels = netlist.levels()
     depth = max(levels, default=0)
     total = 0
     for g, gate in enumerate(netlist.gates):

@@ -15,7 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .buffers import BufferPlan, schedule_levels
+from .buffer_opt import optimal_levels
+from .buffers import BufferPlan
 from .gate import JJS_PER_BUFFER, JJS_PER_GATE
 from .netlist import RqfpNetlist
 
@@ -56,9 +57,10 @@ def garbage_lower_bound(num_inputs: int, num_outputs: int) -> int:
 
 def circuit_cost(netlist: RqfpNetlist, plan: Optional[BufferPlan] = None,
                  runtime: float = 0.0) -> CircuitCost:
-    """Full cost of a legal netlist (computing a buffer plan if needed)."""
+    """Full cost of a legal netlist; ``plan`` defaults to the exact
+    :func:`~repro.rqfp.buffer_opt.optimal_levels` plan."""
     if plan is None:
-        plan = schedule_levels(netlist)
+        plan = optimal_levels(netlist)
     return CircuitCost(
         n_r=netlist.num_gates,
         n_b=plan.num_buffers,

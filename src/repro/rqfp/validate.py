@@ -22,7 +22,8 @@ from __future__ import annotations
 from typing import List, Optional
 
 from ..errors import FanoutViolation, NetlistError, PathBalanceViolation
-from .buffers import BufferPlan, schedule_levels
+from .buffer_opt import optimal_levels
+from .buffers import BufferPlan
 from .netlist import RqfpNetlist
 
 
@@ -109,14 +110,16 @@ def check_circuit(netlist: RqfpNetlist,
     if fanout:
         problems.append(f"fan-out: ports {fanout} drive multiple consumers")
     if plan is None:
-        plan = schedule_levels(netlist)
+        plan = optimal_levels(netlist)
     problems.extend(path_balance_violations(netlist, plan))
     return problems
 
 
 def validate_circuit(netlist: RqfpNetlist,
                      plan: Optional[BufferPlan] = None) -> BufferPlan:
-    """Raise on the first design-rule violation; returns the plan used."""
+    """Raise on the first design-rule violation; returns the plan used
+    (by default the exact :func:`~repro.rqfp.buffer_opt.optimal_levels`
+    plan, the one results report)."""
     netlist.validate(require_single_fanout=False)
     fanout = netlist.fanout_violations()
     if fanout:
@@ -124,7 +127,7 @@ def validate_circuit(netlist: RqfpNetlist,
             f"ports {fanout} drive more than one consumer"
         )
     if plan is None:
-        plan = schedule_levels(netlist)
+        plan = optimal_levels(netlist)
     problems = path_balance_violations(netlist, plan)
     if problems:
         raise PathBalanceViolation("; ".join(problems))

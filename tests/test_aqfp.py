@@ -14,7 +14,7 @@ from repro.rqfp.aqfp import (
     expand_to_aqfp,
     jj_breakdown,
 )
-from repro.rqfp.buffers import schedule_levels
+from repro.rqfp.buffer_opt import optimal_levels
 from repro.rqfp.gate import NORMAL_CONFIG
 from repro.rqfp.metrics import circuit_cost
 from repro.rqfp.netlist import CONST_PORT, RqfpNetlist
@@ -36,7 +36,7 @@ class TestExpansionStructure:
     def test_jj_totals_match_cost_model(self):
         """AQFP cell JJs == 24*n_r + 4*n_b for any circuit."""
         netlist = _and_netlist()
-        plan = schedule_levels(netlist)
+        plan = optimal_levels(netlist)
         cost = circuit_cost(netlist, plan)
         aqfp = expand_to_aqfp(netlist, plan)
         assert aqfp.total_jjs() == cost.jjs
@@ -51,7 +51,7 @@ class TestExpansionStructure:
                               netlist.gate_output_port(g0, 1),
                               CONST_PORT, NORMAL_CONFIG)
         netlist.add_output(netlist.gate_output_port(g2, 0))
-        plan = schedule_levels(netlist)
+        plan = optimal_levels(netlist)
         aqfp = expand_to_aqfp(netlist, plan)
         assert aqfp.count("buffer") == 2 * plan.num_buffers
 
@@ -73,7 +73,7 @@ class TestExpansionStructure:
 
 class TestExpansionSemantics:
     def _check_equivalence(self, netlist):
-        plan = schedule_levels(netlist)
+        plan = optimal_levels(netlist)
         aqfp = expand_to_aqfp(netlist, plan)
         n = netlist.num_inputs
         mask = full_mask(n)

@@ -14,11 +14,15 @@ from hypothesis import strategies as st
 from repro.bench import TABLE1_NAMES, TABLE2_NAMES, get_benchmark
 from repro.bench.random_circuits import random_rqfp
 from repro.core.synthesis import initialize_netlist
+from repro.core.verify import verify_evolution_result
 from repro.errors import NetlistError
+from repro.rqfp.aqfp import expand_to_aqfp, jj_breakdown
 from repro.rqfp.buffer_opt import optimal_levels
-from repro.rqfp.buffers import greedy_plan, schedule_levels, _count_buffers
+from repro.rqfp.buffers import _count_buffers, estimate_buffers
 from repro.rqfp.gate import NORMAL_CONFIG
+from repro.rqfp.metrics import circuit_cost
 from repro.rqfp.netlist import CONST_PORT, RqfpNetlist
+from repro.rqfp.validate import check_circuit, validate_circuit
 
 
 def _brute_force_minimum(netlist, depth):
@@ -93,6 +97,27 @@ class TestPinnedPlans:
         assert plan.num_buffers == sum(plan.edge_buffers.values())
 
 
+@pytest.mark.parametrize("name", ["intdiv6", "mod5adder"])
+def test_no_plan_defaults_report_the_exact_plan(name):
+    """Every entry point that plans its own buffers prices the exact
+    plan results report, on circuits where ASAP levels cost more."""
+    spec = get_benchmark(name).spec()
+    netlist = initialize_netlist(spec, name)
+    exact = optimal_levels(netlist)
+    assert exact.num_buffers < estimate_buffers(netlist)
+    cost = circuit_cost(netlist)
+    assert (cost.n_b, cost.n_d) == (exact.num_buffers, exact.depth)
+    plan = validate_circuit(netlist)
+    assert plan.num_buffers == exact.num_buffers
+    assert plan.levels == exact.levels
+    assert check_circuit(netlist) == []
+    assert expand_to_aqfp(netlist).count("buffer") == 2 * exact.num_buffers
+    assert jj_breakdown(netlist)["total"] == cost.jjs
+    report = verify_evolution_result(netlist, spec)
+    assert report.plan.num_buffers == exact.num_buffers
+    assert report.plan.levels == exact.levels
+
+
 class TestLeastOptimum:
     def test_returns_componentwise_least_optimum(self):
         rng = random.Random(2024)
@@ -151,13 +176,12 @@ class TestOptimalLevels:
             expected = _brute_force_minimum(netlist, plan.depth)
             assert plan.num_buffers == expected, netlist.describe()
 
-    def test_never_worse_than_heuristic(self, rng):
+    def test_never_worse_than_asap(self, rng):
         for _ in range(20):
             netlist = random_rqfp(3, rng.randint(1, 10), 2, rng)
             exact = optimal_levels(netlist)
-            heuristic = schedule_levels(netlist)
-            assert exact.num_buffers <= heuristic.num_buffers
-            assert exact.depth == heuristic.depth
+            assert exact.num_buffers <= estimate_buffers(netlist)
+            assert exact.depth == netlist.depth()
 
     def test_respects_topological_order(self, rng):
         netlist = random_rqfp(3, 8, 2, rng)
@@ -195,6 +219,6 @@ def test_lp_optimum_dominates_all_heuristics(num_inputs, num_gates,
     netlist = random_rqfp(num_inputs, num_gates, num_outputs,
                           random.Random(seed))
     exact = optimal_levels(netlist)
-    assert exact.num_buffers <= schedule_levels(netlist).num_buffers
-    assert exact.num_buffers <= greedy_plan(netlist).num_buffers
+    assert exact.num_buffers <= estimate_buffers(netlist)
+    assert exact.depth == netlist.depth()
     assert exact.num_buffers == sum(exact.edge_buffers.values())

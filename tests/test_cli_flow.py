@@ -225,13 +225,29 @@ class TestCliVerifyStats:
         assert "mismatch" in capsys.readouterr().out
 
     def test_stats(self, capsys, tmp_path):
-        assert main(["bench", "full_adder", "--generations", "80",
-                     "--seed", "7", "-o", str(tmp_path / "fa.json")]) == 0
-        capsys.readouterr()
-        rc = main(["stats", str(tmp_path / "fa.json")])
-        out = capsys.readouterr().out
-        assert rc == 0
-        assert "JJs" in out and "clean" in out
+        """``stats`` prices an artifact as ``bench`` reported it, also on
+        intdiv6, whose ASAP levels cost more buffers than the exact
+        plan."""
+        def cost_fields(out, label):
+            line = next(line for line in out.splitlines()
+                        if line.startswith(label))
+            fields = dict(field.split("=") for field in
+                          line.split(":", 1)[1].split())
+            del fields["T"]
+            return fields
+
+        for name, generations, seed in (("full_adder", "80", "7"),
+                                        ("intdiv6", "20", "1")):
+            path = str(tmp_path / f"{name}.json")
+            assert main(["bench", name, "--generations", generations,
+                         "--seed", seed, "-o", path]) == 0
+            reported = cost_fields(capsys.readouterr().out, "rcgp ")
+            rc = main(["stats", path])
+            out = capsys.readouterr().out
+            assert rc == 0
+            assert "JJs" in out and "clean" in out
+            assert cost_fields(out, "cost ") == reported, name
+            assert set(reported) == {"n_r", "n_b", "JJs", "n_d", "n_g"}
 
 
 class TestCliInputErrors:

@@ -15,7 +15,7 @@ from repro.io.rqfp_json import (
 )
 from repro.logic.truth_table import TruthTable
 from repro.reversible.gates import Control
-from repro.rqfp.buffers import schedule_levels
+from repro.rqfp.buffer_opt import optimal_levels
 from repro.rqfp.gate import NORMAL_CONFIG
 from repro.rqfp.netlist import CONST_PORT, RqfpNetlist
 
@@ -139,7 +139,7 @@ class TestRqfpJson:
 
     def test_plan_embedded(self):
         netlist = self._netlist()
-        plan = schedule_levels(netlist)
+        plan = optimal_levels(netlist)
         data = netlist_to_dict(netlist, plan)
         assert data["buffer_plan"]["depth"] == plan.depth
 
@@ -200,7 +200,7 @@ class TestRqfpVerilogExport:
                               netlist.gate_output_port(g0, 1),
                               CONST_PORT, NORMAL_CONFIG)
         netlist.add_output(netlist.gate_output_port(g2, 0))
-        plan = schedule_levels(netlist)
+        plan = optimal_levels(netlist)
         text = write_rqfp_verilog(netlist, plan)
         if plan.num_buffers:
             assert "RQFP buffer" in text

@@ -21,7 +21,8 @@ from repro.logic.truth_table import TruthTable
 from repro.networks.convert import aig_to_mig, tables_to_aig
 from repro.opt.aig_opt import resyn2
 from repro.opt.mig_opt import aqfp_resynthesis
-from repro.rqfp.buffers import greedy_plan, schedule_levels
+from repro.rqfp.buffer_opt import optimal_levels
+from repro.rqfp.buffers import _count_buffers, estimate_buffers
 from repro.rqfp.from_mig import mig_to_rqfp
 from repro.rqfp.splitters import insert_splitters
 
@@ -96,15 +97,17 @@ def test_evolution_result_always_verifies(params):
        st.integers(0, 2 ** 31))
 def test_buffer_plans_agree_on_totals(num_inputs, num_gates, num_outputs,
                                       seed):
-    """Optimized and greedy plans count buffers the same way and the
-    optimizer never loses."""
+    """The exact and the ASAP plans count buffers the same way, the
+    exact one never loses to the ASAP estimate and keeps its depth."""
     netlist = random_rqfp(num_inputs, num_gates, num_outputs,
                           random.Random(seed))
-    optimized = schedule_levels(netlist)
-    greedy = greedy_plan(netlist)
-    assert optimized.num_buffers == sum(optimized.edge_buffers.values())
-    assert greedy.num_buffers == sum(greedy.edge_buffers.values())
-    assert optimized.num_buffers <= greedy.num_buffers
+    exact = optimal_levels(netlist)
+    asap_edges, asap_total = _count_buffers(netlist, netlist.levels(),
+                                            netlist.depth())
+    assert exact.num_buffers == sum(exact.edge_buffers.values())
+    assert asap_total == sum(asap_edges.values()) == estimate_buffers(netlist)
+    assert exact.num_buffers <= asap_total
+    assert exact.depth == netlist.depth()
 
 
 @settings(max_examples=30, deadline=None)

@@ -5,7 +5,6 @@ import pytest
 
 from repro.bench.registry import BENCHMARKS, get_benchmark
 from repro.core.synthesis import initialize_netlist
-from repro.rqfp.buffers import schedule_levels
 from repro.rqfp.metrics import circuit_cost
 from repro.rqfp.validate import validate_circuit
 

@@ -13,7 +13,7 @@ from repro.core.verify import verify_evolution_result
 from repro.errors import FanoutViolation, PathBalanceViolation
 from repro.logic.truth_table import tabulate_word
 from repro.rqfp.buffer_opt import optimal_levels
-from repro.rqfp.buffers import BufferPlan, _count_buffers, schedule_levels
+from repro.rqfp.buffers import BufferPlan, _count_buffers
 from repro.rqfp.gate import NORMAL_CONFIG
 from repro.rqfp.netlist import CONST_PORT, RqfpNetlist
 from repro.rqfp.validate import (
@@ -46,7 +46,7 @@ class TestValidateCircuit:
 
     def test_bad_plan_raises_path_balance(self):
         netlist = _legal_chain()
-        good = schedule_levels(netlist)
+        good = optimal_levels(netlist)
         bad = BufferPlan(levels=[1, 2], depth=2, edge_buffers={
             ("gg", 0, 1, 0): 5}, num_buffers=5)
         with pytest.raises(PathBalanceViolation):

@@ -31,8 +31,9 @@ on:
   the exhaustive truth-table verdict, and for an inequivalent candidate
   the pattern it appends is the solver's model;
 * **legality** — splitter insertion yields a fan-out-legal netlist
-  whose scheduled buffer plan passes ``validate_circuit`` /
-  ``check_circuit`` cleanly.
+  whose default (exact) buffer plan passes ``validate_circuit`` /
+  ``check_circuit`` cleanly, keeps the ASAP depth and needs no more
+  buffers than the fitness loop's ASAP estimate.
 
 Usage::
 
@@ -209,6 +210,13 @@ def check_legality(netlist: RqfpNetlist) -> None:
     plan = validate_circuit(legal)  # raises on any design-rule violation
     _check(check_circuit(legal, plan) == [],
            "check_circuit disagrees with validate_circuit")
+    asap = estimate_buffers(legal)
+    _check(plan.num_buffers <= asap,
+           f"buffer plan needs {plan.num_buffers} buffers, more than the "
+           f"ASAP estimate {asap}")
+    _check(plan.depth == legal.depth(),
+           f"buffer plan depth {plan.depth} is not the netlist depth "
+           f"{legal.depth()}")
 
 
 def run_round(seed: int, round_index: int) -> None:
