@@ -4,11 +4,11 @@ Each benchmark times the operation the inner loop actually performs —
 full evaluation, incremental (cone) evaluation (exact, and at the
 paper's defaults with the early stop), mutation + copy-on-write copy
 (tuned and at the paper's defaults), shrink — over a Table-1
-circuit, the exact buffer plan every reported cost uses, the SAT miter
-that the result gate runs, the formal check that sampled fitness runs,
-plus two end-to-end evolution runs (serial, and pooled over a
-two-worker dispatcher).  Candidates are flat kernels,
-the engine's one representation.
+circuit, the exact buffer plan every reported cost uses, the cold
+Initialization front end, the SAT miter that the result gate runs, the
+formal check that sampled fitness runs, plus two end-to-end evolution
+runs (serial, and pooled over a two-worker dispatcher).  Candidates are
+flat kernels, the engine's one representation.
 
 Rates are evaluations (or operations) per second; use
 ``tools/perf_bench.py`` to run the suite, persist ``BENCH_perf.json``,
@@ -29,7 +29,8 @@ from repro.core.engine import EvolutionRun
 from repro.core.fitness import Evaluator
 from repro.core.kernel import NetlistKernel
 from repro.core.mutation import consumer_view, mutate_with_delta
-from repro.core.synthesis import initialize_netlist
+from repro.core.synthesis import (baseline_initialization, clear_baselines,
+                                  initialize_netlist)
 from repro.jobs.pool import JobBackend
 from repro.rqfp.buffer_opt import optimal_levels
 from repro.sat.equivalence import check_against_tables
@@ -137,6 +138,23 @@ def bench_buffer_plan(circuit: str, iterations: int) -> float:
     return iterations / (time.perf_counter() - start)
 
 
+def bench_initialize(circuit: str, iterations: int) -> float:
+    """Cold Initialization baselines per second: the §3.1 front end
+    (``resyn2``, ``aqfp_resynthesis``, RQFP mapping, splitters) plus
+    the exact buffer plan.  The process-wide memo is cleared before each
+    call, so every call computes and a front-end regression shows here
+    even though jobs on a spec seen before skip it."""
+    spec = get_benchmark(circuit).spec()
+    elapsed = 0.0
+    for _ in range(iterations):
+        clear_baselines()
+        start = time.perf_counter()
+        baseline_initialization(spec, circuit)
+        elapsed += time.perf_counter() - start
+    clear_baselines()
+    return iterations / elapsed
+
+
 def bench_sat_miter(circuit: str, iterations: int) -> float:
     """SAT CEC checks per second: ``check_against_tables`` on
     ``one_hot_checker(12)``'s initial netlist against its spec, the
@@ -218,6 +236,7 @@ BENCHES: Dict[str, Tuple[Callable[[str, int], float], int, int]] = {
     "mutation_paper": (bench_mutation_paper, 1000, 150),
     "shrink": (bench_shrink, 2000, 300),
     "buffer_plan": (bench_buffer_plan, 200, 30),
+    "initialize": (bench_initialize, 20, 3),
     "sat_miter": (bench_sat_miter, 60, 10),
     "formal_check": (bench_formal_check, 3000, 500),
     "run_serial": (bench_run_serial, 1200, 60),

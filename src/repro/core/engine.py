@@ -465,6 +465,15 @@ def slice_stopped(result: EvolutionResult, budget: int,
         limit is not None and result.stagnation >= limit)
 
 
+def time_left(config: RcgpConfig, spent: float) -> Optional[float]:
+    """The ``time_budget`` for the next slice of a sliced run whose
+    earlier slices ran ``spent`` seconds (``None``: no budget).  A spent
+    budget reads 0, so that slice stops before its first generation."""
+    if config.time_budget is None:
+        return None
+    return max(0.0, config.time_budget - spent)
+
+
 def merge_slice(total: Optional[EvolutionResult], result: EvolutionResult,
                 offset: int) -> EvolutionResult:
     """Fold one slice of a sliced run into the result of the slices
@@ -523,7 +532,9 @@ class EvolutionRun:
     config:
         All search knobs, plus ``telemetry_path``.
     initial:
-        Starting netlist; defaults to the §3.1 initialization flow.
+        Starting netlist; defaults to the §3.1 initialization flow
+        (the process-wide memo of
+        :func:`~repro.core.synthesis.baseline_initialization`).
     progress:
         Callback ``(generation, fitness)`` fired on improvements.
     telemetry:
@@ -580,8 +591,8 @@ class EvolutionRun:
         if self.initial is not None:
             initial = self.initial.copy()
         else:
-            from .synthesis import initialize_netlist
-            initial = initialize_netlist(spec, self.name)
+            from .synthesis import baseline_initialization
+            initial = baseline_initialization(spec, self.name).netlist
         # The loop runs on the flat kernel (same port-index genome as
         # the object netlist); only the boundaries convert.
         parent = NetlistKernel.from_netlist(initial)

@@ -30,7 +30,7 @@ from ..logic.truth_table import TruthTable
 from ..rqfp.netlist import RqfpNetlist
 from .config import OPERATIONAL_CONFIG_FIELDS, RcgpConfig
 from .engine import (EvolutionResult, EvolutionRun, TelemetryWriter,
-                     merge_slice, slice_stopped)
+                     merge_slice, slice_stopped, time_left)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..jobs import JobStore
@@ -158,7 +158,8 @@ def evolve_with_checkpoints(spec: Sequence[TruthTable],
     configuration differs in search-relevant fields); otherwise it
     starts from ``initial`` (or the standard initialization).  The
     checkpoint is updated atomically after every slice, so a kill loses
-    at most one slice of work.  Slices merge by
+    at most one slice of work.  ``config.time_budget`` bounds the whole
+    call: each slice gets what the slices before it left.  Slices merge by
     :func:`~repro.core.engine.merge_slice`, so a resumed run reports
     absolute ``generations`` and ``history`` too.  With
     ``config.verify_result`` the result gate runs once, on the merged
@@ -173,10 +174,11 @@ def evolve_with_checkpoints(spec: Sequence[TruthTable],
         incumbent, done, stagnation, stored = \
             _read_checkpoint(checkpoint_path)
         _warn_on_config_mismatch(checkpoint_path, stored, config)
+    elif initial is not None:
+        incumbent = initial
     else:
-        from .synthesis import initialize_netlist
-        incumbent = initial if initial is not None \
-            else initialize_netlist(spec, name)
+        from .synthesis import baseline_initialization
+        incumbent = baseline_initialization(spec, name).netlist
 
     # Same seed every slice; the engine keys offspring RNG streams by
     # the absolute generation (offset + local) and each slice resumes
@@ -193,8 +195,11 @@ def evolve_with_checkpoints(spec: Sequence[TruthTable],
         while total is None or done < config.generations:
             budget = max(0, min(slice_generations,
                                 config.generations - done))
+            spent = 0.0 if total is None else total.runtime
             result = EvolutionRun(
-                spec, slice_config.replace(generations=budget),
+                spec, slice_config.replace(
+                    generations=budget,
+                    time_budget=time_left(config, spent)),
                 initial=incumbent, name=name, telemetry=telemetry,
                 generation_offset=done, stagnation=stagnation).run()
             total = merge_slice(total, result, done)

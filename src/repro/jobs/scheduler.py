@@ -54,7 +54,8 @@ from typing import Dict, List, Optional, Sequence
 
 from ..core.config import RcgpConfig
 from ..core.engine import (COUNTER_FIELDS, EvolutionResult, EvolutionRun,
-                           TelemetryWriter, merge_slice, slice_stopped)
+                           TelemetryWriter, merge_slice, slice_stopped,
+                           time_left)
 from ..core.fitness import Fitness
 from ..core.synthesis import (BaselineResult, SynthesisResult,
                               baseline_initialization)
@@ -127,10 +128,14 @@ def result_from_payload(payload: Dict[str, object]) -> SynthesisResult:
 
 
 class Job:
-    """Handle to one scheduled job (live or served from the store)."""
+    """Handle to one scheduled job (live or served from the store).
 
-    def __init__(self, scheduler: "Scheduler", spec: JobSpec):
-        self._scheduler = scheduler
+    A job reads its state from the store and holds no reference to its
+    scheduler, so no cycle keeps a finished job's result alive once the
+    caller and the scheduler let go of it."""
+
+    def __init__(self, store: JobStore, spec: JobSpec):
+        self._store = store
         self.spec = spec
         self.id = spec.job_id
         self.name = spec.name
@@ -141,21 +146,21 @@ class Job:
         self._live_evolution: Optional[EvolutionResult] = None
         self._live_ok = True
         # The baseline (with its buffer plan) when this process started
-        # the job; the live result reuses it instead of re-solving the
-        # plan's LP.
+        # the job; the live result reuses it instead of solving the
+        # baseline's buffer plan again.
         self._baseline: Optional[BaselineResult] = None
 
     @property
     def record(self) -> Dict[str, object]:
         try:
-            return self._scheduler.store.load_record(self.id) or {}
+            return self._store.load_record(self.id) or {}
         except StoreCorruption as exc:
             # Self-healing read: quarantine the torn record and report
             # the job pending — the next tick rebuilds it from scratch
             # (or from its surviving checkpoint) instead of the
             # corruption killing whoever polled the state.
             if exc.path:
-                self._scheduler.store.quarantine(exc.path)
+                self._store.quarantine(exc.path)
             return {}
 
     @property
@@ -165,10 +170,10 @@ class Job:
     @property
     def generations_done(self) -> int:
         try:
-            checkpoint = self._scheduler.store.load_checkpoint(self.id)
+            checkpoint = self._store.load_checkpoint(self.id)
         except StoreCorruption as exc:
             if exc.path:
-                self._scheduler.store.quarantine(exc.path)
+                self._store.quarantine(exc.path)
             return 0
         return 0 if checkpoint is None else checkpoint[1]
 
@@ -186,7 +191,7 @@ class Job:
         if state == FAILED:
             raise ReproError(
                 f"job {self.name or self.id} failed: {record.get('error')}")
-        payload = self._scheduler.store.load_result(self.id)
+        payload = self._store.load_result(self.id)
         if payload is None:
             raise ReproError(
                 f"job {self.name or self.id} is not finished "
@@ -280,7 +285,7 @@ class Scheduler:
         existing = self._jobs.get(job_id)
         if existing is not None:
             return existing
-        job = Job(self, jobspec)
+        job = Job(self.store, jobspec)
         try:
             record = self.store.load_record(job_id)
         except StoreCorruption as exc:
@@ -455,9 +460,13 @@ class Scheduler:
                 else min(self.quantum, remaining)
             # The result gate runs once, when the job finishes, on the
             # plan the result reports (_finalize), not on every slice.
+            # A time budget is the job's: each slice gets what earlier
+            # slices (the record's runtime, kept across restarts) left.
             slice_config = config.replace(
                 generations=budget, telemetry_path=None,
-                verify_result=False)
+                verify_result=False,
+                time_budget=time_left(
+                    config, float(record.get("runtime", 0.0))))
             backend = None
             pooled = self.workers > 1 or (
                 self.fleet is not None and self.fleet.live_count() > 0)

@@ -59,7 +59,7 @@ from __future__ import annotations
 from typing import List, Optional, Sequence, Tuple
 
 from ..errors import NetlistError
-from .buffers import BufferPlan, _count_buffers, _edge_list
+from .buffers import BufferPlan, _edge_list, plan_for_levels
 from .netlist import RqfpNetlist
 
 
@@ -95,8 +95,7 @@ def optimal_levels(netlist: RqfpNetlist,
             weight[src] -= 1
         # io edges are constant-cost.
     _ascend(levels, depth, weight, list(arcs))
-    edge_buffers, total = _count_buffers(netlist, levels, depth)
-    return BufferPlan(levels, depth, edge_buffers, total)
+    return plan_for_levels(netlist, levels, depth)
 
 
 def _ascend(levels: List[int], depth: int, weight: Sequence[int],

@@ -90,6 +90,14 @@ def _count_buffers(netlist: RqfpNetlist, levels: List[int], depth: int):
     return edge_buffers, total
 
 
+def plan_for_levels(netlist: RqfpNetlist, levels: List[int],
+                    depth: int) -> BufferPlan:
+    """The :class:`BufferPlan` of a level assignment: per-edge buffers
+    and their total."""
+    edge_buffers, total = _count_buffers(netlist, levels, depth)
+    return BufferPlan(levels, depth, edge_buffers, total)
+
+
 def estimate_buffers(netlist: RqfpNetlist) -> int:
     """Fast n_b estimate used inside the CGP fitness loop.
 

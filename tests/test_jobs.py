@@ -175,8 +175,9 @@ class TestSchedulerDeterminism:
 
     def test_job_solves_each_buffer_plan_once(self, monkeypatch):
         """An in-process job solves the baseline's plan when it starts
-        and the final netlist's when it ends; the live result reuses the
-        baseline's instead of solving it a third time."""
+        (unless the process already initialized its spec) and the final
+        netlist's when it ends; the live result reuses the baseline's
+        instead of solving it a third time."""
         from repro.core import synthesis
         from repro.jobs import scheduler as scheduler_mod
         from repro.rqfp.buffer_opt import optimal_levels
@@ -188,14 +189,41 @@ class TestSchedulerDeterminism:
 
         monkeypatch.setattr(synthesis, "optimal_levels", counting)
         monkeypatch.setattr(scheduler_mod, "optimal_levels", counting)
+        # Earlier tests initialized this spec: start the front end cold.
+        synthesis.clear_baselines()
         with Scheduler(quantum=40) as scheduler:
             job = scheduler.submit(_decoder_spec(),
                                    RcgpConfig(generations=100, seed=3))
             scheduler.run()
             result = job.result()
-        assert len(calls) == 2
+            assert len(calls) == 2
+            # A second job on the same spec reads the memoized baseline.
+            again = scheduler.submit(_decoder_spec(),
+                                     RcgpConfig(generations=100, seed=4))
+            scheduler.run()
+            assert again.result().initial.plan.levels == \
+                result.initial.plan.levels
+        assert len(calls) == 3
         assert result.initial.plan.levels == \
             optimal_levels(result.initial.netlist).levels
+
+    def test_dropped_result_is_freed_without_the_cycle_collector(self):
+        """A job holds its store, not its scheduler, so nothing but the
+        caller keeps a transient session's result alive: dropping it
+        frees it at once instead of at the next full collection."""
+        import gc
+        import weakref
+        from repro.api import synthesize
+        gc.collect()
+        gc.disable()
+        try:
+            result = synthesize(_decoder_spec(),
+                                RcgpConfig(generations=30, seed=1))
+            netlist = weakref.ref(result.netlist)
+            del result
+            assert netlist() is None
+        finally:
+            gc.enable()
 
     def test_duplicate_submission_is_same_job(self):
         spec = _xor_and_spec()

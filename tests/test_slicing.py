@@ -9,13 +9,15 @@ would strip) and the stagnation limit (which counts across slices, even
 when the stop lands exactly on a slice's last generation) included.
 
 The result gate runs once per job, after its last slice, on the buffer
-plan the result reports.
+plan the result reports, and ``time_budget`` bounds the whole job: each
+slice gets the time the slices before it left.
 """
 
 import json
 
 import pytest
 
+import repro.core.engine as engine_mod
 import repro.core.verify as verify_mod
 from repro.api import Session
 from repro.bench.registry import get_benchmark
@@ -23,6 +25,7 @@ from repro.core.config import RcgpConfig
 from repro.core.engine import read_telemetry
 from repro.core.restart import evolve_with_checkpoints, save_checkpoint
 from repro.core.synthesis import initialize_netlist
+from repro.jobs import DONE, JobStore, Scheduler
 
 _TUNED = dict(mutation_rate=0.08, max_mutated_genes=8)
 
@@ -168,3 +171,72 @@ class TestResultGateOncePerJob:
         result = _checkpointed(spec, config, 50, tmp_path)
         assert len(gate_calls) == 1
         assert result.verified
+
+
+class _Clock:
+    """Stands in for the engine module's ``time``: every ``monotonic()``
+    read advances one second, so a time budget stops a run after a
+    fixed number of clock reads on any host."""
+
+    def __init__(self):
+        self.now = 0.0
+
+    def monotonic(self):
+        self.now += 1.0
+        return self.now
+
+
+class TestTimeBudgetAcrossSlices:
+    """Every clock read costs one fake second, so a 40 s budget lasts a
+    hundred-odd generations; a slice of 50 generations takes about 23
+    reads, less than the budget, so a slice that restarted the budget
+    would never stop the run."""
+
+    BUDGET = 40.0
+
+    @pytest.fixture(autouse=True)
+    def fake_clock(self, monkeypatch):
+        monkeypatch.setattr(engine_mod, "time", _Clock())
+
+    def _config(self, budget=BUDGET):
+        return RcgpConfig(generations=4000, seed=5, time_budget=budget,
+                          **_TUNED)
+
+    def test_scheduler_slices_share_the_budget(self):
+        spec = get_benchmark("intdiv5").spec()
+        config = self._config()
+        whole, _ = _scheduled(spec, config, None)
+        sliced, slices = _scheduled(spec, config, 50)
+        assert 0 < sliced.generations <= whole.generations \
+            < config.generations
+        assert slices > 1
+        assert self.BUDGET <= sliced.runtime < 2 * self.BUDGET
+
+    def test_spent_budget_survives_a_restart(self, tmp_path):
+        # A store-backed job writes telemetry, whose events read the
+        # clock once per generation: a bigger budget keeps several
+        # slices in it.
+        budget = 5 * self.BUDGET
+        spec = get_benchmark("intdiv5").spec()
+        config = self._config(budget)
+        with Scheduler(JobStore(str(tmp_path)), quantum=50) as scheduler:
+            job = scheduler.submit(spec, config)
+            scheduler.run(max_ticks=1)
+            assert job.state != DONE
+        with Scheduler(JobStore(str(tmp_path)), quantum=50) as scheduler:
+            job = scheduler.submit(spec, config)
+            scheduler.run()
+            record = job.record
+        assert record["state"] == DONE
+        assert record["slices"] > 2
+        assert record["generations_done"] < config.generations
+        assert budget <= record["runtime"] < 2 * budget
+
+    def test_checkpoint_slices_share_the_budget(self, tmp_path):
+        spec = get_benchmark("intdiv5").spec()
+        config = self._config()
+        whole = _checkpointed(spec, config, config.generations, tmp_path)
+        sliced = _checkpointed(spec, config, 50, tmp_path)
+        assert 0 < sliced.generations <= whole.generations \
+            < config.generations
+        assert self.BUDGET <= sliced.runtime < 2 * self.BUDGET
