@@ -105,22 +105,6 @@ def test_buffer_lp_vs_heuristic(benchmark, intdiv6_netlist):
     assert exact.num_buffers <= asap
 
 
-def test_resyn2_with_rewrite(benchmark):
-    """A9: resyn2 with the NPN rewrite leg vs without (quality/runtime)."""
-    from repro.logic.truth_table import tabulate_word
-    from repro.networks.convert import tables_to_aig
-    from repro.opt.aig_opt import resyn2
-    spec = intdiv(5)
-    aig = tables_to_aig(spec)
-    plain = resyn2(aig)
-    with_rw = benchmark.pedantic(
-        resyn2, args=(aig,), kwargs={"use_rewrite": True},
-        rounds=1, iterations=1, warmup_rounds=0)
-    assert with_rw.to_truth_tables() == spec
-    print(f"\nA9 resyn2: plain {plain.size()} ANDs vs "
-          f"rewrite-enabled {with_rw.size()} ANDs")
-
-
 def test_bdd_vs_sat_equivalence(benchmark, intdiv6_netlist):
     """A10: BDD-canonical CEC vs the SAT miter on the same check —
     the two formal-verification strategies from the paper's §2.2."""
@@ -131,29 +115,3 @@ def test_bdd_vs_sat_equivalence(benchmark, intdiv6_netlist):
     assert result is True
     sat = check_against_tables(intdiv6_netlist.encoder(), spec)
     assert sat.equivalent is True
-
-
-def test_depth_aware_resynthesis(benchmark):
-    """A11: depth-aware MIG resynthesis vs plain, measured in final JJs
-    (buffers track depth imbalance, so depth cuts JJ cost)."""
-    from repro.networks.convert import aig_to_mig, tables_to_aig
-    from repro.opt.aig_opt import resyn2
-    from repro.opt.mig_opt import aqfp_resynthesis
-    from repro.rqfp.buffer_opt import optimal_levels
-    from repro.rqfp.from_mig import mig_to_rqfp
-    from repro.rqfp.metrics import circuit_cost
-    from repro.rqfp.splitters import insert_splitters
-
-    spec = intdiv(6)
-    aig = resyn2(tables_to_aig(spec))
-
-    def build(depth_aware):
-        mig = aqfp_resynthesis(aig_to_mig(aig), depth_aware=depth_aware)
-        netlist = insert_splitters(mig_to_rqfp(mig))
-        return circuit_cost(netlist, optimal_levels(netlist))
-
-    aware = benchmark.pedantic(build, args=(True,), rounds=1, iterations=1,
-                               warmup_rounds=0)
-    plain = build(False)
-    print(f"\nA11 depth-aware: plain {plain} vs aware {aware}")
-    assert aware.n_d <= plain.n_d

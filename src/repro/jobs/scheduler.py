@@ -274,7 +274,8 @@ class Scheduler:
         """Register one job; completed work is recognized immediately.
 
         A ``config.seed`` of ``None`` is replaced by fresh OS entropy
-        (recorded in the store) so the job stays resumable.
+        (recorded in the store) so the job stays resumable.  A failed
+        job, submitted again, resumes from its last checkpoint.
         """
         config = config or RcgpConfig()
         if config.seed is None:
@@ -284,6 +285,9 @@ class Scheduler:
         job_id = jobspec.job_id
         existing = self._jobs.get(job_id)
         if existing is not None:
+            record = existing.record
+            if record.get("state") == FAILED:
+                self._retry(job_id, record)
             return existing
         job = Job(self.store, jobspec)
         try:
@@ -297,13 +301,16 @@ class Scheduler:
             record = self._fresh_record(jobspec)
             self.store.save_record(job_id, record)
         elif record.get("state") == FAILED:
-            # A failed job is retried from its last checkpoint.
-            record["state"] = RUNNING if self.store.load_checkpoint(job_id) \
-                else PENDING
-            record["error"] = None
-            self.store.save_record(job_id, record)
+            self._retry(job_id, record)
         self._jobs[job_id] = job
         return job
+
+    def _retry(self, job_id: str, record: Dict[str, object]) -> None:
+        """Reopen a failed job at its last checkpoint (or baseline)."""
+        record["state"] = RUNNING if self.store.load_checkpoint(job_id) \
+            else PENDING
+        record["error"] = None
+        self.store.save_record(job_id, record)
 
     def _fresh_record(self, jobspec: JobSpec) -> Dict[str, object]:
         record: Dict[str, object] = {

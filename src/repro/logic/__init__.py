@@ -11,7 +11,6 @@ from .bitops import (
 )
 from .bdd import BddManager, bdd_equivalent, build_rqfp_bdds
 from .isop import Cube, best_phase_isop, cover_literals, cover_table, isop
-from .npn import apply_transform, invert_transform, npn_canonical, npn_classes, same_npn_class
 from .truth_table import TruthTable, tables_equal, tabulate_word
 
 __all__ = [
@@ -23,11 +22,6 @@ __all__ = [
     "best_phase_isop",
     "cover_table",
     "cover_literals",
-    "npn_canonical",
-    "apply_transform",
-    "invert_transform",
-    "npn_classes",
-    "same_npn_class",
     "BddManager",
     "bdd_equivalent",
     "build_rqfp_bdds",

@@ -2,10 +2,10 @@
 
 The ISOP algorithm recursively splits an incompletely-specified function
 ``(lower, upper)`` (must-cover onset and allowed onset) on a variable and
-produces an irredundant cover.  It is the workhorse behind the AIG
-``refactor`` pass that stands in for ABC's ``resyn2`` in this
-reproduction, and behind two-level size estimates used by the MIG
-rewriter.
+produces an irredundant cover.  It is the workhorse behind
+``tables_to_aig``, which builds each spec's first AIG, and behind the
+AIG ``refactor`` pass that stands in for ABC's ``resyn2`` in this
+reproduction.
 
 A cube is encoded as a pair of bitmasks ``(pos, neg)`` over variables:
 bit ``v`` of ``pos`` means literal ``x_v`` appears positively, bit ``v``

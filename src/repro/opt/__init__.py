@@ -1,8 +1,6 @@
 """Logic optimization passes (ABC / mockturtle substitutes)."""
 
 from .aig_opt import balance, collapse_refactor, refactor, resyn2
-from .rewrite import clear_library, library_size, rewrite
-from .mig_depth import depth_rewrite_once, mig_depth_rewrite
 from .mig_opt import (
     aqfp_resynthesis,
     mig_algebraic_rewrite,
@@ -16,14 +14,9 @@ __all__ = [
     "refactor",
     "collapse_refactor",
     "resyn2",
-    "rewrite",
-    "clear_library",
-    "library_size",
     "aqfp_resynthesis",
     "mig_algebraic_rewrite",
     "rewrite_distributivity",
     "rewrite_associativity",
     "relevance_rewrite",
-    "mig_depth_rewrite",
-    "depth_rewrite_once",
 ]

@@ -210,26 +210,19 @@ def collapse_refactor(aig: Aig, max_inputs: int = 14) -> Aig:
     return rebuilt if rebuilt.size() < aig.size() else aig
 
 
-def resyn2(aig: Aig, rounds: int = 2, use_rewrite: bool = False) -> Aig:
-    """The classic alternation: balance / [rewrite] / refactor to a
-    fixpoint-ish.
+def resyn2(aig: Aig, rounds: int = 2) -> Aig:
+    """The classic alternation: balance / refactor to a fixpoint-ish.
 
     Mirrors ABC's ``resyn2`` role in the paper's initialization phase:
     a size-oriented cleanup of the incoming network before MIG mapping.
-    ``use_rewrite`` additionally runs the NPN cut-rewriting pass — more
-    thorough but markedly slower in pure Python, so it is opt-in (the
-    A9 benchmark quantifies the trade).
+    ABC's script also runs cut rewriting (``rewrite``); this one does
+    not.
     """
-    from .rewrite import rewrite
     best = aig.cleanup()
     for _ in range(rounds):
         candidate = balance(best)
-        if use_rewrite:
-            candidate = rewrite(candidate)
         candidate = refactor(candidate)
         candidate = collapse_refactor(candidate)
-        if use_rewrite:
-            candidate = rewrite(candidate)
         candidate = balance(candidate)
         if candidate.size() < best.size() or (
                 candidate.size() == best.size() and candidate.depth() < best.depth()):

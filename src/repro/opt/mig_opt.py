@@ -212,15 +212,9 @@ def mig_algebraic_rewrite(mig: Mig, max_rounds: int = 4) -> Mig:
     return best
 
 
-def aqfp_resynthesis(mig: Mig, rounds: int = 4,
-                     depth_aware: bool = False) -> Mig:
+def aqfp_resynthesis(mig: Mig, rounds: int = 4) -> Mig:
     """Entry point mirroring mockturtle's ``aqfp_resynthesis`` role:
     majority-algebra size optimization of an MIG destined for AQFP/RQFP
-    mapping.  ``depth_aware`` additionally runs the Ω.A depth pass,
-    trading a possible small size increase for fewer buffer levels
-    (benchmarked as A11)."""
-    out = mig_algebraic_rewrite(mig, max_rounds=rounds)
-    if depth_aware:
-        from .mig_depth import mig_depth_rewrite
-        out = mig_depth_rewrite(out)
-    return out
+    mapping.  Path balancing is left to the exact buffer planner
+    (:func:`repro.rqfp.buffer_opt.optimal_levels`)."""
+    return mig_algebraic_rewrite(mig, max_rounds=rounds)

@@ -355,10 +355,14 @@ class ServiceServer:
             info.update(state=DONE, from_store=True)
             return 200, info
         with self._lock:
-            known = job_id in self._queued or job_id in self._active
+            # A failed job scheduled here is not running: submitting it
+            # again queues it, and the scheduler resumes it from its
+            # last checkpoint.
+            known = job_id in self._queued or (
+                job_id in self._active and record.get("state") != FAILED)
         if known or record.get("state") in (PENDING, RUNNING):
             # Same content hash already queued, scheduled here, or
-            # failed/interrupted elsewhere and now resumable: idempotent.
+            # interrupted elsewhere and now resumable: idempotent.
             if not known:
                 self._enqueue(_Submission(job_id, tables, config, name))
             info["state"] = self.job_view(job_id)["state"]
@@ -390,6 +394,10 @@ class ServiceServer:
         ``running`` with its ``owner`` surfaced.
         """
         store = self.session.store
+        with self._lock:
+            # Read before the record: the loop reopens a resubmitted
+            # failed job before it takes the job off the queue.
+            requeued = job_id in self._queued
         record = store.load_record(job_id)
         if record is None:
             with self._lock:
@@ -401,6 +409,8 @@ class ServiceServer:
                         "resumable": False}
             raise JobNotFound(f"no job {job_id!r} in the store or queue")
         state = str(record.get("state", PENDING))
+        if state == FAILED and requeued:
+            state = QUEUED
         with self._lock:
             owned = job_id in self._active or job_id in self._queued
         view: Dict[str, Any] = {

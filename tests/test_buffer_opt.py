@@ -71,16 +71,22 @@ def _optimal_vectors(netlist, depth):
     return best, optima
 
 
-#: ``(num_buffers, depth)`` of the initialization netlist's plan for
-#: every Table-1/Table-2 benchmark but hwb8, as the LP solver (HiGHS)
-#: computed them before the min-cut planner replaced it.
+#: ``(n_r, n_g, num_buffers, depth)`` of the initialization netlist and
+#: its plan for every Table-1/Table-2 benchmark but hwb8.  The plan
+#: columns are what the LP solver (HiGHS) computed before the min-cut
+#: planner replaced it; the gate and garbage columns pin the front end
+#: (``resyn2`` and ``aqfp_resynthesis`` at their defaults).
 PINNED_PLANS = {
-    "full_adder": (6, 6), "4gt10": (5, 4), "alu": (14, 8), "c17": (9, 5),
-    "decoder_2_4": (0, 2), "decoder_3_8": (2, 3), "graycode4": (3, 3),
-    "ham3": (9, 5), "mux4": (8, 5), "4_49": (34, 9), "graycode6": (3, 3),
-    "mod5adder": (148, 13), "intdiv4": (9, 4), "intdiv5": (10, 5),
-    "intdiv6": (38, 8), "intdiv7": (68, 10), "intdiv8": (124, 12),
-    "intdiv9": (194, 13), "intdiv10": (326, 15),
+    "full_adder": (14, 20, 6, 6), "4gt10": (5, 8, 5, 4),
+    "alu": (30, 42, 14, 8), "c17": (9, 15, 9, 5),
+    "decoder_2_4": (4, 4, 0, 2), "decoder_3_8": (10, 9, 2, 3),
+    "graycode4": (9, 12, 3, 3), "ham3": (13, 17, 9, 5),
+    "mux4": (11, 18, 8, 5), "4_49": (44, 59, 34, 9),
+    "graycode6": (15, 20, 3, 3), "mod5adder": (199, 270, 148, 13),
+    "intdiv4": (11, 15, 9, 4), "intdiv5": (22, 30, 10, 5),
+    "intdiv6": (46, 62, 38, 8), "intdiv7": (92, 125, 68, 10),
+    "intdiv8": (168, 228, 124, 12), "intdiv9": (271, 367, 194, 13),
+    "intdiv10": (460, 621, 326, 15),
 }
 
 
@@ -93,7 +99,8 @@ class TestPinnedPlans:
     def test_initialization_plan(self, name):
         netlist = initialize_netlist(get_benchmark(name).spec(), name)
         plan = optimal_levels(netlist)
-        assert (plan.num_buffers, plan.depth) == PINNED_PLANS[name]
+        assert (netlist.num_gates, netlist.num_garbage, plan.num_buffers,
+                plan.depth) == PINNED_PLANS[name]
         assert plan.num_buffers == sum(plan.edge_buffers.values())
 
 

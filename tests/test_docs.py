@@ -7,7 +7,9 @@ executed (dead names still fail); all other python blocks run in full.
 Shell blocks (```bash / ```sh / ```console) are linted: ``rcgp``
 subcommands and flags must exist on the real CLI surface, ``python -m``
 modules must import, and ``curl`` examples must hit real service
-routes.
+routes.  Every ``benchmarks|tests|tools|examples/<file>.py[::name]``
+reference in README.md, DESIGN.md, EXPERIMENTS.md and ``docs/*.md``
+must name a file and a definition that exist.
 """
 
 import os
@@ -19,9 +21,11 @@ TOOLS_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file_
 if TOOLS_DIR not in sys.path:
     sys.path.insert(0, TOOLS_DIR)
 
-from docs_smoke import (DocBlock, ShellBlock, check_shell_block,  # noqa: E402
-                        check_shell_command, extract_blocks, iter_blocks,
-                        iter_shell_blocks, run_block, shell_commands)
+from docs_smoke import (DocBlock, ShellBlock, check_reference,  # noqa: E402
+                        check_shell_block, check_shell_command,
+                        extract_blocks, extract_references, iter_blocks,
+                        iter_references, iter_shell_blocks, run_block,
+                        shell_commands)
 
 BLOCKS = iter_blocks()
 SHELL_BLOCKS = iter_shell_blocks()
@@ -163,3 +167,58 @@ def test_no_lint_marker_skips_block():
     block = ShellBlock("synthetic.md", 1, "bash",
                        "# doc: no-lint\nfrobnicate --now\n")
     assert check_shell_block(block) == []
+
+
+# ----------------------------------------------------------------------
+# References to repo python files
+
+
+def test_doc_references_resolve():
+    references = iter_references()
+    assert len(references) >= 50
+    assert {r.path for r in references} >= {"README.md", "DESIGN.md",
+                                             "EXPERIMENTS.md"}
+    assert [problem for reference in references
+            for problem in check_reference(reference)] == []
+
+
+def _references_in(tmp_path, text):
+    import docs_smoke
+
+    (tmp_path / "doc.md").write_text(text)
+    original = docs_smoke.REPO_ROOT
+    docs_smoke.REPO_ROOT = str(tmp_path)
+    try:
+        return list(extract_references("doc.md"))
+    finally:
+        docs_smoke.REPO_ROOT = original
+
+
+def test_reference_extraction(tmp_path):
+    found = _references_in(tmp_path, (
+        "see `tests/test_docs.py::test_doc_block[README.md:1]`,\n"
+        "perfbench/tools/x.py and src/tests/y.py are not references;\n"
+        "run examples/quickstart.py, then "
+        "benchmarks/test_ablations.py::TestShrinkAblation::"
+        "test_always_vs_never.\n"))
+    assert [(r.lineno, r.label) for r in found] == [
+        (1, "tests/test_docs.py::test_doc_block"),
+        (3, "examples/quickstart.py"),
+        (3, "benchmarks/test_ablations.py::TestShrinkAblation::"
+            "test_always_vs_never"),
+    ]
+    assert all(check_reference(r) == [] for r in found)
+
+
+@pytest.mark.parametrize("text, problem", [
+    ("benchmarks/test_ablation_shrink.py", "no such file"),
+    ("benchmarks/test_substrates.py::test_resyn2_with_rewrite",
+     "'test_resyn2_with_rewrite' is not defined"),
+    ("benchmarks/test_ablations.py::TestShrinkAblation::test_nothing",
+     "'test_nothing' is not defined"),
+    ("tests/test_docs.py::BLOCKS", "'BLOCKS' is not defined"),
+])
+def test_broken_references_are_caught(tmp_path, text, problem):
+    (reference,) = _references_in(tmp_path, text)
+    (message,) = check_reference(reference)
+    assert message.startswith("doc.md:1: ") and problem in message

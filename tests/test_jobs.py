@@ -352,6 +352,47 @@ class TestSchedulerPersistence:
                 bad_job.result()
             assert good_job.result().verify()
 
+    def test_failed_job_resubmitted_to_the_same_scheduler_resumes(
+            self, monkeypatch):
+        import repro.jobs.scheduler as scheduler_module
+        from repro.bench import get_benchmark
+        from repro.errors import ReproError
+
+        spec = get_benchmark("ham3").spec()
+        config = RcgpConfig(generations=50, seed=1)
+        with Scheduler(quantum=20) as scheduler:
+            clean = scheduler.submit(spec, config)
+            scheduler.run()
+            expected = clean.result()
+
+        real_run = scheduler_module.EvolutionRun
+        failures = []
+
+        class FailSecondSliceOnce(real_run):
+            def run(self):
+                if self.generation_offset > 0 and not failures:
+                    failures.append(self.generation_offset)
+                    raise ReproError("injected failure")
+                return super().run()
+
+        monkeypatch.setattr(scheduler_module, "EvolutionRun",
+                            FailSecondSliceOnce)
+        with Scheduler(quantum=20) as scheduler:
+            job = scheduler.submit(spec, config)
+            scheduler.run()
+            assert job.state == FAILED and failures == [20]
+            again = scheduler.submit(spec, config)
+            assert again is job
+            assert job.state == RUNNING    # reopened at its checkpoint
+            assert job.generations_done == 20
+            scheduler.run()
+            assert job.state == DONE
+            result = job.result()
+        assert _chromosome(result) == _chromosome(expected)
+        assert result.evolution.fitness.key() == \
+            expected.evolution.fitness.key()
+        assert result.verify()
+
 
 class TestSharedWorkerPool:
     def test_pooled_jobs_bit_identical_to_inline(self):

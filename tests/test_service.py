@@ -328,6 +328,41 @@ class TestInterruptedAndResume:
                 netlist_to_dict(baseline.netlist)
             assert result.verify()
 
+    def test_failed_job_resubmitted_to_a_live_server_resumes(
+            self, monkeypatch):
+        import repro.jobs.scheduler as scheduler_module
+
+        spec, config = _decoder_spec(), _config(generations=100)
+        baseline = synthesize(spec, config)
+        real_run = scheduler_module.EvolutionRun
+        failures = []
+
+        class FailSecondSliceOnce(real_run):
+            def run(self):
+                if self.generation_offset > 0 and not failures:
+                    failures.append(self.generation_offset)
+                    raise ReproError("injected failure")
+                return super().run()
+
+        monkeypatch.setattr(scheduler_module, "EvolutionRun",
+                            FailSecondSliceOnce)
+        with ServiceServer(None, port=0, quantum=25).start() as server:
+            client = ServiceClient(server.url, timeout=10.0)
+            job_id = client.submit(spec, config)["job_id"]
+            assert client.wait(job_id, timeout=60)["state"] == "failed"
+            assert failures == [25]
+
+            again = client.submit(spec, config)
+            assert again["job_id"] == job_id
+            assert again["state"] == QUEUED
+            assert client.status(job_id)["state"] != "failed"
+            final = client.wait(job_id, timeout=60)
+            assert final["state"] == "done"
+            assert final["generations_done"] == 100
+            result = client.result(job_id)
+            assert netlist_to_dict(result.netlist) == \
+                netlist_to_dict(baseline.netlist)
+
 
 class TestCrashSurfacing:
     """Leases, quarantines and torn streams as seen over the wire."""

@@ -18,12 +18,17 @@ contract with the reader.  This tool keeps the contract honest:
   ``python -m`` modules must be importable, referenced ``.py`` files
   must exist, and ``curl`` URLs must hit a path in the service routing
   table (:data:`repro.service.ROUTES`).  A block whose first line is
-  ``# doc: no-lint`` is skipped.
+  ``# doc: no-lint`` is skipped;
+* every ``benchmarks|tests|tools|examples/<file>.py[::name]`` reference
+  in README.md, DESIGN.md, EXPERIMENTS.md and ``docs/*.md`` must name
+  a file that exists and, after ``::``, a class or function defined in
+  it (``Class::method`` nests).
 
 Run directly (``python tools/docs_smoke.py``) for a CI step, or import
 ``iter_blocks`` / ``run_block`` / ``iter_shell_blocks`` /
 ``check_shell_block`` from ``tests/test_docs.py`` for a per-block
-pytest parametrization.
+pytest parametrization, or ``iter_references`` / ``check_reference``
+for the reference check.
 """
 
 from __future__ import annotations
@@ -50,6 +55,8 @@ NO_LINT_MARKER = "# doc: no-lint"
 
 #: Files scanned for code fences, relative to the repo root.
 DOC_FILES = ("README.md", "docs")
+#: Files whose references to repo python files must resolve.
+REFERENCE_FILES = ("README.md", "DESIGN.md", "EXPERIMENTS.md", "docs")
 
 
 @dataclass(frozen=True)
@@ -71,9 +78,9 @@ class DocBlock:
         return f"{self.path}:{self.lineno} [{mode}]"
 
 
-def _markdown_files() -> List[str]:
+def _markdown_files(entries: Tuple[str, ...] = DOC_FILES) -> List[str]:
     files = []
-    for entry in DOC_FILES:
+    for entry in entries:
         full = os.path.join(REPO_ROOT, entry)
         if os.path.isdir(full):
             for name in sorted(os.listdir(full)):
@@ -446,6 +453,66 @@ def check_shell_block(block: ShellBlock) -> List[str]:
     return problems
 
 
+# ----------------------------------------------------------------------
+# References to repo python files
+
+_REFERENCE = re.compile(
+    r"(?<![\w/.-])((?:benchmarks|tests|tools|examples)/[\w/.-]+\.py)"
+    r"((?:::\w+)*)")
+
+
+@dataclass(frozen=True)
+class FileReference:
+    """One ``<dir>/<file>.py[::name...]`` mention in a markdown file."""
+
+    path: str               # repo-relative markdown path
+    lineno: int             # 1-based line of the mention
+    target: str             # repo-relative python file
+    names: Tuple[str, ...]  # the ``::``-separated names after it
+
+    @property
+    def label(self) -> str:
+        return "::".join((self.target,) + self.names)
+
+
+def extract_references(path: str) -> Iterator[FileReference]:
+    """Yield the python-file references of one markdown file."""
+    with open(os.path.join(REPO_ROOT, path), encoding="utf-8") as handle:
+        lines = handle.read().splitlines()
+    for number, line in enumerate(lines, start=1):
+        for match in _REFERENCE.finditer(line):
+            names = tuple(match.group(2).split("::")[1:])
+            yield FileReference(path, number, match.group(1), names)
+
+
+def iter_references() -> List[FileReference]:
+    """All python-file references across :data:`REFERENCE_FILES`."""
+    references: List[FileReference] = []
+    for path in _markdown_files(REFERENCE_FILES):
+        references.extend(extract_references(path))
+    return references
+
+
+def check_reference(reference: FileReference) -> List[str]:
+    """Problems with one reference, as ``file:line: message``."""
+    where = f"{reference.path}:{reference.lineno}"
+    full = os.path.join(REPO_ROOT, reference.target)
+    if not os.path.isfile(full):
+        return [f"{where}: no such file {reference.target!r}"]
+    with open(full, encoding="utf-8") as handle:
+        scope = ast.parse(handle.read(), filename=full).body
+    for name in reference.names:
+        node = next((child for child in scope
+                     if isinstance(child, (ast.ClassDef, ast.FunctionDef,
+                                           ast.AsyncFunctionDef))
+                     and child.name == name), None)
+        if node is None:
+            return [f"{where}: {reference.label!r} names nothing "
+                    f"({name!r} is not defined there)"]
+        scope = node.body
+    return []
+
+
 def main(argv: List[str]) -> int:
     blocks = iter_blocks()
     if not blocks:
@@ -469,12 +536,18 @@ def main(argv: List[str]) -> int:
         for problem in problems:
             print(f"   {problem}", file=sys.stderr)
         shell_problems += len(problems)
+    references = iter_references()
+    broken = [problem for reference in references
+              for problem in check_reference(reference)]
+    for problem in broken:
+        print(f"   {problem}", file=sys.stderr)
     ran = sum(1 for b in blocks if not b.no_run)
     print(f"docs_smoke: {len(blocks)} python blocks "
           f"({ran} executed, {len(blocks) - ran} imports-only), "
           f"{failures} failed; {len(shell_blocks)} shell blocks, "
-          f"{shell_problems} problems")
-    return 1 if failures or shell_problems else 0
+          f"{shell_problems} problems; {len(references)} file references, "
+          f"{len(broken)} broken")
+    return 1 if failures or shell_problems or broken else 0
 
 
 if __name__ == "__main__":
