@@ -477,7 +477,9 @@ def time_left(config: RcgpConfig, spent: float) -> Optional[float]:
 def merge_slice(total: Optional[EvolutionResult], result: EvolutionResult,
                 offset: int) -> EvolutionResult:
     """Fold one slice of a sliced run into the result of the slices
-    before it (``total``; ``None`` for the first slice).
+    before it (``total``; ``None`` for the first slice).  These are the
+    only merge rules: a scheduler job's record and
+    :func:`~repro.core.restart.evolve_with_checkpoints` both use them.
 
     ``result`` is the slice's own result, run with
     ``generation_offset=offset``.  The merge reports absolute

@@ -24,9 +24,11 @@ a persistent :class:`~repro.jobs.store.JobStore`:
   included.  A killed process loses at most one slice; a new
   scheduler over the same store re-runs that slice deterministically
   and converges to the identical final result.
-* **Store-served results.**  A completed job's artifact is written once
-  and re-submitting the same :class:`~repro.jobs.spec.JobSpec` (same
-  spec hash) returns it without any re-evaluation.
+* **One result path.**  A completed job's artifact (netlists with
+  their buffer plans, costs, ``history``, counters) is written once;
+  every :meth:`Job.result` rebuilds it from the store, and
+  re-submitting the same :class:`~repro.jobs.spec.JobSpec` (same spec
+  hash) returns it without any re-evaluation.
 * **Fault tolerance.**  Worker crashes and hangs inside a slice are
   recovered by the dispatcher's span retry loop; a slice out of retries
   finishes inline and the next slice tries the workers again.  Recovery
@@ -50,7 +52,7 @@ from __future__ import annotations
 
 import random as _random
 import time
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.config import RcgpConfig
 from ..core.engine import (COUNTER_FIELDS, EvolutionResult, EvolutionRun,
@@ -62,6 +64,7 @@ from ..core.synthesis import (BaselineResult, SynthesisResult,
 from ..errors import ReproError, StoreCorruption
 from ..logic.truth_table import TruthTable
 from ..rqfp.buffer_opt import optimal_levels
+from ..rqfp.buffers import BufferPlan, plan_for_levels
 from ..rqfp.metrics import CircuitCost, circuit_cost
 from ..rqfp.netlist import RqfpNetlist
 from ..io.rqfp_json import netlist_from_dict, netlist_to_dict
@@ -81,74 +84,118 @@ def _cost_fields(cost: CircuitCost) -> Dict[str, float]:
             "n_g": cost.n_g, "runtime": cost.runtime}
 
 
-def result_from_payload(payload: Dict[str, object]) -> SynthesisResult:
-    """Rebuild a :class:`SynthesisResult` from a stored job artifact.
+#: Where the job record's names differ from ``result.json``'s.
+_RECORD_NAMES = {"generations": "generations_done",
+                 "degraded_to_inline": "degraded"}
 
-    Netlists and scalar statistics are stored verbatim; buffer plans
-    are recomputed (``optimal_levels`` is deterministic), and the
-    improvement ``history`` is not persisted.
-    """
-    netlist = netlist_from_dict(payload["netlist"])
-    plan = optimal_levels(netlist)
-    baseline_net = netlist_from_dict(payload["baseline"]["netlist"])
-    baseline = BaselineResult(
-        baseline_net, optimal_levels(baseline_net),
-        CircuitCost(**payload["baseline"]["cost"]))
-    evolution = EvolutionResult(
+
+def _evolution_fields(evolution: EvolutionResult,
+                      names: Optional[Dict[str, str]] = None) \
+        -> Dict[str, object]:
+    """A job's merged :class:`EvolutionResult` as the JSON fields its
+    record and ``result.json`` hold; only the result adds ``verified``."""
+    fields: Dict[str, object] = {
+        "fitness": _fitness_fields(evolution.fitness),
+        "initial_fitness": _fitness_fields(evolution.initial_fitness),
+        "generations": evolution.generations,
+        "history": [[generation, _fitness_fields(fitness)]
+                    for generation, fitness in evolution.history],
+        "runtime": evolution.runtime,
+        "backend": evolution.backend,
+        "degraded_to_inline": evolution.degraded_to_inline,
+        "interrupted": evolution.interrupted,
+    }
+    for field in COUNTER_FIELDS:
+        fields[field] = getattr(evolution, field)
+    names = names or {}
+    return {names.get(key, key): value for key, value in fields.items()}
+
+
+def _evolution_from_fields(data: Dict[str, object], netlist: RqfpNetlist,
+                           names: Optional[Dict[str, str]] = None) \
+        -> EvolutionResult:
+    """Inverse of :func:`_evolution_fields`.  A field that artifacts
+    written by older versions lack (transport counters, ``history``,
+    ``interrupted``, ``verified``) reads as its default."""
+    names = names or {}
+
+    def get(key: str, default: object = None) -> object:
+        return data.get(names.get(key, key), default)
+
+    return EvolutionResult(
         netlist=netlist,
-        fitness=Fitness(*payload["fitness"]),
-        initial_fitness=Fitness(*payload["initial_fitness"]),
-        generations=int(payload["generations"]),
-        evaluations=int(payload["evaluations"]),
-        runtime=float(payload["runtime"]),
-        sat_calls=int(payload["sat_calls"]),
-        cache_hits=int(payload["cache_hits"]),
-        backend=str(payload["backend"]),
-        eval_full=int(payload["eval_full"]),
-        eval_incremental=int(payload["eval_incremental"]),
-        ports_resimulated=int(payload["ports_resimulated"]),
-        worker_restarts=int(payload["worker_restarts"]),
-        batches_retried=int(payload["batches_retried"]),
-        # Transport counters postdate the store schema; absent in
-        # artifacts written by older sessions.
-        bytes_shipped=int(payload.get("bytes_shipped", 0)),
-        chunks_dispatched=int(payload.get("chunks_dispatched", 0)),
-        pipeline_stalls=int(payload.get("pipeline_stalls", 0)),
-        degraded_to_inline=bool(payload["degraded_to_inline"]),
-        verified=bool(payload.get("verified", False)),
-    )
+        fitness=Fitness(*get("fitness")),
+        initial_fitness=Fitness(*get("initial_fitness")),
+        generations=int(get("generations")),
+        runtime=float(get("runtime")),
+        history=[(int(generation), Fitness(*fitness))
+                 for generation, fitness in get("history", [])],
+        backend=str(get("backend")),
+        degraded_to_inline=bool(get("degraded_to_inline")),
+        interrupted=bool(get("interrupted", False)),
+        verified=bool(get("verified", False)),
+        **{field: int(get(field, 0)) for field in COUNTER_FIELDS})
+
+
+def _netlist_and_plan(data: Dict[str, object], cost: CircuitCost) \
+        -> Tuple[RqfpNetlist, BufferPlan]:
+    """A stored netlist with its stored buffer plan, checked against the
+    stored cost (artifacts written before plans were stored: solved)."""
+    netlist = netlist_from_dict(data)
+    stored = data.get("buffer_plan")
+    if stored is None:
+        return netlist, optimal_levels(netlist)
+    levels, depth = list(stored["levels"]), stored["depth"]
+    try:
+        plan = plan_for_levels(netlist, levels, depth)
+    except (ValueError, IndexError):  # a negative span, a missing level
+        plan = None
+    if plan is None or (netlist.num_gates, len(levels), depth,
+                        stored["num_buffers"], plan.num_buffers) != \
+            (cost.n_r, cost.n_r, cost.n_d, cost.n_b, cost.n_b):
+        raise StoreCorruption(f"stored buffer plan of {netlist.name!r} "
+                              f"does not match its cost {cost}")
+    return netlist, plan
+
+
+def result_from_payload(payload: Dict[str, object]) -> SynthesisResult:
+    """Rebuild a :class:`SynthesisResult` from a stored job artifact —
+    the only way a job's result is read, in-process and over HTTP.
+
+    Netlists, buffer plans, ``history`` and statistics are stored
+    verbatim.  A stored plan that disagrees with its stored cost raises
+    :class:`~repro.errors.StoreCorruption`.
+    """
+    cost = CircuitCost(**payload["cost"])
+    netlist, plan = _netlist_and_plan(payload["netlist"], cost)
+    baseline_cost = CircuitCost(**payload["baseline"]["cost"])
+    baseline = BaselineResult(
+        *_netlist_and_plan(payload["baseline"]["netlist"], baseline_cost),
+        baseline_cost)
     return SynthesisResult(
         netlist=netlist,
         plan=plan,
-        cost=CircuitCost(**payload["cost"]),
+        cost=cost,
         initial=baseline,
-        evolution=evolution,
+        evolution=_evolution_from_fields(payload, netlist),
         spec=spec_tables_from_payload(payload["spec"]),
     )
 
 
 class Job:
-    """Handle to one scheduled job (live or served from the store).
+    """Handle to one scheduled job.
 
-    A job reads its state from the store and holds no reference to its
-    scheduler, so no cycle keeps a finished job's result alive once the
-    caller and the scheduler let go of it."""
+    A job reads its state and its result from the store and holds no
+    reference to its scheduler, so nothing but the caller keeps a
+    result alive."""
 
     def __init__(self, store: JobStore, spec: JobSpec):
         self._store = store
         self.spec = spec
         self.id = spec.job_id
         self.name = spec.name
-        self._live_result: Optional[SynthesisResult] = None
-        # This process's slices, merged (merge_slice) with what the
-        # store drops (history, interrupt flag); only trusted when
-        # every slice ran here (no foreign checkpoint).
-        self._live_evolution: Optional[EvolutionResult] = None
-        self._live_ok = True
-        # The baseline (with its buffer plan) when this process started
-        # the job; the live result reuses it instead of solving the
-        # baseline's buffer plan again.
-        self._baseline: Optional[BaselineResult] = None
+        #: Whether the job was already complete when submitted.
+        self.from_store = False
 
     @property
     def record(self) -> Dict[str, object]:
@@ -177,15 +224,9 @@ class Job:
             return 0
         return 0 if checkpoint is None else checkpoint[1]
 
-    @property
-    def from_store(self) -> bool:
-        """Whether this job was already complete when submitted."""
-        return self._live_result is None and self.state == DONE
-
     def result(self) -> SynthesisResult:
-        """The finished artifact; raises if the job is not done."""
-        if self._live_result is not None:
-            return self._live_result
+        """The finished artifact, rebuilt from the store; raises if the
+        job is not done."""
         record = self.record
         state = record.get("state", PENDING)
         if state == FAILED:
@@ -240,6 +281,9 @@ class Scheduler:
         self.quantum = quantum
         self.fleet = fleet
         self._jobs: Dict[str, Job] = {}
+        # The jobs still to run: one leaves once a read shows it done or
+        # failed, and a failed one submitted again comes back (_retry).
+        self._open: Dict[str, Job] = {}
         self._dispatch: Optional[ClusterDispatch] = None  # lazy
         self._rr_next = 0  # round-robin cursor for step()
         self._blocked: List[str] = []  # foreign-leased, last step()
@@ -287,7 +331,7 @@ class Scheduler:
         if existing is not None:
             record = existing.record
             if record.get("state") == FAILED:
-                self._retry(job_id, record)
+                self._retry(existing, record)
             return existing
         job = Job(self.store, jobspec)
         try:
@@ -296,21 +340,25 @@ class Scheduler:
             if exc.path:
                 self.store.quarantine(exc.path)
             record = None
-        if record is None or record.get("state") not in (DONE, FAILED,
-                                                         RUNNING):
-            record = self._fresh_record(jobspec)
-            self.store.save_record(job_id, record)
-        elif record.get("state") == FAILED:
-            self._retry(job_id, record)
+        state = None if record is None else record.get("state")
+        if state == DONE:
+            job.from_store = True
+        elif state == FAILED:
+            self._retry(job, record)
+        else:
+            if state != RUNNING:
+                self.store.save_record(job_id, self._fresh_record(jobspec))
+            self._open[job_id] = job
         self._jobs[job_id] = job
         return job
 
-    def _retry(self, job_id: str, record: Dict[str, object]) -> None:
+    def _retry(self, job: Job, record: Dict[str, object]) -> None:
         """Reopen a failed job at its last checkpoint (or baseline)."""
-        record["state"] = RUNNING if self.store.load_checkpoint(job_id) \
+        record["state"] = RUNNING if self.store.load_checkpoint(job.id) \
             else PENDING
         record["error"] = None
-        self.store.save_record(job_id, record)
+        self.store.save_record(job.id, record)
+        self._open[job.id] = job
 
     def _fresh_record(self, jobspec: JobSpec) -> Dict[str, object]:
         record: Dict[str, object] = {
@@ -338,8 +386,12 @@ class Scheduler:
         return list(self._jobs.values())
 
     def pending(self) -> List[Job]:
-        return [job for job in self._jobs.values()
-                if job.state in (PENDING, RUNNING)]
+        """The submitted jobs still to run.  Reads the state of each job
+        not yet seen done or failed, and forgets the ones that are."""
+        for job in list(self._open.values()):
+            if job.state not in (PENDING, RUNNING):
+                del self._open[job.id]
+        return list(self._open.values())
 
     def blocked_on(self) -> List[str]:
         """Job ids the last :meth:`step` skipped because another live
@@ -372,6 +424,7 @@ class Scheduler:
                     # its record and released the lease since: nothing
                     # is left to run, and re-driving would re-finalize.
                     self.store.release_lease(job.id)
+                    self._open.pop(job.id, None)
                     continue
                 self._rr_next += offset + 1
                 self._tick(job)
@@ -435,18 +488,14 @@ class Scheduler:
                 if exc.path:
                     self.store.quarantine(exc.path)
                 checkpoint = None
-            resuming = checkpoint is not None \
-                and job._live_evolution is None
             if checkpoint is not None:
                 incumbent, done, stagnation = checkpoint
             else:
-                incumbent, done, stagnation = \
-                    self._start_job(job, record), 0, 0
-            if done > 0 and job._live_evolution is None:
-                # Resumed from another process's checkpoint: the live
-                # merge would miss earlier slices, so the finished job
-                # serves its result from the store instead.
-                job._live_ok = False
+                incumbent, done, stagnation = self._start_job(job), 0, 0
+            # The last slice was another scheduler's (or an earlier
+            # process's): this one resumes the job.
+            resuming = checkpoint is not None and \
+                record.get("owner") != self.store.owner
             record["owner"] = self.store.owner
             telemetry = self._telemetry_for(job, fresh=checkpoint is None)
             if telemetry is not None:
@@ -502,17 +551,19 @@ class Scheduler:
                 # and another scheduler adopted the job.  Its
                 # deterministic re-run supersedes ours — write nothing,
                 # the finished result is served from the store later.
-                job._live_ok = False
                 if telemetry is not None:
                     telemetry.emit("lease_lost", owner=self.store.owner,
                                    generations_done=done)
                 return
-            job._live_evolution = merge_slice(job._live_evolution, result,
-                                              done)
-            done += result.generations
+            # The record holds the merge of the job's earlier slices.
+            total = merge_slice(
+                _evolution_from_fields(record, result.netlist, _RECORD_NAMES)
+                if record.get("slices") else None, result, done)
+            done = total.generations
             self.store.save_checkpoint(job.id, result.parent, done, config,
                                        stagnation=result.stagnation)
-            self._accumulate(record, result, done)
+            record.update(_evolution_fields(total, _RECORD_NAMES))
+            record["slices"] = int(record.get("slices", 0)) + 1
             finished = done >= config.generations \
                 or slice_stopped(result, budget, config)
             if telemetry is not None:
@@ -531,7 +582,7 @@ class Scheduler:
                                best_key=list(result.fitness.key()),
                                **extras)
             if finished:
-                self._finalize(job, record, result, done, telemetry)
+                self._finalize(job, record, total, telemetry)
                 self.store.release_lease(job.id)
             else:
                 record["state"] = RUNNING
@@ -547,46 +598,26 @@ class Scheduler:
             if telemetry is not None:
                 telemetry.close()
 
-    def _start_job(self, job: Job, record: Dict[str, object]) \
-            -> RqfpNetlist:
+    def _start_job(self, job: Job) -> RqfpNetlist:
         """First slice: produce and persist the initialization baseline."""
-        spec = list(job.spec.spec)
         if job.spec.initial is not None:
             incumbent = job.spec.initial
             plan = optimal_levels(incumbent)
             baseline = BaselineResult(incumbent, plan,
                                       circuit_cost(incumbent, plan))
         else:
-            baseline = baseline_initialization(spec, job.name)
-            incumbent = baseline.netlist
+            baseline = baseline_initialization(list(job.spec.spec),
+                                               job.name)
         self.store.save_baseline(job.id, {
-            "netlist": netlist_to_dict(baseline.netlist),
+            "netlist": netlist_to_dict(baseline.netlist, baseline.plan),
             "cost": _cost_fields(baseline.cost),
         })
-        job._baseline = baseline
-        return incumbent
-
-    def _accumulate(self, record: Dict[str, object],
-                    result: EvolutionResult, done: int) -> None:
-        for field in COUNTER_FIELDS:
-            record[field] = int(record.get(field, 0)) + \
-                getattr(result, field)
-        record["runtime"] = float(record.get("runtime", 0.0)) + \
-            result.runtime
-        record["slices"] = int(record.get("slices", 0)) + 1
-        record["backend"] = result.backend
-        record["degraded"] = bool(record.get("degraded")) or \
-            result.degraded_to_inline
-        record["generations_done"] = done
-        record["fitness"] = _fitness_fields(result.fitness)
-        if "initial_fitness" not in record:
-            record["initial_fitness"] = \
-                _fitness_fields(result.initial_fitness)
+        return baseline.netlist
 
     def _finalize(self, job: Job, record: Dict[str, object],
-                  result: EvolutionResult, done: int,
+                  total: EvolutionResult,
                   telemetry: Optional[TelemetryWriter]) -> None:
-        final = result.netlist
+        final = total.netlist
         plan = optimal_levels(final)
         config = job.spec.config
         verified = False
@@ -604,56 +635,28 @@ class Scheduler:
                     simulated_patterns=report.simulated_patterns,
                     sat_checked=report.sat_checked,
                     sat_conflicts=report.sat_conflicts)
-        cost = circuit_cost(final, plan,
-                            runtime=float(record.get("runtime", 0.0)))
+        cost = circuit_cost(final, plan, runtime=total.runtime)
         baseline = self.store.load_baseline(job.id) or {
-            "netlist": netlist_to_dict(final), "cost": _cost_fields(cost)}
-        payload: Dict[str, object] = {
+            "netlist": netlist_to_dict(final, plan),
+            "cost": _cost_fields(cost)}
+        self.store.save_result(job.id, {
             "job_id": job.id,
             "name": job.name,
-            "netlist": netlist_to_dict(final),
+            "netlist": netlist_to_dict(final, plan),
             "baseline": baseline,
             "cost": _cost_fields(cost),
-            "fitness": record["fitness"],
-            "initial_fitness": record["initial_fitness"],
-            "generations": done,
             "spec": record.get("spec") or
             spec_tables_to_payload(job.spec.spec),
-            "runtime": record["runtime"],
-            "backend": record["backend"],
-            "degraded_to_inline": record["degraded"],
             "verified": verified,
-        }
-        for field in COUNTER_FIELDS:
-            payload[field] = record[field]
-        self.store.save_result(job.id, payload)
-        live = job._live_evolution if job._live_ok else None
+            **_evolution_fields(total),
+        })
         record["state"] = DONE
         self.store.save_record(job.id, record)
         if telemetry is not None:
-            telemetry.emit("job_end", generations=done,
+            telemetry.emit("job_end", generations=total.generations,
                            cost=cost.as_row(),
-                           fitness_key=list(Fitness(*record["fitness"])
-                                            .key()),
+                           fitness_key=list(total.fitness.key()),
                            verified=verified)
-        if live is not None:
-            live.verified = verified
-            initial = job._baseline
-            if initial is None:
-                # Started by another process: only its stored baseline
-                # is here, so the plan is solved again.
-                baseline_net = netlist_from_dict(baseline["netlist"])
-                initial = BaselineResult(baseline_net,
-                                         optimal_levels(baseline_net),
-                                         CircuitCost(**baseline["cost"]))
-            job._live_result = SynthesisResult(
-                netlist=final,
-                plan=plan,
-                cost=cost,
-                initial=initial,
-                evolution=live,
-                spec=list(job.spec.spec),
-            )
 
     def _telemetry_for(self, job: Job,
                        fresh: bool) -> Optional[TelemetryWriter]:

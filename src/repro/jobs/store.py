@@ -587,11 +587,6 @@ class JobStore:
                 "age_seconds": max(0.0, time.time() - mtime),
                 "live": not self._lease_stale(path, info)}
 
-    def lease_is_live(self, job_id: str) -> bool:
-        """Whether *some* live scheduler (us included) owns the job."""
-        info = self.lease_info(job_id)
-        return bool(info and info["live"])
-
     # -- records -------------------------------------------------------
 
     def load_record(self, job_id: str) -> Optional[Dict[str, Any]]:

@@ -80,17 +80,3 @@ def cofactor_masks(var: int, num_vars: int):
     """Masks for the negative/positive cofactor positions of ``x_var``."""
     pos = variable_pattern(var, num_vars)
     return full_mask(num_vars) & ~pos, pos
-
-
-def expand_negative_cofactor(table: int, var: int, num_vars: int) -> int:
-    """Replicate the ``x_var = 0`` half of ``table`` into both halves."""
-    neg, _ = cofactor_masks(var, num_vars)
-    half = table & neg
-    return half | (half << (1 << var))
-
-
-def expand_positive_cofactor(table: int, var: int, num_vars: int) -> int:
-    """Replicate the ``x_var = 1`` half of ``table`` into both halves."""
-    _, pos = cofactor_masks(var, num_vars)
-    half = table & pos
-    return half | (half >> (1 << var))

@@ -153,9 +153,6 @@ class Mig:
     def nodes(self) -> Iterable[int]:
         return range(len(self._children))
 
-    def maj_nodes(self) -> Iterable[int]:
-        return (n for n in self.nodes() if self.is_maj(n))
-
     def reachable_majs(self) -> List[int]:
         seen = set()
         stack = [lit_node(o) for o in self.outputs]

@@ -69,8 +69,3 @@ def bennett_embedding(tables: Sequence[TruthTable],
             )
             circuit.add_gate(MctGate(target, controls))
     return circuit
-
-
-def permutation_of(circuit: ReversibleCircuit) -> List[int]:
-    """Alias for :meth:`ReversibleCircuit.permutation` (API symmetry)."""
-    return circuit.permutation()

@@ -3,8 +3,8 @@
 Mirrors the in-process :mod:`repro.api` surface over the wire: submit a
 spec + config, poll status, fetch the finished artifact back as a full
 :class:`~repro.core.synthesis.SynthesisResult` (rebuilt by
-:func:`repro.jobs.result_from_payload`, exactly like store-served
-results in-process).  Non-2xx responses raise the same typed
+:func:`repro.jobs.result_from_payload`, as every in-process
+``Job.result()`` is).  Non-2xx responses raise the same typed
 :mod:`repro.errors` exceptions the server mapped outward: 404 →
 :class:`~repro.errors.JobNotFound`, 409 →
 :class:`~repro.errors.JobNotReady` (or
@@ -181,10 +181,11 @@ class ServiceClient:
     def result(self, job_id: str) -> SynthesisResult:
         """The finished artifact as a full :class:`SynthesisResult`.
 
-        Bit-identical to what the same :class:`~repro.jobs.JobSpec`
-        returns from in-process :func:`repro.api.synthesize` (the
-        service and the facade share the store/scheduler code path).
-        Raises :class:`~repro.errors.JobNotReady` while unfinished.
+        Equal to what the same :class:`~repro.jobs.JobSpec` returns from
+        an in-process :class:`~repro.api.Session` of the same quantum:
+        both rebuild the stored artifact, netlist, buffer plans,
+        ``history`` and counters included.  Raises
+        :class:`~repro.errors.JobNotReady` while unfinished.
         """
         return result_from_payload(self.raw_result(job_id))
 

@@ -62,8 +62,8 @@ from typing import Any, Dict, List, Optional, Tuple, Union
 
 from ..api import Session
 from ..core.config import RcgpConfig
-from ..errors import (EncodingError, JobNotFound, JobNotReady, LeaseHeld,
-                      ParseError, QueueFull, ReproError, StoreCorruption)
+from ..errors import (EncodingError, JobNotFound, JobNotReady, ParseError,
+                      QueueFull, ReproError, StoreCorruption)
 from ..jobs import (DONE, FAILED, JobSpec, JobStore, PENDING, RUNNING,
                     spec_tables_from_payload)
 
@@ -212,7 +212,7 @@ class ServiceServer:
         self._queue: "queue.Queue[_Submission]" = queue.Queue(
             maxsize=max_queue)
         self._queued: Dict[str, _Submission] = {}
-        self._active: set = set()
+        self._active: set = set()  # scheduled here, not done or failed
         self._lock = threading.Lock()
         self._stop = threading.Event()
         self._wake = threading.Event()
@@ -309,10 +309,19 @@ class ServiceServer:
     # -- the scheduling loop -------------------------------------------
 
     def _loop(self) -> None:
+        scheduler = self.session.scheduler
         while not self._stop.is_set():
             try:
                 drained = self._drain_submissions()
                 job = self.session.step()
+                # Done or failed jobs leave _active: the ticked one as it
+                # ends, the rest (not waiting on a lease) at idle.
+                if job is None:
+                    with self._lock:
+                        self._active &= set(scheduler.blocked_on())
+                elif job.state in (DONE, FAILED):
+                    with self._lock:
+                        self._active.discard(job.id)
             except Exception:  # noqa: BLE001 - keep serving /healthz
                 self._loop_error = traceback.format_exc()
                 traceback.print_exc()
@@ -382,16 +391,25 @@ class ServiceServer:
             self._queued[item.job_id] = item
         self._wake.set()
 
+    def _interrupted(self, job_id: str, state: str,
+                     lease: Optional[Dict[str, Any]]) -> bool:
+        """Whether a ``running`` job has no live owner — not scheduled or
+        queued here, no live lease — because its process died."""
+        if state != RUNNING or (lease is not None and lease["live"]):
+            return False
+        with self._lock:
+            return job_id not in self._active and \
+                job_id not in self._queued
+
     def job_view(self, job_id: str) -> Dict[str, Any]:
         """The status document for ``GET /v1/jobs/{id}``.
 
         The one subtlety is liveness: a record can say ``running``
-        forever if the process that ran it died mid-slice.  A
-        ``running`` record for a job that is neither active here nor
-        owned by a live lease elsewhere is reported ``interrupted``
-        (with ``resumable`` true and ``resume_from`` naming the restart
-        point), not ``running``; a foreign *live* lease keeps the job
-        ``running`` with its ``owner`` surfaced.
+        forever if the process that ran it died mid-slice.  Such a job
+        is reported ``interrupted`` (with ``resumable`` true and
+        ``resume_from`` naming the restart point), not ``running``; a
+        job another live scheduler leases stays ``running`` with that
+        scheduler's ``owner`` surfaced.
         """
         store = self.session.store
         with self._lock:
@@ -411,8 +429,6 @@ class ServiceServer:
         state = str(record.get("state", PENDING))
         if state == FAILED and requeued:
             state = QUEUED
-        with self._lock:
-            owned = job_id in self._active or job_id in self._queued
         view: Dict[str, Any] = {
             "job_id": job_id,
             "name": record.get("name", ""),
@@ -439,20 +455,20 @@ class ServiceServer:
         lease = store.lease_info(job_id)
         if lease is not None:
             view["lease"] = lease
-        if state == RUNNING and not owned:
-            if lease is not None and lease["live"]:
+            if state == RUNNING and lease["live"] and \
+                    lease["owner"] != store.owner:
                 # Another live scheduler over the same store owns the
                 # job: genuinely running, just not in this process.
                 view["owner"] = lease["owner"]
-            else:
-                # No live owner anywhere.  Resumable even when the
-                # crash predates the first checkpoint: the record holds
-                # spec + config, so a restarted scheduler re-runs it
-                # deterministically from the baseline.
-                view["state"] = INTERRUPTED
-                view["resumable"] = True
-                view["resume_from"] = "checkpoint" \
-                    if checkpoint_at is not None else "baseline"
+        if self._interrupted(job_id, state, lease):
+            # Resumable even when the crash predates the first
+            # checkpoint: the record holds spec + config, so a
+            # restarted scheduler re-runs it deterministically from
+            # the baseline.
+            view["state"] = INTERRUPTED
+            view["resumable"] = True
+            view["resume_from"] = "checkpoint" \
+                if checkpoint_at is not None else "baseline"
         return view
 
     def result_payload(self, job_id: str) -> Dict[str, Any]:
@@ -515,8 +531,6 @@ class ServiceServer:
         states = {state: 0 for state in _JOB_STATES}
         states[INTERRUPTED] = 0
         totals = {field: 0 for field in _METRIC_COUNTERS}
-        with self._lock:
-            active = set(self._active) | set(self._queued)
         leases_live = 0
         for job_id in store.jobs():
             try:
@@ -527,8 +541,7 @@ class ServiceServer:
             lease = store.lease_info(job_id)
             if lease is not None and lease["live"]:
                 leases_live += 1
-            if state == RUNNING and job_id not in active and \
-                    not (lease is not None and lease["live"]):
+            if self._interrupted(job_id, state, lease):
                 state = INTERRUPTED
             states[state] = states.get(state, 0) + 1
             for field in totals:

@@ -16,7 +16,9 @@ import time
 
 import pytest
 
+from repro.api import Session
 from repro.core.config import RcgpConfig
+from repro.core.engine import COUNTER_FIELDS
 from repro.core.restart import multi_start
 from repro.core.synthesis import SynthesisResult
 from repro.errors import LeaseHeld, ParseError, StoreCorruption
@@ -40,6 +42,34 @@ def _xor_and_spec():
 
 def _chromosome(result: SynthesisResult) -> dict:
     return netlist_to_dict(result.evolution.netlist)
+
+
+def result_fields(result: SynthesisResult) -> dict:
+    """What every way of reading one job's result must agree on: the
+    netlist, both buffer plans, the cost rows (but ``T``), the
+    improvement history, the flags and every counter."""
+    def plan(p):
+        return (list(p.levels), p.depth, p.num_buffers)
+
+    def row(cost):
+        return {k: v for k, v in cost.as_row().items() if k != "T"}
+
+    evolution = result.evolution
+    fields = {
+        "netlist": netlist_to_dict(result.netlist),
+        "plan": plan(result.plan),
+        "initial.plan": plan(result.initial.plan),
+        "cost": row(result.cost),
+        "initial.cost": row(result.initial.cost),
+        "history": [(generation, fitness.success, fitness.n_r, fitness.n_g,
+                     fitness.n_b)
+                    for generation, fitness in evolution.history],
+        "interrupted": evolution.interrupted,
+        "verified": evolution.verified,
+    }
+    for name in COUNTER_FIELDS:
+        fields[name] = getattr(evolution, name)
+    return fields
 
 
 class TestJobSpec:
@@ -225,6 +255,44 @@ class TestSchedulerDeterminism:
         finally:
             gc.enable()
 
+    def test_session_keeps_no_result_alive(self, tmp_path):
+        """Every result is rebuilt from the store, so a long-lived
+        session holds none of the results it handed out."""
+        import gc
+        import weakref
+        netlists = []
+        with Session(str(tmp_path)) as session:
+            for seed in range(30):
+                result = session.synthesize(
+                    _decoder_spec(), RcgpConfig(generations=5, seed=seed))
+                netlists.append(weakref.ref(result.netlist))
+                del result
+            gc.collect()
+            assert [ref for ref in netlists if ref() is not None] == []
+
+    def test_step_reads_only_jobs_still_to_run(self, tmp_path,
+                                               monkeypatch):
+        """A finished job leaves the round-robin, so the records a job
+        costs to run do not grow with the jobs run before it."""
+        from repro.bench import get_benchmark
+        reads = []
+        load_record = JobStore.load_record
+
+        def counting(store, job_id):
+            reads.append(job_id)
+            return load_record(store, job_id)
+
+        monkeypatch.setattr(JobStore, "load_record", counting)
+        spec = get_benchmark("ham3").spec()
+        per_job = []
+        with Session(str(tmp_path)) as session:
+            for seed in range(20):
+                before = len(reads)
+                session.synthesize(spec, RcgpConfig(generations=5,
+                                                    seed=seed))
+                per_job.append(len(reads) - before)
+        assert len(set(per_job)) == 1, per_job
+
     def test_duplicate_submission_is_same_job(self):
         spec = _xor_and_spec()
         config = RcgpConfig(generations=60, seed=2)
@@ -288,22 +356,87 @@ class TestSchedulerPersistence:
 
     def test_served_result_reconstructs_full_synthesis_result(
             self, tmp_path):
+        """The result a session returns is the one a fresh scheduler
+        serves from the same store, whole and at any quantum, also
+        after a kill and resume."""
         spec = _decoder_spec()
-        config = RcgpConfig(generations=60, seed=3)
-        with Scheduler(JobStore(str(tmp_path))) as scheduler:
-            live = scheduler.submit(spec, config)
+        config = RcgpConfig(generations=150, seed=3, mutation_rate=0.08,
+                            max_mutated_genes=8, shrink="always",
+                            track_history=True)
+        runs = {}
+        for label, quantum, kill in (("whole", None, False),
+                                     ("q25", 25, False),
+                                     ("killed", 25, True)):
+            store = str(tmp_path / label)
+            if kill:
+                with Scheduler(JobStore(store), quantum=quantum) as killed:
+                    job = killed.submit(spec, config)
+                    killed.run(max_ticks=2)
+                    assert job.state == RUNNING
+            with Session(store, quantum=quantum) as session:
+                live = session.synthesize(spec, config)
+            with Scheduler(JobStore(store)) as scheduler:
+                job = scheduler.submit(spec, config)
+                assert job.from_store
+                served = job.result()
+            assert isinstance(served, SynthesisResult)
+            assert result_fields(served) == result_fields(live), label
+            assert served.cost.as_row() == live.cost.as_row()
+            assert served.evolution.generations == 150
+            assert [t.bits for t in served.spec] == [t.bits for t in spec]
+            runs[label] = result_fields(served)
+        assert len(runs["whole"]["history"]) > 1
+        assert runs["killed"] == runs["q25"]
+        # Slicing changes no improvement: only boundary evaluations.
+        assert runs["q25"]["history"] == runs["whole"]["history"]
+        assert runs["q25"]["netlist"] == runs["whole"]["netlist"]
+
+    def test_result_from_an_artifact_without_plans_or_history(self):
+        """Artifacts written before plans, history and the interrupt
+        flag were stored still load: plans solved again, history empty."""
+        from repro.jobs import result_from_payload
+        config = RcgpConfig(generations=60, seed=3, track_history=True)
+        with Scheduler() as scheduler:
+            job = scheduler.submit(_decoder_spec(), config)
             scheduler.run()
-            live_result = live.result()
-        with Scheduler(JobStore(str(tmp_path))) as scheduler:
-            served = scheduler.submit(spec, config).result()
-        assert isinstance(served, SynthesisResult)
-        assert _chromosome(served) == _chromosome(live_result)
-        assert served.cost.as_row() == live_result.cost.as_row()
-        assert served.initial.cost.as_row() == \
-            live_result.initial.cost.as_row()
-        assert served.evolution.generations == \
-            live_result.evolution.generations
-        assert [t.bits for t in served.spec] == [t.bits for t in spec]
+            payload = json.loads(json.dumps(
+                scheduler.store.load_result(job.id)))
+        current = result_from_payload(payload)
+        for key in ("history", "interrupted"):
+            payload.pop(key, None)
+        for netlist in (payload["netlist"], payload["baseline"]["netlist"]):
+            netlist.pop("buffer_plan", None)
+        old = result_from_payload(payload)
+        for plan in ("plan", "initial.plan", "cost", "initial.cost",
+                     "netlist"):
+            assert result_fields(old)[plan] == result_fields(current)[plan]
+        assert old.evolution.history == []
+        assert old.evolution.interrupted is False
+
+    def test_tampered_stored_plan_raises_store_corruption(self):
+        from repro.jobs import result_from_payload
+        with Scheduler() as scheduler:
+            job = scheduler.submit(_decoder_spec(),
+                                   RcgpConfig(generations=60, seed=3))
+            scheduler.run()
+            stored = json.dumps(scheduler.store.load_result(job.id))
+        tampers = {
+            "num_buffers": lambda plan: plan.update(
+                num_buffers=plan["num_buffers"] + 1),
+            "depth": lambda plan: plan.update(depth=plan["depth"] + 1),
+            "level count": lambda plan: plan["levels"].append(1),
+            "levels": lambda plan: plan.update(
+                levels=[level + 1 for level in plan["levels"]]),
+        }
+        for what, tamper in tampers.items():
+            for side in ("netlist", "baseline"):
+                payload = json.loads(stored)
+                netlist = payload[side] if side == "netlist" \
+                    else payload[side]["netlist"]
+                tamper(netlist["buffer_plan"])
+                with pytest.raises(StoreCorruption):
+                    result_from_payload(payload)
+                    pytest.fail(f"tampered {side} {what} was accepted")
 
     def test_telemetry_is_job_stamped_and_continuous(self, tmp_path):
         spec = _xor_and_spec()

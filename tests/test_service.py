@@ -18,7 +18,7 @@ import threading
 
 import pytest
 
-from repro.api import synthesize
+from repro.api import Session, synthesize
 from repro.cluster import ClusterFleet
 from repro.core.config import RcgpConfig
 from repro.errors import (JobNotFound, JobNotReady, QueueFull, ReproError,
@@ -28,6 +28,7 @@ from repro.jobs import JobStore, Scheduler
 from repro.logic.truth_table import TruthTable, tabulate_word
 from repro.service import (INTERRUPTED, QUEUED, ServiceClient,
                            ServiceServer, route_exists, status_for)
+from tests.test_jobs import result_fields
 
 
 def _decoder_spec():
@@ -86,8 +87,10 @@ class TestRoutingTable:
 
 class TestRoundTrip:
     def test_bit_identical_to_in_process_synthesize(self, client):
-        spec, config = _decoder_spec(), _config()
+        spec, config = _decoder_spec(), _config(track_history=True)
         baseline = synthesize(spec, config)
+        with Session(quantum=25) as session:   # the server's quantum
+            same_slices = session.synthesize(spec, config)
 
         info = client.submit(spec, config)
         assert info["state"] in (QUEUED, "pending", "running", "done")
@@ -98,6 +101,8 @@ class TestRoundTrip:
             netlist_to_dict(baseline.netlist)
         assert result.evolution.fitness.key() == \
             baseline.evolution.fitness.key()
+        assert len(result.evolution.history) > 1
+        assert result_fields(result) == result_fields(same_slices)
         assert result.verify()
 
     def test_resubmit_served_from_store(self, client):
@@ -252,6 +257,26 @@ class TestLifecycle:
             server._httpd.socket.getsockname()
         with pytest.raises(OSError):  # and so is the fleet's
             fleet._listener.getsockname()
+
+
+    def test_finished_jobs_leave_the_active_set(self):
+        """The loop drops a job from the ids it schedules once the job
+        is done, so a long-lived server keeps none of them."""
+        import time
+        from repro.bench import get_benchmark
+        spec = get_benchmark("ham3").spec()
+        with ServiceServer(None, port=0, quantum=25).start() as server:
+            client = ServiceClient(server.url, timeout=10.0)
+            ids = [client.submit(spec, _config(generations=30,
+                                               seed=seed))["job_id"]
+                   for seed in range(5)]
+            for job_id in ids:
+                assert client.wait(job_id, timeout=60)["state"] == "done"
+            deadline = time.monotonic() + 10.0
+            while server._active and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert server._active == set()
+            assert client.metrics()['rcgp_jobs{state="done"}'] == 5
 
 
 class TestInterruptedAndResume:
