@@ -15,12 +15,7 @@ from .mutation import MutationDelta, chromosome_length, mutate, \
     mutate_with_delta
 from .simstate import SimulationState
 from .pareto import ParetoArchive, dominates, evolve_pareto
-from .restart import (
-    evolve_with_checkpoints,
-    load_checkpoint,
-    multi_start,
-    save_checkpoint,
-)
+from .restart import multi_start
 from .windowing import (
     Window,
     WindowResult,
@@ -65,10 +60,7 @@ __all__ = [
     "splice_window",
     "optimize_window",
     "windowed_optimize",
-    "evolve_with_checkpoints",
     "multi_start",
-    "save_checkpoint",
-    "load_checkpoint",
     "evolve_pareto",
     "ParetoArchive",
     "dominates",

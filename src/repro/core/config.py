@@ -18,8 +18,8 @@ from typing import Any, Dict, Optional
 
 #: Config fields that never change what a run computes — only how fast
 #: it runs, what it logs, or how it survives infrastructure faults.  A
-#: job's identity hash leaves them out, and a checkpoint resumed with
-#: other values for them does not warn.
+#: job's identity hash leaves them out, so a submission that differs
+#: only in them resumes or serves the same job.
 OPERATIONAL_CONFIG_FIELDS = frozenset({
     "eval_cache_size", "telemetry_path",
     "batch_timeout", "batch_retries", "track_history", "verify_result",

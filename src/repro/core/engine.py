@@ -4,9 +4,10 @@ The paper's headline cost is the ``(1 + λ)`` inner loop — up to 5·10⁷
 generations per circuit.  This module holds that loop once and runs it
 wherever the work lands:
 
-* :class:`EvolutionRun` — the single entry point.  ``evolve``,
-  ``evolve_with_checkpoints``, ``multi_start`` and ``windowed_optimize``
-  are thin shims over it.
+* :class:`EvolutionRun` — the single entry point.  ``evolve`` and
+  ``windowed_optimize`` are thin shims over it; ``synthesize`` and
+  ``multi_start`` submit jobs to the :class:`repro.jobs.Scheduler`,
+  whose every slice is one run.
 * :func:`replay_span` — the loop itself.  Given one compact parent
   genome (:func:`encode_genome`) and a *span* of generations, it
   re-derives every offspring from its RNG key and runs mutation,
@@ -478,8 +479,8 @@ def merge_slice(total: Optional[EvolutionResult], result: EvolutionResult,
                 offset: int) -> EvolutionResult:
     """Fold one slice of a sliced run into the result of the slices
     before it (``total``; ``None`` for the first slice).  These are the
-    only merge rules: a scheduler job's record and
-    :func:`~repro.core.restart.evolve_with_checkpoints` both use them.
+    only merge rules, and a scheduler job's record, the one sliced run,
+    follows them.
 
     ``result`` is the slice's own result, run with
     ``generation_offset=offset``.  The merge reports absolute

@@ -11,19 +11,19 @@ a persistent :class:`~repro.jobs.store.JobStore`:
   :class:`~repro.cluster.backend.ClusterDispatch` instead of spawning a
   pool per job.  Slices keep the job's own seed and pass the engine a
   ``generation_offset`` so offspring RNG streams are keyed by the
-  *absolute* generation — exactly the
-  :func:`repro.core.restart.evolve_with_checkpoints` contract.  A
-  job's trajectory is therefore a function of its own spec, config and
-  seed alone: results are bit-identical whether the job runs alone,
-  interleaved with any number of others, or under any slice quantum
-  (including ``quantum=None``, one monolithic run).
+  *absolute* generation.  A job's trajectory is therefore a function
+  of its own spec, config and seed alone: results are bit-identical
+  whether the job runs alone, interleaved with any number of others,
+  or under any slice quantum (including ``quantum=None``, one
+  monolithic run).
 * **Persistence & resume.**  After every slice the live parent and
   its generations since the last improvement are checkpointed to the
   store (atomically), so the next slice continues exactly where a
   monolithic run would be — shrink policy and stagnation limit
   included.  A killed process loses at most one slice; a new
   scheduler over the same store re-runs that slice deterministically
-  and converges to the identical final result.
+  and converges to the identical final result.  This is the only
+  sliced, resumable run: ``Session(store=..., quantum=...)``.
 * **One result path.**  A completed job's artifact (netlists with
   their buffer plans, costs, ``history``, counters) is written once;
   every :meth:`Job.result` rebuilds it from the store, and
@@ -50,9 +50,10 @@ the legacy single-run semantics, which is what the one-shot
 
 from __future__ import annotations
 
+import os
 import random as _random
 import time
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..core.config import RcgpConfig
 from ..core.engine import (COUNTER_FIELDS, EvolutionResult, EvolutionRun,
@@ -287,6 +288,9 @@ class Scheduler:
         self._dispatch: Optional[ClusterDispatch] = None  # lazy
         self._rr_next = 0  # round-robin cursor for step()
         self._blocked: List[str] = []  # foreign-leased, last step()
+        # config.telemetry_path files this scheduler has written: jobs
+        # that share one append to it instead of truncating each other.
+        self._telemetry_written: Set[str] = set()
 
     # -- lifecycle -----------------------------------------------------
 
@@ -675,5 +679,8 @@ class Scheduler:
         path = job.spec.config.telemetry_path
         if path is None:
             return None
-        return TelemetryWriter(path, mode="w" if fresh else "a",
-                               job_id=job.id)
+        # A path starts empty the first time this scheduler writes it.
+        key = os.path.abspath(path)
+        mode = "w" if fresh and key not in self._telemetry_written else "a"
+        self._telemetry_written.add(key)
+        return TelemetryWriter(path, mode=mode, job_id=job.id)

@@ -16,7 +16,7 @@ Three properties make the store safe under SIGKILL, power loss and
 concurrent schedulers:
 
 * **Durable atomic writes.**  Every artifact write goes to a tmp file
-  whose name is unique per writer (pid + sequence number, so two
+  whose name is unique per write (host + pid + sequence number, so two
   processes never collide), is ``fsync``\\ ed, moved into place with
   ``os.replace`` and sealed with an ``fsync`` of the containing
   directory.  A crash at any instant leaves either the previous or the
@@ -31,7 +31,9 @@ concurrent schedulers:
   can be taken over, so N processes can share one store directory and
   split the queue without ever running the same job twice at once.
 * **Recovery sweep.**  Opening a disk store runs :meth:`~JobStore.recover`:
-  stray tmp files are deleted, unparseable artifacts are quarantined to
+  tmp files whose writer is gone (its pid dead on this host, or the
+  file older than ``lease_ttl``) are deleted while a live writer's
+  stay, unparseable artifacts are quarantined to
   ``<name>.corrupt-<ts>`` (surfaced as :class:`~repro.errors.StoreCorruption`
   if read before the sweep), stale leases are cleared so
   ``running`` records left by a dead process become adoptable again,
@@ -60,15 +62,16 @@ import uuid
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..core.config import RcgpConfig
-from ..core.restart import checkpoint_payload
 from ..errors import LeaseHeld, StoreCorruption
-from ..io.rqfp_json import netlist_from_dict
+from ..io.rqfp_json import netlist_from_dict, netlist_to_dict
 from ..rqfp.netlist import RqfpNetlist
 
 RECORD_FORMAT = "rcgp-job"
 RECORD_VERSION = 1
 RESULT_FORMAT = "rcgp-job-result"
 RESULT_VERSION = 1
+CHECKPOINT_FORMAT = "rcgp-checkpoint"
+CHECKPOINT_VERSION = 2
 
 #: Job lifecycle states stored in the record.
 PENDING = "pending"
@@ -158,19 +161,42 @@ def _fsync_dir(path: str) -> None:
         os.close(fd)
 
 
+def _temp_path(path: str, kind: str) -> str:
+    """``.<name>.<kind>.<host>.<pid>.<seq>`` beside ``path``.
+
+    Host and pid name the writer, as a lease does, so a recovery sweep
+    can tell a live writer's file from an abandoned one
+    (:func:`_temp_writer`); the process-wide sequence number keeps one
+    process's writes apart.
+    """
+    directory, name = os.path.split(path)
+    return os.path.join(directory, f".{name}.{kind}.{socket.gethostname()}"
+                                   f".{os.getpid()}.{next(_WRITE_SEQ)}")
+
+
+def _temp_writer(name: str) -> Tuple[Optional[str], Optional[int]]:
+    """``(host, pid)`` a temp file's name records (:func:`_temp_path`);
+    ``(None, None)`` for a name that records no host."""
+    for kind in (".tmp.", ".stale."):
+        _, found, writer = name.partition(kind)
+        if found:
+            parts = writer.rsplit(".", 2)
+            if len(parts) == 3 and parts[1].isdigit():
+                return parts[0], int(parts[1])
+    return None, None
+
+
 def _atomic_write_bytes(path: str, data: bytes) -> None:
     """Write-whole-or-not-at-all, surviving SIGKILL and power loss.
 
-    The tmp name embeds pid + a process-wide sequence number so
-    concurrent writers (two schedulers sharing a store) never clobber
-    each other's in-flight tmp files; the tmp file is fsynced before
-    ``os.replace`` and the directory after, so the rename itself is on
-    stable storage when this returns.
+    The tmp name is unique per writer and write (:func:`_temp_path`),
+    so concurrent writers (two schedulers sharing a store) never
+    clobber each other's in-flight tmp files; the tmp file is fsynced
+    before ``os.replace`` and the directory after, so the rename itself
+    is on stable storage when this returns.
     """
     directory = os.path.dirname(path) or "."
-    tmp = os.path.join(
-        directory,
-        f".{os.path.basename(path)}.tmp.{os.getpid()}.{next(_WRITE_SEQ)}")
+    tmp = _temp_path(path, "tmp")
     _fault_point("write", path)
     try:
         with open(tmp, "wb") as handle:
@@ -234,6 +260,21 @@ def _split_torn_tail(data: bytes) -> Tuple[bytes, Optional[bytes]]:
     return data, None
 
 
+def checkpoint_payload(netlist: RqfpNetlist, generations_done: int,
+                       config: RcgpConfig, *,
+                       stagnation: int = 0) -> Dict[str, Any]:
+    """A job's ``checkpoint.json``: the live parent, progress,
+    generations since the last improvement and the full config."""
+    return {
+        "format": CHECKPOINT_FORMAT,
+        "version": CHECKPOINT_VERSION,
+        "generations_done": generations_done,
+        "stagnation": stagnation,
+        "config": config.to_dict(),
+        "netlist": netlist_to_dict(netlist),
+    }
+
+
 def _pid_alive(pid: int) -> bool:
     try:
         os.kill(pid, 0)
@@ -242,6 +283,18 @@ def _pid_alive(pid: int) -> bool:
     except OSError:
         return True
     return True
+
+
+def _writer_gone(host: Optional[str], pid: Optional[int], mtime: float,
+                 ttl: float) -> bool:
+    """Whether the process that wrote a lease or temp file (its
+    ``host`` and ``pid``; the file's ``mtime``) will never touch it
+    again: the file is older than ``ttl``, or ``pid`` is dead on this
+    host."""
+    if time.time() - mtime > ttl:
+        return True
+    return host == socket.gethostname() and isinstance(pid, int) \
+        and pid > 0 and not _pid_alive(pid)
 
 
 class JobStore:
@@ -311,13 +364,13 @@ class JobStore:
     def recover(self) -> Dict[str, int]:
         """Sweep the store back to a consistent state after a crash.
 
-        Runs automatically when a disk store is opened: deletes stray
-        tmp files from interrupted writes, quarantines unparseable
-        artifacts to ``<name>.corrupt-<ts>``, clears stale leases (so
-        ``running`` records whose owner died become adoptable/resumable
-        again) and repairs telemetry streams torn mid-append.  Every
-        action is idempotent and safe against concurrent live
-        schedulers — only *stale* leases are touched.
+        Runs automatically when a disk store is opened: deletes the tmp
+        files of interrupted writes, quarantines unparseable artifacts
+        to ``<name>.corrupt-<ts>``, clears stale leases (so ``running``
+        records whose owner died become adoptable/resumable again) and
+        repairs telemetry streams torn mid-append.  Every action is
+        idempotent and safe against concurrent live schedulers — only
+        tmp files and leases whose writer is gone are touched.
         """
         summary = {"tmp_files": 0, "quarantined": 0, "stale_leases": 0,
                    "telemetry_repaired": 0}
@@ -326,13 +379,14 @@ class JobStore:
         for entry in sorted(os.listdir(self.root)):
             path = os.path.join(self.root, entry)
             if not os.path.isdir(path):
-                if ".tmp." in entry and _unlink_quiet(path):
+                if ".tmp." in entry and self._abandoned(path) \
+                        and _unlink_quiet(path):
                     summary["tmp_files"] += 1
                 continue
             for fname in sorted(os.listdir(path)):
                 fpath = os.path.join(path, fname)
                 if ".tmp." in fname or ".stale." in fname:
-                    if _unlink_quiet(fpath):
+                    if self._abandoned(fpath) and _unlink_quiet(fpath):
                         summary["tmp_files"] += 1
                 elif fname in ARTIFACT_NAMES:
                     try:
@@ -353,6 +407,17 @@ class JobStore:
                         summary["telemetry_repaired"] += 1
         self.recovered_tmp_files += summary["tmp_files"]
         return summary
+
+    def _abandoned(self, path: str) -> bool:
+        """Whether a temp file's writer is gone (:func:`_writer_gone`).
+        A live writer is about to rename or link its file into place,
+        so the sweep must leave it."""
+        try:
+            mtime = os.path.getmtime(path)
+        except OSError:
+            return False
+        return _writer_gone(*_temp_writer(os.path.basename(path)), mtime,
+                            self.lease_ttl)
 
     def quarantine(self, path: str) -> Optional[str]:
         """Move an unreadable artifact aside as ``<path>.corrupt-<ts>``.
@@ -396,14 +461,8 @@ class JobStore:
             mtime = os.path.getmtime(path)
         except OSError:
             return True
-        if time.time() - mtime > self.lease_ttl:
-            return True
-        # Same host and the pid is gone: no heartbeat is ever coming.
-        if info.get("host") == socket.gethostname():
-            pid = info.get("pid")
-            if isinstance(pid, int) and pid > 0 and not _pid_alive(pid):
-                return True
-        return False
+        return _writer_gone(info.get("host"), info.get("pid"), mtime,
+                            self.lease_ttl)
 
     def _try_create_lease(self, path: str) -> bool:
         """Publish a complete lease file at ``path`` unless one exists.
@@ -413,9 +472,7 @@ class JobStore:
         (and mistakes it for one torn by a crash).
         """
         _fault_point("lease", path)
-        tmp = os.path.join(
-            os.path.dirname(path),
-            f".{LEASE_NAME}.tmp.{os.getpid()}.{next(_WRITE_SEQ)}")
+        tmp = _temp_path(path, "tmp")
         try:
             with open(tmp, "w") as handle:
                 json.dump({"owner": self.owner, "pid": os.getpid(),
@@ -482,7 +539,7 @@ class JobStore:
             # exactly one contender's replace succeeds, so exactly one
             # proceeds to recreate and win the link race deciding the
             # new owner.
-            stale_name = f"{path}.stale.{os.getpid()}.{next(_WRITE_SEQ)}"
+            stale_name = _temp_path(path, "stale")
             try:
                 os.replace(path, stale_name)
             except FileNotFoundError:
@@ -610,10 +667,9 @@ class JobStore:
     def save_checkpoint(self, job_id: str, netlist: RqfpNetlist,
                         generations_done: int, config: RcgpConfig, *,
                         stagnation: int = 0) -> None:
-        """Persist the live parent and its generations since the last
-        improvement (the standard checkpoint document, so job
-        checkpoints and :func:`repro.core.restart.load_checkpoint` stay
-        interchangeable)."""
+        """Persist the live parent, the generations done and the
+        generations since the last improvement
+        (:func:`checkpoint_payload`)."""
         payload = checkpoint_payload(netlist, generations_done, config,
                                      stagnation=stagnation)
         if self.root is None:

@@ -9,7 +9,8 @@ import repro.core
 import repro.flow
 from repro.api import Session, synthesize
 from repro.core.config import RcgpConfig
-from repro.core.engine import EvolutionRun
+from repro.bench.registry import get_benchmark
+from repro.core.engine import EvolutionRun, read_telemetry
 from repro.core.synthesis import SynthesisResult, initialize_netlist
 from repro.io.rqfp_json import netlist_to_dict
 from repro.logic.truth_table import TruthTable, tabulate_word
@@ -120,6 +121,30 @@ class TestSessionTelemetry:
         assert events[0]["event"] == "job_start"
         assert all("job_id" in e for e in events)
         assert any(e["event"] == "run_end" for e in events)
+
+    def test_jobs_sharing_a_path_keep_every_event(self, tmp_path):
+        """Sliced jobs that share one ``telemetry_path`` append to it;
+        only the session's first write of the path truncates it."""
+        path = tmp_path / "events.jsonl"
+        path.write_text('{"event": "stale"}\n')
+        config = RcgpConfig(generations=200, seed=1, mutation_rate=0.08,
+                            max_mutated_genes=8, telemetry_path=str(path))
+        with Session(quantum=50) as session:
+            jobs = [session.submit(get_benchmark(name).spec(), config,
+                                   name=name)
+                    for name in ("decoder_2_4", "graycode4")]
+            session.run()
+        events = read_telemetry(str(path))
+        assert "stale" not in [e["event"] for e in events]
+        for job in jobs:
+            tags = [e["event"] for e in events if e["job_id"] == job.id]
+            assert tags.count("job_start") == tags.count("job_end") == 1
+            starts = [i for i, tag in enumerate(tags) if tag == "run_start"]
+            ends = [i for i, tag in enumerate(tags) if tag == "run_end"]
+            assert len(starts) == len(ends) == 4, job.name
+            assert all(s < e for s, e in zip(starts, ends))
+            assert all(e < s for e, s in zip(ends, starts[1:]))
+            assert tags.count("generation") == 200, job.name
 
 
 class TestPackageVersion:

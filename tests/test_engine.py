@@ -26,12 +26,7 @@ from repro.core.engine import (
 from repro.core.evolution import evolve
 from repro.core.fitness import Fitness
 from repro.jobs.pool import parallel_safe_config
-from repro.core.restart import (
-    evolve_with_checkpoints,
-    load_checkpoint,
-    multi_start,
-    save_checkpoint,
-)
+from repro.core.restart import multi_start
 from repro.core.synthesis import initialize_netlist
 from repro.logic.truth_table import TruthTable, tabulate_word
 from tests.pooled import pooled_run
@@ -354,129 +349,6 @@ class TestTelemetry:
         evolve(initial, spec, RcgpConfig(generations=5, seed=1,
                                          telemetry_path=path))
         assert os.path.exists(path)
-
-
-class TestCheckpointConfigRoundTrip:
-    def test_v2_checkpoint_stores_full_config(self, tmp_path):
-        spec = _decoder_spec()
-        netlist = initialize_netlist(spec)
-        config = RcgpConfig(generations=500, time_budget=9.0,
-                            stagnation_limit=77, verify_with_sat=False,
-                            sat_conflict_budget=123)
-        path = str(tmp_path / "ckpt.json")
-        save_checkpoint(path, netlist, 42, config)
-        loaded, done, stored = load_checkpoint(path, with_config=True)
-        assert done == 42
-        assert RcgpConfig.from_dict(stored) == config
-        with open(path) as handle:
-            assert json.load(handle)["version"] == 2
-
-    def test_resume_with_matching_config_is_silent(self, tmp_path):
-        import warnings
-        spec = _decoder_spec()
-        path = str(tmp_path / "run.json")
-        config = RcgpConfig(generations=100, mutation_rate=0.1, seed=4,
-                            shrink="always")
-        evolve_with_checkpoints(spec, config, path, slice_generations=100)
-        bigger = config.replace(generations=150)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            evolve_with_checkpoints(spec, bigger, path,
-                                    slice_generations=100)
-
-    def test_resume_with_mismatched_config_warns(self, tmp_path):
-        spec = _decoder_spec()
-        path = str(tmp_path / "run.json")
-        config = RcgpConfig(generations=100, mutation_rate=0.1, seed=4,
-                            shrink="always")
-        evolve_with_checkpoints(spec, config, path, slice_generations=100)
-        changed = config.replace(generations=150, mutation_rate=0.5,
-                                 shrink="never")
-        with pytest.warns(RuntimeWarning, match="mutation_rate"):
-            evolve_with_checkpoints(spec, changed, path,
-                                    slice_generations=100)
-
-    def test_resume_with_changed_operational_fields_is_silent(
-            self, tmp_path):
-        import warnings
-        spec = _decoder_spec()
-        path = str(tmp_path / "run.json")
-        config = RcgpConfig(generations=100, mutation_rate=0.1, seed=4,
-                            shrink="always")
-        evolve_with_checkpoints(spec, config, path, slice_generations=100)
-        operational = config.replace(generations=150, batch_retries=5,
-                                     batch_timeout=30.0, verify_result=True,
-                                     track_history=True)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            evolve_with_checkpoints(spec, operational, path,
-                                    slice_generations=100)
-        with pytest.warns(RuntimeWarning, match="mutation_rate") as caught:
-            evolve_with_checkpoints(
-                spec, operational.replace(generations=200,
-                                          mutation_rate=0.5),
-                path, slice_generations=100)
-        assert "batch_retries" not in str(caught[0].message)
-
-    def test_v1_checkpoint_still_loads_and_warns(self, tmp_path):
-        from repro.io.rqfp_json import netlist_to_dict
-        spec = _decoder_spec()
-        netlist = initialize_netlist(spec)
-        path = tmp_path / "old.json"
-        path.write_text(json.dumps({
-            "format": "rcgp-checkpoint", "version": 1,
-            "generations_done": 10,
-            "config": {"mutation_rate": 0.1, "offspring": 4},
-            "netlist": netlist_to_dict(netlist),
-        }))
-        loaded, done, stored = load_checkpoint(str(path), with_config=True)
-        assert done == 10 and stored is None
-        config = RcgpConfig(generations=10, mutation_rate=0.1, seed=4)
-        with pytest.warns(RuntimeWarning, match="predates"):
-            evolve_with_checkpoints(spec, config, str(path),
-                                    slice_generations=10)
-
-
-class TestCheckpointForwardCompat:
-    def test_v2_checkpoint_missing_new_fields_resumes_with_warning(
-            self, tmp_path):
-        # A v2 checkpoint written before newer search knobs existed
-        # (e.g. `simplify_wires`): resuming must not crash on the absent
-        # keys — it warns and proceeds under the live configuration.
-        # Absent operational knobs (e.g. `verify_result`) change nothing
-        # the search computes, so they do not warn.
-        spec = _decoder_spec()
-        path = str(tmp_path / "old_v2.json")
-        config = RcgpConfig(generations=20, mutation_rate=0.1, seed=4,
-                            shrink="always")
-        save_checkpoint(path, initialize_netlist(spec), 10, config)
-        with open(path) as handle:
-            payload = json.load(handle)
-        for field in ("simplify_wires", "verify_result", "batch_retries"):
-            del payload["config"][field]
-        with open(path, "w") as handle:
-            json.dump(payload, handle)
-        with pytest.warns(RuntimeWarning,
-                          match="does not record simplify_wires;") as caught:
-            result = evolve_with_checkpoints(spec, config, path,
-                                             slice_generations=10)
-        assert len(caught) == 1
-        assert result.fitness.functional
-        _, done = load_checkpoint(path)
-        assert done >= 20  # the resumed slice actually ran and saved
-
-    def test_round_trip_restores_new_fields(self, tmp_path):
-        spec = _decoder_spec()
-        path = str(tmp_path / "new.json")
-        config = RcgpConfig(generations=20, seed=4, verify_result=True,
-                            batch_timeout=1.5, batch_retries=7)
-        save_checkpoint(path, initialize_netlist(spec), 10, config)
-        _, _, stored = load_checkpoint(path, with_config=True)
-        restored = RcgpConfig.from_dict(stored)
-        assert restored.verify_result is True
-        assert restored.batch_timeout == 1.5
-        assert restored.batch_retries == 7
-        assert restored == config
 
 
 class TestMultiStartFullConfig:

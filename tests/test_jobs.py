@@ -168,6 +168,23 @@ class TestJobStore:
         assert store.load_checkpoint("j1")[1:] == (40, 12)
         assert store.load_checkpoint("absent") is None
 
+    def test_checkpoint_document_is_v2_with_full_config(self, tmp_path):
+        from repro.core.synthesis import initialize_netlist
+        store = JobStore(str(tmp_path))
+        config = RcgpConfig(generations=500, seed=9, time_budget=9.0,
+                            stagnation_limit=77, verify_with_sat=False,
+                            sat_conflict_budget=123, verify_result=True,
+                            batch_timeout=1.5, batch_retries=7)
+        netlist = initialize_netlist(_xor_and_spec())
+        store.save_checkpoint("j1", netlist, 42, config, stagnation=5)
+        with open(tmp_path / "j1" / "checkpoint.json") as handle:
+            payload = json.load(handle)
+        assert payload == {"format": "rcgp-checkpoint", "version": 2,
+                           "generations_done": 42, "stagnation": 5,
+                           "config": config.to_dict(),
+                           "netlist": netlist_to_dict(netlist)}
+        assert RcgpConfig.from_dict(payload["config"]) == config
+
 
 class TestSchedulerDeterminism:
     def test_concurrent_jobs_bit_identical_to_solo(self):
@@ -707,6 +724,36 @@ class TestCrashSafeWrites:
         assert record["state"] == PENDING and record["slices"] == 1
         assert os.listdir(str(tmp_path / "j1")) == ["job.json"]
 
+    def test_open_sweep_keeps_a_live_writers_temp_file(self, tmp_path):
+        """A store opened while another writer's tmp file sits between
+        its write and its rename leaves the file alone; a file whose
+        writer cannot be probed (another host) goes once it is older
+        than the lease TTL."""
+        store = JobStore(str(tmp_path))
+        opened = []
+
+        def open_another_store(point, path):
+            if point == "replace":
+                opened.append(JobStore(str(tmp_path)))
+
+        previous = set_fault_hook(open_another_store)
+        try:
+            store.save_record("j1", {"state": RUNNING})
+        finally:
+            set_fault_hook(previous)
+        assert opened and opened[0].recovered_tmp_files == 0
+        assert store.load_record("j1")["state"] == RUNNING
+        assert os.listdir(str(tmp_path / "j1")) == ["job.json"]
+
+        foreign = tmp_path / "j1" / ".job.json.tmp.other-host.1.0"
+        foreign.write_bytes(b"partial")
+        JobStore(str(tmp_path))
+        assert foreign.exists()
+        ancient = time.time() - 10 * DEFAULT_LEASE_TTL
+        os.utime(str(foreign), (ancient, ancient))
+        JobStore(str(tmp_path))
+        assert not foreign.exists()
+
     def test_torn_artifact_raises_typed_corruption(self, tmp_path):
         store = JobStore(str(tmp_path))
         store.save_record("j1", {"state": DONE})
@@ -718,12 +765,18 @@ class TestCrashSafeWrites:
         assert "job.json" in str(err.value)
 
     def test_open_sweep_quarantines_and_cleans(self, tmp_path):
+        import socket
+        import subprocess
+        import sys as _sys
+        writer = subprocess.Popen([_sys.executable, "-c", "pass"])
+        writer.wait()   # the tmp file's writer is gone
         job_dir = tmp_path / "j1"
         job_dir.mkdir()
         (job_dir / "job.json").write_text(
             json.dumps({"state": RUNNING, "slices": 1}))
         (job_dir / "checkpoint.json").write_bytes(b'{"netlist": [[')
-        (job_dir / ".job.json.tmp.999.7").write_bytes(b"partial")
+        (job_dir / f".job.json.tmp.{socket.gethostname()}.{writer.pid}.7"
+         ).write_bytes(b"partial")
         (job_dir / "telemetry.jsonl").write_bytes(
             b'{"event": "job_start", "job_id": "j1"}\n{"event": "job_sl')
 

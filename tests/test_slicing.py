@@ -1,12 +1,12 @@
 """A slice boundary never changes the search, and a job gates once.
 
-Both slicing paths — scheduler slices (``Session(quantum=...)``) and
-:func:`repro.core.restart.evolve_with_checkpoints` — resume each slice
-from the *live* parent and its generations since the last improvement,
-so a run cut at any quantum ends where one slice ends: the shrink policy
-(``shrink="never"`` keeps inactive gates on the parent that finalization
-would strip) and the stagnation limit (which counts across slices, even
-when the stop lands exactly on a slice's last generation) included.
+Scheduler slices (``Session(quantum=...)``), the one way to slice a
+run, resume each slice from the checkpoint's *live* parent and its
+generations since the last improvement, so a run cut at any quantum
+ends where one slice ends: the shrink policy (``shrink="never"`` keeps
+inactive gates on the parent that finalization would strip) and the
+stagnation limit (which counts across slices, even when the stop lands
+exactly on a slice's last generation) included.
 
 The result gate runs once per job, after its last slice, on the buffer
 plan the result reports, and ``time_budget`` bounds the whole job: each
@@ -14,6 +14,7 @@ slice gets the time the slices before it left.
 """
 
 import json
+import os
 
 import pytest
 
@@ -23,7 +24,6 @@ from repro.api import Session
 from repro.bench.registry import get_benchmark
 from repro.core.config import RcgpConfig
 from repro.core.engine import read_telemetry
-from repro.core.restart import evolve_with_checkpoints, save_checkpoint
 from repro.core.synthesis import initialize_netlist
 from repro.jobs import DONE, JobStore, Scheduler
 
@@ -36,12 +36,6 @@ def _scheduled(spec, config, quantum):
         job = session.submit(spec, config)
         session.run()
         return job.result().evolution, job.record["slices"]
-
-
-def _checkpointed(spec, config, slice_generations, tmp_path):
-    path = tmp_path / f"slices-{slice_generations}.json"
-    return evolve_with_checkpoints(spec, config, str(path),
-                                   slice_generations=slice_generations)
 
 
 def _assert_same_search(sliced, whole):
@@ -61,13 +55,6 @@ class TestShrinkNeverAcrossSlices:
         whole, _ = _scheduled(spec, self.CONFIG, None)
         sliced, slices = _scheduled(spec, self.CONFIG, quantum)
         assert slices == -(-300 // quantum)
-        _assert_same_search(sliced, whole)
-
-    @pytest.mark.parametrize("quantum", [25, 20])
-    def test_checkpoint_slices_equal_one_slice(self, quantum, tmp_path):
-        spec = get_benchmark("ham3").spec()
-        whole = _checkpointed(spec, self.CONFIG, 300, tmp_path)
-        sliced = _checkpointed(spec, self.CONFIG, quantum, tmp_path)
         _assert_same_search(sliced, whole)
 
 
@@ -95,40 +82,41 @@ class TestStagnationLimitAcrossSlices:
             _assert_same_search(sliced, whole)
             assert slices == -(-whole.generations // quantum)
 
-    @pytest.mark.parametrize("name,seed", [("ham3", 1), ("decoder_2_4", 2)])
-    def test_checkpoint_slices_equal_one_slice(self, name, seed, tmp_path):
-        spec = get_benchmark(name).spec()
-        config = self._config(seed)
-        whole = _checkpointed(spec, config, config.generations, tmp_path)
-        assert whole.generations < config.generations
-        for quantum in (25, 20, whole.generations):
-            sliced = _checkpointed(spec, config, quantum, tmp_path)
-            _assert_same_search(sliced, whole)
-
 
 class TestCheckpointStagnationCount:
+    """A job resumes from its store checkpoint's ``stagnation`` count."""
+
     def test_stored_count_is_carried_and_a_missing_one_reads_zero(
             self, tmp_path):
         spec = get_benchmark("ham3").spec()
         initial = initialize_netlist(spec, "ham3")
         config = RcgpConfig(generations=300, seed=1, stagnation_limit=60,
                             shrink="always", **_TUNED)
-        fresh = evolve_with_checkpoints(
-            spec, config, str(tmp_path / "fresh.json"),
-            slice_generations=100, initial=initial)
-        path = tmp_path / "counted.json"
-        save_checkpoint(str(path), initial, 0, config, stagnation=59)
-        counted = evolve_with_checkpoints(spec, config, str(path),
-                                          slice_generations=100)
+
+        def run(store_dir, stagnation=None, drop_count=False):
+            store = JobStore(str(tmp_path / store_dir))
+            with Scheduler(store, quantum=100) as scheduler:
+                job = scheduler.submit(spec, config, initial=initial)
+                if stagnation is not None:
+                    store.save_checkpoint(job.id, initial, 0, config,
+                                          stagnation=stagnation)
+                if drop_count:
+                    path = os.path.join(store.job_dir(job.id),
+                                        "checkpoint.json")
+                    with open(path) as handle:
+                        payload = json.load(handle)
+                    del payload["stagnation"]
+                    with open(path, "w") as handle:
+                        json.dump(payload, handle)
+                scheduler.run()
+                return job.result().evolution
+
+        fresh = run("fresh")
+        counted = run("counted", stagnation=59)
         assert counted.generations < fresh.generations
         # A checkpoint written before the count existed resumes at 0.
-        save_checkpoint(str(path), initial, 0, config, stagnation=59)
-        payload = json.loads(path.read_text())
-        del payload["stagnation"]
-        path.write_text(json.dumps(payload))
-        resumed = evolve_with_checkpoints(spec, config, str(path),
-                                          slice_generations=100)
-        _assert_same_search(resumed, fresh)
+        _assert_same_search(run("uncounted", stagnation=59, drop_count=True),
+                            fresh)
 
 
 class TestResultGateOncePerJob:
@@ -163,14 +151,6 @@ class TestResultGateOncePerJob:
         assert [e["event"] for e in events].count("verify") == 1
         assert events[-1]["event"] == "job_end"
         assert events[-1]["verified"] is True
-
-    def test_checkpointed_run_gates_once(self, gate_calls, tmp_path):
-        spec = get_benchmark("ham3").spec()
-        config = RcgpConfig(generations=200, seed=3, verify_result=True,
-                            **_TUNED)
-        result = _checkpointed(spec, config, 50, tmp_path)
-        assert len(gate_calls) == 1
-        assert result.verified
 
 
 class _Clock:
@@ -231,12 +211,3 @@ class TestTimeBudgetAcrossSlices:
         assert record["slices"] > 2
         assert record["generations_done"] < config.generations
         assert budget <= record["runtime"] < 2 * budget
-
-    def test_checkpoint_slices_share_the_budget(self, tmp_path):
-        spec = get_benchmark("intdiv5").spec()
-        config = self._config()
-        whole = _checkpointed(spec, config, config.generations, tmp_path)
-        sliced = _checkpointed(spec, config, 50, tmp_path)
-        assert 0 < sliced.generations <= whole.generations \
-            < config.generations
-        assert self.BUDGET <= sliced.runtime < 2 * self.BUDGET

@@ -15,16 +15,19 @@ actually delivered):
   fitness, cost structure, generations — wall-clock counters excluded).
 
 * **Shared-store smoke** (``--shared``).  Launches two concurrent
-  ``rcgp batch`` processes over one store directory with several jobs.
-  Per-job leases must split the queue: both exit 0, every job is done,
-  and no job's telemetry ever shows two owners — the "never run the
-  same job twice at once" guarantee, observed end to end.
+  ``rcgp batch`` processes over one store directory with several jobs
+  (by default four, 2000 generations each, so both processes hold
+  leases at once).  Per-job leases must split the queue: both exit 0,
+  every job is done, and no job's telemetry ever shows two owners — the
+  "never run the same job twice at once" guarantee, observed end to
+  end.  How many processes end up driving jobs is reported, not
+  asserted: one may finish the queue before the other adopts a job.
 
 Usage::
 
     PYTHONPATH=src python tools/fault_store.py --seed 0
     PYTHONPATH=src python tools/fault_store.py --seed 0 --sample 7
-    PYTHONPATH=src python tools/fault_store.py --shared
+    PYTHONPATH=src python tools/fault_store.py --shared --seed 0
 
 Any violation prints the failing kill index (re-runnable via
 ``--only N``) and exits non-zero.
@@ -46,6 +49,11 @@ REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
 
 from repro.jobs import DONE, JobStore                          # noqa: E402
+
+#: ``(targets, generations, quantum)`` when not given, per mode.
+SWEEP_DEFAULTS = (["decoder_2_4"], 60, 20)
+SHARED_DEFAULTS = (["decoder_2_4", "graycode4", "full_adder", "ham3"],
+                   2000, 100)
 
 #: Result-payload fields that depend on wall clock or crash accounting
 #: (a re-run slice legitimately re-counts evaluations), not on the
@@ -299,11 +307,15 @@ def shared_smoke(targets: Sequence[str], *, generations: int,
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         description="SIGKILL crash-consistency sweep for the job store")
-    parser.add_argument("--targets", nargs="+", default=["decoder_2_4"],
+    parser.add_argument("--targets", nargs="+", default=None,
                         help="benchmark names / design files for the "
-                             "child batches (default: decoder_2_4)")
-    parser.add_argument("--generations", type=int, default=60)
-    parser.add_argument("--quantum", type=int, default=20)
+                             "child batches (default: decoder_2_4; with "
+                             "--shared: decoder_2_4 graycode4 full_adder "
+                             "ham3)")
+    parser.add_argument("--generations", type=int, default=None,
+                        help="default: 60; with --shared: 2000")
+    parser.add_argument("--quantum", type=int, default=None,
+                        help="default: 20; with --shared: 100")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--sample", type=int, default=1,
                         help="exercise every N-th write point "
@@ -314,14 +326,20 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                         help="run the two-process shared-store smoke "
                              "instead of the kill sweep")
     args = parser.parse_args(argv)
+    targets, generations, quantum = \
+        SHARED_DEFAULTS if args.shared else SWEEP_DEFAULTS
+    targets = args.targets or targets
+    if args.generations is not None:
+        generations = args.generations
+    if args.quantum is not None:
+        quantum = args.quantum
     try:
         if args.shared:
-            shared_smoke(args.targets, generations=args.generations,
-                         quantum=args.quantum, seed=args.seed)
+            shared_smoke(targets, generations=generations, quantum=quantum,
+                         seed=args.seed)
         else:
-            kill_sweep(args.targets, generations=args.generations,
-                       quantum=args.quantum, seed=args.seed,
-                       sample=args.sample, only=args.only)
+            kill_sweep(targets, generations=generations, quantum=quantum,
+                       seed=args.seed, sample=args.sample, only=args.only)
     except AssertionError as exc:
         print(f"FAIL: {exc}", file=sys.stderr)
         return 1
