@@ -57,8 +57,9 @@ class Session:
         session over the same directory resumes unfinished jobs and
         serves finished ones without re-running.
     workers:
-        Global evaluation budget shared fairly by all jobs (``0`` or
-        ``1`` = inline); the only way to give a job worker processes.
+        Upper bound on the worker processes shared fairly by all jobs
+        (``0`` or ``1`` = inline), each started when a span first needs
+        it; the only way to give a job worker processes.
     quantum:
         Generations per job per scheduler tick; ``None`` (default) runs
         each job to completion in one slice — bit-identical to a direct

@@ -41,10 +41,10 @@ def _add_engine_options(parser: argparse.ArgumentParser, *,
     """
     group = parser.add_argument_group("engine options")
     group.add_argument("--workers", type=int, default=0,
-                       help="worker processes of the one session every "
-                            "job shares (0/1 inline; N>1 replays spans "
-                            "on a persistent pool, bit-identical results "
-                            "for a fixed seed)")
+                       help="most worker processes of the one session "
+                            "every job shares (0/1 inline; N>1 replays "
+                            "spans on up to N workers started as needed, "
+                            "bit-identical results for a fixed seed)")
     if not pool_only:
         group.add_argument("--telemetry", metavar="PATH", default=None,
                            help=telemetry_help)
@@ -238,8 +238,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     """Run the synthesis scheduler as an HTTP service.
 
     Submissions arrive as truth-table specs + full configs over
-    ``POST /v1/jobs`` (see ``docs/service.md``); the server shares one
-    worker pool and one job store across all of them, and SIGTERM
+    ``POST /v1/jobs`` (see ``docs/service.md``); the server shares its
+    worker processes and one job store across all of them, and SIGTERM
     drains gracefully — the slice in flight finishes and checkpoints,
     so a restarted ``rcgp serve`` over the same ``--store`` resumes
     every unfinished job bit-identically.
@@ -364,7 +364,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                           max_mutated_genes=args.max_genes,
                           seed=seed, shrink=args.shrink)
 
-    # One session, so every seed shares one pool of --workers processes.
+    # One session, so every seed shares up to --workers processes.
     with Session(workers=args.workers) as session:
         sweep = seed_sweep(spec, seeds, factory, name=name,
                            session=session)

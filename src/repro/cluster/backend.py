@@ -3,11 +3,12 @@
 :class:`ClusterDispatch` is long-lived — owned by the scheduler or by
 whoever builds a pooled run by hand (a test harness, a benchmark).  It
 holds no span: it only *leases* channels — an idle remote worker from
-the :class:`~repro.cluster.fleet.ClusterFleet` first, else local pipe
-worker 0 of a lazily spawned pool — and takes them back, failed or not.
-A failed local channel kills the pipe workers (the next lease respawns
-them); a failed remote one drops its connection (the worker process
-dials back in).
+the :class:`~repro.cluster.fleet.ClusterFleet` first, else an idle
+local :class:`~repro.core.transport.PipeWorker`, else a new one while
+fewer than ``local_workers`` run — and takes them back, failed or not.
+A failed local worker is killed and forgotten alone (a later lease
+starts its replacement); a failed remote one drops its connection (the
+worker process dials back in).
 
 Everything about one span — the request in flight, the channel it
 rides, the bounded retry loop with its one-generation re-send, and
@@ -25,89 +26,34 @@ eval counters to the serial loop.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import List, Optional
 
-from ..core import transport
-from ..core.transport import PipeWorkerPool
-from .fleet import ClusterFleet, RemoteWorker
-
-
-class _LocalChannel:
-    """Local pipe worker 0 of the dispatch-owned pool, as a channel
-    (one span is in flight at a time, so one worker serves them all)."""
-
-    __slots__ = ("_dispatch",)
-    remote = False
-
-    def __init__(self, dispatch: "ClusterDispatch"):
-        self._dispatch = dispatch
-
-    def send(self, frame: bytes) -> None:
-        self._dispatch._pool.send(0, frame)
-
-    def recv(self, deadline: Optional[float]) -> bytes:
-        return self._dispatch._pool.recv(0, deadline)
-
-    def ready(self) -> bool:
-        pool = self._dispatch._pool
-        return pool is not None and pool.ready(0)
-
-    def fail(self) -> None:
-        self._dispatch._kill_pool()
-
-
-class _RemoteChannel:
-    """One leased fleet worker as a channel."""
-
-    __slots__ = ("_fleet", "worker")
-    remote = True
-
-    def __init__(self, fleet: ClusterFleet, worker: RemoteWorker):
-        self._fleet = fleet
-        self.worker = worker
-
-    @property
-    def name(self) -> str:
-        return self.worker.name
-
-    def send(self, frame: bytes) -> None:
-        self.worker.channel.send(frame)
-        self.worker.frames += 1
-        self.worker.bytes_shipped += len(frame)
-
-    def recv(self, deadline: Optional[float]) -> bytes:
-        return transport.unwrap_reply(self.worker.channel.recv(deadline))
-
-    def ready(self) -> bool:
-        return self.worker.channel.ready()
-
-    def fail(self) -> None:
-        self._fleet.drop(self.worker)
+from ..core.transport import PipeWorker
+from .fleet import ClusterFleet
 
 
 class ClusterDispatch:
     """Channel leases over whatever workers exist *right now*.
 
-    ``fleet`` may be ``None`` (local-only: a plain pipe pool) and
-    ``local_workers`` may be ``0`` (remote-only: every span rides the
-    fleet, and a fleet with nobody connected has no channel until
-    somebody dials in).
+    ``fleet`` may be ``None`` (local-only) and ``local_workers`` may be
+    ``0`` (remote-only: every span rides the fleet, and a fleet with
+    nobody connected has no channel until somebody dials in).
+    ``local_workers`` bounds the pipe workers alive at once; each one
+    starts when a lease finds no idle worker.
     """
 
     def __init__(self, fleet: Optional[ClusterFleet] = None, *,
                  local_workers: int = 0):
         self.fleet = fleet
         self.local_workers = max(0, local_workers)
-        self._pool: Optional[PipeWorkerPool] = None
-
-    def _kill_pool(self) -> None:
-        pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.kill()
+        self._live: List[PipeWorker] = []   # every running pipe worker
+        self._idle: List[PipeWorker] = []   # released ones, newest last
 
     def lease(self):
-        """Lease one idle remote worker, else local worker 0; ``None``
-        when no channel is usable right now.
+        """Lease one idle remote worker, else the most recently released
+        local worker (its resident evaluators are warm), else a new one
+        while fewer than ``local_workers`` run; ``None`` when no channel
+        is usable right now.
 
         A remote channel stays leased until :meth:`release` — the
         heartbeat thread must never interleave a ping with an in-flight
@@ -116,28 +62,35 @@ class ClusterDispatch:
         if self.fleet is not None:
             worker = self.fleet.lease()
             if worker is not None:
-                return _RemoteChannel(self.fleet, worker)
-        if self.local_workers > 0:
-            if self._pool is None:
-                try:
-                    self._pool = PipeWorkerPool(self.local_workers)
-                except OSError:
-                    return None
-            return _LocalChannel(self)
+                return worker
+        if self._idle:
+            return self._idle.pop()
+        if len(self._live) < self.local_workers:
+            try:
+                worker = PipeWorker(self._live)
+            except OSError:
+                return None
+            self._live.append(worker)
+            return worker
         return None
 
     def release(self, channel, *, failed: bool) -> None:
         """Take a leased channel back; ``failed`` replaces its worker."""
-        if failed:
-            channel.fail()
         if channel.remote:
-            self.fleet.release(channel.worker)
+            if failed:
+                self.fleet.drop(channel)
+            self.fleet.release(channel)
+        elif failed:
+            self._live.remove(channel)
+            channel.kill()
+        else:
+            self._idle.append(channel)
 
     def close(self) -> None:
-        """Release local workers; the fleet belongs to its owner."""
-        if self._pool is not None:
-            self._pool.close()
-            self._pool = None
+        """Close every local worker; the fleet belongs to its owner."""
+        for worker in self._live:
+            worker.close()
+        self._live, self._idle = [], []
 
 
 __all__ = ["ClusterDispatch"]

@@ -30,6 +30,7 @@ import threading
 import time
 from typing import Any, Dict, List, Optional
 
+from ..core import transport
 from . import protocol
 from .protocol import PROTOCOL_VERSION, SocketChannel
 
@@ -41,11 +42,13 @@ IDLE_GRACE = 6.0
 
 
 class RemoteWorker:
-    """One registered remote worker connection."""
+    """One registered remote worker connection, and the channel a span
+    rides while the worker is leased (its lock held)."""
 
     __slots__ = ("worker_id", "name", "host", "pid", "slots",
                  "incarnation", "connected_at", "channel", "lock",
                  "alive", "spans", "frames", "bytes_shipped")
+    remote = True
 
     def __init__(self, worker_id: int, channel: SocketChannel,
                  hello: Dict[str, Any]):
@@ -62,6 +65,17 @@ class RemoteWorker:
         self.spans = 0
         self.frames = 0
         self.bytes_shipped = 0
+
+    def send(self, frame: bytes) -> None:
+        self.channel.send(frame)
+        self.frames += 1
+        self.bytes_shipped += len(frame)
+
+    def recv(self, deadline: Optional[float]) -> bytes:
+        return transport.unwrap_reply(self.channel.recv(deadline))
+
+    def ready(self) -> bool:
+        return self.channel.ready()
 
     def view(self) -> Dict[str, Any]:
         """The ``/v1/workers`` document for this connection."""
@@ -244,7 +258,6 @@ class ClusterFleet:
     # -- liveness ------------------------------------------------------
 
     def _heartbeat_loop(self) -> None:
-        from ..core import transport
         ping = bytes([transport.OP_PING])
         while not self._closed.wait(self.heartbeat):
             for worker in self.live():

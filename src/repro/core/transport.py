@@ -1,4 +1,4 @@
-"""Pipe-based worker pool transport for replay spans.
+"""Pipe-based worker transport for replay spans.
 
 ``concurrent.futures.ProcessPoolExecutor`` costs a surprising amount
 per dispatch — a call queue with a management thread, per-task pickling
@@ -6,7 +6,9 @@ of the callable and its arguments, and a result queue on the way back.
 This module is the thinnest thing that still satisfies the pool
 contract:
 
-* one ``multiprocessing.Pipe`` + long-lived ``Process`` per worker;
+* one ``multiprocessing.Pipe`` + long-lived ``Process`` per
+  :class:`PipeWorker`, started when a lease first needs it and itself
+  the channel a span rides;
 * one length-prefixed **frame** per request/reply (``send_bytes`` /
   ``recv_bytes``), first byte = opcode, payload packed by
   :mod:`repro.core.wire` (no pickle on the per-span path);
@@ -39,7 +41,7 @@ import os
 import pickle
 import struct
 import time
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, Optional
 
 from ..errors import FrameTooLarge, FrameTruncated, UnknownOpcode
 
@@ -161,10 +163,10 @@ def unwrap_reply(frame, *, expect: int = OP_RESULT):
 def _worker_main(conn, stale) -> None:
     """One worker process: a frame-dispatch loop until the pipe dies."""
     # A forked worker inherits the coordinator-side handles of its own
-    # pipe and of every pipe created before it.  Holding them open would
+    # pipe and of every other live worker's.  Holding them open would
     # break EOF semantics both ways: the coordinator could never signal
-    # shutdown by closing its end, and an earlier worker's crash would
-    # go undetected.  Drop them first.
+    # shutdown by closing its end, and another worker's crash would go
+    # undetected.  Drop them first.
     for inherited in stale:
         try:
             inherited.close()
@@ -192,90 +194,68 @@ def _worker_main(conn, stale) -> None:
             return
 
 
-class _PipeWorker:
-    __slots__ = ("conn", "process")
+class PipeWorker:
+    """One pipe-connected worker process, itself a channel.
 
-    def __init__(self, conn, process):
-        self.conn = conn
-        self.process = process
+    Pure transport: ``send`` ships one request frame, ``recv`` blocks
+    (under an optional deadline) for the reply, unwrapping ``ERROR``
+    frames into re-raised exceptions.  The owner,
+    :class:`~repro.cluster.backend.ClusterDispatch`, starts workers as
+    leases need them and leases each to one span at a time;
+    retry/degradation policy lives with the span handle,
+    :class:`~repro.jobs.pool.JobBackend`.
 
-
-class PipeWorkerPool:
-    """A fixed set of pipe-connected worker processes.
-
-    Pure transport: ``send`` ships one request frame to one worker,
-    ``recv`` blocks (under an optional deadline) for that worker's
-    reply, unwrapping ``ERROR`` frames into re-raised exceptions.
-    The owner, :class:`~repro.cluster.backend.ClusterDispatch`, leases
-    worker 0 as a channel; retry/degradation policy lives with the
-    span handle, :class:`~repro.jobs.pool.JobBackend`.
+    ``others`` are the owner's other live workers: the child closes
+    their coordinator-side pipe ends (and its own), so the death of any
+    worker still reads as EOF.  A failed start raises ``OSError``.
     """
 
-    def __init__(self, workers: int):
-        self.workers = workers
+    remote = False
+
+    def __init__(self, others=()):
         ctx = multiprocessing.get_context()
-        self._members: List[_PipeWorker] = []
-        for _ in range(workers):
-            ours, theirs = ctx.Pipe(duplex=True)
-            # Coordinator-side handles the child must not keep: earlier
-            # workers' (their `theirs` is already closed here, so the
-            # child only inherits the `ours` side) and its own.
-            stale = [member.conn for member in self._members] + [ours]
-            process = ctx.Process(target=_worker_main,
-                                  args=(theirs, stale),
-                                  daemon=True)
-            process.start()
+        ours, theirs = ctx.Pipe(duplex=True)
+        stale = [worker.conn for worker in others] + [ours]
+        self.process = ctx.Process(target=_worker_main,
+                                   args=(theirs, stale), daemon=True)
+        try:
+            self.process.start()
+        except OSError:
+            ours.close()
+            raise
+        finally:
             # The child holds its own handle; keeping ours open too
             # would mask worker death (recv would never EOF).
             theirs.close()
-            self._members.append(_PipeWorker(ours, process))
+        self.conn = ours
 
-    def send(self, index: int, frame: bytes) -> None:
+    def send(self, frame: bytes) -> None:
         """Ship one frame; pipe death raises OSError (recoverable)."""
-        self._members[index].conn.send_bytes(frame)
+        self.conn.send_bytes(frame)
 
-    def ready(self, index: int) -> bool:
+    def ready(self) -> bool:
         """Whether a reply frame is already buffered (non-blocking)."""
-        return self._members[index].conn.poll(0)
+        return self.conn.poll(0)
 
-    def recv(self, index: int, deadline: Optional[float]) -> bytes:
+    def recv(self, deadline: Optional[float]) -> bytes:
         """One reply frame, ERROR frames re-raised, deadline enforced."""
-        conn = self._members[index].conn
         if deadline is not None:
             remaining = deadline - time.monotonic()
-            if remaining <= 0 or not conn.poll(remaining):
+            if remaining <= 0 or not self.conn.poll(remaining):
                 raise TimeoutError(
-                    f"pool worker {index} overran the span deadline")
-        return unwrap_reply(conn.recv_bytes())
+                    f"pipe worker {self.process.pid} overran the span "
+                    f"deadline")
+        return unwrap_reply(self.conn.recv_bytes())
 
     def kill(self) -> None:
-        """Tear the pool down *now*, hung workers included."""
-        for member in self._members:
-            try:
-                member.process.kill()
-            except Exception:
-                pass
-            try:
-                member.conn.close()
-            except Exception:
-                pass
-        for member in self._members:
-            try:
-                member.process.join(timeout=1.0)
-            except Exception:
-                pass
-        self._members = []
+        """Tear the worker down *now*, hung or not."""
+        self.process.kill()
+        self.conn.close()
+        self.process.join(timeout=1.0)
 
     def close(self) -> None:
-        """Graceful shutdown: close pipes (workers exit on EOF), join."""
-        for member in self._members:
-            try:
-                member.conn.close()
-            except Exception:
-                pass
-        for member in self._members:
-            member.process.join(timeout=5.0)
-            if member.process.is_alive():
-                member.process.kill()
-                member.process.join(timeout=1.0)
-        self._members = []
+        """Graceful shutdown: close the pipe (the worker exits on EOF)."""
+        self.conn.close()
+        self.process.join(timeout=5.0)
+        if self.process.is_alive():
+            self.kill()

@@ -1,11 +1,11 @@
 """One protocol, one handle: job-keyed replay spans over a dispatcher.
 
-Every pooled evaluation in this package — the scheduler's local pool,
-the TCP fleet, a hand-built pooled run — is the same conversation: a
-per-slice :class:`JobBackend` leases a channel from one long-lived
-:class:`~repro.cluster.backend.ClusterDispatch` (local pipe workers,
-remote fleet workers, or both), ships the engine's replay spans as
-``OP_JOB_SPAN`` frames and runs the one fault-recovery loop.
+Every pooled evaluation in this package — the scheduler's local pipe
+workers, the TCP fleet, a hand-built pooled run — is the same
+conversation: a per-slice :class:`JobBackend` leases a channel from one
+long-lived :class:`~repro.cluster.backend.ClusterDispatch` (a local
+pipe worker or a remote fleet worker), ships the engine's replay spans
+as ``OP_JOB_SPAN`` frames and runs the one fault-recovery loop.
 
 * **Worker side.**  A span frame carries its pickled :data:`JobContext`
   (job id, spec, config), so one worker serves many jobs: it keeps a
@@ -234,7 +234,7 @@ class JobBackend:
                 self.worker_restarts += 1
                 continue
             if channel.remote:
-                self._dispatch.fleet.record_span(channel.worker)
+                self._dispatch.fleet.record_span(channel)
                 self.spans_remote += 1
                 self.cluster_workers.add(channel.name)
             self._release(failed=False)

@@ -251,14 +251,16 @@ class Scheduler:
         (no resume across processes, results still served within the
         session).
     workers:
-        Global offspring-evaluation budget shared by *all* jobs — the
+        Upper bound on the worker processes shared by *all* jobs — the
         only place (with :class:`~repro.api.Session`) that starts
-        worker processes.  ``0`` or ``1`` evaluates inline; ``N > 1``
-        routes every parallel-safe job's replay spans through one
-        :class:`~repro.cluster.backend.ClusterDispatch` over ``N`` local
-        pipe workers (backend label ``shared-pool``); each slice leases
-        its channel through its own
-        :class:`~repro.jobs.pool.JobBackend` handle.
+        them.  ``0`` or ``1`` evaluates inline; ``N > 1`` routes every
+        parallel-safe job's replay spans through one
+        :class:`~repro.cluster.backend.ClusterDispatch` that starts up
+        to ``N`` local pipe workers as spans need them (backend label
+        ``shared-pool``); each slice leases its channel through its own
+        :class:`~repro.jobs.pool.JobBackend` handle.  One span is in
+        flight at a time, so one worker runs today; a failed worker is
+        replaced alone.
     quantum:
         Generations per job per tick.  ``None`` runs each job's whole
         remaining budget in one slice (legacy single-run semantics);
@@ -267,8 +269,8 @@ class Scheduler:
     fleet:
         An optional started :class:`~repro.cluster.fleet.ClusterFleet`.
         When attached, the same dispatcher mixes the fleet's remote
-        workers with ``workers`` local pipe workers (backend label
-        ``cluster``; bit-identical to both the local pool and the
+        workers with up to ``workers`` local pipe workers (backend label
+        ``cluster``; bit-identical to both local workers and the
         serial loop).  The fleet's lifecycle belongs to the caller.
     """
 

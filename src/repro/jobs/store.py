@@ -497,21 +497,10 @@ class JobStore:
         holder's identity instead.
         """
         if self.root is None:
-            slot = self._slot(job_id)
-            lease = slot.get("lease")
-            stale = lease is not None and \
-                time.time() - lease["at"] > self.lease_ttl
-            if lease is None or lease["owner"] == self.owner or stale:
-                if stale and lease["owner"] != self.owner:
-                    self.lease_takeovers += 1
-                slot["lease"] = {"owner": self.owner, "at": time.time()}
-                self._held.add(job_id)
-                return True
-            if required:
-                raise LeaseHeld(
-                    f"job {job_id} is leased by {lease['owner']}",
-                    owner=lease["owner"])
-            return False
+            # Only this instance ever writes an in-memory lease.
+            self._slot(job_id)["lease_at"] = time.time()
+            self._held.add(job_id)
+            return True
         self._ensure_dir(job_id)
         path = self._lease_path(job_id)
         if job_id in self._held and self.refresh_lease(job_id):
@@ -563,16 +552,11 @@ class JobStore:
         """Heartbeat a held lease.  ``False`` means the lease was lost
         (this process stalled past the TTL and another took over) —
         the caller must stop writing this job's artifacts."""
-        if self.root is None:
-            slot = self._slot(job_id)
-            lease = slot.get("lease")
-            if lease is None or lease["owner"] != self.owner:
-                self._held.discard(job_id)
-                return False
-            lease["at"] = time.time()
-            return True
         if job_id not in self._held:
             return False
+        if self.root is None:
+            self._slot(job_id)["lease_at"] = time.time()
+            return True
         path = self._lease_path(job_id)
         try:
             info = _read_json(path)
@@ -591,13 +575,8 @@ class JobStore:
     def release_lease(self, job_id: str) -> None:
         """Give the job's lease back (no-op when not held by us)."""
         if self.root is None:
-            slot = self._slot(job_id)
-            lease = slot.get("lease")
-            if lease is not None and lease["owner"] == self.owner:
-                slot.pop("lease", None)
-            self._held.discard(job_id)
-            return
-        if job_id in self._held:
+            self._slot(job_id).pop("lease_at", None)
+        elif job_id in self._held:
             path = self._lease_path(job_id)
             try:
                 info = _read_json(path)
@@ -620,11 +599,11 @@ class JobStore:
         and computed liveness.  ``None`` when no lease exists; a torn
         lease file reports ``live: False``."""
         if self.root is None:
-            lease = self._slot(job_id).get("lease")
-            if lease is None:
+            at = self._slot(job_id).get("lease_at")
+            if at is None:
                 return None
-            age = max(0.0, time.time() - lease["at"])
-            return {"owner": lease["owner"], "pid": os.getpid(),
+            age = max(0.0, time.time() - at)
+            return {"owner": self.owner, "pid": os.getpid(),
                     "host": socket.gethostname(), "age_seconds": age,
                     "live": age <= self.lease_ttl}
         path = self._lease_path(job_id)

@@ -1,8 +1,8 @@
 """The synthesis scheduler behind a network line: a stdlib HTTP server.
 
 One :class:`ServiceServer` wraps one :class:`repro.api.Session` (job
-store + fair-share scheduler + shared worker pool) and exposes it over
-``ThreadingHTTPServer``:
+store + fair-share scheduler + shared worker processes) and exposes it
+over ``ThreadingHTTPServer``:
 
 ========  ==========================  =======================================
 Method    Path                        Meaning
@@ -213,6 +213,7 @@ class ServiceServer:
             maxsize=max_queue)
         self._queued: Dict[str, _Submission] = {}
         self._active: set = set()  # scheduled here, not done or failed
+        self._done_counters: Dict[str, Tuple[int, ...]] = {}
         self._lock = threading.Lock()
         self._stop = threading.Event()
         self._wake = threading.Event()
@@ -253,7 +254,7 @@ class ServiceServer:
 
     def close(self) -> None:
         """Graceful drain: finish (and checkpoint) the slice in flight,
-        stop scheduling, stop accepting connections, release the pool.
+        stop scheduling, stop accepting connections, stop the workers.
 
         Unfinished jobs stay ``running``/``pending`` in the store; a
         new server over the same store resumes them bit-identically.
@@ -525,27 +526,42 @@ class ServiceServer:
 
         Counter totals are sums over every job record in the store, so
         they agree with the per-job ``EvolutionResult`` counters that
-        the scheduler accumulated into those records.
+        the scheduler accumulated into those records.  A done job's
+        record never changes again and its lease is released, so its
+        counters are read once per server; the memo is rebuilt from
+        ``store.jobs()`` on every scrape, so a quarantined or deleted
+        job drops out of it.
         """
         store = self.session.store
         states = {state: 0 for state in _JOB_STATES}
         states[INTERRUPTED] = 0
         totals = {field: 0 for field in _METRIC_COUNTERS}
         leases_live = 0
+        # Scrapes run on HTTP handler threads: each builds a new memo and
+        # swaps it in, so a racing scrape at worst reads a job again.
+        seen, done = self._done_counters, {}
         for job_id in store.jobs():
-            try:
-                record = store.load_record(job_id) or {}
-            except StoreCorruption:
-                record = {}
-            state = str(record.get("state", PENDING))
-            lease = store.lease_info(job_id)
-            if lease is not None and lease["live"]:
-                leases_live += 1
-            if self._interrupted(job_id, state, lease):
-                state = INTERRUPTED
+            state, live = DONE, False
+            counters = seen.get(job_id)
+            if counters is None:
+                try:
+                    record = store.load_record(job_id) or {}
+                except StoreCorruption:
+                    record = {}
+                state = str(record.get("state", PENDING))
+                lease = store.lease_info(job_id)
+                live = lease is not None and lease["live"]
+                leases_live += live
+                if self._interrupted(job_id, state, lease):
+                    state = INTERRUPTED
+                counters = tuple(int(record.get(field, 0) or 0)
+                                 for field in _METRIC_COUNTERS)
+            if state == DONE and not live:
+                done[job_id] = counters
             states[state] = states.get(state, 0) + 1
-            for field in totals:
-                totals[field] += int(record.get(field, 0) or 0)
+            for field, value in zip(_METRIC_COUNTERS, counters):
+                totals[field] += value
+        self._done_counters = done
         lines = []
         for field in _METRIC_COUNTERS:
             name = f"rcgp_{field}_total"

@@ -11,6 +11,7 @@ The headline guarantees:
 """
 
 import json
+import multiprocessing
 import os
 import time
 
@@ -546,25 +547,40 @@ class TestSchedulerPersistence:
 
 class TestSharedWorkerPool:
     def test_pooled_jobs_bit_identical_to_inline(self):
-        spec = _decoder_spec()
-        configs = [RcgpConfig(generations=80, seed=s, offspring=8)
-                   for s in (7, 8)]
-        inline = {}
-        for config in configs:
+        # Four jobs (two circuits, two seeds) through one two-worker
+        # scheduler equal their inline runs at the same quantum, every
+        # counter but the transport's included.  A slice keeps one span
+        # in flight, so one worker process serves all four.
+        runs = [(spec, RcgpConfig(generations=80, seed=seed, offspring=8,
+                                  track_history=True))
+                for spec in (_decoder_spec(), _xor_and_spec())
+                for seed in (7, 8)]
+        inline = []
+        for spec, config in runs:
             with Scheduler(quantum=40) as scheduler:
                 job = scheduler.submit(spec, config)
                 scheduler.run()
-                inline[config.seed] = job.result()
+                inline.append(job.result())
+        before = {p.pid for p in multiprocessing.active_children()}
         with Scheduler(workers=2, quantum=40) as scheduler:
-            jobs = [scheduler.submit(spec, c) for c in configs]
+            jobs = [scheduler.submit(spec, config) for spec, config in runs]
             scheduler.run()
-            for config, job in zip(configs, jobs):
-                pooled = job.result()
-                twin = inline[config.seed]
-                assert _chromosome(pooled) == _chromosome(twin)
-                assert pooled.evolution.evaluations == \
-                    twin.evolution.evaluations
-                assert pooled.evolution.backend == "shared-pool"
+            started = {p.pid for p in multiprocessing.active_children()}
+            pooled = [job.result() for job in jobs]
+        assert len(started - before) == 1
+        for got, twin in zip(pooled, inline):
+            assert got.evolution.backend == "shared-pool"
+            assert _chromosome(got) == _chromosome(twin)
+            got, twin = got.evolution, twin.evolution
+            assert got.fitness.key() == twin.fitness.key()
+            assert got.history and [(g, f.key()) for g, f in got.history] \
+                == [(g, f.key()) for g, f in twin.history]
+            assert got.generations == twin.generations
+            for field in COUNTER_FIELDS:
+                if field not in ("bytes_shipped", "chunks_dispatched",
+                                 "pipeline_stalls"):
+                    assert getattr(got, field) == getattr(twin, field), \
+                        field
 
     def test_slice_after_exhausted_retries_uses_workers_again(
             self, tmp_path, monkeypatch):

@@ -546,6 +546,46 @@ class TestCrashSurfacing:
             server.close()
 
 
+class TestMetricsScrape:
+    @staticmethod
+    def _parse(text):
+        return {name: value for name, value in
+                (line.rsplit(None, 1) for line in text.splitlines()
+                 if line and not line.startswith("#"))
+                if name != "rcgp_uptime_seconds"}
+
+    @pytest.mark.parametrize("done", [10, 40])
+    def test_done_jobs_are_read_once_per_server(self, tmp_path, done):
+        store = JobStore(str(tmp_path))
+        for index in range(done):
+            store.save_record(f"done-{index}", {
+                "state": "done", "evaluations": index + 1, "eval_full": 2})
+        store.save_record("running", {"state": "running", "evaluations": 5})
+        store.save_record("failed", {"state": "failed", "evaluations": 7})
+        reads = []
+        for method in ("load_record", "lease_info"):
+            def counting(job_id, _read=getattr(store, method)):
+                reads.append(job_id)
+                return _read(job_id)
+            setattr(store, method, counting)
+        server = ServiceServer(store, port=0, resume=False)
+        try:
+            first = self._parse(server.metrics_text())
+            assert sorted(reads) == sorted(2 * store.jobs())
+            del reads[:]
+            second = self._parse(server.metrics_text())
+        finally:
+            server.close()
+        assert sorted(reads) == ["failed", "failed", "running", "running"]
+        assert second == first
+        assert first["rcgp_evaluations_total"] == \
+            str(done * (done + 1) // 2 + 5 + 7)
+        assert first["rcgp_eval_full_total"] == str(2 * done)
+        assert first['rcgp_jobs{state="done"}'] == str(done)
+        assert first['rcgp_jobs{state="failed"}'] == "1"
+        assert first['rcgp_jobs{state="interrupted"}'] == "1"
+
+
 class TestClientRetry:
     """Idempotent GETs survive one torn keep-alive connection (server
     restart, LB failover); non-idempotent POSTs never auto-repeat."""
