@@ -14,7 +14,7 @@ import random
 import pytest
 
 from repro.core.config import RcgpConfig
-from repro.core.evolution import evolve
+from repro.core.engine import EvolutionRun
 from repro.core.mutation import chromosome_length
 from repro.core.synthesis import initialize_netlist
 from repro.logic.truth_table import tabulate_word
@@ -45,9 +45,9 @@ class TestMutationKindAblation:
                   else lambda f, args, **k: f(*args))
         if benchmark_or_none:
             return benchmark_or_none.pedantic(
-                evolve, args=(initial, spec, config),
+                EvolutionRun(spec, config, initial=initial).run,
                 rounds=1, iterations=1, warmup_rounds=0)
-        return evolve(initial, spec, config)
+        return EvolutionRun(spec, config, initial=initial).run()
 
     def test_full_operator_set(self, benchmark):
         result = self._run(benchmark)
@@ -75,7 +75,7 @@ class TestMutationKindAblation:
             for label, toggles in _VARIANTS:
                 config = RcgpConfig(generations=self.GENS, mutation_rate=0.1,
                                     seed=13, shrink="always", **toggles)
-                result = evolve(initial, spec, config)
+                result = EvolutionRun(spec, config, initial=initial).run()
                 results[label] = (result.fitness.n_r, result.fitness.n_g)
             return results
 
@@ -107,7 +107,7 @@ class TestMutationRateSensitivity:
         config = RcgpConfig(generations=800, mutation_rate=mu, seed=17,
                             shrink="always")
         result = benchmark.pedantic(
-            evolve, args=(initial, spec, config),
+            EvolutionRun(spec, config, initial=initial).run,
             rounds=1, iterations=1, warmup_rounds=0)
         assert result.fitness.functional
         print(f"\nmu={mu}: n_r={result.fitness.n_r} "
@@ -123,7 +123,7 @@ class TestShrinkAblation:
         initial = initialize_netlist(spec)
         config = RcgpConfig(generations=1200, mutation_rate=0.1, seed=21,
                             shrink=shrink)
-        result = evolve(initial, spec, config)
+        result = EvolutionRun(spec, config, initial=initial).run()
         return result
 
     def test_always_vs_never(self, benchmark):
@@ -154,7 +154,7 @@ class TestVerificationAblation:
             verify_with_sat=verify_with_sat,
             sat_conflict_budget=20_000,
         )
-        return evolve(initial, spec, config)
+        return EvolutionRun(spec, config, initial=initial).run()
 
     def test_sim_plus_sat_stays_correct(self, benchmark):
         result = benchmark.pedantic(
@@ -192,7 +192,7 @@ class TestSimplifyAblation:
         config = RcgpConfig(generations=2500, mutation_rate=1.0,
                             max_mutated_genes=6, seed=seed,
                             shrink="always", simplify_wires=simplify)
-        return initial, evolve(initial, spec, config)
+        return initial, EvolutionRun(spec, config, initial=initial).run()
 
     def test_with_simplify(self, benchmark):
         initial, result = benchmark.pedantic(
@@ -249,7 +249,7 @@ class TestSearchStrategyAblation:
         def compare():
             config = RcgpConfig(generations=self.BUDGET // 4, offspring=4,
                                 mutation_rate=0.1, seed=23, shrink="always")
-            cgp = evolve(initial, spec, config)
+            cgp = EvolutionRun(spec, config, initial=initial).run()
             rnd = self._random_search(initial, spec, seed=23)
             return cgp.fitness, rnd
 
@@ -278,7 +278,7 @@ class TestParetoAblation:
                             max_mutated_genes=6, seed=19, shrink="always")
 
         def run_both():
-            lexi = evolve(initial, spec, config)
+            lexi = EvolutionRun(spec, config, initial=initial).run()
             archive = evolve_pareto(initial, spec, config)
             return lexi, archive
 

@@ -11,7 +11,7 @@ import pytest
 
 from repro.bench.reciprocal import intdiv
 from repro.core.config import RcgpConfig
-from repro.core.evolution import evolve
+from repro.core.engine import EvolutionRun
 from repro.core.synthesis import initialize_netlist
 from repro.core.windowing import windowed_optimize
 
@@ -27,8 +27,9 @@ def test_plain_rcgp_baseline(benchmark, intdiv6_start):
     spec = intdiv(6)
     config = RcgpConfig(generations=1200, mutation_rate=1.0,
                         max_mutated_genes=6, seed=11, shrink="always")
-    result = benchmark.pedantic(evolve, args=(intdiv6_start, spec, config),
-                                rounds=1, iterations=1, warmup_rounds=0)
+    result = benchmark.pedantic(
+        EvolutionRun(spec, config, initial=intdiv6_start).run,
+        rounds=1, iterations=1, warmup_rounds=0)
     assert result.fitness.functional
     print(f"\nplain RCGP: n_r {intdiv6_start.num_gates} -> "
           f"{result.fitness.n_r}, n_g {intdiv6_start.num_garbage} -> "

@@ -1,15 +1,15 @@
 #!/usr/bin/env python3
 """Convergence behaviour of RCGP: fitness vs generations.
 
-Runs the decoder (Fig. 3's example) with improvement tracking and draws
-ASCII convergence curves for gates and garbage, plus a multi-seed
-summary — the standard EA reporting the paper's tables compress into a
-single number.
+Runs the decoder (Fig. 3's example), whose result records every
+improvement in its history, and draws ASCII convergence curves for
+gates and garbage, plus a multi-seed summary — the standard EA
+reporting the paper's tables compress into a single number.
 
 Run:  python examples/convergence_curve.py
 """
 
-from repro.core import RcgpConfig, evolve, initialize_netlist
+from repro.core import EvolutionRun, RcgpConfig, initialize_netlist
 from repro.logic import tabulate_word
 
 spec = tabulate_word(lambda x: 1 << x, 2, 4)
@@ -17,8 +17,8 @@ initial = initialize_netlist(spec, "decoder_2_4")
 
 print("=== single-run convergence (seed 5) ===")
 config = RcgpConfig(generations=8000, mutation_rate=0.1, seed=5,
-                    shrink="always", track_history=True)
-result = evolve(initial, spec, config)
+                    shrink="always")
+result = EvolutionRun(spec, config, initial=initial).run()
 
 events = result.history
 print(f"{'generation':>10}  {'n_r':>4}  {'n_g':>4}  {'n_b':>4}")
@@ -44,7 +44,7 @@ results = []
 for seed in range(10):
     config = RcgpConfig(generations=3000, mutation_rate=0.1, seed=seed,
                         shrink="always")
-    r = evolve(initial, spec, config)
+    r = EvolutionRun(spec, config, initial=initial).run()
     results.append((r.fitness.n_r, r.fitness.n_g))
 gates = [r[0] for r in results]
 garbage = [r[1] for r in results]

@@ -13,8 +13,7 @@ Reproduces the 2-to-4 decoder story quantitatively:
 Run:  python examples/decoder_walkthrough.py
 """
 
-from repro import RcgpConfig
-from repro.core.evolution import evolve
+from repro import EvolutionRun, RcgpConfig
 from repro.core.mutation import chromosome_length
 from repro.core.synthesis import initialize_netlist
 from repro.logic import tabulate_word
@@ -34,8 +33,8 @@ print()
 print("=== Step 2: CGP optimization (Algorithm 1) ===")
 improvements = []
 config = RcgpConfig(generations=6000, mutation_rate=0.1, seed=7,
-                    offspring=4, shrink="always", track_history=True)
-result = evolve(initial, spec, config)
+                    offspring=4, shrink="always")
+result = EvolutionRun(spec, config, initial=initial).run()
 for generation, fitness in result.history:
     print(f"  gen {generation:>6}: {fitness}")
 print("final chromosome:", result.netlist.describe())

@@ -40,7 +40,7 @@ import time
 
 from repro.bench.registry import get_benchmark
 from repro.core.config import RcgpConfig
-from repro.core.engine import EvolutionRun, read_telemetry
+from repro.core.engine import EvolutionRun, TelemetryWriter, read_telemetry
 from repro.core.fitness import Evaluator
 from repro.core.mutation import mutate_with_delta
 from repro.core.synthesis import initialize_netlist
@@ -72,11 +72,14 @@ def isolated_evaluation_timing(spec, parent, config, num_mutants):
 
 def end_to_end(spec, initial, name, telemetry_path, **kwargs):
     config = RcgpConfig(mutation_rate=0.08, max_mutated_genes=8, seed=2024,
-                        telemetry_path=telemetry_path, **kwargs)
+                        **kwargs)
+    writer = TelemetryWriter(telemetry_path)
     start = time.perf_counter()
-    result = EvolutionRun(spec, config, initial=initial.copy(),
-                          name=name).run()
-    return result, time.perf_counter() - start
+    result = EvolutionRun(spec, config, initial=initial.copy(), name=name,
+                          telemetry=writer).run()
+    elapsed = time.perf_counter() - start
+    writer.close()
+    return result, elapsed
 
 
 def main() -> int:

@@ -10,7 +10,7 @@ letting you pick the JJ-optimal, gate-optimal or depth-friendly corner.
 Run:  python examples/pareto_front.py
 """
 
-from repro.core import RcgpConfig, evolve, initialize_netlist
+from repro.core import EvolutionRun, RcgpConfig, initialize_netlist
 from repro.core.pareto import evolve_pareto
 from repro.logic import tabulate_word
 from repro.rqfp import JJS_PER_BUFFER, JJS_PER_GATE
@@ -23,7 +23,7 @@ config = RcgpConfig(generations=2500, mutation_rate=1.0,
                     max_mutated_genes=6, seed=19, shrink="always")
 
 print("=== lexicographic RCGP (the paper's objective) ===")
-lexi = evolve(initial, spec, config)
+lexi = EvolutionRun(spec, config, initial=initial).run()
 lexi_jj = JJS_PER_GATE * lexi.fitness.n_r + JJS_PER_BUFFER * lexi.fitness.n_b
 print(f"result: n_r={lexi.fitness.n_r} n_g={lexi.fitness.n_g} "
       f"n_b={lexi.fitness.n_b}  ->  {lexi_jj} JJs")

@@ -37,8 +37,8 @@ Subpackages
 
 from .api import Session, synthesize
 from .core.config import RcgpConfig
-from .core.engine import EvolutionRun, TelemetryWriter, read_telemetry
-from .core.evolution import EvolutionResult, evolve
+from .core.engine import (EvolutionResult, EvolutionRun, TelemetryWriter,
+                          read_telemetry)
 from .core.fitness import Evaluator, Fitness
 from .core.kernel import NetlistKernel
 from .core.mutation import MutationDelta, mutate_with_delta
@@ -82,7 +82,6 @@ __all__ = [
     "baseline_initialization",
     "SynthesisResult",
     "BaselineResult",
-    "evolve",
     "EvolutionRun",
     "EvolutionResult",
     "TelemetryWriter",

@@ -76,7 +76,7 @@ def _add_search_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--time-budget", type=float, default=None,
                         help="wall-clock cap in seconds")
     parser.add_argument("--verify", action="store_true",
-                        help="end-of-run result gate: re-simulate the "
+                        help="end-of-job result gate: re-simulate the "
                              "final netlist on the object path, check "
                              "RQFP legality (fan-out + path balancing) "
                              "and SAT-prove spec equivalence; violations "

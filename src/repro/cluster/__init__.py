@@ -2,7 +2,7 @@
 
 The pipe transport (:mod:`repro.core.transport`) and this package are
 two codecs over one frame protocol: the same opcodes, the same
-``HANDLERS`` dispatch, the same :mod:`repro.core.wire` payloads.  A
+``serve_frame`` dispatch, the same :mod:`repro.core.wire` payloads.  A
 ``rcgp worker`` process dials the coordinator's
 :class:`~repro.cluster.fleet.ClusterFleet`, handshakes (protocol
 version, shared token, cpu slots) and then serves exactly the frames a

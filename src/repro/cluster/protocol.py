@@ -4,8 +4,8 @@ One frame on a socket is a ``<I`` little-endian length prefix followed
 by exactly the bytes the pipe transport would have shipped with
 ``send_bytes`` — first byte opcode, payload packed by
 :mod:`repro.core.wire` — so the dispatch core in
-:mod:`repro.core.transport` (``serve_frame`` / ``unwrap_reply`` /
-``HANDLERS``) serves both transports unchanged.  This module owns only
+:mod:`repro.core.transport` (``serve_frame`` / ``unwrap_reply``)
+serves both transports unchanged.  This module owns only
 what TCP adds:
 
 * :class:`SocketChannel` — framing, deadlines and typed failures over
@@ -44,7 +44,7 @@ from ..errors import (ClusterAuthError, ClusterError, ClusterVersionSkew,
 #: frame, and its seed field is variable-length.
 PROTOCOL_VERSION = 2
 
-# Handshake opcodes (0x4* block; never registered in HANDLERS — the
+# Handshake opcodes (0x4* block; serve_frame never dispatches them — the
 # handshake happens before a connection may carry work frames).
 OP_HELLO = 0x40
 OP_WELCOME = 0x41

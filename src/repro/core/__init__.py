@@ -2,13 +2,13 @@
 
 from .config import RcgpConfig
 from .engine import (
+    EvolutionResult,
     EvolutionRun,
     TelemetryWriter,
     decode_genome,
     encode_genome,
     read_telemetry,
 )
-from .evolution import EvolutionResult, evolve
 from .fitness import Evaluator, Fitness
 from .kernel import NetlistKernel
 from .mutation import MutationDelta, chromosome_length, mutate, \
@@ -47,7 +47,6 @@ __all__ = [
     "NetlistKernel",
     "SimulationState",
     "chromosome_length",
-    "evolve",
     "EvolutionResult",
     "initialize_netlist",
     "baseline_initialization",

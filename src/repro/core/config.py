@@ -22,7 +22,7 @@ from typing import Any, Dict, Optional
 #: only in them resumes or serves the same job.
 OPERATIONAL_CONFIG_FIELDS = frozenset({
     "eval_cache_size", "telemetry_path",
-    "batch_timeout", "batch_retries", "track_history", "verify_result",
+    "batch_timeout", "batch_retries", "verify_result",
 })
 
 
@@ -33,8 +33,9 @@ class RcgpConfig:
     There is no worker count here: worker processes belong to a
     :class:`~repro.api.Session` (``Session(workers=N)``, ``--workers``)
     and are shared by all its jobs.  Stored configs and HTTP bodies
-    that still carry ``workers`` load, because :meth:`from_dict` drops
-    unknown keys.
+    that still carry ``workers`` or the retired ``track_history`` (a
+    run always records its history now) load, because
+    :meth:`from_dict` drops unknown keys.
     """
 
     generations: int = 20_000
@@ -106,9 +107,6 @@ class RcgpConfig:
     itself is simplified, sparing CGP from rediscovering bookkeeping
     removals by chance."""
 
-    track_history: bool = False
-    """Record (generation, fitness) improvement events."""
-
     eval_cache_size: int = 100_000
     """Retired; has no effect.  It sized a genome → fitness memo cache
     that hit well under 1% of evaluations at μ = 1 and kept pooled runs
@@ -116,8 +114,11 @@ class RcgpConfig:
     and stored job records load unchanged."""
 
     telemetry_path: Optional[str] = None
-    """Write per-generation JSONL telemetry events to this file
-    (None: no telemetry)."""
+    """Write the job's JSONL telemetry events to this file (None: no
+    telemetry).  A job (:func:`repro.api.synthesize`, a
+    :class:`~repro.api.Session`) opens it; a bare
+    :class:`~repro.core.engine.EvolutionRun` refuses it and takes a
+    :class:`~repro.core.engine.TelemetryWriter` instead."""
 
     batch_timeout: Optional[float] = None
     """Wall-clock cap in seconds on one replay span's round trip to a
@@ -132,14 +133,16 @@ class RcgpConfig:
     The next slice tries the workers again."""
 
     verify_result: bool = False
-    """End-of-run result gate: re-simulate the best candidate on the
+    """End-of-job result gate: re-simulate the best candidate on the
     object path, check RQFP legality (single fan-out + path balancing
     via :func:`repro.rqfp.validate.validate_circuit`) and prove spec
     equivalence with the SAT miter.  Violations raise typed
     :mod:`repro.errors` exceptions instead of silently returning an
     illegal or wrong circuit.  Off by default: the gate runs once per
-    run (once per job, on the reported buffer plan, when the job runs
-    in slices) but SAT proofs on large sampled specs can be costly."""
+    job, after its last slice, on the buffer plan the result reports
+    (and once per window in :func:`~repro.core.windowing.optimize_window`),
+    but SAT proofs on large sampled specs can be costly.  A bare
+    :class:`~repro.core.engine.EvolutionRun` refuses it."""
 
     # Mutation-kind toggles, used by the ablation benchmarks (A1).
     enable_input_mutation: bool = True

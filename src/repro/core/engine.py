@@ -4,10 +4,12 @@ The paper's headline cost is the ``(1 + λ)`` inner loop — up to 5·10⁷
 generations per circuit.  This module holds that loop once and runs it
 wherever the work lands:
 
-* :class:`EvolutionRun` — the single entry point.  ``evolve`` and
-  ``windowed_optimize`` are thin shims over it; ``synthesize`` and
-  ``multi_start`` submit jobs to the :class:`repro.jobs.Scheduler`,
-  whose every slice is one run.
+* :class:`EvolutionRun` — the single entry point, and it runs
+  generations and nothing else.  ``synthesize`` and ``multi_start``
+  submit jobs to the :class:`repro.jobs.Scheduler`, whose every slice
+  is one run; ``optimize_window`` runs one per window.  The job, not
+  the run, gates its result (``config.verify_result``), opens its
+  telemetry file (``config.telemetry_path``) and stores its history.
 * :func:`replay_span` — the loop itself.  Given one compact parent
   genome (:func:`encode_genome`) and a *span* of generations, it
   re-derives every offspring from its RNG key and runs mutation,
@@ -44,11 +46,6 @@ wherever the work lands:
   ``KeyboardInterrupt`` finalizes the incumbent cleanly, and
   ``worker_restarts`` / ``batches_retried`` / ``degraded_to_inline``
   are reported on the result and in telemetry.
-* **Result gate** (``config.verify_result``) — the finished run's best
-  netlist is independently re-simulated on the object path, checked for
-  RQFP legality and SAT-proven equivalent to the spec
-  (:mod:`repro.core.verify`); violations raise typed
-  :mod:`repro.errors` exceptions.
 
 Pooled evaluation requires the fitness function to be *pure*
 (:func:`repro.jobs.pool.parallel_safe_config`): exhaustive simulation,
@@ -66,8 +63,7 @@ import os
 import random
 import time
 from dataclasses import dataclass, field, replace
-from typing import (TYPE_CHECKING, Callable, Dict, IO, List, Optional,
-                    Sequence, Tuple)
+from typing import TYPE_CHECKING, Dict, IO, List, Optional, Sequence, Tuple
 
 from ..errors import FrameError, SynthesisError, WorkerPoolError
 from ..logic.truth_table import TruthTable
@@ -81,8 +77,6 @@ from . import wire
 
 if TYPE_CHECKING:
     from ..jobs.pool import JobBackend
-
-ProgressCallback = Callable[[int, Fitness], None]
 
 Genome = Tuple[int, ...]
 """Flat port-index encoding: ``(n_pi, n_gates, in0, in1, in2, config,
@@ -430,6 +424,8 @@ class EvolutionResult:
     degraded_to_inline: bool = False
     interrupted: bool = False
     verified: bool = False
+    """Whether the job's result gate passed (:mod:`repro.core.verify`);
+    a run alone never gates, so its own result reads ``False``."""
     parent: Optional[RqfpNetlist] = None
     """The live parent the run stopped on, before finalization (shrink,
     splitters, wire bypass): a later slice of the same run resumes
@@ -487,8 +483,8 @@ def merge_slice(total: Optional[EvolutionResult], result: EvolutionResult,
     ``generations`` and ``history``, and drops a later slice's starting
     history entry (the incumbent it resumed from, recorded already).
     It sums every counter and the runtime, and takes the netlist,
-    fitness, ``backend``, ``verified``, ``interrupted``, ``parent`` and
-    ``stagnation`` from the last slice.
+    fitness, ``backend``, ``interrupted``, ``parent`` and ``stagnation``
+    from the last slice.
     """
     history = result.history if total is None else result.history[1:]
     history = [(generation + offset, fitness)
@@ -525,24 +521,28 @@ class EvolutionRun:
     accepted parents per the configured policy (§3.2.3).  Generations
     run in spans of :func:`replay_span`, sized by :class:`SpanPlanner`:
     in-process on the run's own evaluator, or on a pool worker when a
-    backend is in play.  The run narrates every span's records and owns
-    every strict improvement.
+    backend is in play.  The run narrates every span's records, owns
+    every strict improvement and records each one in its ``history``.
+
+    A run runs generations and nothing else: the result gate and the
+    telemetry file are a job's (:func:`repro.api.synthesize`,
+    :class:`repro.api.Session`), so a config that asks for either
+    raises ``ValueError`` here.
 
     Parameters
     ----------
     spec:
         Target truth tables, one per primary output.
     config:
-        All search knobs, plus ``telemetry_path``.
+        The search knobs; ``verify_result`` and ``telemetry_path`` must
+        be unset.
     initial:
         Starting netlist; defaults to the §3.1 initialization flow
         (the process-wide memo of
         :func:`~repro.core.synthesis.baseline_initialization`).
-    progress:
-        Callback ``(generation, fitness)`` fired on improvements.
     telemetry:
-        Pre-built :class:`TelemetryWriter`; overrides
-        ``config.telemetry_path``.
+        :class:`TelemetryWriter` that receives the run's events; the
+        caller keeps ownership and closes it.
     backend:
         Span handle (:class:`repro.jobs.pool.JobBackend`) whose workers
         replay the spans; ``None`` (the default) replays them
@@ -566,15 +566,20 @@ class EvolutionRun:
                  config: Optional[RcgpConfig] = None, *,
                  initial: Optional[RqfpNetlist] = None,
                  name: str = "",
-                 progress: Optional[ProgressCallback] = None,
                  telemetry: Optional[TelemetryWriter] = None,
                  backend: Optional["JobBackend"] = None,
                  generation_offset: int = 0, stagnation: int = 0):
         self.spec = list(spec)
         self.config = config or RcgpConfig()
+        for field_name in ("verify_result", "telemetry_path"):
+            if getattr(self.config, field_name):
+                raise ValueError(
+                    f"EvolutionRun does not honor config.{field_name}: "
+                    "run the spec through repro.api.synthesize or a "
+                    "Session, whose job gates the result and writes the "
+                    "telemetry file")
         self.initial = initial
         self.name = name
-        self.progress = progress
         self._telemetry = telemetry
         self._backend = backend
         self.generation_offset = generation_offset
@@ -613,10 +618,6 @@ class EvolutionRun:
         backend = self._backend
         backend_name = "inline" if backend is None else backend.name
         telemetry = self._telemetry
-        owns_telemetry = False
-        if telemetry is None and config.telemetry_path is not None:
-            telemetry = TelemetryWriter(config.telemetry_path)
-            owns_telemetry = True
 
         # Records that came back from a worker; in-process spans count
         # on the master evaluator directly.
@@ -720,228 +721,204 @@ class EvolutionRun:
                 check_deltas=check)
 
         try:
-            try:
-                inflight = None  # (request, planned, sent) on a worker
-                while not stop and generation < config.generations:
-                    if inflight is None:
-                        if out_of_time():
-                            break
-                        planned = 1 if one_per_span \
-                            else planner.plan(
-                                span_headroom(generation, stagnation))
-                        request = make_span(generation + 1, planned)
-                        sent = time.monotonic()
-                        if spans is not None \
-                                and not spans.dispatch_span(request):
-                            spans = None  # no channel to lease
-                    else:
-                        request, planned, sent = inflight
-                        inflight = None
-                    result = None
-                    if spans is not None:
-                        result = spans.collect_span()
-                        if result is None:
-                            # Out of retries, or no worker to send to:
-                            # the slice finishes in-process.
-                            spans = None
-                            sent = time.monotonic()
+            inflight = None  # (request, planned, sent) on a worker
+            while not stop and generation < config.generations:
+                if inflight is None:
+                    if out_of_time():
+                        break
+                    planned = 1 if one_per_span \
+                        else planner.plan(
+                            span_headroom(generation, stagnation))
+                    request = make_span(generation + 1, planned)
+                    sent = time.monotonic()
+                    if spans is not None \
+                            and not spans.dispatch_span(request):
+                        spans = None  # no channel to lease
+                else:
+                    request, planned, sent = inflight
+                    inflight = None
+                result = None
+                if spans is not None:
+                    result = spans.collect_span()
                     if result is None:
-                        result, resident = replay_span(evaluator, resident,
-                                                       request)
-                    else:
-                        pool_evaluations += offspring * len(result.records)
-                    records = result.records
-                    executed = len(records)
-                    planner.observe(planned, executed,
-                                    time.monotonic() - sent)
-                    span_start_fitness = parent_fitness
-                    # Per-record cumulative counter values: the live
-                    # counters already hold every record's deltas, so
-                    # record j's telemetry value is the live counter
-                    # minus the deltas of the records after j.  (The
-                    # last record instead reads live counters after the
-                    # accept block, catching the master-side simplify
-                    # re-evaluation.)
-                    prefixes: List[Tuple[int, int, int, int]] = []
-                    if telemetry is not None:
-                        at = live()
-                        prefixes = [at] * executed
-                        for j in range(executed - 1, 0, -1):
-                            deltas = records[j][2]
-                            at = (at[0] - offspring, at[1] - deltas[0],
-                                  at[2] - deltas[1], at[3] - deltas[2])
-                            prefixes[j - 1] = at
-                    if not result.improved:
-                        # Advance the incumbent *first* so a pooled run
-                        # can dispatch the next span before the
-                        # per-record bookkeeping below — the worker
-                        # computes span k+1 while the coordinator
-                        # narrates span k.
-                        last_fit = None
-                        for accepted, fit, _deltas in records:
-                            if accepted:
-                                last_fit = fit
-                        if last_fit is not None:
-                            parent_fitness = Fitness(*last_fit)
-                        if result.final_genome is not None:
-                            parent_genome = result.final_genome
-                            parent = _decode(parent_genome, name_template)
-                            parent_consumers = None
-                        end_generation = generation + executed
-                        end_stagnation = stagnation + executed
-                        if spans is not None and not one_per_span \
-                                and not out_of_time() and \
-                                span_headroom(end_generation,
-                                              end_stagnation) >= 1:
-                            planned = planner.plan(
-                                span_headroom(end_generation,
-                                              end_stagnation))
-                            request = make_span(end_generation + 1,
-                                                planned)
-                            sent = time.monotonic()
-                            if spans.dispatch_span(request):
-                                inflight = (request, planned, sent)
-                    cur_fitness = span_start_fitness
-                    for j, (accepted, fit, _deltas) in enumerate(records):
-                        generation += 1
-                        improved = result.improved and j == executed - 1
-                        if accepted and not improved \
-                                and telemetry is not None:
-                            # cur_fitness only feeds the telemetry
-                            # stream; skip the per-record construction
-                            # when nothing is listening.
-                            cur_fitness = Fitness(*fit)
-                        if improved:
-                            # The accept block for strict improvements,
-                            # on the span's winning offspring.
-                            parent = _decode(result.child_genome,
-                                             name_template)
-                            parent_fitness = Fitness(*fit)
-                            if config.shrink in ("always",
-                                                 "on_improvement"):
-                                parent = parent.shrink()
-                            if config.simplify_wires:
-                                # Wire bypass is a cold structural pass
-                                # that needs gate objects; round-trip
-                                # through the object netlist only when
-                                # it actually helps.
-                                view = parent.to_netlist()
-                                simplified = bypass_wire_gates(view)
-                                if simplified.num_gates < view.num_gates:
-                                    parent = NetlistKernel.from_netlist(
-                                        simplified)
-                                    parent_fitness = evaluator.evaluate(
-                                        parent)
-                            parent_genome = encode_genome(parent)
-                            parent_consumers = None
-                            cur_fitness = parent_fitness
-                            stagnation = 0
-                            if config.track_history:
-                                history.append((generation,
-                                                parent_fitness))
-                            if self.progress is not None:
-                                self.progress(generation, parent_fitness)
-                        if telemetry is not None:
-                            ev, ef, ei, pr = live() \
-                                if j == executed - 1 else prefixes[j]
-                            telemetry.emit(
-                                "generation", generation=generation,
-                                best_key=list(cur_fitness.key()),
-                                improved=improved, accepted=accepted,
-                                evaluations=ev,
-                                sat_calls=evaluator.sat_calls,
-                                eval_full=ef, eval_incremental=ei,
-                                ports_resimulated=pr,
-                                wall_time=round(
-                                    time.monotonic() - start, 6),
-                            )
-                        if not improved:
-                            stagnation += 1
-                            if config.stagnation_limit is not None and \
-                                    stagnation >= config.stagnation_limit:
-                                stop = True
-                    if last_faults is not None:
-                        faults = (backend.worker_restarts,
-                                  backend.batches_retried,
-                                  backend.degraded)
-                        if faults != last_faults:
-                            last_faults = faults
-                            telemetry.emit(
-                                "worker_fault", generation=generation,
-                                worker_restarts=faults[0],
-                                batches_retried=faults[1],
-                                degraded=faults[2])
-
-            except KeyboardInterrupt:
-                # Clean SIGINT shutdown: keep the incumbent parent,
-                # finalize and return the best-so-far result with
-                # interrupted=True instead of dying with a half-written
-                # telemetry stream.  A span still in flight stays with
-                # the backend, whose owner releases it on close.
-                interrupted = True
-            final = evaluator.finalize(parent)
-            final_fitness = evaluator.evaluate(final)
-            if not final_fitness.functional:
-                raise SynthesisError("finalized netlist lost functionality")
-            verified = False
-            if config.verify_result:
-                # End-of-run result gate: independent object-path
-                # re-simulation, RQFP legality, SAT equivalence.  Raises
-                # typed repro.errors exceptions on any violation.
-                from .verify import verify_evolution_result
-                report = verify_evolution_result(final, spec, config)
-                verified = True
+                        # Out of retries, or no worker to send to:
+                        # the slice finishes in-process.
+                        spans = None
+                        sent = time.monotonic()
+                if result is None:
+                    result, resident = replay_span(evaluator, resident,
+                                                   request)
+                else:
+                    pool_evaluations += offspring * len(result.records)
+                records = result.records
+                executed = len(records)
+                planner.observe(planned, executed,
+                                time.monotonic() - sent)
+                span_start_fitness = parent_fitness
+                # Per-record cumulative counter values: the live
+                # counters already hold every record's deltas, so
+                # record j's telemetry value is the live counter
+                # minus the deltas of the records after j.  (The
+                # last record instead reads live counters after the
+                # accept block, catching the master-side simplify
+                # re-evaluation.)
+                prefixes: List[Tuple[int, int, int, int]] = []
                 if telemetry is not None:
-                    telemetry.emit(
-                        "verify", exhaustive=report.exhaustive,
-                        simulated_patterns=report.simulated_patterns,
-                        sat_checked=report.sat_checked,
-                        sat_conflicts=report.sat_conflicts)
-            runtime = time.monotonic() - start
-            result = EvolutionResult(
-                netlist=final,
-                fitness=final_fitness,
-                initial_fitness=initial_fitness,
-                generations=generation,
-                evaluations=evaluator.evaluations + pool_evaluations,
-                runtime=runtime,
-                history=history if config.track_history else [],
-                sat_calls=evaluator.sat_calls,
-                backend=backend_name,
-                eval_full=counter("eval_full"),
-                eval_incremental=counter("eval_incremental"),
-                ports_resimulated=counter("ports_resimulated"),
-                worker_restarts=getattr(backend, "worker_restarts", 0),
-                batches_retried=getattr(backend, "batches_retried", 0),
-                bytes_shipped=getattr(backend, "bytes_shipped", 0),
-                chunks_dispatched=getattr(backend, "chunks_dispatched", 0),
-                pipeline_stalls=getattr(backend, "pipeline_stalls", 0),
-                degraded_to_inline=getattr(backend, "degraded", False),
-                interrupted=interrupted,
-                verified=verified,
-                parent=parent.to_netlist(),
-                stagnation=stagnation,
+                    at = live()
+                    prefixes = [at] * executed
+                    for j in range(executed - 1, 0, -1):
+                        deltas = records[j][2]
+                        at = (at[0] - offspring, at[1] - deltas[0],
+                              at[2] - deltas[1], at[3] - deltas[2])
+                        prefixes[j - 1] = at
+                if not result.improved:
+                    # Advance the incumbent *first* so a pooled run
+                    # can dispatch the next span before the
+                    # per-record bookkeeping below — the worker
+                    # computes span k+1 while the coordinator
+                    # narrates span k.
+                    last_fit = None
+                    for accepted, fit, _deltas in records:
+                        if accepted:
+                            last_fit = fit
+                    if last_fit is not None:
+                        parent_fitness = Fitness(*last_fit)
+                    if result.final_genome is not None:
+                        parent_genome = result.final_genome
+                        parent = _decode(parent_genome, name_template)
+                        parent_consumers = None
+                    end_generation = generation + executed
+                    end_stagnation = stagnation + executed
+                    if spans is not None and not one_per_span \
+                            and not out_of_time() and \
+                            span_headroom(end_generation,
+                                          end_stagnation) >= 1:
+                        planned = planner.plan(
+                            span_headroom(end_generation,
+                                          end_stagnation))
+                        request = make_span(end_generation + 1,
+                                            planned)
+                        sent = time.monotonic()
+                        if spans.dispatch_span(request):
+                            inflight = (request, planned, sent)
+                cur_fitness = span_start_fitness
+                for j, (accepted, fit, _deltas) in enumerate(records):
+                    generation += 1
+                    improved = result.improved and j == executed - 1
+                    if accepted and not improved \
+                            and telemetry is not None:
+                        # cur_fitness only feeds the telemetry
+                        # stream; skip the per-record construction
+                        # when nothing is listening.
+                        cur_fitness = Fitness(*fit)
+                    if improved:
+                        # The accept block for strict improvements,
+                        # on the span's winning offspring.
+                        parent = _decode(result.child_genome,
+                                         name_template)
+                        parent_fitness = Fitness(*fit)
+                        if config.shrink in ("always",
+                                             "on_improvement"):
+                            parent = parent.shrink()
+                        if config.simplify_wires:
+                            # Wire bypass is a cold structural pass
+                            # that needs gate objects; round-trip
+                            # through the object netlist only when
+                            # it actually helps.
+                            view = parent.to_netlist()
+                            simplified = bypass_wire_gates(view)
+                            if simplified.num_gates < view.num_gates:
+                                parent = NetlistKernel.from_netlist(
+                                    simplified)
+                                parent_fitness = evaluator.evaluate(
+                                    parent)
+                        parent_genome = encode_genome(parent)
+                        parent_consumers = None
+                        cur_fitness = parent_fitness
+                        stagnation = 0
+                        history.append((generation, parent_fitness))
+                    if telemetry is not None:
+                        ev, ef, ei, pr = live() \
+                            if j == executed - 1 else prefixes[j]
+                        telemetry.emit(
+                            "generation", generation=generation,
+                            best_key=list(cur_fitness.key()),
+                            improved=improved, accepted=accepted,
+                            evaluations=ev,
+                            sat_calls=evaluator.sat_calls,
+                            eval_full=ef, eval_incremental=ei,
+                            ports_resimulated=pr,
+                            wall_time=round(
+                                time.monotonic() - start, 6),
+                        )
+                    if not improved:
+                        stagnation += 1
+                        if config.stagnation_limit is not None and \
+                                stagnation >= config.stagnation_limit:
+                            stop = True
+                if last_faults is not None:
+                    faults = (backend.worker_restarts,
+                              backend.batches_retried,
+                              backend.degraded)
+                    if faults != last_faults:
+                        last_faults = faults
+                        telemetry.emit(
+                            "worker_fault", generation=generation,
+                            worker_restarts=faults[0],
+                            batches_retried=faults[1],
+                            degraded=faults[2])
+
+        except KeyboardInterrupt:
+            # Clean SIGINT shutdown: keep the incumbent parent,
+            # finalize and return the best-so-far result with
+            # interrupted=True instead of dying with a half-written
+            # telemetry stream.  A span still in flight stays with
+            # the backend, whose owner releases it on close.
+            interrupted = True
+        final = evaluator.finalize(parent)
+        final_fitness = evaluator.evaluate(final)
+        if not final_fitness.functional:
+            raise SynthesisError("finalized netlist lost functionality")
+        runtime = time.monotonic() - start
+        result = EvolutionResult(
+            netlist=final,
+            fitness=final_fitness,
+            initial_fitness=initial_fitness,
+            generations=generation,
+            evaluations=evaluator.evaluations + pool_evaluations,
+            runtime=runtime,
+            history=history,
+            sat_calls=evaluator.sat_calls,
+            backend=backend_name,
+            eval_full=counter("eval_full"),
+            eval_incremental=counter("eval_incremental"),
+            ports_resimulated=counter("ports_resimulated"),
+            worker_restarts=getattr(backend, "worker_restarts", 0),
+            batches_retried=getattr(backend, "batches_retried", 0),
+            bytes_shipped=getattr(backend, "bytes_shipped", 0),
+            chunks_dispatched=getattr(backend, "chunks_dispatched", 0),
+            pipeline_stalls=getattr(backend, "pipeline_stalls", 0),
+            degraded_to_inline=getattr(backend, "degraded", False),
+            interrupted=interrupted,
+            parent=parent.to_netlist(),
+            stagnation=stagnation,
+        )
+        if telemetry is not None:
+            telemetry.emit(
+                "run_end", generations=result.generations,
+                evaluations=result.evaluations,
+                sat_calls=result.sat_calls,
+                eval_full=result.eval_full,
+                eval_incremental=result.eval_incremental,
+                ports_resimulated=result.ports_resimulated,
+                worker_restarts=result.worker_restarts,
+                batches_retried=result.batches_retried,
+                bytes_shipped=result.bytes_shipped,
+                chunks_dispatched=result.chunks_dispatched,
+                pipeline_stalls=result.pipeline_stalls,
+                degraded_to_inline=result.degraded_to_inline,
+                interrupted=result.interrupted,
+                runtime=round(runtime, 6),
+                final_key=list(final_fitness.key()),
             )
-            if telemetry is not None:
-                telemetry.emit(
-                    "run_end", generations=result.generations,
-                    evaluations=result.evaluations,
-                    sat_calls=result.sat_calls,
-                    eval_full=result.eval_full,
-                    eval_incremental=result.eval_incremental,
-                    ports_resimulated=result.ports_resimulated,
-                    worker_restarts=result.worker_restarts,
-                    batches_retried=result.batches_retried,
-                    bytes_shipped=result.bytes_shipped,
-                    chunks_dispatched=result.chunks_dispatched,
-                    pipeline_stalls=result.pipeline_stalls,
-                    degraded_to_inline=result.degraded_to_inline,
-                    interrupted=result.interrupted,
-                    verified=result.verified,
-                    runtime=round(runtime, 6),
-                    final_key=list(final_fitness.key()),
-                )
-            return result
-        finally:
-            if owns_telemetry and telemetry is not None:
-                telemetry.close()
+        return result

@@ -38,7 +38,7 @@ from ..rqfp.from_mig import mig_to_rqfp
 from ..rqfp.metrics import CircuitCost, circuit_cost
 from ..rqfp.netlist import RqfpNetlist
 from ..rqfp.splitters import insert_splitters
-from .evolution import EvolutionResult
+from .engine import EvolutionResult
 from .kernel import NetlistKernel
 
 

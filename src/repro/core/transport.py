@@ -18,14 +18,13 @@ contract:
   ``TimeoutError`` — the :data:`repro.core.engine.
   RECOVERABLE_POOL_ERRORS` the span handle's retry loop handles.
 
-There is one request, ``OP_JOB_SPAN`` (a job-keyed replay span), whose
-handler :mod:`repro.jobs.pool` registers in :data:`HANDLERS`; every
-worker initializes that module before serving, and :func:`serve_frame`
-imports it lazily for in-process callers.
+There are two requests: ``OP_JOB_SPAN`` (a job-keyed replay span,
+served by :mod:`repro.jobs.pool`, which :func:`serve_frame` imports at
+call time because that module imports this one) and ``OP_PING``.
 
-The opcode table, :func:`serve_frame` (validate + dispatch + pack
-errors) and :func:`unwrap_reply` (validate + re-raise shipped errors)
-are the shared dispatch core: the pipe transport here and the TCP
+:func:`serve_frame` (validate + dispatch + pack errors) and
+:func:`unwrap_reply` (validate + re-raise shipped errors) are the
+shared dispatch core: the pipe transport here and the TCP
 transport in :mod:`repro.cluster.protocol` are two codecs over the same
 frames, so a remote worker serves exactly the byte streams a local one
 does.  Malformed frames — empty, oversized (> :func:`max_frame_bytes`),
@@ -41,15 +40,15 @@ import os
 import pickle
 import struct
 import time
-from typing import Callable, Dict, Optional
+from typing import Optional
 
 from ..errors import FrameTooLarge, FrameTruncated, UnknownOpcode
 
-# Frame opcodes.  One request (a job-keyed replay span, handler
-# registered by repro.jobs.pool); one RESULT or ERROR reply per request.
-# PING/PONG is the cluster coordinator's liveness probe for idle remote
-# workers (the pipe transport never sends it; worker death there
-# surfaces as pipe EOF).
+# Frame opcodes.  One request (a job-keyed replay span, served by
+# repro.jobs.pool); one RESULT or ERROR reply per request.  PING/PONG is
+# the cluster coordinator's liveness probe for idle remote workers (the
+# pipe transport never sends it; worker death there surfaces as pipe
+# EOF).
 OP_PING = 0x01
 OP_JOB_SPAN = 0x14
 OP_RESULT = 0x20
@@ -61,13 +60,6 @@ OP_ERROR = 0x2E
 #: the cap exists so one corrupt or hostile length prefix cannot make a
 #: peer buffer gigabytes.
 DEFAULT_MAX_FRAME_BYTES = 64 * 1024 * 1024
-
-#: Opcode -> ``(payload: memoryview) -> reply frame bytes``.  Populated
-#: at import time by the owning modules; forked workers inherit it,
-#: spawned workers rebuild it by importing the owners.
-HANDLERS: Dict[int, Callable[[memoryview], bytes]] = {}
-
-HANDLERS[OP_PING] = lambda payload: bytes([OP_PONG])
 
 
 def max_frame_bytes() -> int:
@@ -89,16 +81,6 @@ def check_frame(frame, *, max_bytes: Optional[int] = None) -> None:
         raise FrameTooLarge(
             f"frame of {len(frame)} bytes exceeds the "
             f"{max_bytes}-byte cap")
-
-
-def _resolve_handler(op: int) -> Callable[[memoryview], bytes]:
-    handler = HANDLERS.get(op)
-    if handler is None and op == OP_JOB_SPAN:
-        import repro.jobs.pool  # noqa: F401  (registers the handler)
-        handler = HANDLERS.get(op)
-    if handler is None:
-        raise UnknownOpcode(f"unknown pool frame opcode 0x{op:02x}")
-    return handler
 
 
 def error_frame(exc: BaseException) -> bytes:
@@ -123,7 +105,13 @@ def serve_frame(frame, *, max_bytes: Optional[int] = None) -> bytes:
     """
     try:
         check_frame(frame, max_bytes=max_bytes)
-        return _resolve_handler(frame[0])(memoryview(frame)[1:])
+        op = frame[0]
+        if op == OP_JOB_SPAN:
+            from ..jobs.pool import _handle_job_span
+            return _handle_job_span(memoryview(frame)[1:])
+        if op == OP_PING:
+            return bytes([OP_PONG])
+        raise UnknownOpcode(f"unknown pool frame opcode 0x{op:02x}")
     except (KeyboardInterrupt, SystemExit):
         raise
     except (struct.error, pickle.UnpicklingError) as exc:

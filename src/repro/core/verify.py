@@ -4,8 +4,10 @@ The evolution engine's fitness function already simulates (and, for
 sampled specs, SAT-checks) every candidate — but through whichever fast
 path is configured: the flat kernel, incremental cone resimulation,
 memoized fitness.  This module is the *independent* check that runs
-once per run on the final answer, off the hot path and sharing none of
-those optimizations:
+once per job on the final answer (:class:`repro.jobs.Scheduler`, after
+the job's last slice; :func:`~repro.core.windowing.optimize_window`,
+once per spliced window), off the hot path and sharing none of those
+optimizations:
 
 1. **Re-simulation on the object path** — the final
    :class:`~repro.rqfp.netlist.RqfpNetlist` (never the kernel) is
@@ -23,7 +25,7 @@ Violations raise typed :mod:`repro.errors` exceptions
 :class:`~repro.errors.FanoutViolation`,
 :class:`~repro.errors.PathBalanceViolation`,
 :class:`~repro.errors.VerificationUndecided`); a clean pass returns a
-:class:`VerificationReport` for telemetry.  Enable per run with
+:class:`VerificationReport` for telemetry.  Enable per job with
 ``RcgpConfig(verify_result=True)`` or the CLI's ``--verify``.
 """
 
@@ -110,7 +112,7 @@ def verify_evolution_result(netlist: RqfpNetlist,
                             config: Optional[RcgpConfig] = None,
                             plan: Optional[BufferPlan] = None) \
         -> VerificationReport:
-    """Gate a finished run's netlist; raise on any violation.
+    """Gate a finished job's netlist; raise on any violation.
 
     ``plan`` defaults to :func:`~repro.rqfp.buffer_opt.optimal_levels`
     over the netlist (the plan results report).

@@ -198,6 +198,11 @@ def optimize_window(netlist: RqfpNetlist, start: int, stop: int,
     ports, independent of the full circuit's size.  ``stats``
     aggregates the run's evaluation counters into a
     :class:`WindowResult`.
+
+    With ``config.verify_result`` the window's improved sub-netlist
+    passes the result gate (:func:`~repro.core.verify.
+    verify_evolution_result`) against the window's function before it
+    is spliced; ``config.telemetry_path`` is ignored.
     """
     window = analyze_window(netlist, start, stop)
     if not window.output_ports:
@@ -209,10 +214,11 @@ def optimize_window(netlist: RqfpNetlist, start: int, stop: int,
     config = config or RcgpConfig(generations=400, mutation_rate=1.0,
                                   max_mutated_genes=4, shrink="always")
     # Window runs are many, small and short-lived: they evaluate
-    # inline, and any run-level telemetry sink stays single-writer.
-    config = config.replace(telemetry_path=None)
-    result = EvolutionRun(spec, config, initial=sub,
-                          name=sub.name).run()
+    # inline and write no telemetry, and the gate runs here, once per
+    # window, not in the run.
+    result = EvolutionRun(spec, config.replace(telemetry_path=None,
+                                               verify_result=False),
+                          initial=sub, name=sub.name).run()
     if stats is not None:
         stats.eval_full += result.eval_full
         stats.eval_incremental += result.eval_incremental
@@ -221,6 +227,11 @@ def optimize_window(netlist: RqfpNetlist, start: int, stop: int,
     if (improved.num_gates, improved.num_garbage) >= \
             (sub.shrink().num_gates, sub.shrink().num_garbage):
         return None
+    if config.verify_result:
+        # Imported at call time so a wrapper installed on the module
+        # sees the call.
+        from .verify import verify_evolution_result
+        verify_evolution_result(improved, spec, config)
     return splice_window(netlist, window, improved)
 
 

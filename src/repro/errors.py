@@ -67,7 +67,7 @@ class VerificationError(ReproError):
 class EquivalenceViolation(VerificationError):
     """A synthesized circuit does not realize its specification.
 
-    Raised by the end-of-run result gate when re-simulation or the SAT
+    Raised by the end-of-job result gate when re-simulation or the SAT
     miter disagrees with the spec.  ``counterexample`` (when known) is
     the offending input pattern, LSB = input 0.
     """

@@ -39,7 +39,7 @@ from ..core import engine as _engine
 from ..core import wire
 from ..core.config import RcgpConfig
 from ..core.fitness import Evaluator
-from ..core.transport import HANDLERS, OP_JOB_SPAN, OP_RESULT
+from ..core.transport import OP_JOB_SPAN, OP_RESULT
 from ..errors import WorkerPoolError
 from ..logic.truth_table import TruthTable
 
@@ -93,6 +93,8 @@ def init_worker() -> None:
 
 
 def _handle_job_span(payload: memoryview) -> bytes:
+    """Serve one ``OP_JOB_SPAN`` request payload (called by
+    :func:`repro.core.transport.serve_frame`)."""
     ctx_blob, request = wire.unpack_job_span(payload)
     ctx: JobContext = pickle.loads(ctx_blob)
     state = _WORKER
@@ -102,9 +104,6 @@ def _handle_job_span(payload: memoryview) -> bytes:
     result, state.residents[job_id] = _engine.replay_span(
         state.evaluator_for(ctx), state.residents.get(job_id), request)
     return bytes([OP_RESULT]) + wire.pack_span_result(result)
-
-
-HANDLERS[OP_JOB_SPAN] = _handle_job_span
 
 
 class JobBackend:

@@ -16,14 +16,15 @@ a persistent :class:`~repro.jobs.store.JobStore`:
   whether the job runs alone, interleaved with any number of others,
   or under any slice quantum (including ``quantum=None``, one
   monolithic run).
-* **Persistence & resume.**  After every slice the live parent and
-  its generations since the last improvement are checkpointed to the
-  store (atomically), so the next slice continues exactly where a
-  monolithic run would be — shrink policy and stagnation limit
-  included.  A killed process loses at most one slice; a new
-  scheduler over the same store re-runs that slice deterministically
-  and converges to the identical final result.  This is the only
-  sliced, resumable run: ``Session(store=..., quantum=...)``.
+* **Persistence & resume.**  After every slice the live parent, its
+  generations since the last improvement and the job's merged history
+  and counters are checkpointed to the store (atomically, in one
+  document), so the next slice continues exactly where a monolithic
+  run would be — shrink policy and stagnation limit included.  A
+  killed process loses at most one slice; a new scheduler over the
+  same store re-runs that slice deterministically and converges to
+  the identical final result, history and counters included.  This is
+  the only sliced, resumable run: ``Session(store=..., quantum=...)``.
 * **One result path.**  A completed job's artifact (netlists with
   their buffer plans, costs, ``history``, counters) is written once;
   every :meth:`Job.result` rebuilds it from the store, and
@@ -494,10 +495,17 @@ class Scheduler:
                 if exc.path:
                     self.store.quarantine(exc.path)
                 checkpoint = None
+            # The merged record fields of the slices the checkpoint
+            # covers (None: no slice yet).  The record may lag it by a
+            # slice (a crash between the two writes) or lead a
+            # quarantined one; only older checkpoints lack them.
             if checkpoint is not None:
-                incumbent, done, stagnation = checkpoint
+                incumbent, done, stagnation, totals = checkpoint
+                if totals is None and record.get("slices"):
+                    totals = record
             else:
                 incumbent, done, stagnation = self._start_job(job), 0, 0
+                totals = None
             # The last slice was another scheduler's (or an earlier
             # process's): this one resumes the job.
             resuming = checkpoint is not None and \
@@ -523,12 +531,12 @@ class Scheduler:
             # The result gate runs once, when the job finishes, on the
             # plan the result reports (_finalize), not on every slice.
             # A time budget is the job's: each slice gets what earlier
-            # slices (the record's runtime, kept across restarts) left.
+            # slices (their runtime, kept across restarts) left.
             slice_config = config.replace(
                 generations=budget, telemetry_path=None,
                 verify_result=False,
                 time_budget=time_left(
-                    config, float(record.get("runtime", 0.0))))
+                    config, float((totals or {}).get("runtime", 0.0))))
             backend = None
             pooled = self.workers > 1 or (
                 self.fleet is not None and self.fleet.live_count() > 0)
@@ -561,15 +569,26 @@ class Scheduler:
                     telemetry.emit("lease_lost", owner=self.store.owner,
                                    generations_done=done)
                 return
-            # The record holds the merge of the job's earlier slices.
-            total = merge_slice(
-                _evolution_from_fields(record, result.netlist, _RECORD_NAMES)
-                if record.get("slices") else None, result, done)
+            earlier, slices = None, 0
+            if totals is not None:
+                earlier = _evolution_from_fields(totals, result.netlist,
+                                                 _RECORD_NAMES)
+                slices = int(totals["slices"])
+            if earlier is not None and not result.generations:
+                # A slice that ran no generation (one restarted after
+                # the last checkpoint, or out of time) adds nothing but
+                # its re-finalized netlist.
+                total = earlier
+            else:
+                total = merge_slice(earlier, result, done)
+                slices += 1
             done = total.generations
+            totals = _evolution_fields(total, _RECORD_NAMES)
+            totals["slices"] = slices
             self.store.save_checkpoint(job.id, result.parent, done, config,
-                                       stagnation=result.stagnation)
-            record.update(_evolution_fields(total, _RECORD_NAMES))
-            record["slices"] = int(record.get("slices", 0)) + 1
+                                       stagnation=result.stagnation,
+                                       totals=totals)
+            record.update(totals)
             finished = done >= config.generations \
                 or slice_stopped(result, budget, config)
             if telemetry is not None:
@@ -629,8 +648,8 @@ class Scheduler:
         verified = False
         if config.verify_result:
             # The result gate, once per job, on the buffer plan the
-            # result reports; imported at call time, as the engine
-            # does, so a wrapper installed on the module sees the call.
+            # result reports; imported at call time so a wrapper
+            # installed on the module sees the call.
             from ..core.verify import verify_evolution_result
             report = verify_evolution_result(final, job.spec.spec, config,
                                              plan=plan)

@@ -6,7 +6,8 @@ hash::
     <store root>/
         <job_id>/
             job.json          # record: spec, config, state, counters
-            checkpoint.json   # rcgp-checkpoint v2 (live parent + progress)
+            checkpoint.json   # rcgp-checkpoint v2 (live parent, progress,
+                              # the record's totals of the slices so far)
             baseline.json     # initialization netlist + its cost
             result.json       # final artifact once the job is done
             lease.json        # liveness lock of the owning scheduler
@@ -42,8 +43,8 @@ concurrent schedulers:
 
 Because scheduler slices are deterministic, a restarted
 :class:`~repro.jobs.scheduler.Scheduler` over a recovered store resumes
-from the last completed checkpoint and converges to the identical
-final result.
+from the last completed checkpoint, with the history and counters that
+checkpoint covers, and converges to the identical final result.
 
 ``JobStore(None)`` is a purely in-memory store with the same API — the
 transient backing used by one-shot :func:`repro.api.synthesize` calls
@@ -261,11 +262,14 @@ def _split_torn_tail(data: bytes) -> Tuple[bytes, Optional[bytes]]:
 
 
 def checkpoint_payload(netlist: RqfpNetlist, generations_done: int,
-                       config: RcgpConfig, *,
-                       stagnation: int = 0) -> Dict[str, Any]:
+                       config: RcgpConfig, *, stagnation: int = 0,
+                       totals: Optional[Dict[str, Any]] = None) \
+        -> Dict[str, Any]:
     """A job's ``checkpoint.json``: the live parent, progress,
-    generations since the last improvement and the full config."""
-    return {
+    generations since the last improvement and the full config, plus
+    (key ``totals``, when given) the job record's merged fields of the
+    slices the checkpoint covers."""
+    payload = {
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
         "generations_done": generations_done,
@@ -273,6 +277,9 @@ def checkpoint_payload(netlist: RqfpNetlist, generations_done: int,
         "config": config.to_dict(),
         "netlist": netlist_to_dict(netlist),
     }
+    if totals is not None:
+        payload["totals"] = totals
+    return payload
 
 
 def _pid_alive(pid: int) -> bool:
@@ -645,12 +652,13 @@ class JobStore:
 
     def save_checkpoint(self, job_id: str, netlist: RqfpNetlist,
                         generations_done: int, config: RcgpConfig, *,
-                        stagnation: int = 0) -> None:
-        """Persist the live parent, the generations done and the
-        generations since the last improvement
-        (:func:`checkpoint_payload`)."""
+                        stagnation: int = 0,
+                        totals: Optional[Dict[str, Any]] = None) -> None:
+        """Persist the live parent, the generations done, the
+        generations since the last improvement and the merged record
+        fields of the slices so far (:func:`checkpoint_payload`)."""
         payload = checkpoint_payload(netlist, generations_done, config,
-                                     stagnation=stagnation)
+                                     stagnation=stagnation, totals=totals)
         if self.root is None:
             slot = self._slot(job_id)
             slot["checkpoint"] = payload
@@ -660,10 +668,12 @@ class JobStore:
                                         "checkpoint.json"), payload)
 
     def load_checkpoint(self, job_id: str) \
-            -> Optional[Tuple[RqfpNetlist, int, int]]:
-        """The live parent, generations completed and generations since
-        the last improvement (0 in checkpoints that predate the count),
-        if any."""
+            -> Optional[Tuple[RqfpNetlist, int, int,
+                              Optional[Dict[str, Any]]]]:
+        """The live parent, generations completed, generations since
+        the last improvement (0 in checkpoints that predate the count)
+        and the merged record fields of the slices it covers (``None``
+        in checkpoints that predate them), if any."""
         if self.root is None:
             payload = self._slot(job_id).get("checkpoint")
         else:
@@ -673,7 +683,8 @@ class JobStore:
             return None
         return (netlist_from_dict(payload["netlist"]),
                 int(payload["generations_done"]),
-                int(payload.get("stagnation", 0)))
+                int(payload.get("stagnation", 0)),
+                payload.get("totals"))
 
     def checkpoint_mtime(self, job_id: str) -> Optional[float]:
         """When the job's checkpoint was last written (epoch seconds).

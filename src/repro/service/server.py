@@ -254,7 +254,8 @@ class ServiceServer:
 
     def close(self) -> None:
         """Graceful drain: finish (and checkpoint) the slice in flight,
-        stop scheduling, stop accepting connections, stop the workers.
+        stop scheduling, stop accepting connections, record every
+        accepted submission, stop the workers.
 
         Unfinished jobs stay ``running``/``pending`` in the store; a
         new server over the same store resumes them bit-identically.
@@ -269,6 +270,9 @@ class ServiceServer:
             self._httpd.shutdown()
             self._http_thread.join()
         self._httpd.server_close()
+        # The loop has exited, so this thread alone schedules: a job
+        # accepted (202) but still queued gets its pending record now.
+        self._drain_submissions()
         self.session.close()
         if self.cluster is not None:
             self.cluster.close()

@@ -69,8 +69,7 @@ def textbook_run(spec, config, initial, trace=None):
 
 
 def engine_signature(result):
-    """The same signature, read off an :class:`EvolutionResult` of a
-    run with ``track_history`` on."""
+    """The same signature, read off an :class:`EvolutionResult`."""
     return {
         "genome": encode_genome(result.netlist),
         "fitness": result.fitness.key(),

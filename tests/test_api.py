@@ -4,6 +4,8 @@ The facade must match a direct engine run bit-for-bit — plus sessions,
 stores and file paths.
 """
 
+import pytest
+
 import repro
 import repro.core
 import repro.flow
@@ -90,18 +92,23 @@ class TestSynthesize:
         assert set(session.results()) == {job.id for job in jobs.values()}
 
     def test_track_history_survives_the_facade(self):
-        config = RcgpConfig(generations=60, seed=3, track_history=True)
-        result = synthesize(_xor_spec(), config)
-        assert result.evolution.history
-        assert result.evolution.history[0][0] == 0
+        """History is always recorded (there is no switch): a result
+        under the default config starts at the initial fitness."""
+        result = synthesize(_xor_spec(), RcgpConfig(generations=60, seed=3))
+        evolution = result.evolution
+        assert evolution.history[0] == (0, evolution.initial_fitness)
 
 
 class TestPublicSurface:
     def test_retired_entry_points_are_gone(self):
+        import importlib
         for module in (repro, repro.core, repro.flow):
-            for name in ("rcgp_synthesize", "synthesize_file"):
+            for name in ("rcgp_synthesize", "synthesize_file", "evolve"):
                 assert not hasattr(module, name), (module.__name__, name)
                 assert name not in getattr(module, "__all__", ())
+        with pytest.raises(ImportError):
+            importlib.import_module("repro.core.evolution")
+        assert not hasattr(repro.core.engine, "ProgressCallback")
         assert repro.synthesize is synthesize
         assert repro.Session is Session
         for name in ("synthesize", "Session", "Scheduler", "JobStore",

@@ -23,7 +23,6 @@ from repro.core.engine import (
     encode_genome,
     read_telemetry,
 )
-from repro.core.evolution import evolve
 from repro.core.fitness import Fitness
 from repro.jobs.pool import parallel_safe_config
 from repro.core.restart import multi_start
@@ -79,7 +78,7 @@ class TestConfigSerialization:
             verify_with_sat=False, verify_method="bdd",
             sat_conflict_budget=777, stagnation_limit=55,
             time_budget=1.5, count_buffers_in_fitness=False,
-            simplify_wires=False, track_history=True,
+            simplify_wires=False,
             eval_cache_size=10, telemetry_path="/tmp/t.jsonl",
             enable_output_mutation=False)
         assert RcgpConfig.from_dict(config.to_dict()) == config
@@ -91,6 +90,7 @@ class TestConfigSerialization:
                                        "future_knob": "ignored",
                                        "kernel": "object",
                                        "incremental_eval": False,
+                                       "track_history": True,
                                        "workers": 8})
         assert config == RcgpConfig(generations=5)
 
@@ -209,7 +209,7 @@ class TestReferenceLoop:
         spec = get_benchmark(name).spec()
         initial = initialize_netlist(spec, name)
         config = RcgpConfig(generations=600, seed=1, shrink=shrink,
-                            track_history=True, **mutation)
+                            **mutation)
         reference = textbook_run(spec, config, initial)
         inline = EvolutionRun(spec, config, initial=initial,
                               name=name).run()
@@ -319,8 +319,11 @@ class TestTelemetry:
         path = str(tmp_path / "run.jsonl")
         spec = _xor_spec()
         initial = initialize_netlist(spec)
-        config = RcgpConfig(generations=20, seed=5, telemetry_path=path)
-        result = EvolutionRun(spec, config, initial=initial).run()
+        config = RcgpConfig(generations=20, seed=5)
+        writer = TelemetryWriter(path)
+        result = EvolutionRun(spec, config, initial=initial,
+                              telemetry=writer).run()
+        writer.close()
         events = read_telemetry(path)
         assert events[0]["event"] == "run_start"
         assert events[0]["backend"] == "inline"
@@ -342,13 +345,18 @@ class TestTelemetry:
             assert not handle.closed
         assert json.loads(path.read_text())["value"] == 1
 
-    def test_evolve_shim_accepts_telemetry_config(self, tmp_path):
-        path = str(tmp_path / "shim.jsonl")
-        spec = _xor_spec()
-        initial = initialize_netlist(spec)
-        evolve(initial, spec, RcgpConfig(generations=5, seed=1,
-                                         telemetry_path=path))
-        assert os.path.exists(path)
+    @pytest.mark.parametrize("job_field", [
+        dict(verify_result=True), dict(telemetry_path="run.jsonl")],
+        ids=["verify_result", "telemetry_path"])
+    def test_run_refuses_the_jobs_fields(self, tmp_path, monkeypatch,
+                                         job_field):
+        """The result gate and the telemetry file are a job's: a bare
+        run refuses a config that asks for either, and writes nothing."""
+        monkeypatch.chdir(tmp_path)
+        config = RcgpConfig(generations=5, seed=1, **job_field)
+        with pytest.raises(ValueError, match="synthesize"):
+            EvolutionRun(_xor_spec(), config)
+        assert os.listdir(str(tmp_path)) == []
 
 
 class TestMultiStartFullConfig:

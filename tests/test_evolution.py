@@ -4,7 +4,7 @@ import pytest
 
 from repro.api import synthesize
 from repro.core.config import RcgpConfig
-from repro.core.evolution import evolve
+from repro.core.engine import EvolutionRun
 from repro.core.synthesis import baseline_initialization, initialize_netlist
 from repro.errors import SynthesisError
 from repro.logic.truth_table import TruthTable, tabulate_word
@@ -40,7 +40,7 @@ class TestEvolve:
         initial = initialize_netlist(spec)
         config = RcgpConfig(generations=400, mutation_rate=0.08, seed=11,
                             offspring=4, shrink="always")
-        result = evolve(initial, spec, config)
+        result = EvolutionRun(spec, config, initial=initial).run()
         assert result.fitness.functional
         assert result.fitness.n_r <= result.initial_fitness.n_r
         assert result.netlist.to_truth_tables() == spec
@@ -50,12 +50,14 @@ class TestEvolve:
         netlist = RqfpNetlist(2)
         netlist.add_output(1)
         with pytest.raises(SynthesisError):
-            evolve(netlist, _decoder_spec()[:1], RcgpConfig(generations=1))
+            EvolutionRun(_decoder_spec()[:1], RcgpConfig(generations=1),
+                         initial=netlist).run()
 
     def test_zero_generations_returns_initial(self):
         spec = _xor_spec()
         initial = initialize_netlist(spec)
-        result = evolve(initial, spec, RcgpConfig(generations=0, seed=1))
+        result = EvolutionRun(spec, RcgpConfig(generations=0, seed=1),
+                              initial=initial).run()
         assert result.generations == 0
         assert result.fitness.functional
 
@@ -63,42 +65,31 @@ class TestEvolve:
         spec = _decoder_spec()
         initial = initialize_netlist(spec)
         config = RcgpConfig(generations=10 ** 9, time_budget=0.5, seed=2)
-        result = evolve(initial, spec, config)
+        result = EvolutionRun(spec, config, initial=initial).run()
         assert result.runtime < 5.0
 
     def test_stagnation_stops_early(self):
         spec = _xor_spec()
         initial = initialize_netlist(spec)
         config = RcgpConfig(generations=100_000, stagnation_limit=50, seed=3)
-        result = evolve(initial, spec, config)
+        result = EvolutionRun(spec, config, initial=initial).run()
         assert result.generations < 100_000
 
     def test_history_tracked(self):
         spec = _decoder_spec()
         initial = initialize_netlist(spec)
-        config = RcgpConfig(generations=300, seed=4, track_history=True,
-                            mutation_rate=0.1)
-        result = evolve(initial, spec, config)
+        config = RcgpConfig(generations=300, seed=4, mutation_rate=0.1)
+        result = EvolutionRun(spec, config, initial=initial).run()
         assert result.history[0][0] == 0
         # History fitness keys must be monotonically non-decreasing.
         keys = [f.key() for _, f in result.history]
         assert keys == sorted(keys)
 
-    def test_progress_callback_fires_on_improvement(self):
-        spec = _decoder_spec()
-        initial = initialize_netlist(spec)
-        events = []
-        config = RcgpConfig(generations=400, seed=5, mutation_rate=0.1,
-                            shrink="always")
-        evolve(initial, spec, config, progress=lambda g, f: events.append(g))
-        # Improvements are likely but not guaranteed: only check types.
-        assert all(isinstance(g, int) for g in events)
-
     def test_never_shrinking_mode_keeps_gate_slots(self):
         spec = _xor_spec()
         initial = initialize_netlist(spec)
         config = RcgpConfig(generations=50, seed=6, shrink="never")
-        result = evolve(initial, spec, config)
+        result = EvolutionRun(spec, config, initial=initial).run()
         assert result.fitness.functional
 
 

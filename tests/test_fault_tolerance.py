@@ -98,7 +98,11 @@ class TestCrashRecovery:
     def test_fault_counters_reach_telemetry(self, monkeypatch, tmp_path):
         path = tmp_path / "faults.jsonl"
         monkeypatch.setenv("RCGP_TEST_CRASH_AFTER_EVALS", "7")
-        result = _run(pooled=True, telemetry_path=str(path))
+        writer = TelemetryWriter(str(path))
+        config = RcgpConfig(generations=40, mutation_rate=0.1, seed=11,
+                            offspring=4, shrink="always")
+        result = pooled_run(_decoder_spec(), config, telemetry=writer)[0]
+        writer.close()
         events = read_telemetry(str(path))
         faults = [e for e in events if e["event"] == "worker_fault"]
         assert faults, "no worker_fault events despite injected crashes"

@@ -266,8 +266,7 @@ class TestEngineIntegration:
         spec = get_benchmark("decoder_2_4").spec()
         initial = initialize_netlist(spec, "decoder_2_4")
         config = RcgpConfig(generations=60, offspring=4, mutation_rate=0.2,
-                            max_mutated_genes=4, seed=77,
-                            track_history=True, **kwargs)
+                            max_mutated_genes=4, seed=77, **kwargs)
         result = EvolutionRun(spec, config, initial=initial,
                               name="decoder_2_4").run()
         return result, textbook_run(spec, config, initial)

@@ -161,12 +161,12 @@ class TestJobStore:
         config = RcgpConfig(generations=50, seed=9)
         netlist = initialize_netlist(_xor_and_spec())
         store.save_checkpoint("j1", netlist, 30, config)
-        loaded, done, stagnation = store.load_checkpoint("j1")
+        loaded, done, stagnation, _ = store.load_checkpoint("j1")
         assert done == 30
         assert stagnation == 0
         assert netlist_to_dict(loaded) == netlist_to_dict(netlist)
         store.save_checkpoint("j1", netlist, 40, config, stagnation=12)
-        assert store.load_checkpoint("j1")[1:] == (40, 12)
+        assert store.load_checkpoint("j1")[1:3] == (40, 12)
         assert store.load_checkpoint("absent") is None
 
     def test_checkpoint_document_is_v2_with_full_config(self, tmp_path):
@@ -352,6 +352,70 @@ class TestSchedulerPersistence:
             assert job.state == DONE
             assert _chromosome(job.result()) == uninterrupted
 
+    # ``rcgp batch``'s search defaults; 400 generations in four slices.
+    CRASH_CONFIG = RcgpConfig(generations=400, seed=2024, mutation_rate=0.08,
+                              shrink="always")
+
+    def _reference(self, tmp_path, spec):
+        with Session(str(tmp_path / "reference"), quantum=100) as session:
+            return result_fields(session.synthesize(spec, self.CRASH_CONFIG))
+
+    def _lagging_record(self, tmp_path, spec, ticks):
+        """A store as a crash leaves it right after the checkpoint of a
+        job's ``ticks``-th slice became durable: ``job.json`` is one
+        slice behind and no ``result.json`` exists yet."""
+        store = JobStore(str(tmp_path / "crashed"))
+        with Scheduler(store, quantum=100) as scheduler:
+            job = scheduler.submit(spec, self.CRASH_CONFIG)
+            scheduler.run(max_ticks=ticks - 1)
+            lagging = store.load_record(job.id)
+            scheduler.run(max_ticks=1)
+        store.save_record(job.id, lagging)
+        result_path = os.path.join(store.job_dir(job.id), "result.json")
+        if os.path.exists(result_path):
+            os.unlink(result_path)
+        return job.id
+
+    @pytest.mark.parametrize("ticks", [2, 4], ids=["mid-job", "last-slice"])
+    def test_record_behind_its_checkpoint_counts_every_slice_once(
+            self, tmp_path, ticks):
+        """The checkpoint carries the totals of the slices it covers:
+        a resume after a crash between the checkpoint and the record
+        keeps the slice that record missed, and the 0-generation slice
+        a finished checkpoint leads to adds nothing."""
+        from repro.bench import get_benchmark
+        spec = get_benchmark("graycode4").spec()
+        reference = self._reference(tmp_path, spec)
+        job_id = self._lagging_record(tmp_path, spec, ticks)
+        with Session(str(tmp_path / "crashed"), quantum=100) as session:
+            job = session.submit(spec, self.CRASH_CONFIG)
+            assert job.id == job_id and job.state == RUNNING
+            session.run()
+            resumed = result_fields(job.result())
+            assert job.record["slices"] == 4
+        assert len(reference["history"]) > 2
+        assert resumed == reference
+
+    def test_torn_checkpoint_restarts_the_totals(self, tmp_path):
+        """A torn checkpoint is quarantined and the job re-runs from its
+        baseline with fresh totals, not merged into the old record."""
+        from repro.bench import get_benchmark
+        spec = get_benchmark("graycode4").spec()
+        reference = self._reference(tmp_path, spec)
+        store = JobStore(str(tmp_path / "torn"))
+        with Scheduler(store, quantum=100) as scheduler:
+            job = scheduler.submit(spec, self.CRASH_CONFIG)
+            scheduler.run(max_ticks=2)
+            assert job.record["slices"] == 2
+            path = os.path.join(store.job_dir(job.id), "checkpoint.json")
+            with open(path, "wb") as handle:
+                handle.write(b'{"netlist": [[')
+            scheduler.run()
+            assert job.state == DONE
+            assert store.quarantined_artifacts()
+            assert job.record["slices"] == 4
+            assert result_fields(job.result()) == reference
+
     def test_finished_job_served_without_rerun(self, tmp_path):
         spec = _xor_and_spec()
         config = RcgpConfig(generations=80, seed=5)
@@ -379,8 +443,7 @@ class TestSchedulerPersistence:
         after a kill and resume."""
         spec = _decoder_spec()
         config = RcgpConfig(generations=150, seed=3, mutation_rate=0.08,
-                            max_mutated_genes=8, shrink="always",
-                            track_history=True)
+                            max_mutated_genes=8, shrink="always")
         runs = {}
         for label, quantum, kill in (("whole", None, False),
                                      ("q25", 25, False),
@@ -413,7 +476,7 @@ class TestSchedulerPersistence:
         """Artifacts written before plans, history and the interrupt
         flag were stored still load: plans solved again, history empty."""
         from repro.jobs import result_from_payload
-        config = RcgpConfig(generations=60, seed=3, track_history=True)
+        config = RcgpConfig(generations=60, seed=3)
         with Scheduler() as scheduler:
             job = scheduler.submit(_decoder_spec(), config)
             scheduler.run()
@@ -551,8 +614,7 @@ class TestSharedWorkerPool:
         # scheduler equal their inline runs at the same quantum, every
         # counter but the transport's included.  A slice keeps one span
         # in flight, so one worker process serves all four.
-        runs = [(spec, RcgpConfig(generations=80, seed=seed, offspring=8,
-                                  track_history=True))
+        runs = [(spec, RcgpConfig(generations=80, seed=seed, offspring=8))
                 for spec in (_decoder_spec(), _xor_and_spec())
                 for seed in (7, 8)]
         inline = []

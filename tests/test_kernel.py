@@ -376,7 +376,7 @@ class TestEngineEquality:
         spec = get_benchmark(name).spec()
         if initial is None:
             initial = initialize_netlist(spec, name)
-        config = RcgpConfig(track_history=True, **kwargs)
+        config = RcgpConfig(**kwargs)
         flat = EvolutionRun(spec, config, initial=initial, name=name).run()
         return engine_signature(flat), textbook_run(spec, config, initial)
 

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from repro.bench.random_circuits import random_rqfp
 from repro.core.config import RcgpConfig
-from repro.core.evolution import evolve
+from repro.core.engine import EvolutionRun
 from repro.core.fitness import Evaluator
 from repro.core.mutation import mutate
 from repro.core.synthesis import initialize_netlist
@@ -86,7 +86,7 @@ def test_evolution_result_always_verifies(params):
     initial = initialize_netlist(tables)
     config = RcgpConfig(generations=60, mutation_rate=0.1,
                         seed=params[2] & 0xFFFF, shrink="always")
-    result = evolve(initial, tables, config)
+    result = EvolutionRun(tables, config, initial=initial).run()
     assert result.netlist.to_truth_tables() == tables
     result.netlist.validate(require_single_fanout=True)
     assert result.fitness.key() >= result.initial_fitness.key()

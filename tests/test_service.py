@@ -87,7 +87,7 @@ class TestRoutingTable:
 
 class TestRoundTrip:
     def test_bit_identical_to_in_process_synthesize(self, client):
-        spec, config = _decoder_spec(), _config(track_history=True)
+        spec, config = _decoder_spec(), _config()
         baseline = synthesize(spec, config)
         with Session(quantum=25) as session:   # the server's quantum
             same_slices = session.synthesize(spec, config)
@@ -161,6 +161,37 @@ class TestRoundTrip:
         job_id = client.submit(spec, config)["job_id"]
         client.wait(job_id, timeout=60)
         assert client.telemetry(job_id) == []
+
+
+class TestJobIdentity:
+    def test_batch_and_http_agree_on_the_batch_config(self, tmp_path,
+                                                      capsys):
+        """``rcgp batch`` and ``POST /v1/jobs`` name the same job when
+        the body carries the batch's whole config; a body of only seed
+        and budget takes ``RcgpConfig``'s search defaults (mutation rate
+        1.0, shrink ``on_improvement``) instead of the CLI's (0.08,
+        ``always``), so it is another job."""
+        from repro.bench import get_benchmark
+        from repro.cli import main
+        from repro.jobs import spec_tables_to_payload
+        batch_store = str(tmp_path / "batch")
+        assert main(["batch", "decoder_2_4", "--generations", "400",
+                     "--store", batch_store, "--workers", "0"]) == 0
+        (batch_id,) = JobStore(batch_store).jobs()
+        payload = spec_tables_to_payload(
+            get_benchmark("decoder_2_4").spec())
+        cli_config = RcgpConfig(generations=400, seed=2024,
+                                mutation_rate=0.08, shrink="always")
+        server = ServiceServer(str(tmp_path / "svc"), port=0)
+        try:
+            _, same = server.submit({"spec": payload,
+                                     "config": cli_config.to_dict()})
+            _, bare = server.submit({"spec": payload, "config": {
+                "seed": 2024, "generations": 400}})
+        finally:
+            server.close()
+        assert same["job_id"] == batch_id
+        assert bare["job_id"] != batch_id
 
 
 class TestErrorMapping:
@@ -258,6 +289,25 @@ class TestLifecycle:
         with pytest.raises(OSError):  # and so is the fleet's
             fleet._listener.getsockname()
 
+
+    def test_close_keeps_queued_submissions(self, tmp_path):
+        """A job answered 202 but still queued when the server closes
+        gets its ``pending`` record, and a successor over the same
+        store finishes it."""
+        store = str(tmp_path / "store")
+        spec, config = _xor_and_spec(), _config(generations=60)
+        server = ServiceServer(store, port=0).start(loop=False)
+        try:
+            client = ServiceClient(server.url, timeout=10.0)
+            job_id = client.submit(spec, config)["job_id"]
+            assert client.status(job_id)["state"] == QUEUED
+        finally:
+            server.close()
+        assert JobStore(store).load_record(job_id)["state"] == "pending"
+        with ServiceServer(store, port=0).start() as successor:
+            client = ServiceClient(successor.url, timeout=10.0)
+            assert client.wait(job_id, timeout=60)["state"] == "done"
+            assert client.result(job_id).verify()
 
     def test_finished_jobs_leave_the_active_set(self):
         """The loop drops a job from the ids it schedules once the job

@@ -11,16 +11,18 @@ raise the precise typed exception.
 import pytest
 
 import repro.core.verify as verify_mod
-from repro.api import synthesize
+from repro.api import Session, synthesize
 from repro.core.config import RcgpConfig
 from repro.core.engine import EvolutionRun, read_telemetry
 from repro.core.verify import VerificationReport, verify_evolution_result
 from repro.errors import (
     EquivalenceViolation,
     FanoutViolation,
+    ReproError,
     VerificationError,
     VerificationUndecided,
 )
+from repro.jobs import FAILED
 from repro.logic.truth_table import tabulate_word
 from repro.rqfp.gate import NORMAL_CONFIG
 from repro.rqfp.netlist import RqfpNetlist
@@ -118,45 +120,67 @@ class TestGateRejects:
 
 
 class TestEngineIntegration:
+    """The gate is the job's: it runs once, after the last slice, and
+    a bare :class:`EvolutionRun` never gates."""
+
     def test_verify_result_flag_gates_the_run(self, tmp_path):
         path = tmp_path / "verify.jsonl"
         spec = _decoder_spec()
         config = RcgpConfig(generations=30, mutation_rate=0.1, seed=7,
                             shrink="always", verify_result=True,
                             telemetry_path=str(path))
-        result = EvolutionRun(spec, config).run()
-        assert result.verified
+        result = synthesize(spec, config)
+        assert result.evolution.verified
         events = read_telemetry(str(path))
-        verify_events = [e for e in events if e["event"] == "verify"]
-        assert len(verify_events) == 1
-        assert verify_events[0]["exhaustive"] is True
+        tags = [e["event"] for e in events]
+        assert tags.count("verify") == 1
+        assert tags.index("verify") < tags.index("job_end")
+        verify_event = events[tags.index("verify")]
+        assert verify_event["exhaustive"] is True
+        assert events[-1]["event"] == "job_end"
+        assert events[-1]["verified"] is True
         end = [e for e in events if e["event"] == "run_end"][-1]
-        assert end["verified"] is True
+        assert "verified" not in end
 
-    def test_gate_off_by_default(self):
+    def test_gate_off_by_default(self, tmp_path):
+        path = tmp_path / "off.jsonl"
         spec = _decoder_spec()
-        config = RcgpConfig(generations=10, seed=7)
-        result = EvolutionRun(spec, config).run()
-        assert not result.verified
+        config = RcgpConfig(generations=10, seed=7,
+                            telemetry_path=str(path))
+        result = synthesize(spec, config)
+        assert not result.evolution.verified
+        events = read_telemetry(str(path))
+        assert "verify" not in [e["event"] for e in events]
+        assert events[-1]["verified"] is False
+        assert not EvolutionRun(spec, RcgpConfig(generations=10,
+                                                 seed=7)).run().verified
 
     def test_corrupted_finalize_is_caught(self, monkeypatch):
-        # Simulate a bug downstream of fitness: finalize returns a
-        # netlist computing the wrong function.  The engine's own
-        # functional check uses the (possibly kernel/incremental)
-        # evaluator; the gate must catch it independently.
-        from repro.core import engine as engine_mod
+        # Simulate a bug downstream of fitness: the job's final netlist
+        # computes the wrong function.  The engine's own functional
+        # check uses the (kernel/incremental) evaluator; the job's gate
+        # must catch it independently and fail the job.
         spec = _decoder_spec()
         wrong_spec = tabulate_word(lambda x: (1 << x) ^ 0xF, 2, 4)
         donor = _synthesized(wrong_spec)
+        with pytest.raises(EquivalenceViolation) as expected:
+            verify_evolution_result(donor, spec)
 
+        # The job passes the plan of its own netlist; the donor's is
+        # solved again.
         real_verify = verify_mod.verify_evolution_result
         monkeypatch.setattr(
             verify_mod, "verify_evolution_result",
             lambda netlist, spec_, config=None, plan=None:
-                real_verify(donor, spec_, config, plan))
+                real_verify(donor, spec_, config, None))
         config = RcgpConfig(generations=5, seed=7, verify_result=True)
-        with pytest.raises(EquivalenceViolation):
-            EvolutionRun(spec, config).run()
+        with Session() as session:
+            job = session.submit(spec, config)
+            session.run()
+            assert job.state == FAILED
+            assert job.record["error"] == str(expected.value)
+            with pytest.raises(ReproError, match="failed"):
+                job.result()
 
 
 class TestCliPlumbing:

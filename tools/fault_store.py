@@ -55,15 +55,11 @@ SWEEP_DEFAULTS = (["decoder_2_4"], 60, 20)
 SHARED_DEFAULTS = (["decoder_2_4", "graycode4", "full_adder", "ham3"],
                    2000, 100)
 
-#: Result-payload fields that depend on wall clock or crash accounting
-#: (a re-run slice legitimately re-counts evaluations), not on the
-#: search itself.  Everything else must match bit for bit.
-VOLATILE_RESULT_FIELDS = frozenset({
-    "runtime", "evaluations", "sat_calls", "cache_hits", "eval_full",
-    "eval_incremental", "ports_resimulated", "worker_restarts",
-    "batches_retried", "bytes_shipped", "chunks_dispatched",
-    "pipeline_stalls",
-})
+#: Result-payload fields that depend on the wall clock, not on the
+#: search.  Everything else — history and every counter included — must
+#: match bit for bit: each checkpoint carries the totals of the slices
+#: it covers, so a slice re-run after a crash is counted once.
+VOLATILE_RESULT_FIELDS = frozenset({"runtime"})
 
 
 def batch_command(store: str, targets: Sequence[str], *,
