@@ -15,7 +15,7 @@ from .extras import (
     sym6,
     sym9,
 )
-from .reciprocal import intdiv, reciprocal_family
+from .reciprocal import intdiv
 from .registry import (
     BENCHMARKS,
     TABLE1_NAMES,
@@ -61,7 +61,6 @@ __all__ = [
     "hwb",
     "hwb8",
     "intdiv",
-    "reciprocal_family",
     "EXTRA_BENCHMARKS",
     "extra_spec",
     "rd", "rd53", "rd73",

@@ -31,8 +31,3 @@ def intdiv(bits: int) -> List[TruthTable]:
         return top if x == 0 else (top // x)
 
     return tabulate_word(word, bits, bits)
-
-
-def reciprocal_family(min_bits: int = 4, max_bits: int = 10):
-    """The Table-2 family as ``{"intdiv4": tables, ...}``."""
-    return {f"intdiv{n}": intdiv(n) for n in range(min_bits, max_bits + 1)}

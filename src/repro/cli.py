@@ -22,6 +22,7 @@ from typing import List, Optional
 from .api import Session, synthesize
 from .bench.registry import BENCHMARKS, get_benchmark
 from .core.config import RcgpConfig
+from .core.fitness import EXHAUSTIVE_FORMAL_LIMIT
 from .errors import ExactSynthesisTimeout, ReproError
 from .exact.synthesizer import exact_synthesize
 from .harness.report import compare_with_paper, format_rows
@@ -76,11 +77,13 @@ def _add_search_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--time-budget", type=float, default=None,
                         help="wall-clock cap in seconds")
     parser.add_argument("--verify", action="store_true",
-                        help="end-of-job result gate: re-simulate the "
-                             "final netlist on the object path, check "
-                             "RQFP legality (fan-out + path balancing) "
-                             "and SAT-prove spec equivalence; violations "
-                             "abort with a typed error")
+                        help="end-of-job result gate: decide spec "
+                             "equivalence of the final netlist on the "
+                             "object path (exhaustive simulation up to "
+                             f"{EXHAUSTIVE_FORMAL_LIMIT} inputs, SAT "
+                             "above) and check RQFP legality (fan-out + "
+                             "path balancing); violations abort with a "
+                             "typed error")
 
 
 def _add_rcgp_options(parser: argparse.ArgumentParser) -> None:
@@ -301,10 +304,11 @@ def _cmd_table(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    """CEC between a synthesized RQFP JSON netlist and a design file."""
+    """Decide whether a synthesized RQFP JSON netlist realizes a design
+    file, by the rule fitness and the result gate use."""
+    from .core.verify import realizes
     from .flow import load_spec
     from .io.rqfp_json import read_rqfp_json
-    from .sat.equivalence import check_against_tables
 
     netlist = read_rqfp_json(args.netlist)
     tables, name = load_spec(args.design)
@@ -314,17 +318,17 @@ def _cmd_verify(args: argparse.Namespace) -> int:
               f"{netlist.num_outputs}, design {tables[0].num_vars}->"
               f"{len(tables)}")
         return 1
-    result = check_against_tables(netlist.encoder(), tables,
-                                  conflict_budget=args.conflicts)
+    result = realizes(netlist, tables, conflict_budget=args.conflicts)
+    method = ("exhaustive simulation" if result.method == "simulation"
+              else f"SAT miter, {result.conflicts} conflicts")
     if result.equivalent is True:
-        print(f"EQUIVALENT: {args.netlist} realizes {name} "
-              f"({result.conflicts} conflicts)")
+        print(f"EQUIVALENT: {args.netlist} realizes {name} ({method})")
         return 0
     if result.equivalent is False:
         print(f"NOT EQUIVALENT: counterexample input pattern "
-              f"{result.counterexample:#x}")
+              f"{result.counterexample:#x} ({method})")
         return 1
-    print("UNDECIDED: conflict budget exhausted")
+    print(f"UNDECIDED: conflict budget exhausted ({method})")
     return 2
 
 
@@ -524,10 +528,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_table.set_defaults(func=_cmd_table)
 
     p_verify = sub.add_parser(
-        "verify", help="SAT-check a synthesized netlist against a design")
+        "verify", help="check that a synthesized netlist realizes a "
+                       "design (exhaustive simulation up to "
+                       f"{EXHAUSTIVE_FORMAL_LIMIT} inputs, SAT above)")
     p_verify.add_argument("netlist", help="RQFP JSON netlist")
     p_verify.add_argument("design", help="reference design file")
-    p_verify.add_argument("--conflicts", type=int, default=200_000)
+    p_verify.add_argument("--conflicts", type=int, default=200_000,
+                          help="SAT conflict budget, spent only above "
+                               f"{EXHAUSTIVE_FORMAL_LIMIT} inputs "
+                               "(default 200000)")
     p_verify.set_defaults(func=_cmd_verify)
 
     p_stats = sub.add_parser(

@@ -62,8 +62,11 @@ class RcgpConfig:
     ``"always"``, ``"on_improvement"`` or ``"never"``."""
 
     exhaustive_input_limit: int = 14
-    """Simulate all ``2^n`` patterns when ``n_pi`` is at most this; the
-    paper's entire benchmark suite (≤10 inputs) stays exhaustive."""
+    """Fitness simulates all ``2^n`` patterns when ``n_pi`` is at most
+    this, else a sampled pattern set; the paper's entire benchmark suite
+    (≤10 inputs) stays exhaustive.  Fitness sampling only: every formal
+    decision (fitness's formal leg, the result gate, ``rcgp verify``)
+    keys on ``repro.core.fitness.EXHAUSTIVE_FORMAL_LIMIT``."""
 
     simulation_patterns: int = 2048
     """Random pattern count when simulation cannot be exhaustive."""
@@ -133,15 +136,17 @@ class RcgpConfig:
     The next slice tries the workers again."""
 
     verify_result: bool = False
-    """End-of-job result gate: re-simulate the best candidate on the
-    object path, check RQFP legality (single fan-out + path balancing
-    via :func:`repro.rqfp.validate.validate_circuit`) and prove spec
-    equivalence with the SAT miter.  Violations raise typed
-    :mod:`repro.errors` exceptions instead of silently returning an
+    """End-of-job result gate: decide on the object path that the best
+    candidate realizes the spec (:func:`repro.core.verify.realizes`:
+    exhaustive simulation up to ``EXHAUSTIVE_FORMAL_LIMIT`` inputs, a
+    sampled re-simulation and the SAT miter above) and check RQFP
+    legality (single fan-out + path balancing via
+    :func:`repro.rqfp.validate.validate_circuit`).  Violations raise
+    typed :mod:`repro.errors` exceptions instead of silently returning an
     illegal or wrong circuit.  Off by default: the gate runs once per
     job, after its last slice, on the buffer plan the result reports
     (and once per window in :func:`~repro.core.windowing.optimize_window`),
-    but SAT proofs on large sampled specs can be costly.  A bare
+    but SAT proofs on specs above the limit can be costly.  A bare
     :class:`~repro.core.engine.EvolutionRun` refuses it."""
 
     # Mutation-kind toggles, used by the ablation benchmarks (A1).

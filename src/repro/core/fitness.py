@@ -33,7 +33,7 @@ from operator import itemgetter
 from typing import Dict, Optional, Sequence, Tuple
 
 from ..logic.bitops import full_mask, variable_pattern
-from ..logic.truth_table import TruthTable
+from ..logic.truth_table import TruthTable, first_mismatch
 from ..rqfp.buffers import estimate_buffers
 from ..rqfp.netlist import RqfpNetlist
 from ..rqfp.simplify import bypass_wire_gates
@@ -294,27 +294,11 @@ class Evaluator:
         return result.equivalent
 
     def _simulates_spec(self, active) -> bool:
-        """Exhaustive simulation of ``active`` against the spec tables.
-
-        Runs in chunks of ``2**16`` patterns, a single one up to 16
-        inputs: the low 16 inputs take their projection words and each
-        higher input a constant word per chunk, so no word outgrows
-        8 KiB however wide the spec.  The first chunk that differs ends
-        the check.
-        """
-        low = min(self.num_inputs, 16)
-        high = self.num_inputs - low
-        mask = full_mask(low)
-        words = [variable_pattern(i, low) for i in range(low)]
-        for chunk in range(1 << high):
-            got = active.simulate(
-                words + [mask if (chunk >> i) & 1 else 0
-                         for i in range(high)], mask)
-            shift = chunk << low
-            for value, table in zip(got, self.spec):
-                if value != (table.bits >> shift) & mask:
-                    return False
-        return True
+        """Exhaustive simulation of ``active`` against the spec tables,
+        in chunks of ``2**16`` patterns
+        (:func:`~repro.logic.truth_table.first_mismatch`): the first
+        chunk that differs ends the check."""
+        return first_mismatch(active.simulate, self.spec) is None
 
     def evaluate(self, candidate) -> Fitness:
         """Two-phase fitness of a candidate genome (netlist or kernel).

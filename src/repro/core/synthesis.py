@@ -40,6 +40,7 @@ from ..rqfp.netlist import RqfpNetlist
 from ..rqfp.splitters import insert_splitters
 from .engine import EvolutionResult
 from .kernel import NetlistKernel
+from .verify import realizes
 
 
 @dataclass
@@ -64,8 +65,9 @@ class SynthesisResult:
     spec: List[TruthTable]
 
     def verify(self) -> bool:
-        """Exhaustive check that the final netlist realizes the spec."""
-        return self.netlist.to_truth_tables() == self.spec
+        """Whether the final netlist realizes the spec, decided by
+        :func:`~repro.core.verify.realizes` with no conflict budget."""
+        return realizes(self.netlist, self.spec).equivalent is True
 
 
 def initialize_netlist(spec: Sequence[TruthTable],

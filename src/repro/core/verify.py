@@ -1,27 +1,31 @@
-"""End-of-run result gate: legality + functional equivalence.
+"""One equivalence rule, and the end-of-run result gate built on it.
 
-The evolution engine's fitness function already simulates (and, for
-sampled specs, SAT-checks) every candidate — but through whichever fast
-path is configured: the flat kernel, incremental cone resimulation,
-memoized fitness.  This module is the *independent* check that runs
-once per job on the final answer (:class:`repro.jobs.Scheduler`, after
-the job's last slice; :func:`~repro.core.windowing.optimize_window`,
-once per spliced window), off the hot path and sharing none of those
-optimizations:
+:func:`realizes` decides whether a netlist realizes a truth-table spec
+by the rule fitness's formal leg uses (§3.2.1): exhaustive simulation up
+to :data:`repro.core.fitness.EXHAUSTIVE_FORMAL_LIMIT` inputs, the SAT
+miter above.  The result gate, :meth:`SynthesisResult.verify()
+<repro.core.synthesis.SynthesisResult.verify>` and ``rcgp verify`` all
+decide through it.
 
-1. **Re-simulation on the object path** — the final
-   :class:`~repro.rqfp.netlist.RqfpNetlist` (never the kernel) is
-   simulated against the spec: exhaustively when the input count
-   permits, otherwise on a freshly seeded pattern set.
+The evolution engine's fitness function already checks every candidate
+— but through whichever fast path is configured: the flat kernel,
+incremental cone resimulation, memoized fitness.  The gate is the
+*independent* check that runs once per job on the final answer
+(:class:`repro.jobs.Scheduler`, after the job's last slice;
+:func:`~repro.core.windowing.optimize_window`, once per spliced window),
+off the hot path and sharing none of those optimizations:
+
+1. **Equivalence on the object path** — the final
+   :class:`~repro.rqfp.netlist.RqfpNetlist` (never the kernel) goes
+   through :func:`realizes`, under ``config.sat_conflict_budget``;
+   above the limit a re-simulation on a freshly seeded pattern set
+   runs first.
 2. **RQFP legality** — :func:`repro.rqfp.validate.validate_circuit`
    checks the single-fan-out law and path balancing against the
-   circuit's :class:`~repro.rqfp.buffers.BufferPlan`.
-3. **SAT equivalence** — the CEC miter
-   (:func:`repro.sat.equivalence.check_against_tables`) proves the
-   netlist realizes the spec, independent of the simulation patterns.
+   circuit's :class:`~repro.rqfp.buffers.BufferPlan`, at every width.
 
 Violations raise typed :mod:`repro.errors` exceptions
-(:class:`~repro.errors.EquivalenceViolation`,
+(:class:`~repro.errors.EquivalenceViolation`, with a counterexample,
 :class:`~repro.errors.FanoutViolation`,
 :class:`~repro.errors.PathBalanceViolation`,
 :class:`~repro.errors.VerificationUndecided`); a clean pass returns a
@@ -35,21 +39,54 @@ import random
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from ..errors import EquivalenceViolation, VerificationUndecided
-from ..logic.truth_table import TruthTable
+from ..errors import (EquivalenceViolation, VerificationError,
+                      VerificationUndecided)
+from ..logic.truth_table import TruthTable, first_mismatch
 from ..rqfp.buffer_opt import optimal_levels
 from ..rqfp.buffers import BufferPlan
 from ..rqfp.netlist import RqfpNetlist
 from ..rqfp.validate import validate_circuit
-from ..sat.equivalence import check_against_tables
+from ..sat.equivalence import CecResult, check_against_tables
+from ..sat.solver import SAT
+from . import fitness
 from .config import RcgpConfig
 
-__all__ = ["VerificationReport", "verify_evolution_result"]
+__all__ = ["VerificationReport", "realizes", "verify_evolution_result"]
 
 #: Pattern count for the gate's sampled re-simulation leg.  Independent
 #: of ``config.simulation_patterns`` on purpose: the gate must not
 #: inherit a weak fitness-side pattern budget.
 _GATE_PATTERNS = 4096
+
+
+def realizes(netlist: RqfpNetlist, spec: Sequence[TruthTable],
+             conflict_budget: Optional[int] = None) -> CecResult:
+    """Decide whether ``netlist`` realizes ``spec``, by fitness's rule.
+
+    Up to :data:`~repro.core.fitness.EXHAUSTIVE_FORMAL_LIMIT` inputs
+    (read per call) the netlist is simulated exhaustively on the object
+    path, in ``2**16``-pattern chunks
+    (:func:`~repro.logic.truth_table.first_mismatch`): the result has
+    ``method="simulation"`` and no conflicts, and an inequivalent one
+    carries the lowest input pattern that separates netlist and spec.
+    Wider netlists go to the SAT miter (:func:`check_against_tables`)
+    under ``conflict_budget``; ``None`` means unbounded, so the answer
+    is always decided.  A netlist whose input or output count differs
+    from the spec's raises :class:`~repro.errors.VerificationError`.
+    """
+    spec = list(spec)
+    if netlist.num_inputs != spec[0].num_vars or \
+            netlist.num_outputs != len(spec):
+        raise VerificationError(
+            f"interface mismatch: netlist {netlist.num_inputs}->"
+            f"{netlist.num_outputs}, spec {spec[0].num_vars}->{len(spec)}")
+    if netlist.num_inputs > fitness.EXHAUSTIVE_FORMAL_LIMIT:
+        return check_against_tables(netlist.encoder(), spec,
+                                    conflict_budget=conflict_budget)
+    pattern = first_mismatch(netlist.simulate, spec)
+    if pattern is None:
+        return CecResult(True, method="simulation")
+    return CecResult(False, pattern, status=SAT, method="simulation")
 
 
 @dataclass(frozen=True)
@@ -60,11 +97,12 @@ class VerificationReport:
     """Patterns re-simulated (``2^n`` when exhaustive)."""
 
     exhaustive: bool
-    """Whether re-simulation covered the whole input space."""
+    """Whether simulation covered the whole input space (up to
+    :data:`~repro.core.fitness.EXHAUSTIVE_FORMAL_LIMIT` inputs)."""
 
     sat_checked: bool
-    """Whether the SAT miter ran (skipped when simulation was
-    exhaustive — exhaustive simulation already is a proof)."""
+    """Whether the SAT miter ran (only above the limit: exhaustive
+    simulation already is a proof)."""
 
     sat_conflicts: int
     """CDCL conflicts spent by the miter (0 when skipped)."""
@@ -74,15 +112,9 @@ class VerificationReport:
 
 
 def _resimulate(netlist: RqfpNetlist, spec: Sequence[TruthTable],
-                exhaustive: bool, seed: Optional[int]) -> int:
-    """Object-path simulation check; returns the pattern count."""
+                seed: Optional[int]) -> int:
+    """Sampled object-path simulation check; returns the pattern count."""
     num_inputs = netlist.num_inputs
-    if exhaustive:
-        if netlist.to_truth_tables() != list(spec):
-            raise EquivalenceViolation(
-                "result gate: exhaustive re-simulation disagrees with "
-                "the specification")
-        return 1 << num_inputs
     rng = random.Random(0 if seed is None else seed ^ 0x5EED)
     patterns = [rng.getrandbits(num_inputs) for _ in range(_GATE_PATTERNS)]
     mask = (1 << len(patterns)) - 1
@@ -119,32 +151,29 @@ def verify_evolution_result(netlist: RqfpNetlist,
     """
     config = config or RcgpConfig()
     spec = list(spec)
-    exhaustive = netlist.num_inputs <= config.exhaustive_input_limit
+    exhaustive = netlist.num_inputs <= fitness.EXHAUSTIVE_FORMAL_LIMIT
 
-    # 1. Functional: object-path re-simulation.
-    simulated = _resimulate(netlist, spec, exhaustive, config.seed)
+    # 1. Functional: the one rule, after a cheap sample above the limit.
+    simulated = 1 << netlist.num_inputs if exhaustive else \
+        _resimulate(netlist, spec, config.seed)
+    result = realizes(netlist, spec,
+                      conflict_budget=config.sat_conflict_budget)
+    if result.equivalent is False:
+        method = "exhaustive simulation" if exhaustive else "SAT"
+        raise EquivalenceViolation(
+            f"result gate: {method} found the circuit inequivalent to "
+            "the specification",
+            counterexample=result.counterexample)
+    if result.equivalent is None:
+        raise VerificationUndecided(
+            "result gate: SAT conflict budget exhausted "
+            f"({result.conflicts} conflicts) with equivalence undecided")
 
     # 2. Legal: single fan-out + path balancing against the plan.
     if plan is None:
         plan = optimal_levels(netlist)
     validate_circuit(netlist, plan)
-
-    # 3. Formal: SAT miter, unless simulation already was exhaustive.
-    conflicts = 0
-    if not exhaustive:
-        result = check_against_tables(
-            netlist.encoder(), spec,
-            conflict_budget=config.sat_conflict_budget)
-        conflicts = result.conflicts
-        if result.equivalent is False:
-            raise EquivalenceViolation(
-                "result gate: SAT found the circuit inequivalent to "
-                "the specification",
-                counterexample=result.counterexample)
-        if result.equivalent is None:
-            raise VerificationUndecided(
-                "result gate: SAT conflict budget exhausted "
-                f"({conflicts} conflicts) with equivalence undecided")
     return VerificationReport(
         simulated_patterns=simulated, exhaustive=exhaustive,
-        sat_checked=not exhaustive, sat_conflicts=conflicts, plan=plan)
+        sat_checked=not exhaustive, sat_conflicts=result.conflicts,
+        plan=plan)

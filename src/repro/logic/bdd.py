@@ -118,26 +118,6 @@ class BddManager:
                 else self._lo[node]
         return node
 
-    def count_solutions(self, node: int) -> int:
-        """Number of satisfying assignments over all variables."""
-        memo: Dict[int, int] = {}
-
-        def walk(n: int) -> int:
-            # Returns count over variables var(n)..num_vars-1.
-            if n <= 1:
-                return n
-            if n in memo:
-                return memo[n]
-            span_lo = self._var[self._lo[n]] - self._var[n] - 1
-            span_hi = self._var[self._hi[n]] - self._var[n] - 1
-            total = (walk(self._lo[n]) << span_lo) + \
-                (walk(self._hi[n]) << span_hi)
-            memo[n] = total
-            return total
-
-        return walk(node) << self._var[node] if node > 1 else (
-            node << self.num_vars if node else 0)
-
     def size(self, node: int) -> int:
         """Number of internal nodes in the cone of ``node``."""
         seen = set()

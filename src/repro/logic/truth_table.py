@@ -11,9 +11,14 @@ operators give whole-table logic evaluation in one machine-level op.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, List, Sequence
+from typing import (Callable, Iterable, Iterator, List, Optional, Sequence,
+                    Tuple)
 
 from .bitops import full_mask, majority3, popcount, variable_pattern
+
+#: Inputs simulated word-parallel per chunk by :func:`exhaustive_chunks`
+#: (``2**16`` patterns: 8 KiB words).
+_CHUNK_INPUTS = 16
 
 
 class TruthTable:
@@ -74,17 +79,6 @@ class TruthTable:
             if fn(*args):
                 bits |= 1 << t
         return cls(num_vars, bits)
-
-    @classmethod
-    def from_binary_string(cls, text: str) -> "TruthTable":
-        """Parse a pattern-indexed binary string, MSB = highest pattern."""
-        clean = text.replace("_", "").strip()
-        n = len(clean)
-        if n == 0 or n & (n - 1):
-            raise ValueError(f"binary string length {n} is not a power of two")
-        if set(clean) - {"0", "1"}:
-            raise ValueError(f"invalid binary string {text!r}")
-        return cls(n.bit_length() - 1, int(clean, 2))
 
     # -- queries ---------------------------------------------------------
 
@@ -192,32 +186,6 @@ class TruthTable:
             width <<= 1
         return TruthTable(num_vars, bits)
 
-    def shrink_to_support(self) -> "tuple[TruthTable, List[int]]":
-        """Project onto the true support; returns (table, old-var indices)."""
-        sup = self.support()
-        values = []
-        for t in range(1 << len(sup)):
-            pattern = 0
-            for j, var in enumerate(sup):
-                if (t >> j) & 1:
-                    pattern |= 1 << var
-            values.append(self.value(pattern))
-        return TruthTable.from_values(values) if sup else TruthTable(0, self.bits & 1), sup
-
-    def permute(self, order: Sequence[int]) -> "TruthTable":
-        """Reorder variables: new variable ``i`` is old variable ``order[i]``."""
-        if sorted(order) != list(range(self.num_vars)):
-            raise ValueError(f"{order!r} is not a permutation of the variables")
-        bits = 0
-        for t in range(1 << self.num_vars):
-            old_pattern = 0
-            for new_var, old_var in enumerate(order):
-                if (t >> new_var) & 1:
-                    old_pattern |= 1 << old_var
-            if (self.bits >> old_pattern) & 1:
-                bits |= 1 << t
-        return TruthTable(self.num_vars, bits)
-
     # -- dunder plumbing ----------------------------------------------------
 
     def __eq__(self, other) -> bool:
@@ -273,3 +241,59 @@ def tables_equal(a: Iterable[TruthTable], b: Iterable[TruthTable]) -> bool:
     """Elementwise equality of two output-table lists."""
     la, lb = list(a), list(b)
     return len(la) == len(lb) and all(x == y for x, y in zip(la, lb))
+
+
+def exhaustive_chunks(num_inputs: int) -> Iterator[Tuple[int, List[int], int]]:
+    """Every input pattern of ``num_inputs`` inputs, in simulator chunks.
+
+    Yields ``(offset, input_words, mask)`` per chunk of ``2**16``
+    patterns (a single chunk up to 16 inputs): the low inputs take their
+    projection words and each higher input a constant word, so chunk
+    slot ``t`` is input pattern ``offset + t`` and no word outgrows
+    8 KiB however wide the function.
+    """
+    low = min(num_inputs, _CHUNK_INPUTS)
+    high = num_inputs - low
+    mask = full_mask(low)
+    words = [variable_pattern(i, low) for i in range(low)]
+    for chunk in range(1 << high):
+        yield (chunk << low,
+               words + [mask if (chunk >> i) & 1 else 0 for i in range(high)],
+               mask)
+
+
+def tabulate_simulation(simulate: Callable[[List[int], int], List[int]],
+                        num_inputs: int) -> List[TruthTable]:
+    """One truth table per output of a bit-parallel simulator.
+
+    ``simulate(input_words, mask)`` returns one word per output (the
+    ``simulate`` of ``Aig``, ``Mig``, ``RqfpNetlist`` or
+    ``NetlistKernel``); it runs once per :func:`exhaustive_chunks`
+    chunk, and each output's chunks are joined as bytes.
+    """
+    got = [simulate(words, mask)
+           for _, words, mask in exhaustive_chunks(num_inputs)]
+    if len(got) == 1:
+        return [TruthTable(num_inputs, word) for word in got[0]]
+    size = (1 << _CHUNK_INPUTS) // 8
+    return [TruthTable(num_inputs, int.from_bytes(
+                b"".join(word.to_bytes(size, "little") for word in parts),
+                "little"))
+            for parts in zip(*got)]
+
+
+def first_mismatch(simulate: Callable[[List[int], int], List[int]],
+                   tables: Sequence[TruthTable]) -> Optional[int]:
+    """Lowest input pattern on which a bit-parallel simulator disagrees
+    with ``tables``, or ``None`` when it realizes them.
+
+    Exhaustive, one :func:`exhaustive_chunks` chunk at a time; the first
+    chunk that differs ends the check.
+    """
+    for offset, words, mask in exhaustive_chunks(tables[0].num_vars):
+        wrong = 0
+        for value, table in zip(simulate(words, mask), tables):
+            wrong |= (value ^ (table.bits >> offset)) & mask
+        if wrong:
+            return offset + (wrong & -wrong).bit_length() - 1
+    return None

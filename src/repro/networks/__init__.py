@@ -12,7 +12,6 @@ from .aig import (
 from .convert import (
     aig_to_mig,
     mig_to_aig,
-    network_tables,
     tables_to_aig,
     tables_to_mig,
 )
@@ -31,5 +30,4 @@ __all__ = [
     "tables_to_mig",
     "aig_to_mig",
     "mig_to_aig",
-    "network_tables",
 ]

@@ -9,7 +9,7 @@ benchmark sizes in the paper).
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import Sequence
 
 from ..logic.isop import best_phase_isop
 from ..logic.truth_table import TruthTable
@@ -93,8 +93,3 @@ def mig_to_aig(mig: Mig) -> Aig:
 def tables_to_mig(tables: Sequence[TruthTable], name: str = "") -> Mig:
     """Truth tables straight to a MIG (via the AIG construction)."""
     return aig_to_mig(tables_to_aig(tables, name=name))
-
-
-def network_tables(network) -> List[TruthTable]:
-    """Exhaustive truth tables of any network exposing ``to_truth_tables``."""
-    return network.to_truth_tables()

@@ -18,8 +18,8 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..errors import NetlistError
-from ..logic.bitops import full_mask, majority3, variable_pattern
-from ..logic.truth_table import TruthTable
+from ..logic.bitops import majority3
+from ..logic.truth_table import TruthTable, tabulate_simulation
 from ..sat.cnf import CNF
 from ..sat.tseitin import encode_maj3
 from .aig import CONST0, CONST1, lit, lit_complement, lit_node, lit_not
@@ -217,10 +217,9 @@ class Mig:
         return [lit_value(o) for o in self.outputs]
 
     def to_truth_tables(self) -> List[TruthTable]:
-        n = self.num_inputs
-        mask = full_mask(n)
-        words = [variable_pattern(i, n) for i in range(n)]
-        return [TruthTable(n, w) for w in self.simulate(words, mask)]
+        """Exhaustive simulation into one truth table per output, in
+        :func:`~repro.logic.truth_table.tabulate_simulation`'s chunks."""
+        return tabulate_simulation(self.simulate, self.num_inputs)
 
     def to_cnf(self, cnf: CNF, input_lits: Sequence[int]) -> List[int]:
         if len(input_lits) != self.num_inputs:

@@ -144,8 +144,3 @@ def normal_gate(a: int, b: int, c: int, mask: int = 1) -> Tuple[int, int, int]:
 def splitter_outputs(x: int, mask: int = 1) -> Tuple[int, int, int]:
     """``R(1, x, 1)`` with :data:`SPLITTER_CONFIG` — three copies of ``x``."""
     return gate_outputs(mask, x, mask, SPLITTER_CONFIG, mask)
-
-
-def inverter_outputs(x: int, mask: int = 1) -> Tuple[int, int, int]:
-    """``R(x, 1, 1)`` with :data:`INVERTER_CONFIG` — three copies of ``!x``."""
-    return gate_outputs(x, mask, mask, INVERTER_CONFIG, mask)

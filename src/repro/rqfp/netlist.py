@@ -23,8 +23,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..errors import FanoutViolation, NetlistError
-from ..logic.bitops import full_mask, variable_pattern
-from ..logic.truth_table import TruthTable
+from ..logic.truth_table import TruthTable, tabulate_simulation
 from ..sat.cnf import CNF
 from ..sat.tseitin import encode_const, encode_maj3
 from .gate import check_config, config_to_string
@@ -102,9 +101,6 @@ class RqfpNetlist:
 
     def num_ports(self) -> int:
         return self.num_inputs + 1 + 3 * len(self.gates)
-
-    def is_const_port(self, port: int) -> bool:
-        return port == CONST_PORT
 
     def is_input_port(self, port: int) -> bool:
         return 1 <= port <= self.num_inputs
@@ -465,10 +461,9 @@ class RqfpNetlist:
         return [values[p] for p in self.outputs]
 
     def to_truth_tables(self) -> List[TruthTable]:
-        n = self.num_inputs
-        mask = full_mask(n)
-        words = [variable_pattern(i, n) for i in range(n)]
-        return [TruthTable(n, w) for w in self.simulate(words, mask)]
+        """Exhaustive simulation into one truth table per output, in
+        :func:`~repro.logic.truth_table.tabulate_simulation`'s chunks."""
+        return tabulate_simulation(self.simulate, self.num_inputs)
 
     def to_cnf(self, cnf: CNF, input_lits: Sequence[int]) -> List[int]:
         """Tseitin-encode the netlist; returns PO literals."""

@@ -34,6 +34,7 @@ class CecResult:
     counterexample: Optional[int] = None  # input pattern (LSB = input 0)
     conflicts: int = 0
     status: str = field(default=UNSAT)
+    method: str = "sat"  # or "simulation": repro.core.verify.realizes
 
     @property
     def decided(self) -> bool:

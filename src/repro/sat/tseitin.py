@@ -124,32 +124,3 @@ def encode_xor_many(cnf: CNF, lits: Sequence[int],
         encode_equal(cnf, acc, out)
         return out
     return acc
-
-
-class GateEncoder:
-    """Stateful helper mapping named signals to literals while encoding a
-    netlist into CNF.  Structures use this to implement ``to_cnf``."""
-
-    def __init__(self, cnf: CNF):
-        self.cnf = cnf
-        self._const_true: Optional[int] = None
-
-    def const_true(self) -> int:
-        if self._const_true is None:
-            self._const_true = encode_const(self.cnf, True)
-        return self._const_true
-
-    def const_false(self) -> int:
-        return -self.const_true()
-
-    def maj3(self, a: int, b: int, c: int) -> int:
-        return encode_maj3(self.cnf, a, b, c)
-
-    def and2(self, a: int, b: int) -> int:
-        return encode_and(self.cnf, a, b)
-
-    def or2(self, a: int, b: int) -> int:
-        return encode_or(self.cnf, a, b)
-
-    def xor2(self, a: int, b: int) -> int:
-        return encode_xor(self.cnf, a, b)

@@ -66,14 +66,6 @@ class TestOperators:
             lambda a, b, c: (a & b) | (a & c) | (b & c), 3)
         assert mgr.to_truth_table(maj) == want
 
-    def test_count_solutions(self, rng):
-        for _ in range(20):
-            n = rng.randint(1, 5)
-            mgr = BddManager(n)
-            table = TruthTable(n, rng.getrandbits(1 << n))
-            node = mgr.from_truth_table(table)
-            assert mgr.count_solutions(node) == table.count_ones()
-
     def test_size_counts_internal_nodes(self):
         mgr = BddManager(3)
         node = mgr.apply_xor(mgr.apply_xor(mgr.var(0), mgr.var(1)),

@@ -15,7 +15,6 @@ from repro.rqfp.gate import (
     gate_output_tables,
     gate_outputs,
     inverter_bit,
-    inverter_outputs,
     is_reversible_config,
     normal_gate,
     splitter_outputs,
@@ -62,10 +61,6 @@ class TestSplitterInverter:
 
     def test_splitter_not_reversible(self):
         assert not is_reversible_config(SPLITTER_CONFIG)
-
-    def test_inverter_copies(self):
-        assert inverter_outputs(0) == (1, 1, 1)
-        assert inverter_outputs(1) == (0, 0, 0)
 
 
 class TestConfigEncoding:

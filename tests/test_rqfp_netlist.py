@@ -30,7 +30,6 @@ class TestPortIndexing:
     def test_port_classification(self):
         netlist = RqfpNetlist(2)
         netlist.add_gate(1, 2, 0, NORMAL_CONFIG)
-        assert netlist.is_const_port(0)
         assert netlist.is_input_port(1) and netlist.is_input_port(2)
         assert netlist.is_gate_port(3)
         assert not netlist.is_gate_port(0)

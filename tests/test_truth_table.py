@@ -2,7 +2,18 @@
 
 import pytest
 
-from repro.logic.truth_table import TruthTable, tables_equal, tabulate_word
+from repro.logic.bitops import full_mask, variable_pattern
+from repro.logic.truth_table import (
+    TruthTable,
+    exhaustive_chunks,
+    first_mismatch,
+    tables_equal,
+    tabulate_word,
+)
+from repro.networks.aig import lit
+from repro.networks.mig import Mig
+from repro.rqfp.gate import NUM_CONFIGS
+from repro.rqfp.netlist import RqfpNetlist
 
 
 class TestConstruction:
@@ -26,10 +37,6 @@ class TestConstruction:
     def test_from_function(self):
         xor = TruthTable.from_function(lambda a, b: a ^ b, 2)
         assert xor == TruthTable.from_values([0, 1, 1, 0])
-
-    def test_binary_string_round_trip(self):
-        tt = TruthTable(3, 0b10110010)
-        assert TruthTable.from_binary_string(tt.to_binary_string()) == tt
 
     def test_bits_out_of_range(self):
         with pytest.raises(ValueError):
@@ -112,21 +119,6 @@ class TestTransforms:
         for t in range(16):
             assert g.value(t) == f.value(t & 3)
 
-    def test_shrink_to_support(self):
-        f = TruthTable.from_function(lambda a, b, c: a ^ c, 3)
-        small, support = f.shrink_to_support()
-        assert support == [0, 2]
-        assert small == TruthTable.from_function(lambda a, c: a ^ c, 2)
-
-    def test_permute(self):
-        f = TruthTable.from_function(lambda a, b: a & ~b & 1, 2)
-        g = f.permute([1, 0])
-        assert g == TruthTable.from_function(lambda a, b: b & ~a & 1, 2)
-
-    def test_permute_rejects_non_permutation(self):
-        with pytest.raises(ValueError):
-            TruthTable.variable(0, 2).permute([0, 0])
-
 
 class TestTabulateWord:
     def test_adder(self):
@@ -143,3 +135,69 @@ class TestTabulateWord:
         b = tabulate_word(lambda x: x, 2, 2)
         assert tables_equal(a, b)
         assert not tables_equal(a, b[:1])
+
+
+def _wide_netlist(num_inputs, rng):
+    """A few random RQFP gates, each fed by the top input, so the outputs
+    depend on an input above the first chunk."""
+    netlist = RqfpNetlist(num_inputs, "wide")
+    for g in range(8):
+        limit = netlist.first_gate_port(g)
+        netlist.add_gate(num_inputs, rng.randrange(limit),
+                         rng.randrange(limit), rng.randrange(NUM_CONFIGS))
+    for port in range(netlist.num_ports() - 3, netlist.num_ports()):
+        netlist.add_output(port)
+    return netlist
+
+
+def _wide_mig(num_inputs, rng):
+    mig = Mig(num_inputs, "wide")
+    lits = [lit(node) for node in mig.inputs]
+    for _ in range(8):
+        a, b = rng.sample(lits, 2)
+        lits.append(mig.add_maj(lits[num_inputs - 1], a ^ rng.getrandbits(1),
+                                b ^ rng.getrandbits(1)))
+    for literal in lits[-3:]:
+        mig.add_output(literal)
+    return mig
+
+
+def _full_width_tables(network, num_inputs):
+    words = [variable_pattern(i, num_inputs) for i in range(num_inputs)]
+    return [TruthTable(num_inputs, word)
+            for word in network.simulate(words, full_mask(num_inputs))]
+
+
+class TestExhaustiveChunks:
+    """Every exhaustive tabulation and mismatch search runs in chunks of
+    ``2**16`` patterns."""
+
+    def test_chunks_cover_every_pattern_once(self):
+        assert len(list(exhaustive_chunks(16))) == 1
+        chunks = list(exhaustive_chunks(18))
+        assert [offset for offset, _, _ in chunks] == \
+            [k << 16 for k in range(4)]
+        for k, (_, words, mask) in enumerate(chunks):
+            assert mask == full_mask(16)
+            assert words[:16] == [variable_pattern(i, 16)
+                                  for i in range(16)]
+            assert words[16:] == [mask * (k & 1), mask * (k >> 1)]
+
+    @pytest.mark.parametrize("num_inputs", [17, 18])
+    @pytest.mark.parametrize("build", [_wide_netlist, _wide_mig])
+    def test_chunked_tables_equal_full_width_simulation(
+            self, rng, build, num_inputs):
+        network = build(num_inputs, rng)
+        tables = network.to_truth_tables()
+        assert tables == _full_width_tables(network, num_inputs)
+        assert any(t.depends_on(var) for t in tables
+                   for var in range(16, num_inputs))
+
+    def test_first_mismatch_finds_the_flipped_pattern(self, rng):
+        netlist = _wide_netlist(18, rng)
+        tables = netlist.to_truth_tables()
+        assert first_mismatch(netlist.simulate, tables) is None
+        for pattern in (0, 0x2BEEF, (1 << 18) - 1):
+            wrong = list(tables)
+            wrong[1] = TruthTable(18, tables[1].bits ^ (1 << pattern))
+            assert first_mismatch(netlist.simulate, wrong) == pattern

@@ -7,7 +7,6 @@ import pytest
 from repro.sat.cnf import CNF
 from repro.sat.solver import SAT, UNSAT, Solver
 from repro.sat.tseitin import (
-    GateEncoder,
     encode_and,
     encode_and_many,
     encode_buf,
@@ -111,19 +110,3 @@ class TestHelpers:
         encode_equal(cnf, a, b)
         cnf.add_clauses([[a], [-b]])
         assert Solver(cnf).solve() == UNSAT
-
-    def test_gate_encoder_consts_cached(self):
-        cnf = CNF()
-        enc = GateEncoder(cnf)
-        assert enc.const_true() == enc.const_true()
-        assert enc.const_false() == -enc.const_true()
-
-    def test_gate_encoder_ops(self):
-        cnf = CNF()
-        enc = GateEncoder(cnf)
-        a, b, c = cnf.new_vars(3)
-        out = enc.maj3(enc.and2(a, b), enc.or2(a, c), enc.xor2(b, c))
-        cnf.add_clauses([[a], [b], [-c]])
-        cnf.add_clause([out])
-        # a=1,b=1,c=0: and=1, or=1, xor=1 -> maj=1.
-        assert Solver(cnf).solve() == SAT

@@ -1,20 +1,28 @@
 """The end-of-run result gate (``repro.core.verify``).
 
 The gate is deliberately *independent* of the fitness fast paths: it
-re-simulates the final netlist on the object path, validates RQFP
-legality against the buffer plan and (for sampled specs) proves
-equivalence with the SAT miter.  These tests check both directions —
+decides equivalence of the final netlist on the object path by
+fitness's rule (exhaustive simulation up to ``EXHAUSTIVE_FORMAL_LIMIT``
+inputs, a sampled re-simulation and the SAT miter above) and validates
+RQFP legality against the buffer plan.  These tests check both directions —
 clean results pass and produce an accurate report; corrupted results
 raise the precise typed exception.
 """
 
 import pytest
 
+import repro.core.fitness as fitness_mod
 import repro.core.verify as verify_mod
 from repro.api import Session, synthesize
+from repro.bench.extras import one_hot_checker
 from repro.core.config import RcgpConfig
 from repro.core.engine import EvolutionRun, read_telemetry
-from repro.core.verify import VerificationReport, verify_evolution_result
+from repro.core.synthesis import initialize_netlist
+from repro.core.verify import (
+    VerificationReport,
+    realizes,
+    verify_evolution_result,
+)
 from repro.errors import (
     EquivalenceViolation,
     FanoutViolation,
@@ -23,7 +31,7 @@ from repro.errors import (
     VerificationUndecided,
 )
 from repro.jobs import FAILED
-from repro.logic.truth_table import tabulate_word
+from repro.logic.truth_table import TruthTable, tabulate_word
 from repro.rqfp.gate import NORMAL_CONFIG
 from repro.rqfp.netlist import RqfpNetlist
 from repro.rqfp.splitters import insert_splitters
@@ -51,20 +59,21 @@ class TestGatePasses:
         assert not report.sat_checked and report.sat_conflicts == 0
         assert report.plan is not None
 
-    def test_sampled_pass_runs_sat(self):
+    def test_sampled_pass_runs_sat(self, monkeypatch):
         spec = _decoder_spec()
         netlist = _synthesized(spec)
-        config = RcgpConfig(seed=7, exhaustive_input_limit=1,
-                            simulation_patterns=32)
+        monkeypatch.setattr(fitness_mod, "EXHAUSTIVE_FORMAL_LIMIT", 0)
+        config = RcgpConfig(seed=7, simulation_patterns=32)
         report = verify_evolution_result(netlist, spec, config)
         assert not report.exhaustive
         assert report.simulated_patterns == verify_mod._GATE_PATTERNS
         assert report.sat_checked
 
-    def test_gate_is_seed_stable(self):
+    def test_gate_is_seed_stable(self, monkeypatch):
         spec = _decoder_spec()
         netlist = _synthesized(spec)
-        config = RcgpConfig(exhaustive_input_limit=1)  # unseeded sampled
+        monkeypatch.setattr(fitness_mod, "EXHAUSTIVE_FORMAL_LIMIT", 0)
+        config = RcgpConfig()  # unseeded sampled
         assert verify_evolution_result(netlist, spec, config).sat_checked
 
 
@@ -77,12 +86,14 @@ class TestGateRejects:
         with pytest.raises(EquivalenceViolation):
             verify_evolution_result(netlist, wrong)
 
-    def test_sampled_wrong_function_carries_counterexample(self):
+    def test_sampled_wrong_function_carries_counterexample(
+            self, monkeypatch):
         spec = _decoder_spec()
         netlist = _synthesized(spec)
         wrong = list(spec)
         wrong[0], wrong[1] = wrong[1], wrong[0]
-        config = RcgpConfig(seed=7, exhaustive_input_limit=1)
+        monkeypatch.setattr(fitness_mod, "EXHAUSTIVE_FORMAL_LIMIT", 0)
+        config = RcgpConfig(seed=7)
         with pytest.raises(EquivalenceViolation) as excinfo:
             verify_evolution_result(netlist, wrong, config)
         assert excinfo.value.counterexample is not None
@@ -110,13 +121,95 @@ class TestGateRejects:
 
         monkeypatch.setattr(verify_mod, "check_against_tables",
                             lambda *a, **k: _Undecided())
-        config = RcgpConfig(seed=7, exhaustive_input_limit=1)
+        monkeypatch.setattr(fitness_mod, "EXHAUSTIVE_FORMAL_LIMIT", 0)
+        config = RcgpConfig(seed=7)
         with pytest.raises(VerificationUndecided):
             verify_evolution_result(netlist, spec, config)
 
     def test_typed_errors_share_the_verification_root(self):
         assert issubclass(EquivalenceViolation, VerificationError)
         assert issubclass(VerificationUndecided, VerificationError)
+
+
+def _initialized(bits):
+    spec = one_hot_checker(bits)
+    return initialize_netlist(spec, f"onehot{bits}"), spec
+
+
+class TestOneRule:
+    """Every netlist-vs-spec check decides by fitness's rule: exhaustive
+    simulation up to ``EXHAUSTIVE_FORMAL_LIMIT`` inputs (chunked above
+    16), the SAT miter above."""
+
+    @pytest.mark.parametrize("bits", [15, 16])
+    def test_gate_decides_by_simulation_up_to_the_limit(self, bits):
+        # One conflict is far too few for the miter: only simulation
+        # can pass these.
+        netlist, spec = _initialized(bits)
+        report = verify_evolution_result(
+            netlist, spec, RcgpConfig(sat_conflict_budget=1))
+        assert report.exhaustive and not report.sat_checked
+        assert report.sat_conflicts == 0
+        assert report.simulated_patterns == 1 << bits
+
+    def test_wrong_16_input_netlist_fails_by_simulation(self, monkeypatch):
+        netlist, spec = _initialized(16)
+        pattern = 0xBEEF  # the one pattern the wrong spec differs on
+        wrong = [TruthTable(16, spec[0].bits ^ (1 << pattern))]
+
+        def no_sat(*args, **kwargs):
+            raise AssertionError("the gate ran the miter at 16 inputs")
+
+        monkeypatch.setattr(verify_mod, "check_against_tables", no_sat)
+        with pytest.raises(EquivalenceViolation) as excinfo:
+            verify_evolution_result(netlist, wrong,
+                                    RcgpConfig(sat_conflict_budget=1))
+        cex = excinfo.value.counterexample
+        assert cex == pattern
+        words = [(cex >> i) & 1 for i in range(16)]
+        assert netlist.simulate(words, 1)[0] != wrong[0].value(cex)
+
+    def test_realizes_reads_the_limit_per_call(self, monkeypatch):
+        netlist, spec = _initialized(16)
+        assert realizes(netlist, spec, conflict_budget=1).method == \
+            "simulation"
+        monkeypatch.setattr(fitness_mod, "EXHAUSTIVE_FORMAL_LIMIT", 15)
+        result = realizes(netlist, spec)
+        assert result.method == "sat" and result.equivalent is True
+
+    def test_realizes_rejects_an_interface_mismatch(self):
+        netlist, spec = _initialized(15)
+        with pytest.raises(VerificationError, match="interface mismatch"):
+            realizes(netlist, spec + spec)
+
+    def test_synthesis_result_verify_decides_through_realizes(
+            self, monkeypatch):
+        spec = _decoder_spec()
+        result = synthesize(spec, RcgpConfig(generations=30, seed=7))
+        calls = []
+        real = verify_mod.realizes
+        monkeypatch.setattr(
+            "repro.core.synthesis.realizes",
+            lambda *args, **kwargs: calls.append(kwargs) or
+            real(*args, **kwargs))
+        assert result.verify() is True
+        assert calls == [{}]  # no conflict budget: always decided
+
+    def test_cli_verify_decides_16_inputs_under_one_conflict(
+            self, tmp_path, capsys):
+        from repro.cli import main
+        from repro.io.pla import write_pla
+        from repro.io.rqfp_json import write_rqfp_json
+        netlist, spec = _initialized(16)
+        net_path = tmp_path / "onehot16.json"
+        net_path.write_text(write_rqfp_json(netlist))
+        pla_path = tmp_path / "onehot16.pla"
+        pla_path.write_text(write_pla(spec))
+        rc = main(["verify", str(net_path), str(pla_path),
+                   "--conflicts", "1"])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert out.startswith("EQUIVALENT") and "exhaustive simulation" in out
 
 
 class TestEngineIntegration:

@@ -13,9 +13,9 @@ from repro.core.windowing import (
     splice_window,
     windowed_optimize,
 )
-from repro.errors import NetlistError
+from repro.errors import EquivalenceViolation, NetlistError
 from repro.logic.truth_table import tabulate_word
-from repro.rqfp.gate import NORMAL_CONFIG
+from repro.rqfp.gate import NORMAL_CONFIG, SPLITTER_CONFIG
 from repro.rqfp.netlist import CONST_PORT, RqfpNetlist
 
 
@@ -135,6 +135,68 @@ class TestOptimizeWindow:
         wide = len(window.input_ports)
         assert optimize_window(netlist, 0, netlist.num_gates,
                                max_inputs=wide - 1) is None
+
+
+def _redundant_ands():
+    """Two ANDs, each behind a wire gate that a window can drop."""
+    netlist = RqfpNetlist(4, "redundant")
+    for a, b in ((1, 2), (3, 4)):
+        wire = netlist.add_gate(CONST_PORT, a, CONST_PORT, SPLITTER_CONFIG)
+        gate = netlist.add_gate(netlist.gate_output_port(wire, 0), b,
+                                CONST_PORT, NORMAL_CONFIG)
+        netlist.add_output(netlist.gate_output_port(gate, 2))
+    return netlist
+
+
+class TestWindowGate:
+    """With ``verify_result`` each improved window passes the result
+    gate, which ``optimize_window`` looks up at call time."""
+
+    CONFIG = RcgpConfig(generations=200, mutation_rate=1.0,
+                        max_mutated_genes=4, shrink="always", seed=1,
+                        verify_result=True)
+
+    @pytest.fixture
+    def gate_calls(self, monkeypatch):
+        import repro.core.verify as verify_mod
+        calls = []
+        real = verify_mod.verify_evolution_result
+
+        def counting(netlist, spec, config=None, plan=None):
+            calls.append((netlist, spec))
+            return real(netlist, spec, config, plan)
+
+        monkeypatch.setattr(verify_mod, "verify_evolution_result", counting)
+        return calls
+
+    def test_gate_runs_once_per_improved_window(self, gate_calls):
+        result = windowed_optimize(_redundant_ands(), window_gates=2,
+                                   config=self.CONFIG, seed=0)
+        assert result.windows_improved == 2
+        assert len(gate_calls) == 2
+        for improved, spec in gate_calls:
+            # The gate sees the improved window, not the extracted one.
+            assert improved.num_gates == 1
+            assert improved.to_truth_tables() == spec
+
+    def test_gate_skips_a_window_that_does_not_improve(self, gate_calls):
+        netlist = RqfpNetlist(2, "and")
+        gate = netlist.add_gate(1, 2, CONST_PORT, NORMAL_CONFIG)
+        netlist.add_output(netlist.gate_output_port(gate, 2))
+        assert optimize_window(netlist, 0, 1, self.CONFIG) is None
+        assert gate_calls == []
+
+    def test_failing_gate_raises_its_typed_error(self, monkeypatch):
+        import repro.core.verify as verify_mod
+        error = EquivalenceViolation("window gate failed", counterexample=3)
+
+        def failing(netlist, spec, config=None, plan=None):
+            raise error
+
+        monkeypatch.setattr(verify_mod, "verify_evolution_result", failing)
+        with pytest.raises(EquivalenceViolation) as excinfo:
+            optimize_window(_redundant_ands(), 0, 2, self.CONFIG)
+        assert excinfo.value is error
 
 
 class TestWindowedOptimize:

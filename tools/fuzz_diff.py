@@ -24,8 +24,9 @@ on:
   fitness as the floor, the incremental verdict equals full
   simulation's, a functional child's key is exact, and the object and
   kernel sweeps count the same ports;
-* **SAT vs exhaustive simulation** — ``check_against_tables`` agrees
-  with exhaustive truth-table comparison, UNSAT and SAT legs both, and
+* **SAT vs exhaustive simulation** — ``check_against_tables`` and the
+  one equivalence rule, ``realizes``, agree with each other and with
+  exhaustive truth-table comparison, UNSAT and SAT legs both, and
   returned counterexamples actually distinguish the circuits;
 * **formal leg** — a sampled evaluator's ``_formally_equivalent`` gives
   the exhaustive truth-table verdict, and for an inequivalent candidate
@@ -33,7 +34,11 @@ on:
 * **legality** — splitter insertion yields a fan-out-legal netlist
   whose default (exact) buffer plan passes ``validate_circuit`` /
   ``check_circuit`` cleanly, keeps the ASAP depth and needs no more
-  buffers than the fitness loop's ASAP estimate.
+  buffers than the fitness loop's ASAP estimate;
+* **chunk boundaries** — a random 17- or 18-input netlist of a few
+  gates tabulates in ``2**16``-pattern chunks exactly as one full-width
+  simulation, ``first_mismatch`` finds nothing against its own tables
+  and exactly the pattern whose bit one output's table had flipped.
 
 Usage::
 
@@ -62,7 +67,9 @@ from repro.core.engine import decode_genome, encode_genome  # noqa: E402
 from repro.core.fitness import Evaluator                       # noqa: E402
 from repro.core.kernel import NetlistKernel                    # noqa: E402
 from repro.core.mutation import mutate_with_delta, port_readers  # noqa: E402
-from repro.logic.truth_table import TruthTable                 # noqa: E402
+from repro.core.verify import realizes                         # noqa: E402
+from repro.logic.bitops import full_mask, variable_pattern     # noqa: E402
+from repro.logic.truth_table import TruthTable, first_mismatch  # noqa: E402
 from repro.rqfp.buffers import estimate_buffers                # noqa: E402
 from repro.rqfp.netlist import RqfpNetlist                     # noqa: E402
 from repro.rqfp.splitters import insert_splitters              # noqa: E402
@@ -179,6 +186,17 @@ def check_sat_vs_simulation(netlist: RqfpNetlist, spec) -> None:
                    for t, s in zip(tables, spec)),
                f"SAT counterexample {pattern:#x} does not distinguish "
                "the circuits")
+    decided = realizes(netlist, spec)
+    _check(decided.equivalent == expected == result.equivalent,
+           f"realizes said equivalent={decided.equivalent}, SAT says "
+           f"{result.equivalent}, exhaustive simulation says {expected}")
+    pattern = decided.counterexample
+    if pattern is not None:
+        tables = netlist.to_truth_tables()
+        _check(any(t.value(pattern) != s.value(pattern)
+                   for t, s in zip(tables, spec)),
+               f"realizes counterexample {pattern:#x} does not "
+               "distinguish the circuits")
 
 
 def check_formal_leg(netlist: RqfpNetlist, spec, config) -> None:
@@ -217,6 +235,29 @@ def check_legality(netlist: RqfpNetlist) -> None:
     _check(plan.depth == legal.depth(),
            f"buffer plan depth {plan.depth} is not the netlist depth "
            f"{legal.depth()}")
+
+
+def check_chunked_tables(rng: random.Random) -> None:
+    num_inputs = rng.randint(17, 18)
+    netlist = random_netlist(rng, num_inputs, rng.randint(1, 4),
+                             rng.randint(1, 3))
+    tables = netlist.to_truth_tables()
+    words = [variable_pattern(i, num_inputs) for i in range(num_inputs)]
+    _check([t.bits for t in tables]
+           == netlist.simulate(words, full_mask(num_inputs)),
+           f"chunked tabulation at {num_inputs} inputs diverged from "
+           "full-width simulation")
+    _check(first_mismatch(netlist.simulate, tables) is None,
+           "first_mismatch: a netlist mismatches its own tables")
+    output = rng.randrange(len(tables))
+    pattern = rng.getrandbits(num_inputs)
+    flipped = list(tables)
+    flipped[output] = TruthTable(num_inputs,
+                                 tables[output].bits ^ (1 << pattern))
+    found = first_mismatch(netlist.simulate, flipped)
+    _check(found == pattern,
+           f"first_mismatch found {found} after flipping pattern "
+           f"{pattern:#x} of output {output}")
 
 
 def run_round(seed: int, round_index: int) -> None:
@@ -289,12 +330,14 @@ def run_round(seed: int, round_index: int) -> None:
                          child_ker, delta_ker)
         check_legality(child_obj)
         parent_obj, parent_ker = child_obj, child_ker
+    # Drawn last, so the legs above see the same round as before.
+    check_chunked_tables(rng)
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         description="Differential fuzzing of kernel/object/incremental/"
-                    "SAT/formal-leg/legality invariants.")
+                    "SAT/formal-leg/legality/chunking invariants.")
     parser.add_argument("--seed", type=int, default=0,
                         help="base seed (each round derives its own "
                              "stream; default 0)")
