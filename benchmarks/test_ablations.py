@@ -229,14 +229,14 @@ class TestSearchStrategyAblation:
     def _random_search(self, initial, spec, seed):
         import random as random_module
         from repro.core.fitness import Evaluator
-        from repro.core.mutation import mutate
+        from repro.core.mutation import mutate_with_delta
         config = RcgpConfig(mutation_rate=0.1, seed=seed, shrink="always")
         rng = random_module.Random(seed)
         evaluator = Evaluator(spec, config, rng)
         best = initial
         best_fitness = evaluator.evaluate(initial)
         for _ in range(self.BUDGET):
-            child = mutate(initial, rng, config)
+            child = mutate_with_delta(initial, rng, config)[0]
             fitness = evaluator.evaluate(child)
             if fitness.key() > best_fitness.key():
                 best, best_fitness = child, fitness

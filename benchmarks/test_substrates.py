@@ -13,7 +13,7 @@ import pytest
 from repro.bench.reciprocal import intdiv
 from repro.core.config import RcgpConfig
 from repro.core.fitness import Evaluator
-from repro.core.mutation import mutate
+from repro.core.mutation import mutate_with_delta
 from repro.core.synthesis import initialize_netlist
 from repro.logic.bitops import full_mask, variable_pattern
 from repro.logic.isop import isop
@@ -45,7 +45,7 @@ def test_fitness_evaluation(benchmark, intdiv6_netlist):
 def test_mutation_throughput(benchmark, intdiv6_netlist):
     rng = random.Random(0)
     config = RcgpConfig(mutation_rate=0.05)
-    benchmark(mutate, intdiv6_netlist, rng, config)
+    benchmark(mutate_with_delta, intdiv6_netlist, rng, config)
 
 
 def test_shrink(benchmark, intdiv6_netlist):

@@ -69,9 +69,6 @@ def _add_search_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=None, help="random seed")
     parser.add_argument("--max-genes", type=int, default=None,
                         help="cap on mutated genes per offspring")
-    parser.add_argument("--verify-method", choices=("sat", "bdd"),
-                        default="sat",
-                        help="formal backend for non-exhaustive specs")
     parser.add_argument("--shrink", choices=("always", "on_improvement",
                                              "never"), default="always")
     parser.add_argument("--time-budget", type=float, default=None,
@@ -100,7 +97,6 @@ def _config_from(args: argparse.Namespace) -> RcgpConfig:
         seed=args.seed,
         shrink=args.shrink,
         time_budget=args.time_budget,
-        verify_method=args.verify_method,
         telemetry_path=args.telemetry,
         verify_result=args.verify,
         batch_timeout=args.batch_timeout,

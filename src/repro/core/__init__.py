@@ -11,8 +11,7 @@ from .engine import (
 )
 from .fitness import Evaluator, Fitness
 from .kernel import NetlistKernel
-from .mutation import MutationDelta, chromosome_length, mutate, \
-    mutate_with_delta
+from .mutation import MutationDelta, chromosome_length, mutate_with_delta
 from .simstate import SimulationState
 from .pareto import ParetoArchive, dominates, evolve_pareto
 from .restart import multi_start
@@ -41,7 +40,6 @@ __all__ = [
     "encode_genome",
     "decode_genome",
     "read_telemetry",
-    "mutate",
     "mutate_with_delta",
     "MutationDelta",
     "NetlistKernel",

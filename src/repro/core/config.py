@@ -33,8 +33,8 @@ class RcgpConfig:
     There is no worker count here: worker processes belong to a
     :class:`~repro.api.Session` (``Session(workers=N)``, ``--workers``)
     and are shared by all its jobs.  Stored configs and HTTP bodies
-    that still carry ``workers`` or the retired ``track_history`` (a
-    run always records its history now) load, because
+    that still carry ``workers`` or a retired knob (``track_history``,
+    ``verify_method``, ``count_buffers_in_fitness``) load, because
     :meth:`from_dict` drops unknown keys.
     """
 
@@ -79,13 +79,6 @@ class RcgpConfig:
     SAT miter supplying a failing candidate's counterexample (see
     :mod:`repro.core.fitness`)."""
 
-    verify_method: str = "sat"
-    """Formal-verification backend above ``EXHAUSTIVE_FORMAL_LIMIT``
-    inputs: ``"sat"`` (CEC miter, the paper's choice) or ``"bdd"``
-    (canonical ROBDD comparison, the earlier CGP literature's choice —
-    §2.2).  At or below the limit exhaustive simulation decides, and
-    ``"bdd"`` adds no counterexamples."""
-
     sat_conflict_budget: int = 50_000
     """Conflict budget per CEC call.  Above ``EXHAUSTIVE_FORMAL_LIMIT``
     inputs, budget exhaustion rejects the candidate conservatively; at
@@ -99,9 +92,6 @@ class RcgpConfig:
 
     time_budget: Optional[float] = None
     """Wall-clock cap in seconds (None: unlimited)."""
-
-    count_buffers_in_fitness: bool = True
-    """Tie-break on the estimated RQFP buffer count (§3.2.1 item 3)."""
 
     simplify_wires: bool = True
     """Apply the deterministic wire-gate bypass (splitters/buffers/
@@ -143,10 +133,11 @@ class RcgpConfig:
     legality (single fan-out + path balancing via
     :func:`repro.rqfp.validate.validate_circuit`).  Violations raise
     typed :mod:`repro.errors` exceptions instead of silently returning an
-    illegal or wrong circuit.  Off by default: the gate runs once per
-    job, after its last slice, on the buffer plan the result reports
-    (and once per window in :func:`~repro.core.windowing.optimize_window`),
-    but SAT proofs on specs above the limit can be costly.  A bare
+    illegal or wrong circuit; :meth:`repro.jobs.Job.result` raises the
+    same class.  Off by default: the gate runs once per job (a window of
+    :func:`~repro.core.windowing.windowed_optimize` is one), after its
+    last slice, on the buffer plan the result reports, but SAT proofs on
+    specs above the limit can be costly.  A bare
     :class:`~repro.core.engine.EvolutionRun` refuses it."""
 
     # Mutation-kind toggles, used by the ablation benchmarks (A1).
@@ -186,8 +177,6 @@ class RcgpConfig:
             raise ValueError("mutation_rate must lie in [0, 1]")
         if self.shrink not in ("always", "on_improvement", "never"):
             raise ValueError(f"unknown shrink mode {self.shrink!r}")
-        if self.verify_method not in ("sat", "bdd"):
-            raise ValueError(f"unknown verify_method {self.verify_method!r}")
         if self.eval_cache_size < 0:
             raise ValueError("eval_cache_size must be >= 0")
         if self.batch_retries < 0:

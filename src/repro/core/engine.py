@@ -4,12 +4,11 @@ The paper's headline cost is the ``(1 + λ)`` inner loop — up to 5·10⁷
 generations per circuit.  This module holds that loop once and runs it
 wherever the work lands:
 
-* :class:`EvolutionRun` — the single entry point, and it runs
-  generations and nothing else.  ``synthesize`` and ``multi_start``
-  submit jobs to the :class:`repro.jobs.Scheduler`, whose every slice
-  is one run; ``optimize_window`` runs one per window.  The job, not
-  the run, gates its result (``config.verify_result``), opens its
-  telemetry file (``config.telemetry_path``) and stores its history.
+* :class:`EvolutionRun` — the single entry point; it runs generations
+  and nothing else.  ``synthesize``, ``multi_start`` and
+  ``windowed_optimize`` submit :class:`repro.jobs.Scheduler` jobs, whose
+  every slice is one run.  The job, not the run, gates its result
+  (``verify_result``), opens its telemetry file and stores its history.
 * :func:`replay_span` — the loop itself.  Given one compact parent
   genome (:func:`encode_genome`) and a *span* of generations, it
   re-derives every offspring from its RNG key and runs mutation,

@@ -10,9 +10,9 @@ Evaluation is two-phase, exactly as the paper describes:
    combination).  Up to :data:`EXHAUSTIVE_FORMAL_LIMIT` inputs the
    confirmation is exhaustive simulation of the one shrunk candidate,
    far cheaper there than the SAT miter, which still supplies the
-   counterexample of a candidate that fails; wider specs take the miter
-   (or the BDD).  Counterexamples are fed back into the pattern set so
-   the same wrong candidate is never expensive twice.
+   counterexample of a candidate that fails; wider specs take the
+   miter.  Counterexamples are fed back into the pattern set so the
+   same wrong candidate is never expensive twice.
 
 2. **Performance evaluation** — only at 100 % success: the number of
    RQFP gates ``n_r`` first, then garbage outputs ``n_g``, then the
@@ -239,9 +239,8 @@ class Evaluator:
         complete as a proof.  The SAT miter then runs only on an
         inequivalent candidate, to supply its model as the
         counterexample, so the pattern set grows exactly as it would
-        under SAT alone; ``verify_method="bdd"`` takes the simulation
-        verdict as it is.  Wider specs go to the SAT miter (a
-        ``sat_conflict_budget`` run-out rejects) or the BDD.
+        under SAT alone.  Wider specs go to the SAT miter (a
+        ``sat_conflict_budget`` run-out rejects).
 
         The verdict is remembered by genome, so a repeat of an active
         circuit already checked skips both legs; the answer is the one a
@@ -260,21 +259,15 @@ class Evaluator:
         verdict = self._verdicts.get(key)
         if verdict is not None:
             return verdict
-        sat = self.config.verify_method != "bdd"
         if self.num_inputs <= EXHAUSTIVE_FORMAL_LIMIT:
             verdict = self._simulates_spec(active)
-            if not verdict and sat and self._miter(active) is False:
+            if not verdict and self._miter(active) is False:
                 return False
-        elif sat:
+        else:
             verdict = self._miter(active)
             if verdict is False:
                 return False
             verdict = verdict is True
-        else:
-            from ..logic.bdd import bdd_equivalent
-            if isinstance(active, NetlistKernel):
-                active = active.to_netlist()
-            verdict = bdd_equivalent(active, self.spec)
         if len(self._verdicts) >= VERDICT_MEMO_SIZE:
             del self._verdicts[next(iter(self._verdicts))]
         self._verdicts[key] = verdict
@@ -437,7 +430,7 @@ class Evaluator:
 
         Representation-polymorphic: shrink, fan-out counts and the
         buffer estimate run natively on either a netlist or a kernel;
-        the cold sub-paths that need gate objects (the SAT/BDD miter,
+        the cold sub-paths that need gate objects (the SAT miter,
         splitter legalization) materialize the object netlist on demand.
         """
         if rate < 1.0:
@@ -458,8 +451,7 @@ class Evaluator:
                 active = active.to_netlist()
             active = insert_splitters(active)
             counts = active.fanout_counts_flat()
-        n_b = active.estimate_buffers() \
-            if self.config.count_buffers_in_fitness else 0
+        n_b = active.estimate_buffers()
         base = active.num_inputs + 1
         n_g = 3 * active.num_gates - sum(1 for c in counts[base:] if c)
         return Fitness(1.0, active.num_gates, n_g, n_b)

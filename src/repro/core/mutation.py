@@ -32,6 +32,9 @@ has its own implementation:
   (``RCGP_CHECK_KERNEL``, ``tests/test_mutation.py``,
   ``tools/fuzz_diff.py``).
 
+Callers reach either through one entry point, :func:`mutate_with_delta`,
+which returns the offspring and its delta.
+
 Both make the identical RNG draws, so the mutant, the swap-rule choices
 and the delta are bit-identical across representations.  The object
 path calls ``rng.randrange(n)`` / ``rng.randint(1, m)``; for
@@ -684,9 +687,3 @@ def mutate_with_delta(parent: Candidate, rng: random.Random,
     child = parent.copy()
     return child, _mutate_netlist(child, rng, config, max_m, consumers,
                                   rollback)
-
-
-def mutate(parent: Candidate, rng: random.Random,
-           config: RcgpConfig) -> Candidate:
-    """Create one offspring of ``parent`` (the parent is not modified)."""
-    return mutate_with_delta(parent, rng, config)[0]

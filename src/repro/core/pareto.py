@@ -12,6 +12,8 @@ The optimizer is a steady-state archive evolution: each generation
 draws a random archive member as parent, mutates λ offspring, and
 inserts every *functional* offspring whose cost vector is not dominated
 (minimization in all coordinates); dominated members are evicted.
+Offspring are kernel mutants on their own RNG streams
+(:func:`~repro.core.engine.child_seed`), scored incrementally.
 """
 
 from __future__ import annotations
@@ -24,8 +26,10 @@ from ..errors import SynthesisError
 from ..logic.truth_table import TruthTable
 from ..rqfp.netlist import RqfpNetlist
 from .config import RcgpConfig
-from .fitness import Evaluator
-from .mutation import mutate
+from .engine import child_seed
+from .fitness import Evaluator, Fitness
+from .kernel import NetlistKernel
+from .mutation import consumer_view, mutate_with_delta
 
 Cost = Tuple[int, int, int]  # (n_r, n_g, n_b), all minimized
 
@@ -74,28 +78,42 @@ class ParetoArchive:
         return len(self.entries)
 
 
+#: Only functional offspring enter the archive: a broken one stops at
+#: its first wrong output.
+_FLOOR = Fitness(1.0)
+
+
 def evolve_pareto(initial: RqfpNetlist, spec: Sequence[TruthTable],
                   config: Optional[RcgpConfig] = None,
                   capacity: int = 32) -> ParetoArchive:
     """Multi-objective evolution; returns the non-dominated archive."""
     config = config or RcgpConfig()
-    rng = random.Random(config.seed)
-    evaluator = Evaluator(spec, config, rng)
+    evaluator = Evaluator(spec, config)
+    picks = random.Random(config.seed)
+    base_seed = config.seed if config.seed is not None \
+        else random.SystemRandom().getrandbits(48)
 
     archive = ParetoArchive(capacity=capacity)
-    first = evaluator.evaluate(initial)
+    start = NetlistKernel.from_netlist(initial)
+    first = evaluator.evaluate(start)
     if not first.functional:
         raise SynthesisError("initial netlist does not realize the spec")
     archive.try_insert((first.n_r, first.n_g, first.n_b),
-                       evaluator.finalize(initial))
+                       evaluator.finalize(start))
 
-    for _ in range(config.generations):
-        parent = rng.choice(archive.entries)[1]
-        for _ in range(config.offspring):
-            child = mutate(parent, rng, config)
-            fitness = evaluator.evaluate(child)
-            if not fitness.functional:
-                continue
-            cost = (fitness.n_r, fitness.n_g, fitness.n_b)
-            archive.try_insert(cost, evaluator.finalize(child))
+    rng = random.Random()
+    for generation in range(1, config.generations + 1):
+        parent = NetlistKernel.from_netlist(picks.choice(archive.entries)[1])
+        state = evaluator.prepare_parent(parent)
+        consumers = consumer_view(parent)
+        for i in range(config.offspring):
+            rng.seed(child_seed(base_seed, generation, i))
+            child, delta = mutate_with_delta(parent, rng, config,
+                                             consumers=consumers,
+                                             rollback=True)
+            fitness = evaluator.evaluate_incremental(child, delta, state,
+                                                     floor=_FLOOR)
+            if fitness.functional:
+                cost = (fitness.n_r, fitness.n_g, fitness.n_b)
+                archive.try_insert(cost, evaluator.finalize(child))
     return archive

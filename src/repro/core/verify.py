@@ -10,10 +10,10 @@ decide through it.
 The evolution engine's fitness function already checks every candidate
 — but through whichever fast path is configured: the flat kernel,
 incremental cone resimulation, memoized fitness.  The gate is the
-*independent* check that runs once per job on the final answer
-(:class:`repro.jobs.Scheduler`, after the job's last slice;
-:func:`~repro.core.windowing.optimize_window`, once per spliced window),
-off the hot path and sharing none of those optimizations:
+*independent* check that runs once per job on the final answer, after
+the job's last slice (``Scheduler._finalize`` is its one caller; a
+windowed sweep's windows are jobs too), off the hot path and sharing
+none of those optimizations:
 
 1. **Equivalence on the object path** — the final
    :class:`~repro.rqfp.netlist.RqfpNetlist` (never the kernel) goes

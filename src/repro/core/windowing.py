@@ -19,9 +19,10 @@ extraction and splicing are exact:
 * the local specification is the window's own truth table over its
   inputs (exhaustive, bounded by ``max_inputs``).
 
-After CGP optimization of the sub-netlist the window is spliced back
-with all suffix ports re-indexed; the caller-visible function is
-unchanged by construction and re-checked by simulation.
+The sub-netlist is optimized as a job of an in-memory
+:class:`~repro.api.Session` and spliced back with all suffix ports
+re-indexed; the caller-visible function is unchanged by construction
+and re-checked by :func:`~repro.core.verify.realizes`.
 """
 
 from __future__ import annotations
@@ -30,11 +31,10 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from ..errors import NetlistError
-from ..logic.bitops import full_mask, variable_pattern
+from ..errors import EquivalenceViolation, NetlistError
 from ..rqfp.netlist import CONST_PORT, RqfpNetlist
 from .config import RcgpConfig
-from .engine import EvolutionRun
+from .verify import realizes
 
 
 @dataclass
@@ -199,39 +199,40 @@ def optimize_window(netlist: RqfpNetlist, start: int, stop: int,
     aggregates the run's evaluation counters into a
     :class:`WindowResult`.
 
-    With ``config.verify_result`` the window's improved sub-netlist
-    passes the result gate (:func:`~repro.core.verify.
-    verify_evolution_result`) against the window's function before it
-    is spliced; ``config.telemetry_path`` is ignored.
+    The window is a job of a transient session, as in
+    :func:`repro.api.synthesize`: the job honors ``config`` unchanged,
+    so ``verify_result`` gates the window and ``telemetry_path`` gets
+    the job's events.
     """
+    from ..api import Session  # call time: repro.api imports repro.core
+    with Session() as session:
+        return _optimize_window(session, netlist, start, stop, config,
+                                max_inputs, stats)
+
+
+def _optimize_window(session, netlist: RqfpNetlist, start: int, stop: int,
+                     config: Optional[RcgpConfig], max_inputs: int,
+                     stats: Optional[WindowResult]) -> Optional[RqfpNetlist]:
+    """:func:`optimize_window` as a job of ``session``, a
+    :class:`~repro.api.Session`."""
     window = analyze_window(netlist, start, stop)
     if not window.output_ports:
         return None  # dead region; plain shrink handles it
     if len(window.input_ports) > max_inputs:
         return None
     sub = extract_window(netlist, window)
-    spec = sub.to_truth_tables()
     config = config or RcgpConfig(generations=400, mutation_rate=1.0,
                                   max_mutated_genes=4, shrink="always")
-    # Window runs are many, small and short-lived: they evaluate
-    # inline and write no telemetry, and the gate runs here, once per
-    # window, not in the run.
-    result = EvolutionRun(spec, config.replace(telemetry_path=None,
-                                               verify_result=False),
-                          initial=sub, name=sub.name).run()
+    result = session.synthesize(sub.to_truth_tables(), config,
+                                name=sub.name, initial=sub)
     if stats is not None:
-        stats.eval_full += result.eval_full
-        stats.eval_incremental += result.eval_incremental
-        stats.ports_resimulated += result.ports_resimulated
+        stats.eval_full += result.evolution.eval_full
+        stats.eval_incremental += result.evolution.eval_incremental
+        stats.ports_resimulated += result.evolution.ports_resimulated
     improved = result.netlist
     if (improved.num_gates, improved.num_garbage) >= \
             (sub.shrink().num_gates, sub.shrink().num_garbage):
         return None
-    if config.verify_result:
-        # Imported at call time so a wrapper installed on the module
-        # sees the call.
-        from .verify import verify_evolution_result
-        verify_evolution_result(improved, spec, config)
     return splice_window(netlist, window, improved)
 
 
@@ -240,50 +241,44 @@ def windowed_optimize(netlist: RqfpNetlist,
                       max_inputs: int = 12,
                       rounds: int = 1,
                       config: Optional[RcgpConfig] = None,
-                      seed: Optional[int] = None,
-                      verify: bool = True) -> WindowResult:
+                      seed: Optional[int] = None) -> WindowResult:
     """Sweep fixed-size windows across the netlist, splicing improvements.
 
-    With ``verify`` (default) every accepted splice is checked by
-    exhaustive simulation against the original function — windowing is
-    exact by construction, so a mismatch raises.
+    The windows are jobs of one session, run in order.  Every accepted
+    splice is checked by :func:`~repro.core.verify.realizes` against the
+    original function — windowing is exact by construction, so a
+    mismatch raises :class:`~repro.errors.EquivalenceViolation`.
     """
+    from ..api import Session
     rng = random.Random(seed)
     current = netlist.shrink()
-    reference = None
-    if verify and netlist.num_inputs <= 16:
-        mask = full_mask(netlist.num_inputs)
-        words = [variable_pattern(i, netlist.num_inputs)
-                 for i in range(netlist.num_inputs)]
-        reference = netlist.simulate(words, mask)
+    reference = netlist.to_truth_tables()
 
-    stats = WindowResult(
-        netlist=current,
-        gates_before=current.num_gates,
-        garbage_before=current.num_garbage,
-    )
-    for _ in range(rounds):
-        start = 0
-        while start < current.num_gates:
-            stop = min(start + window_gates, current.num_gates)
-            # Jitter window boundaries between rounds so repeated sweeps
-            # see different cuts.
-            stats.windows_tried += 1
-            improved = optimize_window(current, start, stop, config,
-                                       max_inputs, stats=stats)
-            if improved is not None:
-                improved = improved.shrink()
-                if reference is not None:
-                    got = improved.simulate(words, mask)
-                    if got != reference:
-                        raise NetlistError(
-                            "windowed optimization changed the function"
-                        )
-                current = improved
-                stats.windows_improved += 1
-                stats.history.append((start, current.num_gates,
-                                      current.num_garbage))
-            start += max(1, window_gates - rng.randrange(window_gates // 2 + 1))
+    stats = WindowResult(current, gates_before=current.num_gates,
+                         garbage_before=current.num_garbage)
+    with Session() as session:
+        for _ in range(rounds):
+            start = 0
+            while start < current.num_gates:
+                stop = min(start + window_gates, current.num_gates)
+                stats.windows_tried += 1
+                improved = _optimize_window(session, current, start, stop,
+                                            config, max_inputs, stats)
+                if improved is not None:
+                    improved = improved.shrink()
+                    check = realizes(improved, reference)
+                    if not check.equivalent:
+                        raise EquivalenceViolation(
+                            "windowed optimization changed the function",
+                            counterexample=check.counterexample)
+                    current = improved
+                    stats.windows_improved += 1
+                    stats.history.append((start, current.num_gates,
+                                          current.num_garbage))
+                # Jitter window boundaries between rounds so repeated
+                # sweeps see different cuts.
+                start += max(1, window_gates
+                             - rng.randrange(window_gates // 2 + 1))
     stats.netlist = current
     stats.gates_after = current.num_gates
     stats.garbage_after = current.num_garbage

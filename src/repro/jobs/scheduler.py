@@ -63,6 +63,7 @@ from ..core.engine import (COUNTER_FIELDS, EvolutionResult, EvolutionRun,
 from ..core.fitness import Fitness
 from ..core.synthesis import (BaselineResult, SynthesisResult,
                               baseline_initialization)
+from .. import errors
 from ..errors import ReproError, StoreCorruption
 from ..logic.truth_table import TruthTable
 from ..rqfp.buffer_opt import optimal_levels
@@ -228,11 +229,15 @@ class Job:
 
     def result(self) -> SynthesisResult:
         """The finished artifact, rebuilt from the store; raises if the
-        job is not done."""
+        job is not done.  A failed job raises the :mod:`repro.errors`
+        class its record names (``error_type``), else :class:`ReproError`."""
         record = self.record
         state = record.get("state", PENDING)
         if state == FAILED:
-            raise ReproError(
+            error = getattr(errors, str(record.get("error_type")), None)
+            if not (isinstance(error, type) and issubclass(error, ReproError)):
+                error = ReproError
+            raise error(
                 f"job {self.name or self.id} failed: {record.get('error')}")
         payload = self._store.load_result(self.id)
         if payload is None:
@@ -364,6 +369,7 @@ class Scheduler:
         record["state"] = RUNNING if self.store.load_checkpoint(job.id) \
             else PENDING
         record["error"] = None
+        record.pop("error_type", None)
         self.store.save_record(job.id, record)
         self._open[job.id] = job
 
@@ -615,6 +621,7 @@ class Scheduler:
         except ReproError as exc:
             record["state"] = FAILED
             record["error"] = str(exc)
+            record["error_type"] = type(exc).__name__
             self.store.save_record(job.id, record)
             self.store.release_lease(job.id)
             if telemetry is not None:

@@ -37,10 +37,12 @@ def identity_config_dict(config: RcgpConfig) -> Dict[str, Any]:
     """
     identity = {name: value for name, value in config.to_dict().items()
                 if name not in OPERATIONAL_CONFIG_FIELDS}
-    # The retired ``kernel`` and ``incremental_eval`` knobs stay hashed
-    # at their only values, so stored job ids keep matching.
+    # Retired knobs stay hashed at their only values, so stored job ids
+    # keep matching.
     identity["kernel"] = "flat"
     identity["incremental_eval"] = True
+    identity["verify_method"] = "sat"
+    identity["count_buffers_in_fitness"] = True
     return identity
 
 

@@ -103,7 +103,8 @@ class TestPublicSurface:
     def test_retired_entry_points_are_gone(self):
         import importlib
         for module in (repro, repro.core, repro.flow):
-            for name in ("rcgp_synthesize", "synthesize_file", "evolve"):
+            for name in ("rcgp_synthesize", "synthesize_file", "evolve",
+                         "mutate"):
                 assert not hasattr(module, name), (module.__name__, name)
                 assert name not in getattr(module, "__all__", ())
         with pytest.raises(ImportError):

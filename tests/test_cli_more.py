@@ -1,9 +1,7 @@
-"""Additional CLI coverage: sweep, table 2, verify-method plumbing,
-stats on rule-violating netlists."""
+"""Additional CLI coverage: sweep, table 2, stats on rule-violating
+netlists."""
 
 import json
-
-import pytest
 
 from repro.cli import build_parser, main
 from repro.io.rqfp_json import write_rqfp_json
@@ -34,18 +32,6 @@ class TestTable2Command:
         assert rc == 0
         out = capsys.readouterr().out
         assert "Table 2" in out and "graycode6" in out
-
-
-class TestVerifyMethodPlumbing:
-    def test_bdd_method_accepted(self, capsys):
-        rc = main(["bench", "decoder_2_4", "--generations", "40",
-                   "--seed", "1", "--verify-method", "bdd"])
-        assert rc == 0
-
-    def test_bad_method_rejected(self):
-        parser = build_parser()
-        with pytest.raises(SystemExit):
-            parser.parse_args(["bench", "x", "--verify-method", "cec"])
 
 
 class TestStatsOnViolations:

@@ -75,10 +75,9 @@ class TestConfigSerialization:
             generations=123, offspring=7, mutation_rate=0.25,
             max_mutated_genes=3, seed=42, shrink="never",
             exhaustive_input_limit=9, simulation_patterns=64,
-            verify_with_sat=False, verify_method="bdd",
+            verify_with_sat=False,
             sat_conflict_budget=777, stagnation_limit=55,
-            time_budget=1.5, count_buffers_in_fitness=False,
-            simplify_wires=False,
+            time_budget=1.5, simplify_wires=False,
             eval_cache_size=10, telemetry_path="/tmp/t.jsonl",
             enable_output_mutation=False)
         assert RcgpConfig.from_dict(config.to_dict()) == config
@@ -91,6 +90,8 @@ class TestConfigSerialization:
                                        "kernel": "object",
                                        "incremental_eval": False,
                                        "track_history": True,
+                                       "verify_method": "bdd",
+                                       "count_buffers_in_fitness": False,
                                        "workers": 8})
         assert config == RcgpConfig(generations=5)
 

@@ -96,11 +96,6 @@ class TestEvaluator:
         fitness = evaluator.evaluate(_and_netlist())
         assert fitness.n_g == 2
 
-    def test_buffers_disabled(self):
-        config = RcgpConfig(count_buffers_in_fitness=False)
-        evaluator = Evaluator(_and_spec(), config)
-        assert evaluator.evaluate(_and_netlist()).n_b == 0
-
     def test_empty_spec_rejected(self):
         with pytest.raises(ValueError):
             Evaluator([], RcgpConfig())
@@ -163,40 +158,13 @@ class TestSampledSimulationPath:
         assert evaluator.sat_calls == 0
 
 
-class TestBddVerificationPath:
-    def test_bdd_backend_verifies_correct_candidate(self):
-        config = RcgpConfig(exhaustive_input_limit=1, simulation_patterns=16,
-                            seed=3, verify_method="bdd")
-        evaluator = Evaluator(_and_spec(), config)
-        fitness = evaluator.evaluate(_and_netlist())
-        assert fitness.functional
-        assert evaluator.sat_calls >= 1
-
-    def test_bdd_backend_rejects_wrong_candidate(self):
-        spec = tabulate_word(lambda x: int(x == 7), 3, 1)
-        config = RcgpConfig(exhaustive_input_limit=1, simulation_patterns=3,
-                            seed=11, verify_method="bdd")
-        evaluator = Evaluator(spec, config)
-        netlist = RqfpNetlist(3)
-        gate = netlist.add_gate(CONST_PORT, CONST_PORT, CONST_PORT,
-                                0b111_111_111)  # constant 0
-        netlist.add_output(netlist.gate_output_port(gate, 0))
-        fitness = evaluator.evaluate(netlist)
-        # Either simulation caught it (some pattern = 7) or BDD did.
-        assert not fitness.functional or evaluator.sat_calls > 0
-
-    def test_unknown_method_rejected(self):
-        with pytest.raises(ValueError):
-            RcgpConfig(verify_method="magic")
-
-
 class TestVerdictMemo:
     """Sampled fitness remembers formal verdicts by active genome."""
 
     @pytest.fixture(autouse=True)
     def _solver_decides(self, monkeypatch):
         # These specs are narrow enough for the exhaustive formal leg;
-        # the counts below are of solver and BDD calls.
+        # the counts below are of solver calls.
         from repro.core import fitness as fitness_module
         monkeypatch.setattr(fitness_module, "EXHAUSTIVE_FORMAL_LIMIT", 0)
 
@@ -255,37 +223,45 @@ class TestVerdictMemo:
         assert len(checks) == 1
         assert evaluator.sat_calls == 1
 
-    def test_bdd_verdicts_are_remembered(self, monkeypatch):
-        from repro.logic import bdd
-        calls = self._count(monkeypatch, bdd, "bdd_equivalent")
-        evaluator = Evaluator(_and_spec(), self._config(verify_method="bdd"))
+    def test_simulation_verdicts_are_remembered(self, monkeypatch):
+        from repro.core import fitness as fitness_module
+        monkeypatch.setattr(fitness_module, "EXHAUSTIVE_FORMAL_LIMIT", 20)
+        checks = self._count(monkeypatch, fitness_module,
+                             "check_against_tables")
+        calls = self._count(monkeypatch, Evaluator, "_simulates_spec")
+        evaluator = Evaluator(_and_spec(), self._config())
         assert evaluator.evaluate(_and_netlist()).functional
         assert evaluator.evaluate(_and_netlist()).functional
-        assert len(calls) == 1
+        assert len(calls) == 1 and checks == []
         assert evaluator.sat_calls == 2
 
     def test_table_never_grows_past_its_bound(self, monkeypatch):
         from repro.core import fitness as fitness_module
-        from repro.logic import bdd
         monkeypatch.setattr(fitness_module, "VERDICT_MEMO_SIZE", 2)
-        calls = self._count(monkeypatch, bdd, "bdd_equivalent")
-        evaluator = Evaluator(_and_spec(), self._config(verify_method="bdd"))
+        checks = self._count(monkeypatch, fitness_module,
+                             "check_against_tables")
+        evaluator = Evaluator(_and_spec(), self._config())
+        # Four genomes of one AND: the constant in each input position
+        # (each output inverts its own position), then the inputs swapped.
         netlists = []
-        for port in (1, 2, CONST_PORT):
+        for inputs, output in (((CONST_PORT, 1, 2), 0),
+                               ((1, CONST_PORT, 2), 1),
+                               ((1, 2, CONST_PORT), 2),
+                               ((2, 1, CONST_PORT), 2)):
             netlist = RqfpNetlist(2)
-            netlist.add_output(port)
+            gate = netlist.add_gate(*inputs, NORMAL_CONFIG)
+            netlist.add_output(netlist.gate_output_port(gate, output))
             netlists.append(netlist)
-        netlists.append(_and_netlist())
         for netlist in netlists:
-            evaluator._formally_equivalent(netlist)
+            assert evaluator._formally_equivalent(netlist)
             assert len(evaluator._verdicts) <= 2
-        assert len(calls) == 4
+        assert len(checks) == 4
         # Oldest first out: the last two are remembered, the first is not.
         evaluator._formally_equivalent(netlists[3])
         evaluator._formally_equivalent(netlists[2])
-        assert len(calls) == 4
+        assert len(checks) == 4
         evaluator._formally_equivalent(netlists[0])
-        assert len(calls) == 5
+        assert len(checks) == 5
         assert evaluator.sat_calls == 7
 
 
@@ -340,10 +316,8 @@ class TestExhaustiveFormalLeg:
 
     def test_miter_runs_only_for_inequivalent_candidates(self, monkeypatch):
         from repro.core import fitness as fitness_module
-        from repro.logic import bdd
         checks = TestVerdictMemo._count(monkeypatch, fitness_module,
                                         "check_against_tables")
-        bdd_calls = TestVerdictMemo._count(monkeypatch, bdd, "bdd_equivalent")
         spec, netlist = self._onehot12()
         wrong = next(m for m in self._mutants(netlist, 20, seed=12)
                      if m.to_netlist().to_truth_tables() != spec)
@@ -353,11 +327,6 @@ class TestExhaustiveFormalLeg:
         assert not evaluator._formally_equivalent(wrong)
         assert len(checks) == 1
         assert evaluator.sat_calls == 2
-        # The BDD backend takes the simulation verdict as it is.
-        evaluator = self._sampled(spec, verify_method="bdd")
-        assert evaluator._formally_equivalent(netlist.shrink())
-        assert not evaluator._formally_equivalent(wrong)
-        assert len(checks) == 1 and bdd_calls == []
 
     def test_chunked_path_agrees_with_truth_tables(self):
         rng = random.Random(18)

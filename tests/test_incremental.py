@@ -20,7 +20,7 @@ from repro.bench.registry import get_benchmark
 from repro.core.config import RcgpConfig
 from repro.core.engine import EvolutionRun, encode_genome
 from repro.core.fitness import Evaluator, Fitness
-from repro.core.mutation import MutationDelta, mutate, mutate_with_delta
+from repro.core.mutation import MutationDelta, mutate_with_delta
 from repro.core.simstate import SimulationState
 from repro.core.synthesis import initialize_netlist
 from repro.core.windowing import windowed_optimize
@@ -48,13 +48,6 @@ class TestDeltaStructure:
             # The parent itself is untouched.
             assert encode_genome(parent) != encode_genome(child) or \
                 delta.is_empty or True  # equal genomes are legal (no-op)
-
-    def test_mutate_shim_matches_mutate_with_delta(self):
-        config = _mutation_config()
-        parent = random_rqfp(5, 10, 4, random.Random(2))
-        a = mutate(parent, random.Random(99), config)
-        b, _ = mutate_with_delta(parent, random.Random(99), config)
-        assert encode_genome(a) == encode_genome(b)
 
     def test_touched_gates_cover_every_changed_gate(self):
         config = _mutation_config()

@@ -12,8 +12,8 @@ from repro.core import mutation
 from repro.core.config import RcgpConfig
 from repro.core.engine import encode_genome
 from repro.core.kernel import NetlistKernel
-from repro.core.mutation import (chromosome_length, mutate,
-                                 mutate_with_delta, port_readers)
+from repro.core.mutation import (chromosome_length, mutate_with_delta,
+                                 port_readers)
 from repro.core.synthesis import initialize_netlist
 from repro.rqfp.gate import NORMAL_CONFIG
 from repro.rqfp.netlist import CONST_PORT, RqfpNetlist
@@ -53,7 +53,7 @@ class TestMutationInvariants:
         snapshot = parent.describe()
         config = RcgpConfig(mutation_rate=0.5, seed=1)
         for _ in range(20):
-            mutate(parent, rng, config)
+            mutate_with_delta(parent, rng, config)
         assert parent.describe() == snapshot
 
     def test_single_fanout_preserved_without_po_mutation(self, rng):
@@ -61,21 +61,21 @@ class TestMutationInvariants:
         config = RcgpConfig(mutation_rate=0.3, enable_output_mutation=False)
         for trial in range(40):
             parent = _legal_parent(rng)
-            child = mutate(parent, rng, config)
+            child = mutate_with_delta(parent, rng, config)[0]
             assert child.fanout_violations() == [], f"trial {trial}"
 
     def test_structure_stays_valid(self, rng):
         config = RcgpConfig(mutation_rate=0.5)
         for _ in range(40):
             parent = _legal_parent(rng)
-            child = mutate(parent, rng, config)
+            child = mutate_with_delta(parent, rng, config)[0]
             child.validate(require_single_fanout=False)
 
     def test_gate_and_output_counts_stable(self, rng):
         """Point mutation never changes the chromosome shape."""
         parent = _legal_parent(rng)
         config = RcgpConfig(mutation_rate=1.0)
-        child = mutate(parent, rng, config)
+        child = mutate_with_delta(parent, rng, config)[0]
         assert child.num_gates == parent.num_gates
         assert child.num_outputs == parent.num_outputs
 
@@ -84,7 +84,7 @@ class TestMutationInvariants:
         attempts one gene (it may be a no-op resample)."""
         parent = _legal_parent(rng)
         config = RcgpConfig(mutation_rate=0.0)
-        mutate(parent, rng, config)  # must not raise
+        mutate_with_delta(parent, rng, config)  # must not raise
 
 
 class TestMutationKinds:
@@ -93,7 +93,7 @@ class TestMutationKinds:
         config = RcgpConfig(mutation_rate=0.4,
                             enable_input_mutation=False,
                             enable_output_mutation=False)
-        child = mutate(parent, rng, config)
+        child = mutate_with_delta(parent, rng, config)[0]
         for pg, cg in zip(parent.gates, child.gates):
             assert pg.inputs == cg.inputs
         assert child.outputs == parent.outputs
@@ -103,7 +103,7 @@ class TestMutationKinds:
         config = RcgpConfig(mutation_rate=0.6,
                             enable_input_mutation=False,
                             enable_inverter_mutation=False)
-        child = mutate(parent, rng, config)
+        child = mutate_with_delta(parent, rng, config)[0]
         for pg, cg in zip(parent.gates, child.gates):
             assert pg.inputs == cg.inputs and pg.config == cg.config
 
@@ -114,7 +114,7 @@ class TestMutationKinds:
         changed = 0
         for _ in range(20):
             parent = _legal_parent(rng)
-            child = mutate(parent, rng, config)
+            child = mutate_with_delta(parent, rng, config)[0]
             if any(pg.inputs != cg.inputs
                    for pg, cg in zip(parent.gates, child.gates)):
                 changed += 1
@@ -133,7 +133,7 @@ class TestMutationKinds:
                             enable_input_mutation=False,
                             enable_output_mutation=False)
         for _ in range(30):
-            child = mutate(parent, rng, config)
+            child = mutate_with_delta(parent, rng, config)[0]
             diffs = [bin(pg.config ^ cg.config).count("1")
                      for pg, cg in zip(parent.gates, child.gates)]
             assert sum(diffs) in (0, 1)
@@ -155,7 +155,7 @@ class TestSwapRule:
                             enable_inverter_mutation=False)
         parent = netlist
         for _ in range(100):
-            child = mutate(parent, rng, config)
+            child = mutate_with_delta(parent, rng, config)[0]
             assert child.fanout_violations() == []
             child.validate(require_single_fanout=True)
             parent = child
@@ -168,7 +168,7 @@ def test_mutation_fuzz(seed, rate):
     parent = insert_splitters(
         random_rqfp(3, 5, 2, rng, legal_fanout=True))
     config = RcgpConfig(mutation_rate=rate)
-    child = mutate(parent, rng, config)
+    child = mutate_with_delta(parent, rng, config)[0]
     child.validate(require_single_fanout=False)
     # Gate-input fan-out can only be violated through PO genes.
     violations = child.fanout_violations()
@@ -184,7 +184,7 @@ class TestMutationCap:
         parent = _legal_parent(rng, num_gates=8)
         config = RcgpConfig(mutation_rate=1.0, max_mutated_genes=1)
         for _ in range(25):
-            child = mutate(parent, rng, config)
+            child = mutate_with_delta(parent, rng, config)[0]
             diffs = 0
             for pg, cg in zip(parent.gates, child.gates):
                 diffs += sum(a != b for a, b in zip(pg.inputs, cg.inputs))
@@ -196,7 +196,7 @@ class TestMutationCap:
     def test_cap_never_below_one(self, rng):
         parent = _legal_parent(rng)
         config = RcgpConfig(mutation_rate=0.0, max_mutated_genes=0)
-        mutate(parent, rng, config)  # must not raise
+        mutate_with_delta(parent, rng, config)  # must not raise
 
 
 # ----------------------------------------------------------------------

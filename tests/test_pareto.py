@@ -3,8 +3,11 @@
 import pytest
 
 from repro.core.config import RcgpConfig
+from repro.core.fitness import Evaluator
+from repro.core.kernel import NetlistKernel
 from repro.core.pareto import ParetoArchive, dominates, evolve_pareto
 from repro.core.synthesis import initialize_netlist
+from repro.core.verify import realizes
 from repro.errors import SynthesisError
 from repro.logic.truth_table import tabulate_word
 from repro.rqfp.netlist import RqfpNetlist
@@ -72,8 +75,48 @@ class TestEvolvePareto:
         archive = evolve_pareto(initial, spec, config)
         assert len(archive) >= 1
         for cost, netlist in archive.entries:
-            assert netlist.to_truth_tables() == spec
+            assert realizes(netlist, spec).equivalent
             netlist.validate(require_single_fanout=True)
+
+    def test_sampled_archive_members_all_functional(self):
+        # Three sampled patterns of four: the formal leg confirms every
+        # member.
+        spec = tabulate_word(lambda x: 1 << x, 2, 4)
+        config = RcgpConfig(generations=400, mutation_rate=0.1, seed=6,
+                            shrink="always", exhaustive_input_limit=1,
+                            simulation_patterns=3)
+        archive = evolve_pareto(initialize_netlist(spec), spec, config)
+        assert len(archive) >= 1
+        for cost, netlist in archive.entries:
+            assert realizes(netlist, spec).equivalent
+            netlist.validate(require_single_fanout=True)
+
+    def test_fixed_seed_is_deterministic(self):
+        spec = tabulate_word(lambda x: 1 << x, 2, 4)
+        initial = initialize_netlist(spec)
+        config = RcgpConfig(generations=300, mutation_rate=0.2, seed=8,
+                            shrink="always")
+        first, second = (evolve_pareto(initial, spec, config)
+                         for _ in range(2))
+        assert first.costs() == second.costs()
+        assert [netlist.describe() for _, netlist in first.entries] == \
+            [netlist.describe() for _, netlist in second.entries]
+
+    def test_offspring_are_scored_incrementally(self, monkeypatch):
+        calls = []
+        real = Evaluator.evaluate_incremental
+
+        def counting(self, child, delta, state, floor=None):
+            calls.append(type(child))
+            return real(self, child, delta, state, floor)
+
+        monkeypatch.setattr(Evaluator, "evaluate_incremental", counting)
+        spec = tabulate_word(lambda x: 1 << x, 2, 4)
+        config = RcgpConfig(generations=50, offspring=3, mutation_rate=0.1,
+                            seed=6)
+        evolve_pareto(initialize_netlist(spec), spec, config)
+        assert len(calls) == 50 * 3
+        assert set(calls) == {NetlistKernel}
 
     def test_front_is_mutually_non_dominated(self):
         spec = tabulate_word(lambda x: 1 << x, 2, 4)

@@ -15,7 +15,7 @@ from repro.bench.random_circuits import random_rqfp
 from repro.core.config import RcgpConfig
 from repro.core.engine import EvolutionRun
 from repro.core.fitness import Evaluator
-from repro.core.mutation import mutate
+from repro.core.mutation import mutate_with_delta
 from repro.core.synthesis import initialize_netlist
 from repro.logic.truth_table import TruthTable
 from repro.networks.convert import aig_to_mig, tables_to_aig
@@ -66,7 +66,7 @@ def test_mutation_chain_keeps_netlist_wellformed(seed, steps):
     netlist = insert_splitters(random_rqfp(3, 5, 2, rng, legal_fanout=True))
     config = RcgpConfig(mutation_rate=0.2, seed=seed)
     for _ in range(steps):
-        netlist = mutate(netlist, rng, config)
+        netlist = mutate_with_delta(netlist, rng, config)[0]
         netlist.validate(require_single_fanout=False)
     # Evaluation of any mutant must produce a totally ordered fitness.
     spec = netlist.shrink().to_truth_tables()

@@ -18,7 +18,7 @@ import pytest
 
 from repro.bench.extras import one_hot_checker
 from repro.core.config import RcgpConfig
-from repro.core.mutation import mutate
+from repro.core.mutation import mutate_with_delta
 from repro.core.synthesis import initialize_netlist
 from repro.sat.cnf import CNF
 from repro.sat.equivalence import (build_miter, check_against_tables,
@@ -104,7 +104,8 @@ def _miter_candidate(seed):
     if seed is None:
         return _MITER_BASE
     config = RcgpConfig(mutation_rate=0.08, max_mutated_genes=1)
-    return mutate(_MITER_BASE, random.Random(seed), config).shrink()
+    return mutate_with_delta(_MITER_BASE, random.Random(seed),
+                             config)[0].shrink()
 
 
 MITER_SEEDS = (None, 1, 11, 12, 15, 16)

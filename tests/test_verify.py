@@ -276,6 +276,45 @@ class TestEngineIntegration:
                 job.result()
 
 
+class TestFailedJobErrorType:
+    """A failed job's ``result()`` raises the error class that failed
+    it, with the message unchanged."""
+
+    @pytest.fixture(autouse=True)
+    def _failing_gate(self, monkeypatch):
+        def failing(netlist, spec, config=None, plan=None):
+            raise EquivalenceViolation("gate failed", counterexample=3)
+
+        monkeypatch.setattr(verify_mod, "verify_evolution_result", failing)
+
+    CONFIG = RcgpConfig(generations=5, seed=7, verify_result=True)
+
+    def test_synthesize_raises_the_gates_typed_error(self):
+        with pytest.raises(EquivalenceViolation,
+                           match=r"failed: gate failed \(counterexample "
+                                 r"input 0x3\)$"):
+            synthesize(_decoder_spec(), self.CONFIG)
+
+    def test_unknown_error_types_raise_repro_error(self):
+        with Session() as session:
+            job = session.submit(_decoder_spec(), self.CONFIG)
+            session.run()
+            record = job.record
+            assert record["error_type"] == "EquivalenceViolation"
+            message = f"job {job.id} failed: {record['error']}"
+            # No key (an older record), a builtin, a name in the module
+            # that is no class.
+            for name in (None, "ValueError", "annotations"):
+                record.pop("error_type", None)
+                if name is not None:
+                    record["error_type"] = name
+                session.store.save_record(job.id, record)
+                with pytest.raises(ReproError) as excinfo:
+                    job.result()
+                assert type(excinfo.value) is ReproError
+                assert str(excinfo.value) == message
+
+
 class TestCliPlumbing:
     def test_cli_exposes_verify_and_fault_knobs(self):
         from repro.cli import build_parser

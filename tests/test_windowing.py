@@ -5,8 +5,10 @@ import random
 import pytest
 
 from repro.core.config import RcgpConfig
+from repro.core.engine import EvolutionRun, read_telemetry
 from repro.core.synthesis import initialize_netlist
 from repro.core.windowing import (
+    WindowResult,
     analyze_window,
     extract_window,
     optimize_window,
@@ -149,8 +151,9 @@ def _redundant_ands():
 
 
 class TestWindowGate:
-    """With ``verify_result`` each improved window passes the result
-    gate, which ``optimize_window`` looks up at call time."""
+    """With ``verify_result`` every window job passes the job's result
+    gate, improved or not; ``Scheduler._finalize`` looks it up at call
+    time."""
 
     CONFIG = RcgpConfig(generations=200, mutation_rate=1.0,
                         max_mutated_genes=4, shrink="always", seed=1,
@@ -169,34 +172,99 @@ class TestWindowGate:
         monkeypatch.setattr(verify_mod, "verify_evolution_result", counting)
         return calls
 
-    def test_gate_runs_once_per_improved_window(self, gate_calls):
+    def test_gate_runs_once_per_window_job(self, gate_calls):
         result = windowed_optimize(_redundant_ands(), window_gates=2,
                                    config=self.CONFIG, seed=0)
         assert result.windows_improved == 2
-        assert len(gate_calls) == 2
-        for improved, spec in gate_calls:
-            # The gate sees the improved window, not the extracted one.
-            assert improved.num_gates == 1
-            assert improved.to_truth_tables() == spec
+        assert len(gate_calls) == result.windows_tried
+        for final, spec in gate_calls:
+            # The gate sees the job's final netlist and the window's
+            # tables.
+            assert final.num_gates == 1
+            assert isinstance(spec, tuple)
+            assert final.to_truth_tables() == list(spec)
 
-    def test_gate_skips_a_window_that_does_not_improve(self, gate_calls):
+    def test_gate_runs_on_a_window_that_does_not_improve(self, gate_calls):
         netlist = RqfpNetlist(2, "and")
         gate = netlist.add_gate(1, 2, CONST_PORT, NORMAL_CONFIG)
         netlist.add_output(netlist.gate_output_port(gate, 2))
         assert optimize_window(netlist, 0, 1, self.CONFIG) is None
-        assert gate_calls == []
+        assert len(gate_calls) == 1
+        final, spec = gate_calls[0]
+        assert final.to_truth_tables() == list(spec) == \
+            netlist.to_truth_tables()
 
     def test_failing_gate_raises_its_typed_error(self, monkeypatch):
         import repro.core.verify as verify_mod
-        error = EquivalenceViolation("window gate failed", counterexample=3)
 
         def failing(netlist, spec, config=None, plan=None):
-            raise error
+            raise EquivalenceViolation("window gate failed",
+                                       counterexample=3)
 
         monkeypatch.setattr(verify_mod, "verify_evolution_result", failing)
-        with pytest.raises(EquivalenceViolation) as excinfo:
+        message = r"window gate failed \(counterexample input 0x3\)"
+        with pytest.raises(EquivalenceViolation, match=message):
             optimize_window(_redundant_ands(), 0, 2, self.CONFIG)
-        assert excinfo.value is error
+        with pytest.raises(EquivalenceViolation, match=message):
+            windowed_optimize(_redundant_ands(), window_gates=2,
+                              config=self.CONFIG, seed=0)
+
+
+class TestWindowJobs:
+    """A window is a job of the sweep's in-memory session."""
+
+    CONFIG = RcgpConfig(generations=150, mutation_rate=1.0,
+                        max_mutated_genes=4, seed=3, shrink="always")
+
+    def test_window_job_equals_a_direct_run(self):
+        netlist = _intdiv5_netlist()
+        config = self.CONFIG.replace(seed=5)
+        window = analyze_window(netlist, 5, 15)
+        sub = extract_window(netlist, window)
+        direct = EvolutionRun(sub.to_truth_tables(), config, initial=sub,
+                              name=sub.name).run()
+        assert direct.netlist.num_gates < sub.shrink().num_gates
+        stats = WindowResult(netlist=netlist)
+        improved = optimize_window(netlist, 5, 15, config, stats=stats)
+        assert improved.describe() == \
+            splice_window(netlist, window, direct.netlist).describe()
+        assert (stats.eval_full, stats.eval_incremental,
+                stats.ports_resimulated) == \
+            (direct.eval_full, direct.eval_incremental,
+             direct.ports_resimulated)
+
+    def test_sweep_telemetry_is_one_stream_of_window_jobs(self, tmp_path):
+        path = tmp_path / "sweep.jsonl"
+        config = self.CONFIG.replace(telemetry_path=str(path))
+        result = windowed_optimize(_intdiv5_netlist(), window_gates=10,
+                                   config=config, seed=1)
+        events = read_telemetry(str(path))
+        starts = [e["job_id"] for e in events if e["event"] == "job_start"]
+        ends = [e["job_id"] for e in events if e["event"] == "job_end"]
+        assert len(starts) == result.windows_tried > 1
+        assert starts == ends and len(set(starts)) == len(starts)
+        assert events[0]["event"] == "job_start"
+        assert events[-1]["event"] == "job_end"
+
+    def test_wrong_splice_raises_above_sixteen_inputs(self, monkeypatch):
+        import repro.core.windowing as windowing_mod
+        netlist = RqfpNetlist(17, "wide")
+        gate = netlist.add_gate(1, 2, CONST_PORT, NORMAL_CONFIG)
+        netlist.add_output(netlist.gate_output_port(gate, 2))
+        netlist.add_output(17)
+        wrong = RqfpNetlist(17, "wide")
+        wrong.add_gate(1, 2, CONST_PORT, NORMAL_CONFIG)
+        wrong.add_output(wrong.gate_output_port(0, 2))
+        wrong.add_output(16)  # x15 where the netlist has x16
+
+        def wrong_window(session, current, *args):
+            return wrong
+
+        monkeypatch.setattr(windowing_mod, "_optimize_window", wrong_window)
+        with pytest.raises(EquivalenceViolation) as excinfo:
+            windowed_optimize(netlist, window_gates=1)
+        pattern = excinfo.value.counterexample
+        assert (pattern >> 15 & 1) != (pattern >> 16 & 1)
 
 
 class TestWindowedOptimize:

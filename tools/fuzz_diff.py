@@ -38,7 +38,10 @@ on:
 * **chunk boundaries** — a random 17- or 18-input netlist of a few
   gates tabulates in ``2**16``-pattern chunks exactly as one full-width
   simulation, ``first_mismatch`` finds nothing against its own tables
-  and exactly the pattern whose bit one output's table had flipped.
+  and exactly the pattern whose bit one output's table had flipped;
+* **window splicing** — a random window of a random 2- to 18-input
+  netlist, extracted and spliced back as it is and after ``shrink()``,
+  realizes the netlist's tables under ``realizes``.
 
 Usage::
 
@@ -68,6 +71,8 @@ from repro.core.fitness import Evaluator                       # noqa: E402
 from repro.core.kernel import NetlistKernel                    # noqa: E402
 from repro.core.mutation import mutate_with_delta, port_readers  # noqa: E402
 from repro.core.verify import realizes                         # noqa: E402
+from repro.core.windowing import (analyze_window, extract_window,  # noqa: E402
+                                  splice_window)
 from repro.logic.bitops import full_mask, variable_pattern     # noqa: E402
 from repro.logic.truth_table import TruthTable, first_mismatch  # noqa: E402
 from repro.rqfp.buffers import estimate_buffers                # noqa: E402
@@ -260,6 +265,24 @@ def check_chunked_tables(rng: random.Random) -> None:
            f"{pattern:#x} of output {output}")
 
 
+def check_window_splice(rng: random.Random) -> None:
+    num_inputs = rng.randint(2, 18)
+    netlist = random_netlist(rng, num_inputs, rng.randint(1, 12),
+                             rng.randint(1, 3))
+    tables = netlist.to_truth_tables()
+    start = rng.randrange(netlist.num_gates)
+    stop = rng.randint(start + 1, netlist.num_gates)
+    window = analyze_window(netlist, start, stop)
+    sub = extract_window(netlist, window)
+    for label, replacement in (("extracted", sub), ("shrunk", sub.shrink())):
+        result = realizes(splice_window(netlist, window, replacement),
+                          tables)
+        _check(result.equivalent is True,
+               f"window [{start}, {stop}) of a {num_inputs}-input netlist, "
+               f"spliced back {label}, changed the function (pattern "
+               f"{result.counterexample})")
+
+
 def run_round(seed: int, round_index: int) -> None:
     rng = round_rng(seed, round_index)
     num_inputs = rng.randint(1, 4)
@@ -332,12 +355,14 @@ def run_round(seed: int, round_index: int) -> None:
         parent_obj, parent_ker = child_obj, child_ker
     # Drawn last, so the legs above see the same round as before.
     check_chunked_tables(rng)
+    check_window_splice(rng)
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         description="Differential fuzzing of kernel/object/incremental/"
-                    "SAT/formal-leg/legality/chunking invariants.")
+                    "SAT/formal-leg/legality/chunking/window-splice "
+                    "invariants.")
     parser.add_argument("--seed", type=int, default=0,
                         help="base seed (each round derives its own "
                              "stream; default 0)")
